@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 from .iqg import f_, oscillator_action
 from .opcalc import Monomial, QPolynomial, apply_word, monomials_of_degree
 from .qscalar import ScalarQ, q_factorial
-from .satake import SatakeDiagram, parse_spec
+from .satake import SatakeDiagram
 
 CRYSTAL_KINDS = ("I", "III", "A1AFF")
 
@@ -292,7 +292,3 @@ def _export_tikz(graph: CrystalGraph) -> str:
                      % (_edge_color(i), _node_name(src), _node_name(tgt)))
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines) + "\n"
-
-
-def crystal_graph_from_spec(spec: str, s: int) -> CrystalGraph:
-    return crystal_graph(parse_spec(spec), s)

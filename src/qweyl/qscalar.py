@@ -5,6 +5,12 @@ rational coefficients.  ``ScalarQ`` is a quotient of two Laurent polynomials
 kept in a canonical form (denominator an ordinary primitive integer polynomial
 with positive leading coefficient, coprime to the numerator), so equality and
 hashing are structural.  No floating point anywhere.
+
+Almost every value met in practice is a Laurent polynomial with integer
+coefficients, so the common cases skip the general machinery: coefficients
+are stored as ``int`` whenever they are integral, a product with a single
+term is a relabelling of exponents, and a denominator c*q^k is divided out
+directly.  Only a denominator with two or more terms needs a polynomial gcd.
 """
 
 from __future__ import annotations
@@ -29,11 +35,36 @@ def _fr(v) -> Fraction:
     raise TypeError("expected int or Fraction, got %r" % (v,))
 
 
+def _coeff(v):
+    """Validate a coefficient and store it as an int when it is integral."""
+    if type(v) is int:
+        return v
+    return _norm(_fr(v))
+
+
+def _norm(v):
+    """An int or Fraction result of exact arithmetic, as an int if integral."""
+    if type(v) is int or v.denominator != 1:
+        return v
+    return v.numerator
+
+
+def _fdiv(a, b):
+    """a / b for ints or Fractions, exact: an int when b divides a, else a
+    Fraction (int / int would be a float)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _norm(a / b)
+
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial in q over the rationals.
 
-    Stored as a map exponent -> nonzero Fraction.  Instances are treated as
-    immutable; all operations return new objects.
+    Stored as a map exponent -> nonzero coefficient, an int when integral and
+    a Fraction otherwise.  Instances are treated as immutable; all operations
+    return new objects (or ``self`` when nothing changes).
     """
 
     __slots__ = ("_c",)
@@ -45,11 +76,11 @@ class LaurentPoly:
                 c = dict(coeffs._c)
             elif isinstance(coeffs, dict):
                 for e, v in coeffs.items():
-                    v = _fr(v)
+                    v = _coeff(v)
                     if v != 0:
                         c[int(e)] = v
             else:
-                v = _fr(coeffs)
+                v = _coeff(coeffs)
                 if v != 0:
                     c[0] = v
         self._c = c
@@ -86,9 +117,9 @@ class LaurentPoly:
         other = other if isinstance(other, LaurentPoly) else LaurentPoly(other)
         c = dict(self._c)
         for e, v in other._c.items():
-            w = c.get(e, Fraction(0)) + v
+            w = c.get(e, 0) + v
             if w:
-                c[e] = w
+                c[e] = _norm(w)
             else:
                 c.pop(e, None)
         out = LaurentPoly.__new__(LaurentPoly)
@@ -109,25 +140,38 @@ class LaurentPoly:
     def __rsub__(self, other):
         return LaurentPoly(other) - self
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            v = _fr(other)
-            if v == 0:
-                return LaurentPoly.zero()
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._c = {e: c * v for e, c in self._c.items()}
-            return out
-        c = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                w = c.get(e, Fraction(0)) + v1 * v2
-                if w:
-                    c[e] = w
-                else:
-                    c.pop(e, None)
+    def _term_mul(self, k: int, v) -> "LaurentPoly":
+        """Multiply by the single term v*q^k (v a nonzero int or Fraction)."""
+        if v == 1:
+            if k == 0:
+                return self
+            c = {e + k: w for e, w in self._c.items()}
+        else:
+            c = {e + k: _norm(w * v) for e, w in self._c.items()}
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = c
+        return out
+
+    def __mul__(self, other):
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            v = _coeff(other)
+            return self._term_mul(0, v) if v else LaurentPoly.zero()
+        a, b = self._c, other._c
+        if len(b) == 1:
+            (k, v), = b.items()
+            return self._term_mul(k, v)
+        if len(a) == 1:
+            (k, v), = a.items()
+            return other._term_mul(k, v)
+        c = {}
+        for e1, v1 in a.items():
+            for e2, v2 in b.items():
+                e = e1 + e2
+                c[e] = c.get(e, 0) + v1 * v2
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._c = {e: _norm(v) for e, v in c.items() if v}
         return out
 
     __rmul__ = __mul__
@@ -146,14 +190,7 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by q^k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e + k: v for e, v in self._c.items()}
-        return out
-
-    def substitute_q_inverse(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {-e: v for e, v in self._c.items()}
-        return out
+        return self._term_mul(k, 1)
 
     def eval_at(self, value: Fraction) -> Fraction:
         """Evaluate at a nonzero rational value of q (exact)."""
@@ -186,7 +223,13 @@ class LaurentPoly:
         return self._c == other._c
 
     def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        # A constant hashes like the int or Fraction it equals.
+        c = self._c
+        if not c:
+            return hash(0)
+        if len(c) == 1 and 0 in c:
+            return hash(c[0])
+        return hash(frozenset(c.items()))
 
     def __str__(self):
         if not self._c:
@@ -214,7 +257,7 @@ def _to_ordinary(p: LaurentPoly):
     """Return (shift, dense coefficient list) with constant term at index 0."""
     lo = p.min_exp()
     hi = p.max_exp()
-    dense = [Fraction(0)] * (hi - lo + 1)
+    dense = [0] * (hi - lo + 1)
     for e, v in p.items():
         dense[e - lo] = v
     return lo, dense
@@ -230,10 +273,10 @@ def _divmod_dense(a, b):
     db, lb = len(b) - 1, b[-1]
     if len(a) < len(b):
         return [], a
-    quo = [Fraction(0)] * (len(a) - len(b) + 1)
+    quo = [0] * (len(a) - len(b) + 1)
     for i in range(len(a) - 1, db - 1, -1):
         if a[i]:
-            c = a[i] / lb
+            c = _fdiv(a[i], lb)
             quo[i - db] = c
             for j in range(db + 1):
                 a[i - db + j] -= c * b[j]
@@ -250,7 +293,7 @@ def _gcd_ordinary(a, b):
     if not a:
         return []
     lead = a[-1]
-    return [v / lead for v in a]
+    return [_fdiv(v, lead) for v in a]
 
 
 def _trim(a):
@@ -260,6 +303,15 @@ def _trim(a):
 
 
 Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
+_ONE = LaurentPoly.one()
+_UNIT = _ONE._c  # compare a denominator's terms with this to test for 1
+
+
+def _polynomial(num: LaurentPoly) -> "ScalarQ":
+    """The ScalarQ num/1; a Laurent polynomial is already canonical."""
+    out = ScalarQ.__new__(ScalarQ)
+    out.num, out.den = num, _ONE
+    return out
 
 
 class ScalarQ:
@@ -273,24 +325,31 @@ class ScalarQ:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num=0, den=1):
+    def __init__(self, num=0, den=_ONE):
         num = num if isinstance(num, LaurentPoly) else LaurentPoly(num)
         den = den if isinstance(den, LaurentPoly) else LaurentPoly(den)
         if den.is_zero:
             raise QDivisionByZero("zero denominator")
-        self.num, self.den = _canonical(num, den)
+        if len(den._c) > 1:
+            self.num, self.den = _canonical(num, den)
+            return
+        # A single-term denominator c*q^k reduces to (num*q^-k/c, 1), which
+        # is what _canonical returns for it, without a gcd.
+        (k, c), = den._c.items()
+        self.num = num._term_mul(-k, _fdiv(1, c))
+        self.den = _ONE
 
     @classmethod
     def one(cls):
-        return cls(1)
+        return _polynomial(_ONE)
 
     @classmethod
     def zero(cls):
-        return cls(0)
+        return _polynomial(LaurentPoly())
 
     @classmethod
     def q_power(cls, e: int):
-        return cls(LaurentPoly.q_power(e))
+        return _polynomial(LaurentPoly.q_power(e))
 
     @property
     def is_zero(self) -> bool:
@@ -298,11 +357,11 @@ class ScalarQ:
 
     @property
     def is_one(self) -> bool:
-        return self.den == LaurentPoly.one() and self.num == LaurentPoly.one()
+        return self.den._c == _UNIT and self.num._c == _UNIT
 
     @property
     def is_polynomial(self) -> bool:
-        return self.den == LaurentPoly.one()
+        return self.den._c == _UNIT
 
     def as_laurent(self) -> LaurentPoly:
         if not self.is_polynomial:
@@ -311,6 +370,8 @@ class ScalarQ:
 
     def __add__(self, other):
         other = other if isinstance(other, ScalarQ) else ScalarQ(other)
+        if self.den._c == _UNIT and other.den._c == _UNIT:
+            return _polynomial(self.num + other.num)
         if self.den == other.den:
             return ScalarQ(self.num + other.num, self.den)
         return ScalarQ(self.num * other.den + other.num * self.den,
@@ -333,6 +394,8 @@ class ScalarQ:
     def __mul__(self, other):
         if not isinstance(other, ScalarQ):
             other = ScalarQ(other)
+        if self.den._c == _UNIT and other.den._c == _UNIT:
+            return _polynomial(self.num * other.num)
         return ScalarQ(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -377,6 +440,10 @@ class ScalarQ:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # A Laurent polynomial hashes like its numerator, so that equal ints,
+        # Fractions, LaurentPolys and ScalarQs share one hash.
+        if self.den._c == _UNIT:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __str__(self):

@@ -153,3 +153,15 @@ def test_witness_malformed_vector_exit_two(capsys):
                        "--monomial", "1,2,3")
     assert code == 2
     assert "error:" in err
+
+
+def test_iota_consistency_ok_only_without_discrepancies(capsys, monkeypatch):
+    from qweyl import modweyl
+    monkeypatch.setattr(modweyl, "iota_consistency",
+                        lambda diagram, max_s: [("d0", (1, 0), None, None)])
+    code, out, _ = run(capsys, "verify", "--diagram", "A1AFF",
+                       "--max-degree", "1", "--suite", "modweyl")
+    lines = [line for line in out.splitlines()
+             if line.startswith("RELATION modweyl.iota_consistency")]
+    assert lines == ["RELATION modweyl.iota_consistency[d0,[1, 0]] FAIL"]
+    assert code == 1

@@ -1,0 +1,187 @@
+"""Property tests for the Q(q) kernel, with sympy as an independent oracle.
+
+Covers the field laws, agreement with ``sympy.cancel`` after evaluation at
+rational points of q, agreement of every fast path with the general
+``_canonical`` reduction, the stored coefficient types, and the rule that
+equal values hash alike across int, Fraction, LaurentPoly and ScalarQ.
+"""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qweyl.qscalar import LaurentPoly, ScalarQ, _canonical, q_integer
+
+Q = sympy.Symbol("q")
+SAMPLE_POINTS = (Fraction(2), Fraction(-3), Fraction(1, 3), Fraction(-5, 7),
+                 Fraction(7, 2))
+
+coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6))
+laurent = st.dictionaries(st.integers(-4, 4), coefficients, max_size=4).map(LaurentPoly)
+nonzero_laurent = laurent.filter(bool)
+monomial = st.builds(lambda e, c: LaurentPoly({e: c}), st.integers(-4, 4),
+                     coefficients.filter(bool))
+scalar = st.builds(ScalarQ, laurent, nonzero_laurent)
+nonzero_scalar = st.builds(ScalarQ, nonzero_laurent, nonzero_laurent)
+
+props = settings(max_examples=100, deadline=None)
+
+
+def to_sympy(p: LaurentPoly):
+    return sympy.Add(*[sympy.Rational(v.numerator, v.denominator) * Q ** e
+                       for e, v in p.items()])
+
+
+def parts(num: LaurentPoly, den: LaurentPoly):
+    """(num, den) as plain dicts, with each coefficient's type."""
+    return ({e: (type(v), v) for e, v in num.items()},
+            {e: (type(v), v) for e, v in den.items()})
+
+
+def assert_coefficient_types(*polys):
+    for p in polys:
+        for _, v in p.items():
+            assert type(v) is int or (type(v) is Fraction and v.denominator != 1), v
+
+
+# --- field laws ----------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(scalar, scalar, scalar)
+def test_field_laws(x, y, z):
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + y == y + x and x * y == y * x
+    assert x - x == ScalarQ.zero()
+    assert x * ScalarQ.one() == x
+
+
+@props
+@given(nonzero_scalar)
+def test_multiplicative_inverse(x):
+    assert x * x.invert() == ScalarQ.one()
+    assert (x * x.invert()).is_one
+
+
+# --- sympy oracle ----------------------------------------------------------------
+
+@props
+@given(laurent, nonzero_laurent)
+def test_scalar_matches_sympy_cancel(n, d):
+    s = ScalarQ(n, d)
+    expected = sympy.cancel(to_sympy(n) / to_sympy(d))
+    for point in SAMPLE_POINTS:
+        if d.eval_at(point) == 0 or s.den.eval_at(point) == 0:
+            continue
+        value = expected.subs(Q, sympy.Rational(point.numerator, point.denominator))
+        assert s.eval_at(point) == Fraction(int(value.p), int(value.q))
+    # The reduced denominator agrees with sympy's up to a constant and a
+    # power of q (which the canonical form moves onto the numerator).
+    _, sden = sympy.fraction(expected)
+    sden = sympy.Poly(sden, Q)
+    lowest = min(m[0] for m in sden.monoms())
+    sden = sympy.Poly(sympy.expand(sden.as_expr() / Q ** lowest), Q)
+    ratio = sympy.cancel(to_sympy(s.den) / sden.as_expr())
+    assert ratio.is_number and ratio != 0
+
+
+# --- fast paths agree with _canonical ----------------------------------------------
+
+@props
+@given(laurent, monomial)
+def test_monomial_denominator_fast_path(n, d):
+    s = ScalarQ(n, d)
+    assert parts(s.num, s.den) == parts(*_canonical(n, d))
+
+
+@props
+@given(laurent, laurent)
+def test_polynomial_sum_and_product_fast_paths(a, b):
+    one = LaurentPoly.one()
+    product, total = ScalarQ(a) * ScalarQ(b), ScalarQ(a) + ScalarQ(b)
+    assert parts(product.num, product.den) == parts(*_canonical(a * b, one))
+    assert parts(total.num, total.den) == parts(*_canonical(a + b, one))
+
+
+@props
+@given(laurent, laurent)
+def test_single_term_product_matches_full_expansion(a, b):
+    expected = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            expected[e1 + e2] = expected.get(e1 + e2, 0) + Fraction(v1) * v2
+    expected = {e: v for e, v in expected.items() if v}
+    assert dict((a * b).items()) == expected
+    assert dict((b * a).items()) == expected
+
+
+# --- stored coefficient types --------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(scalar, scalar, laurent, coefficients)
+def test_coefficients_are_int_or_proper_fraction(x, y, p, c):
+    results = [x + y, x - y, x * y, -x, ScalarQ(p), ScalarQ(p, q_integer(2))]
+    if not y.is_zero:
+        results.append(x / y)
+    for s in results:
+        assert_coefficient_types(s.num, s.den)
+    assert_coefficient_types(p, p * c, p + c, p * p, p.shift(3), -p,
+                             LaurentPoly({0: Fraction(4, 2)}))
+
+
+def test_integral_fraction_input_is_stored_as_int():
+    p = LaurentPoly({1: Fraction(6, 3), 0: Fraction(1, 2)})
+    assert type(dict(p.items())[1]) is int
+    assert type(dict((p * Fraction(2)).items())[0]) is int
+    assert type(dict(ScalarQ(p, 2).num.items())[1]) is int
+
+
+# --- equality and hashing agree --------------------------------------------------------
+
+constants = st.sampled_from([0, 1, 2, -1, Fraction(1, 2), Fraction(-3, 2)])
+exponents = st.integers(-2, 2)
+
+
+@st.composite
+def representations(draw):
+    """One value of Q(q) drawn from a small pool, in a random representation."""
+    v = draw(constants)
+    e = draw(exponents)
+    term = LaurentPoly({e: v})
+    scale = draw(st.sampled_from([LaurentPoly({1: 3}), q_integer(2),
+                                  LaurentPoly({0: 1, 2: Fraction(1, 2)})]))
+    options = [Fraction(v), LaurentPoly(v), ScalarQ(v), term, ScalarQ(term),
+               ScalarQ(term * scale, scale), ScalarQ(term, scale),
+               ScalarQ(term * 3, scale * 3)]
+    if Fraction(v).denominator == 1:
+        options.append(int(v))
+    return draw(st.sampled_from(options))
+
+
+@settings(max_examples=400, deadline=None)
+@given(representations(), representations())
+def test_equal_values_hash_alike(a, b):
+    if a == b:
+        assert b == a
+        assert hash(a) == hash(b)
+        assert {a: "v"}.get(b) == "v"
+
+
+def test_constant_lookup_across_types():
+    assert {ScalarQ(2): "v"}.get(2) == "v"
+    assert {LaurentPoly(2): "v"}.get(2) == "v"
+    assert {2: "v"}.get(ScalarQ(LaurentPoly({0: Fraction(4, 2)}))) == "v"
+    assert {Fraction(1, 2): "v"}.get(ScalarQ(1, 2)) == "v"
+    assert hash(ScalarQ.zero()) == hash(LaurentPoly.zero()) == hash(0)
+
+
+@pytest.mark.parametrize("value", [ScalarQ(q_integer(3), q_integer(2)),
+                                   ScalarQ(1, LaurentPoly({0: 1, 1: 1}))])
+def test_non_polynomial_scalar_is_not_equal_to_its_numerator(value):
+    assert value != value.num
