@@ -81,7 +81,7 @@ def _cmd_verify(args) -> int:
           % (args.suite, diagram.spec_string, len(report), len(failures)))
     if args.json:
         payload = {"diagram": diagram.spec_string, "suite": args.suite,
-                   "max_degree": args.max_degree,
+                   "max_degree": args.max_degree, "mutation": args.mutate,
                    "ok": not failures, "relations": report}
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2)

@@ -8,6 +8,7 @@ monomials.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
 from .qscalar import ScalarQ, laurent_from_text, q_factorial, scalar_from_text
@@ -297,11 +298,19 @@ MonomialAction = Callable[[Monomial], TermList]
 
 
 class ActionTable:
-    """Maps generator symbols to linear endomorphisms given on monomials."""
+    """Maps generator symbols to linear endomorphisms given on monomials.
+
+    ``act`` memoises its result per (symbol, monomial) for the life of the
+    table, so a table built for one command frees its memo with it.  The
+    returned term list is shared between calls: callers must treat it as
+    read-only.  ``entries`` is read on every memo miss, so it may be replaced
+    before the first ``act`` call, but not after.
+    """
 
     def __init__(self, nvars: int, entries: Dict[GeneratorSymbol, MonomialAction]):
         self.nvars = nvars
         self.entries = dict(entries)
+        self._memo: Dict[Tuple[GeneratorSymbol, Monomial], TermList] = {}
 
     def __contains__(self, sym: GeneratorSymbol) -> bool:
         return sym in self.entries
@@ -310,11 +319,17 @@ class ActionTable:
         return self.entries.keys()
 
     def act(self, sym: GeneratorSymbol, mon: Monomial) -> TermList:
+        key = (sym, mon)
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
         try:
             action = self.entries[sym]
         except KeyError:
             raise KeyError("unknown symbol %s in action table" % sym.label)
-        return action(mon)
+        terms = self._memo[key] = action(mon)
+        return terms
 
     def merged(self, other: "ActionTable") -> "ActionTable":
         if self.nvars != other.nvars:
@@ -359,12 +374,25 @@ def operator_equal_on_degrees(e1: OperatorExpr, e2: OperatorExpr,
     """Residuals of (e1 - e2) on every monomial of total degree <= max_s.
 
     An empty report means the two expressions agree on that truncation.
+    The difference is first multiplied by L, the product of the distinct
+    denominators of its coefficients, so that ``apply`` works on Laurent
+    polynomials only.  L is nonzero, so L*(e1 - e2) vanishes on a monomial
+    exactly when e1 - e2 does; each nonzero residual is divided by L again.
     """
     diff = e1 - e2
+    dens = {c.den for c in diff.terms.values() if not c.is_polynomial}
+    if dens:
+        common = ScalarQ(prod(dens))
+        diff = diff.scale(common)
+    one = ScalarQ.one()
     residuals = []
     for mon in monomials_up_to(table.nvars, max_s):
-        r = apply(diff, QPolynomial.monomial(mon), table)
+        probe = QPolynomial.__new__(QPolynomial)
+        probe.nvars, probe.terms = table.nvars, {mon: one}
+        r = apply(diff, probe, table)
         if not r.is_zero:
+            if dens:
+                r = r.scale(common.invert())
             residuals.append((mon, r))
     return residuals
 
@@ -453,8 +481,9 @@ def _split_top_level(text: str):
             start = i + 1
         i += 1
     last = text[start:].strip()
-    if last:
-        chunks.append((sign, last))
+    if not last:
+        raise ValueError("empty term in polynomial %r" % text)
+    chunks.append((sign, last))
     return chunks
 
 
@@ -464,7 +493,18 @@ def _parse_poly_term(term: str, nvars: int) -> QPolynomial:
     exps = [0] * nvars
     pos = 0
     n = len(term)
+    need_factor = True  # at the start and after each "*"
     while pos < n:
+        if term[pos].isspace():
+            pos += 1
+            continue
+        if term[pos] == "*":
+            if need_factor:
+                raise ValueError("empty factor in term %r" % term)
+            need_factor = True
+            pos += 1
+            continue
+        need_factor = False
         if term[pos] == "(":
             depth = 0
             j = pos
@@ -504,12 +544,12 @@ def _parse_poly_term(term: str, nvars: int) -> QPolynomial:
                 raise ValueError("variable X%d out of range" % idx)
             exps[idx] += power
             pos = j
-        elif term[pos] == "*" or term[pos].isspace():
-            pos += 1
         else:
             j = pos
             while j < n and term[j] not in "*":
                 j += 1
             coeff = coeff * ScalarQ(laurent_from_text(term[pos:j]))
             pos = j
+    if need_factor:
+        raise ValueError("empty factor in term %r" % term)
     return QPolynomial(nvars, {tuple(exps): coeff})

@@ -54,6 +54,16 @@ def test_act_unknown_token_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("poly", ["*", "(q)*", "+", "-", "X0 +", "*X0",
+                                  "X0 * * X1", "(q)**X0"])
+def test_act_empty_poly_term_is_usage_error(capsys, poly):
+    code, out, err = run(capsys, "act", "--diagram", "I:r=1",
+                         "--word", "", "--poly", poly)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_parse_word_tokens():
     d = build_diagram("I", 1)
     word = parse_word(d, "e1 f0 k1^-1 m0^-1 d0 x1")
@@ -73,16 +83,21 @@ def test_verify_ok_exit_zero(capsys, tmp_path):
     payload = json.loads(out_path.read_text())
     assert payload["ok"] is True
     assert payload["diagram"] == "A1AFF"
+    assert payload["mutation"] is None
     assert {"relation_id", "instance_indices", "ok"} \
         <= set(payload["relations"][0].keys())
 
 
-def test_verify_mutated_exit_one(capsys):
+def test_verify_mutated_exit_one(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "--diagram", "A1AFF",
                        "--max-degree", "2", "--suite", "iqg",
-                       "--mutate", "varsigma1")
+                       "--mutate", "varsigma1", "--json", str(out_path))
     assert code == 1
     assert any(" FAIL" in line for line in out.splitlines())
+    payload = json.loads(out_path.read_text())
+    assert payload["mutation"] == "varsigma1"
+    assert payload["ok"] is False
 
 
 def test_verify_bad_rank_exit_two(capsys):

@@ -6,6 +6,12 @@ paths.  The corpus covers every verify suite (plus a failing mutation run),
 ``act`` with rational coefficients, ``witness --direction down`` at s = 8
 (divided q-factorials, so non-unit denominators), all three crystal formats
 and one usage error.
+
+``tests/golden/reports.json`` holds two failing ``verify --mutate xi-fold``
+runs with their exit code, stdout and full ``--json`` report, recorded
+before relation checks cleared denominators and action tables memoised.
+The report comparison skips only the ``"mutation"`` key, which was added
+to the report after the recording.
 """
 
 import json
@@ -15,7 +21,9 @@ import pytest
 
 from qweyl.cli import main
 
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "cli.json").read_text())
+REPORTS = json.loads((GOLDEN_DIR / "reports.json").read_text())
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
@@ -25,3 +33,14 @@ def test_cli_output_is_byte_identical(capsys, case):
     assert code == case["exit"]
     assert out == case["stdout"]
 
+
+@pytest.mark.parametrize("case", REPORTS, ids=lambda c: " ".join(c["argv"]))
+def test_verify_json_report_is_identical(capsys, tmp_path, case):
+    path = tmp_path / "report.json"
+    code = main(list(case["argv"]) + ["--json", str(path)])
+    out = capsys.readouterr().out
+    assert code == case["exit"]
+    assert out == case["stdout"]
+    report = json.loads(path.read_text())
+    report.pop("mutation", None)
+    assert report == case["report"]

@@ -4,13 +4,15 @@ import random
 
 import pytest
 
-from qweyl.opcalc import (GeneratorSymbol, OperatorExpr, QPolynomial, apply,
-                          apply_word, divided_power, monomials_of_degree,
-                          monomials_up_to, operator_equal_on_degrees,
-                          poly_from_text, poly_to_text)
-from qweyl.qscalar import ScalarQ, q_factorial, q_integer
+from qweyl.opcalc import (ActionTable, GeneratorSymbol, OperatorExpr,
+                          QPolynomial, apply, apply_word, divided_power,
+                          monomials_of_degree, monomials_up_to,
+                          operator_equal_on_degrees, poly_from_text,
+                          poly_to_text)
+from qweyl.qscalar import (Q_MINUS_QINV, LaurentPoly, ScalarQ, q_factorial,
+                           q_integer)
 from qweyl.satake import build_diagram
-from qweyl.modweyl import d_, modweyl_table, x_
+from qweyl.modweyl import d_, iota_table, m_, modweyl_table, x_
 from qweyl.weyl import D, M, X, weyl_table
 
 
@@ -146,3 +148,74 @@ def test_poly_rejects_bad_vectors():
         QPolynomial(2, {(-1, 0): ScalarQ.one()})
     with pytest.raises(ValueError):
         QPolynomial.monomial((1, 0)) + QPolynomial.monomial((1, 0, 0))
+
+
+def test_non_laurent_residuals_match_naive_difference():
+    # DX_same with the wrong sign on M_i^-1: the residual on X^a is
+    # -2 q^(-a-1) / (q - q^-1), which is not a Laurent polynomial.
+    i, nvars, max_s = 1, 3, 3
+    table = weyl_table(nvars)
+    qq_inv = ScalarQ(Q_MINUS_QINV).invert()
+    lhs = OperatorExpr.word((D(i), X(i)))
+    bad_rhs = (OperatorExpr.word((M(i),), ScalarQ.q_power(1))
+               + OperatorExpr.word((M(i, True),), ScalarQ.q_power(-1))).scale(qq_inv)
+    residuals = operator_equal_on_degrees(lhs, bad_rhs, table, max_s)
+    expected = []
+    for mon in monomials_up_to(nvars, max_s):
+        p = QPolynomial.monomial(mon)
+        r = apply(lhs, p, table) - apply(bad_rhs, p, table)
+        if not r.is_zero:
+            expected.append((mon, r))
+    assert residuals == expected
+    assert len(residuals) == len(monomials_up_to(nvars, max_s))
+    assert all(not c.is_polynomial
+               for _, r in residuals for c in r.terms.values())
+    assert residuals[0][1] == QPolynomial.monomial(
+        (0, 0, 0), ScalarQ(LaurentPoly({-1: -2})) * qq_inv)
+
+
+def _constant_table(value):
+    sym = GeneratorSymbol("Z", 0)
+    return sym, ActionTable(1, {sym: lambda mon: [(mon, ScalarQ(value))]})
+
+
+def test_merged_table_uses_other_entry_after_caching():
+    sym, a = _constant_table(1)
+    _, b = _constant_table(2)
+    assert a.act(sym, (1,)) == [((1,), ScalarQ(1))]
+    assert a.merged(b).act(sym, (1,)) == [((1,), ScalarQ(2))]
+    assert a.act(sym, (1,)) == [((1,), ScalarQ(1))]
+
+
+def test_unknown_symbol_raises_after_caching():
+    sym, table = _constant_table(1)
+    table.act(sym, (0,))
+    table.act(sym, (2,))
+    with pytest.raises(KeyError):
+        table.act(GeneratorSymbol("Z", 1), (0,))
+
+
+def test_repeated_apply_is_memoised_and_leaves_cache_unchanged():
+    d = build_diagram("A1AFF")
+    table = iota_table(d)
+    calls = []
+
+    def counted(action):
+        def act(mon):
+            calls.append(mon)
+            return action(mon)
+        return act
+
+    table.entries = {sym: counted(action) for sym, action in table.entries.items()}
+    expr = (OperatorExpr.word((d_(0), x_(0)))
+            - OperatorExpr.word((m_(0),), ScalarQ(1, q_integer(2)))
+            + OperatorExpr.word((x_(1), m_(1, True), d_(1))))
+    p = rand_poly(random.Random(14), d.nslots)
+    first = apply(expr, p, table)
+    cached = {key: list(terms) for key, terms in table._memo.items()}
+    assert cached and len(calls) == len(cached)
+    second = apply(expr, p, table)
+    assert second == first
+    assert len(calls) == len(cached)
+    assert {key: list(terms) for key, terms in table._memo.items()} == cached
+    assert second == apply(expr, p, modweyl_table(d))
