@@ -16,8 +16,9 @@ from math import comb
 from typing import Dict, Optional, Tuple
 
 from .iqg import f_, oscillator_action
-from .opcalc import Monomial, QPolynomial, apply_word, monomials_of_degree
-from .qscalar import ScalarQ, q_factorial
+from .opcalc import (ActionTable, Monomial, QPolynomial, apply_word,
+                     monomials_of_degree)
+from .qscalar import LaurentPoly, ScalarQ, q_factorial
 from .satake import SatakeDiagram
 
 CRYSTAL_KINDS = ("I", "III", "A1AFF")
@@ -31,13 +32,17 @@ def _require_crystal_kind(diagram: SatakeDiagram):
         raise ValueError(_UNSUPPORTED_MSG % diagram.kind)
 
 
-def divided_factor(diagram: SatakeDiagram, mon: Monomial) -> ScalarQ:
-    """The normalizer prod_i [a_i]^{xi_i}! between X^a and X^(a)."""
-    out = ScalarQ.one()
+def _divided_laurent(diagram: SatakeDiagram, mon: Monomial) -> LaurentPoly:
+    out = LaurentPoly.one()
     for e, xi in zip(mon, diagram.xi):
         if e:
-            out = out * ScalarQ(q_factorial(e, xi))
+            out = out * q_factorial(e, xi)
     return out
+
+
+def divided_factor(diagram: SatakeDiagram, mon: Monomial) -> ScalarQ:
+    """The normalizer prod_i [a_i]^{xi_i}! between X^a and X^(a)."""
+    return ScalarQ(_divided_laurent(diagram, mon))
 
 
 def to_divided(diagram: SatakeDiagram, p: QPolynomial) -> Dict[Monomial, ScalarQ]:
@@ -52,22 +57,23 @@ def from_divided(diagram: SatakeDiagram, coords: Dict[Monomial, ScalarQ]) -> QPo
     return out
 
 
-def _kashiwara_coords(diagram: SatakeDiagram, i: int, a: Monomial,
-                      n: int) -> Dict[Monomial, ScalarQ]:
+def _kashiwara_coords(diagram: SatakeDiagram, i: int, a: Monomial, n: int,
+                      table: ActionTable) -> Dict[Monomial, ScalarQ]:
     """Apply f_i^{(n)_{xi_{i+1}}} to X^(a + a_{i+1}(e_i - e_{i+1})).
 
     A negative divided power is zero by convention, which makes the raising
-    operator vanish at the weight boundary.
+    operator vanish at the weight boundary.  The word acts on the plain
+    monomial X^b, whose oscillator coefficients are Laurent polynomials, and
+    each image coordinate c_t is divided once: c_t D(t) / (D(b) [n]^{xi}!).
     """
     if n < 0:
         return {}
     b = tuple(e + (a[i + 1] if j == i else 0) - (a[i + 1] if j == i + 1 else 0)
               for j, e in enumerate(a))
-    start = QPolynomial.monomial(b, divided_factor(diagram, b).invert())
-    img = apply_word((f_(i),) * n, start, oscillator_action(diagram))
-    if n:
-        img = img.scale(ScalarQ(q_factorial(n, diagram.xi[i + 1])).invert())
-    return to_divided(diagram, img)
+    img = apply_word((f_(i),) * n, QPolynomial.monomial(b), table)
+    den = _divided_laurent(diagram, b) * q_factorial(n, diagram.xi[i + 1])
+    return {t: ScalarQ(c.num * _divided_laurent(diagram, t), c.den * den)
+            for t, c in img.terms.items()}
 
 
 def _single_basis_vector(coords: Dict[Monomial, ScalarQ]) -> Optional[Monomial]:
@@ -82,18 +88,31 @@ def _single_basis_vector(coords: Dict[Monomial, ScalarQ]) -> Optional[Monomial]:
     return mon
 
 
-def kashiwara_f(diagram: SatakeDiagram, i: int, a: Monomial) -> Optional[Monomial]:
-    """Lowering operator on divided monomials; None encodes zero."""
-    _require_crystal_kind(diagram)
-    _check_color(diagram, i, a)
-    return _single_basis_vector(_kashiwara_coords(diagram, i, a, a[i + 1] + 1))
+def kashiwara_f(diagram: SatakeDiagram, i: int, a: Monomial, *,
+                table: Optional[ActionTable] = None) -> Optional[Monomial]:
+    """Lowering operator on divided monomials; None encodes zero.
+
+    ``table`` is ``oscillator_action(diagram)``, built here when omitted.
+    """
+    return _kashiwara(diagram, i, a, 1, table)
 
 
-def kashiwara_e(diagram: SatakeDiagram, i: int, a: Monomial) -> Optional[Monomial]:
-    """Raising operator on divided monomials; None encodes zero."""
+def kashiwara_e(diagram: SatakeDiagram, i: int, a: Monomial, *,
+                table: Optional[ActionTable] = None) -> Optional[Monomial]:
+    """Raising operator on divided monomials; None encodes zero.
+
+    ``table`` is ``oscillator_action(diagram)``, built here when omitted.
+    """
+    return _kashiwara(diagram, i, a, -1, table)
+
+
+def _kashiwara(diagram, i, a, step, table):
     _require_crystal_kind(diagram)
     _check_color(diagram, i, a)
-    return _single_basis_vector(_kashiwara_coords(diagram, i, a, a[i + 1] - 1))
+    if table is None:
+        table = oscillator_action(diagram)
+    n = a[i + 1] + step
+    return _single_basis_vector(_kashiwara_coords(diagram, i, a, n, table))
 
 
 def _check_color(diagram, i, a):
@@ -135,10 +154,11 @@ def crystal_graph(diagram: SatakeDiagram, s: int) -> CrystalGraph:
     if s < 0:
         raise ValueError("degree s must be >= 0")
     nodes = tuple(sorted(monomials_of_degree(diagram.nslots, s), reverse=True))
+    table = oscillator_action(diagram)
     edges = []
     for a in nodes:
         for i in range(diagram.r + 1):
-            b = kashiwara_f(diagram, i, a)
+            b = kashiwara_f(diagram, i, a, table=table)
             if b is not None:
                 edges.append((a, i, b))
     return CrystalGraph(diagram.spec_string, s, nodes, tuple(edges))
@@ -162,12 +182,13 @@ def crystal_axioms_check(diagram: SatakeDiagram, s: int) -> dict:
         report[kind] = False
         report["failures"].append((kind, detail))
 
+    table = oscillator_action(diagram)
     fmap = {}
     emap = {}
     for a in nodes:
         for i in range(diagram.r + 1):
             for direction, n in (("f", a[i + 1] + 1), ("e", a[i + 1] - 1)):
-                coords = _kashiwara_coords(diagram, i, a, n)
+                coords = _kashiwara_coords(diagram, i, a, n, table)
                 target = None
                 if coords:
                     if len(coords) != 1:
@@ -206,8 +227,9 @@ def apply_kashiwara_to_coords(diagram: SatakeDiagram, i: int,
     """Linear extension of a Kashiwara operator to divided-basis coordinates."""
     out: Dict[Monomial, ScalarQ] = {}
     op = kashiwara_f if direction == "f" else kashiwara_e
+    table = oscillator_action(diagram)
     for mon, c in coords.items():
-        tgt = op(diagram, i, mon)
+        tgt = op(diagram, i, mon, table=table)
         if tgt is None:
             continue
         w = out.get(tgt)

@@ -469,9 +469,14 @@ def _split_top_level(text: str):
             depth += 1
         elif ch == ")":
             depth -= 1
+            if depth < 0:
+                raise ValueError("unbalanced parenthesis in polynomial %r"
+                                 % text)
         elif ch in "+-" and depth == 0 and i > start:
             prev = text[start:i].strip()
-            if prev and prev[-1] not in "*^(":
+            if not prev:
+                raise ValueError("empty term in polynomial %r" % text)
+            if prev[-1] not in "*^(":
                 chunks.append((sign, prev))
                 sign = 1 if ch == "+" else -1
                 start = i + 1
@@ -480,6 +485,8 @@ def _split_top_level(text: str):
                 sign = -sign
             start = i + 1
         i += 1
+    if depth:
+        raise ValueError("unbalanced parenthesis in polynomial %r" % text)
     last = text[start:].strip()
     if not last:
         raise ValueError("empty term in polynomial %r" % text)

@@ -10,7 +10,8 @@ Almost every value met in practice is a Laurent polynomial with integer
 coefficients, so the common cases skip the general machinery: coefficients
 are stored as ``int`` whenever they are integral, a product with a single
 term is a relabelling of exponents, and a denominator c*q^k is divided out
-directly.  Only a denominator with two or more terms needs a polynomial gcd.
+directly.  Only a denominator with two or more terms needs a polynomial gcd,
+and not even then when it equals the numerator: the ratio is 1.
 """
 
 from __future__ import annotations
@@ -331,7 +332,11 @@ class ScalarQ:
         if den.is_zero:
             raise QDivisionByZero("zero denominator")
         if len(den._c) > 1:
-            self.num, self.den = _canonical(num, den)
+            # num/num is 1, the unique canonical form _canonical would reach.
+            if num._c == den._c:
+                self.num, self.den = _ONE, _ONE
+            else:
+                self.num, self.den = _canonical(num, den)
             return
         # A single-term denominator c*q^k reduces to (num*q^-k/c, 1), which
         # is what _canonical returns for it, without a gcd.

@@ -54,13 +54,30 @@ def test_act_unknown_token_is_usage_error(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("poly", ["*", "(q)*", "+", "-", "X0 +", "*X0",
-                                  "X0 * * X1", "(q)**X0"])
-def test_act_empty_poly_term_is_usage_error(capsys, poly):
+MALFORMED_POLYS = [("*", "empty factor"), ("(q)*", "empty factor"),
+                   ("+", "empty term"), ("-", "empty term"),
+                   ("X0 +", "empty term"), ("*X0", "empty factor"),
+                   ("X0 * * X1", "empty factor"), ("(q)**X0", "empty factor"),
+                   ("X0 + + X1", "empty term"),
+                   ("(q)/(q", "unbalanced parenthesis")]
+
+
+@pytest.mark.parametrize("poly,message", MALFORMED_POLYS,
+                         ids=[poly for poly, _ in MALFORMED_POLYS])
+def test_act_empty_poly_term_is_usage_error(capsys, poly, message):
     code, out, err = run(capsys, "act", "--diagram", "I:r=1",
                          "--word", "", "--poly", poly)
     assert code == 2
     assert out == ""
+    assert "error:" in err and "Traceback" not in err
+    assert message in err
+
+
+def test_verify_json_into_missing_directory_is_usage_error(capsys, tmp_path):
+    code, _, err = run(capsys, "verify", "--diagram", "I:r=0",
+                       "--max-degree", "1", "--json",
+                       str(tmp_path / "missing" / "r.json"))
+    assert code == 2
     assert "error:" in err and "Traceback" not in err
 
 

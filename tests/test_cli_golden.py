@@ -5,7 +5,9 @@ and the exact stdout recorded before the scalar kernel gained its fast
 paths.  The corpus covers every verify suite (plus a failing mutation run),
 ``act`` with rational coefficients, ``witness --direction down`` at s = 8
 (divided q-factorials, so non-unit denominators), all three crystal formats
-and one usage error.
+and one usage error.  Four larger crystal graphs (I:r=0 at s = 9, I:r=2 at
+s = 5, III:r=2 at s = 4, A1AFF at s = 6) were added before the Kashiwara
+operators moved to Laurent polynomials, and recorded on the code before it.
 
 ``tests/golden/reports.json`` holds two failing ``verify --mutate xi-fold``
 runs with their exit code, stdout and full ``--json`` report, recorded

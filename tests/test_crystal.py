@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from qweyl.crystal import (apply_kashiwara_to_coords, combinatorial_rule,
-                           crystal_axioms_check, crystal_graph, divided_factor,
-                           export, from_divided, kashiwara_e, kashiwara_f,
-                           parse_json, to_divided)
-from qweyl.opcalc import QPolynomial, monomials_of_degree
+from qweyl.crystal import (_kashiwara_coords, apply_kashiwara_to_coords,
+                           combinatorial_rule, crystal_axioms_check,
+                           crystal_graph, divided_factor, export, from_divided,
+                           kashiwara_e, kashiwara_f, parse_json, to_divided)
+from qweyl.iqg import f_, oscillator_action
+from qweyl.opcalc import (ActionTable, QPolynomial, apply_word,
+                          monomials_of_degree)
 from qweyl.qscalar import (LaurentPoly, ScalarQ, is_regular_at_zero,
                            q_factorial, q_integer)
 from qweyl.satake import build_diagram
@@ -148,6 +150,108 @@ def test_lattice_stability_on_regular_coordinates():
         for i in range(2):
             out = apply_kashiwara_to_coords(d, i, coords, "f")
             assert all(is_regular_at_zero(c) for c in out.values())
+
+
+# --- Kashiwara coordinates against the ScalarQ oracle ----------------------------
+
+def _oracle_divided_factor(diagram, mon):
+    out = ScalarQ.one()
+    for e, xi in zip(mon, diagram.xi):
+        if e:
+            out = out * ScalarQ(q_factorial(e, xi))
+    return out
+
+
+def _oracle_coords(diagram, i, a, n, table):
+    """f_i^n applied to X^b / D(b), divided by [n]^{xi_{i+1}}!, in the
+    divided basis: the whole word runs over Q(q)."""
+    if n < 0:
+        return {}
+    b = tuple(e + (a[i + 1] if j == i else 0) - (a[i + 1] if j == i + 1 else 0)
+              for j, e in enumerate(a))
+    start = QPolynomial.monomial(b, _oracle_divided_factor(diagram, b).invert())
+    img = apply_word((f_(i),) * n, start, table)
+    if n:
+        img = img.scale(ScalarQ(q_factorial(n, diagram.xi[i + 1])).invert())
+    return {mon: str(c * _oracle_divided_factor(diagram, mon))
+            for mon, c in img.terms.items()}
+
+
+ORACLE_FAMILIES = [("I", 0), ("I", 1), ("I", 2), ("III", 1), ("III", 2),
+                   ("A1AFF", None)]
+
+
+def _xi_variants(kind, r):
+    d = build_diagram(kind, r)
+    return [d.with_xi(slot, xi) for slot in range(d.nslots) for xi in (1, 2, 3)]
+
+
+def _assert_coords_match_oracle(d, table, max_s=3):
+    for s in range(max_s + 1):
+        for a in monomials_of_degree(d.nslots, s):
+            for i in range(d.r + 1):
+                for n in (a[i + 1] + 1, a[i + 1] - 1):
+                    got = _kashiwara_coords(d, i, a, n, table)
+                    assert {mon: str(c) for mon, c in got.items()} \
+                        == _oracle_coords(d, i, a, n, table), (d.xi, i, a, n)
+
+
+@pytest.mark.parametrize("kind,r", ORACLE_FAMILIES)
+def test_kashiwara_coords_match_scalar_oracle(kind, r):
+    # Every xi of every slot in 1..3, so most variants break closure and
+    # their coefficients are not 1 (often with a 2+-term denominator).
+    for d in _xi_variants(kind, r):
+        _assert_coords_match_oracle(d, oscillator_action(d))
+
+
+def test_kashiwara_coords_are_exact_for_non_laurent_actions():
+    # Oscillator coefficients are Laurent polynomials; scaling every action
+    # by 1/(q^2 + 1) checks that the coordinates stay exact without that.
+    d = build_diagram("I", 1)
+    scale = ScalarQ(1, LaurentPoly({2: 1, 0: 1}))
+
+    def scaled(action):
+        return lambda mon: [(t, c * scale) for t, c in action(mon)]
+
+    base = oscillator_action(d)
+    table = ActionTable(d.nslots, {sym: scaled(action)
+                                   for sym, action in base.entries.items()})
+    _assert_coords_match_oracle(d, table)
+
+
+def test_one_oscillator_table_per_command(monkeypatch):
+    import qweyl.crystal as crystal_mod
+    builds = []
+
+    def counting(diagram):
+        builds.append(diagram)
+        return oscillator_action(diagram)
+
+    monkeypatch.setattr(crystal_mod, "oscillator_action", counting)
+    d = build_diagram("I", 1)
+    crystal_graph(d, 3)
+    crystal_axioms_check(d, 3)
+    apply_kashiwara_to_coords(d, 0, {(3, 0, 0): ScalarQ.one(),
+                                     (2, 1, 0): ScalarQ.one()}, "f")
+    assert len(builds) == 3
+    assert kashiwara_f(d, 0, (3, 0, 0)) == (2, 1, 0)
+    assert len(builds) == 4
+
+
+def test_mutated_axioms_report_is_pinned():
+    # Recorded before the Kashiwara path moved to Laurent polynomials.
+    d = build_diagram("I", 1).with_xi(1, 3)
+    assert crystal_axioms_check(d, 2) == {
+        "diagram": "I:r=1", "s": 2, "closure_ok": False, "b5_ok": True,
+        "weight_ok": True, "rule_agreement_ok": True, "rank_ok": True,
+        "failures": [
+            ("closure_ok", ("f", 1, (1, 1, 0), "(q^2)/(q^4 + q^2 + 1)")),
+            ("closure_ok", ("f", 1, (0, 2, 0), "(q^4)/(q^8 + q^4 + 1)")),
+            ("closure_ok", ("f", 1, (0, 1, 1),
+                            "(q^6)/(q^12 + q^10 + 2*q^8 + q^6 + 2*q^4 "
+                            "+ q^2 + 1)")),
+            ("closure_ok", ("e", 1, (0, 0, 2), "(q^4)/(q^8 + q^4 + 1)"))],
+        "all_ok": False}
 
 
 # --- exports --------------------------------------------------------------------

@@ -100,6 +100,27 @@ def test_monomial_denominator_fast_path(n, d):
     assert parts(s.num, s.den) == parts(*_canonical(n, d))
 
 
+multi_term = laurent.filter(lambda p: len(p.items()) >= 2)
+
+
+@props
+@given(multi_term)
+def test_ratio_equal_to_its_denominator_is_one(p):
+    s = ScalarQ(p, p)
+    assert s.is_one and s == ScalarQ.one()
+    assert parts(s.num, s.den) == parts(*_canonical(p, p))
+
+
+@props
+@given(multi_term, nonzero_laurent)
+def test_ratio_unequal_to_its_denominator_still_reduces(p, u):
+    if u == LaurentPoly.one():
+        u = u + LaurentPoly.q_power(1)
+    s = ScalarQ(p * u, p)
+    assert parts(s.num, s.den) == parts(*_canonical(p * u, p))
+    assert parts(s.num, s.den) == parts(u, LaurentPoly.one())
+
+
 @props
 @given(laurent, laurent)
 def test_polynomial_sum_and_product_fast_paths(a, b):
