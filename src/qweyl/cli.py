@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import crystal as crystal_mod
 from . import iqg, modweyl, weyl
@@ -71,19 +72,20 @@ def _cmd_verify(args) -> int:
         raise ValueError("--max-degree must be >= 0")
     if args.mutate:
         diagram = _apply_mutation(diagram, args.mutate)
-    report = run_suite(diagram, args.suite, args.max_degree)
-    for entry in report:
-        idx = ",".join(str(i) for i in entry["instance_indices"])
-        print("RELATION %s[%s] %s" % (entry["relation_id"], idx,
-                                      "OK" if entry["ok"] else "FAIL"))
-    failures = report_failures(report)
-    print("SUITE %s %s: %d relations, %d failures"
-          % (args.suite, diagram.spec_string, len(report), len(failures)))
-    if args.json:
-        payload = {"diagram": diagram.spec_string, "suite": args.suite,
-                   "max_degree": args.max_degree, "mutation": args.mutate,
-                   "ok": not failures, "relations": report}
-        with open(args.json, "w") as handle:
+    # An unwritable report path fails here, before any work is done.
+    with open(args.json, "w") if args.json else nullcontext() as handle:
+        report = run_suite(diagram, args.suite, args.max_degree)
+        for entry in report:
+            idx = ",".join(str(i) for i in entry["instance_indices"])
+            print("RELATION %s[%s] %s" % (entry["relation_id"], idx,
+                                          "OK" if entry["ok"] else "FAIL"))
+        failures = report_failures(report)
+        print("SUITE %s %s: %d relations, %d failures"
+              % (args.suite, diagram.spec_string, len(report), len(failures)))
+        if handle is not None:
+            payload = {"diagram": diagram.spec_string, "suite": args.suite,
+                       "max_degree": args.max_degree, "mutation": args.mutate,
+                       "ok": not failures, "relations": report}
             json.dump(payload, handle, indent=2)
             handle.write("\n")
     return 1 if failures else 0

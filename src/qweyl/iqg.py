@@ -17,13 +17,13 @@ nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, List, Tuple
 
 from .modweyl import d_, m_, modweyl_table, x_
 from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
-                     apply as opcalc_apply, apply_word, divided_power,
-                     monomials_up_to, verify_relations)
+                     action_discrepancies, apply_word, divided_power,
+                     verify_relations)
 from .qscalar import (Q_MINUS_QINV, ScalarQ, q_binomial, q_factorial,
                       q_integer, q_pochhammer)
 from .satake import SatakeDiagram
@@ -54,64 +54,40 @@ def t_(i: int) -> GeneratorSymbol:
 
 
 @dataclass(frozen=True)
-class Presentation:
-    """Node data for the B/H presentation plus the alias assignment.
+class Presentation(SatakeDiagram):
+    """The diagram carrying the B/H presentation, plus the alias assignment.
 
     ``triples`` lists (alias index, f-node, e-node); ``tnodes`` lists
     (alias index, fixed node).  Varsigma is per presentation node.
     """
 
-    kind: str
-    r: int
-    nodes: Tuple[int, ...]
-    edges: FrozenSet[FrozenSet[int]]
-    tau: Dict[int, int]
-    varsigma: Dict[int, ScalarQ]
-    triples: Tuple[Tuple[int, int, int], ...]
-    tnodes: Tuple[Tuple[int, int], ...]
-    double_bond: bool = False
-
-    def pairing(self, i: int, j: int) -> int:
-        if i == j:
-            return 2
-        if frozenset((i, j)) in self.edges:
-            return -2 if self.double_bond else -1
-        return 0
+    triples: Tuple[Tuple[int, int, int], ...] = ()
+    tnodes: Tuple[Tuple[int, int], ...] = ()
 
 
 def presentation(diagram: SatakeDiagram) -> Presentation:
     kind, r = diagram.kind, diagram.r
-    q = ScalarQ.q_power
-    one = ScalarQ.one()
+    own = {f.name: getattr(diagram, f.name) for f in fields(SatakeDiagram)}
+    tnodes = ()
     if kind == "I":
         # Interior subpath 1..2r+2; the drawn end pair carries no generators.
         nodes = tuple(range(1, 2 * r + 3))
-        edges = frozenset(frozenset((n, n + 1)) for n in nodes[:-1])
-        tau = {n: 2 * r + 3 - n for n in nodes}
+        tau = {n: diagram.tau[n] for n in nodes}
+        edges = frozenset(e for e in diagram.edges if e <= tau.keys())
         vs = {n: diagram.varsigma[n] for n in nodes}
         triples = tuple((i, i + 1, 2 * r + 2 - i) for i in range(r + 1))
-        return Presentation(kind, r, nodes, edges, tau, vs, triples, ())
-    if kind == "III":
+    elif kind == "III":
         # Cycle on 2r+2 nodes with two adjacent folded pairs, at 0 and at r.
         nodes = tuple(range(2 * r + 2))
-        edges = set(frozenset((n, n + 1)) for n in nodes[:-1])
-        edges.add(frozenset((0, 2 * r + 1)))
         tau = {n: 2 * r + 1 - n for n in nodes}
-        vs = {n: one for n in nodes}
-        vs[0] = q(1)
-        vs[r] = q(1)
+        edges = frozenset(frozenset((n, (n + 1) % len(nodes))) for n in nodes)
+        vs = dict.fromkeys(nodes, ScalarQ.one())
+        vs[0] = ScalarQ.q_power(1)
+        vs[r] = ScalarQ.q_power(1)
         triples = tuple((i, i, 2 * r + 1 - i) for i in range(r + 1))
-        return Presentation(kind, r, nodes, frozenset(edges), tau, vs,
-                            triples, ())
-    if kind == "A1AFF":
+    elif kind == "A1AFF":
         triples = ((0, 0, 1),)
-        return Presentation(kind, r, diagram.nodes, diagram.edges,
-                            diagram.tau, dict(diagram.varsigma), triples, (),
-                            double_bond=True)
-    if kind == "II":
-        triples = tuple((i, i, 2 * r + 2 - i) for i in range(r + 1))
-        tnodes = ((r + 1, r + 1),)
-    elif kind == "IV":
+    elif kind in ("II", "IV"):
         triples = tuple((i, i, 2 * r + 2 - i) for i in range(r + 1))
         tnodes = ((r + 1, r + 1),)
     elif kind == "V":
@@ -120,8 +96,10 @@ def presentation(diagram: SatakeDiagram) -> Presentation:
     else:  # VI
         triples = tuple((i, i, 2 * r + 2 - i) for i in range(1, r + 1))
         tnodes = ((0, 0), (r + 1, r + 1))
-    return Presentation(kind, r, diagram.nodes, diagram.edges, diagram.tau,
-                        dict(diagram.varsigma), triples, tnodes)
+    if kind in ("I", "III"):
+        own.update(nodes=nodes, edges=edges, tau=tau, varsigma=vs,
+                   orbit_label={n: min(n, tau[n]) for n in nodes})
+    return Presentation(**own, triples=triples, tnodes=tnodes)
 
 
 def relation_instances(diagram: SatakeDiagram):
@@ -446,15 +424,5 @@ def apply_witness(diagram: SatakeDiagram, word, poly: QPolynomial) -> QPolynomia
 
 def oscillator_matches_phi(diagram: SatakeDiagram, max_s: int):
     """Discrepancies between the closed forms and phi over the direct action."""
-    table = modweyl_table(diagram)
-    closed = oscillator_action(diagram)
-    images = _alias_images(diagram)
-    report = []
-    for mon in monomials_up_to(diagram.nslots, max_s):
-        p = QPolynomial.monomial(mon)
-        for sym, expr in images.items():
-            via_phi = opcalc_apply(expr, p, table)
-            direct = opcalc_apply(OperatorExpr.symbol(sym), p, closed)
-            if via_phi != direct:
-                report.append((sym.label, mon, via_phi, direct))
-    return report
+    return action_discrepancies(_alias_images(diagram), modweyl_table(diagram),
+                                oscillator_action(diagram), max_s)

@@ -1,18 +1,18 @@
 """The modified q-Weyl algebra of a Satake diagram.
 
-Generators d_i, x_i, m_i^{+-1} act on the polynomial ring with deformation
-exponents xi: d_i X^a = [xi_i a_i] X^{a-e_i}, m_i X^a = q^{xi_i a_i} X^a.
-The embedding iota realizes them inside the classical q-Weyl algebra, and the
-constant-reduction witness extracts the constructive content of the
-irreducibility argument: hitting the lex-leading term with the matching
-d-word produces an explicit nonzero multiple of 1.
+It is the q-Weyl core of ``weyl`` at the diagram's deformation exponents xi,
+with generators d_i, x_i, m_i^{+-1}: d_i X^a = [xi_i a_i] X^{a-e_i},
+m_i X^a = q^{xi_i a_i} X^a.  The embedding iota realizes them inside the
+classical q-Weyl algebra, and the constant-reduction witness extracts the
+constructive content of the irreducibility argument: hitting the lex-leading
+term with the matching d-word produces an explicit nonzero multiple of 1.
 """
 
 from __future__ import annotations
 
 from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
-                     apply, monomials_up_to)
-from .qscalar import Q_MINUS_QINV, ScalarQ, q_factorial, q_integer
+                     action_discrepancies, apply)
+from .qscalar import ScalarQ, q_factorial
 from .satake import SatakeDiagram
 from . import weyl
 
@@ -30,80 +30,12 @@ def m_(i: int, inv: bool = False) -> GeneratorSymbol:
 
 
 def modweyl_table(diagram: SatakeDiagram) -> ActionTable:
-    nvars = diagram.nslots
-    xi = diagram.xi
-    entries = {}
-    for i in range(nvars):
-        entries[d_(i)] = _d_action(i, xi[i])
-        entries[x_(i)] = _x_action(i)
-        entries[m_(i)] = _m_action(i, xi[i])
-        entries[m_(i, True)] = _m_action(i, -xi[i])
-    return ActionTable(nvars, entries)
-
-
-def _d_action(i, xi_i):
-    def act(mon):
-        if mon[i] == 0:
-            return []
-        tgt = tuple(e - 1 if j == i else e for j, e in enumerate(mon))
-        return [(tgt, ScalarQ(q_integer(xi_i * mon[i])))]
-    return act
-
-
-def _x_action(i):
-    def act(mon):
-        tgt = tuple(e + 1 if j == i else e for j, e in enumerate(mon))
-        return [(tgt, ScalarQ.one())]
-    return act
-
-
-def _m_action(i, exponent):
-    def act(mon):
-        return [(mon, ScalarQ.q_power(exponent * mon[i]))]
-    return act
+    return weyl.algebra_table(diagram.xi, "dxm")
 
 
 def modweyl_relation_instances(diagram: SatakeDiagram):
     """All defining relation instances, with xi taken from the diagram."""
-    n = diagram.nslots
-    xi = diagram.xi
-    one = OperatorExpr.identity()
-    word = OperatorExpr.word
-    qq = ScalarQ(Q_MINUS_QINV)
-    out = []
-    for i in range(n):
-        out.append(("modweyl.mminv", [i], word([m_(i), m_(i, True)]), one))
-        out.append(("modweyl.minvm", [i], word([m_(i, True), m_(i)]), one))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(("modweyl.mm_comm", [i, j],
-                        word([m_(i), m_(j)]), word([m_(j), m_(i)])))
-            out.append(("modweyl.dd_comm", [i, j],
-                        word([d_(i), d_(j)]), word([d_(j), d_(i)])))
-            out.append(("modweyl.xx_comm", [i, j],
-                        word([x_(i), x_(j)]), word([x_(j), x_(i)])))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            out.append(("modweyl.dm_comm", [i, j],
-                        word([d_(i), m_(j)]), word([m_(j), d_(i)])))
-            out.append(("modweyl.xm_comm", [i, j],
-                        word([x_(i), m_(j)]), word([m_(j), x_(i)])))
-            out.append(("modweyl.dx_comm", [i, j],
-                        word([d_(i), x_(j)]), word([x_(j), d_(i)])))
-    for i in range(n):
-        out.append(("modweyl.dm_same", [i], word([d_(i), m_(i)]),
-                    word([m_(i), d_(i)], ScalarQ.q_power(xi[i]))))
-        out.append(("modweyl.xm_same", [i], word([x_(i), m_(i)]),
-                    word([m_(i), x_(i)], ScalarQ.q_power(-xi[i]))))
-        out.append(("modweyl.dx_same", [i], word([d_(i), x_(i)]),
-                    (word([m_(i)], ScalarQ.q_power(xi[i]))
-                     - word([m_(i, True)], ScalarQ.q_power(-xi[i])))
-                    .scale(qq.invert())))
-        out.append(("modweyl.xd_same", [i], word([x_(i), d_(i)]),
-                    (word([m_(i)]) - word([m_(i, True)])).scale(qq.invert())))
-    return out
+    return weyl.algebra_relations(diagram.xi, "dxm", "modweyl")
 
 
 def _m_power(i: int, p: int):
@@ -168,16 +100,8 @@ def iota_consistency(diagram: SatakeDiagram, max_s: int):
     empty means the pull-back action coincides with the direct one.
     """
     direct = modweyl_table(diagram)
-    through = iota_table(diagram)
-    report = []
-    for mon in monomials_up_to(diagram.nslots, max_s):
-        p = QPolynomial.monomial(mon)
-        for sym in direct.symbols():
-            lhs = apply(OperatorExpr.symbol(sym), p, through)
-            rhs = apply(OperatorExpr.symbol(sym), p, direct)
-            if lhs != rhs:
-                report.append((sym.label, mon, lhs, rhs))
-    return report
+    images = {sym: OperatorExpr.symbol(sym) for sym in direct.symbols()}
+    return action_discrepancies(images, iota_table(diagram), direct, max_s)
 
 
 def constant_reduction_witness(diagram: SatakeDiagram, p: QPolynomial):

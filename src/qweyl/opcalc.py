@@ -426,6 +426,27 @@ def report_failures(report):
     return [entry for entry in report if not entry["ok"]]
 
 
+def action_discrepancies(images: Dict[GeneratorSymbol, OperatorExpr],
+                         table: ActionTable, reference: ActionTable,
+                         max_s: int):
+    """Compare two realizations of the same symbols on P_{<=max_s}.
+
+    Each symbol acts once as its image in ``images`` applied through
+    ``table`` and once directly through ``reference``.  Returns
+    (symbol label, monomial, via images, via reference) for each
+    disagreement, monomials outermost; empty means the two agree.
+    """
+    report = []
+    for mon in monomials_up_to(table.nvars, max_s):
+        p = QPolynomial.monomial(mon)
+        for sym, expr in images.items():
+            via_images = apply(expr, p, table)
+            direct = apply(OperatorExpr.symbol(sym), p, reference)
+            if via_images != direct:
+                report.append((sym.label, mon, via_images, direct))
+    return report
+
+
 def poly_to_text(p: QPolynomial) -> str:
     """Render as ``(<ScalarQ>)*X0^2*X3 + ...`` with monomials lex descending."""
     if p.is_zero:
@@ -472,18 +493,18 @@ def _split_top_level(text: str):
             if depth < 0:
                 raise ValueError("unbalanced parenthesis in polynomial %r"
                                  % text)
-        elif ch in "+-" and depth == 0 and i > start:
+        elif ch in "+-" and depth == 0:
             prev = text[start:i].strip()
-            if not prev:
-                raise ValueError("empty term in polynomial %r" % text)
-            if prev[-1] not in "*^(":
-                chunks.append((sign, prev))
+            if prev:
+                if prev[-1] not in "*^(":
+                    chunks.append((sign, prev))
+                    sign = 1 if ch == "+" else -1
+                    start = i + 1
+            elif start == 0:  # a single leading sign is unary
                 sign = 1 if ch == "+" else -1
                 start = i + 1
-        elif ch in "+-" and depth == 0 and i == start and not text[start:i].strip():
-            if ch == "-":
-                sign = -sign
-            start = i + 1
+            else:  # a sign right after another sign
+                raise ValueError("empty term in polynomial %r" % text)
         i += 1
     if depth:
         raise ValueError("unbalanced parenthesis in polynomial %r" % text)

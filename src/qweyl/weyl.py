@@ -1,11 +1,16 @@
-"""The q-Weyl algebra acting on Q(q)[X_0..X_{r+1}] and its quantum-group image.
+"""The q-Weyl algebra with exponents xi acting on Q(q)[X_0..X_{r+1}].
 
-Generators D_i (q-difference), X_i (multiplication), M_i^{+-1} (q-scaling).
-The map chi sends the Chevalley generators E_i, F_i, K_i of U_q(sl_{r+2})
-to X_i D_{i+1}, X_{i+1} D_i and M_i M_{i+1}^{-1}.
+Generators d_i (q-difference), x_i (multiplication), m_i^{+-1} (q-scaling)
+act by d_i X^a = [xi_i a_i] X^{a-e_i} and m_i^{+-1} X^a = q^{+-xi_i a_i} X^a.
+At xi = 1 this is the classical algebra, written D_i, X_i, M_i^{+-1}; the
+modified algebra of a Satake diagram takes the diagram's xi.  The map chi
+sends the Chevalley generators E_i, F_i, K_i of U_q(sl_{r+2}) to X_i D_{i+1},
+X_{i+1} D_i and M_i M_{i+1}^{-1}.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .opcalc import ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial
 from .qscalar import Q_MINUS_QINV, ScalarQ, q_integer
@@ -35,36 +40,46 @@ def K(i: int, inv: bool = False) -> GeneratorSymbol:
     return GeneratorSymbol("K", i, inv)
 
 
-def weyl_table(nvars: int) -> ActionTable:
-    """Monomial actions: D_i X^a = [a_i] X^{a-e_i}, X_i appends, M_i scales."""
+def algebra_table(xi, names: str) -> ActionTable:
+    """Monomial actions with exponents xi, on the d/x/m letters in ``names``.
+
+    d_i X^a = [xi_i a_i] X^{a-e_i}, x_i appends, m_i^{+-1} scales by
+    q^{+-xi_i a_i}.
+    """
+    d, x, m = (partial(GeneratorSymbol, fam) for fam in names)
     entries = {}
-    for i in range(nvars):
-        entries[D(i)] = _d_action(i, nvars)
-        entries[X(i)] = _x_action(i, nvars)
-        entries[M(i)] = _m_action(i, +1)
-        entries[M(i, True)] = _m_action(i, -1)
-    return ActionTable(nvars, entries)
+    for i, xi_i in enumerate(xi):
+        entries[d(i)] = _d_action(i, xi_i)
+        entries[x(i)] = _x_action(i)
+        entries[m(i)] = _m_action(i, xi_i)
+        entries[m(i, True)] = _m_action(i, -xi_i)
+    return ActionTable(len(xi), entries)
 
 
-def _d_action(i, nvars):
+def weyl_table(nvars: int) -> ActionTable:
+    """The classical algebra: D_i X^a = [a_i] X^{a-e_i}, X_i appends, M_i scales."""
+    return algebra_table((1,) * nvars, "DXM")
+
+
+def _d_action(i, xi_i):
     def act(mon):
         if mon[i] == 0:
             return []
         tgt = tuple(e - 1 if j == i else e for j, e in enumerate(mon))
-        return [(tgt, ScalarQ(q_integer(mon[i])))]
+        return [(tgt, ScalarQ(q_integer(xi_i * mon[i])))]
     return act
 
 
-def _x_action(i, nvars):
+def _x_action(i):
     def act(mon):
         tgt = tuple(e + 1 if j == i else e for j, e in enumerate(mon))
         return [(tgt, ScalarQ.one())]
     return act
 
 
-def _m_action(i, sign):
+def _m_action(i, exponent):
     def act(mon):
-        return [(mon, ScalarQ.q_power(sign * mon[i]))]
+        return [(mon, ScalarQ.q_power(exponent * mon[i]))]
     return act
 
 
@@ -93,48 +108,63 @@ def leibniz_check(i: int, f: QPolynomial, g: QPolynomial) -> bool:
     return lhs == rhs
 
 
-def weyl_relation_instances(r: int):
-    """All defining relation instances of the q-Weyl algebra on r+2 slots.
+def algebra_relations(xi, names: str, prefix: str):
+    """All defining relation instances of the algebra with exponents xi.
 
-    Returns tuples (group_id, indices, lhs, rhs) of operator expressions.
+    ``names`` holds the d/x/m letters, and group ids are spelled in them:
+    "DXM" with prefix "weyl" gives ``weyl.DX_same``, "dxm" with prefix
+    "modweyl" gives ``modweyl.dx_same``.  Returns tuples
+    (group_id, indices, lhs, rhs) of operator expressions.
     """
-    n = r + 2
+    d, x, m = (partial(GeneratorSymbol, fam) for fam in names)
+    rename = str.maketrans("DXM", names)
+
+    def gid(name):
+        return "%s.%s" % (prefix, name.translate(rename))
+
+    n = len(xi)
     one = OperatorExpr.identity()
     word = OperatorExpr.word
     out = []
     for i in range(n):
-        out.append(("weyl.MMinv", [i], word([M(i), M(i, True)]), one))
-        out.append(("weyl.MinvM", [i], word([M(i, True), M(i)]), one))
+        out.append((gid("MMinv"), [i], word([m(i), m(i, True)]), one))
+        out.append((gid("MinvM"), [i], word([m(i, True), m(i)]), one))
     for i in range(n):
         for j in range(i + 1, n):
-            out.append(("weyl.MM_comm", [i, j],
-                        word([M(i), M(j)]), word([M(j), M(i)])))
-            out.append(("weyl.DD_comm", [i, j],
-                        word([D(i), D(j)]), word([D(j), D(i)])))
-            out.append(("weyl.XX_comm", [i, j],
-                        word([X(i), X(j)]), word([X(j), X(i)])))
+            out.append((gid("MM_comm"), [i, j],
+                        word([m(i), m(j)]), word([m(j), m(i)])))
+            out.append((gid("DD_comm"), [i, j],
+                        word([d(i), d(j)]), word([d(j), d(i)])))
+            out.append((gid("XX_comm"), [i, j],
+                        word([x(i), x(j)]), word([x(j), x(i)])))
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            out.append(("weyl.DM_comm", [i, j],
-                        word([D(i), M(j)]), word([M(j), D(i)])))
-            out.append(("weyl.XM_comm", [i, j],
-                        word([X(i), M(j)]), word([M(j), X(i)])))
-            out.append(("weyl.DX_comm", [i, j],
-                        word([D(i), X(j)]), word([X(j), D(i)])))
+            out.append((gid("DM_comm"), [i, j],
+                        word([d(i), m(j)]), word([m(j), d(i)])))
+            out.append((gid("XM_comm"), [i, j],
+                        word([x(i), m(j)]), word([m(j), x(i)])))
+            out.append((gid("DX_comm"), [i, j],
+                        word([d(i), x(j)]), word([x(j), d(i)])))
     qq = ScalarQ(Q_MINUS_QINV)
     for i in range(n):
-        out.append(("weyl.DM_same", [i], word([D(i), M(i)]),
-                    word([M(i), D(i)], ScalarQ.q_power(1))))
-        out.append(("weyl.XM_same", [i], word([X(i), M(i)]),
-                    word([M(i), X(i)], ScalarQ.q_power(-1))))
-        out.append(("weyl.DX_same", [i], word([D(i), X(i)]),
-                    (word([M(i)], ScalarQ.q_power(1))
-                     - word([M(i, True)], ScalarQ.q_power(-1))).scale(qq.invert())))
-        out.append(("weyl.XD_same", [i], word([X(i), D(i)]),
-                    (word([M(i)]) - word([M(i, True)])).scale(qq.invert())))
+        out.append((gid("DM_same"), [i], word([d(i), m(i)]),
+                    word([m(i), d(i)], ScalarQ.q_power(xi[i]))))
+        out.append((gid("XM_same"), [i], word([x(i), m(i)]),
+                    word([m(i), x(i)], ScalarQ.q_power(-xi[i]))))
+        out.append((gid("DX_same"), [i], word([d(i), x(i)]),
+                    (word([m(i)], ScalarQ.q_power(xi[i]))
+                     - word([m(i, True)], ScalarQ.q_power(-xi[i])))
+                    .scale(qq.invert())))
+        out.append((gid("XD_same"), [i], word([x(i), d(i)]),
+                    (word([m(i)]) - word([m(i, True)])).scale(qq.invert())))
     return out
+
+
+def weyl_relation_instances(r: int):
+    """All defining relation instances of the classical algebra on r+2 slots."""
+    return algebra_relations((1,) * (r + 2), "DXM", "weyl")
 
 
 def chi_r(sym: GeneratorSymbol, r: int) -> OperatorExpr:

@@ -59,14 +59,17 @@ MALFORMED_POLYS = [("*", "empty factor"), ("(q)*", "empty factor"),
                    ("X0 +", "empty term"), ("*X0", "empty factor"),
                    ("X0 * * X1", "empty factor"), ("(q)**X0", "empty factor"),
                    ("X0 + + X1", "empty term"),
-                   ("(q)/(q", "unbalanced parenthesis")]
+                   ("(q)/(q", "unbalanced parenthesis"),
+                   ("X0 +-X1", "empty term"), ("--X0", "empty term"),
+                   ("X0 + -X1", "empty term")]
 
 
 @pytest.mark.parametrize("poly,message", MALFORMED_POLYS,
                          ids=[poly for poly, _ in MALFORMED_POLYS])
 def test_act_empty_poly_term_is_usage_error(capsys, poly, message):
+    # "--poly=" keeps argparse from reading "--X0" as an option
     code, out, err = run(capsys, "act", "--diagram", "I:r=1",
-                         "--word", "", "--poly", poly)
+                         "--word", "", "--poly=" + poly)
     assert code == 2
     assert out == ""
     assert "error:" in err and "Traceback" not in err
@@ -74,10 +77,11 @@ def test_act_empty_poly_term_is_usage_error(capsys, poly, message):
 
 
 def test_verify_json_into_missing_directory_is_usage_error(capsys, tmp_path):
-    code, _, err = run(capsys, "verify", "--diagram", "I:r=0",
-                       "--max-degree", "1", "--json",
-                       str(tmp_path / "missing" / "r.json"))
+    code, out, err = run(capsys, "verify", "--diagram", "I:r=0",
+                         "--max-degree", "1", "--json",
+                         str(tmp_path / "missing" / "r.json"))
     assert code == 2
+    assert out == ""
     assert "error:" in err and "Traceback" not in err
 
 

@@ -3,6 +3,7 @@ the raising/lowering witness words."""
 
 import pytest
 
+from qweyl import iqg
 from qweyl.iqg import (B_, H_, alias_symbols, apply_witness, e_, f_,
                        irreducibility_witness, k_, oscillator_action,
                        oscillator_matches_phi, phi, presentation,
@@ -202,6 +203,26 @@ ALL_R2 = [("I", 0), ("I", 1), ("I", 2), ("II", 0), ("II", 1), ("II", 2),
 @pytest.mark.parametrize("kind,r", ALL_R2)
 def test_oscillator_action_matches_phi(kind, r):
     assert oscillator_matches_phi(build_diagram(kind, r), 5) == []
+
+
+def test_oscillator_matches_phi_reports_each_discrepancy(monkeypatch):
+    # scale the closed form of k_0 by q: every monomial is reported, in
+    # monomial order, as (label, monomial, via phi, direct)
+    original = iqg.oscillator_action
+
+    def scaled(diagram):
+        table = original(diagram)
+        act = table.entries[k_(0)]
+        table.entries[k_(0)] = lambda mon: [(tgt, c * ScalarQ.q_power(1))
+                                            for tgt, c in act(mon)]
+        return table
+
+    monkeypatch.setattr(iqg, "oscillator_action", scaled)
+    d = build_diagram("I", 0)  # k_0 X^a = q^(a_0 - 2 a_1) X^a
+    expected = [("k0", mon, QPolynomial.monomial(mon, ScalarQ.q_power(e)),
+                 QPolynomial.monomial(mon, ScalarQ.q_power(e + 1)))
+                for mon, e in (((0, 0), 0), ((1, 0), 1), ((0, 1), -2))]
+    assert oscillator_matches_phi(d, 1) == expected
 
 
 def test_H_times_H_tau_acts_as_identity():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qweyl import modweyl
 from qweyl.modweyl import (constant_reduction_witness, d_, iota,
                            iota_consistency, iota_table, m_,
                            modweyl_relation_instances, modweyl_table, x_)
@@ -78,6 +79,29 @@ def test_relations_hold_under_both_interpretations(kind, r):
 @pytest.mark.parametrize("kind,r", SMALL)
 def test_iota_consistency_empty(kind, r):
     assert iota_consistency(build_diagram(kind, r), 3) == []
+
+
+def test_iota_consistency_reports_each_discrepancy(monkeypatch):
+    # scale the iota image of d_1 by q: every monomial that d_1 does not
+    # kill is reported, in monomial order, as (label, monomial, via iota,
+    # direct)
+    original = modweyl.iota_map
+
+    def scaled(diagram):
+        images = original(diagram)
+        images[d_(1)] = images[d_(1)].scale(ScalarQ.q_power(1))
+        return images
+
+    monkeypatch.setattr(modweyl, "iota_map", scaled)
+    d = build_diagram("I", 0)  # xi = (1, 2)
+    q = ScalarQ.q_power(1)
+    two, four = ScalarQ(q_integer(2)), ScalarQ(q_integer(4))
+    expected = [("d1", mon, QPolynomial.monomial(tgt, q * c),
+                 QPolynomial.monomial(tgt, c))
+                for mon, tgt, c in (((0, 1), (0, 0), two),
+                                    ((1, 1), (1, 0), two),
+                                    ((0, 2), (0, 1), four))]
+    assert iota_consistency(d, 2) == expected
 
 
 def test_xi_all_ones_reduces_to_classical_relation_set():
