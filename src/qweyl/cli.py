@@ -49,8 +49,9 @@ def run_suite(diagram: SatakeDiagram, suite: str, max_degree: int):
         instances = modweyl.modweyl_relation_instances(diagram)
         report += verify_relations(instances, modweyl.modweyl_table(diagram),
                                    max_degree)
-        iota_report = verify_relations(instances, modweyl.iota_table(diagram),
-                                       max_degree)
+        iota_report = verify_relations(instances,
+                                       weyl.weyl_table(diagram.nslots),
+                                       max_degree, push=modweyl.iota_map(diagram))
         for entry in iota_report:
             entry["relation_id"] += "@iota"
         report += iota_report
@@ -137,7 +138,11 @@ def _cmd_crystal(args) -> int:
 
 def _cmd_witness(args) -> int:
     diagram = parse_spec(args.diagram)
-    mon = tuple(int(part) for part in args.monomial.split(","))
+    try:
+        mon = tuple(int(part) for part in args.monomial.split(","))
+    except ValueError:
+        raise ValueError("bad --monomial %r: expected comma-separated integers"
+                         % args.monomial) from None
     if args.direction == "up":
         word, predicted = iqg.irreducibility_witness(diagram, mon)
         start = QPolynomial.monomial(mon)

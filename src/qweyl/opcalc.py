@@ -12,6 +12,7 @@ from math import prod
 from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
 from .qscalar import ScalarQ, laurent_from_text, q_factorial, scalar_from_text
+from .shift import compile_relation
 
 Monomial = Tuple[int, ...]
 
@@ -404,13 +405,23 @@ def verify_relations(instances, table: ActionTable, max_s: int,
     ``instances`` holds tuples (group_id, indices, lhs, rhs).  When ``push``
     is given, both sides are first mapped through it (e.g. a homomorphism
     image).  Returns a list of per-instance report dicts.
+
+    A relation whose shift-vector form is zero holds in every degree and is
+    reported OK without enumerating monomials.  Any other relation, and any
+    relation over a table entry without a shift rule, is checked monomial by
+    monomial up to ``max_s``, which gives its residual (or OK if it holds
+    at this degree but not in general).
     """
     report = []
     for group_id, indices, lhs, rhs in instances:
         if push is not None:
             lhs = expr_map(lhs, push)
             rhs = expr_map(rhs, push)
-        residuals = operator_equal_on_degrees(lhs, rhs, table, max_s)
+        form = compile_relation(lhs - rhs, table)
+        if form is not None and not form.components:
+            residuals = []
+        else:
+            residuals = operator_equal_on_degrees(lhs, rhs, table, max_s)
         entry = {"relation_id": group_id, "instance_indices": list(indices),
                  "ok": not residuals}
         if residuals:
@@ -558,14 +569,19 @@ def _parse_poly_term(term: str, nvars: int) -> QPolynomial:
             j = pos + 1
             while j < n and term[j].isdigit():
                 j += 1
+            if j == pos + 1:
+                raise ValueError("missing variable index in term %r" % term)
             idx = int(term[pos + 1:j])
             power = 1
             if j < n and term[j] == "^":
                 k = j + 1
                 if k < n and term[k] == "-":
                     k += 1
+                digits = k
                 while k < n and term[k].isdigit():
                     k += 1
+                if k == digits:
+                    raise ValueError("missing exponent in term %r" % term)
                 power = int(term[j + 1:k])
                 j = k
             if idx >= nvars:

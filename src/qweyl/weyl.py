@@ -14,6 +14,7 @@ from functools import partial
 
 from .opcalc import ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial
 from .qscalar import Q_MINUS_QINV, ScalarQ, q_integer
+from .shift import ShiftRule
 
 
 def D(i: int) -> GeneratorSymbol:
@@ -43,44 +44,22 @@ def K(i: int, inv: bool = False) -> GeneratorSymbol:
 def algebra_table(xi, names: str) -> ActionTable:
     """Monomial actions with exponents xi, on the d/x/m letters in ``names``.
 
-    d_i X^a = [xi_i a_i] X^{a-e_i}, x_i appends, m_i^{+-1} scales by
-    q^{+-xi_i a_i}.
+    Each entry is the generator's ``ShiftRule``: d_i X^a = [xi_i a_i]
+    X^{a-e_i}, x_i appends, m_i^{+-1} scales by q^{+-xi_i a_i}.
     """
     d, x, m = (partial(GeneratorSymbol, fam) for fam in names)
     entries = {}
     for i, xi_i in enumerate(xi):
-        entries[d(i)] = _d_action(i, xi_i)
-        entries[x(i)] = _x_action(i)
-        entries[m(i)] = _m_action(i, xi_i)
-        entries[m(i, True)] = _m_action(i, -xi_i)
+        entries[d(i)] = ShiftRule(i, -1, ((1, xi_i), (-1, -xi_i)), True)
+        entries[x(i)] = ShiftRule(i, 1, ((1, 0),))
+        entries[m(i)] = ShiftRule(i, 0, ((1, xi_i),))
+        entries[m(i, True)] = ShiftRule(i, 0, ((1, -xi_i),))
     return ActionTable(len(xi), entries)
 
 
 def weyl_table(nvars: int) -> ActionTable:
     """The classical algebra: D_i X^a = [a_i] X^{a-e_i}, X_i appends, M_i scales."""
     return algebra_table((1,) * nvars, "DXM")
-
-
-def _d_action(i, xi_i):
-    def act(mon):
-        if mon[i] == 0:
-            return []
-        tgt = tuple(e - 1 if j == i else e for j, e in enumerate(mon))
-        return [(tgt, ScalarQ(q_integer(xi_i * mon[i])))]
-    return act
-
-
-def _x_action(i):
-    def act(mon):
-        tgt = tuple(e + 1 if j == i else e for j, e in enumerate(mon))
-        return [(tgt, ScalarQ.one())]
-    return act
-
-
-def _m_action(i, exponent):
-    def act(mon):
-        return [(mon, ScalarQ.q_power(exponent * mon[i]))]
-    return act
 
 
 def d_substitution(i: int, p: QPolynomial) -> QPolynomial:

@@ -61,7 +61,9 @@ MALFORMED_POLYS = [("*", "empty factor"), ("(q)*", "empty factor"),
                    ("X0 + + X1", "empty term"),
                    ("(q)/(q", "unbalanced parenthesis"),
                    ("X0 +-X1", "empty term"), ("--X0", "empty term"),
-                   ("X0 + -X1", "empty term")]
+                   ("X0 + -X1", "empty term"),
+                   ("X0^", "missing exponent"), ("X", "missing variable index"),
+                   ("X0^x", "missing exponent")]
 
 
 @pytest.mark.parametrize("poly,message", MALFORMED_POLYS,
@@ -74,6 +76,16 @@ def test_act_empty_poly_term_is_usage_error(capsys, poly, message):
     assert out == ""
     assert "error:" in err and "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.parametrize("monomial", ["1,x", "1,,2"])
+def test_witness_bad_monomial_is_usage_error(capsys, monomial):
+    code, out, err = run(capsys, "witness", "--diagram", "I:r=1",
+                         "--monomial", monomial)
+    assert code == 2
+    assert out == ""
+    assert "error: bad --monomial %r" % monomial in err
+    assert "Traceback" not in err
 
 
 def test_verify_json_into_missing_directory_is_usage_error(capsys, tmp_path):

@@ -1,0 +1,145 @@
+"""Shift-vector compiler: agreement with monomial-by-monomial application,
+refusal of entries without a shift rule, and agreement of the two engines."""
+
+import json
+
+import pytest
+
+from qweyl import opcalc
+from qweyl.cli import main
+from qweyl.iqg import e_, oscillator_action, phi, relation_instances
+from qweyl.modweyl import (iota_map, iota_table, m_,
+                           modweyl_relation_instances, modweyl_table)
+from qweyl.opcalc import (OperatorExpr, QPolynomial, apply, expr_map,
+                          monomials_up_to, report_failures, verify_relations)
+from qweyl.qscalar import LaurentPoly, ScalarQ
+from qweyl.satake import build_diagram
+from qweyl.shift import ShiftRule, compile_relation
+from qweyl.weyl import (chi_map, uqsl_relation_instances, weyl_relation_instances,
+                        weyl_table)
+
+ALL_DIAGRAMS = [("I", 0), ("I", 1), ("I", 2), ("II", 0), ("II", 1), ("II", 2),
+                ("III", 1), ("III", 2), ("A1AFF", None), ("IV", 0), ("IV", 1),
+                ("IV", 2), ("V", 0), ("V", 1), ("V", 2), ("VI", 1), ("VI", 2)]
+
+
+def _suites(d):
+    """(table, instances, push) for every suite, as ``cli.run_suite`` checks it."""
+    classical, modified = weyl_table(d.nslots), modweyl_table(d)
+    return [(classical, weyl_relation_instances(d.r), None),
+            (classical, uqsl_relation_instances(d.r), chi_map(d.r)),
+            (modified, modweyl_relation_instances(d), None),
+            (classical, modweyl_relation_instances(d), iota_map(d)),
+            (modified, relation_instances(d), phi(d))]
+
+
+def _evaluate(form, a):
+    """The components at u = q^a: scale * expr applied to X^a."""
+    out = {}
+    for delta, poly in form.components.items():
+        num = {}
+        for (qe, uv), c in poly.items():
+            e = qe + sum(m * x for m, x in zip(uv, a))
+            num[e] = num.get(e, 0) + c
+        value = LaurentPoly(num)
+        if not value.is_zero:
+            out[tuple(x + y for x, y in zip(a, delta))] = ScalarQ(value)
+    return out
+
+
+@pytest.mark.parametrize("kind,r", ALL_DIAGRAMS)
+def test_compiled_components_match_apply(kind, r):
+    # Every word of every relation side, and every side as a whole (which
+    # has denominators to clear), evaluated at every |a| <= 4.
+    d = build_diagram(kind, r)
+    exprs = {}
+    for table, instances, push in _suites(d):
+        for _, _, lhs, rhs in instances:
+            for side in (lhs, rhs):
+                if push is not None:
+                    side = expr_map(side, push)
+                for expr in [side] + [OperatorExpr.word(w) for w in side.terms]:
+                    exprs.setdefault((id(table), str(expr)), (table, expr))
+    monomials = monomials_up_to(d.nslots, 4)
+    for table, expr in exprs.values():
+        form = compile_relation(expr, table)
+        scaled = expr.scale(ScalarQ(form.scale))
+        for a in monomials:
+            expected = apply(scaled, QPolynomial.monomial(a), table).terms
+            assert _evaluate(form, a) == expected, (str(expr), a)
+
+
+def test_rule_is_the_monomial_action():
+    table = modweyl_table(build_diagram("A1AFF"))  # xi = (1, 3)
+    assert table.entries[m_(1)] == ShiftRule(1, 0, ((1, 3),))
+    form = compile_relation(OperatorExpr.symbol(m_(1, True)), table)
+    assert form.components == {(0, 0): {(0, (0, -3)): 1}}
+
+
+def _replace_m0(table, action):
+    table.entries[m_(0)] = action
+    return table
+
+
+def test_plain_function_entry_is_refused_and_checked_by_monomials():
+    d = build_diagram("I", 1)
+    instances = modweyl_relation_instances(d)
+    expected = verify_relations(instances, modweyl_table(d), 2)
+    assert not report_failures(expected)
+
+    # the same action behind a plain function: refused, same report
+    table = modweyl_table(d)
+    rule = table.entries[m_(0)]
+    _replace_m0(table, lambda mon: rule(mon))
+    assert compile_relation(OperatorExpr.symbol(m_(0)), table) is None
+    assert verify_relations(instances, table, 2) == expected
+    # closed forms and composite actions carry no shift rule either
+    assert compile_relation(OperatorExpr.symbol(e_(0)),
+                            oscillator_action(d)) is None
+    assert compile_relation(OperatorExpr.symbol(m_(1)), iota_table(d)) is None
+
+    # scaled by q, as a mistaken closed form would be: refused, and the
+    # relations in which the factor does not cancel report it
+    table = _replace_m0(modweyl_table(d), lambda mon: [
+        (tgt, c * ScalarQ.q_power(1)) for tgt, c in rule(mon)])
+    failures = report_failures(verify_relations(instances, table, 2))
+    assert [(e["relation_id"], e["instance_indices"], e["residual_monomial"],
+             e["residual_coefficient"]) for e in failures] == [
+        ("modweyl.mminv", [0], [0, 0, 0], "q - 1"),
+        ("modweyl.minvm", [0], [0, 0, 0], "q - 1"),
+        ("modweyl.dx_same", [0], [0, 0, 0], "(-q^2)/(q + 1)"),
+        ("modweyl.xd_same", [0], [0, 0, 0], "(-q)/(q + 1)")]
+
+
+MATRIX_SPECS = ["I:r=0", "I:r=1", "I:r=2", "II:r=0", "II:r=1", "II:r=2",
+                "III:r=1", "III:r=2", "A1AFF", "IV:r=0", "IV:r=1", "IV:r=2",
+                "V:r=0", "V:r=1", "V:r=2", "VI:r=1", "VI:r=2"]
+
+
+def _verify_runs(capsys, tmp_path, spec):
+    runs = []
+    for mutation in ([], ["--mutate", "varsigma1"], ["--mutate", "xi-fold"]):
+        path = tmp_path / "report.json"
+        code = main(["verify", "--diagram", spec, "--suite", "all",
+                     "--max-degree", "3", "--json", str(path)] + mutation)
+        runs.append((code, capsys.readouterr().out, json.loads(path.read_text())))
+    return runs
+
+
+@pytest.mark.parametrize("spec", MATRIX_SPECS)
+def test_engines_agree_on_mutation_matrix(capsys, monkeypatch, tmp_path, spec):
+    truncated = opcalc.operator_equal_on_degrees
+    fallbacks = []
+
+    def counted(e1, e2, table, max_s):
+        residuals = truncated(e1, e2, table, max_s)
+        fallbacks.append(residuals)
+        return residuals
+
+    monkeypatch.setattr(opcalc, "operator_equal_on_degrees", counted)
+    symbolic_first = _verify_runs(capsys, tmp_path, spec)
+    # The compiler proves every relation that holds: each relation it
+    # leaves to the monomial check fails there.
+    assert all(fallbacks)
+    monkeypatch.setattr(opcalc, "compile_relation", lambda expr, table: None)
+    assert _verify_runs(capsys, tmp_path, spec) == symbolic_first
