@@ -9,7 +9,7 @@ from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
                      apply, apply_word, divided_power, monomials_of_degree,
                      monomials_up_to, operator_equal_on_degrees,
                      poly_from_text, poly_to_text, verify_relations)
-from .satake import SatakeDiagram, build_diagram, cartan_pairing, parse_spec, varsigma
+from .satake import SatakeDiagram, build_diagram, parse_spec
 from . import crystal, iqg, modweyl, weyl
 
 __version__ = "0.1.0"
@@ -17,10 +17,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionTable", "GeneratorSymbol", "InexactDivisionError", "LaurentPoly",
     "OperatorExpr", "QDivisionByZero", "QPolynomial", "SatakeDiagram",
-    "apply", "apply_word", "build_diagram", "cartan_pairing", "crystal",
+    "apply", "apply_word", "build_diagram", "crystal",
     "divided_power", "iqg", "is_regular_at_zero", "modweyl",
     "monomials_of_degree", "monomials_up_to", "operator_equal_on_degrees",
     "parse_spec", "poly_from_text", "poly_to_text", "q_binomial",
-    "q_factorial", "q_integer", "q_pochhammer", "varsigma",
-    "verify_relations", "weyl",
+    "q_factorial", "q_integer", "q_pochhammer", "verify_relations", "weyl",
 ]

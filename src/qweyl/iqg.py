@@ -6,7 +6,9 @@ aliases e_i, f_i, k_i^{+-1} (one triple per two-node orbit used by the
 realization) and t_j (one per involution-fixed node).  ``phi`` sends every
 generator to a word in the modified q-Weyl algebra, and
 ``verify_homomorphism`` checks all defining relations degree by degree on the
-polynomial ring.
+polynomial ring.  The oscillator representation is phi composed with that
+algebra's action: ``oscillator_action`` composes each alias image, a single
+scaled word, once into an action-table entry, so it follows the diagram's xi.
 
 For the path and cycle families whose drawn node count exceeds the generator
 count of the realized presentation (kinds I and III), the presentation lives
@@ -22,11 +24,11 @@ from typing import Dict, List, Tuple
 
 from .modweyl import d_, m_, modweyl_table, x_
 from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
-                     action_discrepancies, apply_word, divided_power,
-                     verify_relations)
+                     apply_word, divided_power, verify_relations)
 from .qscalar import (Q_MINUS_QINV, ScalarQ, q_binomial, q_factorial,
-                      q_integer, q_pochhammer)
+                      q_pochhammer)
 from .satake import SatakeDiagram
+from .shift import ShiftWord
 
 
 def B_(n: int) -> GeneratorSymbol:
@@ -279,83 +281,26 @@ def verify_homomorphism(diagram: SatakeDiagram, max_s: int):
     return verify_relations(instances, table, max_s, push=phi(diagram))
 
 
-def _delta(i, j):
-    return 1 if i == j else 0
-
-
 def oscillator_action(diagram: SatakeDiagram) -> ActionTable:
-    """Closed-form monomial actions of the aliases on the polynomial ring.
+    """Monomial actions of the aliases on the polynomial ring.
 
-    These are the explicit ladder/diagonal formulas; they are required (and
-    tested) to coincide with composing phi with the direct modified-Weyl
-    action.
+    Each alias image under phi is one word in d/x/m times +-q^k; the word's
+    ``ShiftRule``s from ``modweyl_table`` are composed once into a
+    ``ShiftWord``.  The table is phi composed with the modified q-Weyl
+    action, at whatever xi the diagram carries.
     """
-    kind, r = diagram.kind, diagram.r
-    nvars = diagram.nslots
+    table = modweyl_table(diagram)
     entries = {}
-
-    def ladder(sym, src, dst, count_factor, sign=1):
-        def act(mon, src=src, dst=dst, cf=count_factor, sign=sign):
-            c = q_integer(cf * mon[src]) * sign
-            if c.is_zero:
-                return []
-            tgt = tuple(e + _delta(j, dst) - _delta(j, src)
-                        for j, e in enumerate(mon))
-            return [(tgt, ScalarQ(c))]
-        entries[sym] = act
-
-    def diagonal(sym, eig):
-        entries[sym] = lambda mon, eig=eig: [(mon, eig(mon))]
-
-    q = ScalarQ.q_power
-    if kind == "V":
-        for i in range(1, r + 2):
-            e_cf = 2 if i == r + 1 else 1
-            f_sign = -1 if i == 1 else 1
-            ladder(e_(i), i, i - 1, e_cf)
-            ladder(f_(i), i - 1, i, f_sign)
-            k_sign = ScalarQ(-1 if i == 1 else 1)
-            for sym, s in ((k_(i), 1), (k_(i, True), -1)):
-                diagonal(sym, lambda mon, i=i, e_cf=e_cf, ks=k_sign, s=s:
-                         ks * q(s * (mon[i - 1] - e_cf * mon[i])))
-        diagonal(t_(0), lambda mon: ScalarQ(-q_integer(mon[0])))
-        return ActionTable(nvars, entries)
-
-    lo, hi = (1, r) if kind == "VI" else (0, r)
-    for i in range(lo, hi + 1):
-        if kind in ("I", "III"):
-            e_cf, e_sign = (2 if i == r else 1), 1
-        elif kind == "A1AFF":
-            e_cf, e_sign = 3, 1
-        else:  # II, IV, VI
-            e_cf, e_sign = 1, (-1 if i == r else 1)
-        if kind in ("III", "IV"):
-            f_cf = 2 if i == 0 else 1
-        else:
-            f_cf = 1
-        ladder(e_(i), i + 1, i, e_cf, e_sign)
-        ladder(f_(i), i, i + 1, f_cf)
-        if kind in ("II", "IV", "VI"):
-            k_sign = ScalarQ(-1 if i == r else 1)
-        else:
-            k_sign = ScalarQ.one()
-        shift = -2 * _delta(i, 0) if kind in ("III", "IV") else 0
-        if kind == "A1AFF":
-            shift = -1
-        for sym, s in ((k_(i), 1), (k_(i, True), -1)):
-            diagonal(sym, lambda mon, i=i, f_cf=f_cf, e_cf=e_cf, ks=k_sign,
-                     sh=shift, s=s:
-                     ks * q(s * (f_cf * mon[i] - e_cf * mon[i + 1] + sh)))
-    if kind in ("II", "IV", "VI"):
-        diagonal(t_(r + 1), lambda mon: ScalarQ(-q_integer(mon[r + 1])))
-    if kind == "VI":
-        diagonal(t_(0), lambda mon: ScalarQ(q_integer(mon[1])))
-    return ActionTable(nvars, entries)
+    for sym, image in _alias_images(diagram).items():
+        (word, coeff), = image.terms.items()
+        entries[sym] = ShiftWord.of([table.entries[g] for g in word],
+                                    coeff.as_laurent(), diagram.nslots)
+    return ActionTable(diagram.nslots, entries)
 
 
 def alias_symbols(diagram: SatakeDiagram) -> List[GeneratorSymbol]:
     """The ladder/diagonal alias symbols available for this diagram."""
-    return sorted(oscillator_action(diagram).symbols(),
+    return sorted(_alias_images(diagram),
                   key=lambda s: (s.fam, s.idx, s.inv))
 
 
@@ -421,8 +366,3 @@ def _check_vector(diagram, a):
 def apply_witness(diagram: SatakeDiagram, word, poly: QPolynomial) -> QPolynomial:
     return apply_word(word, poly, oscillator_action(diagram))
 
-
-def oscillator_matches_phi(diagram: SatakeDiagram, max_s: int):
-    """Discrepancies between the closed forms and phi over the direct action."""
-    return action_discrepancies(_alias_images(diagram), modweyl_table(diagram),
-                                oscillator_action(diagram), max_s)

@@ -159,16 +159,6 @@ def _varsigma_map(d: SatakeDiagram) -> Dict[int, ScalarQ]:
     return out
 
 
-def varsigma(d: SatakeDiagram, i: int) -> ScalarQ:
-    if i not in d.varsigma:
-        raise ValueError("node out of range: %r" % i)
-    return d.varsigma[i]
-
-
-def cartan_pairing(d: SatakeDiagram, i: int, j: int) -> int:
-    return d.pairing(i, j)
-
-
 def parse_spec(text: str) -> SatakeDiagram:
     """Parse a diagram spec string such as ``I:r=2`` or ``A1AFF``."""
     text = text.strip()

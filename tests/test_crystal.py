@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from closed_forms import closed_form_action, xi_variants
 from qweyl.crystal import (_kashiwara_coords, apply_kashiwara_to_coords,
                            combinatorial_rule, crystal_axioms_check,
                            crystal_graph, divided_factor, export, from_divided,
@@ -181,11 +182,6 @@ ORACLE_FAMILIES = [("I", 0), ("I", 1), ("I", 2), ("III", 1), ("III", 2),
                    ("A1AFF", None)]
 
 
-def _xi_variants(kind, r):
-    d = build_diagram(kind, r)
-    return [d.with_xi(slot, xi) for slot in range(d.nslots) for xi in (1, 2, 3)]
-
-
 def _assert_coords_match_oracle(d, table, max_s=3):
     for s in range(max_s + 1):
         for a in monomials_of_degree(d.nslots, s):
@@ -198,10 +194,12 @@ def _assert_coords_match_oracle(d, table, max_s=3):
 
 @pytest.mark.parametrize("kind,r", ORACLE_FAMILIES)
 def test_kashiwara_coords_match_scalar_oracle(kind, r):
-    # Every xi of every slot in 1..3, so most variants break closure and
-    # their coefficients are not 1 (often with a 2+-term denominator).
-    for d in _xi_variants(kind, r):
-        _assert_coords_match_oracle(d, oscillator_action(d))
+    # Every xi of every slot in 1..3.  The closed forms ignore xi, so on
+    # them most variants break closure and their coefficients are not 1
+    # (often with a 2+-term denominator); the phi-derived table follows xi.
+    for d in xi_variants(kind, r):
+        for build in (oscillator_action, closed_form_action):
+            _assert_coords_match_oracle(d, build(d))
 
 
 def test_kashiwara_coords_are_exact_for_non_laurent_actions():
@@ -238,9 +236,12 @@ def test_one_oscillator_table_per_command(monkeypatch):
     assert len(builds) == 4
 
 
-def test_mutated_axioms_report_is_pinned():
-    # Recorded before the Kashiwara path moved to Laurent polynomials.
+def test_mutated_axioms_report_is_pinned(monkeypatch):
+    # Recorded before the Kashiwara path moved to Laurent polynomials, on
+    # the closed forms, which do not follow the mutated xi.
+    import qweyl.crystal as crystal_mod
     d = build_diagram("I", 1).with_xi(1, 3)
+    monkeypatch.setattr(crystal_mod, "oscillator_action", closed_form_action)
     assert crystal_axioms_check(d, 2) == {
         "diagram": "I:r=1", "s": 2, "closure_ok": False, "b5_ok": True,
         "weight_ok": True, "rule_agreement_ok": True, "rank_ok": True,
@@ -252,6 +253,8 @@ def test_mutated_axioms_report_is_pinned():
                             "+ q^2 + 1)")),
             ("closure_ok", ("e", 1, (0, 0, 2), "(q^4)/(q^8 + q^4 + 1)"))],
         "all_ok": False}
+    monkeypatch.undo()
+    assert crystal_axioms_check(d, 2)["all_ok"]
 
 
 # --- exports --------------------------------------------------------------------

@@ -3,16 +3,15 @@ the raising/lowering witness words."""
 
 import pytest
 
-from qweyl import iqg
-from qweyl.iqg import (B_, H_, alias_symbols, apply_witness, e_, f_,
-                       irreducibility_witness, k_, oscillator_action,
-                       oscillator_matches_phi, phi, presentation,
-                       relation_instances, spanning_witness, t_,
-                       verify_homomorphism)
-from qweyl.modweyl import d_, m_, x_
-from qweyl.opcalc import (OperatorExpr, QPolynomial, monomials_of_degree,
-                          monomials_up_to, operator_equal_on_degrees,
-                          report_failures)
+from closed_forms import closed_form_action, xi_variants
+from qweyl.iqg import (B_, H_, _alias_images, alias_symbols, apply_witness,
+                       e_, f_, irreducibility_witness, k_, oscillator_action,
+                       phi, presentation, relation_instances, spanning_witness,
+                       t_, verify_homomorphism)
+from qweyl.modweyl import d_, m_, modweyl_table, x_
+from qweyl.opcalc import (OperatorExpr, QPolynomial, action_discrepancies,
+                          monomials_of_degree, monomials_up_to,
+                          operator_equal_on_degrees, report_failures)
 from qweyl.qscalar import LaurentPoly, Q_MINUS_QINV, ScalarQ, q_factorial, q_integer
 from qweyl.satake import build_diagram
 
@@ -202,27 +201,33 @@ ALL_R2 = [("I", 0), ("I", 1), ("I", 2), ("II", 0), ("II", 1), ("II", 2),
 
 @pytest.mark.parametrize("kind,r", ALL_R2)
 def test_oscillator_action_matches_phi(kind, r):
-    assert oscillator_matches_phi(build_diagram(kind, r), 5) == []
+    # the generated table against the per-kind closed forms
+    d = build_diagram(kind, r)
+    table = oscillator_action(d)
+    images = {sym: OperatorExpr.symbol(sym) for sym in table.symbols()}
+    assert action_discrepancies(images, table, closed_form_action(d), 5) == []
 
 
-def test_oscillator_matches_phi_reports_each_discrepancy(monkeypatch):
+def test_oscillator_matches_phi_reports_each_discrepancy():
     # scale the closed form of k_0 by q: every monomial is reported, in
     # monomial order, as (label, monomial, via phi, direct)
-    original = iqg.oscillator_action
-
-    def scaled(diagram):
-        table = original(diagram)
-        act = table.entries[k_(0)]
-        table.entries[k_(0)] = lambda mon: [(tgt, c * ScalarQ.q_power(1))
-                                            for tgt, c in act(mon)]
-        return table
-
-    monkeypatch.setattr(iqg, "oscillator_action", scaled)
     d = build_diagram("I", 0)  # k_0 X^a = q^(a_0 - 2 a_1) X^a
+    oracle = closed_form_action(d)
+    act = oracle.entries[k_(0)]
+    oracle.entries[k_(0)] = lambda mon: [(tgt, c * ScalarQ.q_power(1))
+                                         for tgt, c in act(mon)]
     expected = [("k0", mon, QPolynomial.monomial(mon, ScalarQ.q_power(e)),
                  QPolynomial.monomial(mon, ScalarQ.q_power(e + 1)))
                 for mon, e in (((0, 0), 0), ((1, 0), 1), ((0, 1), -2))]
-    assert oscillator_matches_phi(d, 1) == expected
+    assert action_discrepancies(_alias_images(d), modweyl_table(d),
+                                oracle, 1) == expected
+
+
+@pytest.mark.parametrize("kind,r", ALL_R2)
+def test_oscillator_action_follows_phi_off_the_default_xi(kind, r):
+    for d in xi_variants(kind, r):
+        assert action_discrepancies(_alias_images(d), modweyl_table(d),
+                                    oscillator_action(d), 3) == [], d.xi
 
 
 def test_H_times_H_tau_acts_as_identity():
@@ -309,6 +314,19 @@ def test_witnesses_exhaustive_small(kind, r):
             assert not predicted.is_zero
             assert apply_witness(d, word, QPolynomial.monomial(top)) \
                 == QPolynomial.monomial(a, predicted)
+
+
+@pytest.mark.parametrize("kind,r", [s for s in ALL_SMALL if s[0] != "VI"])
+def test_witnesses_hold_off_the_default_xi(kind, r):
+    for d in xi_variants(kind, r):
+        top = tuple([3] + [0] * (d.nslots - 1))
+        for a in monomials_of_degree(d.nslots, 3):
+            word, predicted = irreducibility_witness(d, a)
+            assert apply_witness(d, word, QPolynomial.monomial(a)) \
+                == QPolynomial.monomial(top, predicted), (d.xi, a)
+            word, predicted = spanning_witness(d, a)
+            assert apply_witness(d, word, QPolynomial.monomial(top)) \
+                == QPolynomial.monomial(a, predicted), (d.xi, a)
 
 
 def test_witness_round_trip_composes():

@@ -3,7 +3,7 @@
 import pytest
 
 from qweyl.qscalar import ScalarQ
-from qweyl.satake import KINDS, build_diagram, cartan_pairing, parse_spec, varsigma
+from qweyl.satake import KINDS, build_diagram, parse_spec
 
 ALL_SMALL = [("I", 0), ("I", 1), ("I", 2), ("I", 3),
              ("II", 0), ("II", 1), ("II", 2), ("II", 3),
@@ -54,27 +54,27 @@ def test_xi_values(kind, r, expected):
 
 def test_pairing_examples():
     d3 = build_diagram("III", 1)
-    assert cartan_pairing(d3, 0, 5) == -1  # the wrap-around bond
-    assert cartan_pairing(d3, 0, 0) == 2
-    assert cartan_pairing(d3, 0, 2) == 0
+    assert d3.pairing(0, 5) == -1  # the wrap-around bond
+    assert d3.pairing(0, 0) == 2
+    assert d3.pairing(0, 2) == 0
     a1 = build_diagram("A1AFF")
-    assert cartan_pairing(a1, 0, 1) == -2
+    assert a1.pairing(0, 1) == -2
     with pytest.raises(ValueError):
-        cartan_pairing(a1, 0, 7)
+        a1.pairing(0, 7)
 
 
 def test_varsigma_values():
     q = ScalarQ.q_power
     d2 = build_diagram("II", 1)
-    assert varsigma(d2, 2) == q(-1)          # the fixed node
-    assert varsigma(d2, 0) == ScalarQ.one()  # orthogonal pair
-    assert varsigma(d2, 4) == ScalarQ.one()
+    assert d2.varsigma[2] == q(-1)  # the fixed node
+    assert d2.varsigma[0] == ScalarQ.one()  # orthogonal pair
+    assert d2.varsigma[4] == ScalarQ.one()
     d1 = build_diagram("I", 1)
-    assert varsigma(d1, 2) == q(1)           # folded-pair representative
-    assert varsigma(d1, 3) == ScalarQ.one()  # its partner
+    assert d1.varsigma[2] == q(1)  # folded-pair representative
+    assert d1.varsigma[3] == ScalarQ.one()  # its partner
     a1 = build_diagram("A1AFF")
-    assert varsigma(a1, 0) == q(1)
-    assert varsigma(a1, 1) == q(1)
+    assert a1.varsigma[0] == q(1)
+    assert a1.varsigma[1] == q(1)
 
 
 def test_node_sets_per_kind():

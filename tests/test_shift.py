@@ -12,7 +12,8 @@ from qweyl.modweyl import (iota_map, iota_table, m_,
                            modweyl_relation_instances, modweyl_table)
 from qweyl.opcalc import (OperatorExpr, QPolynomial, apply, expr_map,
                           monomials_up_to, report_failures, verify_relations)
-from qweyl.qscalar import LaurentPoly, ScalarQ
+from qweyl.qscalar import (InexactDivisionError, LaurentPoly, Q_MINUS_QINV,
+                           ScalarQ)
 from qweyl.satake import build_diagram
 from qweyl.shift import ShiftRule, compile_relation
 from qweyl.weyl import (chi_map, uqsl_relation_instances, weyl_relation_instances,
@@ -74,6 +75,18 @@ def test_rule_is_the_monomial_action():
     assert table.entries[m_(1)] == ShiftRule(1, 0, ((1, 3),))
     form = compile_relation(OperatorExpr.symbol(m_(1, True)), table)
     assert form.components == {(0, 0): {(0, (0, -3)): 1}}
+
+
+def test_divided_rule_matches_divexact_and_refuses_a_remainder():
+    # The running-sum division by q - q^-1, on both exponent parities at odd a.
+    rule = ShiftRule(0, -1, ((3, 2), (1, 1), (-1, -1), (-3, -2)), True)
+    for a in range(7):
+        num = sum((LaurentPoly({e * a: c}) for c, e in rule.terms),
+                  LaurentPoly.zero())
+        expected = [((a - 1,), ScalarQ(num.divexact(Q_MINUS_QINV)))] if num else []
+        assert rule((a,)) == expected
+    with pytest.raises(InexactDivisionError):
+        ShiftRule(0, 0, ((1, 1),), True)((1,))
 
 
 def _replace_m0(table, action):
