@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionTable", "GeneratorSymbol", "InexactDivisionError", "LaurentPoly",
     "OperatorExpr", "QDivisionByZero", "QPolynomial", "SatakeDiagram",
-    "apply", "apply_word", "build_diagram", "crystal",
+    "ScalarQ", "apply", "apply_word", "build_diagram", "crystal",
     "divided_power", "iqg", "is_regular_at_zero", "modweyl",
     "monomials_of_degree", "monomials_up_to", "operator_equal_on_degrees",
     "parse_spec", "poly_from_text", "poly_to_text", "q_binomial",

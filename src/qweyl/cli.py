@@ -8,6 +8,7 @@ Exit codes: 0 on success, 1 when a verification suite reports residuals,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import nullcontext
@@ -28,7 +29,13 @@ MUTATIONS = ("varsigma1", "xi-fold")
 def _apply_mutation(diagram: SatakeDiagram, mutation: str) -> SatakeDiagram:
     if mutation == "varsigma1":
         flipped = ScalarQ(LaurentPoly({-3: -1}))
-        return diagram.with_varsigma(diagram.nodes[1], flipped)
+        mutated = diagram.with_varsigma(diagram.nodes[1], flipped)
+        if (iqg.presentation(mutated).varsigma
+                == iqg.presentation(diagram).varsigma):
+            raise ValueError("--mutate varsigma1 is inert for %s: node %d "
+                             "carries no generator of the presentation"
+                             % (diagram.spec_string, diagram.nodes[1]))
+        return mutated
     if mutation == "xi-fold":
         slot = diagram.nslots - 1
         return diagram.with_xi(slot, 1 if diagram.xi[slot] != 1 else 2)
@@ -161,7 +168,9 @@ def _cmd_witness(args) -> int:
     return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qweyl",
         description="Exact q-Weyl algebra, coideal relation verification and "

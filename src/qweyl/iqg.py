@@ -1,32 +1,33 @@
 """Coideal-subalgebra presentations over Satake diagrams and their realization.
 
-For each diagram the presentation is generated by B_i, H_i over a node set
-carrying a Cartan pairing and involution; the generators acquire ladder
-aliases e_i, f_i, k_i^{+-1} (one triple per two-node orbit used by the
-realization) and t_j (one per involution-fixed node).  ``phi`` sends every
-generator to a word in the modified q-Weyl algebra, and
-``verify_homomorphism`` checks all defining relations degree by degree on the
-polynomial ring.  The oscillator representation is phi composed with that
-algebra's action: ``oscillator_action`` composes each alias image, a single
-scaled word, once into an action-table entry, so it follows the diagram's xi.
+``presentation`` reads the diagram carrying the B_i, H_i presentation off the
+Satake diagram: nodes, Cartan pairing, involution, orbit labels and varsigma.
+Kinds I and III draw more nodes than the realization has generators: I keeps
+its interior subpath 1..2r+2 with its labels, and III drops the orbit
+{1, 2r+2}, numbers the remaining nodes in order and closes the cycle.  Every
+other kind is its own presentation.  So the varsigma of a dropped node is
+inert, and every other varsigma enters the relations.
 
-For the path and cycle families whose drawn node count exceeds the generator
-count of the realized presentation (kinds I and III), the presentation lives
-on the smaller diagram of the same shape: the interior subpath for I, and the
-cycle with one orbit fewer for III.  Everything else uses the diagram's own
-nodes.
+``_ladder`` gives each two-node orbit a colour and a slot pair, where the
+ladder aliases e_c, f_c, k_c^{+-1} act; each involution-fixed node n carries
+t_n.  ``phi`` sends every generator to a word in the modified q-Weyl algebra,
+and ``verify_homomorphism`` checks all defining relations degree by degree on
+the polynomial ring.  The oscillator representation is phi composed with
+that algebra's action: ``oscillator_action`` composes each alias image, a
+single scaled word, once into an action-table entry, so it follows the
+diagram's xi.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import replace
 from typing import Dict, List, Tuple
 
 from .modweyl import d_, m_, modweyl_table, x_
 from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
                      apply_word, divided_power, verify_relations)
-from .qscalar import (Q_MINUS_QINV, ScalarQ, q_binomial, q_factorial,
-                      q_pochhammer)
+from .qscalar import (Q_MINUS_QINV, LaurentPoly, ScalarQ, q_binomial,
+                      q_factorial, q_pochhammer)
 from .satake import SatakeDiagram
 from .shift import ShiftWord
 
@@ -55,53 +56,50 @@ def t_(i: int) -> GeneratorSymbol:
     return GeneratorSymbol("t", i)
 
 
-@dataclass(frozen=True)
-class Presentation(SatakeDiagram):
-    """The diagram carrying the B/H presentation, plus the alias assignment.
+def presentation(diagram: SatakeDiagram) -> SatakeDiagram:
+    """The diagram carrying the B/H presentation, read field by field.
 
-    ``triples`` lists (alias index, f-node, e-node); ``tnodes`` lists
-    (alias index, fixed node).  Varsigma is per presentation node.
+    Kind I keeps its interior subpath 1..2r+2 with its labels: the drawn end
+    pair carries no generators.  Kind III drops the orbit {1, 2r+2}, numbers
+    the remaining nodes in order and closes the cycle.  Every other kind is
+    its own presentation.
     """
+    if diagram.kind == "I":
+        drop = {0, 2 * diagram.r + 3}
+    elif diagram.kind == "III":
+        drop = {1, 2 * diagram.r + 2}
+    else:
+        return diagram
+    kept = [n for n in diagram.nodes if n not in drop]
+    new = {n: kept[0] + i for i, n in enumerate(kept)}
+    edges = {frozenset(new[n] for n in e) for e in diagram.edges
+             if not e & drop}
+    if diagram.kind == "III":
+        # Close the cycle: the two neighbours of a dropped node become adjacent.
+        for gone in drop:
+            edges.add(frozenset(new[n] for e in diagram.edges if gone in e
+                                for n in e - {gone}))
+    return replace(diagram, nodes=tuple(new.values()), edges=frozenset(edges),
+                   tau={new[n]: new[diagram.tau[n]] for n in kept},
+                   orbit_label={new[n]: new[diagram.orbit_label[n]]
+                                for n in kept},
+                   varsigma={new[n]: diagram.varsigma[n] for n in kept})
 
-    triples: Tuple[Tuple[int, int, int], ...] = ()
-    tnodes: Tuple[Tuple[int, int], ...] = ()
 
+def _ladder(pres: SatakeDiagram) -> List[Tuple[int, int, int, int]]:
+    """(n, colour, lower slot, upper slot) for each two-node orbit {n < tau n}.
 
-def presentation(diagram: SatakeDiagram) -> Presentation:
-    kind, r = diagram.kind, diagram.r
-    own = {f.name: getattr(diagram, f.name) for f in fields(SatakeDiagram)}
-    tnodes = ()
-    if kind == "I":
-        # Interior subpath 1..2r+2; the drawn end pair carries no generators.
-        nodes = tuple(range(1, 2 * r + 3))
-        tau = {n: diagram.tau[n] for n in nodes}
-        edges = frozenset(e for e in diagram.edges if e <= tau.keys())
-        vs = {n: diagram.varsigma[n] for n in nodes}
-        triples = tuple((i, i + 1, 2 * r + 2 - i) for i in range(r + 1))
-    elif kind == "III":
-        # Cycle on 2r+2 nodes with two adjacent folded pairs, at 0 and at r.
-        nodes = tuple(range(2 * r + 2))
-        tau = {n: 2 * r + 1 - n for n in nodes}
-        edges = frozenset(frozenset((n, (n + 1) % len(nodes))) for n in nodes)
-        vs = dict.fromkeys(nodes, ScalarQ.one())
-        vs[0] = ScalarQ.q_power(1)
-        vs[r] = ScalarQ.q_power(1)
-        triples = tuple((i, i, 2 * r + 1 - i) for i in range(r + 1))
-    elif kind == "A1AFF":
-        triples = ((0, 0, 1),)
-    elif kind in ("II", "IV"):
-        triples = tuple((i, i, 2 * r + 2 - i) for i in range(r + 1))
-        tnodes = ((r + 1, r + 1),)
-    elif kind == "V":
-        triples = tuple((i, i, 2 * r + 3 - i) for i in range(1, r + 2))
-        tnodes = ((0, 0),)
-    else:  # VI
-        triples = tuple((i, i, 2 * r + 2 - i) for i in range(1, r + 1))
-        tnodes = ((0, 0), (r + 1, r + 1))
-    if kind in ("I", "III"):
-        own.update(nodes=nodes, edges=edges, tau=tau, varsigma=vs,
-                   orbit_label={n: min(n, tau[n]) for n in nodes})
-    return Presentation(**own, triples=triples, tnodes=tnodes)
+    The colour is n minus the presentation's first node.  Its e/f aliases
+    move between the slots (colour - 1, colour) for kind V and
+    (colour, colour + 1) otherwise.
+    """
+    out = []
+    for n in pres.nodes:
+        if n < pres.tau[n]:
+            c = n - pres.nodes[0]
+            lo = c - 1 if pres.kind == "V" else c
+            out.append((n, c, lo, lo + 1))
+    return out
 
 
 def relation_instances(diagram: SatakeDiagram):
@@ -151,9 +149,7 @@ def relation_instances(diagram: SatakeDiagram):
                 lhs = lhs + term.scale(ScalarQ((-1) ** n))
             out.append(("iqg.R4", [i, j], lhs, OperatorExpr.zero()))
 
-    eps_active = False
-    if 0 in pres.tau:
-        eps_active = pres.pairing(0, pres.tau[0]) == -1
+    eps_active = 0 in pres.tau and pres.pairing(0, pres.tau[0]) == -1
     for i in pres.nodes:
         ti = pres.tau[i]
         if ti == i:
@@ -201,72 +197,61 @@ def relation_instances(diagram: SatakeDiagram):
     return out
 
 
-def _mword(pairs):
-    return tuple(m_(slot, p < 0) for slot, p in pairs)
+def _k_data(kind: str, r: int, c: int):
+    """k_c = scalar * m_lo^a * m_hi^b on its slot pair, as (scalar, a, b).
+
+    The last colour of II, IV and VI and colour 1 of V flip a sign; colour 0
+    of III and IV carries q^-2, and A1AFF carries q^-1.
+    """
+    flip = c == 1 if kind == "V" else c == r and kind in ("II", "IV", "VI")
+    sign = -1 if flip else 1
+    qexp = (-1 if kind == "A1AFF"
+            else -2 if c == 0 and kind in ("III", "IV") else 0)
+    a, b = (sign, -1) if kind == "V" else (1, -sign)
+    return ScalarQ(LaurentPoly({qexp: sign})), a, b
 
 
 def _alias_images(diagram: SatakeDiagram) -> Dict[GeneratorSymbol, OperatorExpr]:
-    """Images of the ladder aliases inside the modified q-Weyl algebra."""
-    kind, r = diagram.kind, diagram.r
+    """Images of the ladder aliases inside the modified q-Weyl algebra.
+
+    Each colour's e/f/k^{+-1} act on its slot pair from ``_ladder``; a fixed
+    node n carries t_n = x_n d_n, except that kind VI's t_0 is x_1 d_1.
+    """
+    pres = presentation(diagram)
     word = OperatorExpr.word
     img: Dict[GeneratorSymbol, OperatorExpr] = {}
-
-    def put_k(i, coeff, pairs):
-        img[k_(i)] = word(_mword(pairs), coeff)
-        img[k_(i, True)] = word(_mword([(s, -p) for s, p in pairs]),
-                                coeff.invert())
-
-    if kind == "V":
-        for i in range(1, r + 2):
-            img[e_(i)] = word([x_(i - 1), d_(i)])
-            img[f_(i)] = word([x_(i), d_(i - 1)])
-            sign = -1 if i == 1 else 1
-            put_k(i, ScalarQ(sign), [(i - 1, sign), (i, -1)])
-        img[t_(0)] = word([x_(0), d_(0)])
-        return img
-
-    lo, hi = (1, r) if kind == "VI" else (0, r)
-    for i in range(lo, hi + 1):
-        img[e_(i)] = word([x_(i), d_(i + 1)])
-        img[f_(i)] = word([x_(i + 1), d_(i)])
-        if kind == "I":
-            put_k(i, ScalarQ.one(), [(i, 1), (i + 1, -1)])
-        elif kind in ("II", "VI"):
-            sign = -1 if i == r else 1
-            put_k(i, ScalarQ(sign), [(i, 1), (i + 1, -sign)])
-        elif kind == "III":
-            put_k(i, ScalarQ.q_power(-2 if i == 0 else 0),
-                  [(i, 1), (i + 1, -1)])
-        elif kind == "A1AFF":
-            put_k(i, ScalarQ.q_power(-1), [(0, 1), (1, -1)])
-        else:  # IV
-            sign = -1 if i == r else 1
-            coeff = ScalarQ(sign) * ScalarQ.q_power(-2 if i == 0 else 0)
-            put_k(i, coeff, [(i, 1), (i + 1, -sign)])
-    if kind in ("II", "IV"):
-        img[t_(r + 1)] = word([x_(r + 1), d_(r + 1)])
-    elif kind == "VI":
-        img[t_(0)] = word([x_(1), d_(1)])
-        img[t_(r + 1)] = word([x_(r + 1), d_(r + 1)])
+    for _, c, lo, hi in _ladder(pres):
+        img[e_(c)] = word([x_(lo), d_(hi)])
+        img[f_(c)] = word([x_(hi), d_(lo)])
+        coeff, a, b = _k_data(diagram.kind, diagram.r, c)
+        img[k_(c)] = word([m_(lo, a < 0), m_(hi, b < 0)], coeff)
+        img[k_(c, True)] = word([m_(lo, a > 0), m_(hi, b > 0)], coeff.invert())
+    for n in pres.nodes:
+        if pres.tau[n] == n:
+            slot = 1 if diagram.kind == "VI" and n == 0 else n
+            img[t_(n)] = word([x_(slot), d_(slot)])
     return img
 
 
 def phi(diagram: SatakeDiagram) -> Dict[GeneratorSymbol, OperatorExpr]:
     """The algebra homomorphism on generators, for B/H and all aliases.
 
-    H at an involution-fixed node maps to the identity operator: the first
-    relation group forces such an H to be a central square root of 1.
+    On each two-node orbit {n < tau n} of colour c, B_n and B_{tau n} map to
+    f_c and e_c, H_n and H_{tau n} to k_c and k_c^{-1}.  A fixed node n maps
+    B_n to t_n and H_n to the identity operator: the first relation group
+    forces such an H to be a central square root of 1.
     """
     pres = presentation(diagram)
     img = _alias_images(diagram)
-    for idx, fnode, enode in pres.triples:
-        img[B_(fnode)] = img[f_(idx)]
-        img[B_(enode)] = img[e_(idx)]
-        img[H_(fnode)] = img[k_(idx)]
-        img[H_(enode)] = img[k_(idx, True)]
-    for idx, node in pres.tnodes:
-        img[B_(node)] = img[t_(idx)]
-        img[H_(node)] = OperatorExpr.identity()
+    for n, c, _, _ in _ladder(pres):
+        img[B_(n)] = img[f_(c)]
+        img[B_(pres.tau[n])] = img[e_(c)]
+        img[H_(n)] = img[k_(c)]
+        img[H_(pres.tau[n])] = img[k_(c, True)]
+    for n in pres.nodes:
+        if pres.tau[n] == n:
+            img[B_(n)] = img[t_(n)]
+            img[H_(n)] = OperatorExpr.identity()
     return img
 
 
@@ -312,20 +297,14 @@ def irreducibility_witness(diagram: SatakeDiagram, a: Tuple[int, ...]):
     has no raising operator into slot 0, so no such witness exists there.
     """
     a = _check_vector(diagram, a)
-    r = diagram.r
     if diagram.kind == "VI":
         raise ValueError("kind VI ladder operators never move slot 0; "
                          "the constant-slot witness does not exist")
-    if diagram.kind == "V":
-        word = []
-        for i in range(1, r + 2):
-            word.extend([e_(i)] * sum(a[i:]))
-    else:
-        word = []
-        for i in range(r + 1):
-            word.extend([e_(i)] * sum(a[i + 1:]))
+    word = []
+    for _, c, _, hi in _ladder(presentation(diagram)):
+        word.extend([e_(c)] * sum(a[hi:]))
     predicted = ScalarQ.one()
-    for i in range(1, r + 2):
+    for i in range(1, diagram.r + 2):
         predicted = predicted * ScalarQ(q_factorial(sum(a[i:]), diagram.xi[i]))
     return tuple(word), predicted
 
@@ -333,21 +312,16 @@ def irreducibility_witness(diagram: SatakeDiagram, a: Tuple[int, ...]):
 def spanning_witness(diagram: SatakeDiagram, b: Tuple[int, ...]):
     """The f-word carrying X_0^s to a predicted nonzero multiple of X^b."""
     b = _check_vector(diagram, b)
-    r = diagram.r
     s = sum(b)
     if diagram.kind == "VI":
         raise ValueError("kind VI ladder operators never move slot 0; "
                          "the constant-slot witness does not exist")
     word = []
-    if diagram.kind == "V":
-        for i in range(r + 1, 0, -1):
-            word.extend([f_(i)] * (s - sum(b[:i])))
-    else:
-        for i in range(r, -1, -1):
-            word.extend([f_(i)] * (s - sum(b[:i + 1])))
+    for _, c, _, hi in reversed(_ladder(presentation(diagram))):
+        word.extend([f_(c)] * (s - sum(b[:hi])))
     predicted = ScalarQ(q_factorial(s, diagram.xi[0])) \
         / ScalarQ(q_factorial(b[0], diagram.xi[0]))
-    for i in range(1, r + 1):
+    for i in range(1, diagram.r + 1):
         predicted = predicted * ScalarQ(q_factorial(s - sum(b[:i]), diagram.xi[i])) \
             / ScalarQ(q_factorial(b[i], diagram.xi[i]))
     return tuple(word), predicted

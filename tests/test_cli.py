@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qweyl.cli import main, parse_word
+from qweyl.cli import build_parser, main, parse_word
 from qweyl.crystal import crystal_graph, parse_json
 from qweyl.satake import build_diagram, parse_spec
 
@@ -133,6 +133,20 @@ def test_verify_mutated_exit_one(capsys, tmp_path):
     assert payload["ok"] is False
 
 
+@pytest.mark.parametrize("spec", ["III:r=1", "III:r=2"])
+def test_verify_inert_mutation_exit_two(capsys, tmp_path, spec):
+    # node 1 of III lies in the orbit its presentation drops
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", "--diagram", spec,
+                         "--max-degree", "2", "--suite", "iqg",
+                         "--mutate", "varsigma1", "--json", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "inert" in err
+    assert not out_path.exists()
+
+
 def test_verify_bad_rank_exit_two(capsys):
     code, _, err = run(capsys, "verify", "--diagram", "I:r=-1",
                        "--max-degree", "2")
@@ -144,6 +158,20 @@ def test_bad_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_keeps_its_usage_errors(capsys):
+    assert build_parser() is build_parser()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--diagram", "I:r=1", "--max-degree", "two"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+        assert run(capsys, "act", "--diagram", "I:r=1", "--word", "e1",
+                   "--poly", "X2") == (0, "(q + q^-1)*X1\n", "")
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("usage: qweyl verify")
 
 
 def test_crystal_dot_byte_stable(capsys):

@@ -14,6 +14,14 @@ runs with their exit code, stdout and full ``--json`` report, recorded
 before relation checks cleared denominators and action tables memoised.
 The report comparison skips only the ``"mutation"`` key, which was added
 to the report after the recording.
+
+Before the coideal presentation and its alias ladder were derived from the
+Satake diagram, both files gained cases recorded on the code before it:
+``verify --suite iqg --max-degree 2`` on I:r=2, II:r=1, IV:r=1, V:r=1 and
+VI:r=2, plain in ``cli.json`` and with ``--mutate xi-fold`` in
+``reports.json`` (the residuals depend on which alias each B/H maps to);
+``witness`` up and down on IV:r=1 and V:r=1; ``act`` with the t-aliases of
+II:r=1 and VI:r=1.
 """
 
 import json

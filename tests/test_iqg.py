@@ -13,7 +13,7 @@ from qweyl.opcalc import (OperatorExpr, QPolynomial, action_discrepancies,
                           monomials_of_degree, monomials_up_to,
                           operator_equal_on_degrees, report_failures)
 from qweyl.qscalar import LaurentPoly, Q_MINUS_QINV, ScalarQ, q_factorial, q_integer
-from qweyl.satake import build_diagram
+from qweyl.satake import SatakeDiagram, build_diagram
 
 W = OperatorExpr.word
 
@@ -24,35 +24,61 @@ ALL_SMALL = [("I", 0), ("I", 1), ("II", 0), ("II", 1), ("III", 1),
 
 # --- presentation structure ---------------------------------------------------
 
+def _assert_ladder(d, orbits, fixed):
+    # phi sends B/H of each orbit {n < tau n} of colour c to f_c, e_c, k_c and
+    # k_c^-1, and B/H of a fixed node n to t_n and the identity
+    img = phi(d)
+    for c, (n, m) in orbits.items():
+        assert img[B_(n)] == img[f_(c)] and img[B_(m)] == img[e_(c)]
+        assert img[H_(n)] == img[k_(c)] and img[H_(m)] == img[k_(c, True)]
+    for n in fixed:
+        assert img[B_(n)] == img[t_(n)]
+        assert img[H_(n)] == OperatorExpr.identity()
+
+
 def test_presentation_shapes():
-    p = presentation(build_diagram("I", 2))
+    d = build_diagram("I", 2)
+    p = presentation(d)
+    assert type(p) is SatakeDiagram
     assert p.nodes == tuple(range(1, 7))
-    assert p.triples == ((0, 1, 6), (1, 2, 5), (2, 3, 4))
-    assert p.tnodes == ()
-    p = presentation(build_diagram("II", 1))
-    assert p.nodes == tuple(range(5))
-    assert p.triples == ((0, 0, 4), (1, 1, 3))
-    assert p.tnodes == ((2, 2),)
-    p = presentation(build_diagram("III", 1))
+    _assert_ladder(d, {0: (1, 6), 1: (2, 5), 2: (3, 4)}, ())
+    d = build_diagram("II", 1)
+    assert presentation(d) is d
+    assert d.nodes == tuple(range(5))
+    _assert_ladder(d, {0: (0, 4), 1: (1, 3)}, (2,))
+    d = build_diagram("III", 1)
+    p = presentation(d)
     assert p.nodes == tuple(range(4))
-    assert p.triples == ((0, 0, 3), (1, 1, 2))
+    _assert_ladder(d, {0: (0, 3), 1: (1, 2)}, ())
     assert p.pairing(0, 3) == -1 and p.pairing(1, 2) == -1
-    p = presentation(build_diagram("V", 1))
-    assert p.triples == ((1, 1, 4), (2, 2, 3))
-    assert p.tnodes == ((0, 0),)
-    p = presentation(build_diagram("VI", 1))
-    assert p.triples == ((1, 1, 3),)
-    assert p.tnodes == ((0, 0), (2, 2))
-    p = presentation(build_diagram("A1AFF"))
-    assert p.pairing(0, 1) == -2
+    _assert_ladder(build_diagram("V", 1), {1: (1, 4), 2: (2, 3)}, (0,))
+    _assert_ladder(build_diagram("VI", 1), {1: (1, 3)}, (0, 2))
+    d = build_diagram("A1AFF")
+    _assert_ladder(d, {0: (0, 1)}, ())
+    assert presentation(d).pairing(0, 1) == -2
 
 
 def test_fold_pair_lands_on_last_triple_for_kind_I():
-    # the adjacent involution pair (r+1, r+2) carries the alias triple r
+    # the adjacent involution pair (r+1, r+2) carries the alias colour r
     for r in (0, 1, 2):
-        p = presentation(build_diagram("I", r))
-        assert p.triples[-1] == (r, r + 1, r + 2)
-        assert p.pairing(r + 1, r + 2) == -1
+        d = build_diagram("I", r)
+        _assert_ladder(d, {r: (r + 1, r + 2)}, ())
+        assert presentation(d).pairing(r + 1, r + 2) == -1
+
+
+def test_presentation_of_III_drops_one_orbit_and_closes_the_cycle():
+    # the drawn diagram's orbit {1, 2r+2} goes; the rest is renumbered in
+    # order, so tau is n -> 2r+1-n on a cycle with q at 0 and r
+    for r in (1, 2, 3):
+        d = build_diagram("III", r)
+        p = presentation(d)
+        nodes = tuple(range(2 * r + 2))
+        assert p.nodes == nodes
+        assert p.tau == {n: 2 * r + 1 - n for n in nodes}
+        assert p.edges == {frozenset((n, (n + 1) % len(nodes))) for n in nodes}
+        assert p.orbit_label == {n: min(n, 2 * r + 1 - n) for n in nodes}
+        assert {n for n in nodes if p.varsigma[n] != ScalarQ.one()} == {0, r}
+        assert all(p.varsigma[n] == ScalarQ.q_power(1) for n in (0, r))
 
 
 def test_long_relation_emitted_for_both_orderings():
@@ -185,6 +211,18 @@ def test_phi_resolves_fixed_H_to_identity():
 def test_verify_homomorphism_empty(kind, r):
     report = verify_homomorphism(build_diagram(kind, r), 3)
     assert report and not report_failures(report)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_every_kept_varsigma_of_III_is_detected(r):
+    # the dropped orbit {1, 2r+2} carries no generator; every other node's
+    # varsigma enters a relation
+    d = build_diagram("III", r)
+    flipped = ScalarQ(LaurentPoly({-3: -1}))
+    for n in d.nodes:
+        failed = report_failures(
+            verify_homomorphism(d.with_varsigma(n, flipped), 3))
+        assert bool(failed) == (n not in (1, 2 * r + 2)), n
 
 
 def test_mutation_breaks_verification():
