@@ -26,7 +26,13 @@ SUITES = ("weyl", "uqsl", "modweyl", "iqg", "all")
 MUTATIONS = ("varsigma1", "xi-fold")
 
 
-def _apply_mutation(diagram: SatakeDiagram, mutation: str) -> SatakeDiagram:
+def _apply_mutation(diagram: SatakeDiagram, mutation: str,
+                    suite: str) -> SatakeDiagram:
+    if suite not in ("iqg", "all"):
+        # weyl and uqsl read only r; the modified algebra's relations and
+        # its iota image hold at every xi.
+        raise ValueError("--mutate %s is inert for suite %s: only the iqg "
+                         "relations read varsigma and xi" % (mutation, suite))
     if mutation == "varsigma1":
         flipped = ScalarQ(LaurentPoly({-3: -1}))
         mutated = diagram.with_varsigma(diagram.nodes[1], flipped)
@@ -79,7 +85,7 @@ def _cmd_verify(args) -> int:
     if args.max_degree < 0:
         raise ValueError("--max-degree must be >= 0")
     if args.mutate:
-        diagram = _apply_mutation(diagram, args.mutate)
+        diagram = _apply_mutation(diagram, args.mutate, args.suite)
     # An unwritable report path fails here, before any work is done.
     with open(args.json, "w") if args.json else nullcontext() as handle:
         report = run_suite(diagram, args.suite, args.max_degree)
@@ -116,14 +122,11 @@ def parse_word(diagram: SatakeDiagram, text: str):
     return tuple(symbols)
 
 
-def _act_table(diagram: SatakeDiagram):
-    return iqg.oscillator_action(diagram).merged(modweyl.modweyl_table(diagram))
-
-
 def _cmd_act(args) -> int:
     diagram = parse_spec(args.diagram)
     word = parse_word(diagram, args.word)
-    table = _act_table(diagram)
+    table = iqg.oscillator_action(diagram).merged(
+        modweyl.modweyl_table(diagram))
     for sym in word:
         if sym not in table:
             raise ValueError("unknown token %r for diagram %s"

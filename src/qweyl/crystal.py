@@ -76,16 +76,15 @@ def _kashiwara_coords(diagram: SatakeDiagram, i: int, a: Monomial, n: int,
             for t, c in img.terms.items()}
 
 
-def _single_basis_vector(coords: Dict[Monomial, ScalarQ]) -> Optional[Monomial]:
+def _closure(coords: Dict[Monomial, ScalarQ]):
+    """(target, defect) of a Kashiwara image: target None for zero, defect
+    None for one basis vector with coefficient 1, else what is wrong."""
     if not coords:
-        return None
+        return None, None
     if len(coords) != 1:
-        raise ArithmeticError("Kashiwara image is not a basis vector: %r"
-                              % coords)
+        return None, "not a basis vector"
     mon, c = next(iter(coords.items()))
-    if not c.is_one:
-        raise ArithmeticError("Kashiwara image has coefficient %s != 1" % c)
-    return mon
+    return mon, None if c.is_one else str(c)
 
 
 def kashiwara_f(diagram: SatakeDiagram, i: int, a: Monomial, *,
@@ -111,8 +110,12 @@ def _kashiwara(diagram, i, a, step, table):
     _check_color(diagram, i, a)
     if table is None:
         table = oscillator_action(diagram)
-    n = a[i + 1] + step
-    return _single_basis_vector(_kashiwara_coords(diagram, i, a, n, table))
+    coords = _kashiwara_coords(diagram, i, a, a[i + 1] + step, table)
+    target, defect = _closure(coords)
+    if defect is not None:
+        raise ArithmeticError("Kashiwara image is not a basis vector with "
+                              "coefficient 1: %r" % coords)
+    return target
 
 
 def _check_color(diagram, i, a):
@@ -188,15 +191,12 @@ def crystal_axioms_check(diagram: SatakeDiagram, s: int) -> dict:
     for a in nodes:
         for i in range(diagram.r + 1):
             for direction, n in (("f", a[i + 1] + 1), ("e", a[i + 1] - 1)):
-                coords = _kashiwara_coords(diagram, i, a, n, table)
-                target = None
-                if coords:
-                    if len(coords) != 1:
-                        fail("closure_ok", (direction, i, a, "not a basis vector"))
+                target, defect = _closure(
+                    _kashiwara_coords(diagram, i, a, n, table))
+                if defect is not None:
+                    fail("closure_ok", (direction, i, a, defect))
+                    if target is None:
                         continue
-                    target, c = next(iter(coords.items()))
-                    if not c.is_one:
-                        fail("closure_ok", (direction, i, a, str(c)))
                 if direction == "f":
                     fmap[(i, a)] = target
                 else:

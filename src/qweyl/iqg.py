@@ -13,8 +13,8 @@ ladder aliases e_c, f_c, k_c^{+-1} act; each involution-fixed node n carries
 t_n.  ``phi`` sends every generator to a word in the modified q-Weyl algebra,
 and ``verify_homomorphism`` checks all defining relations degree by degree on
 the polynomial ring.  The oscillator representation is phi composed with
-that algebra's action: ``oscillator_action`` composes each alias image, a
-single scaled word, once into an action-table entry, so it follows the
+that algebra's action: ``oscillator_action`` is the image table of the
+alias images, each composed once into a ``ShiftWord``, so it follows the
 diagram's xi.
 """
 
@@ -25,11 +25,10 @@ from typing import Dict, List, Tuple
 
 from .modweyl import d_, m_, modweyl_table, x_
 from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
-                     apply_word, divided_power, verify_relations)
+                     apply_word, divided_power, image_table, verify_relations)
 from .qscalar import (Q_MINUS_QINV, LaurentPoly, ScalarQ, q_binomial,
                       q_factorial, q_pochhammer)
 from .satake import SatakeDiagram
-from .shift import ShiftWord
 
 
 def B_(n: int) -> GeneratorSymbol:
@@ -211,24 +210,24 @@ def _k_data(kind: str, r: int, c: int):
     return ScalarQ(LaurentPoly({qexp: sign})), a, b
 
 
-def _alias_images(diagram: SatakeDiagram) -> Dict[GeneratorSymbol, OperatorExpr]:
+def _alias_images(pres: SatakeDiagram) -> Dict[GeneratorSymbol, OperatorExpr]:
     """Images of the ladder aliases inside the modified q-Weyl algebra.
 
-    Each colour's e/f/k^{+-1} act on its slot pair from ``_ladder``; a fixed
-    node n carries t_n = x_n d_n, except that kind VI's t_0 is x_1 d_1.
+    ``pres`` is the diagram's ``presentation``.  Each colour's e/f/k^{+-1}
+    act on its slot pair from ``_ladder``; a fixed node n carries
+    t_n = x_n d_n, except that kind VI's t_0 is x_1 d_1.
     """
-    pres = presentation(diagram)
     word = OperatorExpr.word
     img: Dict[GeneratorSymbol, OperatorExpr] = {}
     for _, c, lo, hi in _ladder(pres):
         img[e_(c)] = word([x_(lo), d_(hi)])
         img[f_(c)] = word([x_(hi), d_(lo)])
-        coeff, a, b = _k_data(diagram.kind, diagram.r, c)
+        coeff, a, b = _k_data(pres.kind, pres.r, c)
         img[k_(c)] = word([m_(lo, a < 0), m_(hi, b < 0)], coeff)
         img[k_(c, True)] = word([m_(lo, a > 0), m_(hi, b > 0)], coeff.invert())
     for n in pres.nodes:
         if pres.tau[n] == n:
-            slot = 1 if diagram.kind == "VI" and n == 0 else n
+            slot = 1 if pres.kind == "VI" and n == 0 else n
             img[t_(n)] = word([x_(slot), d_(slot)])
     return img
 
@@ -242,7 +241,7 @@ def phi(diagram: SatakeDiagram) -> Dict[GeneratorSymbol, OperatorExpr]:
     forces such an H to be a central square root of 1.
     """
     pres = presentation(diagram)
-    img = _alias_images(diagram)
+    img = _alias_images(pres)
     for n, c, _, _ in _ladder(pres):
         img[B_(n)] = img[f_(c)]
         img[B_(pres.tau[n])] = img[e_(c)]
@@ -269,23 +268,18 @@ def verify_homomorphism(diagram: SatakeDiagram, max_s: int):
 def oscillator_action(diagram: SatakeDiagram) -> ActionTable:
     """Monomial actions of the aliases on the polynomial ring.
 
-    Each alias image under phi is one word in d/x/m times +-q^k; the word's
-    ``ShiftRule``s from ``modweyl_table`` are composed once into a
-    ``ShiftWord``.  The table is phi composed with the modified q-Weyl
-    action, at whatever xi the diagram carries.
+    Each alias image under phi, one word in d/x/m times +-q^k, is composed
+    once by ``image_table`` over ``modweyl_table`` into a ``ShiftWord``.
+    The table is phi composed with the modified q-Weyl action, at whatever
+    xi the diagram carries.
     """
-    table = modweyl_table(diagram)
-    entries = {}
-    for sym, image in _alias_images(diagram).items():
-        (word, coeff), = image.terms.items()
-        entries[sym] = ShiftWord.of([table.entries[g] for g in word],
-                                    coeff.as_laurent(), diagram.nslots)
-    return ActionTable(diagram.nslots, entries)
+    return image_table(_alias_images(presentation(diagram)),
+                       modweyl_table(diagram))
 
 
 def alias_symbols(diagram: SatakeDiagram) -> List[GeneratorSymbol]:
     """The ladder/diagonal alias symbols available for this diagram."""
-    return sorted(_alias_images(diagram),
+    return sorted(_alias_images(presentation(diagram)),
                   key=lambda s: (s.fam, s.idx, s.inv))
 
 

@@ -11,7 +11,7 @@ term with the matching d-word produces an explicit nonzero multiple of 1.
 from __future__ import annotations
 
 from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
-                     action_discrepancies, apply)
+                     action_discrepancies, image_table)
 from .qscalar import ScalarQ, q_factorial
 from .satake import SatakeDiagram
 from . import weyl
@@ -80,17 +80,7 @@ def iota_map(diagram: SatakeDiagram):
 
 def iota_table(diagram: SatakeDiagram) -> ActionTable:
     """Action table realizing each modified generator through its iota image."""
-    classical = weyl.weyl_table(diagram.nslots)
-    mapping = iota_map(diagram)
-
-    def entry(expr):
-        def act(mon):
-            poly = apply(expr, QPolynomial.monomial(mon), classical)
-            return list(poly.terms.items())
-        return act
-
-    return ActionTable(diagram.nslots,
-                       {sym: entry(expr) for sym, expr in mapping.items()})
+    return image_table(iota_map(diagram), weyl.weyl_table(diagram.nslots))
 
 
 def iota_consistency(diagram: SatakeDiagram, max_s: int):

@@ -12,7 +12,7 @@ from math import prod
 from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
 from .qscalar import ScalarQ, laurent_from_text, q_factorial, scalar_from_text
-from .shift import compile_relation
+from .shift import ShiftWord, compile_relation
 
 Monomial = Tuple[int, ...]
 
@@ -340,6 +340,21 @@ class ActionTable:
         return ActionTable(self.nvars, entries)
 
 
+def image_table(images: Dict[GeneratorSymbol, OperatorExpr],
+                table: ActionTable) -> ActionTable:
+    """The homomorphism ``images`` followed by ``table``'s action.
+
+    Every chi, iota, phi and alias image is a sum of words with Laurent
+    coefficients, one shift vector and one d-count, so it composes once
+    over ``table``'s entries into one ``ShiftWord``.
+    """
+    n = table.nvars
+    return ActionTable(n, {sym: ShiftWord.of(
+        [([table.entries[g] for g in word], c.as_laurent())
+         for word, c in image.terms.items()], n)
+        for sym, image in images.items()})
+
+
 def apply(expr: OperatorExpr, p: QPolynomial, table: ActionTable) -> QPolynomial:
     """Apply an operator expression to a polynomial, rightmost symbol first."""
     acc: Dict[Monomial, ScalarQ] = {}
@@ -403,20 +418,20 @@ def verify_relations(instances, table: ActionTable, max_s: int,
     """Check a list of relation instances against an action table.
 
     ``instances`` holds tuples (group_id, indices, lhs, rhs).  When ``push``
-    is given, both sides are first mapped through it (e.g. a homomorphism
-    image).  Returns a list of per-instance report dicts.
+    is given (a homomorphism's images), the relations are checked over
+    ``image_table(push, table)``, built once.  Returns a list of
+    per-instance report dicts.
 
     A relation whose shift-vector form is zero holds in every degree and is
     reported OK without enumerating monomials.  Any other relation, and any
-    relation over a table entry without a shift rule, is checked monomial by
-    monomial up to ``max_s``, which gives its residual (or OK if it holds
-    at this degree but not in general).
+    relation over a plain-function entry, is checked monomial by monomial
+    up to ``max_s``, which gives its residual (or OK if it holds at this
+    degree but not in general).
     """
+    if push is not None:
+        table = image_table(push, table)
     report = []
     for group_id, indices, lhs, rhs in instances:
-        if push is not None:
-            lhs = expr_map(lhs, push)
-            rhs = expr_map(rhs, push)
         form = compile_relation(lhs - rhs, table)
         if form is not None and not form.components:
             residuals = []

@@ -14,7 +14,7 @@ from functools import partial
 
 from .opcalc import ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial
 from .qscalar import Q_MINUS_QINV, ScalarQ, q_integer
-from .shift import ShiftRule
+from .shift import ShiftWord
 
 
 def D(i: int) -> GeneratorSymbol:
@@ -44,16 +44,17 @@ def K(i: int, inv: bool = False) -> GeneratorSymbol:
 def algebra_table(xi, names: str) -> ActionTable:
     """Monomial actions with exponents xi, on the d/x/m letters in ``names``.
 
-    Each entry is the generator's ``ShiftRule``: d_i X^a = [xi_i a_i]
-    X^{a-e_i}, x_i appends, m_i^{+-1} scales by q^{+-xi_i a_i}.
+    Each entry is the generator as a one-letter ``ShiftWord``: d_i X^a =
+    [xi_i a_i] X^{a-e_i}, x_i appends, m_i^{+-1} scales by q^{+-xi_i a_i}.
     """
     d, x, m = (partial(GeneratorSymbol, fam) for fam in names)
+    gen = ShiftWord.generator
     entries = {}
     for i, xi_i in enumerate(xi):
-        entries[d(i)] = ShiftRule(i, -1, ((1, xi_i), (-1, -xi_i)), True)
-        entries[x(i)] = ShiftRule(i, 1, ((1, 0),))
-        entries[m(i)] = ShiftRule(i, 0, ((1, xi_i),))
-        entries[m(i, True)] = ShiftRule(i, 0, ((1, -xi_i),))
+        entries[d(i)] = gen(i, -1, ((1, xi_i), (-1, -xi_i)), True)
+        entries[x(i)] = gen(i, 1, ((1, 0),))
+        entries[m(i)] = gen(i, 0, ((1, xi_i),))
+        entries[m(i, True)] = gen(i, 0, ((1, -xi_i),))
     return ActionTable(len(xi), entries)
 
 

@@ -133,13 +133,20 @@ def test_verify_mutated_exit_one(capsys, tmp_path):
     assert payload["ok"] is False
 
 
-@pytest.mark.parametrize("spec", ["III:r=1", "III:r=2"])
-def test_verify_inert_mutation_exit_two(capsys, tmp_path, spec):
+@pytest.mark.parametrize("spec,suite,mutation", [
     # node 1 of III lies in the orbit its presentation drops
+    pytest.param("III:r=1", "iqg", "varsigma1", id="III:r=1"),
+    pytest.param("III:r=2", "iqg", "varsigma1", id="III:r=2"),
+    # only the iqg relations read varsigma and xi
+    ("I:r=1", "weyl", "varsigma1"), ("I:r=1", "weyl", "xi-fold"),
+    ("I:r=1", "uqsl", "varsigma1"), ("I:r=1", "uqsl", "xi-fold"),
+    ("I:r=1", "modweyl", "varsigma1"), ("I:r=1", "modweyl", "xi-fold")])
+def test_verify_inert_mutation_exit_two(capsys, tmp_path, spec, suite,
+                                        mutation):
     out_path = tmp_path / "report.json"
     code, out, err = run(capsys, "verify", "--diagram", spec,
-                         "--max-degree", "2", "--suite", "iqg",
-                         "--mutate", "varsigma1", "--json", str(out_path))
+                         "--max-degree", "2", "--suite", suite,
+                         "--mutate", mutation, "--json", str(out_path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

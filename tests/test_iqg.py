@@ -257,14 +257,15 @@ def test_oscillator_matches_phi_reports_each_discrepancy():
     expected = [("k0", mon, QPolynomial.monomial(mon, ScalarQ.q_power(e)),
                  QPolynomial.monomial(mon, ScalarQ.q_power(e + 1)))
                 for mon, e in (((0, 0), 0), ((1, 0), 1), ((0, 1), -2))]
-    assert action_discrepancies(_alias_images(d), modweyl_table(d),
-                                oracle, 1) == expected
+    assert action_discrepancies(_alias_images(presentation(d)),
+                                modweyl_table(d), oracle, 1) == expected
 
 
 @pytest.mark.parametrize("kind,r", ALL_R2)
 def test_oscillator_action_follows_phi_off_the_default_xi(kind, r):
     for d in xi_variants(kind, r):
-        assert action_discrepancies(_alias_images(d), modweyl_table(d),
+        assert action_discrepancies(_alias_images(presentation(d)),
+                                    modweyl_table(d),
                                     oscillator_action(d), 3) == [], d.xi
 
 

@@ -1,5 +1,6 @@
 """Shift-vector compiler: agreement with monomial-by-monomial application,
-refusal of entries without a shift rule, and agreement of the two engines."""
+over generator and image tables, refusal of plain-function entries, and
+agreement of the two engines."""
 
 import json
 
@@ -11,11 +12,12 @@ from qweyl.iqg import e_, oscillator_action, phi, relation_instances
 from qweyl.modweyl import (iota_map, iota_table, m_,
                            modweyl_relation_instances, modweyl_table)
 from qweyl.opcalc import (OperatorExpr, QPolynomial, apply, expr_map,
-                          monomials_up_to, report_failures, verify_relations)
+                          image_table, monomials_up_to, report_failures,
+                          verify_relations)
 from qweyl.qscalar import (InexactDivisionError, LaurentPoly, Q_MINUS_QINV,
                            ScalarQ)
 from qweyl.satake import build_diagram
-from qweyl.shift import ShiftRule, compile_relation
+from qweyl.shift import ShiftWord, compile_relation
 from qweyl.weyl import (chi_map, uqsl_relation_instances, weyl_relation_instances,
                         weyl_table)
 
@@ -48,45 +50,56 @@ def _evaluate(form, a):
     return out
 
 
+def _assert_compiles_to_apply(expr, table, monomials):
+    form = compile_relation(expr, table)
+    scaled = expr.scale(ScalarQ(form.scale))
+    for a in monomials:
+        expected = apply(scaled, QPolynomial.monomial(a), table).terms
+        assert _evaluate(form, a) == expected, (str(expr), a)
+
+
 @pytest.mark.parametrize("kind,r", ALL_DIAGRAMS)
 def test_compiled_components_match_apply(kind, r):
     # Every word of every relation side, and every side as a whole (which
-    # has denominators to clear), evaluated at every |a| <= 4.
+    # has denominators to clear), evaluated at every |a| <= 4: pushed
+    # through the images onto the table, and unpushed over the image table.
     d = build_diagram(kind, r)
     exprs = {}
     for table, instances, push in _suites(d):
-        for _, _, lhs, rhs in instances:
-            for side in (lhs, rhs):
-                if push is not None:
-                    side = expr_map(side, push)
-                for expr in [side] + [OperatorExpr.word(w) for w in side.terms]:
-                    exprs.setdefault((id(table), str(expr)), (table, expr))
+        pairs = [(table, lambda side: side)]
+        if push is not None:
+            pairs = [(table, lambda side: expr_map(side, push)),
+                     (image_table(push, table), lambda side: side)]
+        for tab, pushed in pairs:
+            for _, _, lhs, rhs in instances:
+                for side in (pushed(lhs), pushed(rhs)):
+                    for expr in [side] + [OperatorExpr.word(w)
+                                          for w in side.terms]:
+                        exprs.setdefault((id(tab), str(expr)), (tab, expr))
     monomials = monomials_up_to(d.nslots, 4)
     for table, expr in exprs.values():
-        form = compile_relation(expr, table)
-        scaled = expr.scale(ScalarQ(form.scale))
-        for a in monomials:
-            expected = apply(scaled, QPolynomial.monomial(a), table).terms
-            assert _evaluate(form, a) == expected, (str(expr), a)
+        _assert_compiles_to_apply(expr, table, monomials)
 
 
 def test_rule_is_the_monomial_action():
     table = modweyl_table(build_diagram("A1AFF"))  # xi = (1, 3)
-    assert table.entries[m_(1)] == ShiftRule(1, 0, ((1, 3),))
+    assert table.entries[m_(1)] == ShiftWord.generator(1, 0, ((1, 3),))
+    assert table.entries[m_(1)] == ShiftWord((), ((1, 0, ((1, 3),)),), 0)
     form = compile_relation(OperatorExpr.symbol(m_(1, True)), table)
     assert form.components == {(0, 0): {(0, (0, -3)): 1}}
 
 
 def test_divided_rule_matches_divexact_and_refuses_a_remainder():
     # The running-sum division by q - q^-1, on both exponent parities at odd a.
-    rule = ShiftRule(0, -1, ((3, 2), (1, 1), (-1, -1), (-3, -2)), True)
+    terms = ((3, 2), (1, 1), (-1, -1), (-3, -2))
+    rule = ShiftWord.generator(0, -1, terms, True)
     for a in range(7):
-        num = sum((LaurentPoly({e * a: c}) for c, e in rule.terms),
+        num = sum((LaurentPoly({e * a: c}) for c, e in terms),
                   LaurentPoly.zero())
         expected = [((a - 1,), ScalarQ(num.divexact(Q_MINUS_QINV)))] if num else []
         assert rule((a,)) == expected
     with pytest.raises(InexactDivisionError):
-        ShiftRule(0, 0, ((1, 1),), True)((1,))
+        ShiftWord.generator(0, 0, ((1, 1),), True)((1,))
 
 
 def _replace_m0(table, action):
@@ -106,10 +119,12 @@ def test_plain_function_entry_is_refused_and_checked_by_monomials():
     _replace_m0(table, lambda mon: rule(mon))
     assert compile_relation(OperatorExpr.symbol(m_(0)), table) is None
     assert verify_relations(instances, table, 2) == expected
-    # closed forms and composite actions carry no shift rule either
-    assert compile_relation(OperatorExpr.symbol(e_(0)),
-                            oscillator_action(d)) is None
-    assert compile_relation(OperatorExpr.symbol(m_(1)), iota_table(d)) is None
+    # composed image tables compile, and agree with apply
+    monomials = monomials_up_to(d.nslots, 4)
+    _assert_compiles_to_apply(OperatorExpr.symbol(e_(0)),
+                              oscillator_action(d), monomials)
+    _assert_compiles_to_apply(OperatorExpr.symbol(m_(1)), iota_table(d),
+                              monomials)
 
     # scaled by q, as a mistaken closed form would be: refused, and the
     # relations in which the factor does not cancel report it
