@@ -11,7 +11,7 @@ term with the matching d-word produces an explicit nonzero multiple of 1.
 from __future__ import annotations
 
 from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
-                     action_discrepancies, image_table)
+                     image_table, report_failures, verify_relations)
 from .qscalar import ScalarQ, q_factorial
 from .satake import SatakeDiagram
 from . import weyl
@@ -84,14 +84,20 @@ def iota_table(diagram: SatakeDiagram) -> ActionTable:
 
 
 def iota_consistency(diagram: SatakeDiagram, max_s: int):
-    """Compare the iota-image action with the direct action on monomials.
+    """Check the relations iota(g) = g, one per generator g of ``iota_map``.
 
-    Returns a list of (symbol label, monomial, via-iota, direct) discrepancies;
-    empty means the pull-back action coincides with the direct one.
+    D/X/M and d/x/m symbols never clash, so the classical table merged with
+    the modified one holds both sides, and each relation is compiled once:
+    it holds in every degree or fails.  Returns the failing report entries
+    of ``verify_relations`` (relation id ``modweyl.iota_consistency``,
+    indices [label], residual up to ``max_s``); empty means iota realizes
+    every generator.
     """
-    direct = modweyl_table(diagram)
-    images = {sym: OperatorExpr.symbol(sym) for sym in direct.symbols()}
-    return action_discrepancies(images, iota_table(diagram), direct, max_s)
+    table = weyl.weyl_table(diagram.nslots).merged(modweyl_table(diagram))
+    instances = [("modweyl.iota_consistency", [sym.label], image,
+                  OperatorExpr.symbol(sym))
+                 for sym, image in iota_map(diagram).items()]
+    return report_failures(verify_relations(instances, table, max_s))
 
 
 def constant_reduction_witness(diagram: SatakeDiagram, p: QPolynomial):

@@ -8,7 +8,6 @@ monomials.
 
 from __future__ import annotations
 
-from math import prod
 from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
 from .qscalar import ScalarQ, laurent_from_text, q_factorial, scalar_from_text
@@ -33,14 +32,6 @@ def monomials_up_to(nvars: int, max_degree: int) -> List[Monomial]:
     for s in range(max_degree + 1):
         out.extend(monomials_of_degree(nvars, s))
     return out
-
-
-def unit_vector(nvars: int, i: int) -> Monomial:
-    return tuple(1 if j == i else 0 for j in range(nvars))
-
-
-def add_vectors(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 class QPolynomial:
@@ -73,7 +64,7 @@ class QPolynomial:
 
     @classmethod
     def variable(cls, i: int, nvars: int) -> "QPolynomial":
-        return cls.monomial(unit_vector(nvars, i))
+        return cls.monomial(tuple(1 if j == i else 0 for j in range(nvars)))
 
     @property
     def is_zero(self) -> bool:
@@ -116,7 +107,7 @@ class QPolynomial:
         """Multiply by coeff * X^mon (adds exponent vectors)."""
         out = QPolynomial(self.nvars)
         coeff = coeff if isinstance(coeff, ScalarQ) else ScalarQ(coeff)
-        out.terms = {add_vectors(m, mon): c * coeff
+        out.terms = {tuple(x + y for x, y in zip(m, mon)): c * coeff
                      for m, c in self.terms.items()}
         return out
 
@@ -316,21 +307,22 @@ class ActionTable:
     def __contains__(self, sym: GeneratorSymbol) -> bool:
         return sym in self.entries
 
-    def symbols(self):
-        return self.entries.keys()
-
     def act(self, sym: GeneratorSymbol, mon: Monomial) -> TermList:
         key = (sym, mon)
         try:
             return self._memo[key]
         except KeyError:
             pass
-        try:
-            action = self.entries[sym]
-        except KeyError:
-            raise KeyError("unknown symbol %s in action table" % sym.label)
-        terms = self._memo[key] = action(mon)
+        terms = self._memo[key] = self.entry(sym)(mon)
         return terms
+
+    def entry(self, sym: GeneratorSymbol) -> MonomialAction:
+        """The action of ``sym``; a KeyError naming it if the table has none."""
+        try:
+            return self.entries[sym]
+        except KeyError:
+            raise KeyError("unknown symbol %s in action table"
+                           % sym.label) from None
 
     def merged(self, other: "ActionTable") -> "ActionTable":
         if self.nvars != other.nvars:
@@ -390,26 +382,20 @@ def operator_equal_on_degrees(e1: OperatorExpr, e2: OperatorExpr,
     """Residuals of (e1 - e2) on every monomial of total degree <= max_s.
 
     An empty report means the two expressions agree on that truncation.
-    The difference is first multiplied by L, the product of the distinct
-    denominators of its coefficients, so that ``apply`` works on Laurent
-    polynomials only.  L is nonzero, so L*(e1 - e2) vanishes on a monomial
-    exactly when e1 - e2 does; each nonzero residual is divided by L again.
+    The residuals are read off the compiled form of e1 - e2: each of its
+    components is a ``ShiftWord`` evaluated at X^a, and each value is
+    divided by the form's ``scale``.  No monomial goes through ``apply``.
     """
-    diff = e1 - e2
-    dens = {c.den for c in diff.terms.values() if not c.is_polynomial}
-    if dens:
-        common = ScalarQ(prod(dens))
-        diff = diff.scale(common)
-    one = ScalarQ.one()
+    form = compile_relation(e1 - e2, table)
+    words = [ShiftWord.from_poly(delta, poly)
+             for delta, poly in form.components.items()]
     residuals = []
     for mon in monomials_up_to(table.nvars, max_s):
-        probe = QPolynomial.__new__(QPolynomial)
-        probe.nvars, probe.terms = table.nvars, {mon: one}
-        r = apply(diff, probe, table)
-        if not r.is_zero:
-            if dens:
-                r = r.scale(common.invert())
-            residuals.append((mon, r))
+        # distinct components have distinct shift vectors: no target repeats
+        terms = {tgt: ScalarQ(c.num, form.scale)
+                 for word in words for tgt, c in word(mon)}
+        if terms:
+            residuals.append((mon, QPolynomial(table.nvars, terms)))
     return residuals
 
 
@@ -422,21 +408,20 @@ def verify_relations(instances, table: ActionTable, max_s: int,
     ``image_table(push, table)``, built once.  Returns a list of
     per-instance report dicts.
 
-    A relation whose shift-vector form is zero holds in every degree and is
-    reported OK without enumerating monomials.  Any other relation, and any
-    relation over a plain-function entry, is checked monomial by monomial
-    up to ``max_s``, which gives its residual (or OK if it holds at this
-    degree but not in general).
+    Each relation is compiled (``compile_relation``).  One whose
+    shift-vector form is zero holds in every degree and is reported OK.
+    Any other fails somewhere: ``operator_equal_on_degrees`` reads its
+    residuals up to ``max_s`` off the compiled form, and the first one is
+    reported (or OK if it holds at this degree but fails higher up).
     """
     if push is not None:
         table = image_table(push, table)
     report = []
     for group_id, indices, lhs, rhs in instances:
-        form = compile_relation(lhs - rhs, table)
-        if form is not None and not form.components:
-            residuals = []
-        else:
+        if compile_relation(lhs - rhs, table).components:
             residuals = operator_equal_on_degrees(lhs, rhs, table, max_s)
+        else:
+            residuals = []
         entry = {"relation_id": group_id, "instance_indices": list(indices),
                  "ok": not residuals}
         if residuals:
@@ -450,27 +435,6 @@ def verify_relations(instances, table: ActionTable, max_s: int,
 
 def report_failures(report):
     return [entry for entry in report if not entry["ok"]]
-
-
-def action_discrepancies(images: Dict[GeneratorSymbol, OperatorExpr],
-                         table: ActionTable, reference: ActionTable,
-                         max_s: int):
-    """Compare two realizations of the same symbols on P_{<=max_s}.
-
-    Each symbol acts once as its image in ``images`` applied through
-    ``table`` and once directly through ``reference``.  Returns
-    (symbol label, monomial, via images, via reference) for each
-    disagreement, monomials outermost; empty means the two agree.
-    """
-    report = []
-    for mon in monomials_up_to(table.nvars, max_s):
-        p = QPolynomial.monomial(mon)
-        for sym, expr in images.items():
-            via_images = apply(expr, p, table)
-            direct = apply(OperatorExpr.symbol(sym), p, reference)
-            if via_images != direct:
-                report.append((sym.label, mon, via_images, direct))
-    return report
 
 
 def poly_to_text(p: QPolynomial) -> str:

@@ -571,6 +571,9 @@ def laurent_from_text(text: str) -> LaurentPoly:
             pos += 1
             while pos < n and text[pos].isspace():
                 pos += 1
+        elif pos:
+            raise ValueError("missing sign between terms in Laurent "
+                             "polynomial %r" % text)
         start = pos
         while pos < n and not text[pos].isspace() and text[pos] not in "+-":
             # keep the sign of an exponent like q^-4 attached to its term

@@ -25,7 +25,7 @@ already 0.
 from __future__ import annotations
 
 from math import prod
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .qscalar import (Q_MINUS_QINV, InexactDivisionError, LaurentPoly,
                       ScalarQ)
@@ -96,8 +96,14 @@ class ShiftWord(NamedTuple):
                 raise ValueError("words differ in shift vector or d-count")
             for key, v in poly.items():
                 total[key] = total.get(key, 0) + v
+        return cls.from_poly(delta, total, divided)
+
+    @classmethod
+    def from_poly(cls, delta: Vector, poly: ShiftPoly, divided: int = 0
+                  ) -> "ShiftWord":
+        """X^a to P(q, q^a) / (q - q^-1)^divided times X^{a + delta}."""
         return cls(_sparse(delta), tuple([(v, qe, _sparse(uv)) for (qe, uv), v
-                                          in total.items() if v]), divided)
+                                          in poly.items() if v]), divided)
 
     def __call__(self, mon):
         num = {}
@@ -131,6 +137,14 @@ def _sparse(v: Vector) -> Sparse:
     return tuple([(j, x) for j, x in enumerate(v) if x])
 
 
+def _letter(table, sym) -> ShiftWord:
+    letter = table.entry(sym)
+    if not isinstance(letter, ShiftWord):
+        raise TypeError("the action of %s is not a ShiftWord: %r"
+                        % (sym.label, letter))
+    return letter
+
+
 class ShiftForm(NamedTuple):
     """A compiled expression: ``scale`` times it maps X^a to the sum over
     ``components`` of P_delta(q, q^a) X^{a+delta}, where each component
@@ -144,13 +158,13 @@ class ShiftForm(NamedTuple):
     scale: LaurentPoly
 
 
-def compile_relation(expr, table) -> Optional[ShiftForm]:
+def compile_relation(expr, table) -> ShiftForm:
     """The shift-vector form of an OperatorExpr over an ActionTable.
 
-    Every table that qweyl builds holds ``ShiftWord`` entries.  Returns
-    None, so that the caller falls back to checking monomials, when some
-    symbol of ``expr`` has no ``ShiftWord`` in the table: an unknown symbol,
-    or a plain function such as a wrapped or patched entry.
+    Every table that qweyl builds holds ``ShiftWord`` entries.  A symbol the
+    table does not know raises the ``KeyError`` of ``ActionTable.act``; an
+    entry that is not a ``ShiftWord`` (a plain function, say) raises
+    ``TypeError`` naming the symbol.
 
     The expression is first multiplied by L, the product of the distinct
     denominators of its coefficients, and by (q - q^-1)^D, D the largest
@@ -158,12 +172,8 @@ def compile_relation(expr, table) -> Optional[ShiftForm]:
     coefficients in q.  Both factors are nonzero; ``scale`` records them.
     """
     n = table.nvars
-    words = []
-    for word, c in expr.terms.items():
-        letters = tuple(table.entries.get(sym) for sym in word)
-        if not all(isinstance(letter, ShiftWord) for letter in letters):
-            return None
-        words.append((compose(letters, n), c))
+    words = [(compose([_letter(table, sym) for sym in word], n), c)
+             for word, c in expr.terms.items()]
     dens = {c.den for _, c in words if not c.is_polynomial}
     # c * L is c.num times every other denominator: no gcd is needed.
     rest = {den: prod((d for d in dens if d != den), start=LaurentPoly.one())

@@ -3,11 +3,13 @@
 ``closed_form_action`` is the explicit ladder/diagonal table written out
 kind by kind with each kind's default counts and k-exponents.  It never reads
 ``diagram.xi``, so it equals the phi-derived ``iqg.oscillator_action`` at the
-default xi only; off it, the two part ways.
+default xi only; off it, the two part ways.  ``action_discrepancies``
+compares two such tables monomial by monomial through ``apply``.
 """
 
 from qweyl.iqg import e_, f_, k_, t_
-from qweyl.opcalc import ActionTable
+from qweyl.opcalc import (ActionTable, OperatorExpr, QPolynomial, apply,
+                          monomials_up_to)
 from qweyl.qscalar import ScalarQ, q_integer
 from qweyl.satake import SatakeDiagram, build_diagram
 
@@ -90,3 +92,22 @@ def closed_form_action(diagram: SatakeDiagram) -> ActionTable:
     if kind == "VI":
         diagonal(t_(0), lambda mon: ScalarQ(q_integer(mon[1])))
     return ActionTable(nvars, entries)
+
+
+def action_discrepancies(images, table, reference, max_s):
+    """Compare two realizations of the same symbols on P_{<=max_s}.
+
+    Each symbol acts once as its image in ``images`` applied through
+    ``table`` and once directly through ``reference``.  Returns
+    (symbol label, monomial, via images, via reference) for each
+    disagreement, monomials outermost; empty means the two agree.
+    """
+    report = []
+    for mon in monomials_up_to(table.nvars, max_s):
+        p = QPolynomial.monomial(mon)
+        for sym, expr in images.items():
+            via_images = apply(expr, p, table)
+            direct = apply(OperatorExpr.symbol(sym), p, reference)
+            if via_images != direct:
+                report.append((sym.label, mon, via_images, direct))
+    return report

@@ -63,7 +63,10 @@ MALFORMED_POLYS = [("*", "empty factor"), ("(q)*", "empty factor"),
                    ("X0 +-X1", "empty term"), ("--X0", "empty term"),
                    ("X0 + -X1", "empty term"),
                    ("X0^", "missing exponent"), ("X", "missing variable index"),
-                   ("X0^x", "missing exponent")]
+                   ("X0^x", "missing exponent"),
+                   ("(2 3)*X0", "missing sign between terms"),
+                   ("2 3", "missing sign between terms"),
+                   ("(q q)*X0", "missing sign between terms")]
 
 
 @pytest.mark.parametrize("poly,message", MALFORMED_POLYS,
@@ -240,11 +243,14 @@ def test_witness_malformed_vector_exit_two(capsys):
 
 def test_iota_consistency_ok_only_without_discrepancies(capsys, monkeypatch):
     from qweyl import modweyl
+    failure = {"relation_id": "modweyl.iota_consistency",
+               "instance_indices": ["d0"], "ok": False,
+               "residual_monomial": [1, 0], "residual_coefficient": "q - 1"}
     monkeypatch.setattr(modweyl, "iota_consistency",
-                        lambda diagram, max_s: [("d0", (1, 0), None, None)])
+                        lambda diagram, max_s: [failure])
     code, out, _ = run(capsys, "verify", "--diagram", "A1AFF",
                        "--max-degree", "1", "--suite", "modweyl")
     lines = [line for line in out.splitlines()
              if line.startswith("RELATION modweyl.iota_consistency")]
-    assert lines == ["RELATION modweyl.iota_consistency[d0,[1, 0]] FAIL"]
+    assert lines == ["RELATION modweyl.iota_consistency[d0] FAIL"]
     assert code == 1

@@ -3,15 +3,15 @@ the raising/lowering witness words."""
 
 import pytest
 
-from closed_forms import closed_form_action, xi_variants
+from closed_forms import action_discrepancies, closed_form_action, xi_variants
 from qweyl.iqg import (B_, H_, _alias_images, alias_symbols, apply_witness,
                        e_, f_, irreducibility_witness, k_, oscillator_action,
                        phi, presentation, relation_instances, spanning_witness,
                        t_, verify_homomorphism)
 from qweyl.modweyl import d_, m_, modweyl_table, x_
-from qweyl.opcalc import (OperatorExpr, QPolynomial, action_discrepancies,
-                          monomials_of_degree, monomials_up_to,
-                          operator_equal_on_degrees, report_failures)
+from qweyl.opcalc import (OperatorExpr, QPolynomial, monomials_of_degree,
+                          monomials_up_to, operator_equal_on_degrees,
+                          report_failures)
 from qweyl.qscalar import LaurentPoly, Q_MINUS_QINV, ScalarQ, q_factorial, q_integer
 from qweyl.satake import SatakeDiagram, build_diagram
 
@@ -242,7 +242,7 @@ def test_oscillator_action_matches_phi(kind, r):
     # the generated table against the per-kind closed forms
     d = build_diagram(kind, r)
     table = oscillator_action(d)
-    images = {sym: OperatorExpr.symbol(sym) for sym in table.symbols()}
+    images = {sym: OperatorExpr.symbol(sym) for sym in table.entries}
     assert action_discrepancies(images, table, closed_form_action(d), 5) == []
 
 
@@ -287,7 +287,7 @@ def test_alias_images_preserve_degree():
         d = build_diagram(kind, r)
         table = oscillator_action(d)
         for mon in monomials_up_to(d.nslots, 3):
-            for sym in table.symbols():
+            for sym in table.entries:
                 for tgt, _ in table.act(sym, mon):
                     assert sum(tgt) == sum(mon)
 

@@ -82,9 +82,9 @@ def test_iota_consistency_empty(kind, r):
 
 
 def test_iota_consistency_reports_each_discrepancy(monkeypatch):
-    # scale the iota image of d_1 by q: every monomial that d_1 does not
-    # kill is reported, in monomial order, as (label, monomial, via iota,
-    # direct)
+    # scale the iota image of d_1 by q: the relation iota(d_1) = d_1 fails,
+    # with its residual at the first monomial d_1 does not kill,
+    # (q - 1)[2] X^0 at X_1
     original = modweyl.iota_map
 
     def scaled(diagram):
@@ -94,14 +94,10 @@ def test_iota_consistency_reports_each_discrepancy(monkeypatch):
 
     monkeypatch.setattr(modweyl, "iota_map", scaled)
     d = build_diagram("I", 0)  # xi = (1, 2)
-    q = ScalarQ.q_power(1)
-    two, four = ScalarQ(q_integer(2)), ScalarQ(q_integer(4))
-    expected = [("d1", mon, QPolynomial.monomial(tgt, q * c),
-                 QPolynomial.monomial(tgt, c))
-                for mon, tgt, c in (((0, 1), (0, 0), two),
-                                    ((1, 1), (1, 0), two),
-                                    ((0, 2), (0, 1), four))]
-    assert iota_consistency(d, 2) == expected
+    assert iota_consistency(d, 2) == [
+        {"relation_id": "modweyl.iota_consistency", "instance_indices": ["d1"],
+         "ok": False, "residual_monomial": [0, 1],
+         "residual_coefficient": "q^2 - q + 1 - q^-1"}]
 
 
 def test_xi_all_ones_reduces_to_classical_relation_set():

@@ -81,7 +81,7 @@ def test_every_table_image_is_homogeneous():
     for d in (build_diagram("I", 1), build_diagram("A1AFF"), build_diagram("V", 1)):
         table = modweyl_table(d)
         for mon in monomials_up_to(d.nslots, 3):
-            for sym in table.symbols():
+            for sym in table.entries:
                 for tgt, _ in table.act(sym, mon):
                     expected = sum(mon) + {"d": -1, "x": 1, "m": 0}[sym.fam]
                     assert sum(tgt) == expected

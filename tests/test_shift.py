@@ -1,8 +1,9 @@
 """Shift-vector compiler: agreement with monomial-by-monomial application,
-over generator and image tables, refusal of plain-function entries, and
-agreement of the two engines."""
+over generator and image tables, refusal of entries that are not ShiftWords,
+and residuals read off the compiled form against an apply-based oracle."""
 
 import json
+from math import prod
 
 import pytest
 
@@ -110,15 +111,23 @@ def _replace_m0(table, action):
 def test_plain_function_entry_is_refused_and_checked_by_monomials():
     d = build_diagram("I", 1)
     instances = modweyl_relation_instances(d)
-    expected = verify_relations(instances, modweyl_table(d), 2)
-    assert not report_failures(expected)
+    assert not report_failures(verify_relations(instances, modweyl_table(d), 2))
 
-    # the same action behind a plain function: refused, same report
+    # the same action behind a plain function: refused, naming the symbol
     table = modweyl_table(d)
     rule = table.entries[m_(0)]
     _replace_m0(table, lambda mon: rule(mon))
-    assert compile_relation(OperatorExpr.symbol(m_(0)), table) is None
-    assert verify_relations(instances, table, 2) == expected
+    with pytest.raises(TypeError, match="action of m0 is not a ShiftWord"):
+        compile_relation(OperatorExpr.symbol(m_(0)), table)
+    with pytest.raises(TypeError, match="action of m0 is not a ShiftWord"):
+        verify_relations(instances, table, 2)
+    # a symbol the table lacks: the KeyError of ActionTable.act
+    table = modweyl_table(d)
+    message = "unknown symbol e0 in action table"
+    with pytest.raises(KeyError, match=message):
+        table.act(e_(0), (0, 0, 0))
+    with pytest.raises(KeyError, match=message):
+        compile_relation(OperatorExpr.symbol(e_(0)), table)
     # composed image tables compile, and agree with apply
     monomials = monomials_up_to(d.nslots, 4)
     _assert_compiles_to_apply(OperatorExpr.symbol(e_(0)),
@@ -126,10 +135,10 @@ def test_plain_function_entry_is_refused_and_checked_by_monomials():
     _assert_compiles_to_apply(OperatorExpr.symbol(m_(1)), iota_table(d),
                               monomials)
 
-    # scaled by q, as a mistaken closed form would be: refused, and the
-    # relations in which the factor does not cancel report it
-    table = _replace_m0(modweyl_table(d), lambda mon: [
-        (tgt, c * ScalarQ.q_power(1)) for tgt, c in rule(mon)])
+    # m_0 scaled by q, as a mistaken closed form would be: the relations in
+    # which the factor does not cancel report it
+    scaled = ShiftWord((), ((1, 1, ((0, d.xi[0]),)),), 0)
+    table = _replace_m0(modweyl_table(d), scaled)
     failures = report_failures(verify_relations(instances, table, 2))
     assert [(e["relation_id"], e["instance_indices"], e["residual_monomial"],
              e["residual_coefficient"]) for e in failures] == [
@@ -137,6 +146,25 @@ def test_plain_function_entry_is_refused_and_checked_by_monomials():
         ("modweyl.minvm", [0], [0, 0, 0], "q - 1"),
         ("modweyl.dx_same", [0], [0, 0, 0], "(-q^2)/(q + 1)"),
         ("modweyl.xd_same", [0], [0, 0, 0], "(-q)/(q + 1)")]
+
+
+def _apply_residuals(e1, e2, table, max_s):
+    """The residual oracle: (e1 - e2) applied to every monomial of degree
+    <= max_s through ``apply``, after clearing denominators with their
+    product L; each nonzero residual is divided by L again."""
+    diff = e1 - e2
+    dens = {c.den for c in diff.terms.values() if not c.is_polynomial}
+    if dens:
+        common = ScalarQ(prod(dens))
+        diff = diff.scale(common)
+    residuals = []
+    for mon in monomials_up_to(table.nvars, max_s):
+        r = apply(diff, QPolynomial.monomial(mon), table)
+        if not r.is_zero:
+            if dens:
+                r = r.scale(common.invert())
+            residuals.append((mon, r))
+    return residuals
 
 
 MATRIX_SPECS = ["I:r=0", "I:r=1", "I:r=2", "II:r=0", "II:r=1", "II:r=2",
@@ -160,18 +188,35 @@ def _verify_runs(capsys, tmp_path, spec):
 
 @pytest.mark.parametrize("spec", MATRIX_SPECS)
 def test_engines_agree_on_mutation_matrix(capsys, monkeypatch, tmp_path, spec):
-    truncated = opcalc.operator_equal_on_degrees
-    fallbacks = []
+    compiled = opcalc.operator_equal_on_degrees
+    calls = []
 
-    def counted(e1, e2, table, max_s):
-        residuals = truncated(e1, e2, table, max_s)
-        fallbacks.append(residuals)
+    def recorded(e1, e2, table, max_s):
+        residuals = compiled(e1, e2, table, max_s)
+        calls.append(((e1, e2, table, max_s), residuals))
         return residuals
 
-    monkeypatch.setattr(opcalc, "operator_equal_on_degrees", counted)
-    symbolic_first = _verify_runs(capsys, tmp_path, spec)
-    # The compiler proves every relation that holds: each relation it
-    # leaves to the monomial check fails there.
-    assert all(fallbacks)
-    monkeypatch.setattr(opcalc, "compile_relation", lambda expr, table: None)
-    assert _verify_runs(capsys, tmp_path, spec) == symbolic_first
+    def refused(*args):
+        raise AssertionError("verify applied a word to a monomial")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(opcalc, "operator_equal_on_degrees", recorded)
+        patch.setattr(opcalc, "apply", refused)
+        patch.setattr(opcalc.ActionTable, "act", refused)
+        runs = _verify_runs(capsys, tmp_path, spec)
+    # The compiler proves every relation that holds: each relation whose
+    # residuals it reads fails, with the residuals of the apply oracle.
+    oracle = [_apply_residuals(*args) for args, _ in calls]
+    assert [residuals for _, residuals in calls] == oracle
+    assert all(oracle)
+    # Every FAIL line is one of those relations, and its report entry
+    # carries the oracle's first residual.
+    failures = [entry for _, _, report in runs if report is not None
+                for entry in report_failures(report["relations"])]
+    assert sum(out.count(" FAIL\n") for _, out, _ in runs) == len(failures)
+    assert len(failures) == len(oracle)
+    for entry, residuals in zip(failures, oracle):
+        mon, poly = residuals[0]
+        assert entry["residual_monomial"] == list(mon)
+        assert entry["residual_coefficient"] == str(
+            poly.terms[sorted(poly.terms)[0]])
