@@ -3,8 +3,8 @@ coideal-subalgebra relation verification, oscillator actions and crystal
 graphs, all over Q(q) with exact rational arithmetic."""
 
 from .qscalar import (InexactDivisionError, LaurentPoly, QDivisionByZero,
-                      ScalarQ, is_regular_at_zero, q_binomial, q_factorial,
-                      q_integer, q_pochhammer)
+                      ScalarQ, q_binomial, q_factorial, q_integer,
+                      q_pochhammer)
 from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
                      apply, apply_word, divided_power, monomials_of_degree,
                      monomials_up_to, operator_equal_on_degrees,
@@ -18,7 +18,7 @@ __all__ = [
     "ActionTable", "GeneratorSymbol", "InexactDivisionError", "LaurentPoly",
     "OperatorExpr", "QDivisionByZero", "QPolynomial", "SatakeDiagram",
     "ScalarQ", "apply", "apply_word", "build_diagram", "crystal",
-    "divided_power", "iqg", "is_regular_at_zero", "modweyl",
+    "divided_power", "iqg", "modweyl",
     "monomials_of_degree", "monomials_up_to", "operator_equal_on_degrees",
     "parse_spec", "poly_from_text", "poly_to_text", "q_binomial",
     "q_factorial", "q_integer", "q_pochhammer", "verify_relations", "weyl",

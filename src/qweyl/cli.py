@@ -16,8 +16,8 @@ from contextlib import nullcontext
 from . import crystal as crystal_mod
 from . import iqg, modweyl, weyl
 from .opcalc import (GeneratorSymbol, OperatorExpr, QPolynomial, apply,
-                     poly_from_text, poly_to_text, report_failures,
-                     verify_relations)
+                     image_table, poly_from_text, poly_to_text,
+                     report_failures, verify_relations)
 from .qscalar import LaurentPoly, ScalarQ
 from .satake import SatakeDiagram, parse_spec
 
@@ -51,20 +51,21 @@ def _apply_mutation(diagram: SatakeDiagram, mutation: str,
 def run_suite(diagram: SatakeDiagram, suite: str, max_degree: int):
     """Run one verification suite; returns a list of report entries."""
     report = []
+    classical = weyl.weyl_table(diagram.nslots)
     if suite in ("weyl", "all"):
         report += verify_relations(weyl.weyl_relation_instances(diagram.r),
-                                   weyl.weyl_table(diagram.nslots), max_degree)
+                                   classical, max_degree)
     if suite in ("uqsl", "all"):
-        report += verify_relations(weyl.uqsl_relation_instances(diagram.r),
-                                   weyl.weyl_table(diagram.nslots), max_degree,
-                                   push=weyl.chi_map(diagram.r))
+        report += verify_relations(
+            weyl.uqsl_relation_instances(diagram.r),
+            image_table(weyl.chi_map(diagram.r), classical), max_degree)
     if suite in ("modweyl", "all"):
         instances = modweyl.modweyl_relation_instances(diagram)
         report += verify_relations(instances, modweyl.modweyl_table(diagram),
                                    max_degree)
-        iota_report = verify_relations(instances,
-                                       weyl.weyl_table(diagram.nslots),
-                                       max_degree, push=modweyl.iota_map(diagram))
+        iota_report = verify_relations(
+            instances, image_table(modweyl.iota_map(diagram), classical),
+            max_degree)
         for entry in iota_report:
             entry["relation_id"] += "@iota"
         report += iota_report

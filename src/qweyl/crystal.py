@@ -40,23 +40,6 @@ def _divided_laurent(diagram: SatakeDiagram, mon: Monomial) -> LaurentPoly:
     return out
 
 
-def divided_factor(diagram: SatakeDiagram, mon: Monomial) -> ScalarQ:
-    """The normalizer prod_i [a_i]^{xi_i}! between X^a and X^(a)."""
-    return ScalarQ(_divided_laurent(diagram, mon))
-
-
-def to_divided(diagram: SatakeDiagram, p: QPolynomial) -> Dict[Monomial, ScalarQ]:
-    """Coordinates of p in the divided basis (exact change of basis)."""
-    return {mon: c * divided_factor(diagram, mon) for mon, c in p.terms.items()}
-
-
-def from_divided(diagram: SatakeDiagram, coords: Dict[Monomial, ScalarQ]) -> QPolynomial:
-    out = QPolynomial.zero(diagram.nslots)
-    for mon, c in coords.items():
-        out = out + QPolynomial.monomial(mon, c / divided_factor(diagram, mon))
-    return out
-
-
 def _kashiwara_coords(diagram: SatakeDiagram, i: int, a: Monomial, n: int,
                       table: ActionTable) -> Dict[Monomial, ScalarQ]:
     """Apply f_i^{(n)_{xi_{i+1}}} to X^(a + a_{i+1}(e_i - e_{i+1})).
@@ -88,19 +71,19 @@ def _closure(coords: Dict[Monomial, ScalarQ]):
 
 
 def kashiwara_f(diagram: SatakeDiagram, i: int, a: Monomial, *,
-                table: Optional[ActionTable] = None) -> Optional[Monomial]:
+                table: ActionTable) -> Optional[Monomial]:
     """Lowering operator on divided monomials; None encodes zero.
 
-    ``table`` is ``oscillator_action(diagram)``, built here when omitted.
+    ``table`` is ``oscillator_action(diagram)``.
     """
     return _kashiwara(diagram, i, a, 1, table)
 
 
 def kashiwara_e(diagram: SatakeDiagram, i: int, a: Monomial, *,
-                table: Optional[ActionTable] = None) -> Optional[Monomial]:
+                table: ActionTable) -> Optional[Monomial]:
     """Raising operator on divided monomials; None encodes zero.
 
-    ``table`` is ``oscillator_action(diagram)``, built here when omitted.
+    ``table`` is ``oscillator_action(diagram)``.
     """
     return _kashiwara(diagram, i, a, -1, table)
 
@@ -108,8 +91,6 @@ def kashiwara_e(diagram: SatakeDiagram, i: int, a: Monomial, *,
 def _kashiwara(diagram, i, a, step, table):
     _require_crystal_kind(diagram)
     _check_color(diagram, i, a)
-    if table is None:
-        table = oscillator_action(diagram)
     coords = _kashiwara_coords(diagram, i, a, a[i + 1] + step, table)
     target, defect = _closure(coords)
     if defect is not None:
@@ -219,26 +200,6 @@ def crystal_axioms_check(diagram: SatakeDiagram, s: int) -> dict:
         fail("rank_ok", (len(nodes),))
     report["all_ok"] = not report["failures"]
     return report
-
-
-def apply_kashiwara_to_coords(diagram: SatakeDiagram, i: int,
-                              coords: Dict[Monomial, ScalarQ],
-                              direction: str) -> Dict[Monomial, ScalarQ]:
-    """Linear extension of a Kashiwara operator to divided-basis coordinates."""
-    out: Dict[Monomial, ScalarQ] = {}
-    op = kashiwara_f if direction == "f" else kashiwara_e
-    table = oscillator_action(diagram)
-    for mon, c in coords.items():
-        tgt = op(diagram, i, mon, table=table)
-        if tgt is None:
-            continue
-        w = out.get(tgt)
-        w = c if w is None else w + c
-        if w.is_zero:
-            out.pop(tgt, None)
-        else:
-            out[tgt] = w
-    return out
 
 
 _PALETTE = ("red", "blue", "forestgreen", "orange", "purple", "teal",

@@ -255,14 +255,13 @@ def phi(diagram: SatakeDiagram) -> Dict[GeneratorSymbol, OperatorExpr]:
 
 
 def verify_homomorphism(diagram: SatakeDiagram, max_s: int):
-    """Push every relation instance through phi and check it on P_{<=max_s}.
+    """Check every relation instance over phi's image table on P_{<=max_s}.
 
     Returns the verify_relations report; all entries ok means the generator
     assignment extends to an algebra homomorphism at this desk scale.
     """
-    instances = relation_instances(diagram)
-    table = modweyl_table(diagram)
-    return verify_relations(instances, table, max_s, push=phi(diagram))
+    table = image_table(phi(diagram), modweyl_table(diagram))
+    return verify_relations(relation_instances(diagram), table, max_s)
 
 
 def oscillator_action(diagram: SatakeDiagram) -> ActionTable:
@@ -275,12 +274,6 @@ def oscillator_action(diagram: SatakeDiagram) -> ActionTable:
     """
     return image_table(_alias_images(presentation(diagram)),
                        modweyl_table(diagram))
-
-
-def alias_symbols(diagram: SatakeDiagram) -> List[GeneratorSymbol]:
-    """The ladder/diagonal alias symbols available for this diagram."""
-    return sorted(_alias_images(presentation(diagram)),
-                  key=lambda s: (s.fam, s.idx, s.inv))
 
 
 def irreducibility_witness(diagram: SatakeDiagram, a: Tuple[int, ...]):

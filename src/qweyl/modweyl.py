@@ -45,36 +45,23 @@ def _m_power(i: int, p: int):
     return (weyl.M(i, True),) * (-p)
 
 
-def iota(diagram: SatakeDiagram, sym: GeneratorSymbol) -> OperatorExpr:
-    """Image of a modified generator inside the classical q-Weyl algebra.
+def iota_map(diagram: SatakeDiagram):
+    """Images of the modified generators inside the classical q-Weyl algebra.
 
     x_i goes to X_i, m_i^{+-1} to M_i^{+-xi_i}, and d_i to
     (sign of xi_i) D_i * sum_k M_i^{|xi_i|-1-2k}.
     """
-    i = sym.idx
-    if not 0 <= i < diagram.nslots:
-        raise ValueError("slot index %d out of range" % i)
-    xi_i = diagram.xi[i]
-    if sym.fam == "x":
-        return OperatorExpr.word([weyl.X(i)])
-    if sym.fam == "m":
-        p = xi_i if not sym.inv else -xi_i
-        return OperatorExpr.word(_m_power(i, p))
-    if sym.fam == "d":
-        a = abs(xi_i)
-        sign = 1 if xi_i > 0 else -1
-        out = OperatorExpr.zero()
-        for k in range(a):
-            out = out + OperatorExpr.word((weyl.D(i),) + _m_power(i, a - 1 - 2 * k))
-        return out.scale(sign)
-    raise ValueError("unsupported symbol %s" % sym.label)
-
-
-def iota_map(diagram: SatakeDiagram):
+    word = OperatorExpr.word
     mapping = {}
-    for i in range(diagram.nslots):
-        for sym in (d_(i), x_(i), m_(i), m_(i, True)):
-            mapping[sym] = iota(diagram, sym)
+    for i, xi_i in enumerate(diagram.xi):
+        a = abs(xi_i)
+        d_image = OperatorExpr.zero()
+        for k in range(a):
+            d_image = d_image + word((weyl.D(i),) + _m_power(i, a - 1 - 2 * k))
+        mapping[d_(i)] = d_image.scale(1 if xi_i > 0 else -1)
+        mapping[x_(i)] = word([weyl.X(i)])
+        mapping[m_(i)] = word(_m_power(i, xi_i))
+        mapping[m_(i, True)] = word(_m_power(i, -xi_i))
     return mapping
 
 

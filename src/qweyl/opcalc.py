@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
 from .qscalar import ScalarQ, laurent_from_text, q_factorial, scalar_from_text
-from .shift import ShiftWord, compile_relation
+from .shift import ShiftForm, ShiftWord, compile_relation
 
 Monomial = Tuple[int, ...]
 
@@ -237,14 +237,6 @@ class OperatorExpr:
         out.terms = t
         return out
 
-    def power(self, n: int) -> "OperatorExpr":
-        if n < 0:
-            raise ValueError("negative operator power")
-        out = OperatorExpr.identity()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, OperatorExpr):
             return NotImplemented
@@ -377,55 +369,58 @@ def apply_word(word: Word, p: QPolynomial, table: ActionTable) -> QPolynomial:
     return apply(OperatorExpr.word(word), p, table)
 
 
-def operator_equal_on_degrees(e1: OperatorExpr, e2: OperatorExpr,
-                              table: ActionTable, max_s: int):
-    """Residuals of (e1 - e2) on every monomial of total degree <= max_s.
+def _residuals(form: ShiftForm, nvars: int, max_s: int):
+    """Residuals of a compiled relation on the monomials of degree <= max_s.
 
-    An empty report means the two expressions agree on that truncation.
-    The residuals are read off the compiled form of e1 - e2: each of its
-    components is a ``ShiftWord`` evaluated at X^a, and each value is
-    divided by the form's ``scale``.  No monomial goes through ``apply``.
+    Yields (monomial, residual) in ``monomials_up_to`` order: each component
+    of ``form`` is a ``ShiftWord`` evaluated at X^a, and each value is
+    divided by the form's ``scale``.  A form without components is the zero
+    operator and yields nothing, without enumerating a monomial.
     """
-    form = compile_relation(e1 - e2, table)
+    if not form.components:
+        return
     words = [ShiftWord.from_poly(delta, poly)
              for delta, poly in form.components.items()]
-    residuals = []
-    for mon in monomials_up_to(table.nvars, max_s):
+    for mon in monomials_up_to(nvars, max_s):
         # distinct components have distinct shift vectors: no target repeats
         terms = {tgt: ScalarQ(c.num, form.scale)
                  for word in words for tgt, c in word(mon)}
         if terms:
-            residuals.append((mon, QPolynomial(table.nvars, terms)))
-    return residuals
+            yield mon, QPolynomial(nvars, terms)
 
 
-def verify_relations(instances, table: ActionTable, max_s: int,
-                     push: Dict[GeneratorSymbol, OperatorExpr] = None):
+def operator_equal_on_degrees(e1: OperatorExpr, e2: OperatorExpr,
+                              table: ActionTable, max_s: int):
+    """Residuals of (e1 - e2) on every monomial of total degree <= max_s.
+
+    An empty list means the two expressions agree on that truncation.  No
+    monomial goes through ``apply``: the residuals are read off the compiled
+    form of e1 - e2.
+    """
+    return list(_residuals(compile_relation(e1 - e2, table), table.nvars,
+                           max_s))
+
+
+def verify_relations(instances, table: ActionTable, max_s: int):
     """Check a list of relation instances against an action table.
 
-    ``instances`` holds tuples (group_id, indices, lhs, rhs).  When ``push``
-    is given (a homomorphism's images), the relations are checked over
-    ``image_table(push, table)``, built once.  Returns a list of
-    per-instance report dicts.
+    ``instances`` holds tuples (group_id, indices, lhs, rhs).  To check a
+    homomorphism's relations, pass ``image_table(images, table)``.  Returns
+    a list of per-instance report dicts.
 
-    Each relation is compiled (``compile_relation``).  One whose
+    Each relation is compiled once (``compile_relation``).  One whose
     shift-vector form is zero holds in every degree and is reported OK.
-    Any other fails somewhere: ``operator_equal_on_degrees`` reads its
-    residuals up to ``max_s`` off the compiled form, and the first one is
+    Any other fails somewhere: its first residual up to ``max_s`` is
     reported (or OK if it holds at this degree but fails higher up).
     """
-    if push is not None:
-        table = image_table(push, table)
     report = []
     for group_id, indices, lhs, rhs in instances:
-        if compile_relation(lhs - rhs, table).components:
-            residuals = operator_equal_on_degrees(lhs, rhs, table, max_s)
-        else:
-            residuals = []
+        form = compile_relation(lhs - rhs, table)
+        first = next(_residuals(form, table.nvars, max_s), None)
         entry = {"relation_id": group_id, "instance_indices": list(indices),
-                 "ok": not residuals}
-        if residuals:
-            mon, poly = residuals[0]
+                 "ok": first is None}
+        if first is not None:
+            mon, poly = first
             witness_mon = sorted(poly.terms)[0]
             entry["residual_monomial"] = list(mon)
             entry["residual_coefficient"] = str(poly.terms[witness_mon])
@@ -522,6 +517,8 @@ def _parse_poly_term(term: str, nvars: int) -> QPolynomial:
             need_factor = True
             pos += 1
             continue
+        if not need_factor:
+            raise ValueError("missing '*' between factors in term %r" % term)
         need_factor = False
         if term[pos] == "(":
             depth = 0

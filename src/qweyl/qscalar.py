@@ -193,16 +193,6 @@ class LaurentPoly:
         """Multiply by q^k."""
         return self._term_mul(k, 1)
 
-    def eval_at(self, value: Fraction) -> Fraction:
-        """Evaluate at a nonzero rational value of q (exact)."""
-        value = _fr(value)
-        if value == 0:
-            raise ValueError("cannot evaluate a Laurent polynomial at q=0")
-        return sum((v * value ** e for e, v in self._c.items()), Fraction(0))
-
-    def eval_at_one(self) -> Fraction:
-        return sum(self._c.values(), Fraction(0))
-
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises InexactDivisionError on a remainder."""
         if other.is_zero:
@@ -431,12 +421,6 @@ class ScalarQ:
             n >>= 1
         return result
 
-    def eval_at(self, value: Fraction) -> Fraction:
-        d = self.den.eval_at(value)
-        if d == 0:
-            raise QDivisionByZero("denominator vanishes at q=%s" % value)
-        return self.num.eval_at(value) / d
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):
             other = ScalarQ(other)
@@ -541,17 +525,6 @@ def q_pochhammer(a: ScalarQ, x: ScalarQ, n: int) -> ScalarQ:
         out = out * (ScalarQ.one() - factor)
         factor = factor * x
     return out
-
-
-def is_regular_at_zero(s: ScalarQ) -> bool:
-    """True iff s = f/g with f, g ordinary polynomials and g(0) != 0.
-
-    In canonical form the denominator already has a nonzero constant term, so
-    the question reduces to the numerator having no negative powers of q.
-    """
-    if s.is_zero:
-        return True
-    return s.num.min_exp() >= 0
 
 
 def laurent_from_text(text: str) -> LaurentPoly:

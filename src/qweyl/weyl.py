@@ -147,30 +147,15 @@ def weyl_relation_instances(r: int):
     return algebra_relations((1,) * (r + 2), "DXM", "weyl")
 
 
-def chi_r(sym: GeneratorSymbol, r: int) -> OperatorExpr:
-    """Image of a U_q(sl_{r+2}) Chevalley generator inside the q-Weyl algebra."""
-    if not 0 <= sym.idx <= r:
-        raise ValueError("generator index %d out of range 0..%d" % (sym.idx, r))
-    i = sym.idx
-    if sym.fam == "E":
-        return OperatorExpr.word([X(i), D(i + 1)])
-    if sym.fam == "F":
-        return OperatorExpr.word([X(i + 1), D(i)])
-    if sym.fam == "K" and not sym.inv:
-        return OperatorExpr.word([M(i), M(i + 1, True)])
-    if sym.fam == "K" and sym.inv:
-        return OperatorExpr.word([M(i, True), M(i + 1)])
-    raise ValueError("not a quantum-group generator: %s" % sym.label)
-
-
 def chi_map(r: int):
-    """The full symbol-to-expression map for chi."""
+    """Images of the Chevalley generators of U_q(sl_{r+2}) under chi."""
+    word = OperatorExpr.word
     mapping = {}
     for i in range(r + 1):
-        mapping[E(i)] = chi_r(E(i), r)
-        mapping[F(i)] = chi_r(F(i), r)
-        mapping[K(i)] = chi_r(K(i), r)
-        mapping[K(i, True)] = chi_r(K(i, True), r)
+        mapping[E(i)] = word([X(i), D(i + 1)])
+        mapping[F(i)] = word([X(i + 1), D(i)])
+        mapping[K(i)] = word([M(i), M(i + 1, True)])
+        mapping[K(i, True)] = word([M(i, True), M(i + 1)])
     return mapping
 
 

@@ -14,8 +14,9 @@ from qweyl.iqg import (apply_witness, e_, f_, irreducibility_witness,
 from qweyl.modweyl import (constant_reduction_witness, iota_consistency,
                            iota_table, modweyl_relation_instances,
                            modweyl_table)
-from qweyl.opcalc import (QPolynomial, apply_word, monomials_of_degree,
-                          report_failures, verify_relations)
+from qweyl.opcalc import (QPolynomial, apply_word, image_table,
+                          monomials_of_degree, report_failures,
+                          verify_relations)
 from qweyl.qscalar import LaurentPoly, ScalarQ, q_factorial, q_integer
 from qweyl.satake import build_diagram
 from qweyl.weyl import (chi_map, leibniz_check, uqsl_relation_instances,
@@ -168,8 +169,8 @@ def test_criterion_6_classical_baseline():
         if report_failures(verify_relations(weyl_relation_instances(r), table, 4)):
             ok = False
             print("  q-Weyl relations failed at r=%d" % r)
-        if report_failures(verify_relations(uqsl_relation_instances(r), table,
-                                            4, push=chi_map(r))):
+        if report_failures(verify_relations(
+                uqsl_relation_instances(r), image_table(chi_map(r), table), 4)):
             ok = False
             print("  quantum-group relations failed at r=%d" % r)
     rng = random.Random(31337)

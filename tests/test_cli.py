@@ -66,7 +66,10 @@ MALFORMED_POLYS = [("*", "empty factor"), ("(q)*", "empty factor"),
                    ("X0^x", "missing exponent"),
                    ("(2 3)*X0", "missing sign between terms"),
                    ("2 3", "missing sign between terms"),
-                   ("(q q)*X0", "missing sign between terms")]
+                   ("(q q)*X0", "missing sign between terms"),
+                   ("X0 X1", "missing '*' between factors"),
+                   ("(2)(3)*X0", "missing '*' between factors"),
+                   ("X0 2", "missing '*' between factors")]
 
 
 @pytest.mark.parametrize("poly,message", MALFORMED_POLYS,

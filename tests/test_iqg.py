@@ -4,7 +4,8 @@ the raising/lowering witness words."""
 import pytest
 
 from closed_forms import action_discrepancies, closed_form_action, xi_variants
-from qweyl.iqg import (B_, H_, _alias_images, alias_symbols, apply_witness,
+from evaluation import eval_scalar
+from qweyl.iqg import (B_, H_, _alias_images, apply_witness,
                        e_, f_, irreducibility_witness, k_, oscillator_action,
                        phi, presentation, relation_instances, spanning_witness,
                        t_, verify_homomorphism)
@@ -122,8 +123,8 @@ def test_relations_numerically_at_rational_q():
             lp = apply(left, p, table)
             rp = apply(right, p, table)
             for value in (Fraction(2), Fraction(-3, 5)):
-                lvals = {m: c.eval_at(value) for m, c in lp.terms.items()}
-                rvals = {m: c.eval_at(value) for m, c in rp.terms.items()}
+                lvals = {m: eval_scalar(c, value) for m, c in lp.terms.items()}
+                rvals = {m: eval_scalar(c, value) for m, c in rp.terms.items()}
                 assert lvals == rvals
 
 
@@ -306,11 +307,6 @@ def test_oscillator_spot_values():
     t = oscillator_action(a1)
     assert t.act(k_(0), (0, 0)) == [((0, 0), ScalarQ.q_power(-1))]
     assert t.act(e_(0), (0, 1)) == [((1, 0), ScalarQ(q_integer(3)))]
-
-
-def test_alias_symbols_listing():
-    labels = [s.label for s in alias_symbols(build_diagram("VI", 1))]
-    assert labels == ["e1", "f1", "k1", "k1^-1", "t0", "t2"]
 
 
 # --- witnesses ------------------------------------------------------------------

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from qweyl import modweyl
-from qweyl.modweyl import (constant_reduction_witness, d_, iota,
-                           iota_consistency, iota_table, m_,
+from qweyl.modweyl import (constant_reduction_witness, d_, iota_consistency,
+                           iota_map, iota_table, m_,
                            modweyl_relation_instances, modweyl_table, x_)
 from qweyl.opcalc import (OperatorExpr, QPolynomial, apply, apply_word,
                           report_failures, verify_relations)
@@ -39,32 +39,34 @@ def test_direct_action_formulas():
 
 
 def test_iota_images_per_branch():
-    d1 = build_diagram("I", 1)       # xi = (1, 1, 2)
-    assert iota(d1, d_(0)) == OperatorExpr.word((D(0),))
-    assert iota(d1, d_(2)) == (OperatorExpr.word((D(2), M(2)))
-                               + OperatorExpr.word((D(2), M(2, True))))
-    assert iota(d1, m_(2)) == OperatorExpr.word((M(2), M(2)))
-    assert iota(d1, m_(2, True)) == OperatorExpr.word((M(2, True), M(2, True)))
-    assert iota(d1, x_(1)) == OperatorExpr.word((X(1),))
-    d2 = build_diagram("II", 0)      # xi = (1, -1)
-    assert iota(d2, d_(1)) == OperatorExpr.word((D(1),), ScalarQ(-1))
-    assert iota(d2, m_(1)) == OperatorExpr.word((M(1, True),))
-    a1 = build_diagram("A1AFF")      # xi = (1, 3)
+    d1 = iota_map(build_diagram("I", 1))       # xi = (1, 1, 2)
+    assert list(d1)[:4] == [d_(0), x_(0), m_(0), m_(0, True)]
+    assert d1[d_(0)] == OperatorExpr.word((D(0),))
+    assert d1[d_(2)] == (OperatorExpr.word((D(2), M(2)))
+                         + OperatorExpr.word((D(2), M(2, True))))
+    assert d1[m_(2)] == OperatorExpr.word((M(2), M(2)))
+    assert d1[m_(2, True)] == OperatorExpr.word((M(2, True), M(2, True)))
+    assert d1[x_(1)] == OperatorExpr.word((X(1),))
+    d2 = iota_map(build_diagram("II", 0))      # xi = (1, -1)
+    assert d2[d_(1)] == OperatorExpr.word((D(1),), ScalarQ(-1))
+    assert d2[m_(1)] == OperatorExpr.word((M(1, True),))
+    a1 = iota_map(build_diagram("A1AFF"))      # xi = (1, 3)
     expected = (OperatorExpr.word((D(1), M(1), M(1)))
                 + OperatorExpr.word((D(1),))
                 + OperatorExpr.word((D(1), M(1, True), M(1, True))))
-    assert iota(a1, d_(1)) == expected
+    assert a1[d_(1)] == expected
 
 
 def test_iota_consistency_spot_values():
     # xi = 2: iota(d)(X_i^2) = (q^2 + q^-2)[2] X_i = [4] X_i
     d = build_diagram("I", 0)  # xi = (1, 2)
     p = QPolynomial.monomial((0, 2))
-    through = apply(iota(d, d_(1)), p, weyl_table(2))
+    through = apply(iota_map(d)[d_(1)], p, weyl_table(2))
     assert through == QPolynomial.monomial((0, 1), ScalarQ(q_integer(4)))
     # xi = -1: iota(d)(X_i) = -D X_i = [-1] = direct
     d2 = build_diagram("II", 0)
-    through = apply(iota(d2, d_(1)), QPolynomial.monomial((0, 1)), weyl_table(2))
+    through = apply(iota_map(d2)[d_(1)], QPolynomial.monomial((0, 1)),
+                    weyl_table(2))
     assert through == QPolynomial.monomial((0, 0), ScalarQ(q_integer(-1)))
 
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evaluation import eval_laurent
 from qweyl.qscalar import (InexactDivisionError, LaurentPoly, QDivisionByZero,
-                           ScalarQ, is_regular_at_zero, laurent_from_text,
+                           ScalarQ, laurent_from_text,
                            q_binomial, q_factorial, q_integer, q_pochhammer,
                            scalar_from_text)
 
@@ -72,7 +73,7 @@ def test_q_integer_negative_antisymmetric():
 
 @pytest.mark.parametrize("a", range(-20, 21))
 def test_q_integer_at_one(a):
-    assert q_integer(a).eval_at_one() == a
+    assert eval_laurent(q_integer(a), 1) == a
 
 
 # --- q-factorials ------------------------------------------------------------
@@ -130,13 +131,13 @@ def test_q_binomial_by_division_oracle():
 def test_q_binomial_at_one_matches_binomial():
     for n in range(13):
         for d in range(n + 1):
-            assert q_binomial(n, d).eval_at_one() == math.comb(n, d)
+            assert eval_laurent(q_binomial(n, d), 1) == math.comb(n, d)
 
 
 def test_q_binomial_negative_upper_index():
     # still a Laurent polynomial; values at q=1 follow the usual extension
-    assert q_binomial(-1, 2).eval_at_one() == 1
-    assert q_binomial(-2, 3).eval_at_one() == -4
+    assert eval_laurent(q_binomial(-1, 2), 1) == 1
+    assert eval_laurent(q_binomial(-2, 3), 1) == -4
 
 
 # --- Pochhammer --------------------------------------------------------------
@@ -219,14 +220,6 @@ def test_scalar_field_axioms(a, b, c):
     assert x * y == y * x
     if not y.is_zero:
         assert (x / y) * y == x
-
-
-def test_is_regular_at_zero_cases():
-    assert is_regular_at_zero(ScalarQ(1, LaurentPoly({0: 1, 1: 1})))
-    assert not is_regular_at_zero(ScalarQ(1, LaurentPoly({1: 1})))
-    assert not is_regular_at_zero(ScalarQ(q_integer(3)))
-    assert is_regular_at_zero(ScalarQ.zero())
-    assert is_regular_at_zero(ScalarQ(q_integer(2), LaurentPoly({0: 1, 1: 2})) * ScalarQ.q_power(1))
 
 
 # --- text round trips --------------------------------------------------------

@@ -13,7 +13,8 @@ from qweyl.iqg import e_, oscillator_action, phi, relation_instances
 from qweyl.modweyl import (iota_map, iota_table, m_,
                            modweyl_relation_instances, modweyl_table)
 from qweyl.opcalc import (OperatorExpr, QPolynomial, apply, expr_map,
-                          image_table, monomials_up_to, report_failures,
+                          image_table, monomials_up_to,
+                          operator_equal_on_degrees, report_failures,
                           verify_relations)
 from qweyl.qscalar import (InexactDivisionError, LaurentPoly, Q_MINUS_QINV,
                            ScalarQ)
@@ -148,18 +149,17 @@ def test_plain_function_entry_is_refused_and_checked_by_monomials():
         ("modweyl.xd_same", [0], [0, 0, 0], "(-q)/(q + 1)")]
 
 
-def _apply_residuals(e1, e2, table, max_s):
-    """The residual oracle: (e1 - e2) applied to every monomial of degree
+def _apply_residuals(expr, table, max_s):
+    """The residual oracle: ``expr`` applied to every monomial of degree
     <= max_s through ``apply``, after clearing denominators with their
     product L; each nonzero residual is divided by L again."""
-    diff = e1 - e2
-    dens = {c.den for c in diff.terms.values() if not c.is_polynomial}
+    dens = {c.den for c in expr.terms.values() if not c.is_polynomial}
     if dens:
         common = ScalarQ(prod(dens))
-        diff = diff.scale(common)
+        expr = expr.scale(common)
     residuals = []
     for mon in monomials_up_to(table.nvars, max_s):
-        r = apply(diff, QPolynomial.monomial(mon), table)
+        r = apply(expr, QPolynomial.monomial(mon), table)
         if not r.is_zero:
             if dens:
                 r = r.scale(common.invert())
@@ -186,28 +186,47 @@ def _verify_runs(capsys, tmp_path, spec):
     return runs
 
 
-@pytest.mark.parametrize("spec", MATRIX_SPECS)
-def test_engines_agree_on_mutation_matrix(capsys, monkeypatch, tmp_path, spec):
-    compiled = opcalc.operator_equal_on_degrees
+def _record_compiles(patch):
+    """Wrap ``compile_relation`` as ``verify_relations`` calls it; returns
+    the list of (expression, table, form) it fills."""
     calls = []
 
-    def recorded(e1, e2, table, max_s):
-        residuals = compiled(e1, e2, table, max_s)
-        calls.append(((e1, e2, table, max_s), residuals))
-        return residuals
+    def recorded(expr, table):
+        form = compile_relation(expr, table)
+        calls.append((expr, table, form))
+        return form
 
+    patch.setattr(opcalc, "compile_relation", recorded)
+    return calls
+
+
+def test_verify_compiles_each_relation_once(capsys, monkeypatch):
+    calls = _record_compiles(monkeypatch)
+    code = main(["verify", "--diagram", "I:r=1", "--suite", "iqg",
+                 "--max-degree", "2", "--mutate", "xi-fold"])
+    out = capsys.readouterr().out
+    assert code == 1 and " FAIL\n" in out
+    assert len(calls) == out.count("RELATION ")
+
+
+@pytest.mark.parametrize("spec", MATRIX_SPECS)
+def test_engines_agree_on_mutation_matrix(capsys, monkeypatch, tmp_path, spec):
     def refused(*args):
         raise AssertionError("verify applied a word to a monomial")
 
     with monkeypatch.context() as patch:
-        patch.setattr(opcalc, "operator_equal_on_degrees", recorded)
+        calls = _record_compiles(patch)
         patch.setattr(opcalc, "apply", refused)
         patch.setattr(opcalc.ActionTable, "act", refused)
         runs = _verify_runs(capsys, tmp_path, spec)
     # The compiler proves every relation that holds: each relation whose
-    # residuals it reads fails, with the residuals of the apply oracle.
-    oracle = [_apply_residuals(*args) for args, _ in calls]
-    assert [residuals for _, residuals in calls] == oracle
+    # compiled form is nonzero fails, and the residuals read off that form
+    # are those of the apply oracle.
+    nonzero = [(expr, table, form) for expr, table, form in calls
+               if form.components]
+    oracle = [_apply_residuals(expr, table, 3) for expr, table, _ in nonzero]
+    assert [operator_equal_on_degrees(expr, OperatorExpr.zero(), table, 3)
+            for expr, table, _ in nonzero] == oracle
     assert all(oracle)
     # Every FAIL line is one of those relations, and its report entry
     # carries the oracle's first residual.

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from qweyl.opcalc import (OperatorExpr, QPolynomial, apply, monomials_up_to,
-                          report_failures, verify_relations)
+from qweyl.opcalc import (OperatorExpr, QPolynomial, apply, image_table,
+                          monomials_up_to, report_failures, verify_relations)
 from qweyl.qscalar import ScalarQ, q_integer
-from qweyl.weyl import (D, E, F, K, M, X, chi_map, chi_r, d_substitution,
+from qweyl.weyl import (D, E, F, K, M, X, chi_map, d_substitution,
                         leibniz_check, uqsl_relation_instances, weyl_table,
                         weyl_relation_instances)
 
@@ -79,11 +79,12 @@ def test_specific_weyl_relations_present():
 
 
 def test_chi_images():
-    assert chi_r(E(0), 2) == OperatorExpr.word((X(0), D(1)))
-    assert chi_r(K(1, True), 2) == OperatorExpr.word((M(1, True), M(2)))
-    assert chi_r(F(2), 2) == OperatorExpr.word((X(3), D(2)))
-    with pytest.raises(ValueError):
-        chi_r(E(3), 2)
+    chi = chi_map(2)
+    assert list(chi)[:4] == [E(0), F(0), K(0), K(0, True)]
+    assert chi[E(0)] == OperatorExpr.word((X(0), D(1)))
+    assert chi[K(1, True)] == OperatorExpr.word((M(1, True), M(2)))
+    assert chi[F(2)] == OperatorExpr.word((X(3), D(2)))
+    assert E(3) not in chi
 
 
 def test_uqsl_relation_instances_cover_groups():
@@ -95,8 +96,8 @@ def test_uqsl_relation_instances_cover_groups():
 
 @pytest.mark.parametrize("r", [0, 1])
 def test_uqsl_relations_hold_through_chi(r):
-    report = verify_relations(uqsl_relation_instances(r), weyl_table(r + 2), 3,
-                              push=chi_map(r))
+    report = verify_relations(uqsl_relation_instances(r),
+                              image_table(chi_map(r), weyl_table(r + 2)), 3)
     assert not report_failures(report)
 
 
