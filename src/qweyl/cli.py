@@ -122,8 +122,7 @@ def parse_word(diagram: SatakeDiagram, text: str):
 def _cmd_act(args) -> int:
     diagram = parse_spec(args.diagram)
     word = parse_word(diagram, args.word)
-    table = iqg.oscillator_action(diagram).merged(
-        modweyl.modweyl_table(diagram))
+    table = iqg.oscillator_action(diagram)
     for sym in word:
         if sym not in table:
             raise ValueError("unknown token %r for diagram %s"

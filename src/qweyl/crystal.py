@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 from .iqg import f_, oscillator_action
 from .opcalc import (ActionTable, Monomial, QPolynomial, apply_word,
                      monomials_of_degree)
-from .qscalar import LaurentPoly, ScalarQ, q_factorial
+from .qscalar import ScalarQ, factorial_steps, q_product
 from .satake import SatakeDiagram
 
 CRYSTAL_KINDS = ("I", "III", "A1AFF")
@@ -32,14 +32,6 @@ def _require_crystal_kind(diagram: SatakeDiagram):
         raise ValueError(_UNSUPPORTED_MSG % diagram.kind)
 
 
-def _divided_laurent(diagram: SatakeDiagram, mon: Monomial) -> LaurentPoly:
-    out = LaurentPoly.one()
-    for e, xi in zip(mon, diagram.xi):
-        if e:
-            out = out * q_factorial(e, xi)
-    return out
-
-
 def _kashiwara_coords(diagram: SatakeDiagram, i: int, a: Monomial, n: int,
                       table: ActionTable) -> Dict[Monomial, ScalarQ]:
     """Apply f_i^{(n)_{xi_{i+1}}} to X^(a + a_{i+1}(e_i - e_{i+1})).
@@ -48,14 +40,18 @@ def _kashiwara_coords(diagram: SatakeDiagram, i: int, a: Monomial, n: int,
     operator vanish at the weight boundary.  The word acts on the plain
     monomial X^b, whose oscillator coefficients are Laurent polynomials, and
     each image coordinate c_t is divided once: c_t D(t) / (D(b) [n]^{xi}!).
+    D(min(t, b)) divides D(t) and D(b) and is left out; each side is then one
+    running q-product, and a coordinate equal to 1 has equal sides: no gcd.
     """
     if n < 0:
         return {}
     b = tuple(e + (a[i + 1] if j == i else 0) - (a[i + 1] if j == i + 1 else 0)
               for j, e in enumerate(a))
     img = apply_word((f_(i),) * n, QPolynomial.monomial(b), table)
-    den = _divided_laurent(diagram, b) * q_factorial(n, diagram.xi[i + 1])
-    return {t: ScalarQ(c.num * _divided_laurent(diagram, t), c.den * den)
+    xi = diagram.xi
+    steps = [xi[i + 1] * u for u in range(1, n + 1)]
+    return {t: ScalarQ(q_product(factorial_steps(xi, b, t), c.num),
+                       q_product(steps + factorial_steps(xi, t, b), c.den))
             for t, c in img.terms.items()}
 
 

@@ -26,8 +26,8 @@ from typing import Dict, List, Tuple
 from .modweyl import d_, m_, modweyl_table, x_
 from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
                      apply_word, divided_power, image_table, verify_relations)
-from .qscalar import (Q_MINUS_QINV, LaurentPoly, ScalarQ, q_binomial,
-                      q_factorial, q_pochhammer)
+from .qscalar import (Q_MINUS_QINV, LaurentPoly, ScalarQ, factorial_steps,
+                      q_binomial, q_pochhammer, q_product)
 from .satake import SatakeDiagram
 
 
@@ -265,23 +265,25 @@ def verify_homomorphism(diagram: SatakeDiagram, max_s: int):
 
 
 def oscillator_action(diagram: SatakeDiagram) -> ActionTable:
-    """Monomial actions of the aliases on the polynomial ring.
+    """Monomial actions of the aliases, and of d/x/m, on the polynomial ring.
 
     Each alias image under phi, one word in d/x/m times +-q^k, is composed
-    once by ``image_table`` over ``modweyl_table`` into a ``ShiftWord``.
-    The table is phi composed with the modified q-Weyl action, at whatever
-    xi the diagram carries.
+    once by ``image_table`` over ``modweyl_table`` into a ``ShiftWord``; the
+    same ``modweyl_table`` serves the d/x/m symbols.  The table is phi
+    composed with the modified q-Weyl action, at whatever xi the diagram
+    carries.
     """
-    return image_table(_alias_images(presentation(diagram)),
-                       modweyl_table(diagram))
+    base = modweyl_table(diagram)
+    return image_table(_alias_images(presentation(diagram)), base).merged(base)
 
 
 def irreducibility_witness(diagram: SatakeDiagram, a: Tuple[int, ...]):
     """The e-word carrying X^a to a predicted nonzero multiple of X_0^s.
 
     Raising operators empty the slots one by one into slot 0; the predicted
-    coefficient is prod_{i=1}^{r+1} [a_i + ... + a_{r+1}]^{xi_i}!.  Kind VI
-    has no raising operator into slot 0, so no such witness exists there.
+    coefficient prod_{i=1}^{r+1} [a_i + ... + a_{r+1}]^{xi_i}! is one running
+    q-product.  Kind VI has no raising operator into slot 0, so no such
+    witness exists there.
     """
     a = _check_vector(diagram, a)
     if diagram.kind == "VI":
@@ -290,14 +292,18 @@ def irreducibility_witness(diagram: SatakeDiagram, a: Tuple[int, ...]):
     word = []
     for _, c, _, hi in _ladder(presentation(diagram)):
         word.extend([e_(c)] * sum(a[hi:]))
-    predicted = ScalarQ.one()
-    for i in range(1, diagram.r + 2):
-        predicted = predicted * ScalarQ(q_factorial(sum(a[i:]), diagram.xi[i]))
-    return tuple(word), predicted
+    top = [sum(a[i:]) for i in range(1, len(a))]
+    steps = factorial_steps(diagram.xi[1:], [0] * len(top), top)
+    return tuple(word), ScalarQ(q_product(steps))
 
 
 def spanning_witness(diagram: SatakeDiagram, b: Tuple[int, ...]):
-    """The f-word carrying X_0^s to a predicted nonzero multiple of X^b."""
+    """The f-word carrying X_0^s to a predicted nonzero multiple of X^b.
+
+    The coefficient, prod_{i=0}^{r} [b_i + ... + b_{r+1}]^{xi_i}! divided by
+    [b_i]^{xi_i}!, is the running q-product of the q-integers the quotient
+    keeps: no gcd.
+    """
     b = _check_vector(diagram, b)
     s = sum(b)
     if diagram.kind == "VI":
@@ -306,12 +312,8 @@ def spanning_witness(diagram: SatakeDiagram, b: Tuple[int, ...]):
     word = []
     for _, c, _, hi in reversed(_ladder(presentation(diagram))):
         word.extend([f_(c)] * (s - sum(b[:hi])))
-    predicted = ScalarQ(q_factorial(s, diagram.xi[0])) \
-        / ScalarQ(q_factorial(b[0], diagram.xi[0]))
-    for i in range(1, diagram.r + 1):
-        predicted = predicted * ScalarQ(q_factorial(s - sum(b[:i]), diagram.xi[i])) \
-            / ScalarQ(q_factorial(b[i], diagram.xi[i]))
-    return tuple(word), predicted
+    top = [sum(b[i:]) for i in range(len(b))]
+    return tuple(word), ScalarQ(q_product(factorial_steps(diagram.xi, b, top)))
 
 
 def _check_vector(diagram, a):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
                      image_table, report_failures, verify_relations)
-from .qscalar import ScalarQ, q_factorial
+from .qscalar import ScalarQ, factorial_steps, q_product
 from .satake import SatakeDiagram
 from . import weyl
 
@@ -98,10 +98,6 @@ def constant_reduction_witness(diagram: SatakeDiagram, p: QPolynomial):
     if p.is_zero:
         raise ValueError("zero polynomial has no reduction witness")
     k = max(p.terms)
-    word = []
-    predicted = p.terms[k]
-    for i, e in enumerate(k):
-        word.extend([d_(i)] * e)
-        if e:
-            predicted = predicted * ScalarQ(q_factorial(e, diagram.xi[i]))
-    return tuple(word), predicted
+    word = tuple(d_(i) for i, e in enumerate(k) for _ in range(e))
+    steps = factorial_steps(diagram.xi, [0] * len(k), k)
+    return word, p.terms[k] * ScalarQ(q_product(steps))

@@ -155,6 +155,8 @@ class GeneratorSymbol(NamedTuple):
 
 
 Word = Tuple[GeneratorSymbol, ...]
+# The default coefficient, already canonical: ScalarQ values are immutable.
+_ONE = ScalarQ.one()
 
 
 class OperatorExpr:
@@ -177,14 +179,15 @@ class OperatorExpr:
 
     @classmethod
     def identity(cls) -> "OperatorExpr":
-        return cls({(): 1})
+        return cls({(): _ONE})
 
     @classmethod
-    def word(cls, symbols: Iterable[GeneratorSymbol], coeff=1) -> "OperatorExpr":
+    def word(cls, symbols: Iterable[GeneratorSymbol],
+             coeff=_ONE) -> "OperatorExpr":
         return cls({tuple(symbols): coeff})
 
     @classmethod
-    def symbol(cls, g: GeneratorSymbol, coeff=1) -> "OperatorExpr":
+    def symbol(cls, g: GeneratorSymbol, coeff=_ONE) -> "OperatorExpr":
         return cls({(g,): coeff})
 
     @property

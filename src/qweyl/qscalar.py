@@ -9,14 +9,17 @@ hashing are structural.  No floating point anywhere.
 Almost every value met in practice is a Laurent polynomial with integer
 coefficients, so the common cases skip the general machinery: coefficients
 are stored as ``int`` whenever they are integral, a product with a single
-term is a relabelling of exponents, and a denominator c*q^k is divided out
-directly.  Only a denominator with two or more terms needs a polynomial gcd,
-and not even then when it equals the numerator: the ratio is 1.
+term is a relabelling of exponents, a product with a run v*q^lo*(1 + q^2 +
+... + q^(2(m-1))), such as a q-integer, is a strided running sum in
+O(span + m) (``q_product`` chains them), and a denominator c*q^k is divided
+out directly.  Only a denominator with two or more terms needs a polynomial
+gcd, and not even then when it equals the numerator: the ratio is 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd as _int_gcd
 
 
@@ -160,12 +163,16 @@ class LaurentPoly:
             v = _coeff(other)
             return self._term_mul(0, v) if v else LaurentPoly.zero()
         a, b = self._c, other._c
-        if len(b) == 1:
-            (k, v), = b.items()
-            return self._term_mul(k, v)
-        if len(a) == 1:
-            (k, v), = a.items()
-            return other._term_mul(k, v)
+        long, short = (self, b) if len(b) <= len(a) else (other, a)
+        if len(short) == 1:
+            (k, v), = short.items()
+            return long._term_mul(k, v)
+        # Below ~40 term products the double loop is cheaper (CPython 3.11);
+        # a zero factor has none.
+        run = _run(short) if len(a) * len(b) >= 40 else None
+        out = run and _run_product(long._c, *run)
+        if out is not None:
+            return out
         c = {}
         for e1, v1 in a.items():
             for e2, v2 in b.items():
@@ -242,6 +249,43 @@ class LaurentPoly:
 
     def __repr__(self):
         return "LaurentPoly(%r)" % (self._c,)
+
+
+def _run(c):
+    """(lo, m, v) if c is v*q^lo*(1 + q^2 + ... + q^(2(m-1))), else None."""
+    lo, m = min(c), len(c)
+    v = c[lo]
+    if max(c) - lo == 2 * (m - 1) and all(
+            w == v and not (e - lo) & 1 for e, w in c.items()):
+        return lo, m, v
+    return None
+
+
+def _run_product(c, lo: int, m: int, v):
+    """c times the run v*q^lo*(1 + q^2 + ... + q^(2(m-1))) in O(span + m),
+    or None if c is so sparse that the double loop is cheaper.
+
+    Per parity class, the coefficient of q^(e + lo) is v times the window
+    sum of c at e, e - 2, ..., e - 2(m-1), read off running prefix sums.
+    """
+    low, high = min(c), max(c)
+    if (high - low) // 2 + m >= len(c) * m:
+        return None
+    dense = [0] * (high - low + 1)
+    for e, w in c.items():
+        dense[e - low] = w
+    pad, out = [0] * m, {}
+    for p in (0, 1):
+        seq = dense[p::2]
+        if not any(seq):
+            continue
+        sums = list(accumulate(pad + seq + pad[1:]))
+        window = [(x - y) * v for x, y in zip(sums[m:], sums)]
+        exps = range(low + lo + p, high + lo + 2 * m, 2)
+        out.update({e: _norm(w) for e, w in zip(exps, window) if w})
+    res = LaurentPoly.__new__(LaurentPoly)
+    res._c = out
+    return res
 
 
 def _to_ordinary(p: LaurentPoly):
@@ -495,10 +539,21 @@ def q_factorial(a: int, k: int) -> LaurentPoly:
         raise ValueError("q_factorial needs a >= 0, got %d" % a)
     if k == 0:
         raise ValueError("q_factorial needs k != 0")
-    out = LaurentPoly.one()
-    for t in range(1, a + 1):
-        out = out * q_integer(k * t)
+    return q_product([k * t for t in range(1, a + 1)])
+
+
+def q_product(ns, start=1) -> LaurentPoly:
+    """start times [n] for each n in ns, one run product per factor."""
+    out = start if isinstance(start, LaurentPoly) else LaurentPoly(start)
+    for n in ns:
+        out = out * q_integer(n)
     return out
+
+
+def factorial_steps(xi, lo, hi) -> list:
+    """xi_j * t for t = lo_j + 1..hi_j, slot by slot: the q-integers of
+    prod_j [hi_j]^{xi_j}! / [lo_j]^{xi_j}! (none where lo_j >= hi_j)."""
+    return [k * t for k, a, b in zip(xi, lo, hi) for t in range(a + 1, b + 1)]
 
 
 def q_binomial(n: int, d: int) -> LaurentPoly:
@@ -507,10 +562,7 @@ def q_binomial(n: int, d: int) -> LaurentPoly:
         return LaurentPoly.zero()
     if d == 0:
         return LaurentPoly.one()
-    numer = LaurentPoly.one()
-    for t in range(d):
-        numer = numer * q_integer(n - t)
-    return numer.divexact(q_factorial(d, 1))
+    return q_product(range(n - d + 1, n + 1)).divexact(q_factorial(d, 1))
 
 
 def q_pochhammer(a: ScalarQ, x: ScalarQ, n: int) -> ScalarQ:

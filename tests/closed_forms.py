@@ -10,7 +10,7 @@ compares two such tables monomial by monomial through ``apply``.
 from qweyl.iqg import e_, f_, k_, t_
 from qweyl.opcalc import (ActionTable, OperatorExpr, QPolynomial, apply,
                           monomials_up_to)
-from qweyl.qscalar import ScalarQ, q_integer
+from qweyl.qscalar import ScalarQ, q_factorial, q_integer
 from qweyl.satake import SatakeDiagram, build_diagram
 
 
@@ -111,3 +111,21 @@ def action_discrepancies(images, table, reference, max_s):
             if via_images != direct:
                 report.append((sym.label, mon, via_images, direct))
     return report
+
+
+def witness_coefficients(diagram: SatakeDiagram, a):
+    """The (up, down) witness coefficients of X^a as quotients of factorials.
+
+    Up is prod_{i=1}^{r+1} [a_i + ... + a_{r+1}]^{xi_i}!; down is
+    prod_{i=0}^{r} [a_i + ... + a_{r+1}]^{xi_i}! / [a_i]^{xi_i}!, each
+    quotient taken in Q(q), which needs a gcd.
+    """
+    xi, s = diagram.xi, sum(a)
+    up = ScalarQ.one()
+    for i in range(1, diagram.r + 2):
+        up = up * ScalarQ(q_factorial(sum(a[i:]), xi[i]))
+    down = ScalarQ(q_factorial(s, xi[0])) / ScalarQ(q_factorial(a[0], xi[0]))
+    for i in range(1, diagram.r + 1):
+        down = down * ScalarQ(q_factorial(s - sum(a[:i]), xi[i])) \
+            / ScalarQ(q_factorial(a[i], xi[i]))
+    return up, down

@@ -44,6 +44,25 @@ def test_act_raw_modified_generators(capsys):
     assert out.strip() == "(q^2 + 1 + q^-2)*X0"
 
 
+def test_act_builds_one_modified_weyl_table(capsys, monkeypatch):
+    # the oscillator table's own modweyl_table serves the d/x/m tokens
+    import qweyl.iqg
+    import qweyl.modweyl
+    builds = []
+    real = qweyl.modweyl.modweyl_table
+
+    def counting(diagram):
+        builds.append(diagram.spec_string)
+        return real(diagram)
+
+    monkeypatch.setattr(qweyl.iqg, "modweyl_table", counting)
+    monkeypatch.setattr(qweyl.modweyl, "modweyl_table", counting)
+    code, out, _ = run(capsys, "act", "--diagram", "A1AFF",
+                       "--word", "f0 x0 d1", "--poly", "X1")
+    assert (code, builds) == (0, ["A1AFF"])
+    assert out.strip() == "(q^2 + 1 + q^-2)*X1"
+
+
 def test_act_unknown_token_is_usage_error(capsys):
     code, _, err = run(capsys, "act", "--diagram", "I:r=1",
                        "--word", "z9", "--poly", "X0")

@@ -5,10 +5,9 @@ import random
 import pytest
 
 from closed_forms import closed_form_action, xi_variants
-from qweyl.crystal import (_divided_laurent, _kashiwara_coords,
-                           combinatorial_rule, crystal_axioms_check,
-                           crystal_graph, export, kashiwara_e, kashiwara_f,
-                           parse_json)
+from qweyl.crystal import (_kashiwara_coords, combinatorial_rule,
+                           crystal_axioms_check, crystal_graph, export,
+                           kashiwara_e, kashiwara_f, parse_json)
 from qweyl.iqg import f_, oscillator_action
 from qweyl.opcalc import (ActionTable, QPolynomial, apply_word,
                           monomials_of_degree)
@@ -19,6 +18,14 @@ FAMILIES = [("I", 0), ("I", 1), ("I", 2), ("III", 1), ("A1AFF", None)]
 
 
 # --- divided basis -------------------------------------------------------------
+
+def _divided_laurent(diagram, mon):
+    """D(mon) = prod_i [mon_i]^{xi_i}!, the normaliser of X^(mon)."""
+    out = LaurentPoly.one()
+    for e, xi in zip(mon, diagram.xi):
+        out = out * q_factorial(e, xi)
+    return out
+
 
 def _to_divided(diagram, p):
     """Coordinates of p in the divided basis X^(a) = X^a / D(a)."""

@@ -3,7 +3,8 @@ the raising/lowering witness words."""
 
 import pytest
 
-from closed_forms import action_discrepancies, closed_form_action, xi_variants
+from closed_forms import (action_discrepancies, closed_form_action,
+                          witness_coefficients, xi_variants)
 from evaluation import eval_scalar
 from qweyl.iqg import (B_, H_, _alias_images, apply_witness,
                        e_, f_, irreducibility_witness, k_, oscillator_action,
@@ -240,10 +241,11 @@ ALL_R2 = [("I", 0), ("I", 1), ("I", 2), ("II", 0), ("II", 1), ("II", 2),
 
 @pytest.mark.parametrize("kind,r", ALL_R2)
 def test_oscillator_action_matches_phi(kind, r):
-    # the generated table against the per-kind closed forms
+    # the generated table against the per-kind closed forms, alias by alias
     d = build_diagram(kind, r)
     table = oscillator_action(d)
-    images = {sym: OperatorExpr.symbol(sym) for sym in table.entries}
+    images = {sym: OperatorExpr.symbol(sym)
+              for sym in _alias_images(presentation(d))}
     assert action_discrepancies(images, table, closed_form_action(d), 5) == []
 
 
@@ -288,7 +290,7 @@ def test_alias_images_preserve_degree():
         d = build_diagram(kind, r)
         table = oscillator_action(d)
         for mon in monomials_up_to(d.nslots, 3):
-            for sym in table.entries:
+            for sym in _alias_images(presentation(d)):
                 for tgt, _ in table.act(sym, mon):
                     assert sum(tgt) == sum(mon)
 
@@ -362,6 +364,19 @@ def test_witnesses_hold_off_the_default_xi(kind, r):
             word, predicted = spanning_witness(d, a)
             assert apply_witness(d, word, QPolynomial.monomial(top)) \
                 == QPolynomial.monomial(a, predicted), (d.xi, a)
+
+
+LADDER = [spec for spec in ALL_R2 if spec[0] != "VI"]
+
+
+@pytest.mark.parametrize("kind,r", LADDER)
+def test_witness_coefficients_match_the_factorial_quotients(kind, r):
+    # the running q-products against the quotients of q-factorials in Q(q)
+    d = build_diagram(kind, r)
+    for a in monomials_up_to(d.nslots, 8):
+        up, down = witness_coefficients(d, a)
+        assert irreducibility_witness(d, a)[1] == up, a
+        assert spanning_witness(d, a)[1] == down, a
 
 
 def test_witness_round_trip_composes():

@@ -87,6 +87,25 @@ def test_every_table_image_is_homogeneous():
                     assert sum(tgt) == expected
 
 
+def test_default_coefficient_is_built_once(monkeypatch):
+    # word, symbol and identity share one canonical 1 instead of building it
+    built = []
+    init = ScalarQ.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ScalarQ, "__init__", counting)
+    g = GeneratorSymbol("e", 0)
+    exprs = [OperatorExpr.word([g]), OperatorExpr.symbol(g),
+             OperatorExpr.identity()]
+    assert built == []
+    assert [e.terms for e in exprs] == [{(g,): ScalarQ.one()},
+                                        {(g,): ScalarQ.one()},
+                                        {(): ScalarQ.one()}]
+
+
 def test_divided_power_convention():
     b = GeneratorSymbol("B", 0)
     dp = divided_power(b, 2)

@@ -2,8 +2,9 @@
 
 Covers the field laws, agreement with ``sympy.cancel`` after evaluation at
 rational points of q, agreement of every fast path with the general
-``_canonical`` reduction, the stored coefficient types, and the rule that
-equal values hash alike across int, Fraction, LaurentPoly and ScalarQ.
+``_canonical`` reduction, the run product against the double loop and
+sympy, the stored coefficient types, and the rule that equal values hash
+alike across int, Fraction, LaurentPoly and ScalarQ.
 """
 
 from fractions import Fraction
@@ -14,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evaluation import eval_laurent, eval_scalar
-from qweyl.qscalar import LaurentPoly, ScalarQ, _canonical, q_integer
+from qweyl.qscalar import (LaurentPoly, ScalarQ, _canonical, _run,
+                           _run_product, factorial_steps, q_factorial,
+                           q_integer, q_product)
 
 Q = sympy.Symbol("q")
 SAMPLE_POINTS = (Fraction(2), Fraction(-3), Fraction(1, 3), Fraction(-5, 7),
@@ -141,6 +144,137 @@ def test_single_term_product_matches_full_expansion(a, b):
     expected = {e: v for e, v in expected.items() if v}
     assert dict((a * b).items()) == expected
     assert dict((b * a).items()) == expected
+
+
+# --- run products ------------------------------------------------------------------
+
+def dense_product(a, b):
+    """The double loop over two coefficient maps, in exact Fractions."""
+    out = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + Fraction(v1) * v2
+    return {e: v for e, v in out.items() if v}
+
+
+def run_poly(lo, m, v):
+    """v*q^lo*(1 + q^2 + ... + q^(2(m-1)))."""
+    return LaurentPoly({lo + 2 * j: v for j in range(m)})
+
+
+run_values = st.one_of(st.integers(-5, 5).filter(bool),
+                       st.fractions(min_value=-3, max_value=3,
+                                    max_denominator=5).filter(bool))
+run_params = st.tuples(st.integers(-9, 9), st.integers(1, 40), run_values)
+# consecutive exponents, so both parities, zero coefficients allowed inside
+dense_factor = st.builds(
+    lambda lo, vs: LaurentPoly({lo + i: v for i, v in enumerate(vs)}),
+    st.integers(-12, 12), st.lists(coefficients, max_size=30))
+sparse_factor = st.dictionaries(st.integers(-40, 40), coefficients,
+                                max_size=8).map(LaurentPoly)
+any_factor = st.one_of(dense_factor, sparse_factor, laurent)
+
+
+def assert_run_product(p, lo, m, v):
+    run = run_poly(lo, m, v)
+    expected = dense_product(p, run)
+    for product in (p * run, run * p):
+        assert dict(product.items()) == expected
+        assert_coefficient_types(product)
+    direct = _run_product(dict(p.items()), lo, m, v) if p else None
+    if direct is not None:
+        assert dict(direct.items()) == expected
+        assert_coefficient_types(direct)
+    return direct
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_factor, run_params)
+def test_run_product_matches_double_loop(p, params):
+    assert_run_product(p, *params)
+
+
+@pytest.mark.parametrize("m", range(1, 41))
+def test_run_product_every_length(m):
+    # an int, a negative and a Fraction v at odd and even lo, on a dense
+    # mixed-parity factor long enough that the strided pass runs
+    p = LaurentPoly({e: (e % 7) - 3 for e in range(-5, 20)})
+    for lo in (-7, 0, 4):
+        for v in (1, -2, Fraction(3, 4)):
+            assert assert_run_product(p, lo, m, v) is not None
+
+
+def test_run_product_declines_a_sparse_factor():
+    # two terms 80 apart: 42 strided steps against 6 term products
+    p = LaurentPoly({40: 1, -40: -1})
+    assert _run_product(dict(p.items()), 0, 3, 1) is None
+    assert_run_product(p, 0, 3, 1)
+    assert_run_product(LaurentPoly({-9: 2, 0: Fraction(1, 3), 1: -1, 30: 5}),
+                       1, 12, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(dense_factor, sparse_factor), run_params)
+def test_run_product_matches_sympy(p, params):
+    run = run_poly(*params)
+    assert sympy.expand(to_sympy(p * run) - to_sympy(p) * to_sympy(run)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_params)
+def test_runs_are_detected_from_the_factor(params):
+    lo, m, v = params
+    c = dict(run_poly(lo, m, v).items())
+    assert _run(c) == (lo, m, v)
+    if m > 1:
+        assert _run({**c, lo: v + 1}) is None        # a coefficient differs
+        assert _run({**c, lo + 1: v}) is None        # a term of the other parity
+        gap = dict(c)
+        del gap[lo + 2]
+        assert _run({**gap, lo + 2 * m: v}) is None  # a gap
+    assert _run({lo: v, lo + 1: v}) is None
+
+
+def test_zero_factors():
+    zero = LaurentPoly.zero()
+    for p in (zero, q_integer(40), run_poly(3, 25, Fraction(-1, 2)),
+              LaurentPoly({e: 1 for e in range(50)})):
+        assert (p * zero).is_zero and (zero * p).is_zero
+    assert q_product([3, 0, 5]).is_zero
+    assert q_product([3, 5], zero).is_zero
+    assert q_product([]) == LaurentPoly.one()
+
+
+def old_q_factorial(a, k):
+    """[k][2k]...[ka] by the double loop, one q-integer at a time."""
+    out = {0: Fraction(1)}
+    for t in range(1, a + 1):
+        out = dense_product(out, dict(q_integer(k * t).items()))
+    return out
+
+
+@pytest.mark.parametrize("k", [-3, -1, 1, 2, 3])
+def test_q_product_matches_the_factorial_loop(k):
+    for a in range(13):
+        assert dict(q_factorial(a, k).items()) == old_q_factorial(a, k)
+        assert q_product([k * t for t in range(1, a + 1)]) == q_factorial(a, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-9, 9), max_size=6), laurent)
+def test_q_product_with_a_start(ns, start):
+    expected = dict(start.items())
+    for n in ns:
+        expected = dense_product(expected, dict(q_integer(n).items()))
+    product = q_product(ns, start)
+    assert dict(product.items()) == expected
+    assert_coefficient_types(product)
+
+
+def test_factorial_steps():
+    assert factorial_steps((2, -1, 3), (0, 1, 4), (2, 3, 1)) == [2, 4, -2, -3]
+    assert q_product(factorial_steps((1, 2), (2, 0), (5, 2))) \
+        == q_factorial(5, 1).divexact(q_factorial(2, 1)) * q_factorial(2, 2)
 
 
 # --- stored coefficient types --------------------------------------------------------
