@@ -5,20 +5,23 @@ raising/lowering aliases run over colors 0..r: kinds I, III and A1AFF.
 The divided monomial X^(a) is X^a divided by prod_i [a_i]^{xi_i}!; the
 Kashiwara operators act through xi-deformed divided powers of the lowering
 aliases and send divided monomials to divided monomials with coefficient
-exactly 1 (or to zero), which is what the axiom checker asserts.
+exactly 1 (or to zero), which is what the axiom checker asserts.  One walk
+down each i-string gives all its images, one f_i letter per node.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 from typing import Dict, Optional, Tuple
 
 from .iqg import f_, oscillator_action
 from .opcalc import (ActionTable, Monomial, QPolynomial, apply_word,
                      monomials_of_degree)
-from .qscalar import ScalarQ, factorial_steps, q_product
+from .qscalar import (LaurentPoly, ScalarQ, factorial_steps, q_integer,
+                      q_product)
 from .satake import SatakeDiagram
 
 CRYSTAL_KINDS = ("I", "III", "A1AFF")
@@ -32,27 +35,41 @@ def _require_crystal_kind(diagram: SatakeDiagram):
         raise ValueError(_UNSUPPORTED_MSG % diagram.kind)
 
 
+def _string_walk(diagram: SatakeDiagram, i: int, b: Monomial,
+                 table: ActionTable):
+    """Divided coordinates of f_i^{(n)_{xi_{i+1}}} X^(b), n = 0, 1, ...
+
+    X^(b) heads an i-string (b_{i+1} = 0); step n applies one f_i to the
+    plain image f_i^{n-1} X^b.  Its coordinate at t is c_t D(t) / (D(e) den),
+    e = b + n(e_{i+1} - e_i) the expected target (slot i stops at 0) and
+    den = D(b) [n]^{xi_{i+1}}! / D(e), a running q-product that gains
+    [xi_i e_i] per step: [n]^{xi_{i+1}}! is D(e)'s slot i+1 factor and
+    cancels.  At t = e that is c_t / den; 1 has equal sides, so no gcd.
+    """
+    xi, img, e, den = diagram.xi, QPolynomial.monomial(b), b, LaurentPoly.one()
+    while True:
+        yield {t: ScalarQ(q_product(factorial_steps(xi, e, t), c.num),
+                          q_product(factorial_steps(xi, t, e), c.den * den))
+               for t, c in img.terms.items()}
+        if e[i]:
+            den = den * q_integer(xi[i] * e[i])
+        e = tuple(u - (j == i and u > 0) + (j == i + 1)
+                  for j, u in enumerate(e))
+        img = apply_word((f_(i),), img, table)
+
+
 def _kashiwara_coords(diagram: SatakeDiagram, i: int, a: Monomial, n: int,
                       table: ActionTable) -> Dict[Monomial, ScalarQ]:
     """Apply f_i^{(n)_{xi_{i+1}}} to X^(a + a_{i+1}(e_i - e_{i+1})).
 
     A negative divided power is zero by convention, which makes the raising
-    operator vanish at the weight boundary.  The word acts on the plain
-    monomial X^b, whose oscillator coefficients are Laurent polynomials, and
-    each image coordinate c_t is divided once: c_t D(t) / (D(b) [n]^{xi}!).
-    D(min(t, b)) divides D(t) and D(b) and is left out; each side is then one
-    running q-product, and a coordinate equal to 1 has equal sides: no gcd.
+    operator vanish at the weight boundary.  Else: step n of its string walk.
     """
     if n < 0:
         return {}
     b = tuple(e + (a[i + 1] if j == i else 0) - (a[i + 1] if j == i + 1 else 0)
               for j, e in enumerate(a))
-    img = apply_word((f_(i),) * n, QPolynomial.monomial(b), table)
-    xi = diagram.xi
-    steps = [xi[i + 1] * u for u in range(1, n + 1)]
-    return {t: ScalarQ(q_product(factorial_steps(xi, b, t), c.num),
-                       q_product(steps + factorial_steps(xi, t, b), c.den))
-            for t, c in img.terms.items()}
+    return next(islice(_string_walk(diagram, i, b, table), n, None))
 
 
 def _closure(coords: Dict[Monomial, ScalarQ]):
@@ -86,21 +103,20 @@ def kashiwara_e(diagram: SatakeDiagram, i: int, a: Monomial, *,
 
 def _kashiwara(diagram, i, a, step, table):
     _require_crystal_kind(diagram)
-    _check_color(diagram, i, a)
-    coords = _kashiwara_coords(diagram, i, a, a[i + 1] + step, table)
-    target, defect = _closure(coords)
-    if defect is not None:
-        raise ArithmeticError("Kashiwara image is not a basis vector with "
-                              "coefficient 1: %r" % coords)
-    return target
-
-
-def _check_color(diagram, i, a):
     if not 0 <= i <= diagram.r:
         raise ValueError("color %d out of range 0..%d" % (i, diagram.r))
     if len(a) != diagram.nslots:
         raise ValueError("exponent vector length %d != %d"
                          % (len(a), diagram.nslots))
+    return _target(_kashiwara_coords(diagram, i, a, a[i + 1] + step, table))
+
+
+def _target(coords):
+    target, defect = _closure(coords)
+    if defect is not None:
+        raise ArithmeticError("Kashiwara image is not a basis vector with "
+                              "coefficient 1: %r" % coords)
+    return target
 
 
 def combinatorial_rule(i: int, a: Monomial, direction: str) -> Optional[Monomial]:
@@ -109,15 +125,12 @@ def combinatorial_rule(i: int, a: Monomial, direction: str) -> Optional[Monomial
     Lowering moves one unit from slot i to slot i+1 (zero when a_i = 0);
     raising moves it back (zero when a_{i+1} = 0).
     """
-    if direction == "f":
-        if a[i] == 0:
-            return None
-        return tuple(e - (j == i) + (j == i + 1) for j, e in enumerate(a))
-    if direction == "e":
-        if a[i + 1] == 0:
-            return None
-        return tuple(e + (j == i) - (j == i + 1) for j, e in enumerate(a))
-    raise ValueError("direction must be 'e' or 'f', got %r" % direction)
+    if direction not in ("e", "f"):
+        raise ValueError("direction must be 'e' or 'f', got %r" % direction)
+    src, dst = (i, i + 1) if direction == "f" else (i + 1, i)
+    if a[src] == 0:
+        return None
+    return tuple(e - (j == src) + (j == dst) for j, e in enumerate(a))
 
 
 @dataclass(frozen=True)
@@ -129,16 +142,25 @@ class CrystalGraph:
 
 
 def crystal_graph(diagram: SatakeDiagram, s: int) -> CrystalGraph:
-    """Nodes are all exponent vectors of degree s; edges follow kashiwara_f."""
+    """Nodes are all exponent vectors of degree s; edges follow kashiwara_f.
+
+    Nodes come in decreasing order, so each i-string is met head first; its
+    walk (``_string_walk``, where [n]^{xi_{i+1}}! cancels) takes one f_i
+    letter per node and color.  The first defect in that order is raised.
+    """
     _require_crystal_kind(diagram)
     if s < 0:
         raise ValueError("degree s must be >= 0")
     nodes = tuple(sorted(monomials_of_degree(diagram.nslots, s), reverse=True))
     table = oscillator_action(diagram)
+    walks = {}
     edges = []
     for a in nodes:
         for i in range(diagram.r + 1):
-            b = kashiwara_f(diagram, i, a, table=table)
+            key = (i, a[:i] + a[i + 2:])    # the i-string through a
+            if not a[i + 1]:
+                walks[key] = islice(_string_walk(diagram, i, a, table), 1, None)
+            b = _target(next(walks[key] if a[i] else walks.pop(key)))
             if b is not None:
                 edges.append((a, i, b))
     return CrystalGraph(diagram.spec_string, s, nodes, tuple(edges))
@@ -174,10 +196,7 @@ def crystal_axioms_check(diagram: SatakeDiagram, s: int) -> dict:
                     fail("closure_ok", (direction, i, a, defect))
                     if target is None:
                         continue
-                if direction == "f":
-                    fmap[(i, a)] = target
-                else:
-                    emap[(i, a)] = target
+                (fmap if direction == "f" else emap)[i, a] = target
                 if target is not None and direction == "f":
                     step = tuple(t - u for t, u in zip(target, a))
                     want = tuple((j == i + 1) - (j == i)
@@ -253,17 +272,11 @@ def parse_json(text: str) -> CrystalGraph:
     return CrystalGraph(obj["diagram"], obj["s"], nodes, edges)
 
 
-def _tikz_position(graph: CrystalGraph, mon: Monomial):
-    nslots = len(mon)
-    x = sum(mon[1:nslots - 1])
-    y = sum((nslots - 1 - j) * e for j, e in enumerate(mon))
-    return x, y
-
-
 def _export_tikz(graph: CrystalGraph) -> str:
     lines = ["\\begin{tikzpicture}[xscale=1.5,yscale=1.35]"]
     for mon in graph.nodes:
-        x, y = _tikz_position(graph, mon)
+        x = sum(mon[1:-1])
+        y = sum((len(mon) - 1 - j) * e for j, e in enumerate(mon))
         lines.append("  \\node at (%d,%d) (n%s) {$(%s)$};"
                      % (x, y, _node_name(mon), _node_name(mon)))
     for src, i, tgt in graph.edges:

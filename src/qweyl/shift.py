@@ -179,7 +179,9 @@ def compile_relation(expr, table) -> ShiftForm:
     rest = {den: prod((d for d in dens if d != den), start=LaurentPoly.one())
             for den in dens | {LaurentPoly.one()}}
     depth = max((divided for (_, _, divided), _ in words), default=0)
-    powers = [Q_MINUS_QINV ** k for k in range(depth + 1)]
+    powers = [LaurentPoly.one()]    # (q - q^-1)^0..depth
+    for _ in range(depth):
+        powers.append(powers[-1] * Q_MINUS_QINV)
     components: Dict[Vector, ShiftPoly] = {}
     for (shift, poly, divided), c in words:
         coeff = c.num * rest[c.den] * powers[depth - divided]

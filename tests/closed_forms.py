@@ -5,12 +5,15 @@ kind by kind with each kind's default counts and k-exponents.  It never reads
 ``diagram.xi``, so it equals the phi-derived ``iqg.oscillator_action`` at the
 default xi only; off it, the two part ways.  ``action_discrepancies``
 compares two such tables monomial by monomial through ``apply``.
+``per_node_crystal_edges`` is the crystal graph by the per-node Kashiwara
+formula, without string walks.
 """
 
 from qweyl.iqg import e_, f_, k_, t_
 from qweyl.opcalc import (ActionTable, OperatorExpr, QPolynomial, apply,
-                          monomials_up_to)
-from qweyl.qscalar import ScalarQ, q_factorial, q_integer
+                          apply_word, monomials_of_degree, monomials_up_to)
+from qweyl.qscalar import (ScalarQ, factorial_steps, q_factorial, q_integer,
+                           q_product)
 from qweyl.satake import SatakeDiagram, build_diagram
 
 
@@ -129,3 +132,43 @@ def witness_coefficients(diagram: SatakeDiagram, a):
         down = down * ScalarQ(q_factorial(s - sum(a[:i]), xi[i])) \
             / ScalarQ(q_factorial(a[i], xi[i]))
     return up, down
+
+
+def per_node_coords(diagram: SatakeDiagram, i, a, n, table):
+    """Divided coordinates of f_i^{(n)_{xi_{i+1}}} X^(b), b the head of the
+    i-string through a, computed from scratch for one node.
+
+    This is the formula ``crystal_graph`` used before it walked strings:
+    the word f_i^n acts on the plain monomial X^b and each coordinate is
+    c_t D(t) / (D(b) [n]^{xi_{i+1}}!), with D(min(t, b)) left out of both
+    sides.
+    """
+    if n < 0:
+        return {}
+    b = tuple(e + (a[i + 1] if j == i else 0) - (a[i + 1] if j == i + 1 else 0)
+              for j, e in enumerate(a))
+    img = apply_word((f_(i),) * n, QPolynomial.monomial(b), table)
+    xi = diagram.xi
+    steps = [xi[i + 1] * u for u in range(1, n + 1)]
+    return {t: ScalarQ(q_product(factorial_steps(xi, b, t), c.num),
+                       q_product(steps + factorial_steps(xi, t, b), c.den))
+            for t, c in img.terms.items()}
+
+
+def per_node_crystal_edges(diagram: SatakeDiagram, s, table):
+    """The edges of the degree-s crystal graph, one ``per_node_coords``
+    call per node and color, nodes in decreasing order.  The first image
+    that is not zero or one basis vector with coefficient 1 raises the
+    ``ArithmeticError`` that ``crystal_graph`` raises."""
+    edges = []
+    for a in sorted(monomials_of_degree(diagram.nslots, s), reverse=True):
+        for i in range(diagram.r + 1):
+            coords = per_node_coords(diagram, i, a, a[i + 1] + 1, table)
+            if not coords:
+                continue
+            (b, c), *rest = coords.items()
+            if rest or not c.is_one:
+                raise ArithmeticError("Kashiwara image is not a basis vector "
+                                      "with coefficient 1: %r" % coords)
+            edges.append((a, i, b))
+    return tuple(edges)

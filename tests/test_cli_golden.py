@@ -22,6 +22,10 @@ VI:r=2, plain in ``cli.json`` and with ``--mutate xi-fold`` in
 ``reports.json`` (the residuals depend on which alias each B/H maps to);
 ``witness`` up and down on IV:r=1 and V:r=1; ``act`` with the t-aliases of
 II:r=1 and VI:r=1.
+
+Before ``crystal_graph`` walked each i-string once, three long-string
+crystal cases were added, recorded on the code before it: I:r=0 at s = 16
+(dot), A1AFF at s = 12 (json) and III:r=1 at s = 8 (tikz).
 """
 
 import json

@@ -1,10 +1,12 @@
 """Divided-power basis, Kashiwara operators, crystal graphs and exports."""
 
 import random
+from math import comb
 
 import pytest
 
-from closed_forms import closed_form_action, xi_variants
+from closed_forms import (closed_form_action, per_node_crystal_edges,
+                          xi_variants)
 from qweyl.crystal import (_kashiwara_coords, combinatorial_rule,
                            crystal_axioms_check, crystal_graph, export,
                            kashiwara_e, kashiwara_f, parse_json)
@@ -256,6 +258,90 @@ def test_kashiwara_coords_are_exact_for_non_laurent_actions():
     table = ActionTable(d.nslots, {sym: scaled(action)
                                    for sym, action in base.entries.items()})
     _assert_coords_match_oracle(d, table)
+
+
+def test_kashiwara_coords_are_exact_off_the_string():
+    # The string walk divides by a running product taken against the target
+    # b + n(e_{i+1} - e_i).  A table whose f_0 also sends a unit to slot 2
+    # (two targets per step) and whose f_1 never vanishes (steps past the
+    # end of the string) checks the coordinates of every other target.
+    d = build_diagram("I", 1)
+    half = ScalarQ(1, 2)
+
+    def f0(mon):
+        if not mon[0]:
+            return []
+        moved = [tuple(e - (j == 0) + (j == k) for j, e in enumerate(mon))
+                 for k in (1, 2)]
+        return [(moved[0], ScalarQ(q_integer(mon[0]))), (moved[1], half)]
+
+    def f1(mon):
+        return [(mon, ScalarQ.q_power(mon[1] + 1))]
+
+    _assert_coords_match_oracle(
+        d, ActionTable(d.nslots, {f_(0): f0, f_(1): f1}))
+
+
+def _graph_or_error(build):
+    try:
+        return build()
+    except ArithmeticError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind,r", ORACLE_FAMILIES)
+def test_crystal_graph_matches_per_node_oracle(monkeypatch, kind, r):
+    # Every xi variant on the phi-derived table (a crystal every time) and
+    # on the closed forms, which ignore xi, so most variants raise: the
+    # string walks must raise the per-node error of the first defective
+    # node and color.
+    import qweyl.crystal as crystal_mod
+    for d in xi_variants(kind, r):
+        for build in (oscillator_action, closed_form_action):
+            monkeypatch.setattr(crystal_mod, "oscillator_action", build)
+            for s in range(6):
+                got = _graph_or_error(lambda: crystal_graph(d, s).edges)
+                want = _graph_or_error(
+                    lambda: per_node_crystal_edges(d, s, build(d)))
+                assert got == want, (d.xi, build.__name__, s)
+
+
+def test_mutated_graph_error_is_pinned(monkeypatch):
+    # Recorded before crystal_graph walked strings: the first defect in
+    # node-then-color order names the node's image.
+    import qweyl.crystal as crystal_mod
+    d = build_diagram("I", 1).with_xi(1, 3)
+    monkeypatch.setattr(crystal_mod, "oscillator_action", closed_form_action)
+    crystal_graph(d, 0)
+    for s, target in ((1, "(0, 0, 1)"), (2, "(1, 0, 1)"), (3, "(2, 0, 1)"),
+                      (4, "(3, 0, 1)")):
+        with pytest.raises(ArithmeticError) as info:
+            crystal_graph(d, s)
+        assert str(info.value) == (
+            "Kashiwara image is not a basis vector with coefficient 1: "
+            "{%s: ScalarQ((q^2)/(q^4 + q^2 + 1))}" % target)
+
+
+@pytest.mark.parametrize("kind,r", ORACLE_FAMILIES)
+def test_crystal_graph_applies_one_letter_per_node_and_color(monkeypatch,
+                                                              kind, r):
+    calls = []
+    act = ActionTable.act
+
+    def counting(self, sym, mon):
+        calls.append(sym)
+        return act(self, sym, mon)
+
+    monkeypatch.setattr(ActionTable, "act", counting)
+    d = build_diagram(kind, r)
+    for s in range(8):
+        del calls[:]
+        crystal_graph(d, s)
+        assert len(calls) == (d.r + 1) * comb(s + d.r + 1, d.r + 1), s
+    if (kind, r) == ("I", 0):
+        del calls[:]
+        crystal_graph(d, 9)
+        assert len(calls) == 10     # f_i^n from scratch: 1 + 2 + ... + 10 = 55
 
 
 def test_one_oscillator_table_per_command(monkeypatch):
