@@ -141,28 +141,43 @@ class CrystalGraph:
     edges: Tuple[Tuple[Monomial, int, Monomial], ...]
 
 
-def crystal_graph(diagram: SatakeDiagram, s: int) -> CrystalGraph:
-    """Nodes are all exponent vectors of degree s; edges follow kashiwara_f.
+def _string_steps(diagram: SatakeDiagram, nodes):
+    """(a, i, e_coords, f_coords) for every node a and color i, in order.
 
-    Nodes come in decreasing order, so each i-string is met head first; its
-    walk (``_string_walk``, where [n]^{xi_{i+1}}! cancels) takes one f_i
-    letter per node and color.  The first defect in that order is raised.
+    ``nodes`` decrease, so each i-string is met head first; its one live
+    ``_string_walk`` takes one f_i letter per node and color.  f_coords is
+    the walk's next step, e_coords the step before a ({} at a string head).
     """
-    _require_crystal_kind(diagram)
-    if s < 0:
-        raise ValueError("degree s must be >= 0")
-    nodes = tuple(sorted(monomials_of_degree(diagram.nslots, s), reverse=True))
     table = oscillator_action(diagram)
     walks = {}
-    edges = []
     for a in nodes:
         for i in range(diagram.r + 1):
             key = (i, a[:i] + a[i + 2:])    # the i-string through a
             if not a[i + 1]:
-                walks[key] = islice(_string_walk(diagram, i, a, table), 1, None)
-            b = _target(next(walks[key] if a[i] else walks.pop(key)))
-            if b is not None:
-                edges.append((a, i, b))
+                walk = _string_walk(diagram, i, a, table)
+                walks[key] = walk, {}, next(walk)
+            walk, e_coords, here = walks.pop(key)
+            f_coords = next(walk)
+            if a[i]:
+                walks[key] = walk, here, f_coords
+            yield a, i, e_coords, f_coords
+
+
+def crystal_graph(diagram: SatakeDiagram, s: int) -> CrystalGraph:
+    """Nodes are all exponent vectors of degree s; edges follow kashiwara_f.
+
+    Nodes come in decreasing order, one f_i letter per node and color
+    (``_string_steps``); the first defect in that order is raised.
+    """
+    _require_crystal_kind(diagram)
+    if s < 0:
+        raise ValueError("degree s must be >= 0")
+    nodes = tuple(monomials_of_degree(diagram.nslots, s))
+    edges = []
+    for a, i, _, f_coords in _string_steps(diagram, nodes):
+        b = _target(f_coords)
+        if b is not None:
+            edges.append((a, i, b))
     return CrystalGraph(diagram.spec_string, s, nodes, tuple(edges))
 
 
@@ -172,7 +187,7 @@ def crystal_axioms_check(diagram: SatakeDiagram, s: int) -> dict:
     Checks: operators land on a basis vector or zero with coefficient exactly
     1; the lowering/raising biconditional; weight steps of exactly
     e_{i+1} - e_i; agreement with the combinatorial rule; and the basis rank
-    binomial(s+r+1, r+1).
+    binomial(s+r+1, r+1).  The images come from ``_string_steps``.
     """
     _require_crystal_kind(diagram)
     nodes = monomials_of_degree(diagram.nslots, s)
@@ -184,27 +199,23 @@ def crystal_axioms_check(diagram: SatakeDiagram, s: int) -> dict:
         report[kind] = False
         report["failures"].append((kind, detail))
 
-    table = oscillator_action(diagram)
-    fmap = {}
-    emap = {}
-    for a in nodes:
-        for i in range(diagram.r + 1):
-            for direction, n in (("f", a[i + 1] + 1), ("e", a[i + 1] - 1)):
-                target, defect = _closure(
-                    _kashiwara_coords(diagram, i, a, n, table))
-                if defect is not None:
-                    fail("closure_ok", (direction, i, a, defect))
-                    if target is None:
-                        continue
-                (fmap if direction == "f" else emap)[i, a] = target
-                if target is not None and direction == "f":
-                    step = tuple(t - u for t, u in zip(target, a))
-                    want = tuple((j == i + 1) - (j == i)
-                                 for j in range(diagram.nslots))
-                    if step != want:
-                        fail("weight_ok", (i, a, target))
-                if combinatorial_rule(i, a, direction) != target:
-                    fail("rule_agreement_ok", (direction, i, a, target))
+    fmap, emap = {}, {}
+    for a, i, e_coords, f_coords in _string_steps(diagram, nodes):
+        for direction, coords in (("f", f_coords), ("e", e_coords)):
+            target, defect = _closure(coords)
+            if defect is not None:
+                fail("closure_ok", (direction, i, a, defect))
+                if target is None:
+                    continue
+            (fmap if direction == "f" else emap)[i, a] = target
+            if target is not None and direction == "f":
+                step = tuple(t - u for t, u in zip(target, a))
+                want = tuple((j == i + 1) - (j == i)
+                             for j in range(diagram.nslots))
+                if step != want:
+                    fail("weight_ok", (i, a, target))
+            if combinatorial_rule(i, a, direction) != target:
+                fail("rule_agreement_ok", (direction, i, a, target))
     for (i, a), b in fmap.items():
         if b is not None and emap.get((i, b)) != a:
             fail("b5_ok", ("f then e", i, a, b))

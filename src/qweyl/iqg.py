@@ -285,10 +285,7 @@ def irreducibility_witness(diagram: SatakeDiagram, a: Tuple[int, ...]):
     q-product.  Kind VI has no raising operator into slot 0, so no such
     witness exists there.
     """
-    a = _check_vector(diagram, a)
-    if diagram.kind == "VI":
-        raise ValueError("kind VI ladder operators never move slot 0; "
-                         "the constant-slot witness does not exist")
+    a = _witness_vector(diagram, a)
     word = []
     for _, c, _, hi in _ladder(presentation(diagram)):
         word.extend([e_(c)] * sum(a[hi:]))
@@ -304,11 +301,8 @@ def spanning_witness(diagram: SatakeDiagram, b: Tuple[int, ...]):
     [b_i]^{xi_i}!, is the running q-product of the q-integers the quotient
     keeps: no gcd.
     """
-    b = _check_vector(diagram, b)
+    b = _witness_vector(diagram, b)
     s = sum(b)
-    if diagram.kind == "VI":
-        raise ValueError("kind VI ladder operators never move slot 0; "
-                         "the constant-slot witness does not exist")
     word = []
     for _, c, _, hi in reversed(_ladder(presentation(diagram))):
         word.extend([f_(c)] * (s - sum(b[:hi])))
@@ -316,13 +310,17 @@ def spanning_witness(diagram: SatakeDiagram, b: Tuple[int, ...]):
     return tuple(word), ScalarQ(q_product(factorial_steps(diagram.xi, b, top)))
 
 
-def _check_vector(diagram, a):
+def _witness_vector(diagram, a):
+    """``a`` as an exponent vector of ``diagram``, whose kind has witnesses."""
     a = tuple(int(x) for x in a)
     if len(a) != diagram.nslots:
         raise ValueError("exponent vector length %d != %d slots"
                          % (len(a), diagram.nslots))
     if any(x < 0 for x in a):
         raise ValueError("negative exponent in %r" % (a,))
+    if diagram.kind == "VI":
+        raise ValueError("kind VI ladder operators never move slot 0; "
+                         "the constant-slot witness does not exist")
     return a
 
 

@@ -107,8 +107,9 @@ class QPolynomial:
         """Multiply by coeff * X^mon (adds exponent vectors)."""
         out = QPolynomial(self.nvars)
         coeff = coeff if isinstance(coeff, ScalarQ) else ScalarQ(coeff)
-        out.terms = {tuple(x + y for x, y in zip(m, mon)): c * coeff
-                     for m, c in self.terms.items()}
+        if not coeff.is_zero:
+            out.terms = {tuple(x + y for x, y in zip(m, mon)): c * coeff
+                         for m, c in self.terms.items()}
         return out
 
     def __mul__(self, other: "QPolynomial") -> "QPolynomial":
@@ -285,31 +286,17 @@ MonomialAction = Callable[[Monomial], TermList]
 
 
 class ActionTable:
-    """Maps generator symbols to linear endomorphisms given on monomials.
-
-    ``act`` memoises its result per (symbol, monomial) for the life of the
-    table, so a table built for one command frees its memo with it.  The
-    returned term list is shared between calls: callers must treat it as
-    read-only.  ``entries`` is read on every memo miss, so it may be replaced
-    before the first ``act`` call, but not after.
-    """
+    """Maps generator symbols to linear endomorphisms given on monomials."""
 
     def __init__(self, nvars: int, entries: Dict[GeneratorSymbol, MonomialAction]):
         self.nvars = nvars
         self.entries = dict(entries)
-        self._memo: Dict[Tuple[GeneratorSymbol, Monomial], TermList] = {}
 
     def __contains__(self, sym: GeneratorSymbol) -> bool:
         return sym in self.entries
 
     def act(self, sym: GeneratorSymbol, mon: Monomial) -> TermList:
-        key = (sym, mon)
-        try:
-            return self._memo[key]
-        except KeyError:
-            pass
-        terms = self._memo[key] = self.entry(sym)(mon)
-        return terms
+        return self.entry(sym)(mon)
 
     def entry(self, sym: GeneratorSymbol) -> MonomialAction:
         """The action of ``sym``; a KeyError naming it if the table has none."""

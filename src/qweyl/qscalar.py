@@ -62,6 +62,18 @@ def _fdiv(a, b):
     return _norm(a / b)
 
 
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by squaring: bit_length(n) - 1 squarings and
+    popcount(n) - 1 other products, none of them by ``one``."""
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if result is None else result
+
 
 class LaurentPoly:
     """Sparse Laurent polynomial in q over the rationals.
@@ -187,14 +199,7 @@ class LaurentPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a LaurentPoly; use ScalarQ")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, LaurentPoly.one())
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by q^k."""
@@ -456,14 +461,7 @@ class ScalarQ:
     def __pow__(self, n: int):
         if n < 0:
             return self.invert() ** (-n)
-        result = ScalarQ.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, ScalarQ.one())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):

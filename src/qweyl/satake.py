@@ -26,10 +26,10 @@ class SatakeDiagram:
     r: int
     nodes: Tuple[int, ...]
     edges: FrozenSet[FrozenSet[int]]
-    tau: Dict[int, int] = field(compare=False)
-    orbit_label: Dict[int, int] = field(compare=False)
+    tau: Dict[int, int] = field(hash=False)
+    orbit_label: Dict[int, int] = field(hash=False)
     xi: Tuple[int, ...] = ()
-    varsigma: Dict[int, ScalarQ] = field(default_factory=dict, compare=False)
+    varsigma: Dict[int, ScalarQ] = field(default_factory=dict, hash=False)
 
     @property
     def nslots(self) -> int:

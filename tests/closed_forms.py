@@ -5,10 +5,14 @@ kind by kind with each kind's default counts and k-exponents.  It never reads
 ``diagram.xi``, so it equals the phi-derived ``iqg.oscillator_action`` at the
 default xi only; off it, the two part ways.  ``action_discrepancies``
 compares two such tables monomial by monomial through ``apply``.
-``per_node_crystal_edges`` is the crystal graph by the per-node Kashiwara
-formula, without string walks.
+``per_node_crystal_edges`` and ``per_node_axioms_check`` are the crystal
+graph and its axiom audit by the per-node Kashiwara formula, without string
+walks.
 """
 
+from math import comb
+
+from qweyl.crystal import combinatorial_rule
 from qweyl.iqg import e_, f_, k_, t_
 from qweyl.opcalc import (ActionTable, OperatorExpr, QPolynomial, apply,
                           apply_word, monomials_of_degree, monomials_up_to)
@@ -172,3 +176,53 @@ def per_node_crystal_edges(diagram: SatakeDiagram, s, table):
                                       "with coefficient 1: %r" % coords)
             edges.append((a, i, b))
     return tuple(edges)
+
+
+def per_node_axioms_check(diagram: SatakeDiagram, s, table):
+    """``crystal_axioms_check`` over ``table``, with both images of every
+    node and color computed by ``per_node_coords``: the audit as it was
+    before it shared the string walks of ``crystal_graph``."""
+    nodes = monomials_of_degree(diagram.nslots, s)
+    report = {"diagram": diagram.spec_string, "s": s,
+              "closure_ok": True, "b5_ok": True, "weight_ok": True,
+              "rule_agreement_ok": True, "rank_ok": True, "failures": []}
+
+    def fail(kind, detail):
+        report[kind] = False
+        report["failures"].append((kind, detail))
+
+    fmap = {}
+    emap = {}
+    for a in nodes:
+        for i in range(diagram.r + 1):
+            for direction, n in (("f", a[i + 1] + 1), ("e", a[i + 1] - 1)):
+                coords = per_node_coords(diagram, i, a, n, table)
+                target = defect = None
+                if len(coords) > 1:
+                    defect = "not a basis vector"
+                elif coords:
+                    (target, c), = coords.items()
+                    defect = None if c.is_one else str(c)
+                if defect is not None:
+                    fail("closure_ok", (direction, i, a, defect))
+                    if target is None:
+                        continue
+                (fmap if direction == "f" else emap)[i, a] = target
+                if target is not None and direction == "f":
+                    step = tuple(t - u for t, u in zip(target, a))
+                    want = tuple((j == i + 1) - (j == i)
+                                 for j in range(diagram.nslots))
+                    if step != want:
+                        fail("weight_ok", (i, a, target))
+                if combinatorial_rule(i, a, direction) != target:
+                    fail("rule_agreement_ok", (direction, i, a, target))
+    for (i, a), b in fmap.items():
+        if b is not None and emap.get((i, b)) != a:
+            fail("b5_ok", ("f then e", i, a, b))
+    for (i, b), a in emap.items():
+        if a is not None and fmap.get((i, a)) != b:
+            fail("b5_ok", ("e then f", i, b, a))
+    if len(nodes) != comb(s + diagram.r + 1, diagram.r + 1):
+        fail("rank_ok", (len(nodes),))
+    report["all_ok"] = not report["failures"]
+    return report

@@ -5,8 +5,8 @@ from math import comb
 
 import pytest
 
-from closed_forms import (closed_form_action, per_node_crystal_edges,
-                          xi_variants)
+from closed_forms import (closed_form_action, per_node_axioms_check,
+                          per_node_crystal_edges, xi_variants)
 from qweyl.crystal import (_kashiwara_coords, combinatorial_rule,
                            crystal_axioms_check, crystal_graph, export,
                            kashiwara_e, kashiwara_f, parse_json)
@@ -322,9 +322,7 @@ def test_mutated_graph_error_is_pinned(monkeypatch):
             "{%s: ScalarQ((q^2)/(q^4 + q^2 + 1))}" % target)
 
 
-@pytest.mark.parametrize("kind,r", ORACLE_FAMILIES)
-def test_crystal_graph_applies_one_letter_per_node_and_color(monkeypatch,
-                                                              kind, r):
+def _count_act_calls(monkeypatch):
     calls = []
     act = ActionTable.act
 
@@ -333,6 +331,13 @@ def test_crystal_graph_applies_one_letter_per_node_and_color(monkeypatch,
         return act(self, sym, mon)
 
     monkeypatch.setattr(ActionTable, "act", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind,r", ORACLE_FAMILIES)
+def test_crystal_graph_applies_one_letter_per_node_and_color(monkeypatch,
+                                                              kind, r):
+    calls = _count_act_calls(monkeypatch)
     d = build_diagram(kind, r)
     for s in range(8):
         del calls[:]
@@ -342,6 +347,37 @@ def test_crystal_graph_applies_one_letter_per_node_and_color(monkeypatch,
         del calls[:]
         crystal_graph(d, 9)
         assert len(calls) == 10     # f_i^n from scratch: 1 + 2 + ... + 10 = 55
+
+
+@pytest.mark.parametrize("kind,r", ORACLE_FAMILIES)
+def test_axioms_check_applies_one_letter_per_node_and_color(monkeypatch,
+                                                             kind, r):
+    # Both images of a node come from the walks crystal_graph takes: the
+    # e image is the step before it, the f image the step after it.
+    calls = _count_act_calls(monkeypatch)
+    d = build_diagram(kind, r)
+    for s in range(8):
+        del calls[:]
+        assert crystal_axioms_check(d, s)["all_ok"]
+        assert len(calls) == (d.r + 1) * comb(s + d.r + 1, d.r + 1), s
+    if (kind, r) == ("I", 0):
+        del calls[:]
+        assert crystal_axioms_check(d, 30)["all_ok"]
+        assert len(calls) == 31     # two walks per node from scratch: 931
+
+
+@pytest.mark.parametrize("kind,r", ORACLE_FAMILIES)
+def test_axioms_check_matches_per_node_oracle(monkeypatch, kind, r):
+    # As for the graph: on the closed forms most xi variants fail, and the
+    # audit must report every failure of the per-node audit, in its order.
+    import qweyl.crystal as crystal_mod
+    for d in xi_variants(kind, r):
+        for build in (oscillator_action, closed_form_action):
+            monkeypatch.setattr(crystal_mod, "oscillator_action", build)
+            for s in range(6):
+                assert crystal_axioms_check(d, s) \
+                    == per_node_axioms_check(d, s, build(d)), \
+                    (d.xi, build.__name__, s)
 
 
 def test_one_oscillator_table_per_command(monkeypatch):

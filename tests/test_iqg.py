@@ -391,10 +391,14 @@ def test_witness_round_trip_composes():
 
 def test_witnesses_reject_kind_VI():
     d = build_diagram("VI", 1)
-    with pytest.raises(ValueError):
+    message = "kind VI ladder operators never move slot 0"
+    with pytest.raises(ValueError, match=message):
         irreducibility_witness(d, (1, 1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         spanning_witness(d, (1, 1, 1))
+    # a malformed vector is refused as such first
+    with pytest.raises(ValueError, match="exponent vector length"):
+        spanning_witness(d, (1, 1))
 
 
 def test_witness_vector_validation():

@@ -255,6 +255,30 @@ def test_scalar_negative_powers():
     assert t * ScalarQ(q_integer(2)) == ScalarQ.one()
 
 
+@pytest.mark.parametrize("cls,base", [
+    (LaurentPoly, q_integer(3)),
+    (ScalarQ, ScalarQ(q_integer(2), q_integer(3)))])
+def test_power_by_squaring_makes_no_spare_product(monkeypatch, cls, base):
+    # x ** n takes bit_length(n) - 1 squarings and at most popcount(n) - 1
+    # other products: none by one and no square after the top bit.
+    mul = cls.__mul__
+    products = []
+
+    def counting(self, other):
+        products.append(None)
+        return mul(self, other)
+
+    powers = [cls.one()]
+    for _ in range(16):
+        powers.append(mul(powers[-1], base))
+    monkeypatch.setattr(cls, "__mul__", counting)
+    for n, want in enumerate(powers):
+        del products[:]
+        assert base ** n == want
+        assert len(products) <= max(0, n.bit_length() - 1 + bin(n).count("1")
+                                    - 1), n
+
+
 def test_laurent_power_and_identity():
     assert q_integer(2) ** 0 == LaurentPoly.one()
     assert q_integer(2) ** 3 == q_integer(2) * q_integer(2) * q_integer(2)

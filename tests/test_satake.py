@@ -127,5 +127,17 @@ def test_mutation_helpers():
     assert d.varsigma[2] == ScalarQ.q_power(1)
 
 
+def test_equality_reads_every_field_and_agrees_with_hash():
+    d = build_diagram("A1AFF")
+    again = build_diagram("A1AFF")
+    assert d == again and hash(d) == hash(again)
+    assert d.with_varsigma(1, -ScalarQ.q_power(-3)) != d
+    assert d.with_xi(0, 2) != d
+    assert d.with_varsigma(1, d.varsigma[1]) == d
+    e = build_diagram("III", 2)
+    assert e.with_varsigma(1, -ScalarQ.q_power(-3)) != e
+    assert hash(e.with_xi(1, 2).with_xi(1, e.xi[1])) == hash(e)
+
+
 def test_all_kinds_listed():
     assert set(KINDS) == {"I", "II", "III", "A1AFF", "IV", "V", "VI"}
