@@ -13,7 +13,9 @@ term is a relabelling of exponents, a product with a run v*q^lo*(1 + q^2 +
 ... + q^(2(m-1))), such as a q-integer, is a strided running sum in
 O(span + m) (``q_product`` chains them), and a denominator c*q^k is divided
 out directly.  Only a denominator with two or more terms needs a polynomial
-gcd, and not even then when it equals the numerator: the ratio is 1.
+gcd, and not even then when it equals the numerator (the ratio is 1) or when
+the numerator is a single term (the gcd is 1), which covers coefficients such
+as 1/[n]!.  A product of two such single-term quotients is already canonical.
 """
 
 from __future__ import annotations
@@ -343,14 +345,14 @@ def _trim(a):
 
 
 Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
-_ONE = LaurentPoly.one()
-_UNIT = _ONE._c  # compare a denominator's terms with this to test for 1
+ONE = LaurentPoly.one()
+_UNIT = ONE._c  # compare a denominator's terms with this to test for 1
 
 
 def _polynomial(num: LaurentPoly) -> "ScalarQ":
     """The ScalarQ num/1; a Laurent polynomial is already canonical."""
     out = ScalarQ.__new__(ScalarQ)
-    out.num, out.den = num, _ONE
+    out.num, out.den = num, ONE
     return out
 
 
@@ -365,7 +367,7 @@ class ScalarQ:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num=0, den=_ONE):
+    def __init__(self, num=0, den=ONE):
         num = num if isinstance(num, LaurentPoly) else LaurentPoly(num)
         den = den if isinstance(den, LaurentPoly) else LaurentPoly(den)
         if den.is_zero:
@@ -373,7 +375,12 @@ class ScalarQ:
         if len(den._c) > 1:
             # num/num is 1, the unique canonical form _canonical would reach.
             if num._c == den._c:
-                self.num, self.den = _ONE, _ONE
+                self.num, self.den = ONE, ONE
+            elif len(num._c) == 1:
+                # A single term c*q^k has no factor in common with den once
+                # den's lowest power of q is moved onto it: no gcd.
+                k = min(den._c)
+                self.num, self.den = _primitive(num.shift(-k), den.shift(-k))
             else:
                 self.num, self.den = _canonical(num, den)
             return
@@ -381,11 +388,11 @@ class ScalarQ:
         # is what _canonical returns for it, without a gcd.
         (k, c), = den._c.items()
         self.num = num._term_mul(-k, _fdiv(1, c))
-        self.den = _ONE
+        self.den = ONE
 
     @classmethod
     def one(cls):
-        return _polynomial(_ONE)
+        return _polynomial(ONE)
 
     @classmethod
     def zero(cls):
@@ -440,6 +447,13 @@ class ScalarQ:
             other = ScalarQ(other)
         if self.den._c == _UNIT and other.den._c == _UNIT:
             return _polynomial(self.num * other.num)
+        if len(self.num._c) == 1 and len(other.num._c) == 1:
+            # By Gauss's lemma b*d is again primitive, with positive leading
+            # coefficient and nonzero constant term, so the single term a*c
+            # over it is already canonical.
+            out = ScalarQ.__new__(ScalarQ)
+            out.num, out.den = self.num * other.num, self.den * other.den
+            return out
         return ScalarQ(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -502,8 +516,13 @@ def _canonical(num: LaurentPoly, den: LaurentPoly):
             ddense, _ = _divmod_dense(ddense, g)
             num = _from_dense(ndense).shift(nshift)
             den = _from_dense(ddense)
-    # Scale so the denominator has coprime integer coefficients and a
-    # positive leading coefficient.
+    return _primitive(num, den)
+
+
+def _primitive(num: LaurentPoly, den: LaurentPoly):
+    """num/den scaled so that den, an ordinary polynomial with nonzero
+    constant term, has coprime integer coefficients and a positive leading
+    coefficient."""
     _, ddense = _to_ordinary(den)
     nums = [v.numerator for v in ddense if v]
     dens = [v.denominator for v in ddense if v]

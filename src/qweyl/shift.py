@@ -27,7 +27,7 @@ from __future__ import annotations
 from math import prod
 from typing import Dict, NamedTuple, Tuple
 
-from .qscalar import (Q_MINUS_QINV, InexactDivisionError, LaurentPoly,
+from .qscalar import (ONE, Q_MINUS_QINV, InexactDivisionError, LaurentPoly,
                       ScalarQ)
 
 Vector = Tuple[int, ...]
@@ -36,7 +36,7 @@ Sparse = Tuple[Tuple[int, int], ...]
 ShiftPoly = Dict[Tuple[int, Vector], object]
 
 
-def compose(letters, nvars: int, coeff: LaurentPoly = LaurentPoly.one()
+def compose(letters, nvars: int, coeff: LaurentPoly = ONE
             ) -> Tuple[Vector, ShiftPoly, int]:
     """The form of coeff(q) times a word of ShiftWords, rightmost first.
 
@@ -176,15 +176,19 @@ def compile_relation(expr, table) -> ShiftForm:
              for word, c in expr.terms.items()]
     dens = {c.den for _, c in words if not c.is_polynomial}
     # c * L is c.num times every other denominator: no gcd is needed.
-    rest = {den: prod((d for d in dens if d != den), start=LaurentPoly.one())
-            for den in dens | {LaurentPoly.one()}}
+    rest = {den: prod((d for d in dens if d != den), start=ONE)
+            for den in dens | {ONE}} if dens else {}
     depth = max((divided for (_, _, divided), _ in words), default=0)
-    powers = [LaurentPoly.one()]    # (q - q^-1)^0..depth
+    powers = [ONE]    # (q - q^-1)^0..depth
     for _ in range(depth):
         powers.append(powers[-1] * Q_MINUS_QINV)
     components: Dict[Vector, ShiftPoly] = {}
     for (shift, poly, divided), c in words:
-        coeff = c.num * rest[c.den] * powers[depth - divided]
+        coeff = c.num
+        if rest:
+            coeff = coeff * rest[c.den]
+        if divided < depth:
+            coeff = coeff * powers[depth - divided]
         comp = components.setdefault(shift, {})
         for qc, vc in coeff.items():
             for (qe, uv), v in poly.items():
@@ -196,5 +200,4 @@ def compile_relation(expr, table) -> ShiftForm:
             components[delta] = comp
         else:
             del components[delta]
-    scale = prod(dens, start=LaurentPoly.one()) * powers[depth]
-    return ShiftForm(components, scale)
+    return ShiftForm(components, prod(dens, start=powers[depth]))

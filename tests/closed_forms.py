@@ -7,18 +7,22 @@ default xi only; off it, the two part ways.  ``action_discrepancies``
 compares two such tables monomial by monomial through ``apply``.
 ``per_node_crystal_edges`` and ``per_node_axioms_check`` are the crystal
 graph and its axiom audit by the per-node Kashiwara formula, without string
-walks.
+walks.  ``reference_compile_relation`` is ``shift.compile_relation`` as it
+was before it skipped its products by 1: every coefficient times the product
+of the other denominators and times a power of q - q^-1, that power and the
+product taken even when they are 1.
 """
 
-from math import comb
+from math import comb, prod
 
 from qweyl.crystal import combinatorial_rule
 from qweyl.iqg import e_, f_, k_, t_
 from qweyl.opcalc import (ActionTable, OperatorExpr, QPolynomial, apply,
                           apply_word, monomials_of_degree, monomials_up_to)
-from qweyl.qscalar import (ScalarQ, factorial_steps, q_factorial, q_integer,
-                           q_product)
+from qweyl.qscalar import (Q_MINUS_QINV, LaurentPoly, ScalarQ, factorial_steps,
+                           q_factorial, q_integer, q_product)
 from qweyl.satake import SatakeDiagram, build_diagram
+from qweyl.shift import ShiftForm, _letter, compose
 
 
 def xi_variants(kind, r):
@@ -226,3 +230,33 @@ def per_node_axioms_check(diagram: SatakeDiagram, s, table):
         fail("rank_ok", (len(nodes),))
     report["all_ok"] = not report["failures"]
     return report
+
+
+def reference_compile_relation(expr, table) -> ShiftForm:
+    """``compile_relation`` with every product by 1 still taken."""
+    n = table.nvars
+    words = [(compose([_letter(table, sym) for sym in word], n), c)
+             for word, c in expr.terms.items()]
+    dens = {c.den for _, c in words if not c.is_polynomial}
+    rest = {den: prod((d for d in dens if d != den), start=LaurentPoly.one())
+            for den in dens | {LaurentPoly.one()}}
+    depth = max((divided for (_, _, divided), _ in words), default=0)
+    powers = [LaurentPoly.one()]
+    for _ in range(depth):
+        powers.append(powers[-1] * Q_MINUS_QINV)
+    components = {}
+    for (shift, poly, divided), c in words:
+        coeff = c.num * rest[c.den] * powers[depth - divided]
+        comp = components.setdefault(shift, {})
+        for qc, vc in coeff.items():
+            for (qe, uv), v in poly.items():
+                key = (qe + qc, uv)
+                comp[key] = comp.get(key, 0) + v * vc
+    for delta in list(components):
+        comp = {key: v for key, v in components[delta].items() if v}
+        if comp:
+            components[delta] = comp
+        else:
+            del components[delta]
+    scale = prod(dens, start=LaurentPoly.one()) * powers[depth]
+    return ShiftForm(components, scale)

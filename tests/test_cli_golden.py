@@ -26,6 +26,12 @@ II:r=1 and VI:r=1.
 Before ``crystal_graph`` walked each i-string once, three long-string
 crystal cases were added, recorded on the code before it: I:r=0 at s = 16
 (dot), A1AFF at s = 12 (json) and III:r=1 at s = 8 (tikz).
+
+Before ``ScalarQ`` skipped the gcd for one-term numerators and the relation
+compiler dropped its products by 1, ``reports.json`` gained three failing
+``verify --suite iqg --max-degree 2 --mutate varsigma1`` runs (I:r=1,
+IV:r=2, A1AFF), recorded on the code before it.  Their residuals have
+multi-term denominators and long numerators, so they pin the canonical form.
 """
 
 import json

@@ -198,7 +198,7 @@ def _constant_table(value):
     return sym, ActionTable(1, {sym: lambda mon: [(mon, ScalarQ(value))]})
 
 
-def test_merged_table_uses_other_entry_after_caching():
+def test_merged_table_uses_other_entry_and_leaves_self_unchanged():
     sym, a = _constant_table(1)
     _, b = _constant_table(2)
     assert a.act(sym, (1,)) == [((1,), ScalarQ(1))]
@@ -206,7 +206,7 @@ def test_merged_table_uses_other_entry_after_caching():
     assert a.act(sym, (1,)) == [((1,), ScalarQ(1))]
 
 
-def test_unknown_symbol_raises_after_caching():
+def test_unknown_symbol_raises_after_known_symbols_act():
     sym, table = _constant_table(1)
     table.act(sym, (0,))
     table.act(sym, (2,))

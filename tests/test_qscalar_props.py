@@ -78,7 +78,11 @@ def test_multiplicative_inverse(x):
 @props
 @given(laurent, nonzero_laurent)
 def test_scalar_matches_sympy_cancel(n, d):
-    s = ScalarQ(n, d)
+    assert_matches_sympy_cancel(ScalarQ(n, d), n, d)
+
+
+def assert_matches_sympy_cancel(s, n, d):
+    """s is the value n/d, with the denominator sympy's cancel reduces to."""
     expected = sympy.cancel(to_sympy(n) / to_sympy(d))
     for point in SAMPLE_POINTS:
         if eval_laurent(d, point) == 0 or eval_laurent(s.den, point) == 0:
@@ -123,6 +127,26 @@ def test_ratio_unequal_to_its_denominator_still_reduces(p, u):
     s = ScalarQ(p * u, p)
     assert parts(s.num, s.den) == parts(*_canonical(p * u, p))
     assert parts(s.num, s.den) == parts(u, LaurentPoly.one())
+
+
+@props
+@given(monomial, nonzero_laurent)
+def test_one_term_numerator_skips_only_the_gcd(n, d):
+    # c*q^k shares no factor with d: the gcd-free reduction keeps content
+    # and sign normalisation, and lands where the full gcd path does.
+    s = ScalarQ(n, d)
+    assert parts(s.num, s.den) == parts(*_canonical(n, d))
+    assert_matches_sympy_cancel(s, n, d)
+
+
+@props
+@given(monomial, nonzero_laurent, monomial, nonzero_laurent)
+def test_product_of_one_term_numerators_is_canonical(a, b, c, d):
+    x, y = ScalarQ(a, b), ScalarQ(c, d)
+    product = x * y
+    assert parts(product.num, product.den) == parts(
+        *_canonical(x.num * y.num, x.den * y.den))
+    assert_matches_sympy_cancel(product, a * c, b * d)
 
 
 @props

@@ -1,6 +1,8 @@
 """Shift-vector compiler: agreement with monomial-by-monomial application,
 over generator and image tables, refusal of entries that are not ShiftWords,
-and residuals read off the compiled form against an apply-based oracle."""
+residuals read off the compiled form against an apply-based oracle, the
+same forms as the compiler that still took its products by 1, and the
+polynomial gcds that a verify run still needs."""
 
 import functools
 import json
@@ -8,7 +10,8 @@ from math import prod
 
 import pytest
 
-from qweyl import opcalc
+from closed_forms import reference_compile_relation
+from qweyl import opcalc, qscalar
 from qweyl.cli import main
 from qweyl.iqg import e_, oscillator_action, phi, relation_instances
 from qweyl.modweyl import (iota_map, iota_table, m_,
@@ -253,3 +256,40 @@ def test_engines_agree_on_mutation_matrix(capsys, monkeypatch, tmp_path, spec):
         assert entry["residual_monomial"] == list(mon)
         assert entry["residual_coefficient"] == str(
             poly.terms[sorted(poly.terms)[0]])
+
+
+@pytest.mark.parametrize("kind,r", ALL_DIAGRAMS)
+def test_compiler_matches_reference_on_every_suite_and_mutation(
+        capsys, monkeypatch, kind, r):
+    # Every relation that verify compiles, in all four suites, plain and
+    # under both mutations (varsigma1 exits 2 where it is inert), has the
+    # components and scale of the compiler that multiplied by 1.
+    calls = _record_compiles(monkeypatch)
+    spec = build_diagram(kind, r).spec_string
+    codes = [main(["verify", "--diagram", spec, "--suite", "all",
+                   "--max-degree", "2"] + mutation)
+             for mutation in ([], ["--mutate", "varsigma1"],
+                              ["--mutate", "xi-fold"])]
+    capsys.readouterr()
+    assert codes[0] == 0 and codes[1] in (1, 2)
+    assert calls
+    for expr, table, form in calls:
+        assert form == reference_compile_relation(expr, table), str(expr)
+
+
+def test_verify_runs_a_gcd_only_for_multi_term_numerators(capsys, monkeypatch):
+    # The divided powers 1/[n]! and their products have one-term numerators
+    # and need no gcd.  The four left are the R5 right sides, where a
+    # numerator q^k (q^2 - 1) cancels against the denominator q^2 - 1.
+    calls = []
+    gcd = qscalar._gcd_ordinary
+
+    def counted(a, b):
+        calls.append((list(a), list(b)))
+        return gcd(a, b)
+
+    monkeypatch.setattr(qscalar, "_gcd_ordinary", counted)
+    code = main(["verify", "--diagram", "IV:r=2", "--suite", "iqg",
+                 "--max-degree", "2"])
+    assert code == 0 and "0 failures" in capsys.readouterr().out
+    assert calls == [([-1, 0, 1], [-1, 0, 1])] * 4
