@@ -8,9 +8,11 @@ monomials.
 
 from __future__ import annotations
 
+import re
+from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
-from .qscalar import ScalarQ, laurent_from_text, q_factorial, scalar_from_text
+from .qscalar import ScalarQ, q_factorial
 from .shift import ShiftForm, ShiftWord, compile_relation
 
 Monomial = Tuple[int, ...]
@@ -398,22 +400,25 @@ def verify_relations(instances, table: ActionTable, max_s: int):
     homomorphism's relations, pass ``image_table(images, table)``.  Returns
     a list of per-instance report dicts.
 
-    Each relation is compiled once (``compile_relation``).  One whose
-    shift-vector form is zero holds in every degree and is reported OK.
-    Any other fails somewhere: its first residual up to ``max_s`` is
-    reported (or OK if it holds at this degree but fails higher up).
+    Each relation is compiled once (``compile_relation``), and the verdict
+    is read off that form: OK exactly when it is zero, so the relation holds
+    in every degree.  A nonzero form fails in some degree, whatever
+    ``max_s`` is; its first residual at degree <= ``max_s`` is reported, or
+    ``None`` for the monomial and the coefficient if it has none there.
     """
     report = []
     for group_id, indices, lhs, rhs in instances:
         form = compile_relation(lhs - rhs, table)
-        first = next(_residuals(form, table.nvars, max_s), None)
         entry = {"relation_id": group_id, "instance_indices": list(indices),
-                 "ok": first is None}
-        if first is not None:
-            mon, poly = first
-            witness_mon = sorted(poly.terms)[0]
-            entry["residual_monomial"] = list(mon)
-            entry["residual_coefficient"] = str(poly.terms[witness_mon])
+                 "ok": not form.components}
+        if form.components:
+            first = next(_residuals(form, table.nvars, max_s), None)
+            entry["residual_monomial"] = entry["residual_coefficient"] = None
+            if first is not None:
+                mon, poly = first
+                witness = min(poly.terms)
+                entry["residual_monomial"] = list(mon)
+                entry["residual_coefficient"] = str(poly.terms[witness])
         report.append(entry)
     return report
 
@@ -439,127 +444,130 @@ def poly_to_text(p: QPolynomial) -> str:
     return " + ".join(parts)
 
 
+_TOKEN = re.compile(r"[0-9]+(?:/[0-9]+)?|[A-Za-z_]\w*|\S", re.ASCII)
+
+
 def poly_from_text(text: str, nvars: int) -> QPolynomial:
-    """Parse the poly_to_text format (and bare monomials like ``X2``)."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty polynomial text")
-    if text == "0":
-        return QPolynomial.zero(nvars)
-    out = QPolynomial.zero(nvars)
-    for sign, chunk in _split_top_level(text):
-        out = out + _parse_poly_term(chunk, nvars).scale(sign)
+    """Parse the poly_to_text format (and bare monomials like ``X2``).
+
+    Tokens are integers and ``a/b`` rationals, ``q``, ``X<i>`` and
+    ``+ - * / ^ ( )``; whitespace between tokens is ignored.  The grammar is
+
+        poly   := sign? term (sign term)*
+        term   := factor ('*' factor)*
+        factor := number | q['^'['-']n] | X<i>['^'n]
+                | '(' coeff ')' ['/' '(' coeff ')']
+
+    where a coeff is a poly over no variables, so ``nvars = 0`` reads the
+    text of a ``LaurentPoly`` or a ``ScalarQ``.  Any other input raises a
+    ValueError that names the offending token.
+    """
+    parser = _PolyParser(text)
+    out = parser.poly(nvars)
+    parser.expect("", "unbalanced parenthesis")
     return out
 
 
-def _split_top_level(text: str):
-    """Split on top-level + and - (parenthesis aware), yielding (sign, chunk)."""
-    chunks = []
-    depth = 0
-    sign = 1
-    start = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError("unbalanced parenthesis in polynomial %r"
-                                 % text)
-        elif ch in "+-" and depth == 0:
-            prev = text[start:i].strip()
-            if prev:
-                if prev[-1] not in "*^(":
-                    chunks.append((sign, prev))
-                    sign = 1 if ch == "+" else -1
-                    start = i + 1
-            elif start == 0:  # a single leading sign is unary
-                sign = 1 if ch == "+" else -1
-                start = i + 1
-            else:  # a sign right after another sign
-                raise ValueError("empty term in polynomial %r" % text)
-        i += 1
-    if depth:
-        raise ValueError("unbalanced parenthesis in polynomial %r" % text)
-    last = text[start:].strip()
-    if not last:
-        raise ValueError("empty term in polynomial %r" % text)
-    chunks.append((sign, last))
-    return chunks
+class _PolyParser:
+    """Recursive descent over the tokens of one ``poly_from_text`` input."""
 
+    def __init__(self, text: str):
+        self.text, self.pos, self.depth = text, 0, 0
+        self.tokens = _TOKEN.findall(text) + [""]
 
-def _parse_poly_term(term: str, nvars: int) -> QPolynomial:
-    term = term.strip()
-    coeff = ScalarQ.one()
-    exps = [0] * nvars
-    pos = 0
-    n = len(term)
-    need_factor = True  # at the start and after each "*"
-    while pos < n:
-        if term[pos].isspace():
-            pos += 1
-            continue
-        if term[pos] == "*":
-            if need_factor:
-                raise ValueError("empty factor in term %r" % term)
-            need_factor = True
-            pos += 1
-            continue
-        if not need_factor:
-            raise ValueError("missing '*' between factors in term %r" % term)
-        need_factor = False
-        if term[pos] == "(":
-            depth = 0
-            j = pos
-            while j < n:
-                if term[j] == "(":
-                    depth += 1
-                elif term[j] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                j += 1
-            group = term[pos:j + 1]
-            if j + 2 < n and term[j + 1] == "/" and term[j + 2] == "(":
-                k = term.index(")", j + 2)
-                while term[:k + 1].count("(") != term[:k + 1].count(")"):
-                    k = term.index(")", k + 1)
-                coeff = coeff * scalar_from_text(term[pos:k + 1])
-                pos = k + 1
+    def peek(self) -> str:
+        return self.tokens[self.pos]
+
+    def take(self) -> str:
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def fail(self, what: str, tok=None):
+        tok = self.peek() if tok is None else tok
+        raise ValueError("%s at %s in polynomial %r"
+                         % (what, repr(tok) if tok else "end", self.text))
+
+    def expect(self, tok: str, what: str):
+        if self.peek() != tok:
+            self.fail(what)
+        self.pos += 1
+
+    def poly(self, nvars: int) -> QPolynomial:
+        sign = -1 if self.peek() == "-" else 1
+        self.pos += self.peek() in ("+", "-")
+        terms = {}
+        while True:
+            coeff, mon = self.term(nvars)
+            coeff = coeff if sign > 0 else -coeff
+            terms[mon] = terms[mon] + coeff if mon in terms else coeff
+            if self.peek() not in ("+", "-"):
+                return QPolynomial(nvars, terms)
+            sign = -1 if self.take() == "-" else 1
+
+    def term(self, nvars: int):
+        """(coefficient, exponent vector) of one product of factors."""
+        if self.peek() in ("+", "-", ")", ""):
+            self.fail("empty term")
+        coeff, exps = ScalarQ.one(), [0] * nvars
+        laurent = True  # only numbers and q-powers so far
+        while True:
+            tok = self.take()
+            if tok == "(":
+                coeff, laurent = coeff * self.quotient(), False
+            elif "0" <= tok[:1] <= "9":
+                num, _, den = tok.partition("/")
+                if not int(den or 1):
+                    self.fail("zero denominator", tok)
+                coeff = coeff * ScalarQ(Fraction(int(num), int(den or 1)))
+            elif tok == "q":
+                coeff = coeff * ScalarQ.q_power(self.exponent(True))
+            elif tok[:1] == "X" and tok[1:].isdigit():
+                idx = int(tok[1:])
+                if idx >= nvars:
+                    self.fail("variable out of range", tok)
+                exps[idx] += self.exponent(False)
+                laurent = False
             else:
-                coeff = coeff * scalar_from_text(group[1:-1])
-                pos = j + 1
-        elif term[pos] == "X":
-            j = pos + 1
-            while j < n and term[j].isdigit():
-                j += 1
-            if j == pos + 1:
-                raise ValueError("missing variable index in term %r" % term)
-            idx = int(term[pos + 1:j])
-            power = 1
-            if j < n and term[j] == "^":
-                k = j + 1
-                if k < n and term[k] == "-":
-                    k += 1
-                digits = k
-                while k < n and term[k].isdigit():
-                    k += 1
-                if k == digits:
-                    raise ValueError("missing exponent in term %r" % term)
-                power = int(term[j + 1:k])
-                j = k
-            if idx >= nvars:
-                raise ValueError("variable X%d out of range" % idx)
-            exps[idx] += power
-            pos = j
-        else:
-            j = pos
-            while j < n and term[j] not in "*":
-                j += 1
-            coeff = coeff * ScalarQ(laurent_from_text(term[pos:j]))
-            pos = j
-    if need_factor:
-        raise ValueError("empty factor in term %r" % term)
-    return QPolynomial(nvars, {tuple(exps): coeff})
+                self.fail("missing variable index" if tok == "X" else
+                          "empty factor" if tok in ("", "+", "-", "*", ")")
+                          else "unexpected token", tok)
+            if self.peek() != "*":
+                break
+            self.pos += 1
+        tok = self.peek()
+        if tok[:1].isalnum() or tok[:1] in ("(", "_"):
+            self.fail("missing sign between terms" if laurent
+                      else "missing '*' between factors")
+        if tok not in ("+", "-", ")", ""):
+            self.fail("unexpected token")
+        return coeff, tuple(exps)
+
+    def exponent(self, signed: bool) -> int:
+        """n from an optional '^' n (or '^' '-' n if signed); 1 without '^'."""
+        if self.peek() != "^":
+            return 1
+        self.pos += 1
+        sign = -1 if signed and self.peek() == "-" else 1
+        self.pos += sign < 0
+        if not (self.peek().isascii() and self.peek().isdigit()):
+            self.fail("missing exponent")
+        return sign * int(self.take())
+
+    def quotient(self) -> ScalarQ:
+        """coeff ')' ['/' '(' coeff ')'], after the first '('."""
+        value = self.coeff()
+        if self.peek() == "/":
+            self.pos += 1
+            self.expect("(", "missing '(' after '/'")
+            value = value / self.coeff()
+        return value
+
+    def coeff(self) -> ScalarQ:
+        """A poly over no variables and its closing ')', as a scalar."""
+        self.depth += 1
+        if self.depth > 64:  # far inside the interpreter's recursion limit
+            self.fail("parentheses nested too deeply", "(")
+        value = self.poly(0).terms.get((), ScalarQ.zero())
+        self.expect(")", "unbalanced parenthesis")
+        self.depth -= 1
+        return value

@@ -594,62 +594,3 @@ def q_pochhammer(a: ScalarQ, x: ScalarQ, n: int) -> ScalarQ:
         out = out * (ScalarQ.one() - factor)
         factor = factor * x
     return out
-
-
-def laurent_from_text(text: str) -> LaurentPoly:
-    """Parse the textual Laurent form, e.g. ``3*q^2 - 1 + 2*q^-4``."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty Laurent polynomial text")
-    out = LaurentPoly.zero()
-    pos = 0
-    sign = 1
-    n = len(text)
-    while pos < n:
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos < n and text[pos] in "+-":
-            sign = 1 if text[pos] == "+" else -1
-            pos += 1
-            while pos < n and text[pos].isspace():
-                pos += 1
-        elif pos:
-            raise ValueError("missing sign between terms in Laurent "
-                             "polynomial %r" % text)
-        start = pos
-        while pos < n and not text[pos].isspace() and text[pos] not in "+-":
-            # keep the sign of an exponent like q^-4 attached to its term
-            if text[pos] == "^" and pos + 1 < n and text[pos + 1] == "-":
-                pos += 2
-                continue
-            pos += 1
-        term = text[start:pos]
-        if not term:
-            raise ValueError("malformed Laurent polynomial: %r" % text)
-        out = out + _parse_laurent_term(term) * sign
-        sign = 1
-    return out
-
-
-def _parse_laurent_term(term: str) -> LaurentPoly:
-    coeff = Fraction(1)
-    exp = 0
-    for factor in term.split("*"):
-        factor = factor.strip()
-        if not factor:
-            raise ValueError("malformed term %r" % term)
-        if factor[0] == "q":
-            exp += 1 if factor == "q" else int(factor[2:])
-        else:
-            coeff *= Fraction(factor)
-    return LaurentPoly({exp: coeff})
-
-
-def scalar_from_text(text: str) -> ScalarQ:
-    """Parse ``(<num>)/(<den>)`` or a plain Laurent polynomial."""
-    text = text.strip()
-    if text.startswith("(") and ")/(" in text and text.endswith(")"):
-        cut = text.index(")/(")
-        return ScalarQ(laurent_from_text(text[1:cut]),
-                       laurent_from_text(text[cut + 3:-1]))
-    return ScalarQ(laurent_from_text(text))

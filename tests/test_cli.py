@@ -88,7 +88,16 @@ MALFORMED_POLYS = [("*", "empty factor"), ("(q)*", "empty factor"),
                    ("(q q)*X0", "missing sign between terms"),
                    ("X0 X1", "missing '*' between factors"),
                    ("(2)(3)*X0", "missing '*' between factors"),
-                   ("X0 2", "missing '*' between factors")]
+                   ("X0 2", "missing '*' between factors"),
+                   # q takes only '^' and an integer; a sign never follows '*'
+                   ("q/3*X0", "unexpected token at '/'"),
+                   ("(q/2)*X0", "unexpected token at '/'"),
+                   ("qX5*X0", "unexpected token at 'qX5'"),
+                   ("q23*X0", "unexpected token at 'q23'"),
+                   ("qx*X0", "unexpected token at 'qx'"),
+                   ("q^*X0", "missing exponent at '*'"),
+                   ("q^1.5*X0", "unexpected token at '.'"),
+                   ("X0*-X1", "empty factor at '-'")]
 
 
 @pytest.mark.parametrize("poly,message", MALFORMED_POLYS,

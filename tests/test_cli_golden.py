@@ -32,6 +32,14 @@ compiler dropped its products by 1, ``reports.json`` gained three failing
 ``verify --suite iqg --max-degree 2 --mutate varsigma1`` runs (I:r=1,
 IV:r=2, A1AFF), recorded on the code before it.  Their residuals have
 multi-term denominators and long numerators, so they pin the canonical form.
+
+After ``verify_relations`` took each verdict from the compiled form, so that
+``--max-degree`` only bounds the residual search, ``reports.json`` gained two
+failing runs recorded on that code: A1AFF at ``--max-degree 1`` with
+``--mutate varsigma1`` and I:r=0 at ``--max-degree 0`` with ``--mutate
+xi-fold``.  Both reported 0 failures before; their failing relations have no
+residual at that degree, so they record ``null`` for the residual monomial
+and coefficient.
 """
 
 import json

@@ -160,6 +160,15 @@ def test_poly_text_round_trip():
     assert poly_from_text("0", 2).is_zero
 
 
+def test_poly_text_nests_coefficients_to_a_bounded_depth():
+    assert poly_from_text("(" * 64 + "q" + ")" * 64 + "*X0", 1) == \
+        QPolynomial.monomial((1,), ScalarQ.q_power(1))
+    with pytest.raises(ValueError, match="nested too deeply at '\\('"):
+        poly_from_text("(" * 65 + "q" + ")" * 65, 1)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        poly_from_text("(" * 5000, 1)
+
+
 def test_poly_rejects_bad_vectors():
     with pytest.raises(ValueError):
         QPolynomial(2, {(1, 2, 3): ScalarQ.one()})

@@ -3,8 +3,9 @@
 Covers the field laws, agreement with ``sympy.cancel`` after evaluation at
 rational points of q, agreement of every fast path with the general
 ``_canonical`` reduction, the run product against the double loop and
-sympy, the stored coefficient types, and the rule that equal values hash
-alike across int, Fraction, LaurentPoly and ScalarQ.
+sympy, the stored coefficient types, the rule that equal values hash
+alike across int, Fraction, LaurentPoly and ScalarQ, and the text round trip
+of polynomials with such coefficients.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evaluation import eval_laurent, eval_scalar
+from qweyl.opcalc import QPolynomial, poly_from_text, poly_to_text
 from qweyl.qscalar import (LaurentPoly, ScalarQ, _canonical, _run,
                            _run_product, factorial_steps, q_factorial,
                            q_integer, q_product)
@@ -365,3 +367,20 @@ def test_constant_lookup_across_types():
                                    ScalarQ(1, LaurentPoly({0: 1, 1: 1}))])
 def test_non_polynomial_scalar_is_not_equal_to_its_numerator(value):
     assert value != value.num
+
+
+# --- text round trip --------------------------------------------------------------
+
+
+def polynomials(nvars: int):
+    """QPolynomials over nvars variables with quotient coefficients: multi-term
+    numerators and denominators, rational contents, negative q-powers."""
+    monomials = st.tuples(*[st.integers(0, 3)] * nvars)
+    return st.dictionaries(monomials, scalar, max_size=4).map(
+        lambda terms: QPolynomial(nvars, terms))
+
+
+@props
+@given(st.integers(0, 3).flatmap(polynomials))
+def test_poly_text_round_trips_every_polynomial(p):
+    assert poly_from_text(poly_to_text(p), p.nvars) == p
