@@ -18,10 +18,8 @@ from math import comb
 from typing import Dict, Optional, Tuple
 
 from .iqg import f_, oscillator_action
-from .opcalc import (ActionTable, Monomial, QPolynomial, apply_word,
-                     monomials_of_degree)
-from .qscalar import (LaurentPoly, ScalarQ, factorial_steps, q_integer,
-                      q_product)
+from .opcalc import ActionTable, Monomial, monomials_of_degree
+from .qscalar import ScalarQ, factorial_steps, q_integer, q_product
 from .satake import SatakeDiagram
 
 CRYSTAL_KINDS = ("I", "III", "A1AFF")
@@ -39,23 +37,30 @@ def _string_walk(diagram: SatakeDiagram, i: int, b: Monomial,
                  table: ActionTable):
     """Divided coordinates of f_i^{(n)_{xi_{i+1}}} X^(b), n = 0, 1, ...
 
-    X^(b) heads an i-string (b_{i+1} = 0); step n applies one f_i to the
-    plain image f_i^{n-1} X^b.  Its coordinate at t is c_t D(t) / (D(e) den),
-    e = b + n(e_{i+1} - e_i) the expected target (slot i stops at 0) and
-    den = D(b) [n]^{xi_{i+1}}! / D(e), a running q-product that gains
-    [xi_i e_i] per step: [n]^{xi_{i+1}}! is D(e)'s slot i+1 factor and
-    cancels.  At t = e that is c_t / den; 1 has equal sides, so no gcd.
+    X^(b) heads an i-string (b_{i+1} = 0); e = b + n(e_{i+1} - e_i) is the
+    expected target (slot i stops at 0).  ``img`` is f_i^n X^b divided by
+    D(b) [n]^{xi_{i+1}}! / D(e): each step applies f_i to every term and
+    divides by the one q-integer [xi_i e_i] that this ratio gains, since
+    [n]^{xi_{i+1}}! is D(e)'s slot i+1 factor.  The coordinate at t is
+    img_t D(t) / D(e), img_e itself at t = e; on a crystal each step is a
+    q-integer over itself, 1 without a gcd, so nothing grows with n.
     """
-    xi, img, e, den = diagram.xi, QPolynomial.monomial(b), b, LaurentPoly.one()
+    xi, img, e, f_i = diagram.xi, {b: ScalarQ.one()}, b, f_(i)
     while True:
-        yield {t: ScalarQ(q_product(factorial_steps(xi, e, t), c.num),
-                          q_product(factorial_steps(xi, t, e), c.den * den))
-               for t, c in img.terms.items()}
-        if e[i]:
-            den = den * q_integer(xi[i] * e[i])
+        yield {t: c if t == e else
+               ScalarQ(q_product(factorial_steps(xi, e, t), c.num),
+                       q_product(factorial_steps(xi, t, e), c.den))
+               for t, c in img.items()}
+        sums = {}
+        for t, c in img.items():
+            for u, w in table.act(f_i, t):
+                v = c * w
+                sums[u] = sums[u] + v if u in sums else v
+        step = q_integer(xi[i] * e[i])     # zero once slot i is empty
+        img = {u: ScalarQ(v.num, v.den * step) if step else v
+               for u, v in sums.items() if not v.is_zero}
         e = tuple(u - (j == i and u > 0) + (j == i + 1)
                   for j, u in enumerate(e))
-        img = apply_word((f_(i),), img, table)
 
 
 def _kashiwara_coords(diagram: SatakeDiagram, i: int, a: Monomial, n: int,
@@ -254,12 +259,13 @@ def export(graph: CrystalGraph, fmt: str) -> str:
 
 
 def _export_dot(graph: CrystalGraph) -> str:
+    name = {mon: _node_name(mon) for mon in graph.nodes}
     lines = ["digraph crystal {"]
     for mon in graph.nodes:
-        lines.append('  "%s";' % _node_name(mon))
+        lines.append('  "%s";' % name[mon])
     for src, i, tgt in graph.edges:
         lines.append('  "%s" -> "%s" [color=%s, label="f~%d"];'
-                     % (_node_name(src), _node_name(tgt), _edge_color(i), i))
+                     % (name[src], name[tgt], _edge_color(i), i))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -284,14 +290,15 @@ def parse_json(text: str) -> CrystalGraph:
 
 
 def _export_tikz(graph: CrystalGraph) -> str:
+    name = {mon: _node_name(mon) for mon in graph.nodes}
     lines = ["\\begin{tikzpicture}[xscale=1.5,yscale=1.35]"]
     for mon in graph.nodes:
         x = sum(mon[1:-1])
         y = sum((len(mon) - 1 - j) * e for j, e in enumerate(mon))
         lines.append("  \\node at (%d,%d) (n%s) {$(%s)$};"
-                     % (x, y, _node_name(mon), _node_name(mon)))
+                     % (x, y, name[mon], name[mon]))
     for src, i, tgt in graph.edges:
         lines.append("  \\draw[thick,->,%s] (n%s) -- (n%s);"
-                     % (_edge_color(i), _node_name(src), _node_name(tgt)))
+                     % (_edge_color(i), name[src], name[tgt]))
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines) + "\n"

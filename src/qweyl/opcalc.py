@@ -446,6 +446,10 @@ def poly_to_text(p: QPolynomial) -> str:
 
 _TOKEN = re.compile(r"[0-9]+(?:/[0-9]+)?|[A-Za-z_]\w*|\S", re.ASCII)
 
+# Work on a parsed polynomial grows with its exponents, so larger powers of
+# q or of one X_i are refused.
+MAX_EXPONENT = 10_000
+
 
 def poly_from_text(text: str, nvars: int) -> QPolynomial:
     """Parse the poly_to_text format (and bare monomials like ``X2``).
@@ -460,7 +464,8 @@ def poly_from_text(text: str, nvars: int) -> QPolynomial:
 
     where a coeff is a poly over no variables, so ``nvars = 0`` reads the
     text of a ``LaurentPoly`` or a ``ScalarQ``.  Any other input raises a
-    ValueError that names the offending token.
+    ValueError that names the offending token, as does a '^' exponent above
+    ``MAX_EXPONENT`` or an X_i whose exponents in one term sum past it.
     """
     parser = _PolyParser(text)
     out = parser.poly(nvars)
@@ -526,6 +531,8 @@ class _PolyParser:
                 if idx >= nvars:
                     self.fail("variable out of range", tok)
                 exps[idx] += self.exponent(False)
+                if exps[idx] > MAX_EXPONENT:
+                    self.fail("total exponent above %d" % MAX_EXPONENT, tok)
                 laurent = False
             else:
                 self.fail("missing variable index" if tok == "X" else
@@ -551,7 +558,10 @@ class _PolyParser:
         self.pos += sign < 0
         if not (self.peek().isascii() and self.peek().isdigit()):
             self.fail("missing exponent")
-        return sign * int(self.take())
+        tok = self.take()
+        if int(tok) > MAX_EXPONENT:
+            self.fail("exponent above %d" % MAX_EXPONENT, tok)
+        return sign * int(tok)
 
     def quotient(self) -> ScalarQ:
         """coeff ')' ['/' '(' coeff ')'], after the first '('."""

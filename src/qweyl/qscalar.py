@@ -273,11 +273,13 @@ def _run_product(c, lo: int, m: int, v):
     or None if c is so sparse that the double loop is cheaper.
 
     Per parity class, the coefficient of q^(e + lo) is v times the window
-    sum of c at e, e - 2, ..., e - 2(m-1), read off running prefix sums.
+    sum of c at e, e - 2, ..., e - 2(m-1), read off running prefix sums;
+    with int inputs every such sum is already an int.
     """
     low, high = min(c), max(c)
     if (high - low) // 2 + m >= len(c) * m:
         return None
+    ints = type(v) is int and all(type(w) is int for w in c.values())
     dense = [0] * (high - low + 1)
     for e, w in c.items():
         dense[e - low] = w
@@ -289,7 +291,8 @@ def _run_product(c, lo: int, m: int, v):
         sums = list(accumulate(pad + seq + pad[1:]))
         window = [(x - y) * v for x, y in zip(sums[m:], sums)]
         exps = range(low + lo + p, high + lo + 2 * m, 2)
-        out.update({e: _norm(w) for e, w in zip(exps, window) if w})
+        out.update({e: w if ints else _norm(w)
+                    for e, w in zip(exps, window) if w})
     res = LaurentPoly.__new__(LaurentPoly)
     res._c = out
     return res
@@ -545,9 +548,10 @@ def q_integer(a: int) -> LaurentPoly:
     """The balanced q-integer (q^a - q^-a)/(q - q^-1); satisfies [-a] = -[a]."""
     if a == 0:
         return LaurentPoly.zero()
-    sign = 1 if a > 0 else -1
     n = abs(a)
-    return LaurentPoly({e: sign for e in range(n - 1, -n, -2)})
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._c = dict.fromkeys(range(n - 1, -n, -2), 1 if a > 0 else -1)
+    return out
 
 
 def q_factorial(a: int, k: int) -> LaurentPoly:

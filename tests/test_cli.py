@@ -97,7 +97,10 @@ MALFORMED_POLYS = [("*", "empty factor"), ("(q)*", "empty factor"),
                    ("qx*X0", "unexpected token at 'qx'"),
                    ("q^*X0", "missing exponent at '*'"),
                    ("q^1.5*X0", "unexpected token at '.'"),
-                   ("X0*-X1", "empty factor at '-'")]
+                   ("X0*-X1", "empty factor at '-'"),
+                   # work grows with the exponent, so large ones are refused
+                   ("X2^1000000000", "exponent above 10000 at '1000000000'"),
+                   ("X2^9000*X2^9000", "total exponent above 10000 at 'X2'")]
 
 
 @pytest.mark.parametrize("poly,message", MALFORMED_POLYS,

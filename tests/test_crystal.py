@@ -282,6 +282,23 @@ def test_kashiwara_coords_are_exact_off_the_string():
         d, ActionTable(d.nslots, {f_(0): f0, f_(1): f1}))
 
 
+def test_kashiwara_coords_drop_cancelled_terms():
+    # From X^(2, 0, 0) two paths of f_0 reach (0, 1, 1) with opposite
+    # signs: the walk must sum them and drop the zero, as apply does.
+    d = build_diagram("I", 1)
+
+    def f0(mon):
+        if not mon[0]:
+            return []
+        return [(tuple(e - (j == 0) + (j == k) for j, e in enumerate(mon)), c)
+                for k, c in ((1, ScalarQ.one()),
+                             (2, ScalarQ(-1 if mon[1] % 2 else 1)))]
+
+    f1 = oscillator_action(d).entries[f_(1)]
+    _assert_coords_match_oracle(
+        d, ActionTable(d.nslots, {f_(0): f0, f_(1): f1}))
+
+
 def _graph_or_error(build):
     try:
         return build()
@@ -364,6 +381,29 @@ def test_axioms_check_applies_one_letter_per_node_and_color(monkeypatch,
         del calls[:]
         assert crystal_axioms_check(d, 30)["all_ok"]
         assert len(calls) == 31     # two walks per node from scratch: 931
+
+
+@pytest.mark.parametrize("kind,r,s", [("I", 0, 60), ("A1AFF", None, 30),
+                                       ("III", 1, 12)])
+def test_string_walk_multiplies_by_one_q_integer_at_a_time(monkeypatch,
+                                                            kind, r, s):
+    # Each step divides by its own [xi_i e_i], so no Laurent factor in the
+    # graph or the audit has more than max|xi| * s terms.  A walk that keeps
+    # running q-products down the string reaches 1,771, 436 and 145 here.
+    sizes = []
+    mul = LaurentPoly.__mul__
+
+    def measuring(self, other):
+        sizes.append(max(len(p._c) for p in (self, other)
+                         if isinstance(p, LaurentPoly)))
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", measuring)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", measuring)
+    d = build_diagram(kind, r)
+    crystal_graph(d, s)
+    assert crystal_axioms_check(d, s)["all_ok"]
+    assert sizes and max(sizes) <= max(abs(x) for x in d.xi) * s
 
 
 @pytest.mark.parametrize("kind,r", ORACLE_FAMILIES)
