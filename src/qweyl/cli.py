@@ -12,13 +12,14 @@ import functools
 import json
 import sys
 from contextlib import nullcontext
+from math import prod
 
 from . import crystal as crystal_mod
 from . import iqg, modweyl, weyl
 from .opcalc import (GeneratorSymbol, OperatorExpr, QPolynomial, apply,
-                     image_table, poly_from_text, poly_to_text,
+                     apply_word, image_table, poly_from_text, poly_to_text,
                      report_failures, verify_relations)
-from .qscalar import LaurentPoly, ScalarQ
+from .qscalar import LaurentPoly, ScalarQ, _run, q_product
 from .satake import SatakeDiagram, parse_spec
 
 SUITES = ("weyl", "uqsl", "modweyl", "iqg", "all")
@@ -142,29 +143,65 @@ def _cmd_crystal(args) -> int:
     return 0
 
 
+def _factored_walk(word, mon, table):
+    """(end monomial, content, q-shift, sorted m >= 2) of ``word`` on X^mon,
+    when each letter, rightmost first, gives one term whose coefficient is a
+    run c*q^lo*(1 + q^2 + ... + q^(2(m-1))) = c*q^(lo+m-1)*[m]; else None."""
+    content, shift, ms = 1, 0, []
+    for sym in reversed(word):
+        terms = table.act(sym, mon)
+        if len(terms) != 1:
+            return None
+        mon, c = terms[0]
+        run = (c.is_polynomial and not c.is_zero
+               and _run(dict(c.num.items())))
+        if not run:
+            return None
+        lo, m, v = run
+        content, shift = content * v, shift + lo + m - 1
+        if m > 1:
+            ms.append(m)
+    return mon, content, shift, sorted(ms)
+
+
 def _cmd_witness(args) -> int:
+    """Print a witness word and its coefficient, and check them.
+
+    The word's image of the start monomial is compared with the prediction
+    in factored form, c*q^k*[m_1]...[m_t] with every m_i >= 2, and the
+    coefficient is expanded once, to print it.  The form is exact: [m] =
+    q^(1-m) prod_{d | m, d > 1} Phi_d(q^2), and the Phi_d(q^2) for d > 1 are
+    squarefree and pairwise coprime (Phi_d(q^2) is Phi_2d(q) for even d and
+    Phi_d(q)*Phi_2d(q) for odd d).  So a nonzero c*q^k*prod [m_i] determines
+    c, k and every e_d = #{i : d | m_i}, hence, by Moebius inversion, the
+    multiset {m_i}: two such products are equal iff their forms are.  A walk
+    that leaves this form, or a zero predicted factor, is decided the
+    expanded way, by applying the word over the same table, which also
+    names what it got.
+    """
     diagram = parse_spec(args.diagram)
     try:
         mon = tuple(int(part) for part in args.monomial.split(","))
     except ValueError:
         raise ValueError("bad --monomial %r: expected comma-separated integers"
                          % args.monomial) from None
-    if args.direction == "up":
-        word, predicted = iqg.irreducibility_witness(diagram, mon)
-        start = QPolynomial.monomial(mon)
-        target = tuple([sum(mon)] + [0] * (diagram.nslots - 1))
-    else:
-        word, predicted = iqg.spanning_witness(diagram, mon)
-        start = QPolynomial.monomial(tuple([sum(mon)] + [0] * (diagram.nslots - 1)))
-        target = mon
+    up = args.direction == "up"
+    word, steps = iqg.witness_steps(diagram, mon, up)
+    top = tuple([sum(mon)] + [0] * (diagram.nslots - 1))
+    start, target = (mon, top) if up else (top, mon)
+    predicted = ScalarQ(q_product(steps))
     print("word: %s" % (" ".join(sym.label for sym in word) or "(empty)"))
     print("coefficient: %s" % predicted)
-    result = iqg.apply_witness(diagram, word, start)
-    if result == QPolynomial.monomial(target, predicted):
-        print("VERIFIED")
-        return 0
-    print("MISMATCH: got %s" % poly_to_text(result))
-    return 1
+    table = iqg.oscillator_action(diagram)
+    form = (target, prod([1 if n > 0 else -1 for n in steps]), 0,
+            sorted([abs(n) for n in steps if abs(n) > 1]))
+    if not (all(steps) and form == _factored_walk(word, start, table)):
+        result = apply_word(word, QPolynomial.monomial(start), table)
+        if result != QPolynomial.monomial(target, predicted):
+            print("MISMATCH: got %s" % poly_to_text(result))
+            return 1
+    print("VERIFIED")
+    return 0
 
 
 @functools.cache

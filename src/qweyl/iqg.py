@@ -281,37 +281,40 @@ def oscillator_action(diagram: SatakeDiagram) -> ActionTable:
     return image_table(_alias_images(presentation(diagram)), base).merged(base)
 
 
-def irreducibility_witness(diagram: SatakeDiagram, a: Tuple[int, ...]):
-    """The e-word carrying X^a to a predicted nonzero multiple of X_0^s.
+def witness_steps(diagram: SatakeDiagram, a: Tuple[int, ...], up: bool):
+    """A witness word and the signed q-integers whose product it predicts.
 
-    Raising operators empty the slots one by one into slot 0; the predicted
-    coefficient prod_{i=1}^{r+1} [a_i + ... + a_{r+1}]^{xi_i}! is one running
-    q-product.  Kind VI has no raising operator into slot 0, so no such
-    witness exists there.
+    Up (raising), the e-word carries X^a to a multiple of X_0^s: the
+    operators empty the slots one by one into slot 0, and the coefficient is
+    prod_{i=1}^{r+1} [a_i + ... + a_{r+1}]^{xi_i}!.  Down (lowering), the
+    f-word carries X_0^s to a multiple of X^a, with coefficient
+    prod_{i=0}^{r} [a_i + ... + a_{r+1}]^{xi_i}! divided by [a_i]^{xi_i}!,
+    whose q-integers are those the quotient keeps: no gcd.  Kind VI has no
+    raising operator into slot 0, so no such witness exists there.
     """
     a = _witness_vector(diagram, a)
-    word = []
-    for _, c, _, hi in _ladder(presentation(diagram)):
-        word.extend([e_(c)] * sum(a[hi:]))
-    top = [sum(a[i:]) for i in range(1, len(a))]
-    steps = factorial_steps(diagram.xi[1:], [0] * len(top), top)
-    return tuple(word), ScalarQ(q_product(steps))
+    ladder = _ladder(presentation(diagram))
+    top = [sum(a[i:]) for i in range(len(a))]
+    if up:
+        word = [e_(c) for _, c, _, hi in ladder for _ in range(top[hi])]
+        return tuple(word), factorial_steps(diagram.xi[1:],
+                                            [0] * (len(a) - 1), top[1:])
+    word = [f_(c) for _, c, _, hi in reversed(ladder) for _ in range(top[hi])]
+    return tuple(word), factorial_steps(diagram.xi, a, top)
+
+
+def irreducibility_witness(diagram: SatakeDiagram, a: Tuple[int, ...]):
+    """The e-word carrying X^a to a predicted nonzero multiple of X_0^s, and
+    that multiple, one running q-product (see ``witness_steps``)."""
+    word, steps = witness_steps(diagram, a, True)
+    return word, ScalarQ(q_product(steps))
 
 
 def spanning_witness(diagram: SatakeDiagram, b: Tuple[int, ...]):
-    """The f-word carrying X_0^s to a predicted nonzero multiple of X^b.
-
-    The coefficient, prod_{i=0}^{r} [b_i + ... + b_{r+1}]^{xi_i}! divided by
-    [b_i]^{xi_i}!, is the running q-product of the q-integers the quotient
-    keeps: no gcd.
-    """
-    b = _witness_vector(diagram, b)
-    s = sum(b)
-    word = []
-    for _, c, _, hi in reversed(_ladder(presentation(diagram))):
-        word.extend([f_(c)] * (s - sum(b[:hi])))
-    top = [sum(b[i:]) for i in range(len(b))]
-    return tuple(word), ScalarQ(q_product(factorial_steps(diagram.xi, b, top)))
+    """The f-word carrying X_0^s to a predicted nonzero multiple of X^b, and
+    that multiple, one running q-product (see ``witness_steps``)."""
+    word, steps = witness_steps(diagram, b, False)
+    return word, ScalarQ(q_product(steps))
 
 
 def _witness_vector(diagram, a):

@@ -9,6 +9,7 @@ monomials.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
@@ -447,7 +448,7 @@ def poly_to_text(p: QPolynomial) -> str:
 _TOKEN = re.compile(r"[0-9]+(?:/[0-9]+)?|[A-Za-z_]\w*|\S", re.ASCII)
 
 # Work on a parsed polynomial grows with its exponents, so larger powers of
-# q or of one X_i are refused.
+# one X_i, and coefficients that run over more powers of q, are refused.
 MAX_EXPONENT = 10_000
 
 
@@ -465,12 +466,28 @@ def poly_from_text(text: str, nvars: int) -> QPolynomial:
     where a coeff is a poly over no variables, so ``nvars = 0`` reads the
     text of a ``LaurentPoly`` or a ``ScalarQ``.  Any other input raises a
     ValueError that names the offending token, as does a '^' exponent above
-    ``MAX_EXPONENT`` or an X_i whose exponents in one term sum past it.
+    ``MAX_EXPONENT``, an X_i whose exponents in one term sum past it, a term
+    or parenthesised coefficient whose numerator or denominator runs over
+    more than ``MAX_EXPONENT`` powers of q (from q^0), and a number longer
+    than Python's limit for converting digits to an int.
     """
     parser = _PolyParser(text)
     out = parser.poly(nvars)
     parser.expect("", "unbalanced parenthesis")
     return out
+
+
+def _clip(text: str, width: int) -> str:
+    return text if len(text) <= width else text[:width] + "..."
+
+
+def _bounded(digits: str, bound: int):
+    """int(digits) if it is at most ``bound``, else None; a token too long
+    to be at most ``bound`` is never converted."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(bound)) or int(digits) > bound:
+        return None
+    return int(digits)
 
 
 class _PolyParser:
@@ -490,7 +507,8 @@ class _PolyParser:
     def fail(self, what: str, tok=None):
         tok = self.peek() if tok is None else tok
         raise ValueError("%s at %s in polynomial %r"
-                         % (what, repr(tok) if tok else "end", self.text))
+                         % (what, repr(_clip(tok, 20)) if tok else "end",
+                            _clip(self.text, 80)))
 
     def expect(self, tok: str, what: str):
         if self.peek() != tok:
@@ -521,14 +539,17 @@ class _PolyParser:
                 coeff, laurent = coeff * self.quotient(), False
             elif "0" <= tok[:1] <= "9":
                 num, _, den = tok.partition("/")
+                limit = sys.get_int_max_str_digits()
+                if limit and len(max(num, den, key=len)) > limit:
+                    self.fail("number of more than %d digits" % limit, tok)
                 if not int(den or 1):
                     self.fail("zero denominator", tok)
                 coeff = coeff * ScalarQ(Fraction(int(num), int(den or 1)))
             elif tok == "q":
                 coeff = coeff * ScalarQ.q_power(self.exponent(True))
             elif tok[:1] == "X" and tok[1:].isdigit():
-                idx = int(tok[1:])
-                if idx >= nvars:
+                idx = _bounded(tok[1:], nvars - 1)
+                if idx is None:
                     self.fail("variable out of range", tok)
                 exps[idx] += self.exponent(False)
                 if exps[idx] > MAX_EXPONENT:
@@ -538,6 +559,7 @@ class _PolyParser:
                 self.fail("missing variable index" if tok == "X" else
                           "empty factor" if tok in ("", "+", "-", "*", ")")
                           else "unexpected token", tok)
+            self.bound(coeff, tok)
             if self.peek() != "*":
                 break
             self.pos += 1
@@ -559,9 +581,19 @@ class _PolyParser:
         if not (self.peek().isascii() and self.peek().isdigit()):
             self.fail("missing exponent")
         tok = self.take()
-        if int(tok) > MAX_EXPONENT:
+        n = _bounded(tok, MAX_EXPONENT)
+        if n is None:
             self.fail("exponent above %d" % MAX_EXPONENT, tok)
-        return sign * int(tok)
+        return sign * n
+
+    def bound(self, value: ScalarQ, tok: str):
+        """Refuse a value whose numerator or denominator runs over more than
+        ``MAX_EXPONENT`` powers of q, counting from q^0."""
+        for part in (value.num, value.den):
+            if part and (max(part.max_exp(), 0) - min(part.min_exp(), 0)
+                         > MAX_EXPONENT):
+                self.fail("powers of q spanning more than %d" % MAX_EXPONENT,
+                          tok)
 
     def quotient(self) -> ScalarQ:
         """coeff ')' ['/' '(' coeff ')'], after the first '('."""
@@ -578,6 +610,7 @@ class _PolyParser:
         if self.depth > 64:  # far inside the interpreter's recursion limit
             self.fail("parentheses nested too deeply", "(")
         value = self.poly(0).terms.get((), ScalarQ.zero())
+        self.bound(value, self.peek())
         self.expect(")", "unbalanced parenthesis")
         self.depth -= 1
         return value

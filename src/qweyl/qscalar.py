@@ -11,18 +11,20 @@ coefficients, so the common cases skip the general machinery: coefficients
 are stored as ``int`` whenever they are integral, a product with a single
 term is a relabelling of exponents, a product with a run v*q^lo*(1 + q^2 +
 ... + q^(2(m-1))), such as a q-integer, is a strided running sum in
-O(span + m) (``q_product`` chains them), and a denominator c*q^k is divided
-out directly.  Only a denominator with two or more terms needs a polynomial
-gcd, and not even then when it equals the numerator (the ratio is 1) or when
-the numerator is a single term (the gcd is 1), which covers coefficients such
-as 1/[n]!.  A product of two such single-term quotients is already canonical.
+O(span + m) (``q_product`` chains them on the same dense lists), and a
+denominator c*q^k is divided out directly.  Only a denominator with two or
+more terms needs a polynomial gcd, and not even then when it equals the
+numerator (the ratio is 1) or when the numerator is a single term (the gcd
+is 1), which covers coefficients such as 1/[n]!.  A product of two such
+single-term quotients is already canonical.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from math import gcd as _int_gcd
+from operator import sub
 
 
 class InexactDivisionError(ArithmeticError):
@@ -270,32 +272,48 @@ def _run(c):
 
 def _run_product(c, lo: int, m: int, v):
     """c times the run v*q^lo*(1 + q^2 + ... + q^(2(m-1))) in O(span + m),
-    or None if c is so sparse that the double loop is cheaper.
+    or None if c is so sparse that the double loop is cheaper."""
+    if (max(c) - min(c)) // 2 + m >= len(c) * m:
+        return None
+    return _window_product(c, (m,), lo, v)
 
-    Per parity class, the coefficient of q^(e + lo) is v times the window
-    sum of c at e, e - 2, ..., e - 2(m-1), read off running prefix sums;
-    with int inputs every such sum is already an int.
+
+def _window_product(c, widths, shift: int, v) -> LaurentPoly:
+    """c times v*q^shift times (1 + q^2 + ... + q^(2(m-1))) for each m in
+    ``widths``, on dense lists.
+
+    Such a factor never mixes the two parity classes of exponents, so each
+    class of c is one dense list with stride 2; each m is one pass of m-wide
+    window sums over it, and the dict is built once at the end.  With int
+    inputs every window sum is already an int.
     """
     low, high = min(c), max(c)
-    if (high - low) // 2 + m >= len(c) * m:
-        return None
     ints = type(v) is int and all(type(w) is int for w in c.values())
     dense = [0] * (high - low + 1)
     for e, w in c.items():
         dense[e - low] = w
-    pad, out = [0] * m, {}
+    out = {}
     for p in (0, 1):
         seq = dense[p::2]
         if not any(seq):
             continue
-        sums = list(accumulate(pad + seq + pad[1:]))
-        window = [(x - y) * v for x, y in zip(sums[m:], sums)]
-        exps = range(low + lo + p, high + lo + 2 * m, 2)
-        out.update({e: w if ints else _norm(w)
-                    for e, w in zip(exps, window) if w})
+        for m in widths:
+            seq = _windows(seq, m)
+        exps = count(low + shift + p, 2)
+        out.update({e: w * v if ints else _norm(w * v)
+                    for e, w in zip(exps, seq) if w})
     res = LaurentPoly.__new__(LaurentPoly)
     res._c = out
     return res
+
+
+def _windows(seq, m: int) -> list:
+    """The m-wide window sums of seq, zero-padded on both sides: entry j is
+    seq[j] + seq[j-1] + ... + seq[j-m+1], for j = 0..len(seq)+m-2, each read
+    off two running prefix sums."""
+    pad = [0] * m
+    sums = list(accumulate(pad + seq + pad[1:]))
+    return list(map(sub, sums[m:], sums))
 
 
 def _to_ordinary(p: LaurentPoly):
@@ -564,11 +582,30 @@ def q_factorial(a: int, k: int) -> LaurentPoly:
 
 
 def q_product(ns, start=1) -> LaurentPoly:
-    """start times [n] for each n in ns, one run product per factor."""
-    out = start if isinstance(start, LaurentPoly) else LaurentPoly(start)
+    """start times [n] for each n in ns, multiplied out on dense lists.
+
+    [n] is sign(n)*q^(1-|n|)*(1 + q^2 + ... + q^(2(|n|-1))), so a chain of
+    two or more |n| > 1 is one ``_window_product``; a chain of one is a
+    single run product, which for the short coefficients most callers build
+    costs less than setting up the dense lists.
+    """
+    start = start if isinstance(start, LaurentPoly) else LaurentPoly(start)
+    sign, shift, widths = 1, 0, []
     for n in ns:
-        out = out * q_integer(n)
-    return out
+        if not n:
+            return LaurentPoly.zero()
+        if n < 0:
+            sign = -sign
+        if n > 1 or n < -1:
+            shift += 1 - abs(n)
+            widths.append(abs(n))
+    if not start:
+        return start
+    if len(widths) > 1:
+        return _window_product(start._c, widths, shift, sign)
+    if widths:
+        return start * q_integer(sign * widths[0])
+    return start._term_mul(0, sign)
 
 
 def factorial_steps(xi, lo, hi) -> list:

@@ -10,7 +10,9 @@ graph and its axiom audit by the per-node Kashiwara formula, without string
 walks.  ``reference_compile_relation`` is ``shift.compile_relation`` as it
 was before it skipped its products by 1: every coefficient times the product
 of the other denominators and times a power of q - q^-1, that power and the
-product taken even when they are 1.
+product taken even when they are 1.  ``reference_q_product`` is
+``qscalar.q_product`` as it was before it ran on dense lists: one
+``LaurentPoly`` product per q-integer.
 """
 
 from math import comb, prod
@@ -260,3 +262,11 @@ def reference_compile_relation(expr, table) -> ShiftForm:
             del components[delta]
     scale = prod(dens, start=LaurentPoly.one()) * powers[depth]
     return ShiftForm(components, scale)
+
+
+def reference_q_product(ns, start=1) -> LaurentPoly:
+    """start times [n] for each n in ns, one run product per factor."""
+    out = start if isinstance(start, LaurentPoly) else LaurentPoly(start)
+    for n in ns:
+        out = out * q_integer(n)
+    return out

@@ -1,11 +1,19 @@
 """Command-line contract: exit codes, deterministic bytes, output formats."""
 
 import json
+from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qweyl.cli import build_parser, main, parse_word
+from qweyl import iqg
+from qweyl.cli import _factored_walk, build_parser, main, parse_word
 from qweyl.crystal import crystal_graph, parse_json
+from qweyl.opcalc import ActionTable, GeneratorSymbol
+from qweyl.qscalar import LaurentPoly, ScalarQ
 from qweyl.satake import build_diagram, parse_spec
 
 
@@ -100,11 +108,22 @@ MALFORMED_POLYS = [("*", "empty factor"), ("(q)*", "empty factor"),
                    ("X0*-X1", "empty factor at '-'"),
                    # work grows with the exponent, so large ones are refused
                    ("X2^1000000000", "exponent above 10000 at '1000000000'"),
-                   ("X2^9000*X2^9000", "total exponent above 10000 at 'X2'")]
+                   ("X2^9000*X2^9000", "total exponent above 10000 at 'X2'"),
+                   # and so does a coefficient running over many powers of q
+                   ("(1)/((q^10000)*(q^10000) + 1)*X2",
+                    "powers of q spanning more than 10000 at '('"),
+                   ("q^9000*q^9000*X0",
+                    "powers of q spanning more than 10000 at 'q'"),
+                   # tokens past Python's int conversion limit (4,300 digits)
+                   ("X2^" + "1" * 5000,
+                    "exponent above 10000 at '11111111111111111111...'"),
+                   ("(" + "1" * 5000 + ")*X2",
+                    "number of more than 4300 digits at '1111111111")]
 
 
 @pytest.mark.parametrize("poly,message", MALFORMED_POLYS,
-                         ids=[poly for poly, _ in MALFORMED_POLYS])
+                         ids=[poly if len(poly) <= 40 else poly[:40] + "..."
+                              for poly, _ in MALFORMED_POLYS])
 def test_act_empty_poly_term_is_usage_error(capsys, poly, message):
     # "--poly=" keeps argparse from reading "--X0" as an option
     code, out, err = run(capsys, "act", "--diagram", "I:r=1",
@@ -266,6 +285,122 @@ def test_witness_trivial_monomial(capsys):
     assert code == 0
     assert out.splitlines()[0] == "word: (empty)"
     assert out.splitlines()[1] == "coefficient: 1"
+
+
+WITNESS_MISMATCH = json.loads(
+    (Path(__file__).parent / "golden" / "witness_mismatch.json").read_text())
+STEP_FACTORS = {"q": ScalarQ.q_power(1), "-1": ScalarQ(-1),
+                "1 + q": ScalarQ(LaurentPoly({0: 1, 1: 1}))}
+
+
+@pytest.mark.parametrize("case", WITNESS_MISMATCH, ids=lambda c: "%s %s %s" % (
+    c["factor"], c["argv"][2], c["argv"][6]))
+def test_witness_with_scaled_steps(capsys, monkeypatch, case):
+    # Every e/f step times q is still a run, so the factored form decides;
+    # times 1 + q it is not, so the command checks the expanded way; times
+    # -1 the signs cancel on an even word only.  Stdout and exit code were
+    # recorded before the witness was checked in factored form; either way
+    # the command builds one table.
+    real = iqg.oscillator_action
+    factor = STEP_FACTORS[case["factor"]]
+    builds = []
+
+    def scaled(diagram):
+        builds.append(diagram.spec_string)
+        table = real(diagram)
+        entries = dict(table.entries)
+        for sym, act in table.entries.items():
+            if sym.fam in ("e", "f"):
+                entries[sym] = lambda mon, act=act: [(t, c * factor)
+                                                     for t, c in act(mon)]
+        return ActionTable(table.nvars, entries)
+
+    monkeypatch.setattr(iqg, "oscillator_action", scaled)
+    code, out, _ = run(capsys, *case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])
+    assert builds == [case["argv"][2]]
+
+
+@pytest.mark.parametrize("direction", ["up", "down"])
+def test_verified_witness_multiplies_no_two_long_factors(capsys, monkeypatch,
+                                                         direction):
+    # The word is walked in factored form and the coefficient is expanded on
+    # dense lists: no Laurent product has two factors of several terms.
+    real = LaurentPoly.__mul__
+    long_products = []
+
+    def counting(self, other):
+        if (isinstance(other, LaurentPoly) and len(list(self.items())) > 1
+                and len(list(other.items())) > 1):
+            long_products.append((str(self), str(other)))
+        return real(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", counting)
+    code, out, _ = run(capsys, "witness", "--diagram", "IV:r=2",
+                       "--monomial", "3,3,3,3", "--direction", direction)
+    assert (code, out.splitlines()[-1]) == (0, "VERIFIED")
+    assert long_products == []
+
+
+def walk_form(runs):
+    """``_factored_walk`` over a one-variable table whose i-th letter sends
+    X0^i to runs[i] X0^(i+1)."""
+    table = ActionTable(1, {GeneratorSymbol("e", i):
+                            (lambda mon, r=r: [((mon[0] + 1,), ScalarQ(r))])
+                            for i, r in enumerate(runs)})
+    word = [GeneratorSymbol("e", i) for i in range(len(runs))]
+    return _factored_walk(word[::-1], (0,), table)
+
+
+def run_poly(lo, m, v):
+    """v*q^lo*(1 + q^2 + ... + q^(2(m-1)))."""
+    return LaurentPoly({lo + 2 * j: v for j in range(m)})
+
+
+runs = st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 7),
+                          st.sampled_from([1, -1, 2, Fraction(-1, 3)])),
+                max_size=5)
+
+
+@st.composite
+def run_pairs(draw):
+    """Two lists of runs: independent, one regrouped from the other, or one
+    with a q-integer [m] of the other once more."""
+    a = draw(runs)
+    mode = draw(st.sampled_from(["independent", "regrouped", "repeated"]))
+    if mode == "independent" or not a:
+        return a, draw(runs)
+    if mode == "repeated":
+        m = draw(st.sampled_from(a))[1]
+        return a, a + [(1 - m, m, 1)]
+    b = draw(st.permutations(a))
+    if len(b) > 1:
+        # move content and q-shift between two runs: the same product
+        (lo0, m0, v0), (lo1, m1, v1) = b[0], b[1]
+        d = draw(st.integers(-3, 3))
+        b[0], b[1] = (lo0 + d, m0, v0 * 2), (lo1 - d, m1, Fraction(v1) / 2)
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_pairs())
+@example(([(-5, 6, 1)], [(-1, 2, 1), (-2, 3, 1)]))  # [6] against [2][3]
+@example(([(-3, 4, 1)], [(-1, 2, 1), (-1, 2, 1)]))  # [4] against [2][2]
+@example(([(-1, 2, 1)], [(-1, 2, 1), (-1, 2, 1)]))  # [2] against [2][2]
+def test_factored_forms_are_equal_iff_products_are(pair):
+    a, b = [[run_poly(*r) for r in rs] for rs in pair]
+    form_a, form_b = walk_form(a), walk_form(b)
+    expanded = [prod(rs, start=LaurentPoly.one()) for rs in (a, b)]
+    assert (form_a[1:] == form_b[1:]) == (expanded[0] == expanded[1])
+
+
+def test_factored_walk_refuses_what_is_not_a_run():
+    assert walk_form([run_poly(0, 2, 1), LaurentPoly({0: 1, 1: 1})]) is None
+    assert walk_form([LaurentPoly({0: 1, 4: 1})]) is None
+    assert walk_form([LaurentPoly()]) is None
+    assert walk_form([run_poly(-1, 2, 3), run_poly(4, 1, -1)]) \
+        == ((2,), -3, 4, [2])
 
 
 def test_witness_malformed_vector_exit_two(capsys):

@@ -3,7 +3,7 @@
 Covers the field laws, agreement with ``sympy.cancel`` after evaluation at
 rational points of q, agreement of every fast path with the general
 ``_canonical`` reduction, the run product against the double loop and
-sympy, the stored coefficient types, the rule that equal values hash
+sympy, ``q_product`` against one product per factor, the stored coefficient types, the rule that equal values hash
 alike across int, Fraction, LaurentPoly and ScalarQ, and the text round trip
 of polynomials with such coefficients.
 """
@@ -12,9 +12,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from closed_forms import reference_q_product
 from evaluation import eval_laurent, eval_scalar
 from qweyl.opcalc import QPolynomial, poly_from_text, poly_to_text
 from qweyl.qscalar import (LaurentPoly, ScalarQ, _canonical, _run,
@@ -294,6 +295,24 @@ def test_q_product_with_a_start(ns, start):
         expected = dense_product(expected, dict(q_integer(n).items()))
     product = q_product(ns, start)
     assert dict(product.items()) == expected
+    assert_coefficient_types(product)
+
+
+# int, Fraction and mixed-parity starts; the chains run past one factor
+chain_starts = st.one_of(st.integers(-6, 6), st.fractions(
+    min_value=-4, max_value=4, max_denominator=6), laurent, dense_factor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-14, 14), max_size=9), chain_starts)
+@example([], 1)
+@example([1, -1, 1], Fraction(2, 3))
+@example([4, 0, 3], 5)
+@example([-3, -5, 2], LaurentPoly({-3: 1, 0: Fraction(-1, 2), 2: 4}))
+@example([7, 7, -7], LaurentPoly({0: 1, 1: 1}))
+def test_q_product_matches_the_reference(ns, start):
+    product = q_product(ns, start)
+    assert dict(product.items()) == dict(reference_q_product(ns, start).items())
     assert_coefficient_types(product)
 
 
