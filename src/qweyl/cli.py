@@ -18,8 +18,8 @@ from . import crystal as crystal_mod
 from . import iqg, modweyl, weyl
 from .opcalc import (GeneratorSymbol, OperatorExpr, QPolynomial, apply,
                      apply_word, image_table, poly_from_text, poly_to_text,
-                     report_failures, verify_relations)
-from .qscalar import LaurentPoly, ScalarQ, _run, q_product
+                     report_failures, verify_relations, walk_word)
+from .qscalar import LaurentPoly, ScalarQ, q_product
 from .satake import SatakeDiagram, parse_spec
 
 SUITES = ("weyl", "uqsl", "modweyl", "iqg", "all")
@@ -143,25 +143,14 @@ def _cmd_crystal(args) -> int:
     return 0
 
 
-def _factored_walk(word, mon, table):
-    """(end monomial, content, q-shift, sorted m >= 2) of ``word`` on X^mon,
-    when each letter, rightmost first, gives one term whose coefficient is a
-    run c*q^lo*(1 + q^2 + ... + q^(2(m-1))) = c*q^(lo+m-1)*[m]; else None."""
-    content, shift, ms = 1, 0, []
-    for sym in reversed(word):
-        terms = table.act(sym, mon)
-        if len(terms) != 1:
-            return None
-        mon, c = terms[0]
-        run = (c.is_polynomial and not c.is_zero
-               and _run(dict(c.num.items())))
-        if not run:
-            return None
-        lo, m, v = run
-        content, shift = content * v, shift + lo + m - 1
-        if m > 1:
-            ms.append(m)
-    return mon, content, shift, sorted(ms)
+def _factored_form(word, mon, table):
+    """(end monomial, content, q-shift, sorted m >= 2) of ``word`` on X^mon
+    if its walk is one path of runs only (c = 1 in ``walk_word``); else None."""
+    paths = walk_word(word, mon, table)
+    if len(paths) != 1 or not paths[0][1].is_one:
+        return None
+    target, _, lo, v, widths = paths[0]
+    return target, v, lo + sum(widths) - len(widths), sorted(widths)
 
 
 def _cmd_witness(args) -> int:
@@ -195,7 +184,7 @@ def _cmd_witness(args) -> int:
     table = iqg.oscillator_action(diagram)
     form = (target, prod([1 if n > 0 else -1 for n in steps]), 0,
             sorted([abs(n) for n in steps if abs(n) > 1]))
-    if not (all(steps) and form == _factored_walk(word, start, table)):
+    if not (all(steps) and form == _factored_form(word, start, table)):
         result = apply_word(word, QPolynomial.monomial(start), table)
         if result != QPolynomial.monomial(target, predicted):
             print("MISMATCH: got %s" % poly_to_text(result))

@@ -317,6 +317,9 @@ def spanning_witness(diagram: SatakeDiagram, b: Tuple[int, ...]):
     return word, ScalarQ(q_product(steps))
 
 
+MAX_WITNESS_DEGREE = 256  # witness words and coefficients grow with it
+
+
 def _witness_vector(diagram, a):
     """``a`` as an exponent vector of ``diagram``, whose kind has witnesses."""
     a = tuple(int(x) for x in a)
@@ -325,6 +328,9 @@ def _witness_vector(diagram, a):
                          % (len(a), diagram.nslots))
     if any(x < 0 for x in a):
         raise ValueError("negative exponent in %r" % (a,))
+    if sum(a) > MAX_WITNESS_DEGREE:
+        raise ValueError("total degree %d of %r is above %d" % (
+            sum(a), a, MAX_WITNESS_DEGREE))
     if diagram.kind == "VI":
         raise ValueError("kind VI ladder operators never move slot 0; "
                          "the constant-slot witness does not exist")

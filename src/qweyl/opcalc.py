@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
-from .qscalar import ScalarQ, q_factorial
+from .qscalar import ScalarQ, _run, _window_product, q_factorial
 from .shift import ShiftForm, ShiftWord, compile_relation
 
 Monomial = Tuple[int, ...]
@@ -262,13 +262,13 @@ class OperatorExpr:
     __repr__ = __str__
 
 
-def divided_power(g: GeneratorSymbol, n: int, k: int = 1) -> OperatorExpr:
-    """g^n / [n]^k!; negative n gives the zero operator by convention."""
+def divided_power(g: GeneratorSymbol, n: int) -> OperatorExpr:
+    """g^n / [n]!; negative n gives the zero operator by convention."""
     if n < 0:
         return OperatorExpr.zero()
     if n == 0:
         return OperatorExpr.identity()
-    return OperatorExpr.word((g,) * n, ScalarQ(1, q_factorial(n, k)))
+    return OperatorExpr.word((g,) * n, ScalarQ(1, q_factorial(n, 1)))
 
 
 def expr_map(expr: OperatorExpr, mapping: Dict[GeneratorSymbol, OperatorExpr]) -> OperatorExpr:
@@ -332,27 +332,49 @@ def image_table(images: Dict[GeneratorSymbol, OperatorExpr],
         for sym, image in images.items()})
 
 
+def walk_word(word: Word, mon: Monomial, table: ActionTable,
+              c: ScalarQ = _ONE) -> list:
+    """The paths of ``word`` from c*X^mon, rightmost letter first: each is
+    (target, c, lo, v, widths), the term c*v*q^lo*X^target times (1 + q^2 +
+    ... + q^(2(m-1))) for each m in widths.  A step that is such a run, as
+    every q-integer and every +-q^k is, goes into lo, v and widths (if
+    m >= 2); any other nonzero step multiplies c, and a zero one ends its
+    path.  So ``apply`` multiplies each path's q-integers out once."""
+    paths = [(mon, c, 0, 1, ())]
+    for sym in reversed(word):
+        nxt = []
+        for mon, c, lo, v, widths in paths:
+            for target, step in table.act(sym, mon):
+                if step.is_zero:
+                    continue
+                run = step.is_polynomial and _run(dict(step.num.items()))
+                if run:
+                    lo2, m, v2 = run
+                    nxt.append((target, c, lo + lo2, v * v2,
+                                widths + (m,) if m > 1 else widths))
+                else:
+                    nxt.append((target, c * step, lo, v, widths))
+        paths = nxt
+    return paths
+
+
 def apply(expr: OperatorExpr, p: QPolynomial, table: ActionTable) -> QPolynomial:
-    """Apply an operator expression to a polynomial, rightmost symbol first."""
+    """Apply an operator expression to a polynomial, rightmost symbol first,
+    as the sum of the ``walk_word`` paths of every word and term."""
     acc: Dict[Monomial, ScalarQ] = {}
     for word, c in expr.terms.items():
-        pending = list(p.terms.items())
-        for sym in reversed(word):
-            nxt: TermList = []
-            for mon, coeff in pending:
-                for mon2, coeff2 in table.act(sym, mon):
-                    nxt.append((mon2, coeff * coeff2))
-            pending = nxt
-            if not pending:
-                break
-        for mon, coeff in pending:
-            v = coeff * c
-            w = acc.get(mon)
-            w = v if w is None else w + v
-            if w.is_zero:
-                acc.pop(mon, None)
-            else:
-                acc[mon] = w
+        for mon, coeff in p.terms.items():
+            for target, pc, lo, v, widths in walk_word(word, mon, table,
+                                                       coeff * c):
+                num = (_window_product(dict(pc.num.items()), widths, lo, v)
+                       if widths else pc.num._term_mul(lo, v))
+                value = ScalarQ(num, pc.den)
+                w = acc.get(target)
+                w = value if w is None else w + value
+                if w.is_zero:
+                    acc.pop(target, None)
+                else:
+                    acc[target] = w
     out = QPolynomial.__new__(QPolynomial)
     out.nvars, out.terms = p.nvars, acc
     return out

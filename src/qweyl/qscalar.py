@@ -9,14 +9,14 @@ hashing are structural.  No floating point anywhere.
 Almost every value met in practice is a Laurent polynomial with integer
 coefficients, so the common cases skip the general machinery: coefficients
 are stored as ``int`` whenever they are integral, a product with a single
-term is a relabelling of exponents, a product with a run v*q^lo*(1 + q^2 +
-... + q^(2(m-1))), such as a q-integer, is a strided running sum in
-O(span + m) (``q_product`` chains them on the same dense lists), and a
-denominator c*q^k is divided out directly.  Only a denominator with two or
-more terms needs a polynomial gcd, and not even then when it equals the
-numerator (the ratio is 1) or when the numerator is a single term (the gcd
-is 1), which covers coefficients such as 1/[n]!.  A product of two such
-single-term quotients is already canonical.
+term is a relabelling of exponents, a chain of q-integers is multiplied
+out by strided running sums on dense lists (``q_product``, and each path
+of ``opcalc.walk_word``), and a denominator c*q^k is divided out directly.
+Only a denominator with two or more terms needs a polynomial gcd, and not
+even then when it equals the numerator (the ratio is 1) or when the
+numerator is a single term (the gcd is 1), which covers coefficients such
+as 1/[n]!.  A product of two such single-term quotients is already
+canonical.
 """
 
 from __future__ import annotations
@@ -183,12 +183,6 @@ class LaurentPoly:
         if len(short) == 1:
             (k, v), = short.items()
             return long._term_mul(k, v)
-        # Below ~40 term products the double loop is cheaper (CPython 3.11);
-        # a zero factor has none.
-        run = _run(short) if len(a) * len(b) >= 40 else None
-        out = run and _run_product(long._c, *run)
-        if out is not None:
-            return out
         c = {}
         for e1, v1 in a.items():
             for e2, v2 in b.items():
@@ -268,14 +262,6 @@ def _run(c):
             w == v and not (e - lo) & 1 for e, w in c.items()):
         return lo, m, v
     return None
-
-
-def _run_product(c, lo: int, m: int, v):
-    """c times the run v*q^lo*(1 + q^2 + ... + q^(2(m-1))) in O(span + m),
-    or None if c is so sparse that the double loop is cheaper."""
-    if (max(c) - min(c)) // 2 + m >= len(c) * m:
-        return None
-    return _window_product(c, (m,), lo, v)
 
 
 def _window_product(c, widths, shift: int, v) -> LaurentPoly:
@@ -584,10 +570,8 @@ def q_factorial(a: int, k: int) -> LaurentPoly:
 def q_product(ns, start=1) -> LaurentPoly:
     """start times [n] for each n in ns, multiplied out on dense lists.
 
-    [n] is sign(n)*q^(1-|n|)*(1 + q^2 + ... + q^(2(|n|-1))), so a chain of
-    two or more |n| > 1 is one ``_window_product``; a chain of one is a
-    single run product, which for the short coefficients most callers build
-    costs less than setting up the dense lists.
+    [n] is sign(n)*q^(1-|n|)*(1 + q^2 + ... + q^(2(|n|-1))), so the
+    chain is one ``_window_product`` over its |n| > 1.
     """
     start = start if isinstance(start, LaurentPoly) else LaurentPoly(start)
     sign, shift, widths = 1, 0, []
@@ -601,10 +585,8 @@ def q_product(ns, start=1) -> LaurentPoly:
             widths.append(abs(n))
     if not start:
         return start
-    if len(widths) > 1:
-        return _window_product(start._c, widths, shift, sign)
     if widths:
-        return start * q_integer(sign * widths[0])
+        return _window_product(start._c, widths, shift, sign)
     return start._term_mul(0, sign)
 
 

@@ -12,7 +12,9 @@ was before it skipped its products by 1: every coefficient times the product
 of the other denominators and times a power of q - q^-1, that power and the
 product taken even when they are 1.  ``reference_q_product`` is
 ``qscalar.q_product`` as it was before it ran on dense lists: one
-``LaurentPoly`` product per q-integer.
+``LaurentPoly`` product per q-integer.  ``reference_apply`` is
+``opcalc.apply`` as it was before it walked each word in factored form:
+one ``ScalarQ`` product per letter and term.
 """
 
 from math import comb, prod
@@ -269,4 +271,31 @@ def reference_q_product(ns, start=1) -> LaurentPoly:
     out = start if isinstance(start, LaurentPoly) else LaurentPoly(start)
     for n in ns:
         out = out * q_integer(n)
+    return out
+
+
+def reference_apply(expr: OperatorExpr, p: QPolynomial,
+                    table: ActionTable) -> QPolynomial:
+    """Apply an operator expression to a polynomial, rightmost symbol first."""
+    acc = {}
+    for word, c in expr.terms.items():
+        pending = list(p.terms.items())
+        for sym in reversed(word):
+            nxt = []
+            for mon, coeff in pending:
+                for mon2, coeff2 in table.act(sym, mon):
+                    nxt.append((mon2, coeff * coeff2))
+            pending = nxt
+            if not pending:
+                break
+        for mon, coeff in pending:
+            v = coeff * c
+            w = acc.get(mon)
+            w = v if w is None else w + v
+            if w.is_zero:
+                acc.pop(mon, None)
+            else:
+                acc[mon] = w
+    out = QPolynomial.__new__(QPolynomial)
+    out.nvars, out.terms = p.nvars, acc
     return out

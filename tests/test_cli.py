@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qweyl import iqg
-from qweyl.cli import _factored_walk, build_parser, main, parse_word
+from qweyl.cli import _factored_form, build_parser, main, parse_word
 from qweyl.crystal import crystal_graph, parse_json
 from qweyl.opcalc import ActionTable, GeneratorSymbol
 from qweyl.qscalar import LaurentPoly, ScalarQ
@@ -142,6 +142,28 @@ def test_witness_bad_monomial_is_usage_error(capsys, monomial):
     assert out == ""
     assert "error: bad --monomial %r" % monomial in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("diagram,monomial,direction", [
+    ("I:r=0", "257,0", "up"),
+    ("I:r=0", "100000000,0", "down"),
+    ("IV:r=2", "64,64,64,65", "down"),
+])
+def test_witness_runaway_degree_is_usage_error(capsys, diagram, monomial,
+                                               direction):
+    # refused before the word is built: no output, one message
+    code, out, err = run(capsys, "witness", "--diagram", diagram,
+                         "--monomial", monomial, "--direction", direction)
+    assert code == 2
+    assert out == ""
+    assert "is above %d" % iqg.MAX_WITNESS_DEGREE in err
+    assert "Traceback" not in err
+
+
+def test_witness_steps_at_the_degree_bound():
+    word, steps = iqg.witness_steps(build_diagram("I", 0),
+                                    (0, iqg.MAX_WITNESS_DEGREE), True)
+    assert len(word) == len(steps) == iqg.MAX_WITNESS_DEGREE
 
 
 def test_verify_json_into_missing_directory_is_usage_error(capsys, tmp_path):
@@ -321,9 +343,22 @@ def test_witness_with_scaled_steps(capsys, monkeypatch, case):
     assert builds == [case["argv"][2]]
 
 
-@pytest.mark.parametrize("direction", ["up", "down"])
+UP_WORD, UP_COEFF = iqg.irreducibility_witness(build_diagram("IV", 2),
+                                               (3, 3, 3, 3))
+
+
+@pytest.mark.parametrize("argv,last", [
+    (("witness", "--diagram", "IV:r=2", "--monomial", "3,3,3,3",
+      "--direction", "up"), "VERIFIED"),
+    (("witness", "--diagram", "IV:r=2", "--monomial", "3,3,3,3",
+      "--direction", "down"), "VERIFIED"),
+    # act walks the same up word and multiplies its q-integers out once
+    (("act", "--diagram", "IV:r=2",
+      "--word", " ".join(sym.label for sym in UP_WORD),
+      "--poly", "X0^3*X1^3*X2^3*X3^3"), "(%s)*X0^12" % UP_COEFF),
+], ids=["up", "down", "act"])
 def test_verified_witness_multiplies_no_two_long_factors(capsys, monkeypatch,
-                                                         direction):
+                                                         argv, last):
     # The word is walked in factored form and the coefficient is expanded on
     # dense lists: no Laurent product has two factors of several terms.
     real = LaurentPoly.__mul__
@@ -337,20 +372,19 @@ def test_verified_witness_multiplies_no_two_long_factors(capsys, monkeypatch,
 
     monkeypatch.setattr(LaurentPoly, "__mul__", counting)
     monkeypatch.setattr(LaurentPoly, "__rmul__", counting)
-    code, out, _ = run(capsys, "witness", "--diagram", "IV:r=2",
-                       "--monomial", "3,3,3,3", "--direction", direction)
-    assert (code, out.splitlines()[-1]) == (0, "VERIFIED")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out.splitlines()[-1]) == (0, last)
     assert long_products == []
 
 
 def walk_form(runs):
-    """``_factored_walk`` over a one-variable table whose i-th letter sends
-    X0^i to runs[i] X0^(i+1)."""
+    """The factored form of the shared word walk over a one-variable table
+    whose i-th letter sends X0^i to runs[i] X0^(i+1)."""
     table = ActionTable(1, {GeneratorSymbol("e", i):
                             (lambda mon, r=r: [((mon[0] + 1,), ScalarQ(r))])
                             for i, r in enumerate(runs)})
     word = [GeneratorSymbol("e", i) for i in range(len(runs))]
-    return _factored_walk(word[::-1], (0,), table)
+    return _factored_form(word[::-1], (0,), table)
 
 
 def run_poly(lo, m, v):

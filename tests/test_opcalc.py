@@ -1,9 +1,14 @@
 """Polynomial ring and free operator calculus."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from closed_forms import reference_apply
+from qweyl.iqg import oscillator_action
 from qweyl.opcalc import (ActionTable, GeneratorSymbol, OperatorExpr,
                           QPolynomial, apply, apply_word, divided_power,
                           monomials_of_degree, monomials_up_to,
@@ -11,7 +16,7 @@ from qweyl.opcalc import (ActionTable, GeneratorSymbol, OperatorExpr,
                           poly_to_text)
 from qweyl.qscalar import (Q_MINUS_QINV, LaurentPoly, ScalarQ, q_factorial,
                            q_integer)
-from qweyl.satake import build_diagram
+from qweyl.satake import build_diagram, parse_spec
 from qweyl.modweyl import d_, iota_table, m_, modweyl_table, x_
 from qweyl.weyl import D, M, X, weyl_table
 
@@ -111,8 +116,6 @@ def test_divided_power_convention():
     dp = divided_power(b, 2)
     assert dp.terms == {(b, b): ScalarQ(1, q_factorial(2, 1))}
     assert divided_power(b, -1).is_zero
-    dp3 = divided_power(b, 2, k=3)
-    assert dp3.terms == {(b, b): ScalarQ(1, q_factorial(2, 3))}
 
 
 def test_apply_word_examples():
@@ -254,3 +257,55 @@ def test_mul_monomial_by_zero_is_the_zero_polynomial():
         out = p.mul_monomial((1, 1), zero)
         assert out.is_zero
         assert out == QPolynomial.zero(2)
+
+
+# --- apply against the letter-by-letter reference ------------------------------
+
+ONE_PLUS_Q = LaurentPoly({0: 1, 1: 1})
+STEP_SCALES = [ScalarQ.q_power(3), ScalarQ.q_power(-2), ScalarQ(-1),
+               ScalarQ(ONE_PLUS_Q), ScalarQ(1, ONE_PLUS_Q), ScalarQ.zero()]
+OSCILLATOR_TABLES = {spec: oscillator_action(parse_spec(spec))
+                     for spec in ("I:r=0", "II:r=0", "IV:r=1", "A1AFF")}
+TWO_TARGETS = GeneratorSymbol("g", 0)
+coefficients = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
+    st.sampled_from([ScalarQ(LaurentPoly({-1: 2, 2: Fraction(1, 3)})),
+                     ScalarQ(LaurentPoly({0: 1, 3: -1}), ONE_PLUS_Q),
+                     ScalarQ(1, LaurentPoly({0: 2, 2: 1, 3: 1}))]))
+
+
+@st.composite
+def apply_cases(draw):
+    """(expr, poly, table): a scaled oscillator table with one two-target
+    entry, words over it, and a polynomial of several terms."""
+    base = OSCILLATOR_TABLES[draw(st.sampled_from(sorted(OSCILLATOR_TABLES)))]
+    entries = dict(base.entries)
+    symbols = sorted(entries)
+    for sym in draw(st.lists(st.sampled_from(symbols), max_size=4)):
+        factor = draw(st.sampled_from(STEP_SCALES))
+        entries[sym] = lambda mon, act=entries[sym], f=factor: [
+            (t, c * f) for t, c in act(mon)]
+    ef = [sym for sym in symbols if sym.fam in ("e", "f")]
+    e, f = draw(st.sampled_from(ef)), draw(st.sampled_from(ef))
+    entries[TWO_TARGETS] = lambda mon, e=entries[e], f=entries[f]: [
+        (t, c * ONE_PLUS_Q) for t, c in e(mon)] + f(mon)
+    symbols.append(TWO_TARGETS)
+    words = st.lists(st.sampled_from(symbols), max_size=5).map(tuple)
+    expr = OperatorExpr(draw(st.dictionaries(words, coefficients, min_size=1,
+                                             max_size=2)))
+    nvars = base.nvars
+    mons = st.lists(st.integers(0, 3), min_size=nvars,
+                    max_size=nvars).map(tuple)
+    poly = QPolynomial(nvars, draw(st.dictionaries(mons, coefficients,
+                                                   min_size=1, max_size=3)))
+    return expr, poly, ActionTable(nvars, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(apply_cases())
+def test_apply_matches_the_letter_by_letter_reference(case):
+    expr, poly, table = case
+    # the same terms in the same order, each in the same canonical form
+    assert (list(apply(expr, poly, table).terms.items())
+            == list(reference_apply(expr, poly, table).terms.items()))

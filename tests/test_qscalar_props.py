@@ -19,7 +19,7 @@ from closed_forms import reference_q_product
 from evaluation import eval_laurent, eval_scalar
 from qweyl.opcalc import QPolynomial, poly_from_text, poly_to_text
 from qweyl.qscalar import (LaurentPoly, ScalarQ, _canonical, _run,
-                           _run_product, factorial_steps, q_factorial,
+                           _window_product, factorial_steps, q_factorial,
                            q_integer, q_product)
 
 Q = sympy.Symbol("q")
@@ -208,11 +208,10 @@ def assert_run_product(p, lo, m, v):
     for product in (p * run, run * p):
         assert dict(product.items()) == expected
         assert_coefficient_types(product)
-    direct = _run_product(dict(p.items()), lo, m, v) if p else None
-    if direct is not None:
+    if p:
+        direct = _window_product(dict(p.items()), (m,), lo, v)
         assert dict(direct.items()) == expected
         assert_coefficient_types(direct)
-    return direct
 
 
 @settings(max_examples=300, deadline=None)
@@ -224,17 +223,16 @@ def test_run_product_matches_double_loop(p, params):
 @pytest.mark.parametrize("m", range(1, 41))
 def test_run_product_every_length(m):
     # an int, a negative and a Fraction v at odd and even lo, on a dense
-    # mixed-parity factor long enough that the strided pass runs
+    # mixed-parity factor
     p = LaurentPoly({e: (e % 7) - 3 for e in range(-5, 20)})
     for lo in (-7, 0, 4):
         for v in (1, -2, Fraction(3, 4)):
-            assert assert_run_product(p, lo, m, v) is not None
+            assert_run_product(p, lo, m, v)
 
 
-def test_run_product_declines_a_sparse_factor():
-    # two terms 80 apart: 42 strided steps against 6 term products
+def test_run_product_of_a_sparse_factor():
+    # two terms 80 apart: the kernel's dense lists span the gap
     p = LaurentPoly({40: 1, -40: -1})
-    assert _run_product(dict(p.items()), 0, 3, 1) is None
     assert_run_product(p, 0, 3, 1)
     assert_run_product(LaurentPoly({-9: 2, 0: Fraction(1, 3), 1: -1, 30: 5}),
                        1, 12, -1)
