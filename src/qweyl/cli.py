@@ -17,7 +17,7 @@ from math import prod
 from . import crystal as crystal_mod
 from . import iqg, modweyl, weyl
 from .opcalc import (GeneratorSymbol, OperatorExpr, QPolynomial, apply,
-                     apply_word, image_table, poly_from_text, poly_to_text,
+                     expand_paths, image_table, poly_from_text, poly_to_text,
                      report_failures, verify_relations, walk_word)
 from .qscalar import LaurentPoly, ScalarQ, q_product
 from .satake import SatakeDiagram, parse_spec
@@ -143,10 +143,10 @@ def _cmd_crystal(args) -> int:
     return 0
 
 
-def _factored_form(word, mon, table):
-    """(end monomial, content, q-shift, sorted m >= 2) of ``word`` on X^mon
-    if its walk is one path of runs only (c = 1 in ``walk_word``); else None."""
-    paths = walk_word(word, mon, table)
+def _factored_form(paths):
+    """(end monomial, content, q-shift, sorted m >= 2) of a word's
+    ``walk_word`` paths if they are one path of runs only (c = 1); else
+    None."""
     if len(paths) != 1 or not paths[0][1].is_one:
         return None
     target, _, lo, v, widths = paths[0]
@@ -165,8 +165,8 @@ def _cmd_witness(args) -> int:
     c, k and every e_d = #{i : d | m_i}, hence, by Moebius inversion, the
     multiset {m_i}: two such products are equal iff their forms are.  A walk
     that leaves this form, or a zero predicted factor, is decided the
-    expanded way, by applying the word over the same table, which also
-    names what it got.
+    expanded way, by summing the same walk's paths as ``apply`` does, which
+    also names what it got.
     """
     diagram = parse_spec(args.diagram)
     try:
@@ -184,8 +184,9 @@ def _cmd_witness(args) -> int:
     table = iqg.oscillator_action(diagram)
     form = (target, prod([1 if n > 0 else -1 for n in steps]), 0,
             sorted([abs(n) for n in steps if abs(n) > 1]))
-    if not (all(steps) and form == _factored_form(word, start, table)):
-        result = apply_word(word, QPolynomial.monomial(start), table)
+    paths = walk_word(word, start, table)
+    if not (all(steps) and form == _factored_form(paths)):
+        result = QPolynomial(diagram.nslots, expand_paths(paths, {}))
         if result != QPolynomial.monomial(target, predicted):
             print("MISMATCH: got %s" % poly_to_text(result))
             return 1

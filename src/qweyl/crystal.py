@@ -28,9 +28,20 @@ _UNSUPPORTED_MSG = ("crystal bases are only constructed for the ladder "
                     "families I, III and A1AFF; kind %s is not supported")
 
 
+MAX_CRYSTAL_NODES = 20_000  # a graph walks and prints every node
+
+
 def _require_crystal_kind(diagram: SatakeDiagram):
     if diagram.kind not in CRYSTAL_KINDS:
         raise ValueError(_UNSUPPORTED_MSG % diagram.kind)
+
+
+def _require_crystal_size(diagram: SatakeDiagram, s: int):
+    """Refuse a degree s whose crystal has more than MAX_CRYSTAL_NODES
+    nodes, the monomials of degree s, before any is built."""
+    if s >= 0 and comb(s + diagram.r + 1, diagram.r + 1) > MAX_CRYSTAL_NODES:
+        raise ValueError("crystal of %s at s = %d has more than %d nodes"
+                         % (diagram.spec_string, s, MAX_CRYSTAL_NODES))
 
 
 def _string_walk(diagram: SatakeDiagram, i: int, b: Monomial,
@@ -177,6 +188,7 @@ def crystal_graph(diagram: SatakeDiagram, s: int) -> CrystalGraph:
     _require_crystal_kind(diagram)
     if s < 0:
         raise ValueError("degree s must be >= 0")
+    _require_crystal_size(diagram, s)
     nodes = tuple(monomials_of_degree(diagram.nslots, s))
     edges = []
     for a, i, _, f_coords in _string_steps(diagram, nodes):
@@ -195,6 +207,7 @@ def crystal_axioms_check(diagram: SatakeDiagram, s: int) -> dict:
     binomial(s+r+1, r+1).  The images come from ``_string_steps``.
     """
     _require_crystal_kind(diagram)
+    _require_crystal_size(diagram, s)
     nodes = monomials_of_degree(diagram.nslots, s)
     report = {"diagram": diagram.spec_string, "s": s,
               "closure_ok": True, "b5_ok": True, "weight_ok": True,

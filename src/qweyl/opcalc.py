@@ -198,11 +198,15 @@ class OperatorExpr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
+    def _combine(self, other: "OperatorExpr", sign: int) -> "OperatorExpr":
+        """self + sign * other in one pass over other's terms."""
         t = dict(self.terms)
         for w, c in other.terms.items():
             v = t.get(w)
-            v = c if v is None else v + c
+            if v is None:
+                v = c if sign > 0 else -c
+            else:
+                v = v + c if sign > 0 else v - c
             if v.is_zero:
                 t.pop(w, None)
             else:
@@ -211,13 +215,16 @@ class OperatorExpr:
         out.terms = t
         return out
 
+    def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
+        return self._combine(other, 1)
+
     def __neg__(self):
         out = OperatorExpr.__new__(OperatorExpr)
         out.terms = {w: -c for w, c in self.terms.items()}
         return out
 
-    def __sub__(self, other):
-        return self + (-other)
+    def __sub__(self, other: "OperatorExpr") -> "OperatorExpr":
+        return self._combine(other, -1)
 
     def scale(self, c) -> "OperatorExpr":
         c = c if isinstance(c, ScalarQ) else ScalarQ(c)
@@ -358,23 +365,31 @@ def walk_word(word: Word, mon: Monomial, table: ActionTable,
     return paths
 
 
+def expand_paths(paths, acc: Dict[Monomial, ScalarQ]
+                 ) -> Dict[Monomial, ScalarQ]:
+    """Add each ``walk_word`` path, its q-integers multiplied out once, to
+    the term it reaches in ``acc`` (monomial to ScalarQ), dropping sums
+    that cancel; returns ``acc``."""
+    for target, pc, lo, v, widths in paths:
+        num = (_window_product(dict(pc.num.items()), widths, lo, v)
+               if widths else pc.num._term_mul(lo, v))
+        value = ScalarQ(num, pc.den)
+        w = acc.get(target)
+        w = value if w is None else w + value
+        if w.is_zero:
+            acc.pop(target, None)
+        else:
+            acc[target] = w
+    return acc
+
+
 def apply(expr: OperatorExpr, p: QPolynomial, table: ActionTable) -> QPolynomial:
     """Apply an operator expression to a polynomial, rightmost symbol first,
     as the sum of the ``walk_word`` paths of every word and term."""
     acc: Dict[Monomial, ScalarQ] = {}
     for word, c in expr.terms.items():
         for mon, coeff in p.terms.items():
-            for target, pc, lo, v, widths in walk_word(word, mon, table,
-                                                       coeff * c):
-                num = (_window_product(dict(pc.num.items()), widths, lo, v)
-                       if widths else pc.num._term_mul(lo, v))
-                value = ScalarQ(num, pc.den)
-                w = acc.get(target)
-                w = value if w is None else w + value
-                if w.is_zero:
-                    acc.pop(target, None)
-                else:
-                    acc[target] = w
+            expand_paths(walk_word(word, mon, table, coeff * c), acc)
     out = QPolynomial.__new__(QPolynomial)
     out.nvars, out.terms = p.nvars, acc
     return out
@@ -384,19 +399,19 @@ def apply_word(word: Word, p: QPolynomial, table: ActionTable) -> QPolynomial:
     return apply(OperatorExpr.word(word), p, table)
 
 
-def _residuals(form: ShiftForm, nvars: int, max_s: int):
-    """Residuals of a compiled relation on the monomials of degree <= max_s.
+def _residuals(form: ShiftForm, nvars: int, monomials):
+    """Residuals of a compiled relation on ``monomials``, in their order.
 
-    Yields (monomial, residual) in ``monomials_up_to`` order: each component
-    of ``form`` is a ``ShiftWord`` evaluated at X^a, and each value is
-    divided by the form's ``scale``.  A form without components is the zero
-    operator and yields nothing, without enumerating a monomial.
+    Yields (monomial, residual): each component of ``form`` is a
+    ``ShiftWord`` evaluated at X^a, and each value is divided by the form's
+    ``scale``.  A form without components is the zero operator and yields
+    nothing, without drawing a monomial.
     """
     if not form.components:
         return
     words = [ShiftWord.from_poly(delta, poly)
              for delta, poly in form.components.items()]
-    for mon in monomials_up_to(nvars, max_s):
+    for mon in monomials:
         # distinct components have distinct shift vectors: no target repeats
         terms = {tgt: ScalarQ(c.num, form.scale)
                  for word in words for tgt, c in word(mon)}
@@ -413,7 +428,7 @@ def operator_equal_on_degrees(e1: OperatorExpr, e2: OperatorExpr,
     form of e1 - e2.
     """
     return list(_residuals(compile_relation(e1 - e2, table), table.nvars,
-                           max_s))
+                           monomials_up_to(table.nvars, max_s)))
 
 
 def verify_relations(instances, table: ActionTable, max_s: int):
@@ -423,19 +438,24 @@ def verify_relations(instances, table: ActionTable, max_s: int):
     homomorphism's relations, pass ``image_table(images, table)``.  Returns
     a list of per-instance report dicts.
 
-    Each relation is compiled once (``compile_relation``), and the verdict
-    is read off that form: OK exactly when it is zero, so the relation holds
-    in every degree.  A nonzero form fails in some degree, whatever
-    ``max_s`` is; its first residual at degree <= ``max_s`` is reported, or
-    ``None`` for the monomial and the coefficient if it has none there.
+    Each relation is compiled once (``compile_relation``), with one memo of
+    word forms for the whole call, so every suffix of every word is composed
+    once over ``table``.  The verdict is read off that form: OK exactly when
+    it is zero, so the relation holds in every degree.  A nonzero form fails
+    in some degree, whatever ``max_s`` is; its first residual at degree <=
+    ``max_s`` is reported, or ``None`` for the monomial and the coefficient
+    if it has none there.  The search walks one degree at a time and stops
+    at that first residual.
     """
-    report = []
+    n, forms, report = table.nvars, {}, []
     for group_id, indices, lhs, rhs in instances:
-        form = compile_relation(lhs - rhs, table)
+        form = compile_relation(lhs - rhs, table, forms)
         entry = {"relation_id": group_id, "instance_indices": list(indices),
                  "ok": not form.components}
         if form.components:
-            first = next(_residuals(form, table.nvars, max_s), None)
+            upward = (mon for s in range(max_s + 1)
+                      for mon in monomials_of_degree(n, s))
+            first = next(_residuals(form, n, upward), None)
             entry["residual_monomial"] = entry["residual_coefficient"] = None
             if first is not None:
                 mon, poly = first

@@ -19,6 +19,8 @@ KINDS = ("I", "II", "III", "A1AFF", "IV", "V", "VI")
 # Minimal r per kind; A1AFF takes no r at all.
 _MIN_R = {"I": 0, "II": 0, "III": 1, "IV": 0, "V": 0, "VI": 1}
 
+MAX_RANK = 64  # every suite, table and word grows with r
+
 
 @dataclass(frozen=True)
 class SatakeDiagram:
@@ -85,6 +87,9 @@ def build_diagram(kind: str, r: int = None) -> SatakeDiagram:
         return _build_a1aff()
     if r is None or r < _MIN_R[kind]:
         raise ValueError("kind %s needs r >= %d, got %r" % (kind, _MIN_R[kind], r))
+    if r > MAX_RANK:
+        raise ValueError("rank r = %d of kind %s is above %d"
+                         % (r, kind, MAX_RANK))
 
     if kind == "I":
         nodes = tuple(range(2 * r + 4))

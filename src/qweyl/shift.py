@@ -36,30 +36,46 @@ Sparse = Tuple[Tuple[int, int], ...]
 ShiftPoly = Dict[Tuple[int, Vector], object]
 
 
-def compose(letters, nvars: int, coeff: LaurentPoly = ONE
-            ) -> Tuple[Vector, ShiftPoly, int]:
+Form = Tuple[Vector, ShiftPoly, int]
+
+
+def _step(letter: "ShiftWord", form: Form) -> Form:
+    """The form (delta, P, D) of ``letter`` applied after a word of ``form``.
+
+    The word has shifted the exponents by delta, so each term q^e u^m of the
+    letter becomes q^{e + m.delta} u^m; the letter's own shift and d-count
+    add to delta and D.  Returns a new form and leaves ``form`` as it is.
+    """
+    shift, poly, divided = form
+    nxt: ShiftPoly = {}
+    for tv, dq, tu in letter.terms:
+        for j, m in tu:
+            dq += m * shift[j]
+        for (qe, uv), v in poly.items():
+            w = uv
+            for j, m in tu:
+                w = w[:j] + (w[j] + m,) + w[j + 1:]
+            key = (qe + dq, w)
+            nxt[key] = nxt.get(key, 0) + v * tv
+    if letter.delta:
+        moved = list(shift)
+        for j, s in letter.delta:
+            moved[j] += s
+        shift = tuple(moved)
+    return shift, nxt, divided + letter.divided
+
+
+def compose(letters, nvars: int, coeff: LaurentPoly = ONE) -> Form:
     """The form of coeff(q) times a word of ShiftWords, rightmost first.
 
     Returns (delta, P, D): the word sends X^a to P(q, q^a) / (q - q^-1)^D
     times X^{a+delta}, with D the sum of the letters' ``divided``.
     """
-    shift = [0] * nvars
-    poly: ShiftPoly = {(qe, (0,) * nvars): v for qe, v in coeff.items()}
+    zero = (0,) * nvars
+    form = zero, {(qe, zero): v for qe, v in coeff.items()}, 0
     for letter in reversed(letters):
-        nxt: ShiftPoly = {}
-        for tv, dq, tu in letter.terms:
-            for j, m in tu:
-                dq += m * shift[j]
-            for (qe, uv), v in poly.items():
-                w = uv
-                for j, m in tu:
-                    w = w[:j] + (w[j] + m,) + w[j + 1:]
-                key = (qe + dq, w)
-                nxt[key] = nxt.get(key, 0) + v * tv
-        poly = nxt
-        for j, s in letter.delta:
-            shift[j] += s
-    return tuple(shift), poly, sum([letter.divided for letter in letters])
+        form = _step(letter, form)
+    return form
 
 
 class ShiftWord(NamedTuple):
@@ -158,7 +174,26 @@ class ShiftForm(NamedTuple):
     scale: LaurentPoly
 
 
-def compile_relation(expr, table) -> ShiftForm:
+def _word_form(word, table, forms) -> Form:
+    """The form of a word of symbols over ``table``, read from ``forms``.
+
+    ``forms`` maps words to their forms over this one table, the empty word
+    included.  A word missing there is its first letter stepped onto the
+    form of the rest, so each suffix is composed, and added, once.
+    """
+    form = forms.get(word)
+    if form is None:
+        i = 1
+        while word[i:] not in forms:
+            i += 1
+        form = forms[word[i:]]
+        while i:
+            i -= 1
+            form = forms[word[i:]] = _step(_letter(table, word[i]), form)
+    return form
+
+
+def compile_relation(expr, table, forms=None) -> ShiftForm:
     """The shift-vector form of an OperatorExpr over an ActionTable.
 
     Every table that qweyl builds holds ``ShiftWord`` entries.  A symbol the
@@ -166,21 +201,34 @@ def compile_relation(expr, table) -> ShiftForm:
     entry that is not a ``ShiftWord`` (a plain function, say) raises
     ``TypeError`` naming the symbol.
 
+    ``forms`` is a memo for calls over this one ``table`` (a fresh one if
+    None).  It maps each word, a tuple of symbols, to its form, so one memo
+    passed to every call over the table composes each suffix of each word
+    once; under the key None it keeps the powers of q - q^-1 built so far.
+    A memo must never be passed to a call over another table.
+
     The expression is first multiplied by L, the product of the distinct
     denominators of its coefficients, and by (q - q^-1)^D, D the largest
     number of divisions in one word, so that every component has Laurent
     coefficients in q.  Both factors are nonzero; ``scale`` records them.
     """
-    n = table.nvars
-    words = [(compose([_letter(table, sym) for sym in word], n), c)
-             for word, c in expr.terms.items()]
-    dens = {c.den for _, c in words if not c.is_polynomial}
+    forms = {} if forms is None else forms
+    if () not in forms:
+        forms[()] = compose((), table.nvars)
+        forms[None] = [ONE]    # (q - q^-1)^0, ^1, ... built so far
+    words, dens, depth = [], set(), 0
+    for word, c in expr.terms.items():
+        form = _word_form(word, table, forms)
+        words.append((form, c))
+        if form[2] > depth:
+            depth = form[2]
+        if not c.is_polynomial:
+            dens.add(c.den)
     # c * L is c.num times every other denominator: no gcd is needed.
     rest = {den: prod((d for d in dens if d != den), start=ONE)
             for den in dens | {ONE}} if dens else {}
-    depth = max((divided for (_, _, divided), _ in words), default=0)
-    powers = [ONE]    # (q - q^-1)^0..depth
-    for _ in range(depth):
+    powers = forms[None]
+    while len(powers) <= depth:
         powers.append(powers[-1] * Q_MINUS_QINV)
     components: Dict[Vector, ShiftPoly] = {}
     for (shift, poly, divided), c in words:

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qweyl import iqg
+from qweyl import crystal, iqg, satake
 from qweyl.cli import _factored_form, build_parser, main, parse_word
 from qweyl.crystal import crystal_graph, parse_json
-from qweyl.opcalc import ActionTable, GeneratorSymbol
+from qweyl.opcalc import ActionTable, GeneratorSymbol, walk_word
 from qweyl.qscalar import LaurentPoly, ScalarQ
 from qweyl.satake import build_diagram, parse_spec
 
@@ -158,6 +158,53 @@ def test_witness_runaway_degree_is_usage_error(capsys, diagram, monomial,
     assert out == ""
     assert "is above %d" % iqg.MAX_WITNESS_DEGREE in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--diagram", "I:r=3000", "--suite", "weyl", "--max-degree", "0"),
+    ("verify", "--diagram", "IV:r=65", "--suite", "all", "--max-degree", "0"),
+    ("act", "--diagram", "I:r=5000", "--word", "e1", "--poly", "X2"),
+    ("crystal", "--diagram", "III:r=100", "--s", "1"),
+    ("witness", "--diagram", "II:r=65", "--monomial", "1", "--direction", "up"),
+], ids=["verify-weyl", "verify-all", "act", "crystal", "witness"])
+def test_runaway_rank_is_usage_error(capsys, argv):
+    # refused when the diagram is built, before any table or suite
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "error: rank r = " in err
+    assert "is above %d" % satake.MAX_RANK in err
+    assert "Traceback" not in err
+
+
+def test_diagram_at_the_rank_bound():
+    for kind in ("I", "II", "III", "IV", "V", "VI"):
+        assert build_diagram(kind, satake.MAX_RANK).r == satake.MAX_RANK
+
+
+@pytest.mark.parametrize("diagram,s", [("I:r=2", 2000), ("I:r=2", 48),
+                                       ("A1AFF", 20000)])
+def test_runaway_crystal_is_usage_error(capsys, diagram, s):
+    # C(s + r + 1, r + 1) nodes: 1,337,337,001, 20,825 and 20,001
+    code, out, err = run(capsys, "crystal", "--diagram", diagram,
+                         "--s", str(s))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: crystal of %s at s = %d has more than %d nodes\n"
+                   % (diagram, s, crystal.MAX_CRYSTAL_NODES))
+
+
+def test_crystal_size_bound_is_inclusive(monkeypatch):
+    # I:r=0 has s + 1 nodes at degree s; the graph and the audit share the
+    # bound
+    monkeypatch.setattr(crystal, "MAX_CRYSTAL_NODES", 10)
+    d = build_diagram("I", 0)
+    assert len(crystal_graph(d, 9).nodes) == 10
+    assert crystal.crystal_axioms_check(d, 9)["all_ok"]
+    for check in (crystal_graph, crystal.crystal_axioms_check):
+        with pytest.raises(ValueError, match="has more than 10 nodes"):
+            check(d, 10)
 
 
 def test_witness_steps_at_the_degree_bound():
@@ -343,6 +390,41 @@ def test_witness_with_scaled_steps(capsys, monkeypatch, case):
     assert builds == [case["argv"][2]]
 
 
+def test_witness_fallback_walks_each_letter_once(capsys, monkeypatch):
+    # Every e/f step times 1 + q is not a run, so the factored form does not
+    # decide; the command sums the paths of its one walk instead of walking
+    # the word again: one act call per letter on this one-path word.
+    real = iqg.oscillator_action
+    factor = STEP_FACTORS["1 + q"]
+
+    def scaled(diagram):
+        table = real(diagram)
+        entries = dict(table.entries)
+        for sym, act in table.entries.items():
+            if sym.fam in ("e", "f"):
+                entries[sym] = lambda mon, act=act: [(t, c * factor)
+                                                     for t, c in act(mon)]
+        return ActionTable(table.nvars, entries)
+
+    acts = []
+    real_act = ActionTable.act
+
+    def counted(self, sym, mon):
+        acts.append(sym)
+        return real_act(self, sym, mon)
+
+    monkeypatch.setattr(iqg, "oscillator_action", scaled)
+    monkeypatch.setattr(ActionTable, "act", counted)
+    argv = ("witness", "--diagram", "IV:r=1", "--monomial", "1,2,1",
+            "--direction", "up")
+    code, out, _ = run(capsys, *argv)
+    case, = [c for c in WITNESS_MISMATCH
+             if c["factor"] == "1 + q" and tuple(c["argv"]) == argv]
+    assert (code, out) == (case["exit"], case["stdout"]) and code == 1
+    assert out.startswith("word: e0 e0 e0 e1\n")
+    assert [sym.label for sym in acts] == ["e1", "e0", "e0", "e0"]
+
+
 UP_WORD, UP_COEFF = iqg.irreducibility_witness(build_diagram("IV", 2),
                                                (3, 3, 3, 3))
 
@@ -384,7 +466,7 @@ def walk_form(runs):
                             (lambda mon, r=r: [((mon[0] + 1,), ScalarQ(r))])
                             for i, r in enumerate(runs)})
     word = [GeneratorSymbol("e", i) for i in range(len(runs))]
-    return _factored_form(word[::-1], (0,), table)
+    return _factored_form(walk_word(word[::-1], (0,), table))
 
 
 def run_poly(lo, m, v):

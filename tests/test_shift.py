@@ -1,8 +1,9 @@
 """Shift-vector compiler: agreement with monomial-by-monomial application,
 over generator and image tables, refusal of entries that are not ShiftWords,
 residuals read off the compiled form against an apply-based oracle, the
-same forms as the compiler that still took its products by 1, and the
-polynomial gcds that a verify run still needs."""
+same forms as the compiler that still took its products by 1, the
+polynomial gcds that a verify run still needs, one letter step per word
+suffix and table, and a residual search that stops at its first residual."""
 
 import functools
 import json
@@ -11,7 +12,7 @@ from math import prod
 import pytest
 
 from closed_forms import reference_compile_relation
-from qweyl import opcalc, qscalar
+from qweyl import opcalc, qscalar, shift
 from qweyl.cli import main
 from qweyl.iqg import e_, oscillator_action, phi, relation_instances
 from qweyl.modweyl import (iota_map, iota_table, m_,
@@ -23,7 +24,7 @@ from qweyl.opcalc import (ActionTable, OperatorExpr, QPolynomial, apply,
                           verify_relations)
 from qweyl.qscalar import (InexactDivisionError, LaurentPoly, Q_MINUS_QINV,
                            ScalarQ)
-from qweyl.satake import build_diagram
+from qweyl.satake import build_diagram, parse_spec
 from qweyl.shift import ShiftWord, compile_relation
 from qweyl.weyl import (chi_map, uqsl_relation_instances, weyl_relation_instances,
                         weyl_table)
@@ -208,8 +209,8 @@ def _record_compiles(patch):
     the list of (expression, table, form) it fills."""
     calls = []
 
-    def recorded(expr, table):
-        form = compile_relation(expr, table)
+    def recorded(expr, table, *rest):
+        form = compile_relation(expr, table, *rest)
         calls.append((expr, table, form))
         return form
 
@@ -293,3 +294,77 @@ def test_verify_runs_a_gcd_only_for_multi_term_numerators(capsys, monkeypatch):
                  "--max-degree", "2"])
     assert code == 0 and "0 failures" in capsys.readouterr().out
     assert calls == [([-1, 0, 1], [-1, 0, 1])] * 4
+
+
+@pytest.mark.parametrize("kind,r", [("I", 1), ("IV", 2), ("A1AFF", None)])
+def test_verify_steps_each_word_suffix_once(monkeypatch, kind, r):
+    # One verify_relations call composes each distinct suffix of the words
+    # it compiles once, one letter onto the next shorter suffix, on every
+    # suite's table; composing every word afresh takes more letter steps.
+    real = shift._step
+    for table, instances, push in _suites(build_diagram(kind, r)):
+        if push is not None:
+            table = image_table(push, table)
+        steps = []
+
+        def counted(letter, form):
+            steps.append(letter)
+            return real(letter, form)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(shift, "_step", counted)
+            verify_relations(instances, table, 0)
+        words = [list((lhs - rhs).terms) for _, _, lhs, rhs in instances]
+        suffixes = {w[k:] for ws in words for w in ws for k in range(len(w))}
+        assert len(steps) == len(suffixes)
+        assert len(steps) < sum(len(w) for ws in words for w in ws)
+
+
+def test_word_forms_are_never_shared_between_tables(capsys, monkeypatch):
+    # The same relation words over a clean and a mutated table in one
+    # process: every form is the one its own table gives, so the mutation
+    # fails and the clean runs before and after it agree.  A memo keyed by
+    # the word alone and shared between tables would hand the clean forms
+    # to the mutated table, or the mutated ones to the clean table.
+    calls = _record_compiles(monkeypatch)
+    argv = ["verify", "--diagram", "IV:r=1", "--suite", "all",
+            "--max-degree", "2"]
+    runs = [(main(run), capsys.readouterr().out)
+            for run in (argv, argv + ["--mutate", "xi-fold"], argv)]
+    assert [code for code, _ in runs] == [0, 1, 0]
+    assert runs[0] == runs[2]
+    for expr, table, form in calls:
+        assert form == reference_compile_relation(expr, table), str(expr)
+
+
+@pytest.mark.parametrize("spec,max_degree", [
+    ("I:r=1", 60),      # both failing R5 relations fail at degree 0
+    ("A1AFF", 5),       # first residuals at degree 2
+    ("A1AFF", 1),       # no residual up to --max-degree
+])
+def test_residual_search_stops_at_the_first_residual(capsys, monkeypatch,
+                                                     tmp_path, spec,
+                                                     max_degree):
+    # The search builds the monomials of one degree at a time and stops at
+    # the first residual: no degree past it is enumerated, however large
+    # --max-degree is.  A relation with no residual there searches up to it.
+    nvars = parse_spec(spec).nslots
+    degrees = []
+    real = opcalc.monomials_of_degree
+
+    def recorded(n, degree):
+        if n == nvars:
+            degrees.append(degree)
+        return real(n, degree)
+
+    monkeypatch.setattr(opcalc, "monomials_of_degree", recorded)
+    path = tmp_path / "report.json"
+    code = main(["verify", "--diagram", spec, "--suite", "iqg",
+                 "--max-degree", str(max_degree), "--mutate", "varsigma1",
+                 "--json", str(path)])
+    capsys.readouterr()
+    failures = report_failures(json.loads(path.read_text())["relations"])
+    assert code == 1 and failures
+    reached = [max_degree if e["residual_monomial"] is None
+               else sum(e["residual_monomial"]) for e in failures]
+    assert degrees and max(degrees) == max(reached) <= max_degree
