@@ -29,6 +29,7 @@ _UNSUPPORTED_MSG = ("crystal bases are only constructed for the ladder "
 
 
 MAX_CRYSTAL_NODES = 20_000  # a graph walks and prints every node
+MAX_CRYSTAL_WORK = 4_000_000  # nodes times s + 1: a string step costs O(s)
 
 
 def _require_crystal_kind(diagram: SatakeDiagram):
@@ -38,10 +39,16 @@ def _require_crystal_kind(diagram: SatakeDiagram):
 
 def _require_crystal_size(diagram: SatakeDiagram, s: int):
     """Refuse a degree s whose crystal has more than MAX_CRYSTAL_NODES
-    nodes, the monomials of degree s, before any is built."""
-    if s >= 0 and comb(s + diagram.r + 1, diagram.r + 1) > MAX_CRYSTAL_NODES:
+    nodes, the monomials of degree s, or more than MAX_CRYSTAL_WORK nodes
+    times s + 1, before any is built."""
+    nodes = comb(s + diagram.r + 1, diagram.r + 1) if s >= 0 else 0
+    if nodes > MAX_CRYSTAL_NODES:
         raise ValueError("crystal of %s at s = %d has more than %d nodes"
                          % (diagram.spec_string, s, MAX_CRYSTAL_NODES))
+    if nodes * (s + 1) > MAX_CRYSTAL_WORK:
+        raise ValueError("crystal of %s at s = %d has %d nodes, and nodes "
+                         "times s + 1 is above %d"
+                         % (diagram.spec_string, s, nodes, MAX_CRYSTAL_WORK))
 
 
 def _string_walk(diagram: SatakeDiagram, i: int, b: Monomial,

@@ -21,13 +21,14 @@ follows the diagram's xi.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache
 from typing import Dict, List, Tuple
 
 from .modweyl import d_, m_, modweyl_table, x_
 from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
-                     apply_word, divided_power, image_table, verify_relations)
+                     apply_word, image_table, verify_relations)
 from .qscalar import (Q_MINUS_QINV, LaurentPoly, ScalarQ, factorial_steps,
-                      q_binomial, q_pochhammer, q_product)
+                      q_binomial, q_product)
 from .satake import SatakeDiagram
 
 
@@ -101,15 +102,32 @@ def _ladder(pres: SatakeDiagram) -> List[Tuple[int, int, int, int]]:
     return out
 
 
-def _serre_sum(i: int, j: int, c: int, parity: int = 0) -> OperatorExpr:
-    """sum_{n=0}^{1-c} (-1)^(n + parity) B_i^(n) B_j B_i^(1-c-n), with the
-    divided powers B^(n) = B^n/[n]!: the Serre-type left side for a_ij = c."""
-    out = OperatorExpr.zero()
-    for n in range(2 - c):
-        term = (divided_power(B_(i), n) * OperatorExpr.symbol(B_(j))
-                * divided_power(B_(i), 1 - c - n))
-        out = out + term.scale(ScalarQ(-1 if (n + parity) % 2 else 1))
-    return out
+def _serre_coefficients(c: int, parity: int):
+    """(-1)^(n + parity) / ([n]! [1-c-n]!) for n = 0..1-c: the coefficient
+    of B_i^n B_j B_i^(1-c-n) in the Serre-type sum for a_ij = c, whose
+    divided powers are B^(n) = B^n/[n]!."""
+    return [ScalarQ(-1 if (n + parity) % 2 else 1,
+                    q_product([*range(1, n + 1), *range(1, 2 - c - n)]))
+            for n in range(2 - c)]
+
+
+def _r5_constants(c: int):
+    """(q^-2; q^-2)_n and (q^2; q^2)_n over [n]! (q - q^-1), n = -c: the R5
+    coefficients of B_i^n H_i and B_i^n H_{tau i} less q-power and varsigma.
+    As 1 - q^(-+2k) = +-q^(-+k) (q - q^-1) [k], they are (+-1)^n
+    q^(-+n(n+1)/2) (q - q^-1)^(n-1), which is 1/(q - q^-1) at n = 0."""
+    n = -c
+    if n == 0:
+        return (ScalarQ(1, Q_MINUS_QINV),) * 2
+    body, t = Q_MINUS_QINV ** (n - 1), n * (n + 1) // 2
+    return ScalarQ(body.shift(-t)), ScalarQ(body.shift(t) * (-1) ** n)
+
+
+def _sandwich(i: int, j: int, coeffs) -> OperatorExpr:
+    """The sum over n of coeffs[n] B_i^n B_j B_i^(m-n), m = len(coeffs) - 1."""
+    bi, bj, m = B_(i), B_(j), len(coeffs) - 1
+    return OperatorExpr({(bi,) * n + (bj,) + (bi,) * (m - n): v
+                         for n, v in enumerate(coeffs)})
 
 
 def relation_instances(diagram: SatakeDiagram):
@@ -118,11 +136,18 @@ def relation_instances(diagram: SatakeDiagram):
     Returns (group_id, indices, lhs, rhs) tuples over B/H symbols.  The long
     relation is emitted for both orderings of each two-node orbit, so the
     asymmetric varsigma placement is exercised from both sides.
+
+    Each side is one dict of words and coefficients.  The coefficients
+    that depend on integers alone (Serre, R5 and R6 constants, q-powers) are
+    built once per call, so an instance only multiplies in its varsigma.
     """
     pres = presentation(diagram)
     word = OperatorExpr.word
     one = OperatorExpr.identity()
-    qq_inv = ScalarQ(Q_MINUS_QINV).invert()
+    q, serre, r5, binomials = map(cache, (
+        ScalarQ.q_power, _serre_coefficients, _r5_constants,
+        lambda m: [ScalarQ(q_binomial(m, n) * (-1) ** n)
+                   for n in range(m + 1)]))
     out = []
 
     for i in pres.nodes:
@@ -137,7 +162,7 @@ def relation_instances(diagram: SatakeDiagram):
         for i in pres.nodes:
             exp = pres.pairing(i, pres.tau[j]) - pres.pairing(i, j)
             out.append(("iqg.R2", [j, i], word([H_(j), B_(i)]),
-                        word([B_(i), H_(j)], ScalarQ.q_power(exp))))
+                        word([B_(i), H_(j)], q(exp))))
 
     for i in pres.nodes:
         for j in pres.nodes:
@@ -151,7 +176,7 @@ def relation_instances(diagram: SatakeDiagram):
         for j in pres.nodes:
             if j == i or j == pres.tau[i]:
                 continue
-            lhs = _serre_sum(i, j, pres.pairing(i, j))
+            lhs = _sandwich(i, j, serre(pres.pairing(i, j), 0))
             out.append(("iqg.R4", [i, j], lhs, OperatorExpr.zero()))
 
     eps_active = 0 in pres.tau and pres.pairing(0, pres.tau[0]) == -1
@@ -160,19 +185,13 @@ def relation_instances(diagram: SatakeDiagram):
         if ti == i:
             continue
         c = pres.pairing(i, ti)
-        lhs = _serre_sum(i, ti, c, c)
-        eps = 0
-        if eps_active:
-            eps = 3 * ((i == 0) - (i == pres.tau[0]))
-        qm2 = ScalarQ.q_power(-2)
-        qp2 = ScalarQ.q_power(2)
-        first = (divided_power(B_(i), -c) * OperatorExpr.symbol(H_(i))).scale(
-            ScalarQ.q_power(c + eps) * q_pochhammer(qm2, qm2, -c)
-            * pres.varsigma[ti])
-        second = (divided_power(B_(i), -c) * OperatorExpr.symbol(H_(ti))).scale(
-            ScalarQ.q_power(-eps) * q_pochhammer(qp2, qp2, -c)
-            * pres.varsigma[i])
-        rhs = (first - second).scale(qq_inv)
+        lhs = _sandwich(i, ti, serre(c, c % 2))
+        eps = 3 * ((i == 0) - (i == pres.tau[0])) if eps_active else 0
+        first, second = r5(c)
+        power = (B_(i),) * -c
+        rhs = OperatorExpr({
+            power + (H_(i),): q(c + eps) * first * pres.varsigma[ti],
+            power + (H_(ti),): -(q(-eps) * second * pres.varsigma[i])})
         out.append(("iqg.R5", [i], lhs, rhs))
 
     for i in pres.nodes:
@@ -182,17 +201,9 @@ def relation_instances(diagram: SatakeDiagram):
             if j == i:
                 continue
             cij = pres.pairing(i, j)
-            n_top = 1 - cij
-            lhs = OperatorExpr.zero()
-            for n in range(n_top + 1):
-                coeff = ScalarQ(q_binomial(n_top, n) * ((-1) ** n))
-                lhs = lhs + OperatorExpr.word(
-                    (B_(i),) * n + (B_(j),) + (B_(i),) * (n_top - n), coeff)
-            if cij == -1:
-                rhs = OperatorExpr.symbol(
-                    B_(j), ScalarQ.q_power(1) * pres.varsigma[i])
-            else:
-                rhs = OperatorExpr.zero()
+            lhs = _sandwich(i, j, binomials(1 - cij))
+            rhs = (OperatorExpr.symbol(B_(j), q(1) * pres.varsigma[i])
+                   if cij == -1 else OperatorExpr.zero())
             out.append(("iqg.R6", [i, j], lhs, rhs))
     return out
 

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
-from .qscalar import ScalarQ, _run, _window_product, q_factorial
+from .qscalar import ScalarQ, _run, _window_product
 from .shift import ShiftForm, ShiftWord, compile_relation
 
 Monomial = Tuple[int, ...]
@@ -188,11 +188,15 @@ class OperatorExpr:
     @classmethod
     def word(cls, symbols: Iterable[GeneratorSymbol],
              coeff=_ONE) -> "OperatorExpr":
-        return cls({tuple(symbols): coeff})
+        """One word times ``coeff``; a nonzero ScalarQ is taken as it is."""
+        out = cls.__new__(cls)
+        out.terms = {tuple(symbols): coeff}
+        ok = isinstance(coeff, ScalarQ) and coeff.num
+        return out if ok else cls(out.terms)
 
     @classmethod
     def symbol(cls, g: GeneratorSymbol, coeff=_ONE) -> "OperatorExpr":
-        return cls({(g,): coeff})
+        return cls.word((g,), coeff)
 
     @property
     def is_zero(self) -> bool:
@@ -267,15 +271,6 @@ class OperatorExpr:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-def divided_power(g: GeneratorSymbol, n: int) -> OperatorExpr:
-    """g^n / [n]!; negative n gives the zero operator by convention."""
-    if n < 0:
-        return OperatorExpr.zero()
-    if n == 0:
-        return OperatorExpr.identity()
-    return OperatorExpr.word((g,) * n, ScalarQ(1, q_factorial(n, 1)))
 
 
 def expr_map(expr: OperatorExpr, mapping: Dict[GeneratorSymbol, OperatorExpr]) -> OperatorExpr:
@@ -424,10 +419,10 @@ def operator_equal_on_degrees(e1: OperatorExpr, e2: OperatorExpr,
     """Residuals of (e1 - e2) on every monomial of total degree <= max_s.
 
     An empty list means the two expressions agree on that truncation.  No
-    monomial goes through ``apply``: the residuals are read off the compiled
-    form of e1 - e2.
+    monomial goes through ``apply``: the residuals are read off the form
+    that ``compile_relation`` compiles from both sides.
     """
-    return list(_residuals(compile_relation(e1 - e2, table), table.nvars,
+    return list(_residuals(compile_relation(e1, e2, table), table.nvars,
                            monomials_up_to(table.nvars, max_s)))
 
 
@@ -438,18 +433,18 @@ def verify_relations(instances, table: ActionTable, max_s: int):
     homomorphism's relations, pass ``image_table(images, table)``.  Returns
     a list of per-instance report dicts.
 
-    Each relation is compiled once (``compile_relation``), with one memo of
-    word forms for the whole call, so every suffix of every word is composed
-    once over ``table``.  The verdict is read off that form: OK exactly when
-    it is zero, so the relation holds in every degree.  A nonzero form fails
-    in some degree, whatever ``max_s`` is; its first residual at degree <=
-    ``max_s`` is reported, or ``None`` for the monomial and the coefficient
-    if it has none there.  The search walks one degree at a time and stops
-    at that first residual.
+    Each relation is compiled once from its two sides (``compile_relation``),
+    with one memo of word forms for the whole call, so every suffix of every
+    word is composed once over ``table``.  The verdict is read off that
+    form: OK exactly when it is zero, so the relation holds in every degree.
+    A nonzero form fails in some degree, whatever ``max_s`` is; its first
+    residual at degree <= ``max_s`` is reported, or ``None`` for the
+    monomial and the coefficient if it has none there.  The search walks one
+    degree at a time and stops at that first residual.
     """
     n, forms, report = table.nvars, {}, []
     for group_id, indices, lhs, rhs in instances:
-        form = compile_relation(lhs - rhs, table, forms)
+        form = compile_relation(lhs, rhs, table, forms)
         entry = {"relation_id": group_id, "instance_indices": list(indices),
                  "ok": not form.components}
         if form.components:

@@ -603,17 +603,3 @@ def q_binomial(n: int, d: int) -> LaurentPoly:
     if d == 0:
         return LaurentPoly.one()
     return q_product(range(n - d + 1, n + 1)).divexact(q_factorial(d, 1))
-
-
-def q_pochhammer(a: ScalarQ, x: ScalarQ, n: int) -> ScalarQ:
-    """The product (1-a)(1-ax)...(1-ax^{n-1}); n = 0 gives 1."""
-    if n < 0:
-        raise ValueError("q_pochhammer needs n >= 0, got %d" % n)
-    a = a if isinstance(a, ScalarQ) else ScalarQ(a)
-    x = x if isinstance(x, ScalarQ) else ScalarQ(x)
-    out = ScalarQ.one()
-    factor = a
-    for _ in range(n):
-        out = out * (ScalarQ.one() - factor)
-        factor = factor * x
-    return out

@@ -15,11 +15,11 @@ generic monomial X^a is again of this form: a letter applied after the word
 so far has shifted the exponents by s turns its term q^e u^m into
 q^{e + m.s} u^m.  ``compose`` builds the form of one word, a sum of words
 with one shift vector and one d-count composes into one ``ShiftWord``, and
-``compile_relation`` turns a whole operator expression into components.  An
-expression vanishes on every monomial iff every component is zero, because
-distinct characters a -> q^{m.a} are linearly independent on N^n.  The guard
-"d_i kills X^a when a_i = 0" needs no special case: the factor [xi_i * 0] is
-already 0.
+``compile_relation`` turns a relation's two sides, lhs - rhs, into
+components.  The sides agree on every monomial iff every component is zero,
+because distinct characters a -> q^{m.a} are linearly independent on N^n.
+The guard "d_i kills X^a when a_i = 0" needs no special case: the factor
+[xi_i * 0] is already 0.
 """
 
 from __future__ import annotations
@@ -193,8 +193,10 @@ def _word_form(word, table, forms) -> Form:
     return form
 
 
-def compile_relation(expr, table, forms=None) -> ShiftForm:
-    """The shift-vector form of an OperatorExpr over an ActionTable.
+def compile_relation(lhs, rhs, table, forms=None) -> ShiftForm:
+    """The shift-vector form of lhs - rhs, two OperatorExprs, over an
+    ActionTable: the terms of ``lhs`` are added, and those of ``rhs``
+    subtracted, into the same components, never into an expression.
 
     Every table that qweyl builds holds ``ShiftWord`` entries.  A symbol the
     table does not know raises the ``KeyError`` of ``ActionTable.act``; an
@@ -207,8 +209,8 @@ def compile_relation(expr, table, forms=None) -> ShiftForm:
     once; under the key None it keeps the powers of q - q^-1 built so far.
     A memo must never be passed to a call over another table.
 
-    The expression is first multiplied by L, the product of the distinct
-    denominators of its coefficients, and by (q - q^-1)^D, D the largest
+    Both sides are first multiplied by L, the product of the distinct
+    denominators of their coefficients, and by (q - q^-1)^D, D the largest
     number of divisions in one word, so that every component has Laurent
     coefficients in q.  Both factors are nonzero; ``scale`` records them.
     """
@@ -217,13 +219,14 @@ def compile_relation(expr, table, forms=None) -> ShiftForm:
         forms[()] = compose((), table.nvars)
         forms[None] = [ONE]    # (q - q^-1)^0, ^1, ... built so far
     words, dens, depth = [], set(), 0
-    for word, c in expr.terms.items():
-        form = _word_form(word, table, forms)
-        words.append((form, c))
-        if form[2] > depth:
-            depth = form[2]
-        if not c.is_polynomial:
-            dens.add(c.den)
+    for expr, sign in ((lhs, 1), (rhs, -1)):
+        for word, c in expr.terms.items():
+            form = _word_form(word, table, forms)
+            words.append((form, c, sign))
+            if form[2] > depth:
+                depth = form[2]
+            if not c.is_polynomial:
+                dens.add(c.den)
     # c * L is c.num times every other denominator: no gcd is needed.
     rest = {den: prod((d for d in dens if d != den), start=ONE)
             for den in dens | {ONE}} if dens else {}
@@ -231,8 +234,8 @@ def compile_relation(expr, table, forms=None) -> ShiftForm:
     while len(powers) <= depth:
         powers.append(powers[-1] * Q_MINUS_QINV)
     components: Dict[Vector, ShiftPoly] = {}
-    for (shift, poly, divided), c in words:
-        coeff = c.num
+    for (shift, poly, divided), c, sign in words:
+        coeff = c.num if sign > 0 else -c.num
         if rest:
             coeff = coeff * rest[c.den]
         if divided < depth:

@@ -127,18 +127,21 @@ def algebra_relations(xi, names: str, prefix: str):
                         word([x(i), m(j)]), word([m(j), x(i)])))
             out.append((gid("DX_comm"), [i, j],
                         word([d(i), x(j)]), word([x(j), d(i)])))
-    qq = ScalarQ(Q_MINUS_QINV)
-    for i in range(n):
+    qq_inv = ScalarQ(1, Q_MINUS_QINV)
+    same = {}  # xi_i -> q^xi_i, q^-xi_i and the DX_same rhs coefficients
+    for i, v in enumerate(xi):
+        if v not in same:
+            up, down = ScalarQ.q_power(v), ScalarQ.q_power(-v)
+            same[v] = up, down, up * qq_inv, -(down * qq_inv)
+        up, down, dx_m, dx_minv = same[v]
         out.append((gid("DM_same"), [i], word([d(i), m(i)]),
-                    word([m(i), d(i)], ScalarQ.q_power(xi[i]))))
+                    word([m(i), d(i)], up)))
         out.append((gid("XM_same"), [i], word([x(i), m(i)]),
-                    word([m(i), x(i)], ScalarQ.q_power(-xi[i]))))
+                    word([m(i), x(i)], down)))
         out.append((gid("DX_same"), [i], word([d(i), x(i)]),
-                    (word([m(i)], ScalarQ.q_power(xi[i]))
-                     - word([m(i, True)], ScalarQ.q_power(-xi[i])))
-                    .scale(qq.invert())))
+                    OperatorExpr({(m(i),): dx_m, (m(i, True),): dx_minv})))
         out.append((gid("XD_same"), [i], word([x(i), d(i)]),
-                    (word([m(i)]) - word([m(i, True)])).scale(qq.invert())))
+                    OperatorExpr({(m(i),): qq_inv, (m(i, True),): -qq_inv})))
     return out
 
 
@@ -164,10 +167,14 @@ def cartan_entry(i: int, j: int) -> int:
 
 
 def uqsl_relation_instances(r: int):
-    """All defining relation instances of U_q(sl_{r+2}), as E/F/K expressions."""
+    """All defining relation instances of U_q(sl_{r+2}), as E/F/K expressions,
+    each side one dict of words and coefficients built once per call."""
     word = OperatorExpr.word
     one = OperatorExpr.identity()
-    qq = ScalarQ(Q_MINUS_QINV)
+    plus, minus = ScalarQ.one(), -ScalarQ.one()
+    qq_inv = ScalarQ(1, Q_MINUS_QINV)
+    minus_two = -ScalarQ(q_integer(2))
+    qpow = {c: ScalarQ.q_power(c) for c in (-2, -1, 0, 1, 2)}
     out = []
     for i in range(r + 1):
         out.append(("uqsl.KKinv", [i], word([K(i), K(i, True)]), one))
@@ -181,19 +188,16 @@ def uqsl_relation_instances(r: int):
             c = cartan_entry(i, j)
             out.append(("uqsl.KEK", [i, j],
                         word([K(i), E(j), K(i, True)]),
-                        word([E(j)], ScalarQ.q_power(c))))
+                        word([E(j)], qpow[c])))
             out.append(("uqsl.KFK", [i, j],
                         word([K(i), F(j), K(i, True)]),
-                        word([F(j)], ScalarQ.q_power(-c))))
+                        word([F(j)], qpow[-c])))
     for i in range(r + 1):
         for j in range(r + 1):
-            lhs = word([E(i), F(j)]) - word([F(j), E(i)])
-            if i == j:
-                rhs = (word([K(i)]) - word([K(i, True)])).scale(qq.invert())
-            else:
-                rhs = OperatorExpr.zero()
+            lhs = OperatorExpr({(E(i), F(j)): plus, (F(j), E(i)): minus})
+            rhs = (OperatorExpr({(K(i),): qq_inv, (K(i, True),): -qq_inv})
+                   if i == j else OperatorExpr.zero())
             out.append(("uqsl.EF", [i, j], lhs, rhs))
-    two = ScalarQ(q_integer(2))
     for i in range(r + 1):
         for j in range(r + 1):
             if abs(i - j) > 1:
@@ -202,14 +206,9 @@ def uqsl_relation_instances(r: int):
                 out.append(("uqsl.FF_far", [i, j],
                             word([F(i), F(j)]), word([F(j), F(i)])))
             elif abs(i - j) == 1:
-                out.append(("uqsl.serre_E", [i, j],
-                            word([E(i), E(i), E(j)])
-                            - word([E(i), E(j), E(i)], two)
-                            + word([E(j), E(i), E(i)]),
-                            OperatorExpr.zero()))
-                out.append(("uqsl.serre_F", [i, j],
-                            word([F(i), F(i), F(j)])
-                            - word([F(i), F(j), F(i)], two)
-                            + word([F(j), F(i), F(i)]),
-                            OperatorExpr.zero()))
+                for g, fam in ((E, "E"), (F, "F")):
+                    out.append(("uqsl.serre_" + fam, [i, j], OperatorExpr({
+                        (g(i), g(i), g(j)): plus,
+                        (g(i), g(j), g(i)): minus_two,
+                        (g(j), g(i), g(i)): plus}), OperatorExpr.zero()))
     return out

@@ -14,19 +14,29 @@ product taken even when they are 1.  ``reference_q_product`` is
 ``qscalar.q_product`` as it was before it ran on dense lists: one
 ``LaurentPoly`` product per q-integer.  ``reference_apply`` is
 ``opcalc.apply`` as it was before it walked each word in factored form:
-one ``ScalarQ`` product per letter and term.
+one ``ScalarQ`` product per letter and term.  ``reference_relation_instances``,
+``reference_algebra_relations`` and ``reference_uqsl_relation_instances``
+are ``iqg.relation_instances``, ``weyl.algebra_relations`` and
+``weyl.uqsl_relation_instances`` as they were before they built their
+coefficients once per call: every Serre term a product of two
+``divided_power`` quotients, every R5 side a ``q_pochhammer`` over
+[-c]! (q - q^-1), and every side an ``OperatorExpr`` sum, difference or
+scaling.
 """
 
+from functools import partial
 from math import comb, prod
 
 from qweyl.crystal import combinatorial_rule
-from qweyl.iqg import e_, f_, k_, t_
-from qweyl.opcalc import (ActionTable, OperatorExpr, QPolynomial, apply,
-                          apply_word, monomials_of_degree, monomials_up_to)
+from qweyl.iqg import B_, H_, e_, f_, k_, presentation, t_
+from qweyl.opcalc import (ActionTable, GeneratorSymbol, OperatorExpr,
+                          QPolynomial, apply, apply_word, monomials_of_degree,
+                          monomials_up_to)
 from qweyl.qscalar import (Q_MINUS_QINV, LaurentPoly, ScalarQ, factorial_steps,
-                           q_factorial, q_integer, q_product)
+                           q_binomial, q_factorial, q_integer, q_product)
 from qweyl.satake import SatakeDiagram, build_diagram
 from qweyl.shift import ShiftForm, _letter, compose
+from qweyl.weyl import E, F, K, cartan_entry
 
 
 def xi_variants(kind, r):
@@ -298,4 +308,229 @@ def reference_apply(expr: OperatorExpr, p: QPolynomial,
                 acc[mon] = w
     out = QPolynomial.__new__(QPolynomial)
     out.nvars, out.terms = p.nvars, acc
+    return out
+
+
+def divided_power(g: GeneratorSymbol, n: int) -> OperatorExpr:
+    """g^n / [n]!; negative n gives the zero operator by convention."""
+    if n < 0:
+        return OperatorExpr.zero()
+    if n == 0:
+        return OperatorExpr.identity()
+    return OperatorExpr.word((g,) * n, ScalarQ(1, q_factorial(n, 1)))
+
+
+def q_pochhammer(a: ScalarQ, x: ScalarQ, n: int) -> ScalarQ:
+    """The product (1-a)(1-ax)...(1-ax^{n-1}); n = 0 gives 1."""
+    if n < 0:
+        raise ValueError("q_pochhammer needs n >= 0, got %d" % n)
+    a = a if isinstance(a, ScalarQ) else ScalarQ(a)
+    x = x if isinstance(x, ScalarQ) else ScalarQ(x)
+    out = ScalarQ.one()
+    factor = a
+    for _ in range(n):
+        out = out * (ScalarQ.one() - factor)
+        factor = factor * x
+    return out
+
+
+def _serre_sum(i: int, j: int, c: int, parity: int = 0) -> OperatorExpr:
+    """sum_{n=0}^{1-c} (-1)^(n + parity) B_i^(n) B_j B_i^(1-c-n), with the
+    divided powers B^(n) = B^n/[n]!: the Serre-type left side for a_ij = c."""
+    out = OperatorExpr.zero()
+    for n in range(2 - c):
+        term = (divided_power(B_(i), n) * OperatorExpr.symbol(B_(j))
+                * divided_power(B_(i), 1 - c - n))
+        out = out + term.scale(ScalarQ(-1 if (n + parity) % 2 else 1))
+    return out
+
+
+def reference_relation_instances(diagram: SatakeDiagram):
+    """Every defining relation of the presentation, instantiated literally.
+
+    Returns (group_id, indices, lhs, rhs) tuples over B/H symbols.  The long
+    relation is emitted for both orderings of each two-node orbit, so the
+    asymmetric varsigma placement is exercised from both sides.
+    """
+    pres = presentation(diagram)
+    word = OperatorExpr.word
+    one = OperatorExpr.identity()
+    qq_inv = ScalarQ(Q_MINUS_QINV).invert()
+    out = []
+
+    for i in pres.nodes:
+        out.append(("iqg.R1_inv", [i], word([H_(i), H_(pres.tau[i])]), one))
+    for i in pres.nodes:
+        for j in pres.nodes:
+            if i < j:
+                out.append(("iqg.R1_comm", [i, j],
+                            word([H_(i), H_(j)]), word([H_(j), H_(i)])))
+
+    for j in pres.nodes:
+        for i in pres.nodes:
+            exp = pres.pairing(i, pres.tau[j]) - pres.pairing(i, j)
+            out.append(("iqg.R2", [j, i], word([H_(j), B_(i)]),
+                        word([B_(i), H_(j)], ScalarQ.q_power(exp))))
+
+    for i in pres.nodes:
+        for j in pres.nodes:
+            if i < j and pres.pairing(i, j) == 0 and pres.tau[i] != j:
+                out.append(("iqg.R3", [i, j],
+                            word([B_(i), B_(j)]), word([B_(j), B_(i)])))
+
+    for i in pres.nodes:
+        if pres.tau[i] == i:
+            continue
+        for j in pres.nodes:
+            if j == i or j == pres.tau[i]:
+                continue
+            lhs = _serre_sum(i, j, pres.pairing(i, j))
+            out.append(("iqg.R4", [i, j], lhs, OperatorExpr.zero()))
+
+    eps_active = 0 in pres.tau and pres.pairing(0, pres.tau[0]) == -1
+    for i in pres.nodes:
+        ti = pres.tau[i]
+        if ti == i:
+            continue
+        c = pres.pairing(i, ti)
+        lhs = _serre_sum(i, ti, c, c)
+        eps = 0
+        if eps_active:
+            eps = 3 * ((i == 0) - (i == pres.tau[0]))
+        qm2 = ScalarQ.q_power(-2)
+        qp2 = ScalarQ.q_power(2)
+        first = (divided_power(B_(i), -c) * OperatorExpr.symbol(H_(i))).scale(
+            ScalarQ.q_power(c + eps) * q_pochhammer(qm2, qm2, -c)
+            * pres.varsigma[ti])
+        second = (divided_power(B_(i), -c) * OperatorExpr.symbol(H_(ti))).scale(
+            ScalarQ.q_power(-eps) * q_pochhammer(qp2, qp2, -c)
+            * pres.varsigma[i])
+        rhs = (first - second).scale(qq_inv)
+        out.append(("iqg.R5", [i], lhs, rhs))
+
+    for i in pres.nodes:
+        if pres.tau[i] != i:
+            continue
+        for j in pres.nodes:
+            if j == i:
+                continue
+            cij = pres.pairing(i, j)
+            n_top = 1 - cij
+            lhs = OperatorExpr.zero()
+            for n in range(n_top + 1):
+                coeff = ScalarQ(q_binomial(n_top, n) * ((-1) ** n))
+                lhs = lhs + OperatorExpr.word(
+                    (B_(i),) * n + (B_(j),) + (B_(i),) * (n_top - n), coeff)
+            if cij == -1:
+                rhs = OperatorExpr.symbol(
+                    B_(j), ScalarQ.q_power(1) * pres.varsigma[i])
+            else:
+                rhs = OperatorExpr.zero()
+            out.append(("iqg.R6", [i, j], lhs, rhs))
+    return out
+
+
+def reference_algebra_relations(xi, names: str, prefix: str):
+    """All defining relation instances of the algebra with exponents xi.
+
+    ``names`` holds the d/x/m letters, and group ids are spelled in them:
+    "DXM" with prefix "weyl" gives ``weyl.DX_same``, "dxm" with prefix
+    "modweyl" gives ``modweyl.dx_same``.  Returns tuples
+    (group_id, indices, lhs, rhs) of operator expressions.
+    """
+    d, x, m = (partial(GeneratorSymbol, fam) for fam in names)
+    rename = str.maketrans("DXM", names)
+
+    def gid(name):
+        return "%s.%s" % (prefix, name.translate(rename))
+
+    n = len(xi)
+    one = OperatorExpr.identity()
+    word = OperatorExpr.word
+    out = []
+    for i in range(n):
+        out.append((gid("MMinv"), [i], word([m(i), m(i, True)]), one))
+        out.append((gid("MinvM"), [i], word([m(i, True), m(i)]), one))
+    for i in range(n):
+        for j in range(i + 1, n):
+            out.append((gid("MM_comm"), [i, j],
+                        word([m(i), m(j)]), word([m(j), m(i)])))
+            out.append((gid("DD_comm"), [i, j],
+                        word([d(i), d(j)]), word([d(j), d(i)])))
+            out.append((gid("XX_comm"), [i, j],
+                        word([x(i), x(j)]), word([x(j), x(i)])))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            out.append((gid("DM_comm"), [i, j],
+                        word([d(i), m(j)]), word([m(j), d(i)])))
+            out.append((gid("XM_comm"), [i, j],
+                        word([x(i), m(j)]), word([m(j), x(i)])))
+            out.append((gid("DX_comm"), [i, j],
+                        word([d(i), x(j)]), word([x(j), d(i)])))
+    qq = ScalarQ(Q_MINUS_QINV)
+    for i in range(n):
+        out.append((gid("DM_same"), [i], word([d(i), m(i)]),
+                    word([m(i), d(i)], ScalarQ.q_power(xi[i]))))
+        out.append((gid("XM_same"), [i], word([x(i), m(i)]),
+                    word([m(i), x(i)], ScalarQ.q_power(-xi[i]))))
+        out.append((gid("DX_same"), [i], word([d(i), x(i)]),
+                    (word([m(i)], ScalarQ.q_power(xi[i]))
+                     - word([m(i, True)], ScalarQ.q_power(-xi[i])))
+                    .scale(qq.invert())))
+        out.append((gid("XD_same"), [i], word([x(i), d(i)]),
+                    (word([m(i)]) - word([m(i, True)])).scale(qq.invert())))
+    return out
+
+
+def reference_uqsl_relation_instances(r: int):
+    """All defining relation instances of U_q(sl_{r+2}), as E/F/K expressions."""
+    word = OperatorExpr.word
+    one = OperatorExpr.identity()
+    qq = ScalarQ(Q_MINUS_QINV)
+    out = []
+    for i in range(r + 1):
+        out.append(("uqsl.KKinv", [i], word([K(i), K(i, True)]), one))
+        out.append(("uqsl.KinvK", [i], word([K(i, True), K(i)]), one))
+    for i in range(r + 1):
+        for j in range(i + 1, r + 1):
+            out.append(("uqsl.KK_comm", [i, j],
+                        word([K(i), K(j)]), word([K(j), K(i)])))
+    for i in range(r + 1):
+        for j in range(r + 1):
+            c = cartan_entry(i, j)
+            out.append(("uqsl.KEK", [i, j],
+                        word([K(i), E(j), K(i, True)]),
+                        word([E(j)], ScalarQ.q_power(c))))
+            out.append(("uqsl.KFK", [i, j],
+                        word([K(i), F(j), K(i, True)]),
+                        word([F(j)], ScalarQ.q_power(-c))))
+    for i in range(r + 1):
+        for j in range(r + 1):
+            lhs = word([E(i), F(j)]) - word([F(j), E(i)])
+            if i == j:
+                rhs = (word([K(i)]) - word([K(i, True)])).scale(qq.invert())
+            else:
+                rhs = OperatorExpr.zero()
+            out.append(("uqsl.EF", [i, j], lhs, rhs))
+    two = ScalarQ(q_integer(2))
+    for i in range(r + 1):
+        for j in range(r + 1):
+            if abs(i - j) > 1:
+                out.append(("uqsl.EE_far", [i, j],
+                            word([E(i), E(j)]), word([E(j), E(i)])))
+                out.append(("uqsl.FF_far", [i, j],
+                            word([F(i), F(j)]), word([F(j), F(i)])))
+            elif abs(i - j) == 1:
+                out.append(("uqsl.serre_E", [i, j],
+                            word([E(i), E(i), E(j)])
+                            - word([E(i), E(j), E(i)], two)
+                            + word([E(j), E(i), E(i)]),
+                            OperatorExpr.zero()))
+                out.append(("uqsl.serre_F", [i, j],
+                            word([F(i), F(i), F(j)])
+                            - word([F(i), F(j), F(i)], two)
+                            + word([F(j), F(i), F(i)]),
+                            OperatorExpr.zero()))
     return out

@@ -40,6 +40,12 @@ failing runs recorded on that code: A1AFF at ``--max-degree 1`` with
 xi-fold``.  Both reported 0 failures before; their failing relations have no
 residual at that degree, so they record ``null`` for the residual monomial
 and coefficient.
+
+Before the relation builders took their coefficients from per-call
+constants and the compiler took both sides of a relation, ``reports.json``
+gained three failing ``verify --suite all --max-degree 2`` runs, recorded on
+the code before it by calling ``main`` with ``--json``: ``--mutate
+varsigma1`` on II:r=2 and V:r=2, and ``--mutate xi-fold`` on IV:r=2.
 """
 
 import json

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closed_forms import reference_apply
+from closed_forms import divided_power, reference_apply
 from qweyl.iqg import oscillator_action
 from qweyl.opcalc import (ActionTable, GeneratorSymbol, OperatorExpr,
-                          QPolynomial, apply, apply_word, divided_power,
+                          QPolynomial, apply, apply_word,
                           monomials_of_degree, monomials_up_to,
                           operator_equal_on_degrees, poly_from_text,
                           poly_to_text)

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_forms import q_pochhammer
 from evaluation import eval_laurent
 from qweyl.opcalc import QPolynomial, poly_from_text
 from qweyl.qscalar import (InexactDivisionError, LaurentPoly, QDivisionByZero,
-                           ScalarQ, q_binomial, q_factorial, q_integer,
-                           q_pochhammer)
+                           ScalarQ, q_binomial, q_factorial, q_integer)
 
 
 # --- independent dict-level oracles -----------------------------------------
