@@ -38,10 +38,12 @@ def _require_crystal_kind(diagram: SatakeDiagram):
 
 
 def _require_crystal_size(diagram: SatakeDiagram, s: int):
-    """Refuse a degree s whose crystal has more than MAX_CRYSTAL_NODES
-    nodes, the monomials of degree s, or more than MAX_CRYSTAL_WORK nodes
-    times s + 1, before any is built."""
-    nodes = comb(s + diagram.r + 1, diagram.r + 1) if s >= 0 else 0
+    """Refuse a degree s < 0, or one whose crystal has more than
+    MAX_CRYSTAL_NODES nodes, the monomials of degree s, or more than
+    MAX_CRYSTAL_WORK nodes times s + 1, before any is built."""
+    if s < 0:
+        raise ValueError("degree s must be >= 0")
+    nodes = comb(s + diagram.r + 1, diagram.r + 1)
     if nodes > MAX_CRYSTAL_NODES:
         raise ValueError("crystal of %s at s = %d has more than %d nodes"
                          % (diagram.spec_string, s, MAX_CRYSTAL_NODES))
@@ -193,8 +195,6 @@ def crystal_graph(diagram: SatakeDiagram, s: int) -> CrystalGraph:
     (``_string_steps``); the first defect in that order is raised.
     """
     _require_crystal_kind(diagram)
-    if s < 0:
-        raise ValueError("degree s must be >= 0")
     _require_crystal_size(diagram, s)
     nodes = tuple(monomials_of_degree(diagram.nslots, s))
     edges = []

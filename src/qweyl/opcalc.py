@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
 from .qscalar import ScalarQ, _run, _window_product
-from .shift import ShiftForm, ShiftWord, compile_relation
+from .shift import (ShiftForm, ShiftWord, _add_terms, _word_form,
+                    compile_relation)
 
 Monomial = Tuple[int, ...]
 
@@ -324,14 +325,21 @@ def image_table(images: Dict[GeneratorSymbol, OperatorExpr],
     """The homomorphism ``images`` followed by ``table``'s action.
 
     Every chi, iota, phi and alias image is a sum of words with Laurent
-    coefficients, one shift vector and one d-count, so it composes once
-    over ``table``'s entries into one ``ShiftWord``.
+    coefficients, one shift vector and one d-count: it sums into one
+    ``ShiftWord`` from one memo of word forms per call, as in the compiler.
     """
-    n = table.nvars
-    return ActionTable(n, {sym: ShiftWord.of(
-        [([table.entries[g] for g in word], c.as_laurent())
-         for word, c in image.terms.items()], n)
-        for sym, image in images.items()})
+    n, forms, entries = table.nvars, {}, {}
+    for sym, image in images.items():
+        shapes, total = set(), {}
+        for word, c in image.terms.items():
+            delta, poly, divided = _word_form(word, table, forms)
+            shapes.add((delta, divided))
+            _add_terms(total, poly, c.as_laurent())
+        if len(shapes) > 1:
+            raise ValueError("words differ in shift vector or d-count")
+        delta, divided = shapes.pop() if shapes else ((0,) * n, 0)
+        entries[sym] = ShiftWord.from_poly(delta, total, divided)
+    return ActionTable(n, entries)
 
 
 def walk_word(word: Word, mon: Monomial, table: ActionTable,

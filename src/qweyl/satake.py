@@ -164,6 +164,14 @@ def _varsigma_map(d: SatakeDiagram) -> Dict[int, ScalarQ]:
     return out
 
 
+def integer(text: str) -> int:
+    """The command line's one integer rule: ASCII digits after an optional
+    '-', so no '+', '_', space or other digit; a ValueError otherwise."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError("not an integer: %r" % text)
+    return int(text)
+
+
 def parse_spec(text: str) -> SatakeDiagram:
     """Parse a diagram spec string such as ``I:r=2`` or ``A1AFF``."""
     text = text.strip()
@@ -175,7 +183,7 @@ def parse_spec(text: str) -> SatakeDiagram:
     if not rpart.startswith("r="):
         raise ValueError("bad diagram spec %r (expected e.g. I:r=2)" % text)
     try:
-        r = int(rpart[2:])
+        r = integer(rpart[2:])
     except ValueError:
         raise ValueError("bad rank in diagram spec %r" % text)
     return build_diagram(kind, r)

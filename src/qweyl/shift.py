@@ -13,8 +13,10 @@ monomial action, so it serves directly as an action-table entry.  A
 generator is a one-letter ``ShiftWord``.  A word of them applied to the
 generic monomial X^a is again of this form: a letter applied after the word
 so far has shifted the exponents by s turns its term q^e u^m into
-q^{e + m.s} u^m.  ``compose`` builds the form of one word, a sum of words
-with one shift vector and one d-count composes into one ``ShiftWord``, and
+q^{e + m.s} u^m.  ``_word_form`` reads the form of a word from a memo that
+steps each suffix once, and ``_add_terms`` adds a form times a Laurent
+coefficient into a sum.  ``opcalc.image_table`` so sums an image, words with
+one shift vector and one d-count, into one ``ShiftWord``, and
 ``compile_relation`` turns a relation's two sides, lhs - rhs, into
 components.  The sides agree on every monomial iff every component is zero,
 because distinct characters a -> q^{m.a} are linearly independent on N^n.
@@ -65,19 +67,6 @@ def _step(letter: "ShiftWord", form: Form) -> Form:
     return shift, nxt, divided + letter.divided
 
 
-def compose(letters, nvars: int, coeff: LaurentPoly = ONE) -> Form:
-    """The form of coeff(q) times a word of ShiftWords, rightmost first.
-
-    Returns (delta, P, D): the word sends X^a to P(q, q^a) / (q - q^-1)^D
-    times X^{a+delta}, with D the sum of the letters' ``divided``.
-    """
-    zero = (0,) * nvars
-    form = zero, {(qe, zero): v for qe, v in coeff.items()}, 0
-    for letter in reversed(letters):
-        form = _step(letter, form)
-    return form
-
-
 class ShiftWord(NamedTuple):
     """An operator sending X^a to c X^{a + delta}, composed once.
 
@@ -98,21 +87,6 @@ class ShiftWord(NamedTuple):
         return cls(((slot, step),) if step else (),
                    tuple([(c, 0, ((slot, e),) if e else ()) for c, e in terms]),
                    int(divided))
-
-    @classmethod
-    def of(cls, words, nvars: int) -> "ShiftWord":
-        """The sum of ``words``, pairs (letters, Laurent coefficient).
-
-        The words must share their shift vector and their d-count.
-        """
-        forms = [compose(letters, nvars, coeff) for letters, coeff in words]
-        delta, total, divided = forms[0] if forms else ((0,) * nvars, {}, 0)
-        for other, poly, depth in forms[1:]:
-            if (other, depth) != (delta, divided):
-                raise ValueError("words differ in shift vector or d-count")
-            for key, v in poly.items():
-                total[key] = total.get(key, 0) + v
-        return cls.from_poly(delta, total, divided)
 
     @classmethod
     def from_poly(cls, delta: Vector, poly: ShiftPoly, divided: int = 0
@@ -177,13 +151,15 @@ class ShiftForm(NamedTuple):
 def _word_form(word, table, forms) -> Form:
     """The form of a word of symbols over ``table``, read from ``forms``.
 
-    ``forms`` maps words to their forms over this one table, the empty word
-    included.  A word missing there is its first letter stepped onto the
-    form of the rest, so each suffix is composed, and added, once.
+    ``forms`` maps words to their forms over this one table, and is first
+    given the empty word's, the identity.  A missing word is its first letter
+    stepped onto the form of the rest: each suffix is composed once per memo.
     """
     form = forms.get(word)
     if form is None:
-        i = 1
+        if () not in forms:
+            forms[()] = (0,) * table.nvars, {(0, (0,) * table.nvars): 1}, 0
+        i = 0
         while word[i:] not in forms:
             i += 1
         form = forms[word[i:]]
@@ -193,21 +169,31 @@ def _word_form(word, table, forms) -> Form:
     return form
 
 
+def _add_terms(comp, poly, coeff, sign=1):
+    """Add sign * coeff(q) times ``poly`` into ``comp``: a term v q^qc of
+    coeff moves each term q^qe u^m of ``poly`` to q^(qe + qc) u^m."""
+    for qc, vc in coeff.items():
+        vc *= sign
+        for (qe, uv), v in poly.items():
+            key = (qe + qc, uv)
+            comp[key] = comp.get(key, 0) + v * vc
+
+
 def compile_relation(lhs, rhs, table, forms=None) -> ShiftForm:
     """The shift-vector form of lhs - rhs, two OperatorExprs, over an
-    ActionTable: the terms of ``lhs`` are added, and those of ``rhs``
-    subtracted, into the same components, never into an expression.
+    ActionTable: ``_add_terms`` adds the terms of ``lhs``, and subtracts
+    those of ``rhs``, into the same components, never into an expression.
 
     Every table that qweyl builds holds ``ShiftWord`` entries.  A symbol the
     table does not know raises the ``KeyError`` of ``ActionTable.act``; an
     entry that is not a ``ShiftWord`` (a plain function, say) raises
     ``TypeError`` naming the symbol.
 
-    ``forms`` is a memo for calls over this one ``table`` (a fresh one if
-    None).  It maps each word, a tuple of symbols, to its form, so one memo
-    passed to every call over the table composes each suffix of each word
-    once; under the key None it keeps the powers of q - q^-1 built so far.
-    A memo must never be passed to a call over another table.
+    ``forms`` is a ``_word_form`` memo for calls over this one ``table`` (a
+    fresh one if None), so one memo passed to every call over the table
+    composes each suffix of each word once; under the key None it keeps the
+    powers of q - q^-1 built so far.  A memo must never be passed to a call
+    over another table.
 
     Both sides are first multiplied by L, the product of the distinct
     denominators of their coefficients, and by (q - q^-1)^D, D the largest
@@ -215,9 +201,6 @@ def compile_relation(lhs, rhs, table, forms=None) -> ShiftForm:
     coefficients in q.  Both factors are nonzero; ``scale`` records them.
     """
     forms = {} if forms is None else forms
-    if () not in forms:
-        forms[()] = compose((), table.nvars)
-        forms[None] = [ONE]    # (q - q^-1)^0, ^1, ... built so far
     words, dens, depth = [], set(), 0
     for expr, sign in ((lhs, 1), (rhs, -1)):
         for word, c in expr.terms.items():
@@ -230,21 +213,17 @@ def compile_relation(lhs, rhs, table, forms=None) -> ShiftForm:
     # c * L is c.num times every other denominator: no gcd is needed.
     rest = {den: prod((d for d in dens if d != den), start=ONE)
             for den in dens | {ONE}} if dens else {}
-    powers = forms[None]
+    powers = forms.setdefault(None, [ONE])    # (q - q^-1)^0, ^1, ...
     while len(powers) <= depth:
         powers.append(powers[-1] * Q_MINUS_QINV)
     components: Dict[Vector, ShiftPoly] = {}
     for (shift, poly, divided), c, sign in words:
-        coeff = c.num if sign > 0 else -c.num
+        coeff = c.num
         if rest:
             coeff = coeff * rest[c.den]
         if divided < depth:
             coeff = coeff * powers[depth - divided]
-        comp = components.setdefault(shift, {})
-        for qc, vc in coeff.items():
-            for (qe, uv), v in poly.items():
-                key = (qe + qc, uv)
-                comp[key] = comp.get(key, 0) + v * vc
+        _add_terms(components.setdefault(shift, {}), poly, coeff, sign)
     for delta in list(components):
         comp = {key: v for key, v in components[delta].items() if v}
         if comp:

@@ -10,9 +10,11 @@ graph and its axiom audit by the per-node Kashiwara formula, without string
 walks.  ``reference_compile_relation`` is ``shift.compile_relation`` as it
 was before it skipped its products by 1: every coefficient times the product
 of the other denominators and times a power of q - q^-1, that power and the
-product taken even when they are 1.  ``reference_q_product`` is
-``qscalar.q_product`` as it was before it ran on dense lists: one
-``LaurentPoly`` product per q-integer.  ``reference_apply`` is
+product taken even when they are 1.  It composes each word afresh with
+``compose``, ``shift``'s fold of one word before the compiler read word
+forms from a memo.  ``reference_q_product`` is ``qscalar.q_product`` as it
+was before it ran on dense lists: one ``LaurentPoly`` product per
+q-integer.  ``reference_apply`` is
 ``opcalc.apply`` as it was before it walked each word in factored form:
 one ``ScalarQ`` product per letter and term.  ``reference_relation_instances``,
 ``reference_algebra_relations`` and ``reference_uqsl_relation_instances``
@@ -32,10 +34,11 @@ from qweyl.iqg import B_, H_, e_, f_, k_, presentation, t_
 from qweyl.opcalc import (ActionTable, GeneratorSymbol, OperatorExpr,
                           QPolynomial, apply, apply_word, monomials_of_degree,
                           monomials_up_to)
-from qweyl.qscalar import (Q_MINUS_QINV, LaurentPoly, ScalarQ, factorial_steps,
-                           q_binomial, q_factorial, q_integer, q_product)
+from qweyl.qscalar import (ONE, Q_MINUS_QINV, LaurentPoly, ScalarQ,
+                           factorial_steps, q_binomial, q_factorial, q_integer,
+                           q_product)
 from qweyl.satake import SatakeDiagram, build_diagram
-from qweyl.shift import ShiftForm, _letter, compose
+from qweyl.shift import Form, ShiftForm, _letter, _step
 from qweyl.weyl import E, F, K, cartan_entry
 
 
@@ -244,6 +247,19 @@ def per_node_axioms_check(diagram: SatakeDiagram, s, table):
         fail("rank_ok", (len(nodes),))
     report["all_ok"] = not report["failures"]
     return report
+
+
+def compose(letters, nvars: int, coeff: LaurentPoly = ONE) -> Form:
+    """The form of coeff(q) times a word of ShiftWords, rightmost first.
+
+    Returns (delta, P, D): the word sends X^a to P(q, q^a) / (q - q^-1)^D
+    times X^{a+delta}, with D the sum of the letters' ``divided``.
+    """
+    zero = (0,) * nvars
+    form = zero, {(qe, zero): v for qe, v in coeff.items()}, 0
+    for letter in reversed(letters):
+        form = _step(letter, form)
+    return form
 
 
 def reference_compile_relation(expr, table) -> ShiftForm:

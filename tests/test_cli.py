@@ -134,7 +134,8 @@ def test_act_empty_poly_term_is_usage_error(capsys, poly, message):
     assert message in err
 
 
-@pytest.mark.parametrize("monomial", ["1,x", "1,,2"])
+@pytest.mark.parametrize("monomial", ["1,x", "1,,2", "1_0,0", "+1,0",
+                                      "\u0661,0", "1, 2"])
 def test_witness_bad_monomial_is_usage_error(capsys, monomial):
     code, out, err = run(capsys, "witness", "--diagram", "I:r=1",
                          "--monomial", monomial)
@@ -142,6 +143,29 @@ def test_witness_bad_monomial_is_usage_error(capsys, monomial):
     assert out == ""
     assert "error: bad --monomial %r" % monomial in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--s", "1_0"), ("--s", "+1"), ("--s", "\u0661"), ("--s", " 1"),
+    ("--max-degree", "1_0"), ("--max-degree", "+0"),
+    ("--max-degree", "\u0661")])
+def test_option_integer_rule_is_usage_error(capsys, option, value):
+    # argparse reads --s and --max-degree by the one integer rule: ASCII
+    # digits after an optional '-'; anything else exits 2, one error line
+    argv = (["crystal", "--diagram", "I:r=0"] if option == "--s" else
+            ["verify", "--diagram", "I:r=0", "--suite", "weyl"])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert "argument %s: invalid integer value: %r" % (option, value) \
+        in captured.err
+    # a '-' is read, and refused as below 0
+    code, out, err = run(capsys, *argv, option, "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: %s must be >= 0\n" % option
 
 
 @pytest.mark.parametrize("diagram,monomial,direction", [
@@ -205,6 +229,8 @@ def test_crystal_size_bound_is_inclusive(monkeypatch):
     for check in (crystal_graph, crystal.crystal_axioms_check):
         with pytest.raises(ValueError, match="has more than 10 nodes"):
             check(d, 10)
+        with pytest.raises(ValueError, match="degree s must be >= 0"):
+            check(d, -1)
 
 
 @pytest.mark.parametrize("s", [2000, 19999])

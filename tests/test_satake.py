@@ -115,8 +115,13 @@ def test_parse_spec():
         parse_spec("I")
     with pytest.raises(ValueError):
         parse_spec("I:r=x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs r >= 0"):
         parse_spec("I:r=-1")
+    # ASCII digits and an optional '-' only: no '_', '+', space or other digit
+    for text in ("I:r=1_0", "I:r=+1", "I:r=\u0661", "I:r= 1", "I:r=1 0",
+                 "I:r=", "I:r=-"):
+        with pytest.raises(ValueError, match="bad rank in diagram spec"):
+            parse_spec(text)
 
 
 def test_mutation_helpers():

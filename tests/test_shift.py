@@ -3,7 +3,8 @@ over generator and image tables, refusal of entries that are not ShiftWords,
 residuals read off the compiled form against an apply-based oracle, the
 same forms as the compiler that still took its products by 1, the
 polynomial gcds that a verify run still needs, one letter step per word
-suffix and table, and a residual search that stops at its first residual."""
+suffix and table, images whose words must share one shift and d-count, and
+a residual search that stops at its first residual."""
 
 import functools
 import json
@@ -15,8 +16,8 @@ from closed_forms import reference_compile_relation
 from qweyl import opcalc, qscalar, shift
 from qweyl.cli import main
 from qweyl.iqg import e_, oscillator_action, phi, relation_instances
-from qweyl.modweyl import (iota_map, iota_table, m_,
-                           modweyl_relation_instances, modweyl_table)
+from qweyl.modweyl import (d_, iota_map, iota_table, m_,
+                           modweyl_relation_instances, modweyl_table, x_)
 from qweyl.opcalc import (ActionTable, OperatorExpr, QPolynomial, apply,
                           expr_map,
                           image_table, monomials_up_to,
@@ -26,8 +27,8 @@ from qweyl.qscalar import (InexactDivisionError, LaurentPoly, Q_MINUS_QINV,
                            ScalarQ)
 from qweyl.satake import build_diagram, parse_spec
 from qweyl.shift import ShiftWord, compile_relation
-from qweyl.weyl import (chi_map, uqsl_relation_instances, weyl_relation_instances,
-                        weyl_table)
+from qweyl.weyl import (algebra_table, chi_map, uqsl_relation_instances,
+                        weyl_relation_instances, weyl_table)
 
 ALL_DIAGRAMS = [("I", 0), ("I", 1), ("I", 2), ("II", 0), ("II", 1), ("II", 2),
                 ("III", 1), ("III", 2), ("A1AFF", None), ("IV", 0), ("IV", 1),
@@ -298,28 +299,54 @@ def test_verify_runs_a_gcd_only_for_multi_term_numerators(capsys, monkeypatch):
     assert calls == []
 
 
+def _suffixes(words):
+    return {w[k:] for w in words for k in range(len(w))}
+
+
 @pytest.mark.parametrize("kind,r", [("I", 1), ("IV", 2), ("A1AFF", None)])
 def test_verify_steps_each_word_suffix_once(monkeypatch, kind, r):
-    # One verify_relations call composes each distinct suffix of the words
-    # it compiles once, one letter onto the next shorter suffix, on every
-    # suite's table; composing every word afresh takes more letter steps.
+    # One image_table call, and one verify_relations call, composes each
+    # distinct suffix of the words it reads once, one letter onto the next
+    # shorter suffix, on every suite's table; composing every word afresh
+    # takes more letter steps.
     real = shift._step
+    steps = []
+
+    def counted(letter, form):
+        steps.append(letter)
+        return real(letter, form)
+
+    monkeypatch.setattr(shift, "_step", counted)
     for table, instances, push in _suites(build_diagram(kind, r)):
         if push is not None:
+            steps.clear()
             table = image_table(push, table)
-        steps = []
+            words = [w for image in push.values() for w in image.terms]
+            assert len(steps) == len(_suffixes(words))
+        steps.clear()
+        verify_relations(instances, table, 0)
+        words = [w for _, _, lhs, rhs in instances for w in (lhs - rhs).terms]
+        assert len(steps) == len(_suffixes(words))
+        assert len(steps) < sum(len(w) for w in words)
 
-        def counted(letter, form):
-            steps.append(letter)
-            return real(letter, form)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(shift, "_step", counted)
-            verify_relations(instances, table, 0)
-        words = [list((lhs - rhs).terms) for _, _, lhs, rhs in instances]
-        suffixes = {w[k:] for ws in words for w in ws for k in range(len(w))}
-        assert len(steps) == len(suffixes)
-        assert len(steps) < sum(len(w) for ws in words for w in ws)
+def test_image_words_must_share_shift_and_d_count():
+    # An image sums into one ShiftWord only if its words share their shift
+    # vector and their d-count; the zero image is the zero ShiftWord.
+    table = algebra_table((1, 1), "dxm")
+    x0, d0 = OperatorExpr.symbol(x_(0)), OperatorExpr.symbol(d_(0))
+    one = OperatorExpr.identity()
+    for image in (x0 + OperatorExpr.symbol(x_(1)), d0 * x0 + one):
+        with pytest.raises(ValueError, match="words differ in shift vector "
+                                             "or d-count"):
+            image_table({e_(0): image}, table)
+    entry = image_table({e_(0): OperatorExpr.zero()}, table).entries[e_(0)]
+    assert entry == ShiftWord((), (), 0)
+    assert entry((3, 1)) == []
+    # words that agree sum their terms: d0 x0 - q x0 d0 is q^-a0 on X^a
+    image = d0 * x0 - (x0 * d0).scale(ScalarQ.q_power(1))
+    entry = image_table({e_(0): image}, table).entries[e_(0)]
+    assert entry((3, 1)) == [((3, 1), ScalarQ.q_power(-3))]
 
 
 def test_word_forms_are_never_shared_between_tables(capsys, monkeypatch):
