@@ -7,6 +7,11 @@ Kashiwara operators act through xi-deformed divided powers of the lowering
 aliases and send divided monomials to divided monomials with coefficient
 exactly 1 (or to zero), which is what the axiom checker asserts.  One walk
 down each i-string gives all its images, one f_i letter per node.
+
+A step reads f_i X^e as one q-integer run (``ShiftWord.run``) and compares
+it with the run of the [xi_i e_i] it divides by: equal runs are equal
+polynomials, so the coordinate stays exactly 1 with no product and no gcd.
+Any other outcome is expanded, and every defect is read from that.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .iqg import f_, oscillator_action
 from .opcalc import ActionTable, Monomial, monomials_of_degree
 from .qscalar import ScalarQ, factorial_steps, q_integer, q_product
 from .satake import SatakeDiagram
+from .shift import ShiftWord
 
 CRYSTAL_KINDS = ("I", "III", "A1AFF")
 
@@ -29,7 +35,6 @@ _UNSUPPORTED_MSG = ("crystal bases are only constructed for the ladder "
 
 
 MAX_CRYSTAL_NODES = 20_000  # a graph walks and prints every node
-MAX_CRYSTAL_WORK = 4_000_000  # nodes times s + 1: a string step costs O(s)
 
 
 def _require_crystal_kind(diagram: SatakeDiagram):
@@ -39,18 +44,13 @@ def _require_crystal_kind(diagram: SatakeDiagram):
 
 def _require_crystal_size(diagram: SatakeDiagram, s: int):
     """Refuse a degree s < 0, or one whose crystal has more than
-    MAX_CRYSTAL_NODES nodes, the monomials of degree s, or more than
-    MAX_CRYSTAL_WORK nodes times s + 1, before any is built."""
+    MAX_CRYSTAL_NODES nodes, the monomials of degree s, before any is built.
+    A factored string step costs O(r), so the node bound bounds the work."""
     if s < 0:
         raise ValueError("degree s must be >= 0")
-    nodes = comb(s + diagram.r + 1, diagram.r + 1)
-    if nodes > MAX_CRYSTAL_NODES:
+    if comb(s + diagram.r + 1, diagram.r + 1) > MAX_CRYSTAL_NODES:
         raise ValueError("crystal of %s at s = %d has more than %d nodes"
                          % (diagram.spec_string, s, MAX_CRYSTAL_NODES))
-    if nodes * (s + 1) > MAX_CRYSTAL_WORK:
-        raise ValueError("crystal of %s at s = %d has %d nodes, and nodes "
-                         "times s + 1 is above %d"
-                         % (diagram.spec_string, s, nodes, MAX_CRYSTAL_WORK))
 
 
 def _string_walk(diagram: SatakeDiagram, i: int, b: Monomial,
@@ -62,25 +62,45 @@ def _string_walk(diagram: SatakeDiagram, i: int, b: Monomial,
     D(b) [n]^{xi_{i+1}}! / D(e): each step applies f_i to every term and
     divides by the one q-integer [xi_i e_i] that this ratio gains, since
     [n]^{xi_{i+1}}! is D(e)'s slot i+1 factor.  The coordinate at t is
-    img_t D(t) / D(e), img_e itself at t = e; on a crystal each step is a
-    q-integer over itself, 1 without a gcd, so nothing grows with n.
+    img_t D(t) / D(e), img_e itself at t = e.
+
+    While every step so far was factored, ``img`` is exactly 1 at e, and a
+    ``ShiftWord`` entry for f_i steps in factored form: ``ShiftWord.run``
+    reads f_i X^e as a q-integer run.  Two Laurent polynomials are equal iff
+    their runs are, so a run equal to [xi_i e_i]'s, landing on the next e,
+    leaves the coordinate exactly 1, and a run with m = 0 leaves an empty
+    image; neither builds a polynomial.  Any other outcome, or an entry that
+    is not a ``ShiftWord``, takes the expanded step from the current image,
+    and so does every later step: defects read as before.
     """
-    xi, img, e, f_i = diagram.xi, {b: ScalarQ.one()}, b, f_(i)
+    xi, e, one = diagram.xi, b, ScalarQ.one()
+    img, f_i = {b: one}, f_(i)
+    letter = table.entry(f_i)
+    factored = isinstance(letter, ShiftWord)
     while True:
         yield {t: c if t == e else
                ScalarQ(q_product(factorial_steps(xi, e, t), c.num),
                        q_product(factorial_steps(xi, t, e), c.den))
                for t, c in img.items()}
-        sums = {}
-        for t, c in img.items():
-            for u, w in table.act(f_i, t):
-                v = c * w
-                sums[u] = sums[u] + v if u in sums else v
-        step = q_integer(xi[i] * e[i])     # zero once slot i is empty
-        img = {u: ScalarQ(v.num, v.den * step) if step else v
-               for u, v in sums.items() if not v.is_zero}
-        e = tuple(u - (j == i and u > 0) + (j == i + 1)
-                  for j, u in enumerate(e))
+        nxt = tuple(u - (j == i and u > 0) + (j == i + 1)
+                    for j, u in enumerate(e))
+        m = xi[i] * e[i]
+        got = letter.run(e) if factored else None
+        if got is not None and not got[2]:
+            img, factored = {}, False
+        elif got == (nxt, 1 - abs(m), abs(m), (m > 0) - (m < 0)):
+            img = {nxt: one}
+        else:
+            factored = False
+            sums = {}
+            for t, c in img.items():
+                for u, w in table.act(f_i, t):
+                    v = c * w
+                    sums[u] = sums[u] + v if u in sums else v
+            step = q_integer(m)     # zero once slot i is empty
+            img = {u: ScalarQ(v.num, v.den * step) if step else v
+                   for u, v in sums.items() if not v.is_zero}
+        e = nxt
 
 
 def _kashiwara_coords(diagram: SatakeDiagram, i: int, a: Monomial, n: int,
@@ -133,6 +153,8 @@ def _kashiwara(diagram, i, a, step, table):
     if len(a) != diagram.nslots:
         raise ValueError("exponent vector length %d != %d"
                          % (len(a), diagram.nslots))
+    if any(x < 0 for x in a):
+        raise ValueError("negative exponent in %r" % (a,))
     return _target(_kashiwara_coords(diagram, i, a, a[i + 1] + step, table))
 
 

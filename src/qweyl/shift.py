@@ -30,7 +30,7 @@ from math import prod
 from typing import Dict, NamedTuple, Tuple
 
 from .qscalar import (ONE, Q_MINUS_QINV, InexactDivisionError, LaurentPoly,
-                      ScalarQ)
+                      ScalarQ, _coeff)
 
 Vector = Tuple[int, ...]
 Sparse = Tuple[Tuple[int, int], ...]
@@ -121,6 +121,40 @@ class ShiftWord(NamedTuple):
             num = quo
         c = LaurentPoly(num)
         return [] if c.is_zero else [(tuple(tgt), ScalarQ(c))]
+
+    def run(self, mon):
+        """(target, lo, m, v) if X^mon goes to v*q^lo*(1 + q^2 + ... +
+        q^(2(m-1)))*X^target (m = 0: to zero), else None; O(touched slots).
+
+        The runs are one undivided term, and (v*q^a - v*q^b)/(q - q^-1)
+        with a - b = 2m >= 0, which is v*q^(b+1)*(1 + ... + q^(2(m-1))).
+        Any other shape, or an odd gap, is None, and the caller expands.
+        """
+        terms = self.terms
+        if self.divided == 1 and len(terms) == 2:
+            (v, a, us), (w, b, ws) = terms
+            if v + w:
+                return None
+            for j, m in us:
+                a += m * mon[j]
+            for j, m in ws:
+                b += m * mon[j]
+            if a < b:
+                v, a, b = -v, b, a
+            if (a - b) & 1:
+                return None
+            lo, m = b + 1, (a - b) // 2 if v else 0
+        elif not self.divided and len(terms) == 1:
+            (v, lo, us), = terms
+            for j, m in us:
+                lo += m * mon[j]
+            m = 1 if v else 0
+        else:
+            return None
+        tgt = list(mon)
+        for j, s in self.delta:
+            tgt[j] += s
+        return tuple(tgt), lo, m, _coeff(v)
 
 
 def _sparse(v: Vector) -> Sparse:

@@ -15,6 +15,7 @@ from qweyl.opcalc import (ActionTable, QPolynomial, apply_word,
                           monomials_of_degree)
 from qweyl.qscalar import LaurentPoly, ScalarQ, q_factorial, q_integer
 from qweyl.satake import build_diagram
+from qweyl.shift import ShiftWord
 
 FAMILIES = [("I", 0), ("I", 1), ("I", 2), ("III", 1), ("A1AFF", None)]
 
@@ -100,6 +101,21 @@ def test_combinatorial_rule_agrees_with_operators(kind, r):
 def test_combinatorial_rule_direction_validation():
     with pytest.raises(ValueError):
         combinatorial_rule(0, (1, 0), "g")
+
+
+def test_kashiwara_rejects_bad_colors_lengths_and_exponents():
+    d = build_diagram("I", 0)
+    t = oscillator_action(d)
+    for op in (kashiwara_f, kashiwara_e):
+        with pytest.raises(ValueError, match=r"color 1 out of range 0\.\.0"):
+            op(d, 1, (1, 0), table=t)
+        with pytest.raises(ValueError, match="exponent vector length 3 != 2"):
+            op(d, 0, (1, 0, 0), table=t)
+    # Without the check these read (0, 1) and (1, 0).
+    with pytest.raises(ValueError, match=r"negative exponent in \(-1, 2\)"):
+        kashiwara_e(d, 0, (-1, 2), table=t)
+    with pytest.raises(ValueError, match=r"negative exponent in \(2, -1\)"):
+        kashiwara_f(d, 0, (2, -1), table=t)
 
 
 def test_kashiwara_rejects_unsupported_kind():
@@ -339,22 +355,59 @@ def test_mutated_graph_error_is_pinned(monkeypatch):
             "{%s: ScalarQ((q^2)/(q^4 + q^2 + 1))}" % target)
 
 
-def _count_act_calls(monkeypatch):
-    calls = []
-    act = ActionTable.act
+@pytest.mark.parametrize("terms,delta", [
+    # q [a_0]: no step is 1
+    (((1, 1, ((0, 1),)), (-1, 1, ((0, -1),))), ((0, -1), (1, 1))),
+    # [a_0] without the move into slot 1: the target is off
+    (((1, 0, ((0, 1),)), (-1, 0, ((0, -1),))), ((0, -1),)),
+    # (q^2 - q^(2 - 2a_0))/(q - q^-1): [a_0]'s run only at a_0 = 2, so at
+    # s = 3 the walk meets it after an expanded step and must stay expanded
+    (((1, 2, ()), (-1, 2, ((0, -2),))), ((0, -1), (1, 1))),
+])
+def test_factored_walk_matches_plain_entries_on_broken_tables(monkeypatch,
+                                                              terms, delta):
+    # The same broken f_0, as a ShiftWord and as a plain function: the
+    # graph error and the audit agree whichever path the walk takes.
+    import qweyl.crystal as crystal_mod
+    d = build_diagram("I", 0)
+    shifted = oscillator_action(d)
+    shifted.entries[f_(0)] = ShiftWord(delta, terms, 1)
+    plain = ActionTable(shifted.nvars, {
+        sym: (lambda mon, w=w: w(mon)) for sym, w in shifted.entries.items()})
+    for s in range(5):
+        got = []
+        for table in (shifted, plain):
+            monkeypatch.setattr(crystal_mod, "oscillator_action",
+                                lambda _, table=table: table)
+            got.append((_graph_or_error(lambda: crystal_graph(d, s).edges),
+                        crystal_axioms_check(d, s)))
+        assert got[0] == got[1], s
+        assert got[0][1]["all_ok"] == (s == 0), s
 
-    def counting(self, sym, mon):
+
+def _count_letters(monkeypatch):
+    """Record every letter evaluation: a factored ``ShiftWord.run`` or an
+    expanded ``ActionTable.act``."""
+    calls = []
+    act, run = ActionTable.act, ShiftWord.run
+
+    def counting_act(self, sym, mon):
         calls.append(sym)
         return act(self, sym, mon)
 
-    monkeypatch.setattr(ActionTable, "act", counting)
+    def counting_run(self, mon):
+        calls.append(self)
+        return run(self, mon)
+
+    monkeypatch.setattr(ActionTable, "act", counting_act)
+    monkeypatch.setattr(ShiftWord, "run", counting_run)
     return calls
 
 
 @pytest.mark.parametrize("kind,r", ORACLE_FAMILIES)
 def test_crystal_graph_applies_one_letter_per_node_and_color(monkeypatch,
                                                               kind, r):
-    calls = _count_act_calls(monkeypatch)
+    calls = _count_letters(monkeypatch)
     d = build_diagram(kind, r)
     for s in range(8):
         del calls[:]
@@ -371,7 +424,7 @@ def test_axioms_check_applies_one_letter_per_node_and_color(monkeypatch,
                                                              kind, r):
     # Both images of a node come from the walks crystal_graph takes: the
     # e image is the step before it, the f image the step after it.
-    calls = _count_act_calls(monkeypatch)
+    calls = _count_letters(monkeypatch)
     d = build_diagram(kind, r)
     for s in range(8):
         del calls[:]
@@ -383,13 +436,8 @@ def test_axioms_check_applies_one_letter_per_node_and_color(monkeypatch,
         assert len(calls) == 31     # two walks per node from scratch: 931
 
 
-@pytest.mark.parametrize("kind,r,s", [("I", 0, 60), ("A1AFF", None, 30),
-                                       ("III", 1, 12)])
-def test_string_walk_multiplies_by_one_q_integer_at_a_time(monkeypatch,
-                                                            kind, r, s):
-    # Each step divides by its own [xi_i e_i], so no Laurent factor in the
-    # graph or the audit has more than max|xi| * s terms.  A walk that keeps
-    # running q-products down the string reaches 1,771, 436 and 145 here.
+def _laurent_factor_sizes(monkeypatch):
+    """Record the larger factor's size in every Laurent product."""
     sizes = []
     mul = LaurentPoly.__mul__
 
@@ -400,10 +448,38 @@ def test_string_walk_multiplies_by_one_q_integer_at_a_time(monkeypatch,
 
     monkeypatch.setattr(LaurentPoly, "__mul__", measuring)
     monkeypatch.setattr(LaurentPoly, "__rmul__", measuring)
+    return sizes
+
+
+WALK_CASES = [("I", 0, 60), ("A1AFF", None, 30), ("III", 1, 12)]
+
+
+@pytest.mark.parametrize("kind,r,s", WALK_CASES)
+def test_string_walk_multiplies_by_one_q_integer_at_a_time(monkeypatch,
+                                                            kind, r, s):
+    # On a table of plain functions every step is expanded and divides by
+    # its own [xi_i e_i], so no Laurent factor in the graph or the audit
+    # has more than max|xi| * s terms.  A walk that keeps running
+    # q-products down the string reaches 1,771, 436 and 145 here.
+    import qweyl.crystal as crystal_mod
+    monkeypatch.setattr(crystal_mod, "oscillator_action", closed_form_action)
+    sizes = _laurent_factor_sizes(monkeypatch)
     d = build_diagram(kind, r)
     crystal_graph(d, s)
     assert crystal_axioms_check(d, s)["all_ok"]
     assert sizes and max(sizes) <= max(abs(x) for x in d.xi) * s
+
+
+@pytest.mark.parametrize("kind,r,s", WALK_CASES)
+def test_string_walk_is_factored_on_the_oscillator_table(monkeypatch,
+                                                         kind, r, s):
+    # Every f_i step of a crystal is a q-integer run equal to [xi_i e_i]:
+    # neither the graph nor the audit multiplies a Laurent polynomial.
+    sizes = _laurent_factor_sizes(monkeypatch)
+    d = build_diagram(kind, r)
+    crystal_graph(d, s)
+    assert crystal_axioms_check(d, s)["all_ok"]
+    assert sizes == []
 
 
 @pytest.mark.parametrize("kind,r", ORACLE_FAMILIES)

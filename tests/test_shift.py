@@ -3,16 +3,18 @@ over generator and image tables, refusal of entries that are not ShiftWords,
 residuals read off the compiled form against an apply-based oracle, the
 same forms as the compiler that still took its products by 1, the
 polynomial gcds that a verify run still needs, one letter step per word
-suffix and table, images whose words must share one shift and d-count, and
-a residual search that stops at its first residual."""
+suffix and table, images whose words must share one shift and d-count,
+a residual search that stops at its first residual, and every entry's
+factored run against its expanded image."""
 
 import functools
 import json
+from fractions import Fraction
 from math import prod
 
 import pytest
 
-from closed_forms import reference_compile_relation
+from closed_forms import reference_compile_relation, xi_variants
 from qweyl import opcalc, qscalar, shift
 from qweyl.cli import main
 from qweyl.iqg import e_, oscillator_action, phi, relation_instances
@@ -122,6 +124,55 @@ def test_divided_rule_matches_divexact_and_refuses_a_remainder():
         assert rule((a,)) == expected
     with pytest.raises(InexactDivisionError):
         ShiftWord.generator(0, 0, ((1, 1),), True)((1,))
+
+
+def _is_run_shaped(word):
+    """One undivided term, or c and -c over one q - q^-1."""
+    if (word.divided, len(word.terms)) == (0, 1):
+        return True
+    return ((word.divided, len(word.terms)) == (1, 2)
+            and word.terms[0][0] + word.terms[1][0] == 0)
+
+
+@pytest.mark.parametrize("kind,r", ALL_DIAGRAMS)
+def test_factored_run_matches_the_expanded_image(kind, r):
+    # Every entry of every oscillator table, at every monomial of degree
+    # <= 4: run is None exactly off the two run shapes, and otherwise
+    # reads the image that __call__ expands, or m = 0 where it is empty.
+    for d in [build_diagram(kind, r)] + xi_variants(kind, r):
+        entries = oscillator_action(d).entries.values()
+        monomials = monomials_up_to(d.nslots, 4)
+        for word in entries:
+            if not _is_run_shaped(word):
+                assert all(word.run(a) is None for a in monomials), word
+                continue
+            for a in monomials:
+                got, image = word.run(a), word(a)
+                if not image:
+                    assert got[2] == 0, (word, a)
+                    continue
+                (target, c), = image
+                assert got == (target,) + qscalar._run(c.as_laurent()._c), \
+                    (word, a)
+
+
+def test_factored_run_refuses_what_is_not_a_run():
+    u = ((0, 1),)
+    cases = [
+        ShiftWord((), ((1, 2, ()), (-1, 0, ()), (1, -2, ())), 1),  # three terms
+        ShiftWord((), ((1, 0, ((0, 2),)), (-2, 0, ())), 1),  # not c, -c
+        ShiftWord((), ((1, 1, ()), (-1, 0, ())), 1),    # an odd gap
+        ShiftWord((), ((1, 0, u), (-1, 0, ())), 2),     # divided twice
+        ShiftWord((), ((1, 0, u), (1, 0, ())), 0),      # two undivided terms
+    ]
+    for word in cases:
+        assert word.run((1,)) is None, word
+    # ... while the shapes that are runs read as runs, Fractions normalised.
+    got = ShiftWord(((0, -1),), ((Fraction(4, 2), 3, u),), 0).run((2,))
+    assert got == ((1,), 5, 1, 2) and type(got[3]) is int
+    divided = ShiftWord(((0, 1),), ((-1, 0, ((0, -1),)), (1, 0, u)), 1)
+    assert divided.run((3,)) == ((4,), -2, 3, 1)    # [3] = q^-2 + 1 + q^2
+    assert divided.run((0,))[:3] == ((1,), 1, 0)    # [0] = 0: m = 0
 
 
 def _replace_m0(table, action):
