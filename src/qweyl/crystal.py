@@ -23,7 +23,8 @@ from math import comb
 from typing import Dict, Optional, Tuple
 
 from .iqg import f_, oscillator_action
-from .opcalc import ActionTable, Monomial, monomials_of_degree
+from .opcalc import (ActionTable, Monomial, OperatorExpr, QPolynomial, apply,
+                     monomials_of_degree)
 from .qscalar import ScalarQ, factorial_steps, q_integer, q_product
 from .satake import SatakeDiagram
 from .shift import ShiftWord
@@ -70,8 +71,8 @@ def _string_walk(diagram: SatakeDiagram, i: int, b: Monomial,
     their runs are, so a run equal to [xi_i e_i]'s, landing on the next e,
     leaves the coordinate exactly 1, and a run with m = 0 leaves an empty
     image; neither builds a polynomial.  Any other outcome, or an entry that
-    is not a ``ShiftWord``, takes the expanded step from the current image,
-    and so does every later step: defects read as before.
+    is not a ``ShiftWord``, takes the expanded step, ``apply`` of f_i to the
+    current image, and so does every later step: defects read as before.
     """
     xi, e, one = diagram.xi, b, ScalarQ.one()
     img, f_i = {b: one}, f_(i)
@@ -92,14 +93,11 @@ def _string_walk(diagram: SatakeDiagram, i: int, b: Monomial,
             img = {nxt: one}
         else:
             factored = False
-            sums = {}
-            for t, c in img.items():
-                for u, w in table.act(f_i, t):
-                    v = c * w
-                    sums[u] = sums[u] + v if u in sums else v
+            sums = apply(OperatorExpr.word((f_i,)),
+                         QPolynomial(table.nvars, img), table).terms
             step = q_integer(m)     # zero once slot i is empty
             img = {u: ScalarQ(v.num, v.den * step) if step else v
-                   for u, v in sums.items() if not v.is_zero}
+                   for u, v in sums.items()}
         e = nxt
 
 

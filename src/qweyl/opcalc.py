@@ -1,9 +1,10 @@
 """The polynomial ring Q(q)[X_0..X_{r+1}] and a free operator calculus.
 
-Operators are formal ScalarQ-linear combinations of words in generator
-symbols.  A word acts on a polynomial rightmost symbol first, through a
-pluggable action table mapping each symbol to a linear endomorphism given on
-monomials.
+Polynomials and operators are both ScalarQ-linear combinations of monoid
+elements, exponent vectors under addition and words in generator symbols
+under concatenation, and share one arithmetic core.  A word acts on a
+polynomial rightmost symbol first, through a pluggable action table mapping
+each symbol to a linear endomorphism given on monomials.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from operator import add
 from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
 from .qscalar import ScalarQ, _run, _window_product
@@ -38,10 +40,85 @@ def monomials_up_to(nvars: int, max_degree: int) -> List[Monomial]:
     return out
 
 
-class QPolynomial:
-    """Sparse polynomial: map from exponent vector to nonzero ScalarQ."""
+class _Combination:
+    """A ScalarQ-linear combination of monoid elements: ``terms`` maps each
+    element to its nonzero coefficient.  A subclass names the monoid's
+    product (``_op``), which operands it combines with (``_same_ring``) and
+    how a result is built (``_new``)."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("terms",)
+
+    def _new(self, terms):
+        out = type(self).__new__(type(self))
+        out.terms = terms
+        return out
+
+    def _same_ring(self, other) -> bool:
+        return type(other) is type(self)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _combine(self, other, sign: int):
+        """self + sign * other in one pass over other's terms."""
+        if not self._same_ring(other):
+            return NotImplemented
+        t = dict(self.terms)
+        for w, c in other.terms.items():
+            v = t.get(w)
+            if v is None:
+                v = c if sign > 0 else -c
+            else:
+                v = v + c if sign > 0 else v - c
+            if v.is_zero:
+                t.pop(w, None)
+            else:
+                t[w] = v
+        return self._new(t)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._new({w: -c for w, c in self.terms.items()})
+
+    def scale(self, c):
+        c = c if isinstance(c, ScalarQ) else ScalarQ(c)
+        return self._new({} if c.is_zero else
+                         {w: co * c for w, co in self.terms.items()})
+
+    def __mul__(self, other):
+        """The monoid's product ``_op`` extended bilinearly."""
+        if not self._same_ring(other):
+            return NotImplemented
+        t, op = {}, self._op
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                w = op(w1, w2)
+                c = c1 * c2
+                v = t.get(w)
+                v = c if v is None else v + c
+                if v.is_zero:
+                    t.pop(w, None)
+                else:
+                    t[w] = v
+        return self._new(t)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+
+class QPolynomial(_Combination):
+    """Sparse polynomial: map from exponent vector to nonzero ScalarQ.
+    Exponent vectors multiply by adding."""
+
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
@@ -70,70 +147,27 @@ class QPolynomial:
     def variable(cls, i: int, nvars: int) -> "QPolynomial":
         return cls.monomial(tuple(1 if j == i else 0 for j in range(nvars)))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        if self.nvars != other.nvars:
-            raise ValueError("mixing polynomial rings")
-        t = dict(self.terms)
-        for mon, c in other.terms.items():
-            w = t.get(mon)
-            w = c if w is None else w + c
-            if w.is_zero:
-                t.pop(mon, None)
-            else:
-                t[mon] = w
-        out = QPolynomial.__new__(QPolynomial)
-        out.nvars, out.terms = self.nvars, t
-        return out
-
-    def __neg__(self):
-        out = QPolynomial.__new__(QPolynomial)
+    def _new(self, terms) -> "QPolynomial":
+        out = _Combination._new(self, terms)
         out.nvars = self.nvars
-        out.terms = {m: -c for m, c in self.terms.items()}
         return out
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "QPolynomial":
-        c = c if isinstance(c, ScalarQ) else ScalarQ(c)
-        if c.is_zero:
-            return QPolynomial.zero(self.nvars)
-        out = QPolynomial.__new__(QPolynomial)
-        out.nvars = self.nvars
-        out.terms = {m: co * c for m, co in self.terms.items()}
-        return out
-
-    def mul_monomial(self, mon: Monomial, coeff=1) -> "QPolynomial":
-        """Multiply by coeff * X^mon (adds exponent vectors)."""
-        out = QPolynomial(self.nvars)
-        coeff = coeff if isinstance(coeff, ScalarQ) else ScalarQ(coeff)
-        if not coeff.is_zero:
-            out.terms = {tuple(x + y for x, y in zip(m, mon)): c * coeff
-                         for m, c in self.terms.items()}
-        return out
-
-    def __mul__(self, other: "QPolynomial") -> "QPolynomial":
-        if self.nvars != other.nvars:
+    def _same_ring(self, other) -> bool:
+        if type(other) is QPolynomial and other.nvars != self.nvars:
             raise ValueError("mixing polynomial rings")
-        out = QPolynomial.zero(self.nvars)
-        for mon, c in other.terms.items():
-            out = out + self.mul_monomial(mon, c)
-        return out
+        return type(other) is QPolynomial
+
+    @staticmethod
+    def _op(a: Monomial, b: Monomial) -> Monomial:
+        return tuple(map(add, a, b))
 
     def scale_var(self, i: int, power: int) -> "QPolynomial":
         """Substitute X_i -> q^power * X_i."""
-        out = QPolynomial.__new__(QPolynomial)
-        out.nvars = self.nvars
-        out.terms = {m: c * ScalarQ.q_power(power * m[i])
-                     for m, c in self.terms.items()}
-        return out
+        return self._new({m: c * ScalarQ.q_power(power * m[i])
+                          for m, c in self.terms.items()})
 
     def __eq__(self, other):
-        if not isinstance(other, QPolynomial):
+        if type(other) is not QPolynomial:
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
@@ -164,10 +198,12 @@ Word = Tuple[GeneratorSymbol, ...]
 _ONE = ScalarQ.one()
 
 
-class OperatorExpr:
-    """Formal ScalarQ-linear combination of words in generator symbols."""
+class OperatorExpr(_Combination):
+    """Formal ScalarQ-linear combination of words in generator symbols.
+    Words multiply by concatenation."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _op = staticmethod(add)
 
     def __init__(self, terms=None):
         t = {}
@@ -198,68 +234,6 @@ class OperatorExpr:
     @classmethod
     def symbol(cls, g: GeneratorSymbol, coeff=_ONE) -> "OperatorExpr":
         return cls.word((g,), coeff)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _combine(self, other: "OperatorExpr", sign: int) -> "OperatorExpr":
-        """self + sign * other in one pass over other's terms."""
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            v = t.get(w)
-            if v is None:
-                v = c if sign > 0 else -c
-            else:
-                v = v + c if sign > 0 else v - c
-            if v.is_zero:
-                t.pop(w, None)
-            else:
-                t[w] = v
-        out = OperatorExpr.__new__(OperatorExpr)
-        out.terms = t
-        return out
-
-    def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return self._combine(other, 1)
-
-    def __neg__(self):
-        out = OperatorExpr.__new__(OperatorExpr)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return self._combine(other, -1)
-
-    def scale(self, c) -> "OperatorExpr":
-        c = c if isinstance(c, ScalarQ) else ScalarQ(c)
-        if c.is_zero:
-            return OperatorExpr.zero()
-        out = OperatorExpr.__new__(OperatorExpr)
-        out.terms = {w: co * c for w, co in self.terms.items()}
-        return out
-
-    def __mul__(self, other: "OperatorExpr") -> "OperatorExpr":
-        """Word concatenation extended bilinearly."""
-        out = OperatorExpr.zero()
-        t = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                v = t.get(w)
-                v = c if v is None else v + c
-                if v.is_zero:
-                    t.pop(w, None)
-                else:
-                    t[w] = v
-        out.terms = t
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, OperatorExpr):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __str__(self):
         if not self.terms:

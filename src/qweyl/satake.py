@@ -2,7 +2,8 @@
 
 Six diagram families are supported.  Kinds I and II are paths, III through VI
 are cycles, and A1AFF is the rank-one affine diagram (two nodes joined by a
-double bond, swapped by the involution).  Each diagram carries the orbit
+double bond, swapped by the involution).  The six shapes come from one rule:
+a kind fixes its node count, path or cycle, and one of two involutions.  Each diagram carries the orbit
 labelling of its nodes, the deformation exponents xi (one per polynomial
 variable) and the scalar parameters varsigma used by the coideal presentation.
 """
@@ -67,14 +68,12 @@ class SatakeDiagram:
         return replace(self, varsigma=vs)
 
 
-def _path_edges(nodes):
-    return {frozenset((nodes[i], nodes[i + 1])) for i in range(len(nodes) - 1)}
-
-
-def _cycle_edges(nodes):
-    e = _path_edges(nodes)
-    e.add(frozenset((nodes[0], nodes[-1])))
-    return e
+# Per kind: node count - 2r, whether the nodes close into a cycle, and
+# whether tau is i -> -i mod n, which fixes node 0 (and node r + 1 of VI),
+# rather than i -> n - 1 - i.
+_SHAPES = {"I": (4, False, False), "II": (3, False, False),
+           "III": (4, True, False), "IV": (3, True, False),
+           "V": (3, True, True), "VI": (2, True, True)}
 
 
 def build_diagram(kind: str, r: int = None) -> SatakeDiagram:
@@ -91,40 +90,17 @@ def build_diagram(kind: str, r: int = None) -> SatakeDiagram:
         raise ValueError("rank r = %d of kind %s is above %d"
                          % (r, kind, MAX_RANK))
 
-    if kind == "I":
-        nodes = tuple(range(2 * r + 4))
-        edges = _path_edges(nodes)
-        tau = {i: 2 * r + 3 - i for i in nodes}
-    elif kind == "II":
-        nodes = tuple(range(2 * r + 3))
-        edges = _path_edges(nodes)
-        tau = {i: 2 * r + 2 - i for i in nodes}
-    elif kind == "III":
-        nodes = tuple(range(2 * r + 4))
-        edges = _cycle_edges(nodes)
-        tau = {i: 2 * r + 3 - i for i in nodes}
-    elif kind == "IV":
-        nodes = tuple(range(2 * r + 3))
-        edges = _cycle_edges(nodes)
-        tau = {i: 2 * r + 2 - i for i in nodes}
-    elif kind == "V":
-        nodes = tuple(range(2 * r + 3))
-        edges = _cycle_edges(nodes)
-        tau = {0: 0}
-        tau.update({i: 2 * r + 3 - i for i in nodes if i != 0})
-    else:  # VI
-        nodes = tuple(range(2 * r + 2))
-        edges = _cycle_edges(nodes)
-        tau = {0: 0, r + 1: r + 1}
-        tau.update({i: 2 * r + 2 - i for i in nodes if i not in (0, r + 1)})
-
+    extra, cycle, fixes_0 = _SHAPES[kind]
+    n = 2 * r + extra
+    nodes = tuple(range(n))
+    edges = {frozenset((i, (i + 1) % n)) for i in range(n if cycle else n - 1)}
+    tau = {i: -i % n if fixes_0 else n - 1 - i for i in nodes}
     orbit_label = {i: min(i, tau[i]) for i in nodes}
     d = SatakeDiagram(kind, r, nodes, frozenset(edges), tau, orbit_label)
     xi = [None] * (r + 2)
     for i in nodes:
         xi[orbit_label[i]] = 1 - d.pairing(i, tau[i])
-    d = replace(d, xi=tuple(xi))
-    return replace(d, varsigma=_varsigma_map(d))
+    return replace(d, xi=tuple(xi), varsigma=_varsigma_map(d))
 
 
 def _build_a1aff() -> SatakeDiagram:

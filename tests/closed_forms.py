@@ -23,9 +23,14 @@ are ``iqg.relation_instances``, ``weyl.algebra_relations`` and
 coefficients once per call: every Serre term a product of two
 ``divided_power`` quotients, every R5 side a ``q_pochhammer`` over
 [-c]! (q - q^-1), and every side an ``OperatorExpr`` sum, difference or
-scaling.
+scaling.  ``reference_mul`` is ``QPolynomial.__mul__`` as it was before
+``QPolynomial`` and ``OperatorExpr`` shared one linear-combination core: a
+sum of ``mul_monomial`` products, one per term of the right factor.
+``reference_build_diagram`` is ``satake.build_diagram`` as it was before the
+six shapes came from one rule: one branch per kind.
 """
 
+from dataclasses import replace
 from functools import partial
 from math import comb, prod
 
@@ -37,7 +42,8 @@ from qweyl.opcalc import (ActionTable, GeneratorSymbol, OperatorExpr,
 from qweyl.qscalar import (ONE, Q_MINUS_QINV, LaurentPoly, ScalarQ,
                            factorial_steps, q_binomial, q_factorial, q_integer,
                            q_product)
-from qweyl.satake import SatakeDiagram, build_diagram
+from qweyl.satake import (SatakeDiagram, _build_a1aff, _varsigma_map,
+                          build_diagram)
 from qweyl.shift import Form, ShiftForm, _letter, _step
 from qweyl.weyl import E, F, K, cartan_entry
 
@@ -325,6 +331,75 @@ def reference_apply(expr: OperatorExpr, p: QPolynomial,
     out = QPolynomial.__new__(QPolynomial)
     out.nvars, out.terms = p.nvars, acc
     return out
+
+
+def reference_mul(p: QPolynomial, other: QPolynomial) -> QPolynomial:
+    """p times other, summed over other's terms by ``mul_monomial``."""
+    def mul_monomial(mon, coeff=1):
+        out = QPolynomial(p.nvars)
+        coeff = coeff if isinstance(coeff, ScalarQ) else ScalarQ(coeff)
+        if not coeff.is_zero:
+            out.terms = {tuple(x + y for x, y in zip(m, mon)): c * coeff
+                         for m, c in p.terms.items()}
+        return out
+
+    if p.nvars != other.nvars:
+        raise ValueError("mixing polynomial rings")
+    out = QPolynomial.zero(p.nvars)
+    for mon, c in other.terms.items():
+        out = out + mul_monomial(mon, c)
+    return out
+
+
+def _path_edges(nodes):
+    return {frozenset((nodes[i], nodes[i + 1])) for i in range(len(nodes) - 1)}
+
+
+def _cycle_edges(nodes):
+    e = _path_edges(nodes)
+    e.add(frozenset((nodes[0], nodes[-1])))
+    return e
+
+
+def reference_build_diagram(kind: str, r: int = None) -> SatakeDiagram:
+    """The diagram of the given family and rank, one branch per kind."""
+    if kind == "A1AFF":
+        return _build_a1aff()
+
+    if kind == "I":
+        nodes = tuple(range(2 * r + 4))
+        edges = _path_edges(nodes)
+        tau = {i: 2 * r + 3 - i for i in nodes}
+    elif kind == "II":
+        nodes = tuple(range(2 * r + 3))
+        edges = _path_edges(nodes)
+        tau = {i: 2 * r + 2 - i for i in nodes}
+    elif kind == "III":
+        nodes = tuple(range(2 * r + 4))
+        edges = _cycle_edges(nodes)
+        tau = {i: 2 * r + 3 - i for i in nodes}
+    elif kind == "IV":
+        nodes = tuple(range(2 * r + 3))
+        edges = _cycle_edges(nodes)
+        tau = {i: 2 * r + 2 - i for i in nodes}
+    elif kind == "V":
+        nodes = tuple(range(2 * r + 3))
+        edges = _cycle_edges(nodes)
+        tau = {0: 0}
+        tau.update({i: 2 * r + 3 - i for i in nodes if i != 0})
+    else:  # VI
+        nodes = tuple(range(2 * r + 2))
+        edges = _cycle_edges(nodes)
+        tau = {0: 0, r + 1: r + 1}
+        tau.update({i: 2 * r + 2 - i for i in nodes if i not in (0, r + 1)})
+
+    orbit_label = {i: min(i, tau[i]) for i in nodes}
+    d = SatakeDiagram(kind, r, nodes, frozenset(edges), tau, orbit_label)
+    xi = [None] * (r + 2)
+    for i in nodes:
+        xi[orbit_label[i]] = 1 - d.pairing(i, tau[i])
+    d = replace(d, xi=tuple(xi))
+    return replace(d, varsigma=_varsigma_map(d))
 
 
 def divided_power(g: GeneratorSymbol, n: int) -> OperatorExpr:

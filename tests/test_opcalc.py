@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closed_forms import divided_power, reference_apply
+from closed_forms import divided_power, reference_apply, reference_mul
 from qweyl.iqg import oscillator_action
 from qweyl.opcalc import (ActionTable, GeneratorSymbol, OperatorExpr,
                           QPolynomial, apply, apply_word,
@@ -47,9 +47,24 @@ def test_poly_addition_identity_and_scaling():
     assert scaled.terms == {(1, 0, 0): ScalarQ(q_integer(2))}
 
 
-def test_mul_monomial_adds_exponents():
+def test_product_by_a_monomial_adds_exponents():
     p = QPolynomial.monomial((1, 1, 0))
-    assert p.mul_monomial((0, 1, 0)).terms == {(1, 2, 0): ScalarQ.one()}
+    product = p * QPolynomial.monomial((0, 1, 0))
+    assert product.terms == {(1, 2, 0): ScalarQ.one()}
+
+
+def test_mixed_operands_are_refused():
+    # Exponent vectors of another length, or an operator expression, are
+    # not multiplied or added term by term.
+    p = QPolynomial(3, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="mixing polynomial rings"):
+        p * QPolynomial.monomial((1,))
+    e = OperatorExpr.identity()
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        for a, b in ((p, e), (e, p)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert p != e and e != p
 
 
 def test_monomial_enumeration():
@@ -251,10 +266,10 @@ def test_repeated_apply_agrees_and_calls_the_entries_again():
     assert second == apply(expr, p, modweyl_table(d))
 
 
-def test_mul_monomial_by_zero_is_the_zero_polynomial():
+def test_product_by_a_zero_monomial_is_the_zero_polynomial():
     p = QPolynomial(2, {(1, 0): ScalarQ(3), (0, 2): ScalarQ.q_power(-1)})
     for zero in (0, ScalarQ.zero()):
-        out = p.mul_monomial((1, 1), zero)
+        out = p * QPolynomial.monomial((1, 1), zero)
         assert out.is_zero
         assert out == QPolynomial.zero(2)
 
@@ -309,3 +324,23 @@ def test_apply_matches_the_letter_by_letter_reference(case):
     # the same terms in the same order, each in the same canonical form
     assert (list(apply(expr, poly, table).terms.items())
             == list(reference_apply(expr, poly, table).terms.items()))
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """Two polynomials in one ring of 1 to 3 variables, up to 4 terms each."""
+    nvars = draw(st.integers(1, 3))
+    mons = st.lists(st.integers(0, 3), min_size=nvars,
+                    max_size=nvars).map(tuple)
+    polys = st.dictionaries(mons, coefficients, max_size=4).map(
+        lambda terms: QPolynomial(nvars, terms))
+    return draw(polys), draw(polys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomial_pairs())
+def test_product_matches_the_monomial_fold(pair):
+    p, r = pair
+    got, want = p * r, reference_mul(p, r)
+    assert got.nvars == want.nvars == p.nvars
+    assert got.terms == want.terms

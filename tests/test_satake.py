@@ -1,9 +1,12 @@
 """Satake diagram data: involutions, pairings, labels, xi and varsigma."""
 
+from dataclasses import fields
+
 import pytest
 
+from closed_forms import reference_build_diagram
 from qweyl.qscalar import ScalarQ
-from qweyl.satake import KINDS, build_diagram, parse_spec
+from qweyl.satake import _MIN_R, KINDS, build_diagram, parse_spec
 
 ALL_SMALL = [("I", 0), ("I", 1), ("I", 2), ("I", 3),
              ("II", 0), ("II", 1), ("II", 2), ("II", 3),
@@ -146,3 +149,11 @@ def test_equality_reads_every_field_and_agrees_with_hash():
 
 def test_all_kinds_listed():
     assert set(KINDS) == {"I", "II", "III", "A1AFF", "IV", "V", "VI"}
+
+
+@pytest.mark.parametrize("kind,r", [(kind, r) for kind in _MIN_R
+                                    for r in range(_MIN_R[kind], 9)])
+def test_one_shape_rule_matches_the_per_kind_branches(kind, r):
+    got, want = build_diagram(kind, r), reference_build_diagram(kind, r)
+    for f in fields(got):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
