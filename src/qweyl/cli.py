@@ -16,8 +16,8 @@ from math import prod
 
 from . import crystal as crystal_mod
 from . import iqg, modweyl, weyl
-from .opcalc import (GeneratorSymbol, OperatorExpr, QPolynomial, apply,
-                     expand_paths, image_table, poly_from_text, poly_to_text,
+from .opcalc import (OperatorExpr, QPolynomial, apply, expand_paths,
+                     image_table, poly_from_text, poly_to_text,
                      report_failures, verify_relations, walk_word)
 from .qscalar import LaurentPoly, ScalarQ, q_product
 from .satake import SatakeDiagram, integer, parse_spec
@@ -105,32 +105,18 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def parse_word(diagram: SatakeDiagram, text: str):
-    """Parse space-separated operator tokens such as ``e1 f0 k1^-1 t2 d0``."""
-    symbols = []
-    for token in text.split():
-        inv = False
-        if token.endswith("^-1"):
-            inv = True
-            token = token[:-3]
-        if (len(token) < 2 or token[0] not in "efktdxm"
-                or not (token.isascii() and token[1:].isdigit())):
-            raise ValueError("unknown token %r" % token)
-        fam, idx = token[0], int(token[1:])
-        if inv and fam not in ("k", "m"):
-            raise ValueError("token %r cannot be inverted" % token)
-        symbols.append(GeneratorSymbol(fam, idx, inv))
-    return tuple(symbols)
-
-
 def _cmd_act(args) -> int:
+    """Apply a word of space-separated symbol labels, such as ``e1 k1^-1``,
+    each a label of the diagram's table as it is."""
     diagram = parse_spec(args.diagram)
-    word = parse_word(diagram, args.word)
     table = iqg.oscillator_action(diagram)
-    for sym in word:
-        if sym not in table:
+    labels = {sym.label: sym for sym in table.entries}
+    word = []
+    for token in args.word.split():
+        if token not in labels:
             raise ValueError("unknown token %r for diagram %s"
-                             % (sym.label, diagram.spec_string))
+                             % (token, diagram.spec_string))
+        word.append(labels[token])
     poly = poly_from_text(args.poly, diagram.nslots)
     result = apply(OperatorExpr.word(word), poly, table)
     print(poly_to_text(result))
@@ -139,8 +125,6 @@ def _cmd_act(args) -> int:
 
 def _cmd_crystal(args) -> int:
     diagram = parse_spec(args.diagram)
-    if args.s < 0:
-        raise ValueError("--s must be >= 0")
     graph = crystal_mod.crystal_graph(diagram, args.s)
     sys.stdout.write(crystal_mod.export(graph, args.format))
     return 0

@@ -8,8 +8,8 @@ aliases and send divided monomials to divided monomials with coefficient
 exactly 1 (or to zero), which is what the axiom checker asserts.  One walk
 down each i-string gives all its images, one f_i letter per node.
 
-A step reads f_i X^e as one q-integer run (``ShiftWord.run``) and compares
-it with the run of the [xi_i e_i] it divides by: equal runs are equal
+A step reads f_i X^e as ``ActionTable.act``'s steps and compares them with
+the one q-integer run of the [xi_i e_i] it divides by: equal runs are equal
 polynomials, so the coordinate stays exactly 1 with no product and no gcd.
 Any other outcome is expanded, and every defect is read from that.
 """
@@ -27,7 +27,6 @@ from .opcalc import (ActionTable, Monomial, OperatorExpr, QPolynomial, apply,
                      monomials_of_degree)
 from .qscalar import ScalarQ, factorial_steps, q_integer, q_product
 from .satake import SatakeDiagram
-from .shift import ShiftWord
 
 CRYSTAL_KINDS = ("I", "III", "A1AFF")
 
@@ -65,19 +64,16 @@ def _string_walk(diagram: SatakeDiagram, i: int, b: Monomial,
     [n]^{xi_{i+1}}! is D(e)'s slot i+1 factor.  The coordinate at t is
     img_t D(t) / D(e), img_e itself at t = e.
 
-    While every step so far was factored, ``img`` is exactly 1 at e, and a
-    ``ShiftWord`` entry for f_i steps in factored form: ``ShiftWord.run``
-    reads f_i X^e as a q-integer run.  Two Laurent polynomials are equal iff
-    their runs are, so a run equal to [xi_i e_i]'s, landing on the next e,
-    leaves the coordinate exactly 1, and a run with m = 0 leaves an empty
-    image; neither builds a polynomial.  Any other outcome, or an entry that
-    is not a ``ShiftWord``, takes the expanded step, ``apply`` of f_i to the
-    current image, and so does every later step: defects read as before.
+    While every step so far was factored, ``img`` is exactly 1 at e, and
+    ``table.act`` reads f_i X^e as steps.  Two Laurent polynomials are equal
+    iff their runs are, so one run equal to [xi_i e_i]'s, landing on the next
+    e, leaves the coordinate exactly 1, and no step leaves an empty image;
+    neither builds a polynomial.  Any other outcome takes the expanded step,
+    ``apply`` of f_i to the current image, and so does every later step:
+    defects read as before.
     """
     xi, e, one = diagram.xi, b, ScalarQ.one()
-    img, f_i = {b: one}, f_(i)
-    letter = table.entry(f_i)
-    factored = isinstance(letter, ShiftWord)
+    img, f_i, factored = {b: one}, f_(i), True
     while True:
         yield {t: c if t == e else
                ScalarQ(q_product(factorial_steps(xi, e, t), c.num),
@@ -86,10 +82,10 @@ def _string_walk(diagram: SatakeDiagram, i: int, b: Monomial,
         nxt = tuple(u - (j == i and u > 0) + (j == i + 1)
                     for j, u in enumerate(e))
         m = xi[i] * e[i]
-        got = letter.run(e) if factored else None
-        if got is not None and not got[2]:
+        steps = table.act(f_i, e) if factored else None
+        if steps == []:
             img, factored = {}, False
-        elif got == (nxt, 1 - abs(m), abs(m), (m > 0) - (m < 0)):
+        elif steps == [(nxt, None, 1 - abs(m), (m > 0) - (m < 0), abs(m))]:
             img = {nxt: one}
         else:
             factored = False

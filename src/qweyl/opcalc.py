@@ -4,7 +4,10 @@ Polynomials and operators are both ScalarQ-linear combinations of monoid
 elements, exponent vectors under addition and words in generator symbols
 under concatenation, and share one arithmetic core.  A word acts on a
 polynomial rightmost symbol first, through a pluggable action table mapping
-each symbol to a linear endomorphism given on monomials.
+each symbol to a linear endomorphism given on monomials.  ``ActionTable.act``
+is the one place a letter is read: as steps, a q-integer run kept factored
+where the entry's ``ShiftWord.run`` finds one, and every walk of a word
+consumes those steps.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
-from .qscalar import ScalarQ, _run, _window_product
+from .qscalar import ScalarQ, _window_product
 from .shift import (ShiftForm, ShiftWord, _add_terms, _word_form,
                     compile_relation)
 
@@ -275,8 +278,19 @@ class ActionTable:
     def __contains__(self, sym: GeneratorSymbol) -> bool:
         return sym in self.entries
 
-    def act(self, sym: GeneratorSymbol, mon: Monomial) -> TermList:
-        return self.entry(sym)(mon)
+    def act(self, sym: GeneratorSymbol, mon: Monomial) -> list:
+        """The nonzero terms of ``sym``'s image of X^mon as steps (target, c,
+        lo, v, m), each c*v*q^lo*(1 + q^2 + ... + q^(2(m-1)))*X^target, with
+        c = None for 1.  A ``ShiftWord`` entry is read by ``ShiftWord.run``
+        whenever that returns a run, in O(touched slots), and m = 0 gives [];
+        anything else is read term by term through the entry's call, as
+        (t, c, 0, 1, 1)."""
+        entry = self.entry(sym)
+        run = entry.run(mon) if isinstance(entry, ShiftWord) else None
+        if run is None:
+            return [(t, c, 0, 1, 1) for t, c in entry(mon) if not c.is_zero]
+        target, lo, m, v = run
+        return [(target, None, lo, v, m)] if m else []
 
     def entry(self, sym: GeneratorSymbol) -> MonomialAction:
         """The action of ``sym``; a KeyError naming it if the table has none."""
@@ -320,25 +334,16 @@ def walk_word(word: Word, mon: Monomial, table: ActionTable,
               c: ScalarQ = _ONE) -> list:
     """The paths of ``word`` from c*X^mon, rightmost letter first: each is
     (target, c, lo, v, widths), the term c*v*q^lo*X^target times (1 + q^2 +
-    ... + q^(2(m-1))) for each m in widths.  A step that is such a run, as
-    every q-integer and every +-q^k is, goes into lo, v and widths (if
-    m >= 2); any other nonzero step multiplies c, and a zero one ends its
-    path.  So ``apply`` multiplies each path's q-integers out once."""
+    ... + q^(2(m-1))) for each m in widths.  Each letter steps every path
+    by the steps of ``ActionTable.act``: a step's lo, v and m (if m >= 2) go
+    into lo, v and widths, and its c, unless None, multiplies c.  So
+    ``apply`` multiplies each path's q-integers out once."""
     paths = [(mon, c, 0, 1, ())]
     for sym in reversed(word):
-        nxt = []
-        for mon, c, lo, v, widths in paths:
-            for target, step in table.act(sym, mon):
-                if step.is_zero:
-                    continue
-                run = step.is_polynomial and _run(dict(step.num.items()))
-                if run:
-                    lo2, m, v2 = run
-                    nxt.append((target, c, lo + lo2, v * v2,
-                                widths + (m,) if m > 1 else widths))
-                else:
-                    nxt.append((target, c * step, lo, v, widths))
-        paths = nxt
+        paths = [(t, c if sc is None else c * sc, lo + slo, v * sv,
+                  widths + (m,) if m > 1 else widths)
+                 for mon, c, lo, v, widths in paths
+                 for t, sc, slo, sv, m in table.act(sym, mon)]
     return paths
 
 
@@ -362,11 +367,22 @@ def expand_paths(paths, acc: Dict[Monomial, ScalarQ]
 
 def apply(expr: OperatorExpr, p: QPolynomial, table: ActionTable) -> QPolynomial:
     """Apply an operator expression to a polynomial, rightmost symbol first,
-    as the sum of the ``walk_word`` paths of every word and term."""
+    as the sum of the ``walk_word`` paths of every word and term.
+
+    A path whose numerator would run over more than ``MAX_EXPONENT`` powers
+    of q, counted from q^0, raises a ValueError before it is expanded."""
     acc: Dict[Monomial, ScalarQ] = {}
     for word, c in expr.terms.items():
         for mon, coeff in p.terms.items():
-            expand_paths(walk_word(word, mon, table, coeff * c), acc)
+            paths = walk_word(word, mon, table, coeff * c)
+            for _, pc, lo, _, widths in paths:
+                low = pc.num.min_exp() + lo
+                high = pc.num.max_exp() + lo + 2 * (sum(widths) - len(widths))
+                if max(high, 0) - min(low, 0) > MAX_EXPONENT:
+                    raise ValueError("image coefficient over more than %d "
+                                     "powers of q (MAX_EXPONENT)"
+                                     % MAX_EXPONENT)
+            expand_paths(paths, acc)
     out = QPolynomial.__new__(QPolynomial)
     out.nvars, out.terms = p.nvars, acc
     return out

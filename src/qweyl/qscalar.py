@@ -11,7 +11,8 @@ coefficients, so the common cases skip the general machinery: coefficients
 are stored as ``int`` whenever they are integral, a product with a single
 term is a relabelling of exponents, a chain of q-integers is multiplied
 out by strided running sums on dense lists (``q_product``, and each path
-of ``opcalc.walk_word``), and a denominator c*q^k is divided out directly.
+that ``opcalc.expand_paths`` expands), and a denominator c*q^k is divided
+out directly.
 Only a denominator with two or more terms needs a polynomial gcd, and not
 even then when it equals the numerator (the ratio is 1) or when the
 numerator is a single term (the gcd is 1), which covers coefficients such
@@ -252,16 +253,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return "LaurentPoly(%r)" % (self._c,)
-
-
-def _run(c):
-    """(lo, m, v) if c is v*q^lo*(1 + q^2 + ... + q^(2(m-1))), else None."""
-    lo, m = min(c), len(c)
-    v = c[lo]
-    if max(c) - lo == 2 * (m - 1) and all(
-            w == v and not (e - lo) & 1 for e, w in c.items()):
-        return lo, m, v
-    return None
 
 
 def _window_product(c, widths, shift: int, v) -> LaurentPoly:

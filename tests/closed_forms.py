@@ -16,7 +16,11 @@ forms from a memo.  ``reference_q_product`` is ``qscalar.q_product`` as it
 was before it ran on dense lists: one ``LaurentPoly`` product per
 q-integer.  ``reference_apply`` is
 ``opcalc.apply`` as it was before it walked each word in factored form:
-one ``ScalarQ`` product per letter and term.  ``reference_relation_instances``,
+one ``ScalarQ`` product per letter and term, each read from the table's
+entry itself, so it shares nothing with ``ActionTable.act``.  ``_run`` is
+the reference reader of a q-integer run from a Laurent polynomial's terms,
+which ``opcalc.walk_word`` used before ``ActionTable.act`` read each letter
+as a run.  ``reference_relation_instances``,
 ``reference_algebra_relations`` and ``reference_uqsl_relation_instances``
 are ``iqg.relation_instances``, ``weyl.algebra_relations`` and
 ``weyl.uqsl_relation_instances`` as they were before they built their
@@ -306,6 +310,16 @@ def reference_q_product(ns, start=1) -> LaurentPoly:
     return out
 
 
+def _run(c):
+    """(lo, m, v) if c is v*q^lo*(1 + q^2 + ... + q^(2(m-1))), else None."""
+    lo, m = min(c), len(c)
+    v = c[lo]
+    if max(c) - lo == 2 * (m - 1) and all(
+            w == v and not (e - lo) & 1 for e, w in c.items()):
+        return lo, m, v
+    return None
+
+
 def reference_apply(expr: OperatorExpr, p: QPolynomial,
                     table: ActionTable) -> QPolynomial:
     """Apply an operator expression to a polynomial, rightmost symbol first."""
@@ -315,7 +329,7 @@ def reference_apply(expr: OperatorExpr, p: QPolynomial,
         for sym in reversed(word):
             nxt = []
             for mon, coeff in pending:
-                for mon2, coeff2 in table.act(sym, mon):
+                for mon2, coeff2 in table.entry(sym)(mon):
                     nxt.append((mon2, coeff * coeff2))
             pending = nxt
             if not pending:

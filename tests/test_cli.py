@@ -9,12 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qweyl import crystal, iqg, satake
-from qweyl.cli import _factored_form, build_parser, main, parse_word
+from closed_forms import _run
+from qweyl import crystal, iqg, opcalc, satake
+from qweyl.cli import _factored_form, build_parser, main
 from qweyl.crystal import crystal_graph, parse_json
 from qweyl.opcalc import ActionTable, GeneratorSymbol, walk_word
-from qweyl.qscalar import LaurentPoly, ScalarQ
+from qweyl.qscalar import LaurentPoly
 from qweyl.satake import build_diagram, parse_spec
+from qweyl.shift import ShiftWord
 
 
 def run(capsys, *argv):
@@ -162,10 +164,11 @@ def test_option_integer_rule_is_usage_error(capsys, option, value):
     assert captured.err.count("error:") == 1
     assert "argument %s: invalid integer value: %r" % (option, value) \
         in captured.err
-    # a '-' is read, and refused as below 0
+    # a '-' is read, and refused as below 0 (a degree s by crystal_graph)
     code, out, err = run(capsys, *argv, option, "-1")
     assert (code, out) == (2, "")
-    assert err == "error: %s must be >= 0\n" % option
+    assert err == "error: %s must be >= 0\n" % (
+        "degree s" if option == "--s" else option)
 
 
 @pytest.mark.parametrize("diagram,monomial,direction", [
@@ -271,12 +274,21 @@ def test_verify_json_into_missing_directory_is_usage_error(capsys, tmp_path):
     assert "error:" in err and "Traceback" not in err
 
 
-def test_parse_word_tokens():
+def test_parse_word_tokens(capsys):
+    # A word reads each token as the label of a symbol of the diagram's
+    # table, as it is: every label acts, and nothing else is read.
     d = build_diagram("I", 1)
-    word = parse_word(d, "e1 f0 k1^-1 m0^-1 d0 x1")
-    assert [s.label for s in word] == ["e1", "f0", "k1^-1", "m0^-1", "d0", "x1"]
-    with pytest.raises(ValueError):
-        parse_word(d, "e1^-1")
+    labels = sorted(sym.label for sym in iqg.oscillator_action(d).entries)
+    assert {"e1", "f0", "k1^-1", "m0^-1", "d0", "x1"} <= set(labels)
+    for label in labels:
+        code, out, err = run(capsys, "act", "--diagram", "I:r=1",
+                             "--word", label, "--poly", "X0*X1*X2")
+        assert (code, err) == (0, ""), label
+    for token in ("e1^-1", "e01", "e0001", "E1", "e", "z9", "e1^-2", "e+1"):
+        code, out, err = run(capsys, "act", "--diagram", "I:r=1",
+                             "--word", "e1 " + token, "--poly", "X2")
+        assert (code, out) == (2, ""), token
+        assert err == "error: unknown token %r for diagram I:r=1\n" % token
 
 
 def test_verify_ok_exit_zero(capsys, tmp_path):
@@ -407,8 +419,21 @@ def test_witness_trivial_monomial(capsys):
 
 WITNESS_MISMATCH = json.loads(
     (Path(__file__).parent / "golden" / "witness_mismatch.json").read_text())
-STEP_FACTORS = {"q": ScalarQ.q_power(1), "-1": ScalarQ(-1),
-                "1 + q": ScalarQ(LaurentPoly({0: 1, 1: 1}))}
+# Each factor as its terms (coefficient, power of q).
+STEP_FACTORS = {"q": ((1, 1),), "-1": ((-1, 0),), "1 + q": ((1, 0), (1, 1))}
+
+
+def scaled_steps(table, factor):
+    """``table`` with every e/f entry, a ``ShiftWord``, times ``factor``:
+    each term (v, qe, u) becomes (v*w, qe + k, u) for each (w, k).  Times q
+    or -1 a run shape stays one; times 1 + q it has twice the terms."""
+    entries = dict(table.entries)
+    for sym, word in table.entries.items():
+        if sym.fam in ("e", "f"):
+            entries[sym] = word._replace(terms=tuple(
+                (v * w, qe + k, u) for v, qe, u in word.terms
+                for w, k in factor))
+    return ActionTable(table.nvars, entries)
 
 
 @pytest.mark.parametrize("case", WITNESS_MISMATCH, ids=lambda c: "%s %s %s" % (
@@ -425,13 +450,7 @@ def test_witness_with_scaled_steps(capsys, monkeypatch, case):
 
     def scaled(diagram):
         builds.append(diagram.spec_string)
-        table = real(diagram)
-        entries = dict(table.entries)
-        for sym, act in table.entries.items():
-            if sym.fam in ("e", "f"):
-                entries[sym] = lambda mon, act=act: [(t, c * factor)
-                                                     for t, c in act(mon)]
-        return ActionTable(table.nvars, entries)
+        return scaled_steps(real(diagram), factor)
 
     monkeypatch.setattr(iqg, "oscillator_action", scaled)
     code, out, _ = run(capsys, *case["argv"])
@@ -447,13 +466,7 @@ def test_witness_fallback_walks_each_letter_once(capsys, monkeypatch):
     factor = STEP_FACTORS["1 + q"]
 
     def scaled(diagram):
-        table = real(diagram)
-        entries = dict(table.entries)
-        for sym, act in table.entries.items():
-            if sym.fam in ("e", "f"):
-                entries[sym] = lambda mon, act=act: [(t, c * factor)
-                                                     for t, c in act(mon)]
-        return ActionTable(table.nvars, entries)
+        return scaled_steps(real(diagram), factor)
 
     acts = []
     real_act = ActionTable.act
@@ -478,7 +491,7 @@ UP_WORD, UP_COEFF = iqg.irreducibility_witness(build_diagram("IV", 2),
                                                (3, 3, 3, 3))
 
 
-@pytest.mark.parametrize("argv,last", [
+WALKS_AT_3333 = pytest.mark.parametrize("argv,last", [
     (("witness", "--diagram", "IV:r=2", "--monomial", "3,3,3,3",
       "--direction", "up"), "VERIFIED"),
     (("witness", "--diagram", "IV:r=2", "--monomial", "3,3,3,3",
@@ -488,6 +501,9 @@ UP_WORD, UP_COEFF = iqg.irreducibility_witness(build_diagram("IV", 2),
       "--word", " ".join(sym.label for sym in UP_WORD),
       "--poly", "X0^3*X1^3*X2^3*X3^3"), "(%s)*X0^12" % UP_COEFF),
 ], ids=["up", "down", "act"])
+
+
+@WALKS_AT_3333
 def test_verified_witness_multiplies_no_two_long_factors(capsys, monkeypatch,
                                                          argv, last):
     # The word is walked in factored form and the coefficient is expanded on
@@ -508,13 +524,57 @@ def test_verified_witness_multiplies_no_two_long_factors(capsys, monkeypatch,
     assert long_products == []
 
 
-def walk_form(runs):
+@WALKS_AT_3333
+def test_walks_read_every_letter_as_a_run(capsys, monkeypatch, argv, last):
+    # Every e/f letter of IV:r=2 is a run shape, so ActionTable.act reads
+    # each one by ShiftWord.run and no entry is expanded by its call.
+    calls = []
+    real = ShiftWord.__call__
+
+    def counting(self, mon):
+        calls.append(mon)
+        return real(self, mon)
+
+    monkeypatch.setattr(ShiftWord, "__call__", counting)
+    code, out, _ = run(capsys, *argv)
+    assert (code, out.splitlines()[-1]) == (0, last)
+    assert calls == []
+
+
+@pytest.mark.parametrize("k", [100, 101])
+def test_act_refuses_a_coefficient_over_max_exponent_powers_of_q(capsys, k):
+    # d0^k X0^k on I:r=0 is [k]! X0^0, whose q-exponents run from
+    # -k(k-1)/2 to k(k-1)/2: 9,900 powers of q at k = 100, inside the bound,
+    # and 10,100 at k = 101, refused before the path is expanded.
+    code, out, err = run(capsys, "act", "--diagram", "I:r=0",
+                         "--word", " ".join(["d0"] * k),
+                         "--poly", "X0^%d" % k)
+    if k == 100:
+        assert (code, err) == (0, "")
+        poly = opcalc.poly_from_text(out.strip(), 2)
+        assert list(poly.terms) == [(0, 0)]
+    else:
+        assert (code, out) == (2, "")
+        assert err == ("error: image coefficient over more than 10000 "
+                       "powers of q (MAX_EXPONENT)\n")
+
+
+def walk_form(polys):
     """The factored form of the shared word walk over a one-variable table
-    whose i-th letter sends X0^i to runs[i] X0^(i+1)."""
-    table = ActionTable(1, {GeneratorSymbol("e", i):
-                            (lambda mon, r=r: [((mon[0] + 1,), ScalarQ(r))])
-                            for i, r in enumerate(runs)})
-    word = [GeneratorSymbol("e", i) for i in range(len(runs))]
+    whose i-th letter sends X0^j to polys[i] X0^(j+1).  Each letter is a
+    ``ShiftWord``: of the divided run shape with the same run where polys[i]
+    is a run, else one undivided term per term of polys[i]."""
+    table = ActionTable(1, {})
+    for i, c in enumerate(polys):
+        run = c and _run(dict(c.items()))
+        if run:
+            lo, m, v = run
+            terms, divided = ((v, lo - 1 + 2 * m, ()), (-v, lo - 1, ())), 1
+        else:
+            terms, divided = tuple((v, e, ()) for e, v in c.items()), 0
+        table.entries[GeneratorSymbol("e", i)] = ShiftWord(((0, 1),), terms,
+                                                           divided)
+    word = [GeneratorSymbol("e", i) for i in range(len(polys))]
     return _factored_form(walk_word(word[::-1], (0,), table))
 
 

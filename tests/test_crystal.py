@@ -386,21 +386,16 @@ def test_factored_walk_matches_plain_entries_on_broken_tables(monkeypatch,
 
 
 def _count_letters(monkeypatch):
-    """Record every letter evaluation: a factored ``ShiftWord.run`` or an
-    expanded ``ActionTable.act``."""
+    """Record every letter evaluation: each one is an ``ActionTable.act``,
+    factored or expanded."""
     calls = []
-    act, run = ActionTable.act, ShiftWord.run
+    act = ActionTable.act
 
     def counting_act(self, sym, mon):
         calls.append(sym)
         return act(self, sym, mon)
 
-    def counting_run(self, mon):
-        calls.append(self)
-        return run(self, mon)
-
     monkeypatch.setattr(ActionTable, "act", counting_act)
-    monkeypatch.setattr(ShiftWord, "run", counting_run)
     return calls
 
 

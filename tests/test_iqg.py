@@ -291,7 +291,7 @@ def test_alias_images_preserve_degree():
         table = oscillator_action(d)
         for mon in monomials_up_to(d.nslots, 3):
             for sym in _alias_images(presentation(d)):
-                for tgt, _ in table.act(sym, mon):
+                for tgt, _ in table.entry(sym)(mon):
                     assert sum(tgt) == sum(mon)
 
 
@@ -300,15 +300,15 @@ def test_alias_images_preserve_degree():
 def test_oscillator_spot_values():
     d = build_diagram("I", 1)
     table = oscillator_action(d)
-    assert table.act(e_(1), (0, 0, 1)) == [((0, 1, 0), ScalarQ(q_integer(2)))]
+    assert table.entry(e_(1))((0, 0, 1)) == [((0, 1, 0), ScalarQ(q_integer(2)))]
     d2 = build_diagram("II", 0)
     table2 = oscillator_action(d2)
-    assert table2.act(f_(0), (0, 1)) == []
-    assert table2.act(t_(1), (0, 1)) == [((0, 1), ScalarQ(-1))]
+    assert table2.entry(f_(0))((0, 1)) == []
+    assert table2.entry(t_(1))((0, 1)) == [((0, 1), ScalarQ(-1))]
     a1 = build_diagram("A1AFF")
     t = oscillator_action(a1)
-    assert t.act(k_(0), (0, 0)) == [((0, 0), ScalarQ.q_power(-1))]
-    assert t.act(e_(0), (0, 1)) == [((1, 0), ScalarQ(q_integer(3)))]
+    assert t.entry(k_(0))((0, 0)) == [((0, 0), ScalarQ.q_power(-1))]
+    assert t.entry(e_(0))((0, 1)) == [((1, 0), ScalarQ(q_integer(3)))]
 
 
 # --- witnesses ------------------------------------------------------------------

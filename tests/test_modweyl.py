@@ -31,11 +31,23 @@ def rand_poly(rng, nvars, max_deg):
 def test_direct_action_formulas():
     d = build_diagram("A1AFF")  # xi = (1, 3)
     table = modweyl_table(d)
-    assert table.act(d_(1), (0, 2)) == [((0, 1), ScalarQ(q_integer(6)))]
+    assert table.entry(d_(1))((0, 2)) == [((0, 1), ScalarQ(q_integer(6)))]
+    assert table.entry(d_(1))((2, 0)) == []
+    assert table.entry(x_(0))((1, 1)) == [((2, 1), ScalarQ.one())]
+    assert table.entry(m_(1))((0, 2)) == [((0, 2), ScalarQ.q_power(6))]
+    assert table.entry(m_(1, True))((0, 2)) == [((0, 2), ScalarQ.q_power(-6))]
+
+
+def test_act_reads_run_entries_as_steps():
+    # act reads each ShiftWord entry as one step (target, None, lo, v, m):
+    # v*q^lo*(1 + q^2 + ... + q^(2(m-1))), [6] = q^-5*(1 + ... + q^10) here
+    table = modweyl_table(build_diagram("A1AFF"))  # xi = (1, 3)
+    assert table.act(d_(1), (0, 2)) == [((0, 1), None, -5, 1, 6)]
     assert table.act(d_(1), (2, 0)) == []
-    assert table.act(x_(0), (1, 1)) == [((2, 1), ScalarQ.one())]
-    assert table.act(m_(1), (0, 2)) == [((0, 2), ScalarQ.q_power(6))]
-    assert table.act(m_(1, True), (0, 2)) == [((0, 2), ScalarQ.q_power(-6))]
+    assert table.act(d_(0), (3, 0)) == [((2, 0), None, -2, 1, 3)]
+    assert table.act(x_(0), (1, 1)) == [((2, 1), None, 0, 1, 1)]
+    assert table.act(m_(1), (0, 2)) == [((0, 2), None, 6, 1, 1)]
+    assert table.act(m_(1, True), (0, 2)) == [((0, 2), None, -6, 1, 1)]
 
 
 def test_iota_images_per_branch():

@@ -18,6 +18,7 @@ from qweyl.qscalar import (Q_MINUS_QINV, LaurentPoly, ScalarQ, q_factorial,
                            q_integer)
 from qweyl.satake import build_diagram, parse_spec
 from qweyl.modweyl import d_, iota_table, m_, modweyl_table, x_
+from qweyl.shift import ShiftWord
 from qweyl.weyl import D, M, X, weyl_table
 
 
@@ -102,7 +103,7 @@ def test_every_table_image_is_homogeneous():
         table = modweyl_table(d)
         for mon in monomials_up_to(d.nslots, 3):
             for sym in table.entries:
-                for tgt, _ in table.act(sym, mon):
+                for tgt, _ in table.entry(sym)(mon):
                     expected = sum(mon) + {"d": -1, "x": 1, "m": 0}[sym.fam]
                     assert sum(tgt) == expected
 
@@ -228,9 +229,21 @@ def _constant_table(value):
 def test_merged_table_uses_other_entry_and_leaves_self_unchanged():
     sym, a = _constant_table(1)
     _, b = _constant_table(2)
-    assert a.act(sym, (1,)) == [((1,), ScalarQ(1))]
-    assert a.merged(b).act(sym, (1,)) == [((1,), ScalarQ(2))]
-    assert a.act(sym, (1,)) == [((1,), ScalarQ(1))]
+    assert a.entry(sym)((1,)) == [((1,), ScalarQ(1))]
+    assert a.merged(b).entry(sym)((1,)) == [((1,), ScalarQ(2))]
+    assert a.entry(sym)((1,)) == [((1,), ScalarQ(1))]
+
+
+def test_act_reads_other_entries_term_by_term():
+    # An entry that is not a run is read through its call, each nonzero
+    # term as the step (t, c, 0, 1, 1); a zero term is no step.
+    sym, table = _constant_table(2)
+    assert table.act(sym, (1,)) == [((1,), ScalarQ(2), 0, 1, 1)]
+    assert _constant_table(0)[1].act(sym, (1,)) == []
+    three = ShiftWord(((0, 1),), ((1, 2, ()), (1, 0, ()), (2, -2, ())), 0)
+    table = ActionTable(1, {sym: three})
+    assert table.act(sym, (1,)) == [
+        ((2,), ScalarQ(LaurentPoly({2: 1, 0: 1, -2: 2})), 0, 1, 1)]
 
 
 def test_unknown_symbol_raises_after_known_symbols_act():

@@ -15,12 +15,11 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from closed_forms import reference_q_product
+from closed_forms import _run, reference_q_product
 from evaluation import eval_laurent, eval_scalar
 from qweyl.opcalc import QPolynomial, poly_from_text, poly_to_text
-from qweyl.qscalar import (LaurentPoly, ScalarQ, _canonical, _run,
-                           _window_product, factorial_steps, q_factorial,
-                           q_integer, q_product)
+from qweyl.qscalar import (LaurentPoly, ScalarQ, _canonical, _window_product,
+                           factorial_steps, q_factorial, q_integer, q_product)
 
 Q = sympy.Symbol("q")
 SAMPLE_POINTS = (Fraction(2), Fraction(-3), Fraction(1, 3), Fraction(-5, 7),
