@@ -14,15 +14,15 @@ t_n.  ``phi`` sends every generator to a word in the modified q-Weyl algebra,
 and ``verify_homomorphism`` checks all defining relations on the polynomial
 ring, each in every degree at once.  The oscillator representation is phi
 composed with that algebra's action: ``oscillator_action`` is the image
-table of the alias images, each composed once into a ``ShiftWord``, so it
-follows the diagram's xi.
+table of the alias images, each built and composed into a ``ShiftWord``
+when the alias is first looked up, so it follows the diagram's xi.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import cache
-from typing import Dict, List, Tuple
+from functools import cache, partial
+from typing import Callable, Dict, List, Tuple
 
 from .modweyl import d_, m_, modweyl_table, x_
 from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
@@ -209,7 +209,8 @@ def relation_instances(diagram: SatakeDiagram):
 
 
 def _k_data(kind: str, r: int, c: int):
-    """k_c = scalar * m_lo^a * m_hi^b on its slot pair, as (scalar, a, b).
+    """k_c = sign * q^qexp * m_lo^a * m_hi^b on its slot pair, as
+    (sign, qexp, a, b).
 
     The last colour of II, IV and VI and colour 1 of V flip a sign; colour 0
     of III and IV carries q^-2, and A1AFF carries q^-1.
@@ -219,29 +220,52 @@ def _k_data(kind: str, r: int, c: int):
     qexp = (-1 if kind == "A1AFF"
             else -2 if c == 0 and kind in ("III", "IV") else 0)
     a, b = (sign, -1) if kind == "V" else (1, -sign)
-    return ScalarQ(LaurentPoly({qexp: sign})), a, b
+    return sign, qexp, a, b
 
 
-def _alias_images(pres: SatakeDiagram) -> Dict[GeneratorSymbol, OperatorExpr]:
-    """Images of the ladder aliases inside the modified q-Weyl algebra.
+def _xd(i: int, j: int) -> OperatorExpr:
+    """The word x_i d_j."""
+    return OperatorExpr.word([x_(i), d_(j)])
+
+
+def _k_image(pres: SatakeDiagram, c: int, lo: int, hi: int,
+             inv: bool) -> OperatorExpr:
+    """k_c, or k_c^{-1} if ``inv``, on the slot pair (lo, hi) of colour c:
+    the inverse negates the exponents of q, m_lo and m_hi, and keeps the
+    sign."""
+    sign, qexp, a, b = _k_data(pres.kind, pres.r, c)
+    if inv:
+        qexp, a, b = -qexp, -a, -b
+    return OperatorExpr.word([m_(lo, a < 0), m_(hi, b < 0)],
+                             ScalarQ(LaurentPoly({qexp: sign})))
+
+
+def _alias_builders(pres: SatakeDiagram
+                    ) -> Dict[GeneratorSymbol, Callable[[], OperatorExpr]]:
+    """The ladder aliases, each with a function of no arguments that builds
+    its image inside the modified q-Weyl algebra.
 
     ``pres`` is the diagram's ``presentation``.  Each colour's e/f/k^{+-1}
     act on its slot pair from ``_ladder``; a fixed node n carries
     t_n = x_n d_n, except that kind VI's t_0 is x_1 d_1.
     """
-    word = OperatorExpr.word
-    img: Dict[GeneratorSymbol, OperatorExpr] = {}
+    img = {}
     for _, c, lo, hi in _ladder(pres):
-        img[e_(c)] = word([x_(lo), d_(hi)])
-        img[f_(c)] = word([x_(hi), d_(lo)])
-        coeff, a, b = _k_data(pres.kind, pres.r, c)
-        img[k_(c)] = word([m_(lo, a < 0), m_(hi, b < 0)], coeff)
-        img[k_(c, True)] = word([m_(lo, a > 0), m_(hi, b > 0)], coeff.invert())
+        img[e_(c)] = partial(_xd, lo, hi)
+        img[f_(c)] = partial(_xd, hi, lo)
+        img[k_(c)] = partial(_k_image, pres, c, lo, hi, False)
+        img[k_(c, True)] = partial(_k_image, pres, c, lo, hi, True)
     for n in pres.nodes:
         if pres.tau[n] == n:
             slot = 1 if pres.kind == "VI" and n == 0 else n
-            img[t_(n)] = word([x_(slot), d_(slot)])
+            img[t_(n)] = partial(_xd, slot, slot)
     return img
+
+
+def _alias_images(pres: SatakeDiagram) -> Dict[GeneratorSymbol, OperatorExpr]:
+    """Images of the ladder aliases inside the modified q-Weyl algebra, all
+    built (see ``_alias_builders``)."""
+    return {sym: build() for sym, build in _alias_builders(pres).items()}
 
 
 def phi(diagram: SatakeDiagram) -> Dict[GeneratorSymbol, OperatorExpr]:
@@ -282,14 +306,16 @@ def verify_homomorphism(diagram: SatakeDiagram, max_s: int):
 def oscillator_action(diagram: SatakeDiagram) -> ActionTable:
     """Monomial actions of the aliases, and of d/x/m, on the polynomial ring.
 
-    Each alias image under phi, one word in d/x/m times +-q^k, is composed
-    once by ``image_table`` over ``modweyl_table`` into a ``ShiftWord``; the
-    same ``modweyl_table`` serves the d/x/m symbols.  The table is phi
+    Each alias image under phi, one word in d/x/m times +-q^k, is built and
+    composed by ``image_table`` over ``modweyl_table`` into a ``ShiftWord``
+    when the alias is first looked up, and no other alias image is built;
+    the same ``modweyl_table`` serves the d/x/m symbols.  The table is phi
     composed with the modified q-Weyl action, at whatever xi the diagram
     carries.
     """
     base = modweyl_table(diagram)
-    return image_table(_alias_images(presentation(diagram)), base).merged(base)
+    return image_table(_alias_builders(presentation(diagram)),
+                       base).merged(base)
 
 
 def witness_steps(diagram: SatakeDiagram, a: Tuple[int, ...], up: bool):

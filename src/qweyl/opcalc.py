@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 from operator import add
 from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
@@ -269,14 +272,34 @@ MonomialAction = Callable[[Monomial], TermList]
 
 
 class ActionTable:
-    """Maps generator symbols to linear endomorphisms given on monomials."""
+    """Maps generator symbols to linear endomorphisms given on monomials.
 
-    def __init__(self, nvars: int, entries: Dict[GeneratorSymbol, MonomialAction]):
+    A table holds the ``entries`` given to it as they are, and ``builders``:
+    for each other symbol, a function of no arguments that returns its
+    entry.  Such an entry is built and stored the first time ``entry`` looks
+    it up, so every later lookup is one dict hit, and an entry never looked
+    up is never built.
+
+    ``entries`` reads as a mapping of every symbol to its entry: iterating
+    it lists every symbol, built or not, and reading an entry through it
+    builds that one.  Assigning a mapping to ``entries`` makes it the whole
+    table, with nothing left to build.
+    """
+
+    def __init__(self, nvars: int,
+                 entries: Dict[GeneratorSymbol, MonomialAction],
+                 builders: Dict[GeneratorSymbol, Callable] = None):
         self.nvars = nvars
-        self.entries = dict(entries)
+        self._built = dict(entries)
+        self._builders = dict(builders) if builders else {}
 
-    def __contains__(self, sym: GeneratorSymbol) -> bool:
-        return sym in self.entries
+    @property
+    def entries(self) -> Mapping:
+        return _Entries(self)
+
+    @entries.setter
+    def entries(self, entries):
+        self._built, self._builders = entries, {}
 
     def act(self, sym: GeneratorSymbol, mon: Monomial) -> list:
         """The nonzero terms of ``sym``'s image of X^mon as steps (target, c,
@@ -293,31 +316,77 @@ class ActionTable:
         return [(target, None, lo, v, m)] if m else []
 
     def entry(self, sym: GeneratorSymbol) -> MonomialAction:
-        """The action of ``sym``; a KeyError naming it if the table has none."""
+        """The action of ``sym``, built and stored on its first lookup; a
+        KeyError naming it if the table has none."""
         try:
-            return self.entries[sym]
+            return self._built[sym]
         except KeyError:
-            raise KeyError("unknown symbol %s in action table"
-                           % sym.label) from None
+            build = self._builders.get(sym)
+            if build is None:
+                raise KeyError("unknown symbol %s in action table"
+                               % sym.label) from None
+        action = self._built[sym] = build()
+        return action
 
     def merged(self, other: "ActionTable") -> "ActionTable":
+        """The entries of both tables, ``other``'s where both have a symbol.
+        Nothing is built here: the new table builds an entry that neither
+        has built yet, when it first reads it, with the same builder."""
         if self.nvars != other.nvars:
             raise ValueError("mixing action tables over different rings")
-        entries = dict(self.entries)
-        entries.update(other.entries)
-        return ActionTable(self.nvars, entries)
+        built = {sym: action for sym, action in self._built.items()
+                 if sym not in other._builders}
+        built.update(other._built)
+        return ActionTable(self.nvars, built,
+                           {**self._builders, **other._builders})
+
+
+class _Entries(Mapping):
+    """``ActionTable.entries``: every symbol of a table, read as its entry;
+    assigning to a symbol stores that entry as built."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: ActionTable):
+        self._table = table
+
+    def __getitem__(self, sym):
+        return self._table.entry(sym)
+
+    def __setitem__(self, sym, action):
+        self._table._built[sym] = action
+
+    def __contains__(self, sym):
+        return sym in self._table._built or sym in self._table._builders
+
+    def _symbols(self) -> dict:
+        return dict.fromkeys(chain(self._table._builders, self._table._built))
+
+    def __iter__(self):
+        return iter(self._symbols())
+
+    def __len__(self):
+        return len(self._symbols())
 
 
 def image_table(images: Dict[GeneratorSymbol, OperatorExpr],
                 table: ActionTable) -> ActionTable:
     """The homomorphism ``images`` followed by ``table``'s action.
 
-    Every chi, iota, phi and alias image is a sum of words with Laurent
-    coefficients, one shift vector and one d-count: it sums into one
-    ``ShiftWord`` from one memo of word forms per call, as in the compiler.
+    ``images`` maps each symbol to its image, or to a function of no
+    arguments that returns it.  Every chi, iota, phi and alias image is a
+    sum of words with Laurent coefficients, one shift vector and one
+    d-count: it sums into one ``ShiftWord``, from one memo of word forms per
+    table, as in the compiler.  An image given as a sum of several words is
+    composed here, so that words that differ in shift vector or d-count are
+    refused at once; any other image is built and composed when its symbol
+    is first looked up.
     """
-    n, forms, entries = table.nvars, {}, {}
-    for sym, image in images.items():
+    n, forms = table.nvars, {}
+
+    def compose(image) -> ShiftWord:
+        if callable(image):
+            image = image()
         shapes, total = set(), {}
         for word, c in image.terms.items():
             delta, poly, divided = _word_form(word, table, forms)
@@ -326,8 +395,15 @@ def image_table(images: Dict[GeneratorSymbol, OperatorExpr],
         if len(shapes) > 1:
             raise ValueError("words differ in shift vector or d-count")
         delta, divided = shapes.pop() if shapes else ((0,) * n, 0)
-        entries[sym] = ShiftWord.from_poly(delta, total, divided)
-    return ActionTable(n, entries)
+        return ShiftWord.from_poly(delta, total, divided)
+
+    built, builders = {}, {}
+    for sym, image in images.items():
+        if callable(image) or len(image.terms) < 2:
+            builders[sym] = partial(compose, image)
+        else:
+            built[sym] = compose(image)
+    return ActionTable(n, built, builders)
 
 
 def walk_word(word: Word, mon: Monomial, table: ActionTable,
@@ -369,13 +445,18 @@ def apply(expr: OperatorExpr, p: QPolynomial, table: ActionTable) -> QPolynomial
     """Apply an operator expression to a polynomial, rightmost symbol first,
     as the sum of the ``walk_word`` paths of every word and term.
 
-    A path whose numerator would run over more than ``MAX_EXPONENT`` powers
-    of q, counted from q^0, raises a ValueError before it is expanded."""
+    A path whose target has an X_i exponent above ``MAX_EXPONENT``, or whose
+    numerator would run over more than ``MAX_EXPONENT`` powers of q, counted
+    from q^0, raises a ValueError before it is expanded: every result reads
+    back through ``poly_from_text``."""
     acc: Dict[Monomial, ScalarQ] = {}
     for word, c in expr.terms.items():
         for mon, coeff in p.terms.items():
             paths = walk_word(word, mon, table, coeff * c)
-            for _, pc, lo, _, widths in paths:
+            for target, pc, lo, _, widths in paths:
+                if max(target, default=0) > MAX_EXPONENT:
+                    raise ValueError("image exponent above %d (MAX_EXPONENT)"
+                                     % MAX_EXPONENT)
                 low = pc.num.min_exp() + lo
                 high = pc.num.max_exp() + lo + 2 * (sum(widths) - len(widths))
                 if max(high, 0) - min(low, 0) > MAX_EXPONENT:

@@ -10,18 +10,18 @@ and u_i = q^{a_i}, possibly over q - q^-1:
 
 A ``ShiftWord`` holds one such operator; evaluated at u = q^a it is the
 monomial action, so it serves directly as an action-table entry.  A
-generator is a one-letter ``ShiftWord``.  A word of them applied to the
-generic monomial X^a is again of this form: a letter applied after the word
-so far has shifted the exponents by s turns its term q^e u^m into
-q^{e + m.s} u^m.  ``_word_form`` reads the form of a word from a memo that
-steps each suffix once, and ``_add_terms`` adds a form times a Laurent
-coefficient into a sum.  ``opcalc.image_table`` so sums an image, words with
-one shift vector and one d-count, into one ``ShiftWord``, and
-``compile_relation`` turns a relation's two sides, lhs - rhs, into
-components.  The sides agree on every monomial iff every component is zero,
-because distinct characters a -> q^{m.a} are linearly independent on N^n.
-The guard "d_i kills X^a when a_i = 0" needs no special case: the factor
-[xi_i * 0] is already 0.
+generator is a one-letter ``ShiftWord``, built, like every image entry, when
+its table first looks it up.  A word of them applied to the generic monomial
+X^a is again of this form: a letter applied after the word so far has
+shifted the exponents by s turns its term q^e u^m into q^{e + m.s} u^m.
+``_word_form`` reads the form of a word from a memo that steps each suffix
+once, and ``_add_terms`` adds a form times a Laurent coefficient into a sum.
+``opcalc.image_table`` so sums an image, words with one shift vector and one
+d-count, into one ``ShiftWord``, and ``compile_relation`` turns a relation's
+two sides, lhs - rhs, into components.  The sides agree on every monomial
+iff every component is zero, because distinct characters a -> q^{m.a} are
+linearly independent on N^n.  The guard "d_i kills X^a when a_i = 0" needs
+no special case: the factor [xi_i * 0] is already 0.
 """
 
 from __future__ import annotations
@@ -129,6 +129,8 @@ class ShiftWord(NamedTuple):
         The runs are one undivided term, and (v*q^a - v*q^b)/(q - q^-1)
         with a - b = 2m >= 0, which is v*q^(b+1)*(1 + ... + q^(2(m-1))).
         Any other shape, or an odd gap, is None, and the caller expands.
+        No entry has a term with v = 0: ``from_poly`` drops such terms, and
+        a generator's are +-1.
         """
         terms = self.terms
         if self.divided == 1 and len(terms) == 2:
@@ -143,12 +145,12 @@ class ShiftWord(NamedTuple):
                 v, a, b = -v, b, a
             if (a - b) & 1:
                 return None
-            lo, m = b + 1, (a - b) // 2 if v else 0
+            lo, m = b + 1, (a - b) // 2
         elif not self.divided and len(terms) == 1:
             (v, lo, us), = terms
             for j, m in us:
                 lo += m * mon[j]
-            m = 1 if v else 0
+            m = 1
         else:
             return None
         tgt = list(mon)
@@ -235,26 +237,31 @@ def compile_relation(lhs, rhs, table, forms=None) -> ShiftForm:
     coefficients in q.  Both factors are nonzero; ``scale`` records them.
     """
     forms = {} if forms is None else forms
-    words, dens, depth = [], set(), 0
+    words, dens, depth = [], [], 0
     for expr, sign in ((lhs, 1), (rhs, -1)):
         for word, c in expr.terms.items():
             form = _word_form(word, table, forms)
-            words.append((form, c, sign))
             if form[2] > depth:
                 depth = form[2]
+            k = -1                      # a polynomial c: the last co-factor
             if not c.is_polynomial:
-                dens.add(c.den)
-    # c * L is c.num times every other denominator: no gcd is needed.
-    rest = {den: prod((d for d in dens if d != den), start=ONE)
-            for den in dens | {ONE}} if dens else {}
+                try:                    # compared, never hashed
+                    k = dens.index(c.den)
+                except ValueError:
+                    k = len(dens)
+                    dens.append(c.den)
+            words.append((form, c.num, k, sign))
+    if dens:    # c * L is c.num times every other denominator: no gcd
+        rest = [prod(dens[:k] + dens[k + 1:], start=ONE)
+                for k in range(len(dens))]
+        rest.append(prod(dens, start=ONE))
     powers = forms.setdefault(None, [ONE])    # (q - q^-1)^0, ^1, ...
     while len(powers) <= depth:
         powers.append(powers[-1] * Q_MINUS_QINV)
     components: Dict[Vector, ShiftPoly] = {}
-    for (shift, poly, divided), c, sign in words:
-        coeff = c.num
-        if rest:
-            coeff = coeff * rest[c.den]
+    for (shift, poly, divided), coeff, k, sign in words:
+        if dens:
+            coeff = coeff * rest[k]
         if divided < depth:
             coeff = coeff * powers[depth - divided]
         _add_terms(components.setdefault(shift, {}), poly, coeff, sign)

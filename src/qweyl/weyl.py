@@ -44,18 +44,19 @@ def K(i: int, inv: bool = False) -> GeneratorSymbol:
 def algebra_table(xi, names: str) -> ActionTable:
     """Monomial actions with exponents xi, on the d/x/m letters in ``names``.
 
-    Each entry is the generator as a one-letter ``ShiftWord``: d_i X^a =
-    [xi_i a_i] X^{a-e_i}, x_i appends, m_i^{+-1} scales by q^{+-xi_i a_i}.
+    Each entry is the generator as a one-letter ``ShiftWord``, built when it
+    is first looked up: d_i X^a = [xi_i a_i] X^{a-e_i}, x_i appends,
+    m_i^{+-1} scales by q^{+-xi_i a_i}.
     """
     d, x, m = (partial(GeneratorSymbol, fam) for fam in names)
     gen = ShiftWord.generator
-    entries = {}
+    builders = {}
     for i, xi_i in enumerate(xi):
-        entries[d(i)] = gen(i, -1, ((1, xi_i), (-1, -xi_i)), True)
-        entries[x(i)] = gen(i, 1, ((1, 0),))
-        entries[m(i)] = gen(i, 0, ((1, xi_i),))
-        entries[m(i, True)] = gen(i, 0, ((1, -xi_i),))
-    return ActionTable(len(xi), entries)
+        builders[d(i)] = partial(gen, i, -1, ((1, xi_i), (-1, -xi_i)), True)
+        builders[x(i)] = partial(gen, i, 1, ((1, 0),))
+        builders[m(i)] = partial(gen, i, 0, ((1, xi_i),))
+        builders[m(i, True)] = partial(gen, i, 0, ((1, -xi_i),))
+    return ActionTable(len(xi), {}, builders)
 
 
 def weyl_table(nvars: int) -> ActionTable:

@@ -31,7 +31,10 @@ scaling.  ``reference_mul`` is ``QPolynomial.__mul__`` as it was before
 ``QPolynomial`` and ``OperatorExpr`` shared one linear-combination core: a
 sum of ``mul_monomial`` products, one per term of the right factor.
 ``reference_build_diagram`` is ``satake.build_diagram`` as it was before the
-six shapes came from one rule: one branch per kind.
+six shapes came from one rule: one branch per kind.  ``eager_algebra_table``
+and ``eager_image_table`` are ``weyl.algebra_table`` and
+``opcalc.image_table`` as they were before a table built each entry on its
+first lookup: every entry built when the table is.
 """
 
 from dataclasses import replace
@@ -48,7 +51,8 @@ from qweyl.qscalar import (ONE, Q_MINUS_QINV, LaurentPoly, ScalarQ,
                            q_product)
 from qweyl.satake import (SatakeDiagram, _build_a1aff, _varsigma_map,
                           build_diagram)
-from qweyl.shift import Form, ShiftForm, _letter, _step
+from qweyl.shift import (Form, ShiftForm, ShiftWord, _add_terms, _letter,
+                         _step, _word_form)
 from qweyl.weyl import E, F, K, cartan_entry
 
 
@@ -639,3 +643,35 @@ def reference_uqsl_relation_instances(r: int):
                             + word([F(j), F(i), F(i)]),
                             OperatorExpr.zero()))
     return out
+
+
+def eager_algebra_table(xi, names: str) -> ActionTable:
+    """Every d/x/m generator with exponents xi, each a one-letter
+    ``ShiftWord``, built at once."""
+    d, x, m = (partial(GeneratorSymbol, fam) for fam in names)
+    gen = ShiftWord.generator
+    entries = {}
+    for i, xi_i in enumerate(xi):
+        entries[d(i)] = gen(i, -1, ((1, xi_i), (-1, -xi_i)), True)
+        entries[x(i)] = gen(i, 1, ((1, 0),))
+        entries[m(i)] = gen(i, 0, ((1, xi_i),))
+        entries[m(i, True)] = gen(i, 0, ((1, -xi_i),))
+    return ActionTable(len(xi), entries)
+
+
+def eager_image_table(images, table: ActionTable) -> ActionTable:
+    """The homomorphism ``images`` followed by ``table``'s action, every
+    image summed into one ``ShiftWord`` at once, from one memo of word
+    forms."""
+    n, forms, entries = table.nvars, {}, {}
+    for sym, image in images.items():
+        shapes, total = set(), {}
+        for word, c in image.terms.items():
+            delta, poly, divided = _word_form(word, table, forms)
+            shapes.add((delta, divided))
+            _add_terms(total, poly, c.as_laurent())
+        if len(shapes) > 1:
+            raise ValueError("words differ in shift vector or d-count")
+        delta, divided = shapes.pop() if shapes else ((0,) * n, 0)
+        entries[sym] = ShiftWord.from_poly(delta, total, divided)
+    return ActionTable(n, entries)

@@ -13,8 +13,8 @@ from closed_forms import _run
 from qweyl import crystal, iqg, opcalc, satake
 from qweyl.cli import _factored_form, build_parser, main
 from qweyl.crystal import crystal_graph, parse_json
-from qweyl.opcalc import ActionTable, GeneratorSymbol, walk_word
-from qweyl.qscalar import LaurentPoly
+from qweyl.opcalc import ActionTable, GeneratorSymbol, QPolynomial, walk_word
+from qweyl.qscalar import LaurentPoly, ScalarQ
 from qweyl.satake import build_diagram, parse_spec
 from qweyl.shift import ShiftWord
 
@@ -557,6 +557,55 @@ def test_act_refuses_a_coefficient_over_max_exponent_powers_of_q(capsys, k):
         assert (code, out) == (2, "")
         assert err == ("error: image coefficient over more than 10000 "
                        "powers of q (MAX_EXPONENT)\n")
+
+
+@pytest.mark.parametrize("letter,k", [("m0", 10_000), ("m0", 10_001),
+                                      ("m0^-1", 10_000), ("m0^-1", 10_001)])
+def test_act_q_span_bound_at_its_edge(capsys, letter, k):
+    # m0^{+-1} scales X0 by q^{+-1} on I:r=0 (xi_0 = 1), so k letters give
+    # the one path q^{+-k} X0, spanning k powers of q from q^0 on either
+    # side: 10,000 prints and reads back, 10,001 is refused.
+    code, out, err = run(capsys, "act", "--diagram", "I:r=0",
+                         "--word", " ".join([letter] * k), "--poly", "X0")
+    if k == 10_000:
+        assert (code, err) == (0, "")
+        power = k if letter == "m0" else -k
+        assert opcalc.poly_from_text(out.strip(), 2) == \
+            QPolynomial.monomial((1, 0), ScalarQ.q_power(power))
+    else:
+        assert (code, out) == (2, "")
+        assert err == ("error: image coefficient over more than 10000 "
+                       "powers of q (MAX_EXPONENT)\n")
+
+
+@pytest.mark.parametrize("k", [9_999, 10_000])
+def test_act_refuses_an_image_exponent_over_max_exponent(capsys, k):
+    # x0^k X0 is X0^(k+1): X0^10000 prints and reads back as --poly input,
+    # and X0^10001, which --poly would refuse, is refused before expansion.
+    code, out, err = run(capsys, "act", "--diagram", "I:r=0",
+                         "--word", " ".join(["x0"] * k), "--poly", "X0")
+    if k == 9_999:
+        assert (code, out, err) == (0, "(1)*X0^10000\n", "")
+        assert list(opcalc.poly_from_text(out, 2).terms) == [(10_000, 0)]
+    else:
+        assert (code, out) == (2, "")
+        assert err == "error: image exponent above 10000 (MAX_EXPONENT)\n"
+
+
+@pytest.mark.parametrize("spec,image", [
+    ("I:r=1", "(q^4 + q^3 + 2*q^2 + 2*q + 1 + q^-1)*X0^2*X1^2"),
+    ("IV:r=1", "(-q^4 - q^3 - q^2 - q)*X0^2*X1^2")])
+def test_act_mixes_alias_and_generator_letters(capsys, spec, image):
+    # Alias and d/x/m letters read one table, whose entries are built as the
+    # word reads them; an unknown token after known ones is refused before
+    # any letter acts.
+    poly = "(q + 1)*X0*X1^2*X2 + X1"
+    word = "e1 x0 d1 k0^-1"
+    assert run(capsys, "act", "--diagram", spec, "--word", word,
+               "--poly", poly) == (0, image + "\n", "")
+    assert run(capsys, "act", "--diagram", spec, "--word", word + " e9",
+               "--poly", poly) == (
+        2, "", "error: unknown token 'e9' for diagram %s\n" % spec)
 
 
 def walk_form(polys):

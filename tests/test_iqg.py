@@ -6,16 +6,18 @@ import pytest
 from closed_forms import (action_discrepancies, closed_form_action,
                           witness_coefficients, xi_variants)
 from evaluation import eval_scalar
+from qweyl import iqg
 from qweyl.iqg import (B_, H_, _alias_images, apply_witness,
                        e_, f_, irreducibility_witness, k_, oscillator_action,
                        phi, presentation, relation_instances, spanning_witness,
-                       t_, verify_homomorphism)
+                       t_, verify_homomorphism, witness_steps)
 from qweyl.modweyl import d_, m_, modweyl_table, x_
 from qweyl.opcalc import (OperatorExpr, QPolynomial, monomials_of_degree,
                           monomials_up_to, operator_equal_on_degrees,
-                          report_failures)
+                          report_failures, walk_word)
 from qweyl.qscalar import LaurentPoly, Q_MINUS_QINV, ScalarQ, q_factorial, q_integer
-from qweyl.satake import SatakeDiagram, build_diagram
+from qweyl.satake import SatakeDiagram, build_diagram, parse_spec
+from qweyl.shift import ShiftWord
 
 W = OperatorExpr.word
 
@@ -309,6 +311,46 @@ def test_oscillator_spot_values():
     t = oscillator_action(a1)
     assert t.entry(k_(0))((0, 0)) == [((0, 0), ScalarQ.q_power(-1))]
     assert t.entry(e_(0))((0, 1)) == [((1, 0), ScalarQ(q_integer(3)))]
+
+
+@pytest.mark.parametrize("spec,mon,up", [
+    ("IV:r=2", (1, 2, 3, 4), True), ("IV:r=2", (1, 2, 3, 4), False),
+    ("V:r=2", (0, 3, 4, 5), True), ("A1AFF", (2, 7), True),
+    ("I:r=2", (2, 0, 1, 3), False)])
+def test_witness_walk_builds_only_the_letters_it_reads(monkeypatch, spec, mon,
+                                                       up):
+    # A fresh oscillator table lists every symbol and has built nothing.  A
+    # witness walk builds the image of each distinct letter of its word once,
+    # and the d/x generators those images read once each; a second walk
+    # builds nothing more.
+    d = parse_spec(spec)
+    images = _alias_images(presentation(d))
+    built_images, built_generators = [], []
+    real_xd, real_k, real_gen = iqg._xd, iqg._k_image, ShiftWord.generator
+
+    def generator(slot, step, terms, divided=False):
+        built_generators.append((slot, step))
+        return real_gen(slot, step, terms, divided)
+
+    monkeypatch.setattr(iqg, "_xd", lambda i, j: built_images.append(
+        (x_(i), d_(j))) or real_xd(i, j))
+    monkeypatch.setattr(iqg, "_k_image", lambda *args: built_images.append(
+        args) or real_k(*args))
+    monkeypatch.setattr(ShiftWord, "generator", generator)
+    word, _ = witness_steps(d, mon, up)
+    top = (sum(mon),) + (0,) * (d.nslots - 1)
+    table = oscillator_action(d)
+    assert len(table.entries) == len(images) + 4 * d.nslots
+    assert built_images == built_generators == []
+    walk_word(word, mon if up else top, table)
+    letters = [w for sym in set(word) for w in images[sym].terms]
+    assert sorted(built_images) == sorted(letters)
+    assert sorted(built_generators) == sorted(
+        {(g.idx, 1 if g.fam == "x" else -1) for w in letters for g in w})
+    built_images.clear()
+    built_generators.clear()
+    walk_word(word, mon if up else top, table)
+    assert built_images == built_generators == []
 
 
 # --- witnesses ------------------------------------------------------------------

@@ -4,8 +4,9 @@ residuals read off the compiled form against an apply-based oracle, the
 same forms as the compiler that still took its products by 1, the
 polynomial gcds that a verify run still needs, one letter step per word
 suffix and table, images whose words must share one shift and d-count,
-a residual search that stops at its first residual, and every entry's
-factored run against its expanded image."""
+a residual search that stops at its first residual, every entry's
+factored run against its expanded image, and entries built on their first
+lookup against the tables built at once."""
 
 import functools
 import json
@@ -14,10 +15,12 @@ from math import prod
 
 import pytest
 
-from closed_forms import _run, reference_compile_relation, xi_variants
+from closed_forms import (_run, eager_algebra_table, eager_image_table,
+                          reference_compile_relation, xi_variants)
 from qweyl import opcalc, qscalar, shift
 from qweyl.cli import main
-from qweyl.iqg import e_, oscillator_action, phi, relation_instances
+from qweyl.iqg import (_alias_images, e_, oscillator_action, phi,
+                       presentation, relation_instances)
 from qweyl.modweyl import (d_, iota_map, iota_table, m_,
                            modweyl_relation_instances, modweyl_table, x_)
 from qweyl.opcalc import (ActionTable, OperatorExpr, QPolynomial, apply,
@@ -373,6 +376,8 @@ def test_verify_steps_each_word_suffix_once(monkeypatch, kind, r):
             steps.clear()
             table = image_table(push, table)
             words = [w for image in push.values() for w in image.terms]
+            # each image is composed when its symbol is first read
+            assert dict(table.entries).keys() == push.keys()
             assert len(steps) == len(_suffixes(words))
         steps.clear()
         verify_relations(instances, table, 0)
@@ -398,6 +403,28 @@ def test_image_words_must_share_shift_and_d_count():
     image = d0 * x0 - (x0 * d0).scale(ScalarQ.q_power(1))
     entry = image_table({e_(0): image}, table).entries[e_(0)]
     assert entry((3, 1)) == [((3, 1), ScalarQ.q_power(-3))]
+
+
+@pytest.mark.parametrize("kind,r", ALL_DIAGRAMS)
+def test_entries_built_on_first_lookup_equal_eager_ones(kind, r):
+    # Each table lists every symbol before it builds anything, and each
+    # entry, looked up in reverse order of the eager table's symbols, is the
+    # entry that building the whole table at once gives.
+    d = build_diagram(kind, r)
+    classical = eager_algebra_table((1,) * d.nslots, "DXM")
+    modified = eager_algebra_table(d.xi, "dxm")
+    aliases = _alias_images(presentation(d))
+    pairs = [(weyl_table(d.nslots), classical),
+             (modweyl_table(d), modified),
+             (image_table(phi(d), modweyl_table(d)),
+              eager_image_table(phi(d), modified)),
+             (oscillator_action(d),
+              eager_image_table(aliases, modified).merged(modified))]
+    for lazy, eager in pairs:
+        assert lazy.entries.keys() == eager.entries.keys()
+        for sym in reversed(list(eager.entries)):
+            assert lazy.entry(sym) == eager.entry(sym), sym.label
+        assert dict(lazy.entries) == dict(eager.entries)
 
 
 def test_word_forms_are_never_shared_between_tables(capsys, monkeypatch):
