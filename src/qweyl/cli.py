@@ -16,9 +16,9 @@ from math import prod
 
 from . import crystal as crystal_mod
 from . import iqg, modweyl, weyl
-from .opcalc import (OperatorExpr, QPolynomial, apply, expand_paths,
-                     image_table, poly_from_text, poly_to_text,
-                     report_failures, verify_relations, walk_word)
+from .opcalc import (OperatorExpr, QPolynomial, apply, image_table,
+                     poly_from_text, poly_to_text, report_failures,
+                     verify_relations, walk_word)
 from .qscalar import LaurentPoly, ScalarQ, q_product
 from .satake import SatakeDiagram, integer, parse_spec
 
@@ -65,7 +65,7 @@ def run_suite(diagram: SatakeDiagram, suite: str, max_degree: int):
         report += verify_relations(instances, modweyl.modweyl_table(diagram),
                                    max_degree)
         # Not modweyl.iota_table: bench/tracer.py swaps that table's entries
-        # for counting closures, which compile_relation refuses.
+        # for counting closures, which an ActionTable refuses.
         iota_report = verify_relations(
             instances, image_table(modweyl.iota_map(diagram), classical),
             max_degree)
@@ -130,30 +130,19 @@ def _cmd_crystal(args) -> int:
     return 0
 
 
-def _factored_form(paths):
-    """(end monomial, content, q-shift, sorted m >= 2) of a word's
-    ``walk_word`` paths if they are one path of runs only (c = 1); else
-    None."""
-    if len(paths) != 1 or not paths[0][1].is_one:
-        return None
-    target, _, lo, v, widths = paths[0]
-    return target, v, lo + sum(widths) - len(widths), sorted(widths)
-
-
 def _cmd_witness(args) -> int:
     """Print a witness word and its coefficient, and check them.
 
-    The word's image of the start monomial is compared with the prediction
-    in factored form, c*q^k*[m_1]...[m_t] with every m_i >= 2, and the
-    coefficient is expanded once, to print it.  The form is exact: [m] =
-    q^(1-m) prod_{d | m, d > 1} Phi_d(q^2), and the Phi_d(q^2) for d > 1 are
-    squarefree and pairwise coprime (Phi_d(q^2) is Phi_2d(q) for even d and
-    Phi_d(q)*Phi_2d(q) for odd d).  So a nonzero c*q^k*prod [m_i] determines
-    c, k and every e_d = #{i : d | m_i}, hence, by Moebius inversion, the
-    multiset {m_i}: two such products are equal iff their forms are.  A walk
-    that leaves this form, or a zero predicted factor, is decided the
-    expanded way, by summing the same walk's paths as ``apply`` does, which
-    also names what it got.
+    The word's one path from the start monomial is compared with the
+    prediction in factored form, c*q^k*[m_1]...[m_t] with every m_i >= 2,
+    and the coefficient is expanded once, to print it.  The form is exact:
+    [m] = q^(1-m) prod_{d | m, d > 1} Phi_d(q^2), and the Phi_d(q^2) for
+    d > 1 are squarefree and pairwise coprime (Phi_d(q^2) is Phi_2d(q) for
+    even d and Phi_d(q)*Phi_2d(q) for odd d).  So a nonzero c*q^k*prod [m_i]
+    determines c, k and every e_d = #{i : d | m_i}, hence, by Moebius
+    inversion, the multiset {m_i}: two such products are equal iff their
+    forms are.  A zero predicted factor predicts no path.  A mismatch
+    expands the path, to print it.
     """
     diagram = parse_spec(args.diagram)
     try:
@@ -162,21 +151,28 @@ def _cmd_witness(args) -> int:
         raise ValueError("bad --monomial %r: expected comma-separated integers"
                          % args.monomial) from None
     up = args.direction == "up"
-    word, steps = iqg.witness_steps(diagram, mon, up)
+    pres = iqg.presentation(diagram)
+    word, steps = iqg.witness_steps(diagram, mon, up, pres)
     top = tuple([sum(mon)] + [0] * (diagram.nslots - 1))
     start, target = (mon, top) if up else (top, mon)
     predicted = ScalarQ(q_product(steps))
     print("word: %s" % (" ".join(sym.label for sym in word) or "(empty)"))
     print("coefficient: %s" % predicted)
-    table = iqg.oscillator_action(diagram)
-    form = (target, prod([1 if n > 0 else -1 for n in steps]), 0,
-            sorted([abs(n) for n in steps if abs(n) > 1]))
-    paths = walk_word(word, start, table)
-    if not (all(steps) and form == _factored_form(paths)):
-        result = QPolynomial(diagram.nslots, expand_paths(paths, {}))
-        if result != QPolynomial.monomial(target, predicted):
-            print("MISMATCH: got %s" % poly_to_text(result))
-            return 1
+    path = walk_word(word, start, iqg.oscillator_action(diagram, pres))
+    want = got = None
+    if all(steps):
+        want = (target, prod([1 if n > 0 else -1 for n in steps]), 0,
+                sorted([abs(n) for n in steps if abs(n) > 1]))
+    if path is not None:
+        end, lo, v, widths = path
+        got = end, v, lo + sum(widths) - len(widths), sorted(widths)
+    if got != want:
+        result = QPolynomial(diagram.nslots)
+        if got is not None:
+            result = QPolynomial.monomial(end, ScalarQ(
+                q_product(widths, LaurentPoly({got[2]: v}))))
+        print("MISMATCH: got %s" % poly_to_text(result))
+        return 1
     print("VERIFIED")
     return 0
 

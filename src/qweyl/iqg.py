@@ -303,7 +303,8 @@ def verify_homomorphism(diagram: SatakeDiagram, max_s: int):
     return verify_relations(relation_instances(diagram), table, max_s)
 
 
-def oscillator_action(diagram: SatakeDiagram) -> ActionTable:
+def oscillator_action(diagram: SatakeDiagram, pres: SatakeDiagram = None
+                      ) -> ActionTable:
     """Monomial actions of the aliases, and of d/x/m, on the polynomial ring.
 
     Each alias image under phi, one word in d/x/m times +-q^k, is built and
@@ -311,14 +312,15 @@ def oscillator_action(diagram: SatakeDiagram) -> ActionTable:
     when the alias is first looked up, and no other alias image is built;
     the same ``modweyl_table`` serves the d/x/m symbols.  The table is phi
     composed with the modified q-Weyl action, at whatever xi the diagram
-    carries.
+    carries.  ``pres``, if given, is ``presentation(diagram)``.
     """
     base = modweyl_table(diagram)
-    return image_table(_alias_builders(presentation(diagram)),
+    return image_table(_alias_builders(pres or presentation(diagram)),
                        base).merged(base)
 
 
-def witness_steps(diagram: SatakeDiagram, a: Tuple[int, ...], up: bool):
+def witness_steps(diagram: SatakeDiagram, a: Tuple[int, ...], up: bool,
+                  pres: SatakeDiagram = None):
     """A witness word and the signed q-integers whose product it predicts.
 
     Up (raising), the e-word carries X^a to a multiple of X_0^s: the
@@ -328,9 +330,10 @@ def witness_steps(diagram: SatakeDiagram, a: Tuple[int, ...], up: bool):
     prod_{i=0}^{r} [a_i + ... + a_{r+1}]^{xi_i}! divided by [a_i]^{xi_i}!,
     whose q-integers are those the quotient keeps: no gcd.  Kind VI has no
     raising operator into slot 0, so no such witness exists there.
+    ``pres``, if given, is ``presentation(diagram)``.
     """
     a = _witness_vector(diagram, a)
-    ladder = _ladder(presentation(diagram))
+    ladder = _ladder(pres or presentation(diagram))
     top = [sum(a[i:]) for i in range(len(a))]
     if up:
         word = [e_(c) for _, c, _, hi in ladder for _ in range(top[hi])]

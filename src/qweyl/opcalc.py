@@ -3,10 +3,10 @@
 Polynomials and operators are both ScalarQ-linear combinations of monoid
 elements, exponent vectors under addition and words in generator symbols
 under concatenation, and share one arithmetic core.  A word acts on a
-polynomial rightmost symbol first, through a pluggable action table mapping
-each symbol to a linear endomorphism given on monomials.  ``ActionTable.act``
-is the one place a letter is read: as steps, a q-integer run kept factored
-where the entry's ``ShiftWord.run`` finds one, and every walk of a word
+polynomial rightmost symbol first, through an action table mapping each
+symbol to a ``ShiftWord`` that sends every monomial to one monomial times a
+q-integer run or a signed power of q.  ``ActionTable.act`` is the one place
+a letter is read, as one such step kept factored, and every walk of a word
 consumes those steps.
 """
 
@@ -267,18 +267,26 @@ def expr_map(expr: OperatorExpr, mapping: Dict[GeneratorSymbol, OperatorExpr]) -
     return out
 
 
-TermList = List[Tuple[Monomial, ScalarQ]]
-MonomialAction = Callable[[Monomial], TermList]
+def _checked(sym: GeneratorSymbol, entry) -> ShiftWord:
+    """``entry`` if it is a run-shaped ``ShiftWord`` (``ShiftWord.is_run``),
+    else a ValueError naming ``sym``."""
+    if not (isinstance(entry, ShiftWord) and entry.is_run):
+        raise ValueError("the action of %s is not a q-integer run: %r"
+                         % (sym.label, entry))
+    return entry
 
 
 class ActionTable:
-    """Maps generator symbols to linear endomorphisms given on monomials.
+    """Maps generator symbols to their actions on monomials: each entry is a
+    ``ShiftWord`` whose every image is one monomial times a q-integer run or
+    a signed power of q.  The table checks that shape (``ShiftWord.is_run``)
+    once for each entry it stores, and refuses any other with a ValueError.
 
-    A table holds the ``entries`` given to it as they are, and ``builders``:
-    for each other symbol, a function of no arguments that returns its
-    entry.  Such an entry is built and stored the first time ``entry`` looks
-    it up, so every later lookup is one dict hit, and an entry never looked
-    up is never built.
+    A table holds the ``entries`` given to it, and ``builders``: for each
+    other symbol, a function of no arguments that returns its entry.  Such
+    an entry is built and stored the first time ``entry`` looks it up, so
+    every later lookup is one dict hit, and an entry never looked up is
+    never built.
 
     ``entries`` reads as a mapping of every symbol to its entry: iterating
     it lists every symbol, built or not, and reading an entry through it
@@ -287,10 +295,10 @@ class ActionTable:
     """
 
     def __init__(self, nvars: int,
-                 entries: Dict[GeneratorSymbol, MonomialAction],
+                 entries: Dict[GeneratorSymbol, ShiftWord],
                  builders: Dict[GeneratorSymbol, Callable] = None):
         self.nvars = nvars
-        self._built = dict(entries)
+        self.entries = entries
         self._builders = dict(builders) if builders else {}
 
     @property
@@ -299,23 +307,18 @@ class ActionTable:
 
     @entries.setter
     def entries(self, entries):
-        self._built, self._builders = entries, {}
+        self._built = {sym: _checked(sym, entry)
+                       for sym, entry in entries.items()}
+        self._builders = {}
 
-    def act(self, sym: GeneratorSymbol, mon: Monomial) -> list:
-        """The nonzero terms of ``sym``'s image of X^mon as steps (target, c,
-        lo, v, m), each c*v*q^lo*(1 + q^2 + ... + q^(2(m-1)))*X^target, with
-        c = None for 1.  A ``ShiftWord`` entry is read by ``ShiftWord.run``
-        whenever that returns a run, in O(touched slots), and m = 0 gives [];
-        anything else is read term by term through the entry's call, as
-        (t, c, 0, 1, 1)."""
-        entry = self.entry(sym)
-        run = entry.run(mon) if isinstance(entry, ShiftWord) else None
-        if run is None:
-            return [(t, c, 0, 1, 1) for t, c in entry(mon) if not c.is_zero]
-        target, lo, m, v = run
-        return [(target, None, lo, v, m)] if m else []
+    def act(self, sym: GeneratorSymbol, mon: Monomial):
+        """``sym``'s image of X^mon as one step (target, lo, v, m), the term
+        v*q^lo*(1 + q^2 + ... + q^(2(m-1)))*X^target, read by the entry's
+        ``ShiftWord.run`` in O(touched slots); None if the image is zero."""
+        step = self.entry(sym).run(mon)
+        return step if step[3] else None
 
-    def entry(self, sym: GeneratorSymbol) -> MonomialAction:
+    def entry(self, sym: GeneratorSymbol) -> ShiftWord:
         """The action of ``sym``, built and stored on its first lookup; a
         KeyError naming it if the table has none."""
         try:
@@ -325,7 +328,7 @@ class ActionTable:
             if build is None:
                 raise KeyError("unknown symbol %s in action table"
                                % sym.label) from None
-        action = self._built[sym] = build()
+        action = self._built[sym] = _checked(sym, build())
         return action
 
     def merged(self, other: "ActionTable") -> "ActionTable":
@@ -343,7 +346,7 @@ class ActionTable:
 
 class _Entries(Mapping):
     """``ActionTable.entries``: every symbol of a table, read as its entry;
-    assigning to a symbol stores that entry as built."""
+    assigning to a symbol checks that entry and stores it as built."""
 
     __slots__ = ("_table",)
 
@@ -354,7 +357,7 @@ class _Entries(Mapping):
         return self._table.entry(sym)
 
     def __setitem__(self, sym, action):
-        self._table._built[sym] = action
+        self._table._built[sym] = _checked(sym, action)
 
     def __contains__(self, sym):
         return sym in self._table._built or sym in self._table._builders
@@ -406,39 +409,22 @@ def image_table(images: Dict[GeneratorSymbol, OperatorExpr],
     return ActionTable(n, built, builders)
 
 
-def walk_word(word: Word, mon: Monomial, table: ActionTable,
-              c: ScalarQ = _ONE) -> list:
-    """The paths of ``word`` from c*X^mon, rightmost letter first: each is
-    (target, c, lo, v, widths), the term c*v*q^lo*X^target times (1 + q^2 +
-    ... + q^(2(m-1))) for each m in widths.  Each letter steps every path
-    by the steps of ``ActionTable.act``: a step's lo, v and m (if m >= 2) go
-    into lo, v and widths, and its c, unless None, multiplies c.  So
-    ``apply`` multiplies each path's q-integers out once."""
-    paths = [(mon, c, 0, 1, ())]
+def walk_word(word: Word, mon: Monomial, table: ActionTable):
+    """The one path of ``word`` from X^mon, rightmost letter first: (target,
+    lo, v, widths), v*q^lo*X^target times (1 + q^2 + ... + q^(2(m-1))) for
+    each m in widths, or None for zero.  Each letter adds the lo of its
+    ``ActionTable.act`` step to lo, multiplies v by its v and, if m >= 2,
+    adds its m to widths, so ``apply`` multiplies them out once."""
+    lo, v, widths = 0, 1, ()
     for sym in reversed(word):
-        paths = [(t, c if sc is None else c * sc, lo + slo, v * sv,
-                  widths + (m,) if m > 1 else widths)
-                 for mon, c, lo, v, widths in paths
-                 for t, sc, slo, sv, m in table.act(sym, mon)]
-    return paths
-
-
-def expand_paths(paths, acc: Dict[Monomial, ScalarQ]
-                 ) -> Dict[Monomial, ScalarQ]:
-    """Add each ``walk_word`` path, its q-integers multiplied out once, to
-    the term it reaches in ``acc`` (monomial to ScalarQ), dropping sums
-    that cancel; returns ``acc``."""
-    for target, pc, lo, v, widths in paths:
-        num = (_window_product(dict(pc.num.items()), widths, lo, v)
-               if widths else pc.num._term_mul(lo, v))
-        value = ScalarQ(num, pc.den)
-        w = acc.get(target)
-        w = value if w is None else w + value
-        if w.is_zero:
-            acc.pop(target, None)
-        else:
-            acc[target] = w
-    return acc
+        step = table.act(sym, mon)
+        if step is None:
+            return None
+        mon, slo, sv, m = step
+        lo, v = lo + slo, v * sv
+        if m > 1:
+            widths += (m,)
+    return mon, lo, v, widths
 
 
 def apply(expr: OperatorExpr, p: QPolynomial, table: ActionTable) -> QPolynomial:
@@ -452,18 +438,28 @@ def apply(expr: OperatorExpr, p: QPolynomial, table: ActionTable) -> QPolynomial
     acc: Dict[Monomial, ScalarQ] = {}
     for word, c in expr.terms.items():
         for mon, coeff in p.terms.items():
-            paths = walk_word(word, mon, table, coeff * c)
-            for target, pc, lo, _, widths in paths:
-                if max(target, default=0) > MAX_EXPONENT:
-                    raise ValueError("image exponent above %d (MAX_EXPONENT)"
-                                     % MAX_EXPONENT)
-                low = pc.num.min_exp() + lo
-                high = pc.num.max_exp() + lo + 2 * (sum(widths) - len(widths))
-                if max(high, 0) - min(low, 0) > MAX_EXPONENT:
-                    raise ValueError("image coefficient over more than %d "
-                                     "powers of q (MAX_EXPONENT)"
-                                     % MAX_EXPONENT)
-            expand_paths(paths, acc)
+            path = walk_word(word, mon, table)
+            if path is None:
+                continue
+            target, lo, v, widths = path
+            pc = coeff * c
+            if max(target, default=0) > MAX_EXPONENT:
+                raise ValueError("image exponent above %d (MAX_EXPONENT)"
+                                 % MAX_EXPONENT)
+            low = pc.num.min_exp() + lo
+            high = pc.num.max_exp() + lo + 2 * (sum(widths) - len(widths))
+            if max(high, 0) - min(low, 0) > MAX_EXPONENT:
+                raise ValueError("image coefficient over more than %d "
+                                 "powers of q (MAX_EXPONENT)" % MAX_EXPONENT)
+            num = (_window_product(dict(pc.num.items()), widths, lo, v)
+                   if widths else pc.num._term_mul(lo, v))
+            value = ScalarQ(num, pc.den)
+            w = acc.get(target)
+            w = value if w is None else w + value
+            if w.is_zero:
+                acc.pop(target, None)
+            else:
+                acc[target] = w
     out = QPolynomial.__new__(QPolynomial)
     out.nvars, out.terms = p.nvars, acc
     return out

@@ -9,11 +9,13 @@ and u_i = q^{a_i}, possibly over q - q^-1:
 * m_i^{+-1}: delta = 0, c = u_i^{+-xi_i}.
 
 A ``ShiftWord`` holds one such operator; evaluated at u = q^a it is the
-monomial action, so it serves directly as an action-table entry.  A
-generator is a one-letter ``ShiftWord``, built, like every image entry, when
-its table first looks it up.  A word of them applied to the generic monomial
-X^a is again of this form: a letter applied after the word so far has
-shifted the exponents by s turns its term q^e u^m into q^{e + m.s} u^m.
+monomial action.  An action-table entry is one whose every image is a
+q-integer run or a signed power of q (``ShiftWord.is_run``), read in
+factored form by ``ShiftWord.run``.  A generator is a one-letter
+``ShiftWord``, built, like every image entry, when its table first looks it
+up.  A word of them applied to the generic monomial X^a is again of this
+form: a letter applied after the word so far has shifted the exponents by s
+turns its term q^e u^m into q^{e + m.s} u^m.
 ``_word_form`` reads the form of a word from a memo that steps each suffix
 once, and ``_add_terms`` adds a form times a Laurent coefficient into a sum.
 ``opcalc.image_table`` so sums an image, words with one shift vector and one
@@ -122,53 +124,46 @@ class ShiftWord(NamedTuple):
         c = LaurentPoly(num)
         return [] if c.is_zero else [(tuple(tgt), ScalarQ(c))]
 
-    def run(self, mon):
-        """(target, lo, m, v) if X^mon goes to v*q^lo*(1 + q^2 + ... +
-        q^(2(m-1)))*X^target (m = 0: to zero), else None; O(touched slots).
-
-        The runs are one undivided term, and (v*q^a - v*q^b)/(q - q^-1)
-        with a - b = 2m >= 0, which is v*q^(b+1)*(1 + ... + q^(2(m-1))).
-        Any other shape, or an odd gap, is None, and the caller expands.
-        No entry has a term with v = 0: ``from_poly`` drops such terms, and
-        a generator's are +-1.
-        """
+    @property
+    def is_run(self) -> bool:
+        """Whether every image is a run: one undivided term, or c and -c over
+        one q - q^-1 whose q and u exponents differ by even numbers, with
+        c != 0.  O(terms); ``ActionTable`` stores no other entry."""
         terms = self.terms
-        if self.divided == 1 and len(terms) == 2:
-            (v, a, us), (w, b, ws) = terms
-            if v + w:
-                return None
-            for j, m in us:
-                a += m * mon[j]
-            for j, m in ws:
-                b += m * mon[j]
-            if a < b:
-                v, a, b = -v, b, a
-            if (a - b) & 1:
-                return None
-            lo, m = b + 1, (a - b) // 2
-        elif not self.divided and len(terms) == 1:
-            (v, lo, us), = terms
-            for j, m in us:
-                lo += m * mon[j]
-            m = 1
-        else:
-            return None
+        if not self.divided and len(terms) == 1:
+            return bool(terms[0][0])
+        if self.divided != 1 or len(terms) != 2:
+            return False
+        (v, a, us), (w, b, ws) = terms
+        # a u gap is even iff both terms have the same slots of odd exponent
+        return (bool(v) and not v + w and not (a - b) & 1
+                and {j for j, e in us if e & 1} == {j for j, e in ws if e & 1})
+
+    def run(self, mon):
+        """(target, lo, v, m): X^mon goes to v*q^lo*(1 + q^2 + ... +
+        q^(2(m-1)))*X^target, to zero if m = 0, in O(touched slots).  The
+        word must be a run (``is_run``): one undivided term, m = 1, or
+        (v*q^a - v*q^b)/(q - q^-1) with a - b = 2m >= 0, which is
+        v*q^(b+1)*(1 + ... + q^(2(m-1)))."""
+        v, lo, us = self.terms[0]
+        for j, e in us:
+            lo += e * mon[j]
+        m = 1
+        if self.divided:
+            _, b, ws = self.terms[1]
+            for j, e in ws:
+                b += e * mon[j]
+            if lo < b:
+                v, lo, b = -v, b, lo
+            lo, m = b + 1, (lo - b) // 2
         tgt = list(mon)
         for j, s in self.delta:
             tgt[j] += s
-        return tuple(tgt), lo, m, _coeff(v)
+        return tuple(tgt), lo, _coeff(v), m
 
 
 def _sparse(v: Vector) -> Sparse:
     return tuple([(j, x) for j, x in enumerate(v) if x])
-
-
-def _letter(table, sym) -> ShiftWord:
-    letter = table.entry(sym)
-    if not isinstance(letter, ShiftWord):
-        raise TypeError("the action of %s is not a ShiftWord: %r"
-                        % (sym.label, letter))
-    return letter
 
 
 class ShiftForm(NamedTuple):
@@ -201,7 +196,7 @@ def _word_form(word, table, forms) -> Form:
         form = forms[word[i:]]
         while i:
             i -= 1
-            form = forms[word[i:]] = _step(_letter(table, word[i]), form)
+            form = forms[word[i:]] = _step(table.entry(word[i]), form)
     return form
 
 
@@ -220,10 +215,8 @@ def compile_relation(lhs, rhs, table, forms=None) -> ShiftForm:
     ActionTable: ``_add_terms`` adds the terms of ``lhs``, and subtracts
     those of ``rhs``, into the same components, never into an expression.
 
-    Every table that qweyl builds holds ``ShiftWord`` entries.  A symbol the
-    table does not know raises the ``KeyError`` of ``ActionTable.act``; an
-    entry that is not a ``ShiftWord`` (a plain function, say) raises
-    ``TypeError`` naming the symbol.
+    Every entry of an ``ActionTable`` is a ``ShiftWord``.  A symbol the
+    table does not know raises the ``KeyError`` of ``ActionTable.entry``.
 
     ``forms`` is a ``_word_form`` memo for calls over this one ``table`` (a
     fresh one if None), so one memo passed to every call over the table

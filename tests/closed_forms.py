@@ -1,10 +1,13 @@
 """The per-kind closed forms of the alias actions, kept as a test oracle.
 
 ``closed_form_action`` is the explicit ladder/diagonal table written out
-kind by kind with each kind's default counts and k-exponents.  It never reads
-``diagram.xi``, so it equals the phi-derived ``iqg.oscillator_action`` at the
-default xi only; off it, the two part ways.  ``action_discrepancies``
-compares two such tables monomial by monomial through ``apply``.
+kind by kind with each kind's default counts and k-exponents, as a plain
+mapping of symbols to functions of a monomial, which no ``ActionTable``
+holds.  It never reads ``diagram.xi``, so it equals the phi-derived
+``iqg.oscillator_action`` at the default xi only; off it, the two part ways.
+``action_discrepancies`` compares an image table with it monomial by
+monomial.  ``closed_form_table`` is the same formulas as an ``ActionTable``
+of run-shaped ``ShiftWord`` entries, for the crystal walks.
 ``per_node_crystal_edges`` and ``per_node_axioms_check`` are the crystal
 graph and its axiom audit by the per-node Kashiwara formula, without string
 walks.  ``reference_compile_relation`` is ``shift.compile_relation`` as it
@@ -44,15 +47,15 @@ from math import comb, prod
 from qweyl.crystal import combinatorial_rule
 from qweyl.iqg import B_, H_, e_, f_, k_, presentation, t_
 from qweyl.opcalc import (ActionTable, GeneratorSymbol, OperatorExpr,
-                          QPolynomial, apply, apply_word, monomials_of_degree,
+                          QPolynomial, apply, monomials_of_degree,
                           monomials_up_to)
 from qweyl.qscalar import (ONE, Q_MINUS_QINV, LaurentPoly, ScalarQ,
                            factorial_steps, q_binomial, q_factorial, q_integer,
                            q_product)
 from qweyl.satake import (SatakeDiagram, _build_a1aff, _varsigma_map,
                           build_diagram)
-from qweyl.shift import (Form, ShiftForm, ShiftWord, _add_terms, _letter,
-                         _step, _word_form)
+from qweyl.shift import (Form, ShiftForm, ShiftWord, _add_terms, _step,
+                         _word_form)
 from qweyl.weyl import E, F, K, cartan_entry
 
 
@@ -66,43 +69,27 @@ def _delta(i, j):
     return 1 if i == j else 0
 
 
-def closed_form_action(diagram: SatakeDiagram) -> ActionTable:
-    """Closed-form monomial actions of the aliases on the polynomial ring.
+def _closed_forms(diagram: SatakeDiagram):
+    """The closed-form action of each alias on X^a, one of:
 
-    These are the explicit ladder/diagonal formulas; they are required (and
-    tested) to coincide with composing phi with the direct modified-Weyl
-    action.
+    * ("ladder", src, dst, cf, sign): sign [cf a_src] X^(a - e_src + e_dst);
+    * ("k", sign, qexp, exps): sign q^(qexp + sum of e a_j over exps (j, e))
+      X^a;
+    * ("t", slot, sign): sign [a_slot] X^a.
     """
     kind, r = diagram.kind, diagram.r
-    nvars = diagram.nslots
-    entries = {}
-
-    def ladder(sym, src, dst, count_factor, sign=1):
-        def act(mon, src=src, dst=dst, cf=count_factor, sign=sign):
-            c = q_integer(cf * mon[src]) * sign
-            if c.is_zero:
-                return []
-            tgt = tuple(e + _delta(j, dst) - _delta(j, src)
-                        for j, e in enumerate(mon))
-            return [(tgt, ScalarQ(c))]
-        entries[sym] = act
-
-    def diagonal(sym, eig):
-        entries[sym] = lambda mon, eig=eig: [(mon, eig(mon))]
-
-    q = ScalarQ.q_power
+    forms = {}
     if kind == "V":
         for i in range(1, r + 2):
             e_cf = 2 if i == r + 1 else 1
             f_sign = -1 if i == 1 else 1
-            ladder(e_(i), i, i - 1, e_cf)
-            ladder(f_(i), i - 1, i, f_sign)
-            k_sign = ScalarQ(-1 if i == 1 else 1)
+            forms[e_(i)] = ("ladder", i, i - 1, e_cf, 1)
+            forms[f_(i)] = ("ladder", i - 1, i, f_sign, 1)
+            k_sign = -1 if i == 1 else 1
             for sym, s in ((k_(i), 1), (k_(i, True), -1)):
-                diagonal(sym, lambda mon, i=i, e_cf=e_cf, ks=k_sign, s=s:
-                         ks * q(s * (mon[i - 1] - e_cf * mon[i])))
-        diagonal(t_(0), lambda mon: ScalarQ(-q_integer(mon[0])))
-        return ActionTable(nvars, entries)
+                forms[sym] = ("k", k_sign, 0, ((i - 1, s), (i, -s * e_cf)))
+        forms[t_(0)] = ("t", 0, -1)
+        return forms
 
     lo, hi = (1, r) if kind == "VI" else (0, r)
     for i in range(lo, hi + 1):
@@ -116,31 +103,104 @@ def closed_form_action(diagram: SatakeDiagram) -> ActionTable:
             f_cf = 2 if i == 0 else 1
         else:
             f_cf = 1
-        ladder(e_(i), i + 1, i, e_cf, e_sign)
-        ladder(f_(i), i, i + 1, f_cf)
-        if kind in ("II", "IV", "VI"):
-            k_sign = ScalarQ(-1 if i == r else 1)
-        else:
-            k_sign = ScalarQ.one()
+        forms[e_(i)] = ("ladder", i + 1, i, e_cf, e_sign)
+        forms[f_(i)] = ("ladder", i, i + 1, f_cf, 1)
+        k_sign = -1 if kind in ("II", "IV", "VI") and i == r else 1
         shift = -2 * _delta(i, 0) if kind in ("III", "IV") else 0
         if kind == "A1AFF":
             shift = -1
         for sym, s in ((k_(i), 1), (k_(i, True), -1)):
-            diagonal(sym, lambda mon, i=i, f_cf=f_cf, e_cf=e_cf, ks=k_sign,
-                     sh=shift, s=s:
-                     ks * q(s * (f_cf * mon[i] - e_cf * mon[i + 1] + sh)))
+            forms[sym] = ("k", k_sign, s * shift,
+                          ((i, s * f_cf), (i + 1, -s * e_cf)))
     if kind in ("II", "IV", "VI"):
-        diagonal(t_(r + 1), lambda mon: ScalarQ(-q_integer(mon[r + 1])))
+        forms[t_(r + 1)] = ("t", r + 1, -1)
     if kind == "VI":
-        diagonal(t_(0), lambda mon: ScalarQ(q_integer(mon[1])))
-    return ActionTable(nvars, entries)
+        forms[t_(0)] = ("t", 1, 1)
+    return forms
+
+
+def _plain(form):
+    """A closed form as a function of a monomial, returning its one term."""
+    tag, *args = form
+    if tag == "ladder":
+        src, dst, cf, sign = args
+
+        def act(mon):
+            c = q_integer(cf * mon[src]) * sign
+            if c.is_zero:
+                return []
+            tgt = tuple(e + _delta(j, dst) - _delta(j, src)
+                        for j, e in enumerate(mon))
+            return [(tgt, ScalarQ(c))]
+        return act
+    if tag == "k":
+        sign, qexp, exps = args
+        return lambda mon: [(mon, ScalarQ(LaurentPoly(
+            {qexp + sum(e * mon[j] for j, e in exps): sign})))]
+    slot, sign = args
+    return lambda mon: [(mon, ScalarQ(q_integer(mon[slot]) * sign))]
+
+
+def _run_word(form) -> ShiftWord:
+    """A closed form as a run-shaped ``ShiftWord``."""
+    tag, *args = form
+    if tag == "ladder":
+        src, dst, cf, sign = args
+        return ShiftWord(((src, -1), (dst, 1)), ((sign, 0, ((src, cf),)),
+                                                 (-sign, 0, ((src, -cf),))), 1)
+    if tag == "k":
+        sign, qexp, exps = args
+        return ShiftWord((), ((sign, qexp, tuple((j, e) for j, e in exps
+                                                 if e)),), 0)
+    slot, sign = args
+    return ShiftWord((), ((sign, 0, ((slot, 1),)), (-sign, 0, ((slot, -1),))),
+                     1)
+
+
+def closed_form_action(diagram: SatakeDiagram) -> dict:
+    """Closed-form monomial actions of the aliases on the polynomial ring,
+    each a plain function of a monomial that returns its image's terms.
+
+    These are the explicit ladder/diagonal formulas; they are required (and
+    tested) to coincide with composing phi with the direct modified-Weyl
+    action.
+    """
+    return {sym: _plain(form) for sym, form in _closed_forms(diagram).items()}
+
+
+def closed_form_table(diagram: SatakeDiagram) -> ActionTable:
+    """The closed forms of ``closed_form_action`` as an ``ActionTable``: a
+    ladder entry sign [cf a_src] is (sign u_src^cf - sign u_src^-cf) /
+    (q - q^-1), a k entry one undivided term, a t entry a divided run."""
+    return ActionTable(diagram.nslots, {
+        sym: _run_word(form) for sym, form in _closed_forms(diagram).items()})
+
+
+def scaled_word(word: ShiftWord, factor) -> ShiftWord:
+    """``word`` times the Laurent polynomial whose terms (w, k) are w*q^k:
+    each term (v, qe, u) becomes (v*w, qe + k, u) for each (w, k).  Times
+    one term a run stays one; times more it is no run."""
+    return word._replace(terms=tuple((v * w, qe + k, u) for v, qe, u
+                                     in word.terms for w, k in factor))
+
+
+def scaled_steps(table: ActionTable, factor) -> ActionTable:
+    """``table`` with every e/f entry times ``factor`` (``scaled_word``),
+    which the new table refuses unless each stays a run."""
+    entries = dict(table.entries)
+    for sym, word in entries.items():
+        if sym.fam in ("e", "f"):
+            entries[sym] = scaled_word(word, factor)
+    return ActionTable(table.nvars, entries)
 
 
 def action_discrepancies(images, table, reference, max_s):
     """Compare two realizations of the same symbols on P_{<=max_s}.
 
     Each symbol acts once as its image in ``images`` applied through
-    ``table`` and once directly through ``reference``.  Returns
+    ``table`` and once directly through ``reference``, a mapping of symbols
+    to functions of a monomial that return its image's terms (such as
+    ``closed_form_action`` or an ``ActionTable``'s entries).  Returns
     (symbol label, monomial, via images, via reference) for each
     disagreement, monomials outermost; empty means the two agree.
     """
@@ -149,7 +209,7 @@ def action_discrepancies(images, table, reference, max_s):
         p = QPolynomial.monomial(mon)
         for sym, expr in images.items():
             via_images = apply(expr, p, table)
-            direct = apply(OperatorExpr.symbol(sym), p, reference)
+            direct = QPolynomial(table.nvars, dict(reference[sym](mon)))
             if via_images != direct:
                 report.append((sym.label, mon, via_images, direct))
     return report
@@ -178,7 +238,8 @@ def per_node_coords(diagram: SatakeDiagram, i, a, n, table):
     i-string through a, computed from scratch for one node.
 
     This is the formula ``crystal_graph`` used before it walked strings:
-    the word f_i^n acts on the plain monomial X^b and each coordinate is
+    the word f_i^n acts on the plain monomial X^b, each letter expanded
+    through its entry's call by ``reference_apply``, and each coordinate is
     c_t D(t) / (D(b) [n]^{xi_{i+1}}!), with D(min(t, b)) left out of both
     sides.
     """
@@ -186,7 +247,8 @@ def per_node_coords(diagram: SatakeDiagram, i, a, n, table):
         return {}
     b = tuple(e + (a[i + 1] if j == i else 0) - (a[i + 1] if j == i + 1 else 0)
               for j, e in enumerate(a))
-    img = apply_word((f_(i),) * n, QPolynomial.monomial(b), table)
+    img = reference_apply(OperatorExpr.word((f_(i),) * n),
+                          QPolynomial.monomial(b), table)
     xi = diagram.xi
     steps = [xi[i + 1] * u for u in range(1, n + 1)]
     return {t: ScalarQ(q_product(factorial_steps(xi, b, t), c.num),
@@ -279,7 +341,7 @@ def compose(letters, nvars: int, coeff: LaurentPoly = ONE) -> Form:
 def reference_compile_relation(expr, table) -> ShiftForm:
     """``compile_relation`` with every product by 1 still taken."""
     n = table.nvars
-    words = [(compose([_letter(table, sym) for sym in word], n), c)
+    words = [(compose([table.entry(sym) for sym in word], n), c)
              for word, c in expr.terms.items()]
     dens = {c.den for _, c in words if not c.is_polynomial}
     rest = {den: prod((d for d in dens if d != den), start=LaurentPoly.one())

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from closed_forms import _run
+from closed_forms import _run, scaled_steps
 from qweyl import crystal, iqg, opcalc, satake
-from qweyl.cli import _factored_form, build_parser, main
+from qweyl.cli import build_parser, main
 from qweyl.crystal import crystal_graph, parse_json
 from qweyl.opcalc import ActionTable, GeneratorSymbol, QPolynomial, walk_word
 from qweyl.qscalar import LaurentPoly, ScalarQ
@@ -423,34 +423,25 @@ WITNESS_MISMATCH = json.loads(
 STEP_FACTORS = {"q": ((1, 1),), "-1": ((-1, 0),), "1 + q": ((1, 0), (1, 1))}
 
 
-def scaled_steps(table, factor):
-    """``table`` with every e/f entry, a ``ShiftWord``, times ``factor``:
-    each term (v, qe, u) becomes (v*w, qe + k, u) for each (w, k).  Times q
-    or -1 a run shape stays one; times 1 + q it has twice the terms."""
-    entries = dict(table.entries)
-    for sym, word in table.entries.items():
-        if sym.fam in ("e", "f"):
-            entries[sym] = word._replace(terms=tuple(
-                (v * w, qe + k, u) for v, qe, u in word.terms
-                for w, k in factor))
-    return ActionTable(table.nvars, entries)
-
-
 @pytest.mark.parametrize("case", WITNESS_MISMATCH, ids=lambda c: "%s %s %s" % (
     c["factor"], c["argv"][2], c["argv"][6]))
 def test_witness_with_scaled_steps(capsys, monkeypatch, case):
     # Every e/f step times q is still a run, so the factored form decides;
-    # times 1 + q it is not, so the command checks the expanded way; times
-    # -1 the signs cancel on an even word only.  Stdout and exit code were
-    # recorded before the witness was checked in factored form; either way
-    # the command builds one table.
+    # times -1 the signs cancel on an even word only.  Stdout and exit code
+    # were recorded before the witness was checked in factored form; either
+    # way the command builds one table.  Times 1 + q a step is no run, and
+    # no table holds it.
     real = iqg.oscillator_action
     factor = STEP_FACTORS[case["factor"]]
+    if case["factor"] == "1 + q":
+        with pytest.raises(ValueError, match="is not a q-integer run"):
+            scaled_steps(real(parse_spec(case["argv"][2])), factor)
+        return
     builds = []
 
-    def scaled(diagram):
+    def scaled(diagram, pres=None):
         builds.append(diagram.spec_string)
-        return scaled_steps(real(diagram), factor)
+        return scaled_steps(real(diagram, pres), factor)
 
     monkeypatch.setattr(iqg, "oscillator_action", scaled)
     code, out, _ = run(capsys, *case["argv"])
@@ -458,15 +449,14 @@ def test_witness_with_scaled_steps(capsys, monkeypatch, case):
     assert builds == [case["argv"][2]]
 
 
-def test_witness_fallback_walks_each_letter_once(capsys, monkeypatch):
-    # Every e/f step times 1 + q is not a run, so the factored form does not
-    # decide; the command sums the paths of its one walk instead of walking
-    # the word again: one act call per letter on this one-path word.
+def test_witness_mismatch_walks_each_letter_once(capsys, monkeypatch):
+    # Every e/f step times q is a run other than the predicted one, so the
+    # factored form does not match; the command prints the one path of its
+    # one walk instead of walking the word again: one act call per letter.
     real = iqg.oscillator_action
-    factor = STEP_FACTORS["1 + q"]
 
-    def scaled(diagram):
-        return scaled_steps(real(diagram), factor)
+    def scaled(diagram, pres=None):
+        return scaled_steps(real(diagram, pres), STEP_FACTORS["q"])
 
     acts = []
     real_act = ActionTable.act
@@ -481,7 +471,7 @@ def test_witness_fallback_walks_each_letter_once(capsys, monkeypatch):
             "--direction", "up")
     code, out, _ = run(capsys, *argv)
     case, = [c for c in WITNESS_MISMATCH
-             if c["factor"] == "1 + q" and tuple(c["argv"]) == argv]
+             if c["factor"] == "q" and tuple(c["argv"]) == argv]
     assert (code, out) == (case["exit"], case["stdout"]) and code == 1
     assert out.startswith("word: e0 e0 e0 e1\n")
     assert [sym.label for sym in acts] == ["e1", "e0", "e0", "e0"]
@@ -609,22 +599,18 @@ def test_act_mixes_alias_and_generator_letters(capsys, spec, image):
 
 
 def walk_form(polys):
-    """The factored form of the shared word walk over a one-variable table
-    whose i-th letter sends X0^j to polys[i] X0^(j+1).  Each letter is a
-    ``ShiftWord``: of the divided run shape with the same run where polys[i]
-    is a run, else one undivided term per term of polys[i]."""
+    """The factored form that ``witness`` compares, (end monomial, content,
+    q-shift, sorted m >= 2), of the word walk over a one-variable table
+    whose i-th letter sends X0^j to polys[i] X0^(j+1).  Each polys[i] is a
+    run, and each letter a divided run ``ShiftWord`` with that run."""
     table = ActionTable(1, {})
     for i, c in enumerate(polys):
-        run = c and _run(dict(c.items()))
-        if run:
-            lo, m, v = run
-            terms, divided = ((v, lo - 1 + 2 * m, ()), (-v, lo - 1, ())), 1
-        else:
-            terms, divided = tuple((v, e, ()) for e, v in c.items()), 0
-        table.entries[GeneratorSymbol("e", i)] = ShiftWord(((0, 1),), terms,
-                                                           divided)
+        lo, m, v = _run(dict(c.items()))
+        table.entries[GeneratorSymbol("e", i)] = ShiftWord(
+            ((0, 1),), ((v, lo - 1 + 2 * m, ()), (-v, lo - 1, ())), 1)
     word = [GeneratorSymbol("e", i) for i in range(len(polys))]
-    return _factored_form(walk_word(word[::-1], (0,), table))
+    end, lo, v, widths = walk_word(word[::-1], (0,), table)
+    return end, v, lo + sum(widths) - len(widths), sorted(widths)
 
 
 def run_poly(lo, m, v):
@@ -670,9 +656,14 @@ def test_factored_forms_are_equal_iff_products_are(pair):
 
 
 def test_factored_walk_refuses_what_is_not_a_run():
-    assert walk_form([run_poly(0, 2, 1), LaurentPoly({0: 1, 1: 1})]) is None
-    assert walk_form([LaurentPoly({0: 1, 4: 1})]) is None
-    assert walk_form([LaurentPoly()]) is None
+    # A letter whose image has two terms, or none, is no run: no table holds
+    # it, so no walk reads it.
+    for c in (LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 1, 4: 1}),
+              LaurentPoly()):
+        letter = ShiftWord(((0, 1),), tuple((v, e, ()) for e, v in c.items()),
+                           0)
+        with pytest.raises(ValueError, match="is not a q-integer run"):
+            ActionTable(1, {GeneratorSymbol("e", 0): letter})
     assert walk_form([run_poly(-1, 2, 3), run_poly(4, 1, -1)]) \
         == ((2,), -3, 4, [2])
 

@@ -1,12 +1,13 @@
 """Divided-power basis, Kashiwara operators, crystal graphs and exports."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from closed_forms import (closed_form_action, per_node_axioms_check,
-                          per_node_crystal_edges, xi_variants)
+from closed_forms import (closed_form_table, per_node_axioms_check,
+                          per_node_crystal_edges, scaled_steps, xi_variants)
 from qweyl.crystal import (_kashiwara_coords, combinatorial_rule,
                            crystal_axioms_check, crystal_graph, export,
                            kashiwara_e, kashiwara_f, parse_json)
@@ -257,60 +258,63 @@ def test_kashiwara_coords_match_scalar_oracle(kind, r):
     # them most variants break closure and their coefficients are not 1
     # (often with a 2+-term denominator); the phi-derived table follows xi.
     for d in xi_variants(kind, r):
-        for build in (oscillator_action, closed_form_action):
+        for build in (oscillator_action, closed_form_table):
             _assert_coords_match_oracle(d, build(d))
 
 
-def test_kashiwara_coords_are_exact_for_non_laurent_actions():
-    # Oscillator coefficients are Laurent polynomials; scaling every action
-    # by 1/(q^2 + 1) checks that the coordinates stay exact without that.
+def _assert_f0_refused(make_action):
+    # A table holds only run-shaped ShiftWords, so no walk meets an f_0
+    # built by make_action from the oscillator f_0: it is refused where it
+    # is stored, and the table keeps its own entry.
     d = build_diagram("I", 1)
+    table = oscillator_action(d)
+    f0 = table.entries[f_(0)]
+    action = make_action(f0)
+    message = "the action of f0 is not a q-integer run"
+    with pytest.raises(ValueError, match=message):
+        ActionTable(d.nslots, {f_(0): action})
+    with pytest.raises(ValueError, match=message):
+        table.entries[f_(0)] = action
+    assert table.entries[f_(0)] is f0
+
+
+def _moved(mon, k, c):
+    return tuple(e - (j == 0) + (j == k) for j, e in enumerate(mon)), c
+
+
+def test_non_laurent_action_is_refused():
+    # Every action scaled by 1/(q^2 + 1).
     scale = ScalarQ(1, LaurentPoly({2: 1, 0: 1}))
+    _assert_f0_refused(
+        lambda f0: lambda mon: [(t, c * scale) for t, c in f0(mon)])
 
-    def scaled(action):
-        return lambda mon: [(t, c * scale) for t, c in action(mon)]
 
-    base = oscillator_action(d)
-    table = ActionTable(d.nslots, {sym: scaled(action)
-                                   for sym, action in base.entries.items()})
-    _assert_coords_match_oracle(d, table)
+def test_two_target_action_is_refused():
+    # An f_0 that also sends a unit to slot 2.
+    _assert_f0_refused(
+        lambda f0: lambda mon:
+            f0(mon) + [_moved(mon, 2, ScalarQ(1, 2))] if mon[0] else [])
+
+
+def test_cancelling_action_is_refused():
+    # An f_0 whose two paths from X^(2, 0, 0) to (0, 1, 1) cancel.
+    _assert_f0_refused(
+        lambda f0: lambda mon: [_moved(mon, k, c) for k, c in (
+            (1, ScalarQ.one()), (2, ScalarQ(-1 if mon[1] % 2 else 1)))
+            ] if mon[0] else [])
 
 
 def test_kashiwara_coords_are_exact_off_the_string():
     # The string walk divides by a running product taken against the target
-    # b + n(e_{i+1} - e_i).  A table whose f_0 also sends a unit to slot 2
-    # (two targets per step) and whose f_1 never vanishes (steps past the
-    # end of the string) checks the coordinates of every other target.
+    # b + n(e_{i+1} - e_i).  A table whose f_0 sends X^a to
+    # (1/2)[a_0] X^(a - e_0 + e_2), off the string, and whose f_1 never
+    # vanishes (steps past the end of the string) checks the coordinates of
+    # every other target.
     d = build_diagram("I", 1)
-    half = ScalarQ(1, 2)
-
-    def f0(mon):
-        if not mon[0]:
-            return []
-        moved = [tuple(e - (j == 0) + (j == k) for j, e in enumerate(mon))
-                 for k in (1, 2)]
-        return [(moved[0], ScalarQ(q_integer(mon[0]))), (moved[1], half)]
-
-    def f1(mon):
-        return [(mon, ScalarQ.q_power(mon[1] + 1))]
-
-    _assert_coords_match_oracle(
-        d, ActionTable(d.nslots, {f_(0): f0, f_(1): f1}))
-
-
-def test_kashiwara_coords_drop_cancelled_terms():
-    # From X^(2, 0, 0) two paths of f_0 reach (0, 1, 1) with opposite
-    # signs: the walk must sum them and drop the zero, as apply does.
-    d = build_diagram("I", 1)
-
-    def f0(mon):
-        if not mon[0]:
-            return []
-        return [(tuple(e - (j == 0) + (j == k) for j, e in enumerate(mon)), c)
-                for k, c in ((1, ScalarQ.one()),
-                             (2, ScalarQ(-1 if mon[1] % 2 else 1)))]
-
-    f1 = oscillator_action(d).entries[f_(1)]
+    half = Fraction(1, 2)
+    f0 = ShiftWord(((0, -1), (2, 1)),
+                   ((half, 0, ((0, 1),)), (-half, 0, ((0, -1),))), 1)
+    f1 = ShiftWord((), ((1, 1, ((1, 1),)),), 0)     # q^(a_1 + 1)
     _assert_coords_match_oracle(
         d, ActionTable(d.nslots, {f_(0): f0, f_(1): f1}))
 
@@ -330,7 +334,7 @@ def test_crystal_graph_matches_per_node_oracle(monkeypatch, kind, r):
     # node and color.
     import qweyl.crystal as crystal_mod
     for d in xi_variants(kind, r):
-        for build in (oscillator_action, closed_form_action):
+        for build in (oscillator_action, closed_form_table):
             monkeypatch.setattr(crystal_mod, "oscillator_action", build)
             for s in range(6):
                 got = _graph_or_error(lambda: crystal_graph(d, s).edges)
@@ -344,7 +348,7 @@ def test_mutated_graph_error_is_pinned(monkeypatch):
     # node-then-color order names the node's image.
     import qweyl.crystal as crystal_mod
     d = build_diagram("I", 1).with_xi(1, 3)
-    monkeypatch.setattr(crystal_mod, "oscillator_action", closed_form_action)
+    monkeypatch.setattr(crystal_mod, "oscillator_action", closed_form_table)
     crystal_graph(d, 0)
     for s, target in ((1, "(0, 0, 1)"), (2, "(1, 0, 1)"), (3, "(2, 0, 1)"),
                       (4, "(3, 0, 1)")):
@@ -361,33 +365,29 @@ def test_mutated_graph_error_is_pinned(monkeypatch):
     # [a_0] without the move into slot 1: the target is off
     (((1, 0, ((0, 1),)), (-1, 0, ((0, -1),))), ((0, -1),)),
     # (q^2 - q^(2 - 2a_0))/(q - q^-1): [a_0]'s run only at a_0 = 2, so at
-    # s = 3 the walk meets it after an expanded step and must stay expanded
+    # s = 3 the walk meets it after a defective step
     (((1, 2, ()), (-1, 2, ((0, -2),))), ((0, -1), (1, 1))),
 ])
 def test_factored_walk_matches_plain_entries_on_broken_tables(monkeypatch,
                                                               terms, delta):
-    # The same broken f_0, as a ShiftWord and as a plain function: the
-    # graph error and the audit agree whichever path the walk takes.
+    # The same broken f_0 read one factored step at a time by the walk, and
+    # through its call by the per-node oracle (``reference_apply``): the
+    # graph error and the audit agree.
     import qweyl.crystal as crystal_mod
     d = build_diagram("I", 0)
-    shifted = oscillator_action(d)
-    shifted.entries[f_(0)] = ShiftWord(delta, terms, 1)
-    plain = ActionTable(shifted.nvars, {
-        sym: (lambda mon, w=w: w(mon)) for sym, w in shifted.entries.items()})
+    table = oscillator_action(d)
+    table.entries[f_(0)] = ShiftWord(delta, terms, 1)
+    monkeypatch.setattr(crystal_mod, "oscillator_action", lambda _: table)
     for s in range(5):
-        got = []
-        for table in (shifted, plain):
-            monkeypatch.setattr(crystal_mod, "oscillator_action",
-                                lambda _, table=table: table)
-            got.append((_graph_or_error(lambda: crystal_graph(d, s).edges),
-                        crystal_axioms_check(d, s)))
-        assert got[0] == got[1], s
-        assert got[0][1]["all_ok"] == (s == 0), s
+        assert _graph_or_error(lambda: crystal_graph(d, s).edges) \
+            == _graph_or_error(lambda: per_node_crystal_edges(d, s, table)), s
+        report = crystal_axioms_check(d, s)
+        assert report == per_node_axioms_check(d, s, table), s
+        assert report["all_ok"] == (s == 0), s
 
 
 def _count_letters(monkeypatch):
-    """Record every letter evaluation: each one is an ``ActionTable.act``,
-    factored or expanded."""
+    """Record every letter evaluation: each one is an ``ActionTable.act``."""
     calls = []
     act = ActionTable.act
 
@@ -452,16 +452,18 @@ WALK_CASES = [("I", 0, 60), ("A1AFF", None, 30), ("III", 1, 12)]
 @pytest.mark.parametrize("kind,r,s", WALK_CASES)
 def test_string_walk_multiplies_by_one_q_integer_at_a_time(monkeypatch,
                                                             kind, r, s):
-    # On a table of plain functions every step is expanded and divides by
-    # its own [xi_i e_i], so no Laurent factor in the graph or the audit
-    # has more than max|xi| * s terms.  A walk that keeps running
-    # q-products down the string reaches 1,771, 436 and 145 here.
+    # On a table whose every f step is -1 times the crystal's, no step's run
+    # is [xi_i e_i]'s: each multiplies the coordinate by its run and divides
+    # it by its own [xi_i e_i], so every other coordinate is a defect, and
+    # no Laurent factor in the graph or the audit has more than max|xi| * s
+    # terms.
     import qweyl.crystal as crystal_mod
-    monkeypatch.setattr(crystal_mod, "oscillator_action", closed_form_action)
+    monkeypatch.setattr(crystal_mod, "oscillator_action", lambda diagram:
+                        scaled_steps(oscillator_action(diagram), ((-1, 0),)))
     sizes = _laurent_factor_sizes(monkeypatch)
     d = build_diagram(kind, r)
-    crystal_graph(d, s)
-    assert crystal_axioms_check(d, s)["all_ok"]
+    assert "coefficient 1: {" in _graph_or_error(lambda: crystal_graph(d, s))
+    assert not crystal_axioms_check(d, s)["closure_ok"]
     assert sizes and max(sizes) <= max(abs(x) for x in d.xi) * s
 
 
@@ -483,7 +485,7 @@ def test_axioms_check_matches_per_node_oracle(monkeypatch, kind, r):
     # audit must report every failure of the per-node audit, in its order.
     import qweyl.crystal as crystal_mod
     for d in xi_variants(kind, r):
-        for build in (oscillator_action, closed_form_action):
+        for build in (oscillator_action, closed_form_table):
             monkeypatch.setattr(crystal_mod, "oscillator_action", build)
             for s in range(6):
                 assert crystal_axioms_check(d, s) \
@@ -511,7 +513,7 @@ def test_mutated_axioms_report_is_pinned(monkeypatch):
     # the closed forms, which do not follow the mutated xi.
     import qweyl.crystal as crystal_mod
     d = build_diagram("I", 1).with_xi(1, 3)
-    monkeypatch.setattr(crystal_mod, "oscillator_action", closed_form_action)
+    monkeypatch.setattr(crystal_mod, "oscillator_action", closed_form_table)
     assert crystal_axioms_check(d, 2) == {
         "diagram": "I:r=1", "s": 2, "closure_ok": False, "b5_ok": True,
         "weight_ok": True, "rule_agreement_ok": True, "rank_ok": True,

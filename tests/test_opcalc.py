@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closed_forms import divided_power, reference_apply, reference_mul
+from closed_forms import (divided_power, reference_apply, reference_mul,
+                          scaled_word)
 from qweyl.iqg import oscillator_action
 from qweyl.opcalc import (ActionTable, GeneratorSymbol, OperatorExpr,
                           QPolynomial, apply, apply_word,
@@ -223,7 +224,7 @@ def test_non_laurent_residuals_match_naive_difference():
 
 def _constant_table(value):
     sym = GeneratorSymbol("Z", 0)
-    return sym, ActionTable(1, {sym: lambda mon: [(mon, ScalarQ(value))]})
+    return sym, ActionTable(1, {sym: ShiftWord((), ((value, 0, ()),), 0)})
 
 
 def test_merged_table_uses_other_entry_and_leaves_self_unchanged():
@@ -234,16 +235,23 @@ def test_merged_table_uses_other_entry_and_leaves_self_unchanged():
     assert a.entry(sym)((1,)) == [((1,), ScalarQ(1))]
 
 
-def test_act_reads_other_entries_term_by_term():
-    # An entry that is not a run is read through its call, each nonzero
-    # term as the step (t, c, 0, 1, 1); a zero term is no step.
+def test_act_refuses_entries_that_are_not_runs():
+    # act reads one step per letter, so a table holds no entry whose image
+    # is not one run: not a plain function, not a term that is 0, not three
+    # terms.  Each is refused where it is stored, naming its symbol.
     sym, table = _constant_table(2)
-    assert table.act(sym, (1,)) == [((1,), ScalarQ(2), 0, 1, 1)]
-    assert _constant_table(0)[1].act(sym, (1,)) == []
+    assert table.act(sym, (1,)) == ((1,), 0, 2, 1)
     three = ShiftWord(((0, 1),), ((1, 2, ()), (1, 0, ()), (2, -2, ())), 0)
-    table = ActionTable(1, {sym: three})
-    assert table.act(sym, (1,)) == [
-        ((2,), ScalarQ(LaurentPoly({2: 1, 0: 1, -2: 2})), 0, 1, 1)]
+    for entry in (lambda mon: [(mon, ScalarQ(2))],
+                  ShiftWord((), ((0, 0, ()),), 0), three):
+        with pytest.raises(ValueError, match="action of Z0 is not a q-integer "
+                                             "run"):
+            ActionTable(1, {sym: entry})
+        with pytest.raises(ValueError, match="action of Z0"):
+            table.entries = {sym: entry}
+        with pytest.raises(ValueError, match="action of Z0"):
+            ActionTable(1, {}, {sym: lambda entry=entry: entry}).entry(sym)
+    assert table.act(sym, (1,)) == ((1,), 0, 2, 1)
 
 
 def test_unknown_symbol_raises_after_known_symbols_act():
@@ -254,18 +262,17 @@ def test_unknown_symbol_raises_after_known_symbols_act():
         table.act(GeneratorSymbol("Z", 1), (0,))
 
 
-def test_repeated_apply_agrees_and_calls_the_entries_again():
+def test_repeated_apply_agrees_and_calls_the_entries_again(monkeypatch):
     d = build_diagram("A1AFF")
     table = iota_table(d)
     calls = []
+    run = ShiftWord.run
 
-    def counted(action):
-        def act(mon):
-            calls.append(mon)
-            return action(mon)
-        return act
+    def counted(self, mon):
+        calls.append(mon)
+        return run(self, mon)
 
-    table.entries = {sym: counted(action) for sym, action in table.entries.items()}
+    monkeypatch.setattr(ShiftWord, "run", counted)
     expr = (OperatorExpr.word((d_(0), x_(0)))
             - OperatorExpr.word((m_(0),), ScalarQ(1, q_integer(2)))
             + OperatorExpr.word((x_(1), m_(1, True), d_(1))))
@@ -274,7 +281,7 @@ def test_repeated_apply_agrees_and_calls_the_entries_again():
     once = list(calls)
     second = apply(expr, p, table)
     assert second == first
-    # no memo: the second apply makes every entry call of the first again
+    # no memo: the second apply reads every letter of the first again
     assert once and calls == once + once
     assert second == apply(expr, p, modweyl_table(d))
 
@@ -290,11 +297,11 @@ def test_product_by_a_zero_monomial_is_the_zero_polynomial():
 # --- apply against the letter-by-letter reference ------------------------------
 
 ONE_PLUS_Q = LaurentPoly({0: 1, 1: 1})
-STEP_SCALES = [ScalarQ.q_power(3), ScalarQ.q_power(-2), ScalarQ(-1),
-               ScalarQ(ONE_PLUS_Q), ScalarQ(1, ONE_PLUS_Q), ScalarQ.zero()]
+# Each factor as its terms (coefficient, power of q): a run times one term
+# is a run.
+STEP_SCALES = [((1, 3),), ((1, -2),), ((-1, 0),), ((Fraction(2, 3), 1),)]
 OSCILLATOR_TABLES = {spec: oscillator_action(parse_spec(spec))
                      for spec in ("I:r=0", "II:r=0", "IV:r=1", "A1AFF")}
-TWO_TARGETS = GeneratorSymbol("g", 0)
 coefficients = st.one_of(
     st.integers(-3, 3).filter(bool),
     st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
@@ -305,20 +312,14 @@ coefficients = st.one_of(
 
 @st.composite
 def apply_cases(draw):
-    """(expr, poly, table): a scaled oscillator table with one two-target
-    entry, words over it, and a polynomial of several terms."""
+    """(expr, poly, table): an oscillator table with some entries scaled,
+    words over it, and a polynomial of several terms."""
     base = OSCILLATOR_TABLES[draw(st.sampled_from(sorted(OSCILLATOR_TABLES)))]
     entries = dict(base.entries)
     symbols = sorted(entries)
     for sym in draw(st.lists(st.sampled_from(symbols), max_size=4)):
-        factor = draw(st.sampled_from(STEP_SCALES))
-        entries[sym] = lambda mon, act=entries[sym], f=factor: [
-            (t, c * f) for t, c in act(mon)]
-    ef = [sym for sym in symbols if sym.fam in ("e", "f")]
-    e, f = draw(st.sampled_from(ef)), draw(st.sampled_from(ef))
-    entries[TWO_TARGETS] = lambda mon, e=entries[e], f=entries[f]: [
-        (t, c * ONE_PLUS_Q) for t, c in e(mon)] + f(mon)
-    symbols.append(TWO_TARGETS)
+        entries[sym] = scaled_word(entries[sym],
+                                   draw(st.sampled_from(STEP_SCALES)))
     words = st.lists(st.sampled_from(symbols), max_size=5).map(tuple)
     expr = OperatorExpr(draw(st.dictionaries(words, coefficients, min_size=1,
                                              max_size=2)))
@@ -337,6 +338,19 @@ def test_apply_matches_the_letter_by_letter_reference(case):
     # the same terms in the same order, each in the same canonical form
     assert (list(apply(expr, poly, table).terms.items())
             == list(reference_apply(expr, poly, table).terms.items()))
+
+
+def test_tables_refuse_steps_that_are_not_runs():
+    # A step times 1 + q, or times 0, or an entry with two targets, is no
+    # run: the table refuses it, so apply never meets it.
+    base = OSCILLATOR_TABLES["IV:r=1"]
+    e0 = base.entry(GeneratorSymbol("e", 0))
+    f1 = base.entry(GeneratorSymbol("f", 1))
+    two_targets = ShiftWord(e0.delta, e0.terms + f1.terms, 1)
+    for entry in (scaled_word(e0, ((1, 0), (1, 1))),
+                  scaled_word(e0, ((0, 0),)), two_targets):
+        with pytest.raises(ValueError, match="is not a q-integer run"):
+            ActionTable(base.nvars, {GeneratorSymbol("g", 0): entry})
 
 
 @st.composite

@@ -1,12 +1,13 @@
 """Shift-vector compiler: agreement with monomial-by-monomial application,
-over generator and image tables, refusal of entries that are not ShiftWords,
+over generator and image tables, refusal of entries that are not runs,
 residuals read off the compiled form against an apply-based oracle, the
 same forms as the compiler that still took its products by 1, the
 polynomial gcds that a verify run still needs, one letter step per word
 suffix and table, images whose words must share one shift and d-count,
 a residual search that stops at its first residual, every entry's
-factored run against its expanded image, and entries built on their first
-lookup against the tables built at once."""
+factored run against its expanded image, every entry of every table that
+qweyl builds a run, and entries built on their first lookup against the
+tables built at once."""
 
 import functools
 import json
@@ -64,14 +65,12 @@ def _evaluate(form, a):
     return out
 
 
-def _assert_compiles_to_apply(expr, table, monomials, applied=None):
-    """``expr`` compiled over ``table`` against ``apply`` through ``applied``,
-    a table with the same entries (``table`` itself by default)."""
+def _assert_compiles_to_apply(expr, table, monomials):
+    """``expr`` compiled over ``table`` against ``apply`` through it."""
     form = compile_relation(expr, OperatorExpr.zero(), table)
     scaled = expr.scale(ScalarQ(form.scale))
     for a in monomials:
-        expected = apply(scaled, QPolynomial.monomial(a),
-                         table if applied is None else applied).terms
+        expected = apply(scaled, QPolynomial.monomial(a), table).terms
         assert _evaluate(form, a) == expected, (str(expr), a)
 
 
@@ -94,17 +93,16 @@ def test_compiled_components_match_apply(kind, r):
                                           for w in side.terms]:
                         exprs.setdefault((id(tab), str(expr)), (tab, expr))
     # apply meets each (symbol, monomial) pair many times over these words
-    # (IV:r=2: 258,565 calls over 7,296 pairs), and ActionTable remembers
-    # none: it runs over a copy of each table whose entries are cached.
-    cached = {}
-    for table, _ in exprs.values():
-        if id(table) not in cached:
-            cached[id(table)] = ActionTable(table.nvars, {
-                sym: functools.cache(action)
-                for sym, action in table.entries.items()})
+    # (IV:r=2: 258,565 calls over 7,296 pairs) and reads each as one run,
+    # so it needs no copy of a table whose entries cache their expanded
+    # images; such entries are no runs, and a table refuses them.
     monomials = monomials_up_to(d.nslots, 4)
     for table, expr in exprs.values():
-        _assert_compiles_to_apply(expr, table, monomials, cached[id(table)])
+        _assert_compiles_to_apply(expr, table, monomials)
+    table, _ = next(iter(exprs.values()))
+    with pytest.raises(ValueError, match="is not a q-integer run"):
+        ActionTable(table.nvars, {sym: functools.cache(action)
+                                  for sym, action in table.entries.items()})
 
 
 def test_rule_is_the_monomial_action():
@@ -129,34 +127,23 @@ def test_divided_rule_matches_divexact_and_refuses_a_remainder():
         ShiftWord.generator(0, 0, ((1, 1),), True)((1,))
 
 
-def _is_run_shaped(word):
-    """One undivided term, or c and -c over one q - q^-1."""
-    if (word.divided, len(word.terms)) == (0, 1):
-        return True
-    return ((word.divided, len(word.terms)) == (1, 2)
-            and word.terms[0][0] + word.terms[1][0] == 0)
-
-
 @pytest.mark.parametrize("kind,r", ALL_DIAGRAMS)
 def test_factored_run_matches_the_expanded_image(kind, r):
     # Every entry of every oscillator table, at every monomial of degree
-    # <= 4: run is None exactly off the two run shapes, and otherwise
-    # reads the image that __call__ expands, or m = 0 where it is empty.
+    # <= 4: run reads the image that __call__ expands, or m = 0 where it
+    # is empty.
     for d in [build_diagram(kind, r)] + xi_variants(kind, r):
         entries = oscillator_action(d).entries.values()
         monomials = monomials_up_to(d.nslots, 4)
         for word in entries:
-            if not _is_run_shaped(word):
-                assert all(word.run(a) is None for a in monomials), word
-                continue
             for a in monomials:
                 got, image = word.run(a), word(a)
                 if not image:
-                    assert got[2] == 0, (word, a)
+                    assert got[3] == 0, (word, a)
                     continue
                 (target, c), = image
-                assert got == (target,) + _run(c.as_laurent()._c), \
-                    (word, a)
+                lo, m, v = _run(c.as_laurent()._c)
+                assert got == (target, lo, v, m), (word, a)
 
 
 def test_factored_run_refuses_what_is_not_a_run():
@@ -167,15 +154,45 @@ def test_factored_run_refuses_what_is_not_a_run():
         ShiftWord((), ((1, 1, ()), (-1, 0, ())), 1),    # an odd gap
         ShiftWord((), ((1, 0, u), (-1, 0, ())), 2),     # divided twice
         ShiftWord((), ((1, 0, u), (1, 0, ())), 0),      # two undivided terms
+        # (u_0 - 1)/(q - q^-1): a run at even a_0 only
+        ShiftWord((), ((1, 0, u), (-1, 0, ())), 1),
     ]
     for word in cases:
-        assert word.run((1,)) is None, word
+        assert not word.is_run, word
+        with pytest.raises(ValueError, match="action of m0 is not a q-integer "
+                                             "run"):
+            ActionTable(1, {m_(0): word})
+    assert cases[-1].run((2,)) == ((2,), 1, 1, 1)     # (q^2 - 1)/(q - q^-1)
+    assert cases[-1]((2,)) == [((2,), ScalarQ(LaurentPoly({1: 1})))]
     # ... while the shapes that are runs read as runs, Fractions normalised.
     got = ShiftWord(((0, -1),), ((Fraction(4, 2), 3, u),), 0).run((2,))
-    assert got == ((1,), 5, 1, 2) and type(got[3]) is int
+    assert got == ((1,), 5, 2, 1) and type(got[2]) is int
     divided = ShiftWord(((0, 1),), ((-1, 0, ((0, -1),)), (1, 0, u)), 1)
-    assert divided.run((3,)) == ((4,), -2, 3, 1)    # [3] = q^-2 + 1 + q^2
-    assert divided.run((0,))[:3] == ((1,), 1, 0)    # [0] = 0: m = 0
+    assert divided.is_run
+    assert divided.run((3,)) == ((4,), -2, 1, 3)    # [3] = q^-2 + 1 + q^2
+    assert divided.run((0,))[3] == 0                # [0] = 0: m = 0
+
+
+def _src_tables(d):
+    """The six kinds of table that qweyl builds over ``d``: weyl, chi,
+    modweyl, iota, phi and oscillator."""
+    classical, modified = weyl_table(d.nslots), modweyl_table(d)
+    return [classical, image_table(chi_map(d.r), classical), modified,
+            image_table(iota_map(d), classical), image_table(phi(d), modified),
+            oscillator_action(d)]
+
+
+def test_every_entry_qweyl_builds_is_a_run():
+    # Every entry of the six tables over the golden diagrams and every xi
+    # variant builds and passes the table's shape check.
+    count = 0
+    for kind, r in ALL_DIAGRAMS:
+        for d in [build_diagram(kind, r)] + xi_variants(kind, r):
+            for table in _src_tables(d):
+                entries = dict(table.entries)
+                assert all(word.is_run for word in entries.values())
+                count += len(entries)
+    assert count == 15_484
 
 
 def _replace_m0(table, action):
@@ -191,11 +208,10 @@ def test_plain_function_entry_is_refused_and_checked_by_monomials():
     # the same action behind a plain function: refused, naming the symbol
     table = modweyl_table(d)
     rule = table.entries[m_(0)]
-    _replace_m0(table, lambda mon: rule(mon))
-    with pytest.raises(TypeError, match="action of m0 is not a ShiftWord"):
-        compile_relation(OperatorExpr.symbol(m_(0)), OperatorExpr.zero(), table)
-    with pytest.raises(TypeError, match="action of m0 is not a ShiftWord"):
-        verify_relations(instances, table, 2)
+    with pytest.raises(ValueError, match="action of m0 is not a q-integer "
+                                         "run"):
+        _replace_m0(table, lambda mon: rule(mon))
+    assert table.entries[m_(0)] is rule
     # a symbol the table lacks: the KeyError of ActionTable.act
     table = modweyl_table(d)
     message = "unknown symbol e0 in action table"
@@ -388,7 +404,8 @@ def test_verify_steps_each_word_suffix_once(monkeypatch, kind, r):
 
 def test_image_words_must_share_shift_and_d_count():
     # An image sums into one ShiftWord only if its words share their shift
-    # vector and their d-count; the zero image is the zero ShiftWord.
+    # vector and their d-count; the zero image, the ShiftWord with no terms,
+    # is no run, and refused when it is first looked up.
     table = algebra_table((1, 1), "dxm")
     x0, d0 = OperatorExpr.symbol(x_(0)), OperatorExpr.symbol(d_(0))
     one = OperatorExpr.identity()
@@ -396,9 +413,11 @@ def test_image_words_must_share_shift_and_d_count():
         with pytest.raises(ValueError, match="words differ in shift vector "
                                              "or d-count"):
             image_table({e_(0): image}, table)
-    entry = image_table({e_(0): OperatorExpr.zero()}, table).entries[e_(0)]
-    assert entry == ShiftWord((), (), 0)
-    assert entry((3, 1)) == []
+    zero = image_table({e_(0): OperatorExpr.zero()}, table)
+    with pytest.raises(ValueError, match=r"action of e0 is not a q-integer "
+                                         r"run: ShiftWord\(delta=\(\), "
+                                         r"terms=\(\), divided=0\)"):
+        zero.entries[e_(0)]
     # words that agree sum their terms: d0 x0 - q x0 d0 is q^-a0 on X^a
     image = d0 * x0 - (x0 * d0).scale(ScalarQ.q_power(1))
     entry = image_table({e_(0): image}, table).entries[e_(0)]
