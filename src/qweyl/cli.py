@@ -65,7 +65,8 @@ def run_suite(diagram: SatakeDiagram, suite: str, max_degree: int):
         report += verify_relations(instances, modweyl.modweyl_table(diagram),
                                    max_degree)
         # Not modweyl.iota_table: bench/tracer.py swaps that table's entries
-        # for counting closures, which an ActionTable refuses.
+        # by assigning ``table.entries``, which an ActionTable no longer has,
+        # so this table stays inline until that swap is dropped.
         iota_report = verify_relations(
             instances, image_table(modweyl.iota_map(diagram), classical),
             max_degree)
@@ -110,7 +111,7 @@ def _cmd_act(args) -> int:
     each a label of the diagram's table as it is."""
     diagram = parse_spec(args.diagram)
     table = iqg.oscillator_action(diagram)
-    labels = {sym.label: sym for sym in table.entries}
+    labels = {sym.label: sym for sym in table.symbols}
     word = []
     for token in args.word.split():
         if token not in labels:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from operator import add
+from operator import add, index
 from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
 from .qscalar import ScalarQ, _window_product
@@ -131,6 +130,7 @@ class QPolynomial(_Combination):
         t = {}
         if terms:
             for mon, c in terms.items():
+                mon = tuple(map(index, mon))
                 if len(mon) != nvars:
                     raise ValueError("exponent vector length %d != %d"
                                      % (len(mon), nvars))
@@ -138,7 +138,7 @@ class QPolynomial(_Combination):
                     raise ValueError("negative exponent in %r" % (mon,))
                 c = c if isinstance(c, ScalarQ) else ScalarQ(c)
                 if not c.is_zero:
-                    t[tuple(mon)] = c
+                    t[mon] = c
         self.terms = t
 
     @classmethod
@@ -286,30 +286,22 @@ class ActionTable:
     other symbol, a function of no arguments that returns its entry.  Such
     an entry is built and stored the first time ``entry`` looks it up, so
     every later lookup is one dict hit, and an entry never looked up is
-    never built.
-
-    ``entries`` reads as a mapping of every symbol to its entry: iterating
-    it lists every symbol, built or not, and reading an entry through it
-    builds that one.  Assigning a mapping to ``entries`` makes it the whole
-    table, with nothing left to build.
+    never built.  A stored entry never changes: to override one, merge in a
+    table that holds it (``merged``).
     """
 
     def __init__(self, nvars: int,
                  entries: Dict[GeneratorSymbol, ShiftWord],
                  builders: Dict[GeneratorSymbol, Callable] = None):
         self.nvars = nvars
-        self.entries = entries
+        self._built = {sym: _checked(sym, entry)
+                       for sym, entry in entries.items()}
         self._builders = dict(builders) if builders else {}
 
     @property
-    def entries(self) -> Mapping:
-        return _Entries(self)
-
-    @entries.setter
-    def entries(self, entries):
-        self._built = {sym: _checked(sym, entry)
-                       for sym, entry in entries.items()}
-        self._builders = {}
+    def symbols(self):
+        """Every symbol of the table, built or not, as a keys view."""
+        return dict.fromkeys(chain(self._builders, self._built)).keys()
 
     def act(self, sym: GeneratorSymbol, mon: Monomial):
         """``sym``'s image of X^mon as one step (target, lo, v, m), the term
@@ -344,34 +336,6 @@ class ActionTable:
                            {**self._builders, **other._builders})
 
 
-class _Entries(Mapping):
-    """``ActionTable.entries``: every symbol of a table, read as its entry;
-    assigning to a symbol checks that entry and stores it as built."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: ActionTable):
-        self._table = table
-
-    def __getitem__(self, sym):
-        return self._table.entry(sym)
-
-    def __setitem__(self, sym, action):
-        self._table._built[sym] = _checked(sym, action)
-
-    def __contains__(self, sym):
-        return sym in self._table._built or sym in self._table._builders
-
-    def _symbols(self) -> dict:
-        return dict.fromkeys(chain(self._table._builders, self._table._built))
-
-    def __iter__(self):
-        return iter(self._symbols())
-
-    def __len__(self):
-        return len(self._symbols())
-
-
 def image_table(images: Dict[GeneratorSymbol, OperatorExpr],
                 table: ActionTable) -> ActionTable:
     """The homomorphism ``images`` followed by ``table``'s action.
@@ -380,10 +344,9 @@ def image_table(images: Dict[GeneratorSymbol, OperatorExpr],
     arguments that returns it.  Every chi, iota, phi and alias image is a
     sum of words with Laurent coefficients, one shift vector and one
     d-count: it sums into one ``ShiftWord``, from one memo of word forms per
-    table, as in the compiler.  An image given as a sum of several words is
-    composed here, so that words that differ in shift vector or d-count are
-    refused at once; any other image is built and composed when its symbol
-    is first looked up.
+    table, as in the compiler.  Each image is built and composed when its
+    symbol is first looked up, and an image whose words differ in shift
+    vector or d-count is refused then, with a ValueError.
     """
     n, forms = table.nvars, {}
 
@@ -400,13 +363,8 @@ def image_table(images: Dict[GeneratorSymbol, OperatorExpr],
         delta, divided = shapes.pop() if shapes else ((0,) * n, 0)
         return ShiftWord.from_poly(delta, total, divided)
 
-    built, builders = {}, {}
-    for sym, image in images.items():
-        if callable(image) or len(image.terms) < 2:
-            builders[sym] = partial(compose, image)
-        else:
-            built[sym] = compose(image)
-    return ActionTable(n, built, builders)
+    return ActionTable(n, {}, {sym: partial(compose, image)
+                               for sym, image in images.items()})
 
 
 def walk_word(word: Word, mon: Monomial, table: ActionTable):

@@ -11,8 +11,8 @@ coefficients, so the common cases skip the general machinery: coefficients
 are stored as ``int`` whenever they are integral, a product with a single
 term is a relabelling of exponents, a chain of q-integers is multiplied
 out by strided running sums on dense lists (``q_product``, and each path
-that ``opcalc.expand_paths`` expands), and a denominator c*q^k is divided
-out directly.
+that ``opcalc.apply`` expands), and a denominator c*q^k is divided out
+directly.
 Only a denominator with two or more terms needs a polynomial gcd, and not
 even then when it equals the numerator (the ratio is 1) or when the
 numerator is a single term (the gcd is 1), which covers coefficients such
@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, count
 from math import gcd as _int_gcd
-from operator import sub
+from operator import index, sub
 
 
 class InexactDivisionError(ArithmeticError):
@@ -99,7 +99,7 @@ class LaurentPoly:
                 for e, v in coeffs.items():
                     v = _coeff(v)
                     if v != 0:
-                        c[int(e)] = v
+                        c[index(e)] = v
             else:
                 v = _coeff(coeffs)
                 if v != 0:

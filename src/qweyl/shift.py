@@ -28,11 +28,11 @@ no special case: the factor [xi_i * 0] is already 0.
 
 from __future__ import annotations
 
-from math import prod
+from functools import cache
+from math import comb, prod
 from typing import Dict, NamedTuple, Tuple
 
-from .qscalar import (ONE, Q_MINUS_QINV, InexactDivisionError, LaurentPoly,
-                      ScalarQ, _coeff)
+from .qscalar import ONE, InexactDivisionError, LaurentPoly, ScalarQ, _coeff
 
 Vector = Tuple[int, ...]
 Sparse = Tuple[Tuple[int, int], ...]
@@ -210,6 +210,14 @@ def _add_terms(comp, poly, coeff, sign=1):
             comp[key] = comp.get(key, 0) + v * vc
 
 
+@cache
+def _q_minus_qinv_power(n: int) -> LaurentPoly:
+    """(q - q^-1)^n, the sum of (-1)^k C(n, k) q^(n - 2k), built once per
+    process from its binomial coefficients, with no product."""
+    return LaurentPoly({n - 2 * k: (-1) ** k * comb(n, k)
+                        for k in range(n + 1)})
+
+
 def compile_relation(lhs, rhs, table, forms=None) -> ShiftForm:
     """The shift-vector form of lhs - rhs, two OperatorExprs, over an
     ActionTable: ``_add_terms`` adds the terms of ``lhs``, and subtracts
@@ -220,9 +228,8 @@ def compile_relation(lhs, rhs, table, forms=None) -> ShiftForm:
 
     ``forms`` is a ``_word_form`` memo for calls over this one ``table`` (a
     fresh one if None), so one memo passed to every call over the table
-    composes each suffix of each word once; under the key None it keeps the
-    powers of q - q^-1 built so far.  A memo must never be passed to a call
-    over another table.
+    composes each suffix of each word once.  A memo must never be passed to
+    a call over another table.
 
     Both sides are first multiplied by L, the product of the distinct
     denominators of their coefficients, and by (q - q^-1)^D, D the largest
@@ -248,15 +255,12 @@ def compile_relation(lhs, rhs, table, forms=None) -> ShiftForm:
         rest = [prod(dens[:k] + dens[k + 1:], start=ONE)
                 for k in range(len(dens))]
         rest.append(prod(dens, start=ONE))
-    powers = forms.setdefault(None, [ONE])    # (q - q^-1)^0, ^1, ...
-    while len(powers) <= depth:
-        powers.append(powers[-1] * Q_MINUS_QINV)
     components: Dict[Vector, ShiftPoly] = {}
     for (shift, poly, divided), coeff, k, sign in words:
         if dens:
             coeff = coeff * rest[k]
         if divided < depth:
-            coeff = coeff * powers[depth - divided]
+            coeff = coeff * _q_minus_qinv_power(depth - divided)
         _add_terms(components.setdefault(shift, {}), poly, coeff, sign)
     for delta in list(components):
         comp = {key: v for key, v in components[delta].items() if v}
@@ -264,4 +268,5 @@ def compile_relation(lhs, rhs, table, forms=None) -> ShiftForm:
             components[delta] = comp
         else:
             del components[delta]
-    return ShiftForm(components, prod(dens, start=powers[depth]))
+    return ShiftForm(components,
+                     prod(dens, start=_q_minus_qinv_power(depth)))

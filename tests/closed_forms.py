@@ -187,7 +187,7 @@ def scaled_word(word: ShiftWord, factor) -> ShiftWord:
 def scaled_steps(table: ActionTable, factor) -> ActionTable:
     """``table`` with every e/f entry times ``factor`` (``scaled_word``),
     which the new table refuses unless each stays a run."""
-    entries = dict(table.entries)
+    entries = {sym: table.entry(sym) for sym in table.symbols}
     for sym, word in entries.items():
         if sym.fam in ("e", "f"):
             entries[sym] = scaled_word(word, factor)

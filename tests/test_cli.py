@@ -278,7 +278,7 @@ def test_parse_word_tokens(capsys):
     # A word reads each token as the label of a symbol of the diagram's
     # table, as it is: every label acts, and nothing else is read.
     d = build_diagram("I", 1)
-    labels = sorted(sym.label for sym in iqg.oscillator_action(d).entries)
+    labels = sorted(sym.label for sym in iqg.oscillator_action(d).symbols)
     assert {"e1", "f0", "k1^-1", "m0^-1", "d0", "x1"} <= set(labels)
     for label in labels:
         code, out, err = run(capsys, "act", "--diagram", "I:r=1",
@@ -603,11 +603,12 @@ def walk_form(polys):
     q-shift, sorted m >= 2), of the word walk over a one-variable table
     whose i-th letter sends X0^j to polys[i] X0^(j+1).  Each polys[i] is a
     run, and each letter a divided run ``ShiftWord`` with that run."""
-    table = ActionTable(1, {})
+    entries = {}
     for i, c in enumerate(polys):
         lo, m, v = _run(dict(c.items()))
-        table.entries[GeneratorSymbol("e", i)] = ShiftWord(
+        entries[GeneratorSymbol("e", i)] = ShiftWord(
             ((0, 1),), ((v, lo - 1 + 2 * m, ()), (-v, lo - 1, ())), 1)
+    table = ActionTable(1, entries)
     word = [GeneratorSymbol("e", i) for i in range(len(polys))]
     end, lo, v, widths = walk_word(word[::-1], (0,), table)
     return end, v, lo + sum(widths) - len(widths), sorted(widths)

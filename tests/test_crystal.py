@@ -264,18 +264,16 @@ def test_kashiwara_coords_match_scalar_oracle(kind, r):
 
 def _assert_f0_refused(make_action):
     # A table holds only run-shaped ShiftWords, so no walk meets an f_0
-    # built by make_action from the oscillator f_0: it is refused where it
-    # is stored, and the table keeps its own entry.
+    # built by make_action from the oscillator f_0: it is refused where the
+    # override table is built, and the table keeps its own entry.
     d = build_diagram("I", 1)
     table = oscillator_action(d)
-    f0 = table.entries[f_(0)]
+    f0 = table.entry(f_(0))
     action = make_action(f0)
-    message = "the action of f0 is not a q-integer run"
-    with pytest.raises(ValueError, match=message):
-        ActionTable(d.nslots, {f_(0): action})
-    with pytest.raises(ValueError, match=message):
-        table.entries[f_(0)] = action
-    assert table.entries[f_(0)] is f0
+    with pytest.raises(ValueError, match="the action of f0 is not a "
+                                         "q-integer run"):
+        table.merged(ActionTable(d.nslots, {f_(0): action}))
+    assert table.entry(f_(0)) is f0
 
 
 def _moved(mon, k, c):
@@ -375,8 +373,8 @@ def test_factored_walk_matches_plain_entries_on_broken_tables(monkeypatch,
     # graph error and the audit agree.
     import qweyl.crystal as crystal_mod
     d = build_diagram("I", 0)
-    table = oscillator_action(d)
-    table.entries[f_(0)] = ShiftWord(delta, terms, 1)
+    table = oscillator_action(d).merged(
+        ActionTable(d.nslots, {f_(0): ShiftWord(delta, terms, 1)}))
     monkeypatch.setattr(crystal_mod, "oscillator_action", lambda _: table)
     for s in range(5):
         assert _graph_or_error(lambda: crystal_graph(d, s).edges) \

@@ -269,9 +269,11 @@ def test_oscillator_matches_phi_reports_each_discrepancy():
 @pytest.mark.parametrize("kind,r", ALL_R2)
 def test_oscillator_action_follows_phi_off_the_default_xi(kind, r):
     for d in xi_variants(kind, r):
+        table = oscillator_action(d)
         assert action_discrepancies(_alias_images(presentation(d)),
                                     modweyl_table(d),
-                                    oscillator_action(d).entries, 3) == [], \
+                                    {sym: table.entry(sym)
+                                     for sym in table.symbols}, 3) == [], \
             d.xi
 
 
@@ -341,7 +343,7 @@ def test_witness_walk_builds_only_the_letters_it_reads(monkeypatch, spec, mon,
     word, _ = witness_steps(d, mon, up)
     top = (sum(mon),) + (0,) * (d.nslots - 1)
     table = oscillator_action(d)
-    assert len(table.entries) == len(images) + 4 * d.nslots
+    assert len(table.symbols) == len(images) + 4 * d.nslots
     assert built_images == built_generators == []
     walk_word(word, mon if up else top, table)
     letters = [w for sym in set(word) for w in images[sym].terms]

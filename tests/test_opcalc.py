@@ -69,6 +69,13 @@ def test_mixed_operands_are_refused():
     assert p != e and e != p
 
 
+def test_exponent_vectors_must_be_integers():
+    # QPolynomial(1, {(1.5,): 1}) would print as (1)*X0^1: refused instead.
+    for mon in ((1.5,), (2.0,), (1, 0.5)):
+        with pytest.raises(TypeError):
+            QPolynomial(len(mon), {mon: 1})
+
+
 def test_monomial_enumeration():
     mons = monomials_of_degree(3, 2)
     assert len(mons) == 6
@@ -103,7 +110,7 @@ def test_every_table_image_is_homogeneous():
     for d in (build_diagram("I", 1), build_diagram("A1AFF"), build_diagram("V", 1)):
         table = modweyl_table(d)
         for mon in monomials_up_to(d.nslots, 3):
-            for sym in table.entries:
+            for sym in table.symbols:
                 for tgt, _ in table.entry(sym)(mon):
                     expected = sum(mon) + {"d": -1, "x": 1, "m": 0}[sym.fam]
                     assert sum(tgt) == expected
@@ -235,6 +242,40 @@ def test_merged_table_uses_other_entry_and_leaves_self_unchanged():
     assert a.entry(sym)((1,)) == [((1,), ScalarQ(1))]
 
 
+def test_merged_override_reuses_built_entries_and_prefers_the_other():
+    # An override is a table of its own, merged in: an entry the first table
+    # built before the merge is reused, not rebuilt; the override wins
+    # whether it is given or built and whether or not the first table had
+    # built that symbol; and the first table is unchanged afterwards.
+    y, z = GeneratorSymbol("Y", 0), GeneratorSymbol("Z", 0)
+    builds = []
+
+    def constant(sym, value):
+        def build():
+            builds.append((sym.label, value))
+            return ShiftWord((), ((value, 0, ()),), 0)
+        return build
+
+    for z_built_first in (False, True):
+        for given in (True, False):
+            builds.clear()
+            a = ActionTable(1, {}, {y: constant(y, 1), z: constant(z, 1)})
+            y_word = a.entry(y)
+            z_word = a.entry(z) if z_built_first else None
+            b = (ActionTable(1, {z: constant(z, 2)()}) if given else
+                 ActionTable(1, {}, {z: constant(z, 2)}))
+            merged = a.merged(b)
+            assert merged.symbols == a.symbols == {y, z}
+            assert merged.entry(y) is y_word
+            assert merged.entry(z)((1,)) == [((1,), ScalarQ(2))]
+            assert builds == ([("Y0", 1)] + [("Z0", 1)] * z_built_first
+                              + [("Z0", 2)])
+            assert a.entry(y) is y_word
+            assert a.entry(z)((1,)) == [((1,), ScalarQ(1))]
+            if z_built_first:
+                assert a.entry(z) is z_word
+
+
 def test_act_refuses_entries_that_are_not_runs():
     # act reads one step per letter, so a table holds no entry whose image
     # is not one run: not a plain function, not a term that is 0, not three
@@ -247,8 +288,12 @@ def test_act_refuses_entries_that_are_not_runs():
         with pytest.raises(ValueError, match="action of Z0 is not a q-integer "
                                              "run"):
             ActionTable(1, {sym: entry})
+        # an override is a table of its own, checked where it is built
         with pytest.raises(ValueError, match="action of Z0"):
-            table.entries = {sym: entry}
+            table.merged(ActionTable(1, {sym: entry}))
+        with pytest.raises(ValueError, match="action of Z0"):
+            table.merged(ActionTable(1, {}, {sym: lambda entry=entry: entry})
+                         ).entry(sym)
         with pytest.raises(ValueError, match="action of Z0"):
             ActionTable(1, {}, {sym: lambda entry=entry: entry}).entry(sym)
     assert table.act(sym, (1,)) == ((1,), 0, 2, 1)
@@ -315,7 +360,7 @@ def apply_cases(draw):
     """(expr, poly, table): an oscillator table with some entries scaled,
     words over it, and a polynomial of several terms."""
     base = OSCILLATOR_TABLES[draw(st.sampled_from(sorted(OSCILLATOR_TABLES)))]
-    entries = dict(base.entries)
+    entries = {sym: base.entry(sym) for sym in base.symbols}
     symbols = sorted(entries)
     for sym in draw(st.lists(st.sampled_from(symbols), max_size=4)):
         entries[sym] = scaled_word(entries[sym],

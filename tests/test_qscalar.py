@@ -244,6 +244,17 @@ def test_scalar_text_round_trip():
     assert poly_from_text(str(ScalarQ(q_integer(2))), 0) == constant(q_integer(2))
 
 
+def test_exponents_must_be_integers():
+    # An exponent is read exactly: a float is refused, as a float
+    # coefficient is, never truncated to an int.
+    for build in (lambda: LaurentPoly({1.5: 1}), lambda: ScalarQ.q_power(2.7),
+                  lambda: LaurentPoly.q_power(2.0)):
+        with pytest.raises(TypeError):
+            build()
+    with pytest.raises(TypeError):
+        LaurentPoly({1: 0.5})
+
+
 def test_divexact_raises_on_inexact():
     with pytest.raises(InexactDivisionError):
         q_integer(3).divexact(q_integer(2))

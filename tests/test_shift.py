@@ -6,8 +6,9 @@ polynomial gcds that a verify run still needs, one letter step per word
 suffix and table, images whose words must share one shift and d-count,
 a residual search that stops at its first residual, every entry's
 factored run against its expanded image, every entry of every table that
-qweyl builds a run, and entries built on their first lookup against the
-tables built at once."""
+qweyl builds a run, entries built on their first lookup against the
+tables built at once, image tables that compose nothing before a lookup,
+and a word-form memo that holds words only."""
 
 import functools
 import json
@@ -101,14 +102,14 @@ def test_compiled_components_match_apply(kind, r):
         _assert_compiles_to_apply(expr, table, monomials)
     table, _ = next(iter(exprs.values()))
     with pytest.raises(ValueError, match="is not a q-integer run"):
-        ActionTable(table.nvars, {sym: functools.cache(action)
-                                  for sym, action in table.entries.items()})
+        ActionTable(table.nvars, {sym: functools.cache(table.entry(sym))
+                                  for sym in table.symbols})
 
 
 def test_rule_is_the_monomial_action():
     table = modweyl_table(build_diagram("A1AFF"))  # xi = (1, 3)
-    assert table.entries[m_(1)] == ShiftWord.generator(1, 0, ((1, 3),))
-    assert table.entries[m_(1)] == ShiftWord((), ((1, 0, ((1, 3),)),), 0)
+    assert table.entry(m_(1)) == ShiftWord.generator(1, 0, ((1, 3),))
+    assert table.entry(m_(1)) == ShiftWord((), ((1, 0, ((1, 3),)),), 0)
     form = compile_relation(OperatorExpr.symbol(m_(1, True)),
                             OperatorExpr.zero(), table)
     assert form.components == {(0, 0): {(0, (0, -3)): 1}}
@@ -133,9 +134,9 @@ def test_factored_run_matches_the_expanded_image(kind, r):
     # <= 4: run reads the image that __call__ expands, or m = 0 where it
     # is empty.
     for d in [build_diagram(kind, r)] + xi_variants(kind, r):
-        entries = oscillator_action(d).entries.values()
+        table = oscillator_action(d)
         monomials = monomials_up_to(d.nslots, 4)
-        for word in entries:
+        for word in map(table.entry, table.symbols):
             for a in monomials:
                 got, image = word.run(a), word(a)
                 if not image:
@@ -189,15 +190,14 @@ def test_every_entry_qweyl_builds_is_a_run():
     for kind, r in ALL_DIAGRAMS:
         for d in [build_diagram(kind, r)] + xi_variants(kind, r):
             for table in _src_tables(d):
-                entries = dict(table.entries)
-                assert all(word.is_run for word in entries.values())
+                entries = [table.entry(sym) for sym in table.symbols]
+                assert all(word.is_run for word in entries)
                 count += len(entries)
     assert count == 15_484
 
 
 def _replace_m0(table, action):
-    table.entries[m_(0)] = action
-    return table
+    return table.merged(ActionTable(table.nvars, {m_(0): action}))
 
 
 def test_plain_function_entry_is_refused_and_checked_by_monomials():
@@ -207,11 +207,11 @@ def test_plain_function_entry_is_refused_and_checked_by_monomials():
 
     # the same action behind a plain function: refused, naming the symbol
     table = modweyl_table(d)
-    rule = table.entries[m_(0)]
+    rule = table.entry(m_(0))
     with pytest.raises(ValueError, match="action of m0 is not a q-integer "
                                          "run"):
         _replace_m0(table, lambda mon: rule(mon))
-    assert table.entries[m_(0)] is rule
+    assert table.entry(m_(0)) is rule
     # a symbol the table lacks: the KeyError of ActionTable.act
     table = modweyl_table(d)
     message = "unknown symbol e0 in action table"
@@ -393,13 +393,35 @@ def test_verify_steps_each_word_suffix_once(monkeypatch, kind, r):
             table = image_table(push, table)
             words = [w for image in push.values() for w in image.terms]
             # each image is composed when its symbol is first read
-            assert dict(table.entries).keys() == push.keys()
+            assert table.symbols == push.keys() and not steps
+            for sym in table.symbols:
+                table.entry(sym)
             assert len(steps) == len(_suffixes(words))
         steps.clear()
         verify_relations(instances, table, 0)
         words = [w for _, _, lhs, rhs in instances for w in (lhs - rhs).terms]
         assert len(steps) == len(_suffixes(words))
         assert len(steps) < sum(len(w) for w in words)
+
+
+def test_image_table_composes_nothing_before_its_first_lookup(monkeypatch):
+    # iota's d_1 image at xi_1 = 3 has three words, and it too is composed
+    # only when its symbol is first looked up.
+    real = shift._step
+    steps = []
+
+    def counted(letter, form):
+        steps.append(letter)
+        return real(letter, form)
+
+    monkeypatch.setattr(shift, "_step", counted)
+    images = iota_map(build_diagram("A1AFF"))
+    assert len(images[d_(1)].terms) == 3
+    table = image_table(images, weyl_table(2))
+    assert steps == [] and table.symbols == images.keys()
+    table.entry(d_(1))
+    words = images[d_(1)].terms
+    assert len(steps) == len(_suffixes(words))
 
 
 def test_image_words_must_share_shift_and_d_count():
@@ -410,17 +432,18 @@ def test_image_words_must_share_shift_and_d_count():
     x0, d0 = OperatorExpr.symbol(x_(0)), OperatorExpr.symbol(d_(0))
     one = OperatorExpr.identity()
     for image in (x0 + OperatorExpr.symbol(x_(1)), d0 * x0 + one):
+        images = image_table({e_(0): image}, table)
         with pytest.raises(ValueError, match="words differ in shift vector "
                                              "or d-count"):
-            image_table({e_(0): image}, table)
+            images.entry(e_(0))
     zero = image_table({e_(0): OperatorExpr.zero()}, table)
     with pytest.raises(ValueError, match=r"action of e0 is not a q-integer "
                                          r"run: ShiftWord\(delta=\(\), "
                                          r"terms=\(\), divided=0\)"):
-        zero.entries[e_(0)]
+        zero.entry(e_(0))
     # words that agree sum their terms: d0 x0 - q x0 d0 is q^-a0 on X^a
     image = d0 * x0 - (x0 * d0).scale(ScalarQ.q_power(1))
-    entry = image_table({e_(0): image}, table).entries[e_(0)]
+    entry = image_table({e_(0): image}, table).entry(e_(0))
     assert entry((3, 1)) == [((3, 1), ScalarQ.q_power(-3))]
 
 
@@ -440,10 +463,11 @@ def test_entries_built_on_first_lookup_equal_eager_ones(kind, r):
              (oscillator_action(d),
               eager_image_table(aliases, modified).merged(modified))]
     for lazy, eager in pairs:
-        assert lazy.entries.keys() == eager.entries.keys()
-        for sym in reversed(list(eager.entries)):
+        assert lazy.symbols == eager.symbols
+        for sym in reversed(list(eager.symbols)):
             assert lazy.entry(sym) == eager.entry(sym), sym.label
-        assert dict(lazy.entries) == dict(eager.entries)
+        assert ({sym: lazy.entry(sym) for sym in lazy.symbols}
+                == {sym: eager.entry(sym) for sym in eager.symbols})
 
 
 def test_word_forms_are_never_shared_between_tables(capsys, monkeypatch):
@@ -461,6 +485,21 @@ def test_word_forms_are_never_shared_between_tables(capsys, monkeypatch):
     assert runs[0] == runs[2]
     for expr, table, form in calls:
         assert form == reference_compile_relation(expr, table), str(expr)
+
+
+def test_word_form_memo_holds_words_only():
+    # The powers of q - q^-1 come from one cache for the process, not from
+    # the memo: after a verify_relations-style run over a divided table,
+    # every memo key is a word, and each power is the repeated product.
+    d = build_diagram("A1AFF")
+    table, forms = modweyl_table(d), {}
+    for _, _, lhs, rhs in modweyl_relation_instances(d):
+        compile_relation(lhs, rhs, table, forms)
+    assert forms and all(isinstance(key, tuple) for key in forms)
+    power = LaurentPoly.one()
+    for n in range(6):
+        assert shift._q_minus_qinv_power(n) == power, n
+        power = power * Q_MINUS_QINV
 
 
 @pytest.mark.parametrize("spec,max_degree", [
