@@ -134,14 +134,14 @@ def _cmd_crystal(args) -> int:
 def _cmd_witness(args) -> int:
     """Print a witness word and its coefficient, and check them.
 
-    The word's one path from the start monomial is compared with the
-    prediction in factored form, c*q^k*[m_1]...[m_t] with every m_i >= 2,
-    and the coefficient is expanded once, to print it.  The form is exact:
-    [m] = q^(1-m) prod_{d | m, d > 1} Phi_d(q^2), and the Phi_d(q^2) for
+    The word's one path from the start monomial, v*q^k*[n_1]...[n_t] with
+    every n_i >= 2 (``walk_word``), is compared with the prediction in that
+    form, and the coefficient is expanded once, to print it.  The form is exact:
+    [n] = q^(1-n) prod_{d | n, d > 1} Phi_d(q^2), and the Phi_d(q^2) for
     d > 1 are squarefree and pairwise coprime (Phi_d(q^2) is Phi_2d(q) for
-    even d and Phi_d(q)*Phi_2d(q) for odd d).  So a nonzero c*q^k*prod [m_i]
-    determines c, k and every e_d = #{i : d | m_i}, hence, by Moebius
-    inversion, the multiset {m_i}: two such products are equal iff their
+    even d and Phi_d(q)*Phi_2d(q) for odd d).  So a nonzero v*q^k*prod [n_i]
+    determines v, k and every e_d = #{i : d | n_i}, hence, by Moebius
+    inversion, the multiset {n_i}: two such products are equal iff their
     forms are.  A zero predicted factor predicts no path.  A mismatch
     expands the path, to print it.
     """
@@ -165,13 +165,13 @@ def _cmd_witness(args) -> int:
         want = (target, prod([1 if n > 0 else -1 for n in steps]), 0,
                 sorted([abs(n) for n in steps if abs(n) > 1]))
     if path is not None:
-        end, lo, v, widths = path
-        got = end, v, lo + sum(widths) - len(widths), sorted(widths)
+        end, k, v, ns = path
+        got = end, v, k, sorted(ns)
     if got != want:
         result = QPolynomial(diagram.nslots)
         if got is not None:
             result = QPolynomial.monomial(end, ScalarQ(
-                q_product(widths, LaurentPoly({got[2]: v}))))
+                q_product(ns, LaurentPoly({k: v}))))
         print("MISMATCH: got %s" % poly_to_text(result))
         return 1
     print("VERIFIED")

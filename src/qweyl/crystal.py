@@ -8,11 +8,11 @@ aliases and send divided monomials to divided monomials with coefficient
 exactly 1 (or to zero), which is what the axiom checker asserts.  One walk
 down each i-string gives all its images, one f_i letter per node.
 
-A step reads f_i X^t as ``ActionTable.act``'s one step, a q-integer run,
-and compares it with the run of the [xi_i e_i] it divides by: equal runs
-are equal polynomials, so the coordinate is unchanged, with no product and
-no gcd.  Any other run multiplies it by the ratio of the two, and every
-defect is read from that.
+A step reads f_i X^t as ``ActionTable.act``'s one step v q^k [n] X^t' and
+compares it with the [xi_i e_i] X^e' it divides by, the step (e', 0, sign,
+|xi_i e_i|): equal steps are equal terms, so the coordinate is unchanged,
+with no product and no gcd.  Any other step multiplies it by the ratio of
+the two, and every defect is read from that.
 """
 
 from __future__ import annotations
@@ -58,13 +58,13 @@ def _string_walk(diagram: SatakeDiagram, i: int, b: Monomial,
     """Divided coordinates of f_i^{(n)_{xi_{i+1}}} X^(b), n = 0, 1, ...
 
     X^(b) heads an i-string (b_{i+1} = 0); e = b + n(e_{i+1} - e_i) is the
-    expected target (slot i stops at 0).  Each step of ``table`` is one run,
-    so f_i^n X^b is zero or one term, c X^t once divided by D(b)
+    expected target (slot i stops at 0).  Each step of ``table`` is one term
+    v q^k [n], so f_i^n X^b is zero or one term, c X^t once divided by D(b)
     [n]^{xi_{i+1}}! / D(e), and its coordinate is c D(t) / D(e).  Each step
-    multiplies c by the ratio of its run to [xi_i e_i], the one q-integer
-    that quotient gains ([n]^{xi_{i+1}}! is D(e)'s slot i+1 factor; [0]
-    divides nothing).  Equal runs are equal polynomials, so on a crystal c
-    stays exactly 1 at t = e with no polynomial built.
+    multiplies c by the ratio of its v q^k [n] to [xi_i e_i], the one
+    q-integer that quotient gains ([n]^{xi_{i+1}}! is D(e)'s slot i+1
+    factor; [0] divides nothing).  Equal steps are equal terms, so on a
+    crystal c stays exactly 1 at t = e with no polynomial built.
     """
     xi, e, t, c, f_i = diagram.xi, b, b, ScalarQ.one(), f_(i)
     while True:
@@ -78,10 +78,10 @@ def _string_walk(diagram: SatakeDiagram, i: int, b: Monomial,
         step = None if c is None else table.act(f_i, t)
         if step is None:
             c = None
-        elif step != (nxt, 1 - abs(m), (m > 0) - (m < 0), abs(m)):
-            t, lo, v, w = step      # its run is v q^(lo + w - 1) [w]
-            run = q_integer(w)._term_mul(lo + w - 1, v)
-            c = ScalarQ(c.num * run, c.den * q_integer(m) if m else c.den)
+        elif step != (nxt, 0, (m > 0) - (m < 0), abs(m)):
+            t, k, v, n = step
+            c = ScalarQ(c.num * q_integer(n)._term_mul(k, v),
+                        c.den * q_integer(m) if m else c.den)
         else:
             t = nxt
         e = nxt

@@ -4,10 +4,11 @@ Polynomials and operators are both ScalarQ-linear combinations of monoid
 elements, exponent vectors under addition and words in generator symbols
 under concatenation, and share one arithmetic core.  A word acts on a
 polynomial rightmost symbol first, through an action table mapping each
-symbol to a ``ShiftWord`` that sends every monomial to one monomial times a
-q-integer run or a signed power of q.  ``ActionTable.act`` is the one place
-a letter is read, as one such step kept factored, and every walk of a word
-consumes those steps.
+symbol to a ``ShiftWord`` that sends every monomial to one monomial times
+v q^k [n], [n] = (q^n - q^-n)/(q - q^-1) the balanced q-integer.
+``ActionTable.act`` is the one place a letter is read, as one such step kept
+in that form, and every walk of a word consumes those steps: a path is
+v q^k times the product of its [n], which ``q_product`` multiplies out.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import chain
 from operator import add, index
 from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
-from .qscalar import ScalarQ, _window_product
+from .qscalar import ScalarQ, q_product
 from .shift import (ShiftForm, ShiftWord, _add_terms, _word_form,
                     compile_relation)
 
@@ -278,16 +279,18 @@ def _checked(sym: GeneratorSymbol, entry) -> ShiftWord:
 
 class ActionTable:
     """Maps generator symbols to their actions on monomials: each entry is a
-    ``ShiftWord`` whose every image is one monomial times a q-integer run or
-    a signed power of q.  The table checks that shape (``ShiftWord.is_run``)
-    once for each entry it stores, and refuses any other with a ValueError.
+    ``ShiftWord`` whose every image is one monomial times v q^k [n].  The
+    table checks that shape (``ShiftWord.is_run``) once for each entry it
+    stores, and refuses any other with a ValueError.
 
     A table holds the ``entries`` given to it, and ``builders``: for each
     other symbol, a function of no arguments that returns its entry.  Such
     an entry is built and stored the first time ``entry`` looks it up, so
     every later lookup is one dict hit, and an entry never looked up is
     never built.  A stored entry never changes: to override one, merge in a
-    table that holds it (``merged``).
+    table that holds it (``merged``).  So a word's form over the table never
+    changes either: ``forms`` is the table's memo of word forms, read by
+    ``shift._word_form``, and starts with the empty word's, the identity.
     """
 
     def __init__(self, nvars: int,
@@ -297,6 +300,8 @@ class ActionTable:
         self._built = {sym: _checked(sym, entry)
                        for sym, entry in entries.items()}
         self._builders = dict(builders) if builders else {}
+        zero = (0,) * nvars
+        self.forms = {(): (zero, {(0, zero): 1}, 0)}
 
     @property
     def symbols(self):
@@ -304,9 +309,9 @@ class ActionTable:
         return dict.fromkeys(chain(self._builders, self._built)).keys()
 
     def act(self, sym: GeneratorSymbol, mon: Monomial):
-        """``sym``'s image of X^mon as one step (target, lo, v, m), the term
-        v*q^lo*(1 + q^2 + ... + q^(2(m-1)))*X^target, read by the entry's
-        ``ShiftWord.run`` in O(touched slots); None if the image is zero."""
+        """``sym``'s image of X^mon as one step (target, k, v, n), the term
+        v*q^k*[n]*X^target with n >= 1, read by the entry's ``ShiftWord.run``
+        in O(touched slots); None if the image is zero."""
         step = self.entry(sym).run(mon)
         return step if step[3] else None
 
@@ -343,19 +348,19 @@ def image_table(images: Dict[GeneratorSymbol, OperatorExpr],
     ``images`` maps each symbol to its image, or to a function of no
     arguments that returns it.  Every chi, iota, phi and alias image is a
     sum of words with Laurent coefficients, one shift vector and one
-    d-count: it sums into one ``ShiftWord``, from one memo of word forms per
-    table, as in the compiler.  Each image is built and composed when its
+    d-count: it sums into one ``ShiftWord``, from ``table``'s memo of word
+    forms, as in the compiler.  Each image is built and composed when its
     symbol is first looked up, and an image whose words differ in shift
     vector or d-count is refused then, with a ValueError.
     """
-    n, forms = table.nvars, {}
+    n = table.nvars
 
     def compose(image) -> ShiftWord:
         if callable(image):
             image = image()
         shapes, total = set(), {}
         for word, c in image.terms.items():
-            delta, poly, divided = _word_form(word, table, forms)
+            delta, poly, divided = _word_form(word, table)
             shapes.add((delta, divided))
             _add_terms(total, poly, c.as_laurent())
         if len(shapes) > 1:
@@ -369,25 +374,26 @@ def image_table(images: Dict[GeneratorSymbol, OperatorExpr],
 
 def walk_word(word: Word, mon: Monomial, table: ActionTable):
     """The one path of ``word`` from X^mon, rightmost letter first: (target,
-    lo, v, widths), v*q^lo*X^target times (1 + q^2 + ... + q^(2(m-1))) for
-    each m in widths, or None for zero.  Each letter adds the lo of its
-    ``ActionTable.act`` step to lo, multiplies v by its v and, if m >= 2,
-    adds its m to widths, so ``apply`` multiplies them out once."""
-    lo, v, widths = 0, 1, ()
+    k, v, ns), v*q^k*X^target times [n] for each n in ns, or None for zero.
+    Each letter adds the k of its ``ActionTable.act`` step to k, multiplies
+    v by its v and, if n >= 2, adds its n to ns, so ``apply`` multiplies
+    them out once."""
+    k, v, ns = 0, 1, ()
     for sym in reversed(word):
         step = table.act(sym, mon)
         if step is None:
             return None
-        mon, slo, sv, m = step
-        lo, v = lo + slo, v * sv
-        if m > 1:
-            widths += (m,)
-    return mon, lo, v, widths
+        mon, sk, sv, n = step
+        k, v = k + sk, v * sv
+        if n > 1:
+            ns += (n,)
+    return mon, k, v, ns
 
 
 def apply(expr: OperatorExpr, p: QPolynomial, table: ActionTable) -> QPolynomial:
     """Apply an operator expression to a polynomial, rightmost symbol first,
-    as the sum of the ``walk_word`` paths of every word and term.
+    as the sum of the ``walk_word`` paths of every word and term, each
+    multiplied out by ``q_product``.
 
     A path whose target has an X_i exponent above ``MAX_EXPONENT``, or whose
     numerator would run over more than ``MAX_EXPONENT`` powers of q, counted
@@ -399,19 +405,18 @@ def apply(expr: OperatorExpr, p: QPolynomial, table: ActionTable) -> QPolynomial
             path = walk_word(word, mon, table)
             if path is None:
                 continue
-            target, lo, v, widths = path
+            target, k, v, ns = path
             pc = coeff * c
             if max(target, default=0) > MAX_EXPONENT:
                 raise ValueError("image exponent above %d (MAX_EXPONENT)"
                                  % MAX_EXPONENT)
-            low = pc.num.min_exp() + lo
-            high = pc.num.max_exp() + lo + 2 * (sum(widths) - len(widths))
+            reach = sum([n - 1 for n in ns])    # [n] spans q^(1-n)..q^(n-1)
+            low = pc.num.min_exp() + k - reach
+            high = pc.num.max_exp() + k + reach
             if max(high, 0) - min(low, 0) > MAX_EXPONENT:
                 raise ValueError("image coefficient over more than %d "
                                  "powers of q (MAX_EXPONENT)" % MAX_EXPONENT)
-            num = (_window_product(dict(pc.num.items()), widths, lo, v)
-                   if widths else pc.num._term_mul(lo, v))
-            value = ScalarQ(num, pc.den)
+            value = ScalarQ(q_product(ns, pc.num._term_mul(k, v)), pc.den)
             w = acc.get(target)
             w = value if w is None else w + value
             if w.is_zero:
@@ -467,7 +472,7 @@ def verify_relations(instances, table: ActionTable, max_s: int):
     a list of per-instance report dicts.
 
     Each relation is compiled once from its two sides (``compile_relation``),
-    with one memo of word forms for the whole call, so every suffix of every
+    which reads word forms from ``table``'s memo, so every suffix of every
     word is composed once over ``table``.  The verdict is read off that
     form: OK exactly when it is zero, so the relation holds in every degree.
     A nonzero form fails in some degree, whatever ``max_s`` is; its first
@@ -475,9 +480,9 @@ def verify_relations(instances, table: ActionTable, max_s: int):
     monomial and the coefficient if it has none there.  The search walks one
     degree at a time and stops at that first residual.
     """
-    n, forms, report = table.nvars, {}, []
+    n, report = table.nvars, []
     for group_id, indices, lhs, rhs in instances:
-        form = compile_relation(lhs, rhs, table, forms)
+        form = compile_relation(lhs, rhs, table)
         entry = {"relation_id": group_id, "instance_indices": list(indices),
                  "ok": not form.components}
         if form.components:

@@ -10,9 +10,9 @@ Almost every value met in practice is a Laurent polynomial with integer
 coefficients, so the common cases skip the general machinery: coefficients
 are stored as ``int`` whenever they are integral, a product with a single
 term is a relabelling of exponents, a chain of q-integers is multiplied
-out by strided running sums on dense lists (``q_product``, and each path
-that ``opcalc.apply`` expands), and a denominator c*q^k is divided out
-directly.
+out by strided running sums on dense lists (``q_product``, which also
+expands each path v*q^k*[n_1]...[n_t] of ``opcalc.apply``), and a
+denominator c*q^k is divided out directly.
 Only a denominator with two or more terms needs a polynomial gcd, and not
 even then when it equals the numerator (the ratio is 1) or when the
 numerator is a single term (the gcd is 1), which covers coefficients such
@@ -253,35 +253,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return "LaurentPoly(%r)" % (self._c,)
-
-
-def _window_product(c, widths, shift: int, v) -> LaurentPoly:
-    """c times v*q^shift times (1 + q^2 + ... + q^(2(m-1))) for each m in
-    ``widths``, on dense lists.
-
-    Such a factor never mixes the two parity classes of exponents, so each
-    class of c is one dense list with stride 2; each m is one pass of m-wide
-    window sums over it, and the dict is built once at the end.  With int
-    inputs every window sum is already an int.
-    """
-    low, high = min(c), max(c)
-    ints = type(v) is int and all(type(w) is int for w in c.values())
-    dense = [0] * (high - low + 1)
-    for e, w in c.items():
-        dense[e - low] = w
-    out = {}
-    for p in (0, 1):
-        seq = dense[p::2]
-        if not any(seq):
-            continue
-        for m in widths:
-            seq = _windows(seq, m)
-        exps = count(low + shift + p, 2)
-        out.update({e: w * v if ints else _norm(w * v)
-                    for e, w in zip(exps, seq) if w})
-    res = LaurentPoly.__new__(LaurentPoly)
-    res._c = out
-    return res
 
 
 def _windows(seq, m: int) -> list:
@@ -561,24 +532,43 @@ def q_factorial(a: int, k: int) -> LaurentPoly:
 def q_product(ns, start=1) -> LaurentPoly:
     """start times [n] for each n in ns, multiplied out on dense lists.
 
-    [n] is sign(n)*q^(1-|n|)*(1 + q^2 + ... + q^(2(|n|-1))), so the
-    chain is one ``_window_product`` over its |n| > 1.
+    [n] is sign(n) times q^(1-|n|) + q^(3-|n|) + ... + q^(|n|-1), which never
+    mixes the two parity classes of exponents, so each class of start is
+    one dense list with stride 2; each |n| > 1 is one pass of |n|-wide
+    window sums over it, and the dict is built once at the end.  With int
+    inputs every window sum is already an int.
     """
     start = start if isinstance(start, LaurentPoly) else LaurentPoly(start)
-    sign, shift, widths = 1, 0, []
+    sign, widths = 1, []
     for n in ns:
         if not n:
             return LaurentPoly.zero()
         if n < 0:
             sign = -sign
         if n > 1 or n < -1:
-            shift += 1 - abs(n)
             widths.append(abs(n))
-    if not start:
-        return start
-    if widths:
-        return _window_product(start._c, widths, shift, sign)
-    return start._term_mul(0, sign)
+    c = start._c
+    if not (c and widths):
+        return start._term_mul(0, sign)
+    low, high = min(c), max(c)
+    ints = all(type(w) is int for w in c.values())
+    dense = [0] * (high - low + 1)
+    for e, w in c.items():
+        dense[e - low] = w
+    low -= sum([m - 1 for m in widths])     # [m] reaches down to q^(1-m)
+    out = {}
+    for p in (0, 1):
+        seq = dense[p::2]
+        if not any(seq):
+            continue
+        for m in widths:
+            seq = _windows(seq, m)
+        exps = count(low + p, 2)
+        out.update({e: w * sign if ints else _norm(w * sign)
+                    for e, w in zip(exps, seq) if w})
+    res = LaurentPoly.__new__(LaurentPoly)
+    res._c = out
+    return res
 
 
 def factorial_steps(xi, lo, hi) -> list:

@@ -9,15 +9,16 @@ and u_i = q^{a_i}, possibly over q - q^-1:
 * m_i^{+-1}: delta = 0, c = u_i^{+-xi_i}.
 
 A ``ShiftWord`` holds one such operator; evaluated at u = q^a it is the
-monomial action.  An action-table entry is one whose every image is a
-q-integer run or a signed power of q (``ShiftWord.is_run``), read in
-factored form by ``ShiftWord.run``.  A generator is a one-letter
-``ShiftWord``, built, like every image entry, when its table first looks it
-up.  A word of them applied to the generic monomial X^a is again of this
-form: a letter applied after the word so far has shifted the exponents by s
-turns its term q^e u^m into q^{e + m.s} u^m.
-``_word_form`` reads the form of a word from a memo that steps each suffix
-once, and ``_add_terms`` adds a form times a Laurent coefficient into a sum.
+monomial action.  An action-table entry is one whose every image is one
+term v q^k [n] (``ShiftWord.is_run``), [n] = (q^n - q^-n)/(q - q^-1) the
+balanced q-integer with n >= 0, read in that form by ``ShiftWord.run``.  A
+generator is a one-letter ``ShiftWord``, built, like every image entry,
+when its table first looks it up.  A word of them applied to the generic
+monomial X^a is again of this form: a letter applied after the word so far
+has shifted the exponents by s turns its term q^e u^m into q^{e + m.s} u^m.
+``_word_form`` reads the form of a word from its table's memo, which steps
+each suffix once, and ``_add_terms`` adds a form times a Laurent
+coefficient into a sum.
 ``opcalc.image_table`` so sums an image, words with one shift vector and one
 d-count, into one ``ShiftWord``, and ``compile_relation`` turns a relation's
 two sides, lhs - rhs, into components.  The sides agree on every monomial
@@ -140,26 +141,26 @@ class ShiftWord(NamedTuple):
                 and {j for j, e in us if e & 1} == {j for j, e in ws if e & 1})
 
     def run(self, mon):
-        """(target, lo, v, m): X^mon goes to v*q^lo*(1 + q^2 + ... +
-        q^(2(m-1)))*X^target, to zero if m = 0, in O(touched slots).  The
-        word must be a run (``is_run``): one undivided term, m = 1, or
-        (v*q^a - v*q^b)/(q - q^-1) with a - b = 2m >= 0, which is
-        v*q^(b+1)*(1 + ... + q^(2(m-1)))."""
-        v, lo, us = self.terms[0]
+        """(target, k, v, n): X^mon goes to v*q^k*[n]*X^target, to zero if
+        n = 0, in O(touched slots), where [n] = (q^n - q^-n)/(q - q^-1) and
+        n >= 0.  The word must be a run (``is_run``): one undivided term
+        v*q^k, n = 1, or (v*q^a - v*q^b)/(q - q^-1), k = (a+b)/2 and
+        n = (a-b)/2, a negative n folding its sign into v."""
+        v, k, us = self.terms[0]
         for j, e in us:
-            lo += e * mon[j]
-        m = 1
+            k += e * mon[j]
+        n = 1
         if self.divided:
             _, b, ws = self.terms[1]
             for j, e in ws:
                 b += e * mon[j]
-            if lo < b:
-                v, lo, b = -v, b, lo
-            lo, m = b + 1, (lo - b) // 2
+            k, n = (k + b) // 2, (k - b) // 2
+            if n < 0:
+                v, n = -v, -n
         tgt = list(mon)
         for j, s in self.delta:
             tgt[j] += s
-        return tuple(tgt), lo, _coeff(v), m
+        return tuple(tgt), k, _coeff(v), n
 
 
 def _sparse(v: Vector) -> Sparse:
@@ -179,17 +180,16 @@ class ShiftForm(NamedTuple):
     scale: LaurentPoly
 
 
-def _word_form(word, table, forms) -> Form:
-    """The form of a word of symbols over ``table``, read from ``forms``.
-
-    ``forms`` maps words to their forms over this one table, and is first
-    given the empty word's, the identity.  A missing word is its first letter
-    stepped onto the form of the rest: each suffix is composed once per memo.
+def _word_form(word, table) -> Form:
+    """The form of a word of symbols over ``table``, read from its memo
+    ``table.forms``, which maps words to their forms over that table and
+    starts with the empty word's, the identity.  A missing word is its first
+    letter stepped onto the form of the rest: each suffix is composed once
+    per table.
     """
+    forms = table.forms
     form = forms.get(word)
     if form is None:
-        if () not in forms:
-            forms[()] = (0,) * table.nvars, {(0, (0,) * table.nvars): 1}, 0
         i = 0
         while word[i:] not in forms:
             i += 1
@@ -218,7 +218,7 @@ def _q_minus_qinv_power(n: int) -> LaurentPoly:
                         for k in range(n + 1)})
 
 
-def compile_relation(lhs, rhs, table, forms=None) -> ShiftForm:
+def compile_relation(lhs, rhs, table) -> ShiftForm:
     """The shift-vector form of lhs - rhs, two OperatorExprs, over an
     ActionTable: ``_add_terms`` adds the terms of ``lhs``, and subtracts
     those of ``rhs``, into the same components, never into an expression.
@@ -226,21 +226,18 @@ def compile_relation(lhs, rhs, table, forms=None) -> ShiftForm:
     Every entry of an ``ActionTable`` is a ``ShiftWord``.  A symbol the
     table does not know raises the ``KeyError`` of ``ActionTable.entry``.
 
-    ``forms`` is a ``_word_form`` memo for calls over this one ``table`` (a
-    fresh one if None), so one memo passed to every call over the table
-    composes each suffix of each word once.  A memo must never be passed to
-    a call over another table.
+    Each word's form is read from the table's memo (``_word_form``), so the
+    calls over one table compose each suffix of each word once.
 
     Both sides are first multiplied by L, the product of the distinct
     denominators of their coefficients, and by (q - q^-1)^D, D the largest
     number of divisions in one word, so that every component has Laurent
     coefficients in q.  Both factors are nonzero; ``scale`` records them.
     """
-    forms = {} if forms is None else forms
     words, dens, depth = [], [], 0
     for expr, sign in ((lhs, 1), (rhs, -1)):
         for word, c in expr.terms.items():
-            form = _word_form(word, table, forms)
+            form = _word_form(word, table)
             if form[2] > depth:
                 depth = form[2]
             k = -1                      # a polynomial c: the last co-factor

@@ -21,9 +21,8 @@ q-integer.  ``reference_apply`` is
 ``opcalc.apply`` as it was before it walked each word in factored form:
 one ``ScalarQ`` product per letter and term, each read from the table's
 entry itself, so it shares nothing with ``ActionTable.act``.  ``_run`` is
-the reference reader of a q-integer run from a Laurent polynomial's terms,
-which ``opcalc.walk_word`` used before ``ActionTable.act`` read each letter
-as a run.  ``reference_relation_instances``,
+the reference reader of a term v q^k [n] from a Laurent polynomial's terms,
+the form in which ``ActionTable.act`` reads each letter.  ``reference_relation_instances``,
 ``reference_algebra_relations`` and ``reference_uqsl_relation_instances``
 are ``iqg.relation_instances``, ``weyl.algebra_relations`` and
 ``weyl.uqsl_relation_instances`` as they were before they built their
@@ -377,12 +376,13 @@ def reference_q_product(ns, start=1) -> LaurentPoly:
 
 
 def _run(c):
-    """(lo, m, v) if c is v*q^lo*(1 + q^2 + ... + q^(2(m-1))), else None."""
-    lo, m = min(c), len(c)
+    """(k, v, n) if c is v*q^k*[n] with n >= 1, else None: n terms v, two
+    exponents apart, centred on q^k."""
+    lo, hi, n = min(c), max(c), len(c)
     v = c[lo]
-    if max(c) - lo == 2 * (m - 1) and all(
+    if hi - lo == 2 * (n - 1) and all(
             w == v and not (e - lo) & 1 for e, w in c.items()):
-        return lo, m, v
+        return (lo + hi) // 2, v, n
     return None
 
 
@@ -723,13 +723,13 @@ def eager_algebra_table(xi, names: str) -> ActionTable:
 
 def eager_image_table(images, table: ActionTable) -> ActionTable:
     """The homomorphism ``images`` followed by ``table``'s action, every
-    image summed into one ``ShiftWord`` at once, from one memo of word
-    forms."""
-    n, forms, entries = table.nvars, {}, {}
+    image summed into one ``ShiftWord`` at once, from ``table``'s memo of
+    word forms."""
+    n, entries = table.nvars, {}
     for sym, image in images.items():
         shapes, total = set(), {}
         for word, c in image.terms.items():
-            delta, poly, divided = _word_form(word, table, forms)
+            delta, poly, divided = _word_form(word, table)
             shapes.add((delta, divided))
             _add_terms(total, poly, c.as_laurent())
         if len(shapes) > 1:

@@ -599,19 +599,22 @@ def test_act_mixes_alias_and_generator_letters(capsys, spec, image):
 
 
 def walk_form(polys):
-    """The factored form that ``witness`` compares, (end monomial, content,
-    q-shift, sorted m >= 2), of the word walk over a one-variable table
-    whose i-th letter sends X0^j to polys[i] X0^(j+1).  Each polys[i] is a
-    run, and each letter a divided run ``ShiftWord`` with that run."""
+    """The factored form that ``witness`` compares, (end monomial, v, k,
+    sorted n >= 2), of the word walk over a one-variable table whose i-th
+    letter sends X0^j to polys[i] X0^(j+1).  Each polys[i] is v*q^k*[n], and
+    each letter the divided ``ShiftWord`` (v*q^(k+n) - v*q^(k-n))/(q - q^-1),
+    its terms listed low first at odd i, where ``run`` reads -n and folds
+    the sign into v."""
     entries = {}
     for i, c in enumerate(polys):
-        lo, m, v = _run(dict(c.items()))
+        k, v, n = _run(dict(c.items()))
+        terms = ((v, k + n, ()), (-v, k - n, ()))
         entries[GeneratorSymbol("e", i)] = ShiftWord(
-            ((0, 1),), ((v, lo - 1 + 2 * m, ()), (-v, lo - 1, ())), 1)
+            ((0, 1),), terms[::-1] if i & 1 else terms, 1)
     table = ActionTable(1, entries)
     word = [GeneratorSymbol("e", i) for i in range(len(polys))]
-    end, lo, v, widths = walk_word(word[::-1], (0,), table)
-    return end, v, lo + sum(widths) - len(widths), sorted(widths)
+    end, k, v, ns = walk_word(word[::-1], (0,), table)
+    return end, v, k, sorted(ns)
 
 
 def run_poly(lo, m, v):

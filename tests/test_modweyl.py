@@ -39,13 +39,12 @@ def test_direct_action_formulas():
 
 
 def test_act_reads_run_entries_as_steps():
-    # act reads each ShiftWord entry as one step (target, lo, v, m):
-    # v*q^lo*(1 + q^2 + ... + q^(2(m-1))), [6] = q^-5*(1 + ... + q^10) here;
-    # a zero image is None
+    # act reads each ShiftWord entry as one step (target, k, v, n):
+    # v*q^k*[n], [xi_1 a_1] = [6] here; a zero image is None
     table = modweyl_table(build_diagram("A1AFF"))  # xi = (1, 3)
-    assert table.act(d_(1), (0, 2)) == ((0, 1), -5, 1, 6)
+    assert table.act(d_(1), (0, 2)) == ((0, 1), 0, 1, 6)
     assert table.act(d_(1), (2, 0)) is None
-    assert table.act(d_(0), (3, 0)) == ((2, 0), -2, 1, 3)
+    assert table.act(d_(0), (3, 0)) == ((2, 0), 0, 1, 3)
     assert table.act(x_(0), (1, 1)) == ((2, 1), 0, 1, 1)
     assert table.act(m_(1), (0, 2)) == ((0, 2), 6, 1, 1)
     assert table.act(m_(1, True), (0, 2)) == ((0, 2), -6, 1, 1)

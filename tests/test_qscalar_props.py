@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from closed_forms import _run, reference_q_product
 from evaluation import eval_laurent, eval_scalar
 from qweyl.opcalc import QPolynomial, poly_from_text, poly_to_text
-from qweyl.qscalar import (LaurentPoly, ScalarQ, _canonical, _window_product,
-                           factorial_steps, q_factorial, q_integer, q_product)
+from qweyl.qscalar import (LaurentPoly, ScalarQ, _canonical, factorial_steps,
+                           q_factorial, q_integer, q_product)
 
 Q = sympy.Symbol("q")
 SAMPLE_POINTS = (Fraction(2), Fraction(-3), Fraction(1, 3), Fraction(-5, 7),
@@ -207,10 +207,17 @@ def assert_run_product(p, lo, m, v):
     for product in (p * run, run * p):
         assert dict(product.items()) == expected
         assert_coefficient_types(product)
-    if p:
-        direct = _window_product(dict(p.items()), (m,), lo, v)
-        assert dict(direct.items()) == expected
+    # the run is v*q^(lo+m-1)*[m]: q_product's window pass, alone and beside
+    # the factors [1] = 1, [-1] = -1 and [0] = 0, on the start p*v*q^(lo+m-1)
+    start = p._term_mul(lo + m - 1, v)
+    for ns, sign in (([m], 1), ([-m], -1), ([1, m, 1], 1), ([m, -1], -1),
+                     ([-1, -m, 1], 1)):
+        direct = q_product(ns, start)
+        assert dict(direct.items()) == {e: sign * w
+                                        for e, w in expected.items()}
         assert_coefficient_types(direct)
+    assert q_product([m, 0, 1], start).is_zero
+    assert q_product([0, -1], start).is_zero
 
 
 @settings(max_examples=300, deadline=None)
@@ -249,7 +256,7 @@ def test_run_product_matches_sympy(p, params):
 def test_runs_are_detected_from_the_factor(params):
     lo, m, v = params
     c = dict(run_poly(lo, m, v).items())
-    assert _run(c) == (lo, m, v)
+    assert _run(c) == (lo + m - 1, v, m)        # v*q^(lo+m-1)*[m]
     if m > 1:
         assert _run({**c, lo: v + 1}) is None        # a coefficient differs
         assert _run({**c, lo + 1: v}) is None        # a term of the other parity

@@ -131,9 +131,13 @@ def test_divided_rule_matches_divexact_and_refuses_a_remainder():
 @pytest.mark.parametrize("kind,r", ALL_DIAGRAMS)
 def test_factored_run_matches_the_expanded_image(kind, r):
     # Every entry of every oscillator table, at every monomial of degree
-    # <= 4: run reads the image that __call__ expands, or m = 0 where it
-    # is empty.
-    for d in [build_diagram(kind, r)] + xi_variants(kind, r):
+    # <= 4: run reads the image that __call__ expands, v*q^k*[n], or n = 0
+    # where it is empty.  Besides xi_variants, each slot's xi is set to -1,
+    # -2 and -3 in turn, so that ladder letters too read a negative n.
+    d = build_diagram(kind, r)
+    negative = [d.with_xi(slot, xi) for slot in range(d.nslots)
+                for xi in (-1, -2, -3)]
+    for d in [d] + xi_variants(kind, r) + negative:
         table = oscillator_action(d)
         monomials = monomials_up_to(d.nslots, 4)
         for word in map(table.entry, table.symbols):
@@ -143,8 +147,8 @@ def test_factored_run_matches_the_expanded_image(kind, r):
                     assert got[3] == 0, (word, a)
                     continue
                 (target, c), = image
-                lo, m, v = _run(c.as_laurent()._c)
-                assert got == (target, lo, v, m), (word, a)
+                k, v, n = _run(c.as_laurent()._c)
+                assert got == (target, k, v, n), (word, a)
 
 
 def test_factored_run_refuses_what_is_not_a_run():
@@ -170,8 +174,12 @@ def test_factored_run_refuses_what_is_not_a_run():
     assert got == ((1,), 5, 2, 1) and type(got[2]) is int
     divided = ShiftWord(((0, 1),), ((-1, 0, ((0, -1),)), (1, 0, u)), 1)
     assert divided.is_run
-    assert divided.run((3,)) == ((4,), -2, 1, 3)    # [3] = q^-2 + 1 + q^2
-    assert divided.run((0,))[3] == 0                # [0] = 0: m = 0
+    # (q^3 - q^-3)/(q - q^-1) = [3], listed low term first: the run reads
+    # n = -3 and folds its sign into v, and -[3] = [-3] reads v = -1
+    assert divided.run((3,)) == ((4,), 0, 1, 3)
+    negated = divided._replace(terms=((1, 0, ((0, -1),)), (-1, 0, u)))
+    assert negated.run((3,)) == ((4,), 0, -1, 3)
+    assert divided.run((0,))[3] == 0                # [0] = 0: n = 0
 
 
 def _src_tables(d):
@@ -281,8 +289,8 @@ def _record_compiles(patch):
     the list of (lhs - rhs, table, form) it fills."""
     calls = []
 
-    def recorded(lhs, rhs, table, *rest):
-        form = compile_relation(lhs, rhs, table, *rest)
+    def recorded(lhs, rhs, table):
+        form = compile_relation(lhs, rhs, table)
         calls.append((lhs - rhs, table, form))
         return form
 
@@ -378,7 +386,9 @@ def test_verify_steps_each_word_suffix_once(monkeypatch, kind, r):
     # One image_table call, and one verify_relations call, composes each
     # distinct suffix of the words it reads once, one letter onto the next
     # shorter suffix, on every suite's table; composing every word afresh
-    # takes more letter steps.
+    # takes more letter steps.  Each suite gets fresh tables: a suffix that
+    # an earlier suite composed over the same table is read from that
+    # table's memo and not stepped again.
     real = shift._step
     steps = []
 
@@ -387,7 +397,9 @@ def test_verify_steps_each_word_suffix_once(monkeypatch, kind, r):
         return real(letter, form)
 
     monkeypatch.setattr(shift, "_step", counted)
-    for table, instances, push in _suites(build_diagram(kind, r)):
+    d = build_diagram(kind, r)
+    for suite in range(5):
+        table, instances, push = _suites(d)[suite]
         if push is not None:
             steps.clear()
             table = image_table(push, table)
@@ -490,12 +502,14 @@ def test_word_forms_are_never_shared_between_tables(capsys, monkeypatch):
 def test_word_form_memo_holds_words_only():
     # The powers of q - q^-1 come from one cache for the process, not from
     # the memo: after a verify_relations-style run over a divided table,
-    # every memo key is a word, and each power is the repeated product.
+    # every key of the table's memo is a word, and each power is the
+    # repeated product.
     d = build_diagram("A1AFF")
-    table, forms = modweyl_table(d), {}
+    table = modweyl_table(d)
     for _, _, lhs, rhs in modweyl_relation_instances(d):
-        compile_relation(lhs, rhs, table, forms)
-    assert forms and all(isinstance(key, tuple) for key in forms)
+        compile_relation(lhs, rhs, table)
+    forms = table.forms
+    assert len(forms) > 1 and all(isinstance(key, tuple) for key in forms)
     power = LaurentPoly.one()
     for n in range(6):
         assert shift._q_minus_qinv_power(n) == power, n
