@@ -8,7 +8,8 @@ a residual search that stops at its first residual, every entry's
 factored run against its expanded image, every entry of every table that
 qweyl builds a run, entries built on their first lookup against the
 tables built at once, image tables that compose nothing before a lookup,
-and a word-form memo that holds words only."""
+a word-form memo that holds words only, and a modweyl suite that compiles
+its @iota relations only when iota fails to realize a generator."""
 
 import functools
 import json
@@ -19,8 +20,8 @@ import pytest
 
 from closed_forms import (_run, eager_algebra_table, eager_image_table,
                           reference_compile_relation, xi_variants)
-from qweyl import opcalc, qscalar, shift
-from qweyl.cli import main
+from qweyl import modweyl, opcalc, qscalar, shift
+from qweyl.cli import main, run_suite
 from qweyl.iqg import (_alias_images, e_, oscillator_action, phi,
                        presentation, relation_instances)
 from qweyl.modweyl import (d_, iota_map, iota_table, m_,
@@ -305,6 +306,46 @@ def test_verify_compiles_each_relation_once(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 1 and " FAIL\n" in out
     assert len(calls) == out.count("RELATION ")
+
+
+@pytest.mark.parametrize("spec", MATRIX_SPECS)
+def test_modweyl_suite_compiles_each_relation_once(monkeypatch, spec):
+    # iota realizes every generator, so the @iota entries are read off the
+    # direct pass: one compile per instance and one per iota(g) = g.
+    calls = _record_compiles(monkeypatch)
+    diagram = parse_spec(spec)
+    run_suite(diagram, "modweyl", 2)
+    assert len(calls) == (len(modweyl_relation_instances(diagram))
+                          + len(iota_map(diagram)))
+
+
+def test_failing_iota_consistency_compiles_the_iota_relations(
+        capsys, monkeypatch, tmp_path):
+    # A scaled d_1 image breaks iota: the @iota relations are compiled over
+    # the broken image table, never copied from the direct pass.
+    original = modweyl.iota_map
+
+    def scaled(diagram):
+        images = original(diagram)
+        images[d_(1)] = images[d_(1)].scale(ScalarQ.q_power(1))
+        return images
+
+    monkeypatch.setattr(modweyl, "iota_map", scaled)
+    path = tmp_path / "report.json"
+    code = main(["verify", "--diagram", "I:r=1", "--suite", "modweyl",
+                 "--max-degree", "2", "--json", str(path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "RELATION modweyl.iota_consistency[d1] FAIL\n" in out
+    relations = json.loads(path.read_text())["relations"]
+    diagram = parse_spec("I:r=1")
+    expected = verify_relations(modweyl_relation_instances(diagram),
+                                image_table(scaled(diagram), weyl_table(3)), 2)
+    for entry in expected:
+        entry["relation_id"] += "@iota"
+    iota = [e for e in relations if e["relation_id"].endswith("@iota")]
+    assert iota == expected
+    assert report_failures(iota)
 
 
 @pytest.mark.parametrize("spec", MATRIX_SPECS)
