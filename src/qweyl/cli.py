@@ -190,7 +190,8 @@ def _cmd_witness(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
+    """The argument parser, built once per process; its ``commands`` maps
+    each command name to that command's parser."""
     parser = argparse.ArgumentParser(
         prog="qweyl",
         description="Exact q-Weyl algebra, coideal relation verification and "
@@ -224,12 +225,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monomial", required=True, help="comma-separated, e.g. 1,2")
     p.add_argument("--direction", choices=("up", "down"), default="up")
     p.set_defaults(func=_cmd_witness)
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command line.  It goes straight to its command's parser; one
+    that names no command, or leaves an argument over, goes through the full
+    parser, so every usage error and help text is the full parser's."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:]) if command else (None, ())
+    if command is None or rest:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:

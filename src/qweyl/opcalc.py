@@ -22,7 +22,7 @@ from operator import add, index
 from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
 from .qscalar import ScalarQ, q_product
-from .shift import (ShiftForm, ShiftWord, _add_terms, _word_form,
+from .shift import (ShiftForm, ShiftWord, _add_terms, _identity, _word_form,
                     compile_relation)
 
 Monomial = Tuple[int, ...]
@@ -300,8 +300,7 @@ class ActionTable:
         self._built = {sym: _checked(sym, entry)
                        for sym, entry in entries.items()}
         self._builders = dict(builders) if builders else {}
-        zero = (0,) * nvars
-        self.forms = {(): (zero, {(0, zero): 1}, 0)}
+        self.forms = {(): _identity(nvars)}
 
     @property
     def symbols(self):
@@ -360,9 +359,9 @@ def image_table(images: Dict[GeneratorSymbol, OperatorExpr],
             image = image()
         shapes, total = set(), {}
         for word, c in image.terms.items():
-            delta, poly, divided = _word_form(word, table)
-            shapes.add((delta, divided))
-            _add_terms(total, poly, c.as_laurent())
+            form = _word_form(word, table)
+            shapes.add((form[0], form[2]))
+            _add_terms(total, form, c.as_laurent())
         if len(shapes) > 1:
             raise ValueError("words differ in shift vector or d-count")
         delta, divided = shapes.pop() if shapes else ((0,) * n, 0)

@@ -25,49 +25,107 @@ two sides, lhs - rhs, into components.  The sides agree on every monomial
 iff every component is zero, because distinct characters a -> q^{m.a} are
 linearly independent on N^n.  The guard "d_i kills X^a when a_i = 0" needs
 no special case: the factor [xi_i * 0] is already 0.
+
+A compiled polynomial P maps each term q^e u^m, over slots 0..r+1, to its
+coefficient, keyed by one int, the Kronecker substitution
+e + sum_j m_j 2^(24 (j+1)): e, m_0, m_1, ... are its balanced base-2^24
+digits, each in (-2^23, 2^23), so a step moves a term by adding one int and
+costs O(touched slots), whatever the rank.  Only this module knows the
+format: ``_decode`` reads a key back.  A key never aliases: each form
+carries a bound on the size of its digits, which every letter step and
+every coefficient raises, and a step or coefficient that could let a digit
+reach 2^23 raises a ValueError before it packs such a key; a digit of
+2^23 - 1 packs.  Words in the relations qweyl builds stay far inside it,
+but a library caller may compile a word of any length.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from math import comb, prod
-from typing import Dict, NamedTuple, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
-from .qscalar import ONE, InexactDivisionError, LaurentPoly, ScalarQ, _coeff
+from .qscalar import ONE, LaurentPoly, ScalarQ, _coeff
 
 Vector = Tuple[int, ...]
 Sparse = Tuple[Tuple[int, int], ...]
-# (q exponent, u exponent vector) -> nonzero int or Fraction coefficient
-ShiftPoly = Dict[Tuple[int, Vector], object]
+# packed key q^e u^m (see the module docstring) -> nonzero int or Fraction
+ShiftPoly = Dict[int, object]
+
+_BITS = 24
+_HALF = 1 << (_BITS - 1)    # every digit of a key lies in (-_HALF, _HALF)
+_MASK = (1 << _BITS) - 1
+
+# (delta, P, D, bound): shift vector, polynomial, d-count, and a bound below
+# _HALF on the size of every digit of P's keys
+Form = Tuple[Vector, ShiftPoly, int, int]
 
 
-Form = Tuple[Vector, ShiftPoly, int]
+def _identity(nvars: int) -> Form:
+    """The form of the empty word over ``nvars`` slots: 1, unshifted."""
+    return (0,) * nvars, {0: 1}, 0, 0
+
+
+def _decode(key: int) -> Tuple[int, Sparse]:
+    """(e, m) of a packed key q^e u^m, m as (slot, nonzero exponent) pairs;
+    reads digits only up to the highest nonzero slot.  With 2^23 added, the
+    low 24 bits of a key are its lowest digit plus 2^23, and the bits above
+    them are the key of its higher digits."""
+    key += _HALF
+    e = (key & _MASK) - _HALF
+    key >>= _BITS
+    us, j = [], 0
+    while key:
+        key += _HALF
+        m = (key & _MASK) - _HALF
+        if m:
+            us.append((j, m))
+        key >>= _BITS
+        j += 1
+    return e, tuple(us)
+
+
+def _unpackable(bound: int) -> ValueError:
+    return ValueError("a compiled exponent could reach 2^%d (%d > %d): the "
+                      "word is too long or its exponents too large"
+                      % (_BITS - 1, bound, _HALF - 1))
 
 
 def _step(letter: "ShiftWord", form: Form) -> Form:
-    """The form (delta, P, D) of ``letter`` applied after a word of ``form``.
+    """The form (delta, P, D, bound) of ``letter`` applied after a word of
+    ``form``.
 
     The word has shifted the exponents by delta, so each term q^e u^m of the
-    letter becomes q^{e + m.delta} u^m; the letter's own shift and d-count
-    add to delta and D.  Returns a new form and leaves ``form`` as it is.
+    letter becomes q^{e + m.delta} u^m, which moves every key of P by one
+    int; the letter's own shift and d-count add to delta and D.  The bound
+    grows by the largest digit of any such move, and a term whose move
+    could take a digit to 2^23 raises a ValueError before it packs a key.
+    Returns a new form and leaves ``form`` as it is.
     """
-    shift, poly, divided = form
+    shift, poly, divided, bound = form
     nxt: ShiftPoly = {}
+    top = bound
     for tv, dq, tu in letter.terms:
+        off = 0
         for j, m in tu:
             dq += m * shift[j]
-        for (qe, uv), v in poly.items():
-            w = uv
-            for j, m in tu:
-                w = w[:j] + (w[j] + m,) + w[j + 1:]
-            key = (qe + dq, w)
+            off += m << _BITS * (j + 1)
+            if bound + abs(m) > top:
+                top = bound + abs(m)
+        if bound + abs(dq) > top:
+            top = bound + abs(dq)
+        if top >= _HALF:
+            raise _unpackable(top)
+        off += dq
+        for key, v in poly.items():
+            key += off
             nxt[key] = nxt.get(key, 0) + v * tv
     if letter.delta:
         moved = list(shift)
         for j, s in letter.delta:
             moved[j] += s
         shift = tuple(moved)
-    return shift, nxt, divided + letter.divided
+    return shift, nxt, divided + letter.divided, top
 
 
 class ShiftWord(NamedTuple):
@@ -94,11 +152,22 @@ class ShiftWord(NamedTuple):
     @classmethod
     def from_poly(cls, delta: Vector, poly: ShiftPoly, divided: int = 0
                   ) -> "ShiftWord":
-        """X^a to P(q, q^a) / (q - q^-1)^divided times X^{a + delta}."""
-        return cls(_sparse(delta), tuple([(v, qe, _sparse(uv)) for (qe, uv), v
-                                          in poly.items() if v]), divided)
+        """X^a to P(q, q^a) / (q - q^-1)^divided times X^{a + delta}, each
+        key of P read by ``_decode``."""
+        terms = []
+        for key, v in poly.items():
+            if v:
+                e, us = _decode(key)
+                terms.append((v, e, us))
+        return cls(_sparse(delta), tuple(terms), divided)
 
     def __call__(self, mon):
+        """X^mon's image [(target, c)] under an undivided word, [] if c = 0;
+        a divided word raises a ValueError, its division left to the
+        caller."""
+        if self.divided:
+            raise ValueError("only an undivided ShiftWord is evaluated; this "
+                             "one is over (q - q^-1)^%d" % self.divided)
         num = {}
         for c, e, us in self.terms:
             for j, m in us:
@@ -107,21 +176,6 @@ class ShiftWord(NamedTuple):
         tgt = list(mon)
         for j, s in self.delta:
             tgt[j] += s
-        # Divide by q - q^-1 as the running sum Q_{e-1} = P_e + Q_{e+1}
-        # down from the top exponent, per parity; exact iff both end at 0.
-        for _ in range(self.divided):
-            if not num:
-                break
-            low, high, quo = min(num), max(num), {}
-            for top in (high, high - 1):
-                acc = 0
-                for e in range(top, low - 1, -2):
-                    acc += num.get(e, 0)
-                    if acc:
-                        quo[e - 1] = acc
-                if acc:
-                    raise InexactDivisionError("not divisible by q - q^-1")
-            num = quo
         c = LaurentPoly(num)
         return [] if c.is_zero else [(tuple(tgt), ScalarQ(c))]
 
@@ -170,14 +224,15 @@ def _sparse(v: Vector) -> Sparse:
 class ShiftForm(NamedTuple):
     """A compiled expression: ``scale`` times it maps X^a to the sum over
     ``components`` of P_delta(q, q^a) X^{a+delta}, where each component
-    P_delta maps (q exponent, u exponent vector) to a coefficient.
+    P_delta maps the packed key of each term q^e u^m (``_decode``) to its
+    coefficient.
 
     Only nonzero components are kept, so the expression is the zero operator
-    iff ``components`` is empty.
+    iff ``components`` is empty; its ``scale`` is then None.
     """
 
     components: Dict[Vector, ShiftPoly]
-    scale: LaurentPoly
+    scale: Optional[LaurentPoly]
 
 
 def _word_form(word, table) -> Form:
@@ -200,13 +255,18 @@ def _word_form(word, table) -> Form:
     return form
 
 
-def _add_terms(comp, poly, coeff, sign=1):
-    """Add sign * coeff(q) times ``poly`` into ``comp``: a term v q^qc of
-    coeff moves each term q^qe u^m of ``poly`` to q^(qe + qc) u^m."""
+def _add_terms(comp, form: Form, coeff, sign=1):
+    """Add sign * coeff(q) times the polynomial of ``form`` into ``comp``: a
+    term v q^qc of coeff moves each key of it by qc, its q digit.  A qc that
+    could take a digit past the form's bound to 2^23 raises a ValueError
+    before any key is packed."""
+    poly, room = form[1], _HALF - form[3]
     for qc, vc in coeff.items():
+        if not -room < qc < room:
+            raise _unpackable(form[3] + abs(qc))
         vc *= sign
-        for (qe, uv), v in poly.items():
-            key = (qe + qc, uv)
+        for key, v in poly.items():
+            key += qc
             comp[key] = comp.get(key, 0) + v * vc
 
 
@@ -232,7 +292,11 @@ def compile_relation(lhs, rhs, table) -> ShiftForm:
     Both sides are first multiplied by L, the product of the distinct
     denominators of their coefficients, and by (q - q^-1)^D, D the largest
     number of divisions in one word, so that every component has Laurent
-    coefficients in q.  Both factors are nonzero; ``scale`` records them.
+    coefficients in q.  Both factors are nonzero; ``scale`` records them,
+    and is built only for a nonzero form.
+
+    A word or coefficient whose exponents could reach 2^23 in a packed key
+    raises a ValueError (see the module docstring).
     """
     words, dens, depth = [], [], 0
     for expr, sign in ((lhs, 1), (rhs, -1)):
@@ -253,17 +317,17 @@ def compile_relation(lhs, rhs, table) -> ShiftForm:
                 for k in range(len(dens))]
         rest.append(prod(dens, start=ONE))
     components: Dict[Vector, ShiftPoly] = {}
-    for (shift, poly, divided), coeff, k, sign in words:
+    for form, coeff, k, sign in words:
         if dens:
             coeff = coeff * rest[k]
-        if divided < depth:
-            coeff = coeff * _q_minus_qinv_power(depth - divided)
-        _add_terms(components.setdefault(shift, {}), poly, coeff, sign)
+        if form[2] < depth:
+            coeff = coeff * _q_minus_qinv_power(depth - form[2])
+        _add_terms(components.setdefault(form[0], {}), form, coeff, sign)
     for delta in list(components):
         comp = {key: v for key, v in components[delta].items() if v}
         if comp:
             components[delta] = comp
         else:
             del components[delta]
-    return ShiftForm(components,
-                     prod(dens, start=_q_minus_qinv_power(depth)))
+    return ShiftForm(components, prod(dens, start=_q_minus_qinv_power(depth))
+                     if components else None)

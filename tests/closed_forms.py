@@ -15,9 +15,13 @@ was before it skipped its products by 1: every coefficient times the product
 of the other denominators and times a power of q - q^-1, that power and the
 product taken even when they are 1.  It composes each word afresh with
 ``compose``, ``shift``'s fold of one word before the compiler read word
-forms from a memo.  ``reference_q_product`` is ``qscalar.q_product`` as it
-was before it ran on dense lists: one ``LaurentPoly`` product per
-q-integer.  ``reference_apply`` is
+forms from a memo, and reads each key back by ``shift._decode`` (as
+``decoded`` reads compiled components) and packs it again by ``packed``,
+one letter stepped by the compiler: no test knows the key format.
+``evaluate`` is ``ShiftWord.__call__`` as it was before it left the
+division by (q - q^-1)^D to its caller: the image of any entry.
+``reference_q_product`` is ``qscalar.q_product`` as it was before it ran on
+dense lists: one ``LaurentPoly`` product per q-integer.  ``reference_apply`` is
 ``opcalc.apply`` as it was before it walked each word in factored form:
 one ``ScalarQ`` product per letter and term, each read from the table's
 entry itself, so it shares nothing with ``ActionTable.act``.  ``_run`` is
@@ -48,13 +52,13 @@ from qweyl.iqg import B_, H_, e_, f_, k_, presentation, t_
 from qweyl.opcalc import (ActionTable, GeneratorSymbol, OperatorExpr,
                           QPolynomial, apply, monomials_of_degree,
                           monomials_up_to)
-from qweyl.qscalar import (ONE, Q_MINUS_QINV, LaurentPoly, ScalarQ,
-                           factorial_steps, q_binomial, q_factorial, q_integer,
-                           q_product)
+from qweyl.qscalar import (Q_MINUS_QINV, InexactDivisionError, LaurentPoly,
+                           ScalarQ, factorial_steps, q_binomial, q_factorial,
+                           q_integer, q_product)
 from qweyl.satake import (SatakeDiagram, _build_a1aff, _varsigma_map,
                           build_diagram)
-from qweyl.shift import (Form, ShiftForm, ShiftWord, _add_terms, _step,
-                         _word_form)
+from qweyl.shift import (Form, ShiftForm, ShiftWord, _add_terms, _decode,
+                         _identity, _step, _word_form)
 from qweyl.weyl import E, F, K, cartan_entry
 
 
@@ -324,47 +328,91 @@ def per_node_axioms_check(diagram: SatakeDiagram, s, table):
     return report
 
 
-def compose(letters, nvars: int, coeff: LaurentPoly = ONE) -> Form:
-    """The form of coeff(q) times a word of ShiftWords, rightmost first.
+def packed(qe: int, us, nvars: int) -> int:
+    """The key of the term q^qe u^us (``us`` as (slot, exponent) pairs) in
+    ``nvars`` slots, as the compiler packs it: one letter of that one term
+    stepped onto the identity."""
+    letter = ShiftWord((), ((1, qe, tuple(us)),), 0)
+    (key,) = _step(letter, _identity(nvars))[1]
+    return key
 
-    Returns (delta, P, D): the word sends X^a to P(q, q^a) / (q - q^-1)^D
-    times X^{a+delta}, with D the sum of the letters' ``divided``.
+
+def decoded(components) -> dict:
+    """Compiled components with every key read by ``shift._decode``, as
+    (q exponent, sparse u exponents)."""
+    return {delta: {_decode(key): v for key, v in poly.items()}
+            for delta, poly in components.items()}
+
+
+def evaluate(word: ShiftWord, mon):
+    """``word``'s image of X^mon as [(target, c)], [] if c = 0: its
+    numerator, divided by q - q^-1 ``word.divided`` times as the running sum
+    Q_{e-1} = P_e + Q_{e+1} down from the top exponent, per parity, exact
+    iff both sums end at 0 (else an ``InexactDivisionError``)."""
+    image = word._replace(divided=0)(mon)
+    if not image:
+        return []
+    (tgt, c), = image
+    num = dict(c.num.items())
+    for _ in range(word.divided):
+        low, high, quo = min(num), max(num), {}
+        for top in (high, high - 1):
+            acc = 0
+            for e in range(top, low - 1, -2):
+                acc += num.get(e, 0)
+                if acc:
+                    quo[e - 1] = acc
+            if acc:
+                raise InexactDivisionError("not divisible by q - q^-1")
+        num = quo
+    return [(tgt, ScalarQ(LaurentPoly(num)))]
+
+
+def compose(letters, nvars: int) -> Form:
+    """The form of a word of ShiftWords, rightmost first.
+
+    Returns (delta, P, D, bound): the word sends X^a to P(q, q^a) /
+    (q - q^-1)^D times X^{a+delta}, with D the sum of the letters'
+    ``divided``.
     """
-    zero = (0,) * nvars
-    form = zero, {(qe, zero): v for qe, v in coeff.items()}, 0
+    form = _identity(nvars)
     for letter in reversed(letters):
         form = _step(letter, form)
     return form
 
 
 def reference_compile_relation(expr, table) -> ShiftForm:
-    """``compile_relation`` with every product by 1 still taken."""
+    """``compile_relation`` with every product by 1 still taken, on keys
+    read back as (q exponent, sparse u exponents) and packed again at the
+    end; ``scale`` is None for the zero form, as there."""
     n = table.nvars
     words = [(compose([table.entry(sym) for sym in word], n), c)
              for word, c in expr.terms.items()]
     dens = {c.den for _, c in words if not c.is_polynomial}
     rest = {den: prod((d for d in dens if d != den), start=LaurentPoly.one())
             for den in dens | {LaurentPoly.one()}}
-    depth = max((divided for (_, _, divided), _ in words), default=0)
+    depth = max((form[2] for form, _ in words), default=0)
     powers = [LaurentPoly.one()]
     for _ in range(depth):
         powers.append(powers[-1] * Q_MINUS_QINV)
     components = {}
-    for (shift, poly, divided), c in words:
+    for (shift, poly, divided, _), c in words:
         coeff = c.num * rest[c.den] * powers[depth - divided]
         comp = components.setdefault(shift, {})
+        terms = [(_decode(key), v) for key, v in poly.items()]
         for qc, vc in coeff.items():
-            for (qe, uv), v in poly.items():
-                key = (qe + qc, uv)
+            for (qe, us), v in terms:
+                key = (qe + qc, us)
                 comp[key] = comp.get(key, 0) + v * vc
     for delta in list(components):
-        comp = {key: v for key, v in components[delta].items() if v}
+        comp = {packed(qe, us, n): v
+                for (qe, us), v in components[delta].items() if v}
         if comp:
             components[delta] = comp
         else:
             del components[delta]
     scale = prod(dens, start=LaurentPoly.one()) * powers[depth]
-    return ShiftForm(components, scale)
+    return ShiftForm(components, scale if components else None)
 
 
 def reference_q_product(ns, start=1) -> LaurentPoly:
@@ -395,7 +443,7 @@ def reference_apply(expr: OperatorExpr, p: QPolynomial,
         for sym in reversed(word):
             nxt = []
             for mon, coeff in pending:
-                for mon2, coeff2 in table.entry(sym)(mon):
+                for mon2, coeff2 in evaluate(table.entry(sym), mon):
                     nxt.append((mon2, coeff * coeff2))
             pending = nxt
             if not pending:
@@ -729,9 +777,9 @@ def eager_image_table(images, table: ActionTable) -> ActionTable:
     for sym, image in images.items():
         shapes, total = set(), {}
         for word, c in image.terms.items():
-            delta, poly, divided = _word_form(word, table)
-            shapes.add((delta, divided))
-            _add_terms(total, poly, c.as_laurent())
+            form = _word_form(word, table)
+            shapes.add((form[0], form[2]))
+            _add_terms(total, form, c.as_laurent())
         if len(shapes) > 1:
             raise ValueError("words differ in shift vector or d-count")
         delta, divided = shapes.pop() if shapes else ((0,) * n, 0)

@@ -353,6 +353,57 @@ def test_bad_subcommand_usage_error():
     assert exc.value.code == 2
 
 
+USAGE_ARGVS = [
+    [],
+    ["frobnicate"],
+    ["verif", "--diagram", "I:r=0", "--max-degree", "0"],
+    ["-h"],
+    ["-h", "verify"],
+    ["verify", "-h"],
+    ["crystal", "--diagram", "I:r=0", "--s", "1", "-h"],
+    ["verify", "--diagram", "I:r=0", "--max-degree", "2", "--bogus"],
+    ["act", "--diagram", "I:r=1", "--word", "e1", "--poly", "X2", "extra"],
+    ["verify", "--diagram", "I:r=0"],
+    ["witness", "--diagram", "I:r=0"],
+    ["verify", "--diagram", "I:r=0", "--max-degree", "0", "--suite", "none"],
+    ["crystal", "--diagram", "I:r=0", "--s", "1", "--format", "svg"],
+    ["--diagram", "I:r=0", "verify", "--max-degree", "0"],
+]
+
+
+def _exit(call, argv):
+    try:
+        return call(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGVS)
+def test_usage_errors_and_help_are_the_full_parser_s(capsys, argv):
+    # main hands a command line straight to its command's parser and falls
+    # back to the full parser when no command is named or an argument is
+    # left over: every usage error and help text is still the full
+    # parser's, byte for byte, with its exit code.
+    want = (_exit(build_parser().parse_args, argv),) + capsys.readouterr()
+    got = (_exit(main, argv),) + capsys.readouterr()
+    assert got == want
+    assert got[0] in (0, 2) and (got[1] or got[2])
+
+
+def test_a_well_formed_command_line_skips_the_full_parser(capsys,
+                                                         monkeypatch):
+    # The full parser sees only lines its commands' parsers cannot take:
+    # a well-formed command line never reaches it.
+    def refused(*args, **kwargs):
+        raise AssertionError("the full parser was used")
+
+    monkeypatch.setattr(build_parser(), "parse_args", refused)
+    assert run(capsys, "act", "--diagram", "I:r=1", "--word", "e1",
+               "--poly", "X2") == (0, "(q + q^-1)*X1\n", "")
+    with pytest.raises(AssertionError, match="full parser"):
+        main(["verify", "--diagram", "I:r=0", "--max-degree", "0", "--bogus"])
+
+
 def test_parser_is_built_once_and_keeps_its_usage_errors(capsys):
     assert build_parser() is build_parser()
     errors = []

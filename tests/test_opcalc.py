@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closed_forms import (divided_power, reference_apply, reference_mul,
-                          scaled_word)
+from closed_forms import (divided_power, evaluate, reference_apply,
+                          reference_mul, scaled_word)
 from qweyl.iqg import oscillator_action
 from qweyl.opcalc import (ActionTable, GeneratorSymbol, OperatorExpr,
                           QPolynomial, apply, apply_word,
@@ -111,7 +111,7 @@ def test_every_table_image_is_homogeneous():
         table = modweyl_table(d)
         for mon in monomials_up_to(d.nslots, 3):
             for sym in table.symbols:
-                for tgt, _ in table.entry(sym)(mon):
+                for tgt, _ in evaluate(table.entry(sym), mon):
                     expected = sum(mon) + {"d": -1, "x": 1, "m": 0}[sym.fam]
                     assert sum(tgt) == expected
 
@@ -237,9 +237,9 @@ def _constant_table(value):
 def test_merged_table_uses_other_entry_and_leaves_self_unchanged():
     sym, a = _constant_table(1)
     _, b = _constant_table(2)
-    assert a.entry(sym)((1,)) == [((1,), ScalarQ(1))]
-    assert a.merged(b).entry(sym)((1,)) == [((1,), ScalarQ(2))]
-    assert a.entry(sym)((1,)) == [((1,), ScalarQ(1))]
+    assert evaluate(a.entry(sym), (1,)) == [((1,), ScalarQ(1))]
+    assert evaluate(a.merged(b).entry(sym), (1,)) == [((1,), ScalarQ(2))]
+    assert evaluate(a.entry(sym), (1,)) == [((1,), ScalarQ(1))]
 
 
 def test_merged_override_reuses_built_entries_and_prefers_the_other():
@@ -267,11 +267,11 @@ def test_merged_override_reuses_built_entries_and_prefers_the_other():
             merged = a.merged(b)
             assert merged.symbols == a.symbols == {y, z}
             assert merged.entry(y) is y_word
-            assert merged.entry(z)((1,)) == [((1,), ScalarQ(2))]
+            assert evaluate(merged.entry(z), (1,)) == [((1,), ScalarQ(2))]
             assert builds == ([("Y0", 1)] + [("Z0", 1)] * z_built_first
                               + [("Z0", 2)])
             assert a.entry(y) is y_word
-            assert a.entry(z)((1,)) == [((1,), ScalarQ(1))]
+            assert evaluate(a.entry(z), (1,)) == [((1,), ScalarQ(1))]
             if z_built_first:
                 assert a.entry(z) is z_word
 

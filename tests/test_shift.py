@@ -17,8 +17,11 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from closed_forms import (_run, eager_algebra_table, eager_image_table,
+from closed_forms import (_run, decoded, eager_algebra_table,
+                          eager_image_table, evaluate, packed,
                           reference_compile_relation, xi_variants)
 from qweyl import modweyl, opcalc, qscalar, shift
 from qweyl.cli import main, run_suite
@@ -26,15 +29,15 @@ from qweyl.iqg import (_alias_images, e_, oscillator_action, phi,
                        presentation, relation_instances)
 from qweyl.modweyl import (d_, iota_map, iota_table, m_,
                            modweyl_relation_instances, modweyl_table, x_)
-from qweyl.opcalc import (ActionTable, OperatorExpr, QPolynomial, apply,
-                          expr_map,
+from qweyl.opcalc import (ActionTable, GeneratorSymbol, OperatorExpr,
+                          QPolynomial, apply, expr_map,
                           image_table, monomials_up_to,
                           operator_equal_on_degrees, report_failures,
                           verify_relations)
 from qweyl.qscalar import (InexactDivisionError, LaurentPoly, Q_MINUS_QINV,
                            ScalarQ)
 from qweyl.satake import build_diagram, parse_spec
-from qweyl.shift import ShiftWord, compile_relation
+from qweyl.shift import ShiftWord, _decode, compile_relation
 from qweyl.weyl import (algebra_table, chi_map, uqsl_relation_instances,
                         weyl_relation_instances, weyl_table)
 
@@ -56,10 +59,10 @@ def _suites(d):
 def _evaluate(form, a):
     """The components at u = q^a: scale * expr applied to X^a."""
     out = {}
-    for delta, poly in form.components.items():
+    for delta, poly in decoded(form.components).items():
         num = {}
-        for (qe, uv), c in poly.items():
-            e = qe + sum(m * x for m, x in zip(uv, a))
+        for (qe, us), c in poly.items():
+            e = qe + sum(m * a[j] for j, m in us)
             num[e] = num.get(e, 0) + c
         value = LaurentPoly(num)
         if not value.is_zero:
@@ -70,7 +73,7 @@ def _evaluate(form, a):
 def _assert_compiles_to_apply(expr, table, monomials):
     """``expr`` compiled over ``table`` against ``apply`` through it."""
     form = compile_relation(expr, OperatorExpr.zero(), table)
-    scaled = expr.scale(ScalarQ(form.scale))
+    scaled = expr.scale(ScalarQ(form.scale)) if form.components else expr
     for a in monomials:
         expected = apply(scaled, QPolynomial.monomial(a), table).terms
         assert _evaluate(form, a) == expected, (str(expr), a)
@@ -113,7 +116,82 @@ def test_rule_is_the_monomial_action():
     assert table.entry(m_(1)) == ShiftWord((), ((1, 0, ((1, 3),)),), 0)
     form = compile_relation(OperatorExpr.symbol(m_(1, True)),
                             OperatorExpr.zero(), table)
-    assert form.components == {(0, 0): {(0, (0, -3)): 1}}
+    assert decoded(form.components) == {(0, 0): {(0, ((1, -3),)): 1}}
+
+
+EDGE = (1 << 23) - 1     # the largest digit of a packed key
+
+
+@given(st.integers(0, 64).flatmap(lambda r: st.lists(
+    st.integers(-EDGE, EDGE), min_size=r + 3, max_size=r + 3)))
+@example([EDGE] * 67)
+@example([-EDGE] * 67)
+@example([0] * 66 + [-1])
+def test_decode_reads_back_every_packed_key(digits):
+    # q^e u^m over r + 2 <= 66 slots, every digit in (-2^23, 2^23)
+    qe, *us = digits
+    sparse = tuple((j, m) for j, m in enumerate(us) if m)
+    assert _decode(packed(qe, sparse, len(us))) == (qe, sparse)
+
+
+def test_packed_keys_stop_at_the_digit_bound():
+    # A digit of 2^23 - 1, in u_0 or in the q exponent (a letter's own, or
+    # one an x_0 shift moves there), packs and reads back; a step or a
+    # coefficient that could take a digit to 2^23 raises before it packs
+    # such a key.
+    z = [GeneratorSymbol("Z", i) for i in range(6)]
+    x0 = ShiftWord(((0, 1),), ((1, 0, ()),), 0)
+    table = ActionTable(2, {z[0]: ShiftWord.generator(0, 0, ((1, EDGE),)),
+                            z[1]: ShiftWord.generator(0, 0, ((1, -EDGE),)),
+                            z[2]: ShiftWord.generator(0, 0, ((1, 1),)),
+                            z[3]: x0,
+                            z[4]: ShiftWord((), ((1, EDGE, ()),), 0),
+                            z[5]: ShiftWord((), ((1, 1, ()),), 0)})
+    zero, one = OperatorExpr.zero(), ScalarQ(1)
+
+    def compiled(word, coeff=one):
+        expr = OperatorExpr.word(word, coeff)
+        return decoded(compile_relation(expr, zero, table).components)
+
+    assert compiled((z[0],)) == {(0, 0): {(0, ((0, EDGE),)): 1}}
+    assert compiled((z[1], z[3])) == {(1, 0): {(-EDGE, ((0, -EDGE),)): 1}}
+    assert compiled((z[0], z[3])) == {(1, 0): {(EDGE, ((0, EDGE),)): 1}}
+    assert compiled((z[4],)) == {(0, 0): {(EDGE, ()): 1}}
+    for word, coeff in (((z[2], z[0]), one), ((z[0], z[2]), one),
+                        ((z[5], z[4]), one),
+                        ((z[0],), ScalarQ.q_power(1)),
+                        ((z[1],), ScalarQ.q_power(-1))):
+        with pytest.raises(ValueError, match=r"could reach 2\^23"):
+            compiled(word, coeff)
+        assert len(word) == 1 or word not in table.forms
+    assert compiled((z[2],), ScalarQ.q_power(EDGE - 1)) == {
+        (0, 0): {(EDGE - 1, ((0, 1),)): 1}}
+
+
+def _relabelled(components, slots):
+    """Decoded components with slot ``slots[k]`` renamed k; any other slot
+    raises a KeyError."""
+    name = {slot: k for k, slot in enumerate(slots)}
+    return {tuple(sorted((name[j], s) for j, s in enumerate(delta) if s)):
+            {(qe, tuple(sorted((name[j], m) for j, m in us))): v
+             for (qe, us), v in poly.items()}
+            for delta, poly in decoded(components).items()}
+
+
+def test_top_slots_compile_as_slots_0_and_1():
+    # At I:r=64 every key runs to 67 digits: each weyl cross-slot group on
+    # slots (i, j) that reach the top two, each side compiled alone, is,
+    # relabelled, the same group on (0, 1).
+    table, zero, sides = weyl_table(66), OperatorExpr.zero(), {}
+    for group, (i, *rest), lhs, rhs in weyl_relation_instances(64):
+        if rest and ({i, *rest} & {64, 65} or (i, *rest) == (0, 1)):
+            sides.setdefault(group, {})[i, rest[0]] = [
+                _relabelled(compile_relation(side, zero, table).components,
+                            (i, rest[0])) for side in (lhs, rhs)]
+    assert len(sides) == 6
+    for group, by_pair in sides.items():
+        assert len(by_pair) > 128 and by_pair[0, 1][0], group
+        assert all(got == by_pair[0, 1] for got in by_pair.values()), group
 
 
 def test_divided_rule_matches_divexact_and_refuses_a_remainder():
@@ -124,9 +202,12 @@ def test_divided_rule_matches_divexact_and_refuses_a_remainder():
         num = sum((LaurentPoly({e * a: c}) for c, e in terms),
                   LaurentPoly.zero())
         expected = [((a - 1,), ScalarQ(num.divexact(Q_MINUS_QINV)))] if num else []
-        assert rule((a,)) == expected
+        assert evaluate(rule, (a,)) == expected
     with pytest.raises(InexactDivisionError):
-        ShiftWord.generator(0, 0, ((1, 1),), True)((1,))
+        evaluate(ShiftWord.generator(0, 0, ((1, 1),), True), (1,))
+    # ShiftWord itself evaluates undivided words only
+    with pytest.raises(ValueError, match="only an undivided ShiftWord"):
+        rule((1,))
 
 
 @pytest.mark.parametrize("kind,r", ALL_DIAGRAMS)
@@ -143,7 +224,7 @@ def test_factored_run_matches_the_expanded_image(kind, r):
         monomials = monomials_up_to(d.nslots, 4)
         for word in map(table.entry, table.symbols):
             for a in monomials:
-                got, image = word.run(a), word(a)
+                got, image = word.run(a), evaluate(word, a)
                 if not image:
                     assert got[3] == 0, (word, a)
                     continue
@@ -169,7 +250,7 @@ def test_factored_run_refuses_what_is_not_a_run():
                                              "run"):
             ActionTable(1, {m_(0): word})
     assert cases[-1].run((2,)) == ((2,), 1, 1, 1)     # (q^2 - 1)/(q - q^-1)
-    assert cases[-1]((2,)) == [((2,), ScalarQ(LaurentPoly({1: 1})))]
+    assert evaluate(cases[-1], (2,)) == [((2,), ScalarQ(LaurentPoly({1: 1})))]
     # ... while the shapes that are runs read as runs, Fractions normalised.
     got = ShiftWord(((0, -1),), ((Fraction(4, 2), 3, u),), 0).run((2,))
     assert got == ((1,), 5, 2, 1) and type(got[2]) is int
@@ -497,7 +578,7 @@ def test_image_words_must_share_shift_and_d_count():
     # words that agree sum their terms: d0 x0 - q x0 d0 is q^-a0 on X^a
     image = d0 * x0 - (x0 * d0).scale(ScalarQ.q_power(1))
     entry = image_table({e_(0): image}, table).entry(e_(0))
-    assert entry((3, 1)) == [((3, 1), ScalarQ.q_power(-3))]
+    assert evaluate(entry, (3, 1)) == [((3, 1), ScalarQ.q_power(-3))]
 
 
 @pytest.mark.parametrize("kind,r", ALL_DIAGRAMS)
