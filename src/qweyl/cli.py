@@ -16,9 +16,9 @@ from math import prod
 
 from . import crystal as crystal_mod
 from . import iqg, modweyl, weyl
-from .opcalc import (OperatorExpr, QPolynomial, apply, image_table,
-                     poly_from_text, poly_to_text, report_failures,
-                     verify_relations, walk_word)
+from .opcalc import (MAX_EXPONENT, GeneratorSymbol, OperatorExpr, apply,
+                     image_table, monomial_text, poly_from_text, poly_to_text,
+                     report_failures, verify_relations, walk_word)
 from .qscalar import LaurentPoly, ScalarQ, q_product
 from .satake import SatakeDiagram, integer, parse_spec
 
@@ -121,13 +121,16 @@ def _cmd_act(args) -> int:
     each a label of the diagram's table as it is."""
     diagram = parse_spec(args.diagram)
     table = iqg.oscillator_action(diagram)
-    labels = {sym.label: sym for sym in table.symbols}
-    word = []
+    labels, word = {}, []
     for token in args.word.split():
-        if token not in labels:
-            raise ValueError("unknown token %r for diagram %s"
-                             % (token, diagram.spec_string))
-        word.append(labels[token])
+        sym = labels.get(token)
+        if sym is None:
+            sym = GeneratorSymbol.from_label(token)
+            if sym is None or table.get(sym) is None:
+                raise ValueError("unknown token %r for diagram %s"
+                                 % (token, diagram.spec_string))
+            labels[token] = sym
+        word.append(sym)
     poly = poly_from_text(args.poly, diagram.nslots)
     result = apply(OperatorExpr.word(word), poly, table)
     print(poly_to_text(result))
@@ -141,19 +144,37 @@ def _cmd_crystal(args) -> int:
     return 0
 
 
+def _coefficient_text(v, k: int, ns) -> str:
+    """v*q^k times [n] for each n in ns, as text.
+
+    Expanded when its numerator runs over at most ``MAX_EXPONENT`` powers
+    of q, counted from q^0 by the rule ``apply`` uses, [n] spanning
+    q^(1-|n|)..q^(|n|-1), or when a factor is [0].  Otherwise factored,
+    in O(len(ns)) bytes: the sign and any other scalar, then
+    ``[n_1]*...*[n_t]`` for each |n_i| >= 2, with no expansion.
+    """
+    reach = sum([abs(n) - 1 for n in ns])
+    if not all(ns) or max(k + reach, 0) - min(k - reach, 0) <= MAX_EXPONENT:
+        return str(ScalarQ(q_product(ns, LaurentPoly({k: v}))))
+    head = str(LaurentPoly({k: v * prod([-1 for n in ns if n < 0])}))
+    head = {"1": "", "-1": "-"}.get(head, head + "*")
+    return head + "*".join(["[%d]" % abs(n) for n in ns if abs(n) > 1])
+
+
 def _cmd_witness(args) -> int:
     """Print a witness word and its coefficient, and check them.
 
     The word's one path from the start monomial, v*q^k*[n_1]...[n_t] with
     every n_i >= 2 (``walk_word``), is compared with the prediction in that
-    form, and the coefficient is expanded once, to print it.  The form is exact:
+    form, and the coefficient is printed by ``_coefficient_text``: expanded
+    once, or factored above its bound.  The form is exact:
     [n] = q^(1-n) prod_{d | n, d > 1} Phi_d(q^2), and the Phi_d(q^2) for
     d > 1 are squarefree and pairwise coprime (Phi_d(q^2) is Phi_2d(q) for
     even d and Phi_d(q)*Phi_2d(q) for odd d).  So a nonzero v*q^k*prod [n_i]
     determines v, k and every e_d = #{i : d | n_i}, hence, by Moebius
     inversion, the multiset {n_i}: two such products are equal iff their
     forms are.  A zero predicted factor predicts no path.  A mismatch
-    expands the path, to print it.
+    prints the path, by the same rule.
     """
     diagram = parse_spec(args.diagram)
     try:
@@ -166,9 +187,8 @@ def _cmd_witness(args) -> int:
     word, steps = iqg.witness_steps(diagram, mon, up, pres)
     top = tuple([sum(mon)] + [0] * (diagram.nslots - 1))
     start, target = (mon, top) if up else (top, mon)
-    predicted = ScalarQ(q_product(steps))
     print("word: %s" % (" ".join(sym.label for sym in word) or "(empty)"))
-    print("coefficient: %s" % predicted)
+    print("coefficient: %s" % _coefficient_text(1, 0, steps))
     path = walk_word(word, start, iqg.oscillator_action(diagram, pres))
     want = got = None
     if all(steps):
@@ -178,67 +198,96 @@ def _cmd_witness(args) -> int:
         end, k, v, ns = path
         got = end, v, k, sorted(ns)
     if got != want:
-        result = QPolynomial(diagram.nslots)
-        if got is not None:
-            result = QPolynomial.monomial(end, ScalarQ(
-                q_product(ns, LaurentPoly({k: v}))))
-        print("MISMATCH: got %s" % poly_to_text(result))
+        print("MISMATCH: got %s" % ("0" if got is None else "(%s)*%s" % (
+            _coefficient_text(v, k, ns), monomial_text(end))))
         return 1
     print("VERIFIED")
     return 0
 
 
+# Each command's function, help line and options, read by both the line
+# reader (``_read``) and the argparse parsers (``build_parser``): each
+# option's name maps to its ``add_argument`` keywords.
+COMMANDS = {
+    "verify": (_cmd_verify, "run relation verification suites", {
+        "--diagram": {"required": True, "help": "e.g. I:r=1 or A1AFF"},
+        "--max-degree": {"type": integer, "required": True},
+        "--suite": {"choices": SUITES, "default": "all"},
+        "--json": {"help": "write a machine-readable report here"},
+        "--mutate": {"choices": MUTATIONS, "help": "deliberately corrupt "
+                     "one parameter (sensitivity check)"}}),
+    "act": (_cmd_act, "apply an operator word to a polynomial", {
+        "--diagram": {"required": True},
+        "--word": {"required": True,
+                   "help": "space-separated tokens, e.g. 'e1' or 'x0 d1'"},
+        "--poly": {"required": True, "help": "e.g. 'X2' or '(q)*X0^2*X1'"}}),
+    "crystal": (_cmd_crystal, "emit a crystal graph", {
+        "--diagram": {"required": True},
+        "--s": {"type": integer, "required": True},
+        "--format": {"choices": ("dot", "json", "tikz"), "default": "dot"}}),
+    "witness": (_cmd_witness, "raising/lowering witness words", {
+        "--diagram": {"required": True},
+        "--monomial": {"required": True, "help": "comma-separated, e.g. 1,2"},
+        "--direction": {"choices": ("up", "down"), "default": "up"}}),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; its ``commands`` maps
-    each command name to that command's parser."""
+    """The argument parser, built from ``COMMANDS`` once per process."""
     parser = argparse.ArgumentParser(
         prog="qweyl",
         description="Exact q-Weyl algebra, coideal relation verification and "
                     "crystal graph toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="run relation verification suites")
-    p.add_argument("--diagram", required=True, help="e.g. I:r=1 or A1AFF")
-    p.add_argument("--max-degree", type=integer, required=True)
-    p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--json", help="write a machine-readable report here")
-    p.add_argument("--mutate", choices=MUTATIONS,
-                   help="deliberately corrupt one parameter (sensitivity check)")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("act", help="apply an operator word to a polynomial")
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--word", required=True,
-                   help="space-separated tokens, e.g. 'e1' or 'x0 d1'")
-    p.add_argument("--poly", required=True, help="e.g. 'X2' or '(q)*X0^2*X1'")
-    p.set_defaults(func=_cmd_act)
-
-    p = sub.add_parser("crystal", help="emit a crystal graph")
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--s", type=integer, required=True)
-    p.add_argument("--format", choices=("dot", "json", "tikz"), default="dot")
-    p.set_defaults(func=_cmd_crystal)
-
-    p = sub.add_parser("witness", help="raising/lowering witness words")
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--monomial", required=True, help="comma-separated, e.g. 1,2")
-    p.add_argument("--direction", choices=("up", "down"), default="up")
-    p.set_defaults(func=_cmd_witness)
-    parser.commands = sub.choices
+    for name, (func, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option, keywords in options.items():
+            p.add_argument(option, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
+def _read(argv):
+    """The ``Namespace`` the parser gives a line made only of exact
+    ``--option value`` pairs of one command: each option once, every
+    required one given, no value starting with '-', and every value of its
+    type and among its choices.  None for any other line, which the parser
+    reads instead, with its usage errors and help text."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None or len(argv) % 2 == 0:
+        return None
+    func, _, options = command
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) != len(argv) // 2 or not given.keys() <= options.keys():
+        return None
+    values = {"command": argv[0], "func": func}
+    for option, keywords in options.items():
+        value = given.get(option)
+        if value is None:
+            if keywords.get("required"):
+                return None
+            value = keywords.get("default")
+        elif value[:1] == "-":
+            return None
+        else:
+            if "type" in keywords:
+                try:
+                    value = keywords["type"](value)
+                except ValueError:
+                    return None
+            if value not in keywords.get("choices", (value,)):
+                return None
+        values[option[2:].replace("-", "_")] = value
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    """Run one command line.  It goes straight to its command's parser; one
-    that names no command, or leaves an argument over, goes through the full
-    parser, so every usage error and help text is the full parser's."""
-    parser = build_parser()
+    """Run one command line.  A line of exact ``--option value`` pairs is
+    read straight from ``COMMANDS`` (``_read``); any other goes through the
+    parser, so every usage error and help text is the parser's."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = parser.commands.get(argv[0]) if argv else None
-    args, rest = command.parse_known_args(argv[1:]) if command else (None, ())
-    if command is None or rest:
-        args = parser.parse_args(argv)
+    args = _read(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:

@@ -18,10 +18,9 @@ the two, and every defect is read from that.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import islice
 from math import comb
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .iqg import f_, oscillator_action
 from .opcalc import ActionTable, Monomial, monomials_of_degree
@@ -162,8 +161,7 @@ def combinatorial_rule(i: int, a: Monomial, direction: str) -> Optional[Monomial
     return tuple(e - (j == src) + (j == dst) for j, e in enumerate(a))
 
 
-@dataclass(frozen=True)
-class CrystalGraph:
+class CrystalGraph(NamedTuple):
     diagram_spec: str
     s: int
     nodes: Tuple[Monomial, ...]

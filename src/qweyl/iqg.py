@@ -20,9 +20,8 @@ when the alias is first looked up, so it follows the diagram's xi.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import cache, partial
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .modweyl import d_, m_, modweyl_table, x_
 from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
@@ -79,11 +78,11 @@ def presentation(diagram: SatakeDiagram) -> SatakeDiagram:
         for gone in drop:
             edges.add(frozenset(new[n] for e in diagram.edges if gone in e
                                 for n in e - {gone}))
-    return replace(diagram, nodes=tuple(new.values()), edges=frozenset(edges),
-                   tau={new[n]: new[diagram.tau[n]] for n in kept},
-                   orbit_label={new[n]: new[diagram.orbit_label[n]]
-                                for n in kept},
-                   varsigma={new[n]: diagram.varsigma[n] for n in kept})
+    tau, label, varsigma = diagram.tau, diagram.orbit_label, diagram.varsigma
+    return SatakeDiagram(diagram.kind, diagram.r, tuple(new.values()),
+                         frozenset(edges), {new[n]: new[tau[n]] for n in kept},
+                         {new[n]: new[label[n]] for n in kept}, diagram.xi,
+                         {new[n]: varsigma[n] for n in kept})
 
 
 def _ladder(pres: SatakeDiagram) -> List[Tuple[int, int, int, int]]:
@@ -240,32 +239,55 @@ def _k_image(pres: SatakeDiagram, c: int, lo: int, hi: int,
                              ScalarQ(LaurentPoly({qexp: sign})))
 
 
-def _alias_builders(pres: SatakeDiagram
-                    ) -> Dict[GeneratorSymbol, Callable[[], OperatorExpr]]:
-    """The ladder aliases, each with a function of no arguments that builds
-    its image inside the modified q-Weyl algebra.
+def _alias_symbols(pres: SatakeDiagram) -> List[GeneratorSymbol]:
+    """The ladder aliases: e_c, f_c, k_c and k_c^{-1} for each colour c of
+    ``_ladder``, then t_n for each fixed node n.  ``pres`` is the diagram's
+    ``presentation``."""
+    out = []
+    for _, c, _, _ in _ladder(pres):
+        out += [e_(c), f_(c), k_(c), k_(c, True)]
+    return out + [t_(n) for n in pres.nodes if pres.tau[n] == n]
+
+
+def _alias_rule(pres: SatakeDiagram
+                ) -> Callable[[GeneratorSymbol], Optional[OperatorExpr]]:
+    """The one rule that builds a ladder alias's image inside the modified
+    q-Weyl algebra: called with a symbol, it returns its image, or None for
+    a symbol that is no alias (see ``_alias_symbols``).
 
     ``pres`` is the diagram's ``presentation``.  Each colour's e/f/k^{+-1}
     act on its slot pair from ``_ladder``; a fixed node n carries
     t_n = x_n d_n, except that kind VI's t_0 is x_1 d_1.
     """
-    img = {}
-    for _, c, lo, hi in _ladder(pres):
-        img[e_(c)] = partial(_xd, lo, hi)
-        img[f_(c)] = partial(_xd, hi, lo)
-        img[k_(c)] = partial(_k_image, pres, c, lo, hi, False)
-        img[k_(c, True)] = partial(_k_image, pres, c, lo, hi, True)
-    for n in pres.nodes:
-        if pres.tau[n] == n:
-            slot = 1 if pres.kind == "VI" and n == 0 else n
-            img[t_(n)] = partial(_xd, slot, slot)
-    return img
+    pairs = {c: (lo, hi) for _, c, lo, hi in _ladder(pres)}
+    tau = pres.tau
+
+    def image(sym: GeneratorSymbol) -> Optional[OperatorExpr]:
+        fam, c, inv = sym
+        if fam == "t":
+            if inv or tau.get(c) != c:
+                return None
+            slot = 1 if pres.kind == "VI" and c == 0 else c
+            return _xd(slot, slot)
+        pair = pairs.get(c)
+        if pair is None:
+            return None
+        if fam == "k":
+            return _k_image(pres, c, *pair, inv)
+        if inv:
+            return None
+        if fam == "e":
+            return _xd(*pair)
+        return _xd(pair[1], pair[0]) if fam == "f" else None
+
+    return image
 
 
 def _alias_images(pres: SatakeDiagram) -> Dict[GeneratorSymbol, OperatorExpr]:
     """Images of the ladder aliases inside the modified q-Weyl algebra, all
-    built (see ``_alias_builders``)."""
-    return {sym: build() for sym, build in _alias_builders(pres).items()}
+    built (see ``_alias_rule``)."""
+    rule = _alias_rule(pres)
+    return {sym: rule(sym) for sym in _alias_symbols(pres)}
 
 
 def phi(diagram: SatakeDiagram) -> Dict[GeneratorSymbol, OperatorExpr]:
@@ -314,9 +336,10 @@ def oscillator_action(diagram: SatakeDiagram, pres: SatakeDiagram = None
     composed with the modified q-Weyl action, at whatever xi the diagram
     carries.  ``pres``, if given, is ``presentation(diagram)``.
     """
+    pres = pres or presentation(diagram)
     base = modweyl_table(diagram)
-    return image_table(_alias_builders(pres or presentation(diagram)),
-                       base).merged(base)
+    return image_table(_alias_rule(pres), base,
+                       partial(_alias_symbols, pres)).merged(base)
 
 
 def witness_steps(diagram: SatakeDiagram, a: Tuple[int, ...], up: bool,

@@ -16,10 +16,10 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 from operator import add, index
-from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Tuple)
 
 from .qscalar import ScalarQ, q_product
 from .shift import (ShiftForm, ShiftWord, _add_terms, _identity, _word_form,
@@ -199,6 +199,20 @@ class GeneratorSymbol(NamedTuple):
     def label(self) -> str:
         return "%s%d%s" % (self.fam, self.idx, "^-1" if self.inv else "")
 
+    @classmethod
+    def from_label(cls, text: str) -> Optional["GeneratorSymbol"]:
+        """The symbol whose ``label`` is ``text``, or None if there is none:
+        no sign, space or leading zero in the index, which has at most nine
+        ASCII digits."""
+        match = _LABEL.fullmatch(text)
+        if match is None:
+            return None
+        sym = cls(match[1], int(match[2]), bool(match[3]))
+        return sym if sym.label == text else None
+
+
+_LABEL = re.compile(r"([A-Za-z]+)([0-9]{1,9})(\^-1)?")
+
 
 Word = Tuple[GeneratorSymbol, ...]
 # The default coefficient, already canonical: ScalarQ values are immutable.
@@ -283,29 +297,34 @@ class ActionTable:
     table checks that shape (``ShiftWord.is_run``) once for each entry it
     stores, and refuses any other with a ValueError.
 
-    A table holds the ``entries`` given to it, and ``builders``: for each
-    other symbol, a function of no arguments that returns its entry.  Such
-    an entry is built and stored the first time ``entry`` looks it up, so
-    every later lookup is one dict hit, and an entry never looked up is
-    never built.  A stored entry never changes: to override one, merge in a
-    table that holds it (``merged``).  So a word's form over the table never
-    changes either: ``forms`` is the table's memo of word forms, read by
-    ``shift._word_form``, and starts with the empty word's, the identity.
+    A table holds the ``entries`` given to it, and one build rule,
+    ``build``: called with a symbol, it returns that symbol's entry, or
+    None for a symbol the table does not have.  An entry is built and
+    stored the first time ``get`` or ``entry`` looks it up, so every later
+    lookup is one dict hit, and an entry never looked up is never built.
+    ``symbols``, a function of no arguments, lists the symbols ``build``
+    has; only the ``symbols`` property calls it.  A stored entry never
+    changes: to override one, merge in a table that holds it (``merged``).
+    So a word's form over the table never changes either: ``forms`` is the
+    table's memo of word forms, read by ``shift._word_form``, and starts
+    with the empty word's, the identity.
     """
 
     def __init__(self, nvars: int,
                  entries: Dict[GeneratorSymbol, ShiftWord],
-                 builders: Dict[GeneratorSymbol, Callable] = None):
+                 build: Callable[[GeneratorSymbol], Optional[ShiftWord]] = None,
+                 symbols: Callable[[], Iterable[GeneratorSymbol]] = tuple):
         self.nvars = nvars
         self._built = {sym: _checked(sym, entry)
                        for sym, entry in entries.items()}
-        self._builders = dict(builders) if builders else {}
+        self._build = build or _no_entry
+        self._symbols = symbols
         self.forms = {(): _identity(nvars)}
 
     @property
     def symbols(self):
         """Every symbol of the table, built or not, as a keys view."""
-        return dict.fromkeys(chain(self._builders, self._built)).keys()
+        return dict.fromkeys(chain(self._symbols(), self._built)).keys()
 
     def act(self, sym: GeneratorSymbol, mon: Monomial):
         """``sym``'s image of X^mon as one step (target, k, v, n), the term
@@ -314,49 +333,67 @@ class ActionTable:
         step = self.entry(sym).run(mon)
         return step if step[3] else None
 
-    def entry(self, sym: GeneratorSymbol) -> ShiftWord:
-        """The action of ``sym``, built and stored on its first lookup; a
-        KeyError naming it if the table has none."""
+    def get(self, sym: GeneratorSymbol) -> Optional[ShiftWord]:
+        """The action of ``sym``, built and stored on its first lookup; None
+        if the table has none."""
         try:
             return self._built[sym]
         except KeyError:
-            build = self._builders.get(sym)
-            if build is None:
-                raise KeyError("unknown symbol %s in action table"
-                               % sym.label) from None
-        action = self._built[sym] = _checked(sym, build())
+            action = self._build(sym)
+        if action is not None:
+            action = self._built[sym] = _checked(sym, action)
+        return action
+
+    def entry(self, sym: GeneratorSymbol) -> ShiftWord:
+        """The action of ``sym`` (``get``); a KeyError naming it if the
+        table has none."""
+        action = self.get(sym)
+        if action is None:
+            raise KeyError("unknown symbol %s in action table" % sym.label)
         return action
 
     def merged(self, other: "ActionTable") -> "ActionTable":
         """The entries of both tables, ``other``'s where both have a symbol.
-        Nothing is built here: the new table builds an entry that neither
-        has built yet, when it first reads it, with the same builder."""
+        Nothing is built here: the new table looks a symbol up in ``other``
+        and then in ``self`` when it first reads it, and each of those
+        builds and stores an entry it has not built yet."""
         if self.nvars != other.nvars:
             raise ValueError("mixing action tables over different rings")
-        built = {sym: action for sym, action in self._built.items()
-                 if sym not in other._builders}
-        built.update(other._built)
-        return ActionTable(self.nvars, built,
-                           {**self._builders, **other._builders})
+
+        def build(sym):
+            action = other.get(sym)
+            return self.get(sym) if action is None else action
+
+        return ActionTable(self.nvars, {}, build,
+                           lambda: chain(self.symbols, other.symbols))
 
 
-def image_table(images: Dict[GeneratorSymbol, OperatorExpr],
-                table: ActionTable) -> ActionTable:
+def _no_entry(sym: GeneratorSymbol) -> None:
+    """The build rule of a table that holds only the entries given to it."""
+    return None
+
+
+def image_table(images, table: ActionTable, symbols=None) -> ActionTable:
     """The homomorphism ``images`` followed by ``table``'s action.
 
-    ``images`` maps each symbol to its image, or to a function of no
-    arguments that returns it.  Every chi, iota, phi and alias image is a
-    sum of words with Laurent coefficients, one shift vector and one
-    d-count: it sums into one ``ShiftWord``, from ``table``'s memo of word
-    forms, as in the compiler.  Each image is built and composed when its
-    symbol is first looked up, and an image whose words differ in shift
-    vector or d-count is refused then, with a ValueError.
+    ``images`` maps each symbol to its image: a dict, or one rule that,
+    called with a symbol, returns its image, or None for a symbol it has
+    none of, with ``symbols`` the function of no arguments that lists them.
+    Every chi, iota, phi and alias image is a sum of words with Laurent
+    coefficients, one shift vector and one d-count: it sums into one
+    ``ShiftWord``, from ``table``'s memo of word forms, as in the compiler.
+    Each image is built and composed when its symbol is first looked up,
+    and an image whose words differ in shift vector or d-count is refused
+    then, with a ValueError.
     """
     n = table.nvars
+    if symbols is None:
+        images, symbols = images.get, images.keys
 
-    def compose(image) -> ShiftWord:
-        if callable(image):
-            image = image()
+    def compose(sym) -> Optional[ShiftWord]:
+        image = images(sym)
+        if image is None:
+            return None
         shapes, total = set(), {}
         for word, c in image.terms.items():
             form = _word_form(word, table)
@@ -367,8 +404,7 @@ def image_table(images: Dict[GeneratorSymbol, OperatorExpr],
         delta, divided = shapes.pop() if shapes else ((0,) * n, 0)
         return ShiftWord.from_poly(delta, total, divided)
 
-    return ActionTable(n, {}, {sym: partial(compose, image)
-                               for sym, image in images.items()})
+    return ActionTable(n, {}, compose, symbols)
 
 
 def walk_word(word: Word, mon: Monomial, table: ActionTable):
@@ -506,17 +542,19 @@ def poly_to_text(p: QPolynomial) -> str:
     """Render as ``(<ScalarQ>)*X0^2*X3 + ...`` with monomials lex descending."""
     if p.is_zero:
         return "0"
-    parts = []
-    for mon in sorted(p.terms, reverse=True):
-        factors = []
-        for i, e in enumerate(mon):
-            if e == 1:
-                factors.append("X%d" % i)
-            elif e > 1:
-                factors.append("X%d^%d" % (i, e))
-        body = "*".join(factors) if factors else "1"
-        parts.append("(%s)*%s" % (p.terms[mon], body))
-    return " + ".join(parts)
+    return " + ".join("(%s)*%s" % (p.terms[mon], monomial_text(mon))
+                      for mon in sorted(p.terms, reverse=True))
+
+
+def monomial_text(mon: Monomial) -> str:
+    """X^mon as ``poly_to_text`` writes it: ``X0^2*X3``, or ``1``."""
+    factors = []
+    for i, e in enumerate(mon):
+        if e == 1:
+            factors.append("X%d" % i)
+        elif e > 1:
+            factors.append("X%d^%d" % (i, e))
+    return "*".join(factors) if factors else "1"
 
 
 _TOKEN = re.compile(r"[0-9]+(?:/[0-9]+)?|[A-Za-z_]\w*|\S", re.ASCII)

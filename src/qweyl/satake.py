@@ -10,8 +10,7 @@ variable) and the scalar parameters varsigma used by the coideal presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Tuple
 
 from .qscalar import ScalarQ
 
@@ -23,16 +22,21 @@ _MIN_R = {"I": 0, "II": 0, "III": 1, "IV": 0, "V": 0, "VI": 1}
 MAX_RANK = 64  # every suite, table and word grows with r
 
 
-@dataclass(frozen=True)
-class SatakeDiagram:
+class SatakeDiagram(NamedTuple):
+    """An immutable diagram.  Equality reads every field; the hash reads
+    kind, r, nodes, edges and xi, the fields that hold no dict."""
+
     kind: str
     r: int
     nodes: Tuple[int, ...]
     edges: FrozenSet[FrozenSet[int]]
-    tau: Dict[int, int] = field(hash=False)
-    orbit_label: Dict[int, int] = field(hash=False)
-    xi: Tuple[int, ...] = ()
-    varsigma: Dict[int, ScalarQ] = field(default_factory=dict, hash=False)
+    tau: Dict[int, int]
+    orbit_label: Dict[int, int]
+    xi: Tuple[int, ...]
+    varsigma: Dict[int, ScalarQ]
+
+    def __hash__(self):
+        return hash((self.kind, self.r, self.nodes, self.edges, self.xi))
 
     @property
     def nslots(self) -> int:
@@ -59,13 +63,11 @@ class SatakeDiagram:
         """Copy with one deformation exponent overridden (mutation testing)."""
         xi = list(self.xi)
         xi[slot] = value
-        return replace(self, xi=tuple(xi))
+        return self._replace(xi=tuple(xi))
 
     def with_varsigma(self, node: int, value: ScalarQ) -> "SatakeDiagram":
         """Copy with one varsigma parameter overridden (mutation testing)."""
-        vs = dict(self.varsigma)
-        vs[node] = value
-        return replace(self, varsigma=vs)
+        return self._replace(varsigma={**self.varsigma, node: value})
 
 
 # Per kind: node count - 2r, whether the nodes close into a cycle, and
@@ -75,9 +77,21 @@ _SHAPES = {"I": (4, False, False), "II": (3, False, False),
            "III": (4, True, False), "IV": (3, True, False),
            "V": (3, True, True), "VI": (2, True, True)}
 
+# varsigma of a node, keyed by its pairing with its partner: the orbit
+# representative (the node equal to its orbit label) takes the first
+# component.  For the double-bond orbit both components are q: that is the
+# unique assignment under which the coideal relations are satisfied by the
+# differential-operator realization, which is how the parameters are
+# validated here.  A ScalarQ is immutable, so every diagram shares these.
+_Q = ScalarQ.q_power(1)
+_VARSIGMA = {2: (ScalarQ.q_power(-1),) * 2, 0: (ScalarQ.one(),) * 2,
+             -1: (_Q, ScalarQ.one()), -2: (_Q, _Q)}
+
 
 def build_diagram(kind: str, r: int = None) -> SatakeDiagram:
-    """Construct a fully populated diagram for the given family and rank."""
+    """Construct a fully populated diagram for the given family and rank:
+    xi is 1 minus the pairing of each orbit's two nodes, and varsigma is
+    read off ``_VARSIGMA`` by the same pairing."""
     if kind not in KINDS:
         raise ValueError("unknown diagram kind %r" % kind)
     if kind == "A1AFF":
@@ -93,51 +107,27 @@ def build_diagram(kind: str, r: int = None) -> SatakeDiagram:
     extra, cycle, fixes_0 = _SHAPES[kind]
     n = 2 * r + extra
     nodes = tuple(range(n))
-    edges = {frozenset((i, (i + 1) % n)) for i in range(n if cycle else n - 1)}
-    tau = {i: -i % n if fixes_0 else n - 1 - i for i in nodes}
-    orbit_label = {i: min(i, tau[i]) for i in nodes}
-    d = SatakeDiagram(kind, r, nodes, frozenset(edges), tau, orbit_label)
-    xi = [None] * (r + 2)
+    edges = frozenset([frozenset((i, (i + 1) % n))
+                       for i in range(n if cycle else n - 1)])
+    tau, orbit_label, xi, varsigma = {}, {}, [None] * (r + 2), {}
     for i in nodes:
-        xi[orbit_label[i]] = 1 - d.pairing(i, tau[i])
-    return replace(d, xi=tuple(xi), varsigma=_varsigma_map(d))
+        j = tau[i] = -i % n if fixes_0 else n - 1 - i
+        label = orbit_label[i] = min(i, j)
+        gap = abs(i - j)
+        pair = (2 if not gap else
+                -1 if gap == 1 or cycle and gap == n - 1 else 0)
+        xi[label] = 1 - pair
+        varsigma[i] = _VARSIGMA[pair][label != i]
+    return SatakeDiagram(kind, r, nodes, edges, tau, orbit_label, tuple(xi),
+                         varsigma)
 
 
 def _build_a1aff() -> SatakeDiagram:
-    nodes = (0, 1)
-    edges = frozenset({frozenset((0, 1))})
-    tau = {0: 1, 1: 0}
     # The involution has a single orbit, but the ring keeps two variables with
     # the explicit per-variable exponents (1, 3); labels are per node.
-    orbit_label = {0: 0, 1: 1}
-    d = SatakeDiagram("A1AFF", 0, nodes, edges, tau, orbit_label, (1, 3))
-    return replace(d, varsigma=_varsigma_map(d))
-
-
-def _varsigma_map(d: SatakeDiagram) -> Dict[int, ScalarQ]:
-    """varsigma per node, keyed by the pairing of a node with its partner.
-
-    The orbit representative (the node equal to its orbit label) receives the
-    first component of each pair.  For the double-bond orbit both components
-    are q: that is the unique assignment under which the coideal relations
-    are satisfied by the differential-operator realization, which is how the
-    parameters are validated here.
-    """
-    q = ScalarQ.q_power
-    out: Dict[int, ScalarQ] = {}
-    for i in d.nodes:
-        j = d.tau[i]
-        p = d.pairing(i, j)
-        rep = i == 0 if d.kind == "A1AFF" else d.orbit_label[i] == i
-        if p == 2:
-            out[i] = q(-1)
-        elif p == 0:
-            out[i] = ScalarQ.one()
-        elif p == -1:
-            out[i] = q(1) if rep else ScalarQ.one()
-        else:  # p == -2, the double bond
-            out[i] = q(1)
-    return out
+    return SatakeDiagram("A1AFF", 0, (0, 1), frozenset({frozenset((0, 1))}),
+                         {0: 1, 1: 0}, {0: 0, 1: 1}, (1, 3),
+                         dict.fromkeys((0, 1), _VARSIGMA[-2][0]))
 
 
 def integer(text: str) -> int:

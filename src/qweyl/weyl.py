@@ -44,19 +44,30 @@ def K(i: int, inv: bool = False) -> GeneratorSymbol:
 def algebra_table(xi, names: str) -> ActionTable:
     """Monomial actions with exponents xi, on the d/x/m letters in ``names``.
 
-    Each entry is the generator as a one-letter ``ShiftWord``, built when it
-    is first looked up: d_i X^a = [xi_i a_i] X^{a-e_i}, x_i appends,
-    m_i^{+-1} scales by q^{+-xi_i a_i}.
+    Each entry is the generator as a one-letter ``ShiftWord``, built by one
+    rule when it is first looked up: d_i X^a = [xi_i a_i] X^{a-e_i}, x_i
+    appends, m_i^{+-1} scales by q^{+-xi_i a_i}.
     """
-    d, x, m = (partial(GeneratorSymbol, fam) for fam in names)
-    gen = ShiftWord.generator
-    builders = {}
-    for i, xi_i in enumerate(xi):
-        builders[d(i)] = partial(gen, i, -1, ((1, xi_i), (-1, -xi_i)), True)
-        builders[x(i)] = partial(gen, i, 1, ((1, 0),))
-        builders[m(i)] = partial(gen, i, 0, ((1, xi_i),))
-        builders[m(i, True)] = partial(gen, i, 0, ((1, -xi_i),))
-    return ActionTable(len(xi), {}, builders)
+    d, x, m = names
+    n, gen = len(xi), ShiftWord.generator
+
+    def build(sym):
+        fam, i, inv = sym
+        if not 0 <= i < n:
+            return None
+        if fam == m:
+            return gen(i, 0, ((1, -xi[i] if inv else xi[i]),))
+        if inv:
+            return None
+        if fam == d:
+            return gen(i, -1, ((1, xi[i]), (-1, -xi[i])), True)
+        return gen(i, 1, ((1, 0),)) if fam == x else None
+
+    def symbols():
+        return [GeneratorSymbol(fam, i, inv) for i in range(n)
+                for fam, inv in ((d, False), (x, False), (m, False), (m, True))]
+
+    return ActionTable(n, {}, build, symbols)
 
 
 def weyl_table(nvars: int) -> ActionTable:

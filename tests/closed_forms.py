@@ -37,13 +37,14 @@ scaling.  ``reference_mul`` is ``QPolynomial.__mul__`` as it was before
 ``QPolynomial`` and ``OperatorExpr`` shared one linear-combination core: a
 sum of ``mul_monomial`` products, one per term of the right factor.
 ``reference_build_diagram`` is ``satake.build_diagram`` as it was before the
-six shapes came from one rule: one branch per kind.  ``eager_algebra_table``
+six shapes came from one rule: one branch per kind, with varsigma read off
+each node's pairing by ``reference_varsigma``, as before the diagram was
+built in one construction.  ``eager_algebra_table``
 and ``eager_image_table`` are ``weyl.algebra_table`` and
 ``opcalc.image_table`` as they were before a table built each entry on its
 first lookup: every entry built when the table is.
 """
 
-from dataclasses import replace
 from functools import partial
 from math import comb, prod
 
@@ -55,8 +56,7 @@ from qweyl.opcalc import (ActionTable, GeneratorSymbol, OperatorExpr,
 from qweyl.qscalar import (Q_MINUS_QINV, InexactDivisionError, LaurentPoly,
                            ScalarQ, factorial_steps, q_binomial, q_factorial,
                            q_integer, q_product)
-from qweyl.satake import (SatakeDiagram, _build_a1aff, _varsigma_map,
-                          build_diagram)
+from qweyl.satake import SatakeDiagram, build_diagram
 from qweyl.shift import (Form, ShiftForm, ShiftWord, _add_terms, _decode,
                          _identity, _step, _word_form)
 from qweyl.weyl import E, F, K, cartan_entry
@@ -489,10 +489,35 @@ def _cycle_edges(nodes):
     return e
 
 
+def reference_varsigma(d: SatakeDiagram) -> dict:
+    """varsigma per node, keyed by the pairing of a node with its partner:
+    the orbit representative (node 0 on A1AFF, else the node equal to its
+    orbit label) receives the first component of each pair."""
+    q = ScalarQ.q_power
+    out = {}
+    for i in d.nodes:
+        j = d.tau[i]
+        p = d.pairing(i, j)
+        rep = i == 0 if d.kind == "A1AFF" else d.orbit_label[i] == i
+        if p == 2:
+            out[i] = q(-1)
+        elif p == 0:
+            out[i] = ScalarQ.one()
+        elif p == -1:
+            out[i] = q(1) if rep else ScalarQ.one()
+        else:  # p == -2, the double bond
+            out[i] = q(1)
+    return out
+
+
 def reference_build_diagram(kind: str, r: int = None) -> SatakeDiagram:
-    """The diagram of the given family and rank, one branch per kind."""
+    """The diagram of the given family and rank, one branch per kind, each
+    field set by its own copy of the diagram (``_replace``): xi from the
+    pairing, then varsigma by ``reference_varsigma``."""
     if kind == "A1AFF":
-        return _build_a1aff()
+        d = SatakeDiagram("A1AFF", 0, (0, 1), frozenset(_path_edges((0, 1))),
+                          {0: 1, 1: 0}, {0: 0, 1: 1}, (1, 3), {})
+        return d._replace(varsigma=reference_varsigma(d))
 
     if kind == "I":
         nodes = tuple(range(2 * r + 4))
@@ -522,12 +547,13 @@ def reference_build_diagram(kind: str, r: int = None) -> SatakeDiagram:
         tau.update({i: 2 * r + 2 - i for i in nodes if i not in (0, r + 1)})
 
     orbit_label = {i: min(i, tau[i]) for i in nodes}
-    d = SatakeDiagram(kind, r, nodes, frozenset(edges), tau, orbit_label)
+    d = SatakeDiagram(kind, r, nodes, frozenset(edges), tau, orbit_label,
+                      (), {})
     xi = [None] * (r + 2)
     for i in nodes:
         xi[orbit_label[i]] = 1 - d.pairing(i, tau[i])
-    d = replace(d, xi=tuple(xi))
-    return replace(d, varsigma=_varsigma_map(d))
+    d = d._replace(xi=tuple(xi))
+    return d._replace(varsigma=reference_varsigma(d))
 
 
 def divided_power(g: GeneratorSymbol, n: int) -> OperatorExpr:

@@ -1,6 +1,8 @@
 """Command-line contract: exit codes, deterministic bytes, output formats."""
 
+import argparse
 import json
+import sys
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -11,10 +13,10 @@ from hypothesis import strategies as st
 
 from closed_forms import _run, scaled_steps
 from qweyl import crystal, iqg, opcalc, satake
-from qweyl.cli import build_parser, main
+from qweyl.cli import COMMANDS, _coefficient_text, _read, build_parser, main
 from qweyl.crystal import crystal_graph, parse_json
 from qweyl.opcalc import ActionTable, GeneratorSymbol, QPolynomial, walk_word
-from qweyl.qscalar import LaurentPoly, ScalarQ
+from qweyl.qscalar import LaurentPoly, ScalarQ, q_product
 from qweyl.satake import build_diagram, parse_spec
 from qweyl.shift import ShiftWord
 
@@ -284,7 +286,8 @@ def test_parse_word_tokens(capsys):
         code, out, err = run(capsys, "act", "--diagram", "I:r=1",
                              "--word", label, "--poly", "X0*X1*X2")
         assert (code, err) == (0, ""), label
-    for token in ("e1^-1", "e01", "e0001", "E1", "e", "z9", "e1^-2", "e+1"):
+    for token in ("e1^-1", "e01", "e0001", "E1", "e", "z9", "e1^-2", "e+1",
+                  "d3", "t1", "x-1", "ee1", "1e", "e\u0661", "e" + "1" * 5000):
         code, out, err = run(capsys, "act", "--diagram", "I:r=1",
                              "--word", "e1 " + token, "--poly", "X2")
         assert (code, out) == (2, ""), token
@@ -416,6 +419,220 @@ def test_parser_is_built_once_and_keeps_its_usage_errors(capsys):
                    "--poly", "X2") == (0, "(q + q^-1)*X1\n", "")
     assert errors[0] == errors[1]
     assert errors[0].startswith("usage: qweyl verify")
+
+
+def reference_main(argv):
+    """``main`` as it was before the line reader: every line through the
+    parser, which gives each usage error and help text."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, ArithmeticError, OSError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+
+
+# Each command's options, in table order, with cheap values; a None value
+# leaves an optional option out of the base line.
+READER_BASE = {
+    "verify": [("--diagram", "I:r=0"), ("--max-degree", "0"),
+               ("--suite", "weyl"), ("--json", "JSON"),
+               ("--mutate", "xi-fold")],
+    "act": [("--diagram", "I:r=0"), ("--word", "e0 d0"), ("--poly", "X1")],
+    "crystal": [("--diagram", "I:r=0"), ("--s", "2"), ("--format", "json")],
+    "witness": [("--diagram", "I:r=0"), ("--monomial", "1,2"),
+                ("--direction", "down")],
+}
+
+
+def _line(command, pairs):
+    return [command] + [part for pair in pairs for part in pair]
+
+
+def reader_grid():
+    """(argv, well_formed) over the four commands: every subset of the
+    optional options in three orders, each value empty or with spaces, and
+    every shape the reader leaves to the parser."""
+    grid = []
+    for command, base in READER_BASE.items():
+        options = COMMANDS[command][2]
+        optional = [pair for pair in base
+                    if not options[pair[0]].get("required")]
+        required = [pair for pair in base if pair not in optional]
+        for mask in range(1 << len(optional)):
+            pairs = required + [pair for i, pair in enumerate(optional)
+                                if mask >> i & 1]
+            for order in (pairs, pairs[::-1], pairs[1:] + pairs[:1]):
+                grid.append((_line(command, order), True))
+        for i, (option, value) in enumerate(base):
+            others = base[:i] + base[i + 1:]
+            # a typed or listed value has no empty or spaced spelling
+            free = not options[option].keys() & {"type", "choices"}
+            grid += [
+                (_line(command, others + [(option, "")]), free),
+                (_line(command, [(option, " %s " % value)] + others), free),
+                (_line(command, others + [(option, "-1")]), False),
+                (_line(command, others) + ["%s=%s" % (option, value)], False),
+                (_line(command, others + [(option[:-1], value)]), False),
+                (_line(command, base + [(option, value)]), False),
+                (_line(command, base)[:-1] if i == len(base) - 1 else
+                 _line(command, others) + [option], False)]
+            if options[option].get("required"):
+                grid.append((_line(command, others), False))
+            if "type" in options[option] or "choices" in options[option]:
+                grid.append((_line(command, others + [(option, "x1")]),
+                             False))
+        grid += [(_line(command, base) + ["-h"], False),
+                 (["-h"] + _line(command, base), False),
+                 (_line(command, base[:1]) + ["-h"]
+                  + _line(command, base[1:])[1:], False),
+                 (_line(command, base + [("--bogus", "1")]), False),
+                 (_line(command, base) + ["extra"], False),
+                 ([command.upper()] + _line(command, base)[1:], False)]
+    grid += [([], False), (["act"], False), (["--diagram"], False)]
+    return grid
+
+
+READER_GRID = reader_grid()
+
+
+def _with_json(argv, path):
+    return [part.replace("JSON", str(path)) for part in argv]
+
+
+def _run_line(call, argv, path):
+    """(exit code, stdout, stderr, the report written) of one line."""
+    code = _exit(call, argv)
+    written = path.read_text() if path.exists() else None
+    if written is not None:
+        path.unlink()
+    return code, written
+
+
+@pytest.mark.parametrize("argv,well_formed", READER_GRID,
+                         ids=[" ".join(argv) for argv, _ in READER_GRID])
+def test_the_line_reader_matches_the_parser(capsys, tmp_path, monkeypatch,
+                                           argv, well_formed):
+    # Every line, read or not, gives the parser's exit code, stdout, stderr
+    # and report; a line the reader takes gives the parser's Namespace, and
+    # the reader takes exactly the well-formed lines.  A report path the
+    # line misspells lands in tmp_path.
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "report.json"
+    argv = _with_json(argv, path)
+    want = _run_line(reference_main, argv, path) + capsys.readouterr()
+    got = _run_line(main, argv, path) + capsys.readouterr()
+    assert got == want
+    args = _read(argv)
+    assert (args is not None) == well_formed
+    if args is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+def test_a_well_formed_line_never_reaches_argparse(capsys, tmp_path,
+                                                  monkeypatch):
+    # Every well-formed line of the grid runs with no argparse parser
+    # parsing anything, to the exit code the parser's path gives.
+    path = tmp_path / "report.json"
+    lines = [_with_json(argv, path) for argv, ok in READER_GRID if ok]
+    want = [_run_line(reference_main, argv, path) for argv in lines]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("argparse was used")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refused)
+    assert [_run_line(main, argv, path) for argv in lines] == want
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="argparse was used"):
+        main(["crystal", "--diagram", "I:r=0", "--s", "3", "--s", "2"])
+
+
+@pytest.mark.parametrize("spec,monomial,direction,span", [
+    ("I:r=0", "23,80", "down", 10_000),
+    ("III:r=1", "0,75,21", "up", 10_002)])
+def test_witness_prints_its_coefficient_factored_past_the_bound(
+        capsys, spec, monomial, direction, span):
+    # The span 2*sum(|n| - 1) of the predicted q-integers, counted from q^0
+    # as apply counts it: at opcalc.MAX_EXPONENT the coefficient prints
+    # expanded, and 2 past it as the sign and [n_1]*...*[n_t], which is what
+    # the witness compares.
+    d = parse_spec(spec)
+    mon = tuple(map(int, monomial.split(",")))
+    _, steps = iqg.witness_steps(d, mon, direction == "up")
+    assert 2 * sum(abs(n) - 1 for n in steps) == span
+    code, out, err = run(capsys, "witness", "--diagram", spec, "--monomial",
+                         monomial, "--direction", direction)
+    assert (code, err, out.splitlines()[2]) == (0, "", "VERIFIED")
+    coefficient = out.splitlines()[1]
+    if span <= opcalc.MAX_EXPONENT:
+        assert coefficient == "coefficient: %s" % ScalarQ(q_product(steps))
+    else:
+        assert coefficient == "coefficient: %s" % _factored(steps)
+
+
+def _factored(steps):
+    """The sign of a product of q-integers, then [|n|] for each |n| >= 2."""
+    return ("-" if prod(steps) < 0 else "") + "*".join(
+        "[%d]" % abs(n) for n in steps if abs(n) > 1)
+
+
+def test_a_factored_witness_expands_nothing(capsys, monkeypatch):
+    # IV:r=2 at degree 256: the coefficient spans 167,744 powers of q, and
+    # the verdict and the print both stay factored.
+    def refused(*args, **kwargs):
+        raise AssertionError("q_product was called")
+
+    for module in (sys.modules["qweyl.cli"], opcalc, iqg, crystal,
+                   sys.modules["qweyl.qscalar"]):
+        if hasattr(module, "q_product"):
+            monkeypatch.setattr(module, "q_product", refused)
+    code, out, err = run(capsys, "witness", "--diagram", "IV:r=2",
+                         "--monomial", "64,64,64,64", "--direction", "down")
+    _, steps = iqg.witness_steps(build_diagram("IV", 2), (64,) * 4, False)
+    assert out.splitlines()[1:] == ["coefficient: %s" % _factored(steps),
+                                    "VERIFIED"]
+    assert (code, err) == (0, "") and len(out) < 5_000
+
+
+@pytest.mark.parametrize("v,k,ns,text", [
+    (1, 0, [5001], None),                 # span 10,000: expanded
+    (1, 0, [5001, 2], "[5001]*[2]"),      # span 10,002
+    (-1, 0, [-3, 5002], "[3]*[5002]"),    # the signs cancel
+    (1, 6000, [4001], None),              # q^2000..q^10000: span 10,000
+    (1, 6001, [4001], "q^6001*[4001]"),   # q^2001..q^10001
+    (-2, -6001, [4001], "-2*q^-6001*[4001]"),
+    (3, 0, [10_001, 0], "0"),             # a zero factor
+])
+def test_coefficient_text_bounds_its_span_as_apply_does(v, k, ns, text):
+    want = str(ScalarQ(q_product(ns, LaurentPoly({k: v}))))
+    assert _coefficient_text(v, k, ns) == (want if text is None else text)
+
+
+def test_a_mismatch_past_the_bound_prints_its_path_factored(capsys,
+                                                           monkeypatch):
+    # Every e/f step times q: the path v*q^k*[n]... differs from the
+    # prediction by q^k, and spans past the bound, so the MISMATCH line is
+    # factored too, with no q_product.
+    real = iqg.oscillator_action
+
+    def scaled(diagram, pres=None):
+        return scaled_steps(real(diagram, pres), STEP_FACTORS["q"])
+
+    def refused(*args, **kwargs):
+        raise AssertionError("q_product was called")
+
+    monkeypatch.setattr(iqg, "oscillator_action", scaled)
+    monkeypatch.setattr(sys.modules["qweyl.cli"], "q_product", refused)
+    code, out, _ = run(capsys, "witness", "--diagram", "III:r=1",
+                       "--monomial", "0,75,21", "--direction", "up")
+    _, steps = iqg.witness_steps(parse_spec("III:r=1"), (0, 75, 21), True)
+    factors = sorted(abs(n) for n in steps if abs(n) > 1)
+    *_, mismatch = out.splitlines()
+    assert code == 1 and mismatch.startswith("MISMATCH: got (q^117*[")
+    head, body = mismatch[len("MISMATCH: got ("):].split(")*")
+    assert body == "X0^96"
+    assert sorted(int(n) for n in head[len("q^117*["):-1].split("]*[")) \
+        == factors
 
 
 def test_crystal_dot_byte_stable(capsys):

@@ -250,20 +250,23 @@ def test_merged_override_reuses_built_entries_and_prefers_the_other():
     y, z = GeneratorSymbol("Y", 0), GeneratorSymbol("Z", 0)
     builds = []
 
-    def constant(sym, value):
-        def build():
-            builds.append((sym.label, value))
-            return ShiftWord((), ((value, 0, ()),), 0)
-        return build
+    def constants(values):
+        """A table whose one build rule gives sym the constant values[sym]."""
+        def build(sym):
+            if sym not in values:
+                return None
+            builds.append((sym.label, values[sym]))
+            return ShiftWord((), ((values[sym], 0, ()),), 0)
+        return ActionTable(1, {}, build, values.keys)
 
     for z_built_first in (False, True):
         for given in (True, False):
             builds.clear()
-            a = ActionTable(1, {}, {y: constant(y, 1), z: constant(z, 1)})
+            a = constants({y: 1, z: 1})
             y_word = a.entry(y)
             z_word = a.entry(z) if z_built_first else None
-            b = (ActionTable(1, {z: constant(z, 2)()}) if given else
-                 ActionTable(1, {}, {z: constant(z, 2)}))
+            b = (ActionTable(1, {z: constants({z: 2}).entry(z)}) if given
+                 else constants({z: 2}))
             merged = a.merged(b)
             assert merged.symbols == a.symbols == {y, z}
             assert merged.entry(y) is y_word
@@ -274,6 +277,40 @@ def test_merged_override_reuses_built_entries_and_prefers_the_other():
             assert evaluate(a.entry(z), (1,)) == [((1,), ScalarQ(1))]
             if z_built_first:
                 assert a.entry(z) is z_word
+
+
+def test_one_build_rule_is_called_once_per_symbol_looked_up():
+    # A table's one rule is called with a symbol on its first lookup only;
+    # a symbol the table lacks reads None from get and a KeyError naming it
+    # from entry, and nothing is stored for it.
+    calls = []
+
+    def build(sym):
+        calls.append(sym)
+        return ShiftWord((), ((2, 0, ()),), 0) if sym.fam == "Z" else None
+
+    table = ActionTable(1, {}, build)
+    z, w = GeneratorSymbol("Z", 0), GeneratorSymbol("W", 3)
+    assert table.get(z) is table.entry(z) is table.get(z)
+    assert table.get(w) is None
+    with pytest.raises(KeyError, match="unknown symbol W3"):
+        table.entry(w)
+    assert calls == [z, w, w] and list(table.symbols) == [z]
+
+
+@pytest.mark.parametrize("kind,r", [("I", 1), ("V", 1), ("VI", 1),
+                                    ("A1AFF", None)])
+def test_the_oscillator_rule_has_exactly_its_listed_symbols(kind, r):
+    # Every listed symbol has an entry, and the labels next to them (an
+    # index past the table, a wrong inverse flag, another family) have none.
+    d = build_diagram(kind, r)
+    table = oscillator_action(d)
+    listed = set(table.symbols)
+    near = {GeneratorSymbol(fam, i, inv) for fam in "efktdxmBHz"
+            for i in range(d.nslots + 3) for inv in (False, True)}
+    for sym in near:
+        assert (table.get(sym) is not None) == (sym in listed), sym.label
+    assert listed <= near
 
 
 def test_act_refuses_entries_that_are_not_runs():
@@ -292,10 +329,10 @@ def test_act_refuses_entries_that_are_not_runs():
         with pytest.raises(ValueError, match="action of Z0"):
             table.merged(ActionTable(1, {sym: entry}))
         with pytest.raises(ValueError, match="action of Z0"):
-            table.merged(ActionTable(1, {}, {sym: lambda entry=entry: entry})
+            table.merged(ActionTable(1, {}, lambda s, entry=entry: entry)
                          ).entry(sym)
         with pytest.raises(ValueError, match="action of Z0"):
-            ActionTable(1, {}, {sym: lambda entry=entry: entry}).entry(sym)
+            ActionTable(1, {}, lambda s, entry=entry: entry).entry(sym)
     assert table.act(sym, (1,)) == ((1,), 0, 2, 1)
 
 

@@ -1,12 +1,10 @@
 """Satake diagram data: involutions, pairings, labels, xi and varsigma."""
 
-from dataclasses import fields
-
 import pytest
 
 from closed_forms import reference_build_diagram
 from qweyl.qscalar import ScalarQ
-from qweyl.satake import _MIN_R, KINDS, build_diagram, parse_spec
+from qweyl.satake import _MIN_R, KINDS, SatakeDiagram, build_diagram, parse_spec
 
 ALL_SMALL = [("I", 0), ("I", 1), ("I", 2), ("I", 3),
              ("II", 0), ("II", 1), ("II", 2), ("II", 3),
@@ -147,13 +145,32 @@ def test_equality_reads_every_field_and_agrees_with_hash():
     assert hash(e.with_xi(1, 2).with_xi(1, e.xi[1])) == hash(e)
 
 
+def test_a_diagram_is_immutable_and_compares_by_value():
+    # No field can be assigned; != agrees with ==, and the hash reads the
+    # fields that hold no dict, so copies that differ in varsigma alone
+    # share it.
+    d = build_diagram("II", 1)
+    for name in SatakeDiagram._fields:
+        with pytest.raises(AttributeError):
+            setattr(d, name, getattr(d, name))
+    with pytest.raises(AttributeError):
+        d.extra = 1
+    other = d.with_varsigma(0, ScalarQ.q_power(2))
+    assert (other != d) is True and (other == d) is False
+    assert (build_diagram("II", 1) != d) is False
+    assert hash(other) == hash(d) == hash((d.kind, d.r, d.nodes, d.edges,
+                                           d.xi))
+    assert d.with_xi(0, 3).xi == (3,) + d.xi[1:] and d.xi[0] != 3
+
+
 def test_all_kinds_listed():
     assert set(KINDS) == {"I", "II", "III", "A1AFF", "IV", "V", "VI"}
 
 
 @pytest.mark.parametrize("kind,r", [(kind, r) for kind in _MIN_R
-                                    for r in range(_MIN_R[kind], 9)])
+                                    for r in range(_MIN_R[kind], 9)]
+                         + [("A1AFF", None)])
 def test_one_shape_rule_matches_the_per_kind_branches(kind, r):
     got, want = build_diagram(kind, r), reference_build_diagram(kind, r)
-    for f in fields(got):
-        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    for name in SatakeDiagram._fields:
+        assert getattr(got, name) == getattr(want, name), name
