@@ -18,7 +18,7 @@ the two, and every defect is read from that.
 from __future__ import annotations
 
 import json
-from itertools import islice
+from itertools import accumulate, islice
 from math import comb
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -65,16 +65,18 @@ def _string_walk(diagram: SatakeDiagram, i: int, b: Monomial,
     factor; [0] divides nothing).  Equal steps are equal terms, so on a
     crystal c stays exactly 1 at t = e with no polynomial built.
     """
-    xi, e, t, c, f_i = diagram.xi, b, b, ScalarQ.one(), f_(i)
+    xi, e, t, c, f_i, act = diagram.xi, b, b, ScalarQ.one(), f_(i), table.act
     while True:
         yield {} if c is None else {
             t: c if t == e else
             ScalarQ(q_product(factorial_steps(xi, e, t), c.num),
                     q_product(factorial_steps(xi, t, e), c.den))}
-        nxt = tuple(u - (j == i and u > 0) + (j == i + 1)
-                    for j, u in enumerate(e))
+        nxt = [*e]              # e moves one unit from slot i to slot i+1
+        nxt[i] -= nxt[i] > 0
+        nxt[i + 1] += 1
+        nxt = (*nxt,)
         m = xi[i] * e[i]
-        step = None if c is None else table.act(f_i, t)
+        step = None if c is None else act(f_i, t)
         if step is None:
             c = None
         elif step != (nxt, 0, (m > 0) - (m < 0), abs(m)):
@@ -140,8 +142,12 @@ def _kashiwara(diagram, i, a, step, table):
 
 
 def _target(coords):
-    target, defect = _closure(coords)
-    if defect is not None:
+    """The one target of a Kashiwara image with coefficient 1, None for
+    zero; an ArithmeticError for any other image (see ``_closure``)."""
+    if not coords:
+        return None
+    (target, c), = coords.items()
+    if not c.is_one:
         raise ArithmeticError("Kashiwara image is not a basis vector with "
                               "coefficient 1: %r" % coords)
     return target
@@ -176,17 +182,19 @@ def _string_steps(diagram: SatakeDiagram, nodes):
     the walk's next step, e_coords the step before a ({} at a string head).
     """
     table = oscillator_action(diagram)
-    walks = {}
+    colours = range(diagram.r + 1)
+    walks = [{} for _ in colours]   # colour i: the rest of a -> live walk
     for a in nodes:
-        for i in range(diagram.r + 1):
-            key = (i, a[:i] + a[i + 2:])    # the i-string through a
-            if not a[i + 1]:
+        for i in colours:
+            live, rest = walks[i], a[:i] + a[i + 2:]  # the i-string of a
+            if a[i + 1]:
+                walk, e_coords, here = live.pop(rest)
+            else:
                 walk = _string_walk(diagram, i, a, table)
-                walks[key] = walk, {}, next(walk)
-            walk, e_coords, here = walks.pop(key)
+                e_coords, here = {}, next(walk)
             f_coords = next(walk)
             if a[i]:
-                walks[key] = walk, here, f_coords
+                live[rest] = walk, here, f_coords
             yield a, i, e_coords, f_coords
 
 
@@ -262,9 +270,9 @@ def _edge_color(i: int) -> str:
 
 
 def _node_name(mon: Monomial) -> str:
-    if all(e <= 9 for e in mon):
-        return "".join(str(e) for e in mon)
-    return ",".join(str(e) for e in mon)
+    """The exponents as one digit string, or comma-separated once one of
+    them is above 9."""
+    return ("" if max(mon) <= 9 else ",").join(map(str, mon))
 
 
 def export(graph: CrystalGraph, fmt: str) -> str:
@@ -294,8 +302,8 @@ def _export_json(graph: CrystalGraph) -> str:
     obj = {
         "diagram": graph.diagram_spec,
         "s": graph.s,
-        "nodes": [list(mon) for mon in graph.nodes],
-        "edges": [{"i": i, "from": list(src), "to": list(tgt)}
+        "nodes": graph.nodes,       # json writes a tuple as a list
+        "edges": [{"i": i, "from": src, "to": tgt}
                   for src, i, tgt in graph.edges],
     }
     return json.dumps(obj) + "\n"
@@ -310,13 +318,17 @@ def parse_json(text: str) -> CrystalGraph:
 
 
 def _export_tikz(graph: CrystalGraph) -> str:
-    name = {mon: _node_name(mon) for mon in graph.nodes}
+    """The node ids (n...) separate exponents above 9 by an ``x``, not a
+    comma: inside ``\\draw``, TikZ reads (n10,0) as a coordinate."""
+    name = {}
     lines = ["\\begin{tikzpicture}[xscale=1.5,yscale=1.35]"]
     for mon in graph.nodes:
+        label = _node_name(mon)
+        name[mon] = label.replace(",", "x")
         x = sum(mon[1:-1])
-        y = sum((len(mon) - 1 - j) * e for j, e in enumerate(mon))
+        y = sum(accumulate(mon[:-1]))   # sum over j of (len - 1 - j) mon_j
         lines.append("  \\node at (%d,%d) (n%s) {$(%s)$};"
-                     % (x, y, name[mon], name[mon]))
+                     % (x, y, name[mon], label))
     for src, i, tgt in graph.edges:
         lines.append("  \\draw[thick,->,%s] (n%s) -- (n%s);"
                      % (_edge_color(i), name[src], name[tgt]))

@@ -13,17 +13,17 @@ ladder aliases e_c, f_c, k_c^{+-1} act; each involution-fixed node n carries
 t_n.  ``phi`` sends every generator to a word in the modified q-Weyl algebra,
 and ``verify_homomorphism`` checks all defining relations on the polynomial
 ring, each in every degree at once.  The oscillator representation is phi
-composed with that algebra's action: ``oscillator_action`` is the image
-table of the alias images, each built and composed into a ``ShiftWord``
-when the alias is first looked up, so it follows the diagram's xi.
+composed with that algebra's action: ``oscillator_action`` is one table of
+the d/x/m letters and the alias images composed over them, each built into
+a ``ShiftWord`` when it is first looked up, so it follows the diagram's xi.
 """
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .modweyl import d_, m_, modweyl_table, x_
+from .modweyl import d_, m_, modweyl_rule, modweyl_table, x_
 from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
                      apply_word, image_table, verify_relations)
 from .qscalar import (Q_MINUS_QINV, LaurentPoly, ScalarQ, factorial_steps,
@@ -329,17 +329,21 @@ def oscillator_action(diagram: SatakeDiagram, pres: SatakeDiagram = None
                       ) -> ActionTable:
     """Monomial actions of the aliases, and of d/x/m, on the polynomial ring.
 
-    Each alias image under phi, one word in d/x/m times +-q^k, is built and
-    composed by ``image_table`` over ``modweyl_table`` into a ``ShiftWord``
-    when the alias is first looked up, and no other alias image is built;
-    the same ``modweyl_table`` serves the d/x/m symbols.  The table is phi
-    composed with the modified q-Weyl action, at whatever xi the diagram
-    carries.  ``pres``, if given, is ``presentation(diagram)``.
+    One table, whose rule gives a d/x/m letter by ``modweyl_rule`` and an
+    alias as its image under phi, one word in d/x/m times +-q^k, which the
+    table composes into a ``ShiftWord`` over its own letters and memo of
+    word forms.  Each entry is built, checked and stored when its symbol
+    is first looked up, and no other is built.  The table is phi composed
+    with the modified q-Weyl action, at whatever xi the diagram carries;
+    its symbols are the aliases, then d/x/m.  ``pres``, if given, is
+    ``presentation(diagram)``.
     """
     pres = pres or presentation(diagram)
-    base = modweyl_table(diagram)
-    return image_table(_alias_rule(pres), base,
-                       partial(_alias_symbols, pres)).merged(base)
+    aliases = _alias_rule(pres)
+    letters, letter_symbols = modweyl_rule(diagram)
+    return ActionTable(diagram.nslots, {},
+                       lambda sym: aliases(sym) or letters(sym),
+                       lambda: _alias_symbols(pres) + letter_symbols())
 
 
 def witness_steps(diagram: SatakeDiagram, a: Tuple[int, ...], up: bool,

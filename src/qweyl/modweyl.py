@@ -30,7 +30,13 @@ def m_(i: int, inv: bool = False) -> GeneratorSymbol:
 
 
 def modweyl_table(diagram: SatakeDiagram) -> ActionTable:
-    return weyl.algebra_table(diagram.xi, "dxm")
+    return ActionTable(diagram.nslots, {}, *modweyl_rule(diagram))
+
+
+def modweyl_rule(diagram: SatakeDiagram):
+    """The build rule of ``modweyl_table`` and the function listing its
+    symbols (``weyl.algebra_rule`` at the diagram's xi)."""
+    return weyl.algebra_rule(diagram.xi, "dxm")
 
 
 def modweyl_relation_instances(diagram: SatakeDiagram):

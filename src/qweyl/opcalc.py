@@ -295,13 +295,16 @@ class ActionTable:
     """Maps generator symbols to their actions on monomials: each entry is a
     ``ShiftWord`` whose every image is one monomial times v q^k [n].  The
     table checks that shape (``ShiftWord.is_run``) once for each entry it
-    stores, and refuses any other with a ValueError.
+    stores, and refuses any other with a ValueError; a ``merged`` table
+    stores the entries of its sources, which checked them.
 
     A table holds the ``entries`` given to it, and one build rule,
     ``build``: called with a symbol, it returns that symbol's entry, or
-    None for a symbol the table does not have.  An entry is built and
-    stored the first time ``get`` or ``entry`` looks it up, so every later
-    lookup is one dict hit, and an entry never looked up is never built.
+    its image, an ``OperatorExpr`` in the table's own symbols that the
+    table composes over itself (``_image_entry``), or None for a symbol the
+    table does not have.  An entry is built and stored the first time
+    ``get`` or ``entry`` looks it up, so every later lookup is one dict
+    hit, and an entry never looked up is never built.
     ``symbols``, a function of no arguments, lists the symbols ``build``
     has; only the ``symbols`` property calls it.  A stored entry never
     changes: to override one, merge in a table that holds it (``merged``).
@@ -318,6 +321,7 @@ class ActionTable:
         self._built = {sym: _checked(sym, entry)
                        for sym, entry in entries.items()}
         self._build = build or _no_entry
+        self._check = _checked
         self._symbols = symbols
         self.forms = {(): _identity(nvars)}
 
@@ -330,18 +334,20 @@ class ActionTable:
         """``sym``'s image of X^mon as one step (target, k, v, n), the term
         v*q^k*[n]*X^target with n >= 1, read by the entry's ``ShiftWord.run``
         in O(touched slots); None if the image is zero."""
-        step = self.entry(sym).run(mon)
+        step = (self._built.get(sym) or self.entry(sym)).run(mon)
         return step if step[3] else None
 
     def get(self, sym: GeneratorSymbol) -> Optional[ShiftWord]:
-        """The action of ``sym``, built and stored on its first lookup; None
-        if the table has none."""
-        try:
-            return self._built[sym]
-        except KeyError:
+        """The action of ``sym``, built, checked and stored on its first
+        lookup; None if the table has none.  A stored entry is never None,
+        so one dict read tells a stored symbol from a new one."""
+        action = self._built.get(sym)
+        if action is None:
             action = self._build(sym)
-        if action is not None:
-            action = self._built[sym] = _checked(sym, action)
+            if type(action) is OperatorExpr:
+                action = _image_entry(action, self)
+            if action is not None:
+                action = self._built[sym] = self._check(sym, action)
         return action
 
     def entry(self, sym: GeneratorSymbol) -> ShiftWord:
@@ -356,7 +362,8 @@ class ActionTable:
         """The entries of both tables, ``other``'s where both have a symbol.
         Nothing is built here: the new table looks a symbol up in ``other``
         and then in ``self`` when it first reads it, and each of those
-        builds and stores an entry it has not built yet."""
+        builds, checks and stores an entry it has not built yet.  So the new
+        table stores what they return as it is, with no second check."""
         if self.nvars != other.nvars:
             raise ValueError("mixing action tables over different rings")
 
@@ -364,13 +371,20 @@ class ActionTable:
             action = other.get(sym)
             return self.get(sym) if action is None else action
 
-        return ActionTable(self.nvars, {}, build,
-                           lambda: chain(self.symbols, other.symbols))
+        out = ActionTable(self.nvars, {}, build,
+                          lambda: chain(self.symbols, other.symbols))
+        out._check = _as_is
+        return out
 
 
 def _no_entry(sym: GeneratorSymbol) -> None:
     """The build rule of a table that holds only the entries given to it."""
     return None
+
+
+def _as_is(sym: GeneratorSymbol, entry: ShiftWord) -> ShiftWord:
+    """The check of a merged table: its sources checked every entry."""
+    return entry
 
 
 def image_table(images, table: ActionTable, symbols=None) -> ActionTable:
@@ -379,32 +393,37 @@ def image_table(images, table: ActionTable, symbols=None) -> ActionTable:
     ``images`` maps each symbol to its image: a dict, or one rule that,
     called with a symbol, returns its image, or None for a symbol it has
     none of, with ``symbols`` the function of no arguments that lists them.
-    Every chi, iota, phi and alias image is a sum of words with Laurent
-    coefficients, one shift vector and one d-count: it sums into one
-    ``ShiftWord``, from ``table``'s memo of word forms, as in the compiler.
-    Each image is built and composed when its symbol is first looked up,
-    and an image whose words differ in shift vector or d-count is refused
-    then, with a ValueError.
+    Each image is built and composed (``_image_entry``) when its symbol is
+    first looked up.
     """
-    n = table.nvars
     if symbols is None:
         images, symbols = images.get, images.keys
 
     def compose(sym) -> Optional[ShiftWord]:
         image = images(sym)
-        if image is None:
-            return None
-        shapes, total = set(), {}
-        for word, c in image.terms.items():
-            form = _word_form(word, table)
-            shapes.add((form[0], form[2]))
-            _add_terms(total, form, c.as_laurent())
-        if len(shapes) > 1:
-            raise ValueError("words differ in shift vector or d-count")
-        delta, divided = shapes.pop() if shapes else ((0,) * n, 0)
-        return ShiftWord.from_poly(delta, total, divided)
+        return None if image is None else _image_entry(image, table)
 
-    return ActionTable(n, {}, compose, symbols)
+    return ActionTable(table.nvars, {}, compose, symbols)
+
+
+def _image_entry(image: OperatorExpr, table: ActionTable) -> ShiftWord:
+    """``image`` followed by ``table``'s action, as one ``ShiftWord``.
+
+    Every chi, iota, phi and alias image is a sum of words with Laurent
+    coefficients, one shift vector and one d-count: it sums into one
+    ``ShiftWord``, from ``table``'s memo of word forms, as in the compiler.
+    An image whose words differ in shift vector or d-count is refused with
+    a ValueError.
+    """
+    shapes, total = set(), {}
+    for word, c in image.terms.items():
+        form = _word_form(word, table)
+        shapes.add((form[0], form[2]))
+        _add_terms(total, form, c.as_laurent())
+    if len(shapes) > 1:
+        raise ValueError("words differ in shift vector or d-count")
+    delta, divided = shapes.pop() if shapes else ((0,) * table.nvars, 0)
+    return ShiftWord.from_poly(delta, total, divided)
 
 
 def walk_word(word: Word, mon: Monomial, table: ActionTable):

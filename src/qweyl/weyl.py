@@ -42,11 +42,18 @@ def K(i: int, inv: bool = False) -> GeneratorSymbol:
 
 
 def algebra_table(xi, names: str) -> ActionTable:
-    """Monomial actions with exponents xi, on the d/x/m letters in ``names``.
+    """Monomial actions with exponents xi, on the d/x/m letters in ``names``:
+    each entry is built by ``algebra_rule`` when it is first looked up."""
+    return ActionTable(len(xi), {}, *algebra_rule(xi, names))
 
-    Each entry is the generator as a one-letter ``ShiftWord``, built by one
-    rule when it is first looked up: d_i X^a = [xi_i a_i] X^{a-e_i}, x_i
-    appends, m_i^{+-1} scales by q^{+-xi_i a_i}.
+
+def algebra_rule(xi, names: str):
+    """The build rule of ``algebra_table`` and the function listing its
+    symbols, as a pair.
+
+    The rule gives each generator as a one-letter ``ShiftWord``, and None
+    for any other symbol: d_i X^a = [xi_i a_i] X^{a-e_i}, x_i appends,
+    m_i^{+-1} scales by q^{+-xi_i a_i}.
     """
     d, x, m = names
     n, gen = len(xi), ShiftWord.generator
@@ -67,7 +74,7 @@ def algebra_table(xi, names: str) -> ActionTable:
         return [GeneratorSymbol(fam, i, inv) for i in range(n)
                 for fam, inv in ((d, False), (x, False), (m, False), (m, True))]
 
-    return ActionTable(n, {}, build, symbols)
+    return build, symbols
 
 
 def weyl_table(nvars: int) -> ActionTable:

@@ -57,18 +57,22 @@ def test_act_raw_modified_generators(capsys):
 
 
 def test_act_builds_one_modified_weyl_table(capsys, monkeypatch):
-    # the oscillator table's own modweyl_table serves the d/x/m tokens
+    # the oscillator table's one modified q-Weyl rule serves the d/x/m
+    # tokens and the letters of the alias images alike
     import qweyl.iqg
     import qweyl.modweyl
     builds = []
-    real = qweyl.modweyl.modweyl_table
+    real_rule, real_table = qweyl.modweyl.modweyl_rule, qweyl.modweyl.modweyl_table
 
-    def counting(diagram):
-        builds.append(diagram.spec_string)
-        return real(diagram)
+    def counting(real):
+        def wrapped(diagram):
+            builds.append(diagram.spec_string)
+            return real(diagram)
+        return wrapped
 
-    monkeypatch.setattr(qweyl.iqg, "modweyl_table", counting)
-    monkeypatch.setattr(qweyl.modweyl, "modweyl_table", counting)
+    for module in (qweyl.iqg, qweyl.modweyl):
+        monkeypatch.setattr(module, "modweyl_rule", counting(real_rule))
+        monkeypatch.setattr(module, "modweyl_table", counting(real_table))
     code, out, _ = run(capsys, "act", "--diagram", "A1AFF",
                        "--word", "f0 x0 d1", "--poly", "X1")
     assert (code, builds) == (0, ["A1AFF"])

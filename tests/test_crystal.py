@@ -465,16 +465,39 @@ def test_string_walk_multiplies_by_one_q_integer_at_a_time(monkeypatch,
     assert sizes and max(sizes) <= max(abs(x) for x in d.xi) * s
 
 
+def _assert_walk_is_factored(monkeypatch, d, s):
+    """Every f_i step of the crystal of ``d`` at ``s`` is a q-integer run
+    equal to [xi_i e_i], sign included: neither the graph nor the audit
+    multiplies a Laurent polynomial or builds a q-integer."""
+    import qweyl.crystal as crystal_mod
+    sizes = _laurent_factor_sizes(monkeypatch)
+    built = []
+
+    def counting(n):
+        built.append(n)
+        return q_integer(n)
+
+    monkeypatch.setattr(crystal_mod, "q_integer", counting)
+    crystal_graph(d, s)
+    assert crystal_axioms_check(d, s)["all_ok"]
+    assert (sizes, built) == ([], [])
+
+
 @pytest.mark.parametrize("kind,r,s", WALK_CASES)
 def test_string_walk_is_factored_on_the_oscillator_table(monkeypatch,
                                                          kind, r, s):
-    # Every f_i step of a crystal is a q-integer run equal to [xi_i e_i]:
-    # neither the graph nor the audit multiplies a Laurent polynomial.
-    sizes = _laurent_factor_sizes(monkeypatch)
-    d = build_diagram(kind, r)
-    crystal_graph(d, s)
-    assert crystal_axioms_check(d, s)["all_ok"]
-    assert sizes == []
+    _assert_walk_is_factored(monkeypatch, build_diagram(kind, r), s)
+
+
+@pytest.mark.parametrize("kind,r", [("I", 1), ("III", 1), ("A1AFF", None)])
+@pytest.mark.parametrize("xi", [-1, -2])
+def test_string_walk_is_factored_at_negative_xi(monkeypatch, kind, r, xi):
+    # At xi_1 < 0 each f_1 step, out of slot 1, is -[|xi_1| e_1]: a
+    # comparison that dropped the sign would send every such step to the
+    # exact ratio path, with the same graph but a q-integer built per step.
+    # A1AFF has colour 0 only, so there slot 1 is only ever a target.
+    _assert_walk_is_factored(monkeypatch,
+                             build_diagram(kind, r).with_xi(1, xi), 4)
 
 
 @pytest.mark.parametrize("kind,r", ORACLE_FAMILIES)
@@ -565,6 +588,20 @@ def test_tikz_export_smoke():
     assert "(n300)" in tikz and "red" in tikz and "blue" in tikz
     assert tikz.count("\\node") == 10
     assert tikz.count("\\draw") == 12
+
+
+def test_tikz_node_ids_carry_no_comma_above_nine():
+    # Inside \draw, TikZ reads (n12,0) as a coordinate, not a node: an id
+    # separates exponents above 9 by an x, and its label keeps the comma.
+    import re
+    tikz = export(crystal_graph(build_diagram("I", 0), 12), "tikz")
+    ids = re.findall(r"\(n([^)]*)\)", tikz)
+    assert len(ids) == 13 + 2 * 12
+    assert not [i for i in ids if "," in i]
+    assert "\\node at (0,12) (n12x0) {$(12,0)$};" in tikz
+    assert "\\node at (0,9) (n93) {$(93)$};" in tikz
+    assert "\\draw[thick,->,red] (n12x0) -- (n11x1);" in tikz
+    assert "\\draw[thick,->,red] (n10x2) -- (n93);" in tikz
 
 
 def test_empty_graph_exports_are_valid_documents():

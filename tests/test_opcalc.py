@@ -279,6 +279,50 @@ def test_merged_override_reuses_built_entries_and_prefers_the_other():
                 assert a.entry(z) is z_word
 
 
+def test_each_stored_entry_is_checked_once(monkeypatch):
+    # The oscillator table stores each alias it composes and each d/x/m
+    # letter it reads, and checks each once: e_c = x_c d_{c+1} and
+    # f_0 = x_1 d_0 on IV:r=2 store 4 aliases and 7 letters, d_1 among
+    # them.  A merged table stores its sources' entries with no second
+    # check.
+    import qweyl.opcalc as opcalc
+    checked = []
+    real = opcalc._checked
+
+    def counting(sym, entry):
+        checked.append(sym.label)
+        return real(sym, entry)
+
+    monkeypatch.setattr(opcalc, "_checked", counting)
+    table = oscillator_action(build_diagram("IV", 2))
+    for label in ("e0", "e1", "e2", "f0", "d1"):
+        table.entry(GeneratorSymbol.from_label(label))
+    assert sorted(checked) == ["d0", "d1", "d2", "d3", "e0", "e1", "e2",
+                               "f0", "x0", "x1", "x2"]
+    sym, a = _constant_table(1)
+    _, b = _constant_table(2)
+    checked.clear()
+    assert a.merged(b).entry(sym) is b.entry(sym) and checked == []
+
+
+def test_an_oscillator_table_is_freed_when_dropped():
+    # The table composes an alias over its own letters, so its rule keeps
+    # no reference back to it: a command's table is freed when the command
+    # drops it, not left for the cyclic collector.
+    import gc
+    import weakref
+    table = oscillator_action(build_diagram("IV", 2))
+    for label in ("e0", "f2", "k1^-1", "d1"):
+        table.entry(GeneratorSymbol.from_label(label))
+    dropped = weakref.ref(table)
+    gc.disable()
+    try:
+        del table
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
 def test_one_build_rule_is_called_once_per_symbol_looked_up():
     # A table's one rule is called with a symbol on its first lookup only;
     # a symbol the table lacks reads None from get and a KeyError naming it
