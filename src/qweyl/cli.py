@@ -68,9 +68,10 @@ def run_suite(diagram: SatakeDiagram, suite: str, max_degree: int):
             image_table(weyl.chi_map(diagram.r), classical), max_degree)
     if suite in ("modweyl", "all"):
         instances = modweyl.modweyl_relation_instances(diagram)
-        direct = verify_relations(instances, modweyl.modweyl_table(diagram),
-                                  max_degree)
-        consistency = modweyl.iota_consistency(diagram, max_degree)
+        modified = modweyl.modweyl_table(diagram)
+        direct = verify_relations(instances, modified, max_degree)
+        consistency = modweyl.iota_consistency(diagram, max_degree,
+                                               classical, modified)
         if consistency:
             # Not modweyl.iota_table, whose entries bench/tracer.py swaps by
             # assigning ``table.entries``, which an ActionTable no longer
@@ -100,13 +101,15 @@ def _cmd_verify(args) -> int:
     # An unwritable report path fails here, before any work is done.
     with open(args.json, "w") if args.json else nullcontext() as handle:
         report = run_suite(diagram, args.suite, args.max_degree)
-        for entry in report:
-            idx = ",".join(str(i) for i in entry["instance_indices"])
-            print("RELATION %s[%s] %s" % (entry["relation_id"], idx,
-                                          "OK" if entry["ok"] else "FAIL"))
         failures = report_failures(report)
-        print("SUITE %s %s: %d relations, %d failures"
-              % (args.suite, diagram.spec_string, len(report), len(failures)))
+        # The text report, a line per relation and the summary, in one write.
+        lines = ["RELATION %s[%s] %s\n" % (
+            entry["relation_id"],
+            ",".join(map(str, entry["instance_indices"])),
+            "OK" if entry["ok"] else "FAIL") for entry in report]
+        lines.append("SUITE %s %s: %d relations, %d failures\n" % (
+            args.suite, diagram.spec_string, len(report), len(failures)))
+        sys.stdout.write("".join(lines))
         if handle is not None:
             payload = {"diagram": diagram.spec_string, "suite": args.suite,
                        "max_degree": args.max_degree, "mutation": args.mutate,
@@ -183,7 +186,7 @@ def _cmd_witness(args) -> int:
         raise ValueError("bad --monomial %r: expected comma-separated integers"
                          % args.monomial) from None
     up = args.direction == "up"
-    pres = iqg.presentation(diagram)
+    pres = iqg.skeleton(diagram)
     word, steps = iqg.witness_steps(diagram, mon, up, pres)
     top = tuple([sum(mon)] + [0] * (diagram.nslots - 1))
     start, target = (mon, top) if up else (top, mon)

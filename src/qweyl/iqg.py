@@ -6,7 +6,9 @@ Kinds I and III draw more nodes than the realization has generators: I keeps
 its interior subpath 1..2r+2 with its labels, and III drops the orbit
 {1, 2r+2}, numbers the remaining nodes in order and closes the cycle.  Every
 other kind is its own presentation.  So the varsigma of a dropped node is
-inert, and every other varsigma enters the relations.
+inert, and every other varsigma enters the relations.  ``skeleton`` is the
+presentation's nodes and involution alone, which is all that the ladder,
+the aliases and phi read.
 
 ``_ladder`` gives each two-node orbit a colour and a slot pair, where the
 ladder aliases e_c, f_c, k_c^{+-1} act; each involution-fixed node n carries
@@ -21,7 +23,7 @@ a ``ShiftWord`` when it is first looked up, so it follows the diagram's xi.
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .modweyl import d_, m_, modweyl_rule, modweyl_table, x_
 from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
@@ -55,22 +57,58 @@ def t_(i: int) -> GeneratorSymbol:
     return GeneratorSymbol("t", i)
 
 
+class Skeleton(NamedTuple):
+    """What the ladder, the aliases and phi read of a presentation: its
+    kind, rank, nodes and involution (see ``skeleton``)."""
+
+    kind: str
+    r: int
+    nodes: Tuple[int, ...]
+    tau: Dict[int, int]
+
+
+def _renumbered(diagram: SatakeDiagram) -> Optional[Dict[int, int]]:
+    """The presentation's number of each node it keeps, in order, or None
+    for a kind that is its own presentation.
+
+    Kind I keeps its interior subpath 1..2r+2: the drawn end pair carries
+    no generators.  Kind III drops the orbit {1, 2r+2} and numbers the
+    remaining nodes in order.
+    """
+    if diagram.kind == "I":
+        drop = (0, 2 * diagram.r + 3)
+    elif diagram.kind == "III":
+        drop = (1, 2 * diagram.r + 2)
+    else:
+        return None
+    kept = [n for n in diagram.nodes if n not in drop]
+    return {n: kept[0] + i for i, n in enumerate(kept)}
+
+
+def skeleton(diagram: SatakeDiagram):
+    """The ``presentation``'s kind, rank, nodes and involution alone, as a
+    ``Skeleton``, with no edges, labels or varsigma built; a diagram that
+    is its own presentation is returned as it is."""
+    new = _renumbered(diagram)
+    if new is None:
+        return diagram
+    tau = diagram.tau
+    return Skeleton(diagram.kind, diagram.r, tuple(new.values()),
+                    {new[n]: new[tau[n]] for n in new})
+
+
 def presentation(diagram: SatakeDiagram) -> SatakeDiagram:
     """The diagram carrying the B/H presentation, read field by field.
 
-    Kind I keeps its interior subpath 1..2r+2 with its labels: the drawn end
-    pair carries no generators.  Kind III drops the orbit {1, 2r+2}, numbers
-    the remaining nodes in order and closes the cycle.  Every other kind is
-    its own presentation.
+    Kind I keeps its interior subpath 1..2r+2 with its labels, and kind III
+    drops the orbit {1, 2r+2}, numbers the remaining nodes in order and
+    closes the cycle (``_renumbered``).  Every other kind is its own
+    presentation.
     """
-    if diagram.kind == "I":
-        drop = {0, 2 * diagram.r + 3}
-    elif diagram.kind == "III":
-        drop = {1, 2 * diagram.r + 2}
-    else:
+    new = _renumbered(diagram)
+    if new is None:
         return diagram
-    kept = [n for n in diagram.nodes if n not in drop]
-    new = {n: kept[0] + i for i, n in enumerate(kept)}
+    drop = set(diagram.nodes).difference(new)
     edges = {frozenset(new[n] for n in e) for e in diagram.edges
              if not e & drop}
     if diagram.kind == "III":
@@ -80,9 +118,9 @@ def presentation(diagram: SatakeDiagram) -> SatakeDiagram:
                                 for n in e - {gone}))
     tau, label, varsigma = diagram.tau, diagram.orbit_label, diagram.varsigma
     return SatakeDiagram(diagram.kind, diagram.r, tuple(new.values()),
-                         frozenset(edges), {new[n]: new[tau[n]] for n in kept},
-                         {new[n]: new[label[n]] for n in kept}, diagram.xi,
-                         {new[n]: varsigma[n] for n in kept})
+                         frozenset(edges), {new[n]: new[tau[n]] for n in new},
+                         {new[n]: new[label[n]] for n in new}, diagram.xi,
+                         {new[n]: varsigma[n] for n in new})
 
 
 def _ladder(pres: SatakeDiagram) -> List[Tuple[int, int, int, int]]:
@@ -90,7 +128,8 @@ def _ladder(pres: SatakeDiagram) -> List[Tuple[int, int, int, int]]:
 
     The colour is n minus the presentation's first node.  Its e/f aliases
     move between the slots (colour - 1, colour) for kind V and
-    (colour, colour + 1) otherwise.
+    (colour, colour + 1) otherwise.  ``pres`` is a ``presentation`` or its
+    ``skeleton``.
     """
     out = []
     for n in pres.nodes:
@@ -101,16 +140,30 @@ def _ladder(pres: SatakeDiagram) -> List[Tuple[int, int, int, int]]:
     return out
 
 
-def _serre_coefficients(c: int, parity: int):
+# q^e, the coefficient of R2, R5 and R6 that depends on e alone
+_q_power = cache(ScalarQ.q_power)
+
+
+@cache
+def _serre_coefficients(c: int, parity: int) -> Tuple[ScalarQ, ...]:
     """(-1)^(n + parity) / ([n]! [1-c-n]!) for n = 0..1-c: the coefficient
     of B_i^n B_j B_i^(1-c-n) in the Serre-type sum for a_ij = c, whose
     divided powers are B^(n) = B^n/[n]!."""
-    return [ScalarQ(-1 if (n + parity) % 2 else 1,
-                    q_product([*range(1, n + 1), *range(1, 2 - c - n)]))
-            for n in range(2 - c)]
+    return tuple([ScalarQ(-1 if (n + parity) % 2 else 1,
+                          q_product([*range(1, n + 1), *range(1, 2 - c - n)]))
+                  for n in range(2 - c)])
 
 
-def _r5_constants(c: int):
+@cache
+def _r6_coefficients(m: int) -> Tuple[ScalarQ, ...]:
+    """(-1)^n [m choose n] for n = 0..m: the coefficient of
+    B_i^n B_j B_i^(m-n) in R6, m = 1 - a_ij."""
+    return tuple([ScalarQ(q_binomial(m, n) * (-1) ** n)
+                  for n in range(m + 1)])
+
+
+@cache
+def _r5_constants(c: int) -> Tuple[ScalarQ, ScalarQ]:
     """(q^-2; q^-2)_n and (q^2; q^2)_n over [n]! (q - q^-1), n = -c: the R5
     coefficients of B_i^n H_i and B_i^n H_{tau i} less q-power and varsigma.
     As 1 - q^(-+2k) = +-q^(-+k) (q - q^-1) [k], they are (+-1)^n
@@ -122,86 +175,89 @@ def _r5_constants(c: int):
     return ScalarQ(body.shift(-t)), ScalarQ(body.shift(t) * (-1) ** n)
 
 
-def _sandwich(i: int, j: int, coeffs) -> OperatorExpr:
-    """The sum over n of coeffs[n] B_i^n B_j B_i^(m-n), m = len(coeffs) - 1."""
-    bi, bj, m = B_(i), B_(j), len(coeffs) - 1
+def _sandwich(bi: GeneratorSymbol, bj: GeneratorSymbol,
+             coeffs) -> OperatorExpr:
+    """The sum over n of coeffs[n] bi^n bj bi^(m-n), m = len(coeffs) - 1."""
+    m = len(coeffs) - 1
     return OperatorExpr({(bi,) * n + (bj,) + (bi,) * (m - n): v
                          for n, v in enumerate(coeffs)})
 
 
-def relation_instances(diagram: SatakeDiagram):
+def relation_instances(diagram: SatakeDiagram, pres: SatakeDiagram = None):
     """Every defining relation of the presentation, instantiated literally.
 
     Returns (group_id, indices, lhs, rhs) tuples over B/H symbols.  The long
     relation is emitted for both orderings of each two-node orbit, so the
-    asymmetric varsigma placement is exercised from both sides.
+    asymmetric varsigma placement is exercised from both sides.  ``pres``,
+    if given, is ``presentation(diagram)``.
 
-    Each side is one dict of words and coefficients.  The coefficients
-    that depend on integers alone (Serre, R5 and R6 constants, q-powers) are
-    built once per call, so an instance only multiplies in its varsigma.
+    Each side is one dict of words and coefficients, and each B/H symbol is
+    built once per call.  The coefficients that depend on integers alone
+    (Serre, R5 and R6 constants, q-powers) are built once per process, from
+    Cartan integers alone, so an instance only multiplies in its varsigma.
     """
-    pres = presentation(diagram)
+    pres = pres or presentation(diagram)
     word = OperatorExpr.word
     one = OperatorExpr.identity()
-    q, serre, r5, binomials = map(cache, (
-        ScalarQ.q_power, _serre_coefficients, _r5_constants,
-        lambda m: [ScalarQ(q_binomial(m, n) * (-1) ** n)
-                   for n in range(m + 1)]))
+    q, nodes, tau, varsigma = _q_power, pres.nodes, pres.tau, pres.varsigma
+    pairing = pres.pairing
+    B = {n: B_(n) for n in nodes}
+    H = {n: H_(n) for n in nodes}
     out = []
 
-    for i in pres.nodes:
-        out.append(("iqg.R1_inv", [i], word([H_(i), H_(pres.tau[i])]), one))
-    for i in pres.nodes:
-        for j in pres.nodes:
+    for i in nodes:
+        out.append(("iqg.R1_inv", [i], word([H[i], H[tau[i]]]), one))
+    for i in nodes:
+        for j in nodes:
             if i < j:
                 out.append(("iqg.R1_comm", [i, j],
-                            word([H_(i), H_(j)]), word([H_(j), H_(i)])))
+                            word([H[i], H[j]]), word([H[j], H[i]])))
 
-    for j in pres.nodes:
-        for i in pres.nodes:
-            exp = pres.pairing(i, pres.tau[j]) - pres.pairing(i, j)
-            out.append(("iqg.R2", [j, i], word([H_(j), B_(i)]),
-                        word([B_(i), H_(j)], q(exp))))
+    for j in nodes:
+        for i in nodes:
+            exp = pairing(i, tau[j]) - pairing(i, j)
+            out.append(("iqg.R2", [j, i], word([H[j], B[i]]),
+                        word([B[i], H[j]], q(exp))))
 
-    for i in pres.nodes:
-        for j in pres.nodes:
-            if i < j and pres.pairing(i, j) == 0 and pres.tau[i] != j:
+    for i in nodes:
+        for j in nodes:
+            if i < j and pairing(i, j) == 0 and tau[i] != j:
                 out.append(("iqg.R3", [i, j],
-                            word([B_(i), B_(j)]), word([B_(j), B_(i)])))
+                            word([B[i], B[j]]), word([B[j], B[i]])))
 
-    for i in pres.nodes:
-        if pres.tau[i] == i:
+    for i in nodes:
+        if tau[i] == i:
             continue
-        for j in pres.nodes:
-            if j == i or j == pres.tau[i]:
+        for j in nodes:
+            if j == i or j == tau[i]:
                 continue
-            lhs = _sandwich(i, j, serre(pres.pairing(i, j), 0))
+            lhs = _sandwich(B[i], B[j], _serre_coefficients(pairing(i, j), 0))
             out.append(("iqg.R4", [i, j], lhs, OperatorExpr.zero()))
 
-    eps_active = 0 in pres.tau and pres.pairing(0, pres.tau[0]) == -1
-    for i in pres.nodes:
-        ti = pres.tau[i]
+    eps_active = 0 in tau and pairing(0, tau[0]) == -1
+    for i in nodes:
+        ti = tau[i]
         if ti == i:
             continue
-        c = pres.pairing(i, ti)
-        lhs = _sandwich(i, ti, serre(c, c % 2))
-        eps = 3 * ((i == 0) - (i == pres.tau[0])) if eps_active else 0
-        first, second = r5(c)
-        power = (B_(i),) * -c
+        c = pairing(i, ti)
+        lhs = _sandwich(B[i], B[ti], _serre_coefficients(c, c % 2))
+        eps = 3 * ((i == 0) - (i == tau[0])) if eps_active else 0
+        first, second = _r5_constants(c)
+        power = (B[i],) * -c
         rhs = OperatorExpr({
-            power + (H_(i),): q(c + eps) * first * pres.varsigma[ti],
-            power + (H_(ti),): -(q(-eps) * second * pres.varsigma[i])})
+            power + (H[i],): q(c + eps) * first * varsigma[ti],
+            power + (H[ti],): -(q(-eps) * second * varsigma[i])})
         out.append(("iqg.R5", [i], lhs, rhs))
 
-    for i in pres.nodes:
-        if pres.tau[i] != i:
+    for i in nodes:
+        if tau[i] != i:
             continue
-        for j in pres.nodes:
+        for j in nodes:
             if j == i:
                 continue
-            cij = pres.pairing(i, j)
-            lhs = _sandwich(i, j, binomials(1 - cij))
-            rhs = (OperatorExpr.symbol(B_(j), q(1) * pres.varsigma[i])
+            cij = pairing(i, j)
+            lhs = _sandwich(B[i], B[j], _r6_coefficients(1 - cij))
+            rhs = (OperatorExpr.symbol(B[j], q(1) * varsigma[i])
                    if cij == -1 else OperatorExpr.zero())
             out.append(("iqg.R6", [i, j], lhs, rhs))
     return out
@@ -242,7 +298,7 @@ def _k_image(pres: SatakeDiagram, c: int, lo: int, hi: int,
 def _alias_symbols(pres: SatakeDiagram) -> List[GeneratorSymbol]:
     """The ladder aliases: e_c, f_c, k_c and k_c^{-1} for each colour c of
     ``_ladder``, then t_n for each fixed node n.  ``pres`` is the diagram's
-    ``presentation``."""
+    ``presentation`` or its ``skeleton``."""
     out = []
     for _, c, _, _ in _ladder(pres):
         out += [e_(c), f_(c), k_(c), k_(c, True)]
@@ -255,9 +311,9 @@ def _alias_rule(pres: SatakeDiagram
     q-Weyl algebra: called with a symbol, it returns its image, or None for
     a symbol that is no alias (see ``_alias_symbols``).
 
-    ``pres`` is the diagram's ``presentation``.  Each colour's e/f/k^{+-1}
-    act on its slot pair from ``_ladder``; a fixed node n carries
-    t_n = x_n d_n, except that kind VI's t_0 is x_1 d_1.
+    ``pres`` is the diagram's ``presentation`` or its ``skeleton``.  Each
+    colour's e/f/k^{+-1} act on its slot pair from ``_ladder``; a fixed
+    node n carries t_n = x_n d_n, except that kind VI's t_0 is x_1 d_1.
     """
     pairs = {c: (lo, hi) for _, c, lo, hi in _ladder(pres)}
     tau = pres.tau
@@ -290,15 +346,17 @@ def _alias_images(pres: SatakeDiagram) -> Dict[GeneratorSymbol, OperatorExpr]:
     return {sym: rule(sym) for sym in _alias_symbols(pres)}
 
 
-def phi(diagram: SatakeDiagram) -> Dict[GeneratorSymbol, OperatorExpr]:
+def phi(diagram: SatakeDiagram, pres: SatakeDiagram = None
+        ) -> Dict[GeneratorSymbol, OperatorExpr]:
     """The algebra homomorphism on generators, for B/H and all aliases.
 
     On each two-node orbit {n < tau n} of colour c, B_n and B_{tau n} map to
     f_c and e_c, H_n and H_{tau n} to k_c and k_c^{-1}.  A fixed node n maps
     B_n to t_n and H_n to the identity operator: the first relation group
-    forces such an H to be a central square root of 1.
+    forces such an H to be a central square root of 1.  ``pres``, if
+    given, is ``presentation(diagram)`` or its ``skeleton``.
     """
-    pres = presentation(diagram)
+    pres = pres or skeleton(diagram)
     img = _alias_images(pres)
     for n, c, _, _ in _ladder(pres):
         img[B_(n)] = img[f_(c)]
@@ -321,8 +379,9 @@ def verify_homomorphism(diagram: SatakeDiagram, max_s: int):
     entries ok means every defining relation holds on the whole polynomial
     ring under phi.
     """
-    table = image_table(phi(diagram), modweyl_table(diagram))
-    return verify_relations(relation_instances(diagram), table, max_s)
+    pres = presentation(diagram)
+    table = image_table(phi(diagram, pres), modweyl_table(diagram))
+    return verify_relations(relation_instances(diagram, pres), table, max_s)
 
 
 def oscillator_action(diagram: SatakeDiagram, pres: SatakeDiagram = None
@@ -336,9 +395,9 @@ def oscillator_action(diagram: SatakeDiagram, pres: SatakeDiagram = None
     is first looked up, and no other is built.  The table is phi composed
     with the modified q-Weyl action, at whatever xi the diagram carries;
     its symbols are the aliases, then d/x/m.  ``pres``, if given, is
-    ``presentation(diagram)``.
+    ``presentation(diagram)`` or its ``skeleton``.
     """
-    pres = pres or presentation(diagram)
+    pres = pres or skeleton(diagram)
     aliases = _alias_rule(pres)
     letters, letter_symbols = modweyl_rule(diagram)
     return ActionTable(diagram.nslots, {},
@@ -357,10 +416,10 @@ def witness_steps(diagram: SatakeDiagram, a: Tuple[int, ...], up: bool,
     prod_{i=0}^{r} [a_i + ... + a_{r+1}]^{xi_i}! divided by [a_i]^{xi_i}!,
     whose q-integers are those the quotient keeps: no gcd.  Kind VI has no
     raising operator into slot 0, so no such witness exists there.
-    ``pres``, if given, is ``presentation(diagram)``.
+    ``pres``, if given, is ``presentation(diagram)`` or its ``skeleton``.
     """
     a = _witness_vector(diagram, a)
-    ladder = _ladder(pres or presentation(diagram))
+    ladder = _ladder(pres or skeleton(diagram))
     top = [sum(a[i:]) for i in range(len(a))]
     if up:
         word = [e_(c) for _, c, _, hi in ladder for _ in range(top[hi])]

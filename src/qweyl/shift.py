@@ -20,11 +20,12 @@ has shifted the exponents by s turns its term q^e u^m into q^{e + m.s} u^m.
 each suffix once, and ``_add_terms`` adds a form times a Laurent
 coefficient into a sum.
 ``opcalc.image_table`` so sums an image, words with one shift vector and one
-d-count, into one ``ShiftWord``, and ``compile_relation`` turns a relation's
-two sides, lhs - rhs, into components.  The sides agree on every monomial
-iff every component is zero, because distinct characters a -> q^{m.a} are
-linearly independent on N^n.  The guard "d_i kills X^a when a_i = 0" needs
-no special case: the factor [xi_i * 0] is already 0.
+d-count, into one ``ShiftWord``, and ``compile_relation`` sums each side of a
+relation into components, compares them, and subtracts only unequal sides.
+The sides agree on every monomial iff every component of lhs - rhs is zero,
+because distinct characters a -> q^{m.a} are linearly independent on N^n.
+The guard "d_i kills X^a when a_i = 0" needs no special case: the factor
+[xi_i * 0] is already 0.
 
 A compiled polynomial P maps each term q^e u^m, over slots 0..r+1, to its
 coefficient, keyed by one int, the Kronecker substitution
@@ -45,7 +46,7 @@ from functools import cache
 from math import comb, prod
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .qscalar import ONE, LaurentPoly, ScalarQ, _coeff
+from .qscalar import _UNIT, ONE, LaurentPoly, ScalarQ, _coeff
 
 Vector = Tuple[int, ...]
 Sparse = Tuple[Tuple[int, int], ...]
@@ -228,7 +229,10 @@ class ShiftForm(NamedTuple):
     coefficient.
 
     Only nonzero components are kept, so the expression is the zero operator
-    iff ``components`` is empty; its ``scale`` is then None.
+    iff ``components`` is empty; its ``scale`` is then None.  Each compiled
+    form owns its dicts: ``compile_relation`` builds a new zero form
+    whenever its two sides compare equal, and never hands out a polynomial
+    of a table's memo of word forms as a component.
     """
 
     components: Dict[Vector, ShiftPoly]
@@ -255,8 +259,8 @@ def _word_form(word, table) -> Form:
     return form
 
 
-def _add_terms(comp, form: Form, coeff, sign=1):
-    """Add sign * coeff(q) times the polynomial of ``form`` into ``comp``: a
+def _add_terms(comp, form: Form, coeff):
+    """Add coeff(q) times the polynomial of ``form`` into ``comp``: a
     term v q^qc of coeff moves each key of it by qc, its q digit.  A qc that
     could take a digit past the form's bound to 2^23 raises a ValueError
     before any key is packed."""
@@ -264,7 +268,6 @@ def _add_terms(comp, form: Form, coeff, sign=1):
     for qc, vc in coeff.items():
         if not -room < qc < room:
             raise _unpackable(form[3] + abs(qc))
-        vc *= sign
         for key, v in poly.items():
             key += qc
             comp[key] = comp.get(key, 0) + v * vc
@@ -280,14 +283,19 @@ def _q_minus_qinv_power(n: int) -> LaurentPoly:
 
 def compile_relation(lhs, rhs, table) -> ShiftForm:
     """The shift-vector form of lhs - rhs, two OperatorExprs, over an
-    ActionTable: ``_add_terms`` adds the terms of ``lhs``, and subtracts
-    those of ``rhs``, into the same components, never into an expression.
+    ActionTable.  Each side is summed into its own components by
+    ``_add_terms``, never into an expression; two equal sides give the
+    zero form at once, and only unequal ones are subtracted.
 
     Every entry of an ``ActionTable`` is a ``ShiftWord``.  A symbol the
     table does not know raises the ``KeyError`` of ``ActionTable.entry``.
 
     Each word's form is read from the table's memo (``_word_form``), so the
-    calls over one table compose each suffix of each word once.
+    calls over one table compose each suffix of each word once.  The memo
+    is never changed: a word whose coefficient is 1, once scaled, and that
+    is the first on its shift vector on its side, lends that side its
+    polynomial as it is, which the side copies before a second word is
+    added to it or a right side is subtracted from it.
 
     Both sides are first multiplied by L, the product of the distinct
     denominators of their coefficients, and by (q - q^-1)^D, D the largest
@@ -298,8 +306,8 @@ def compile_relation(lhs, rhs, table) -> ShiftForm:
     A word or coefficient whose exponents could reach 2^23 in a packed key
     raises a ValueError (see the module docstring).
     """
-    words, dens, depth = [], [], 0
-    for expr, sign in ((lhs, 1), (rhs, -1)):
+    sides, dens, depth = ([], []), [], 0
+    for expr, words in zip((lhs, rhs), sides):
         for word, c in expr.terms.items():
             form = _word_form(word, table)
             if form[2] > depth:
@@ -311,23 +319,51 @@ def compile_relation(lhs, rhs, table) -> ShiftForm:
                 except ValueError:
                     k = len(dens)
                     dens.append(c.den)
-            words.append((form, c.num, k, sign))
+            words.append((form, c.num, k))
     if dens:    # c * L is c.num times every other denominator: no gcd
         rest = [prod(dens[:k] + dens[k + 1:], start=ONE)
                 for k in range(len(dens))]
         rest.append(prod(dens, start=ONE))
+    summed = []
+    for words in sides:
+        comps: Dict[Vector, ShiftPoly] = {}
+        lent = set()    # shift vectors whose component is a memo polynomial
+        for form, coeff, k in words:
+            if dens:
+                coeff = coeff * rest[k]
+            if form[2] < depth:
+                coeff = coeff * _q_minus_qinv_power(depth - form[2])
+            delta = form[0]
+            comp = comps.get(delta)
+            if comp is None:
+                if coeff._c == _UNIT:
+                    comps[delta] = form[1]
+                    lent.add(delta)
+                    continue
+                comp = comps[delta] = {}
+            elif delta in lent:
+                comp = comps[delta] = dict(comp)
+                lent.discard(delta)
+            _add_terms(comp, form, coeff)
+        summed.append((comps, lent))
+    (left, lent), (right, _) = summed
+    if left == right:
+        return ShiftForm({}, None)
     components: Dict[Vector, ShiftPoly] = {}
-    for form, coeff, k, sign in words:
-        if dens:
-            coeff = coeff * rest[k]
-        if form[2] < depth:
-            coeff = coeff * _q_minus_qinv_power(depth - form[2])
-        _add_terms(components.setdefault(form[0], {}), form, coeff, sign)
-    for delta in list(components):
-        comp = {key: v for key, v in components[delta].items() if v}
+    for delta, comp in left.items():
+        sub = right.get(delta)
+        if sub:
+            if delta in lent:
+                comp = dict(comp)
+            for key, v in sub.items():
+                comp[key] = comp.get(key, 0) - v
+        comp = {key: v for key, v in comp.items() if v}
         if comp:
             components[delta] = comp
-        else:
-            del components[delta]
+    for delta, comp in right.items():
+        if delta not in left:
+            comp = {key: -v for key, v in comp.items() if v}
+            if comp:
+                components[delta] = comp
     return ShiftForm(components, prod(dens, start=_q_minus_qinv_power(depth))
                      if components else None)

@@ -10,8 +10,6 @@ X_{i+1} D_i and M_i M_{i+1}^{-1}.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .opcalc import ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial
 from .qscalar import Q_MINUS_QINV, ScalarQ, q_integer
 from .shift import ShiftWord
@@ -113,39 +111,43 @@ def algebra_relations(xi, names: str, prefix: str):
     ``names`` holds the d/x/m letters, and group ids are spelled in them:
     "DXM" with prefix "weyl" gives ``weyl.DX_same``, "dxm" with prefix
     "modweyl" gives ``modweyl.dx_same``.  Returns tuples
-    (group_id, indices, lhs, rhs) of operator expressions.
+    (group_id, indices, lhs, rhs) of operator expressions.  Each symbol
+    and group id is built once per call.
     """
-    d, x, m = (partial(GeneratorSymbol, fam) for fam in names)
-    rename = str.maketrans("DXM", names)
-
-    def gid(name):
-        return "%s.%s" % (prefix, name.translate(rename))
-
     n = len(xi)
+    dn, xn, mn = names
+    d = [GeneratorSymbol(dn, i) for i in range(n)]
+    x = [GeneratorSymbol(xn, i) for i in range(n)]
+    m = [GeneratorSymbol(mn, i) for i in range(n)]
+    minv = [GeneratorSymbol(mn, i, True) for i in range(n)]
+    rename = str.maketrans("DXM", names)
+    gid = {name: "%s.%s" % (prefix, name.translate(rename)) for name in (
+        "MMinv", "MinvM", "MM_comm", "DD_comm", "XX_comm", "DM_comm",
+        "XM_comm", "DX_comm", "DM_same", "XM_same", "DX_same", "XD_same")}
     one = OperatorExpr.identity()
     word = OperatorExpr.word
     out = []
     for i in range(n):
-        out.append((gid("MMinv"), [i], word([m(i), m(i, True)]), one))
-        out.append((gid("MinvM"), [i], word([m(i, True), m(i)]), one))
+        out.append((gid["MMinv"], [i], word((m[i], minv[i])), one))
+        out.append((gid["MinvM"], [i], word((minv[i], m[i])), one))
     for i in range(n):
         for j in range(i + 1, n):
-            out.append((gid("MM_comm"), [i, j],
-                        word([m(i), m(j)]), word([m(j), m(i)])))
-            out.append((gid("DD_comm"), [i, j],
-                        word([d(i), d(j)]), word([d(j), d(i)])))
-            out.append((gid("XX_comm"), [i, j],
-                        word([x(i), x(j)]), word([x(j), x(i)])))
+            out.append((gid["MM_comm"], [i, j],
+                        word((m[i], m[j])), word((m[j], m[i]))))
+            out.append((gid["DD_comm"], [i, j],
+                        word((d[i], d[j])), word((d[j], d[i]))))
+            out.append((gid["XX_comm"], [i, j],
+                        word((x[i], x[j])), word((x[j], x[i]))))
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            out.append((gid("DM_comm"), [i, j],
-                        word([d(i), m(j)]), word([m(j), d(i)])))
-            out.append((gid("XM_comm"), [i, j],
-                        word([x(i), m(j)]), word([m(j), x(i)])))
-            out.append((gid("DX_comm"), [i, j],
-                        word([d(i), x(j)]), word([x(j), d(i)])))
+            out.append((gid["DM_comm"], [i, j],
+                        word((d[i], m[j])), word((m[j], d[i]))))
+            out.append((gid["XM_comm"], [i, j],
+                        word((x[i], m[j])), word((m[j], x[i]))))
+            out.append((gid["DX_comm"], [i, j],
+                        word((d[i], x[j])), word((x[j], d[i]))))
     qq_inv = ScalarQ(1, Q_MINUS_QINV)
     same = {}  # xi_i -> q^xi_i, q^-xi_i and the DX_same rhs coefficients
     for i, v in enumerate(xi):
@@ -153,14 +155,14 @@ def algebra_relations(xi, names: str, prefix: str):
             up, down = ScalarQ.q_power(v), ScalarQ.q_power(-v)
             same[v] = up, down, up * qq_inv, -(down * qq_inv)
         up, down, dx_m, dx_minv = same[v]
-        out.append((gid("DM_same"), [i], word([d(i), m(i)]),
-                    word([m(i), d(i)], up)))
-        out.append((gid("XM_same"), [i], word([x(i), m(i)]),
-                    word([m(i), x(i)], down)))
-        out.append((gid("DX_same"), [i], word([d(i), x(i)]),
-                    OperatorExpr({(m(i),): dx_m, (m(i, True),): dx_minv})))
-        out.append((gid("XD_same"), [i], word([x(i), d(i)]),
-                    OperatorExpr({(m(i),): qq_inv, (m(i, True),): -qq_inv})))
+        out.append((gid["DM_same"], [i], word((d[i], m[i])),
+                    word((m[i], d[i]), up)))
+        out.append((gid["XM_same"], [i], word((x[i], m[i])),
+                    word((m[i], x[i]), down)))
+        out.append((gid["DX_same"], [i], word((d[i], x[i])),
+                    OperatorExpr({(m[i],): dx_m, (minv[i],): dx_minv})))
+        out.append((gid["XD_same"], [i], word((x[i], d[i])),
+                    OperatorExpr({(m[i],): qq_inv, (minv[i],): -qq_inv})))
     return out
 
 
@@ -187,47 +189,48 @@ def cartan_entry(i: int, j: int) -> int:
 
 def uqsl_relation_instances(r: int):
     """All defining relation instances of U_q(sl_{r+2}), as E/F/K expressions,
-    each side one dict of words and coefficients built once per call."""
+    each side one dict of words and coefficients, and each symbol, built
+    once per call."""
     word = OperatorExpr.word
     one = OperatorExpr.identity()
     plus, minus = ScalarQ.one(), -ScalarQ.one()
     qq_inv = ScalarQ(1, Q_MINUS_QINV)
     minus_two = -ScalarQ(q_integer(2))
     qpow = {c: ScalarQ.q_power(c) for c in (-2, -1, 0, 1, 2)}
+    e, f = [E(i) for i in range(r + 1)], [F(i) for i in range(r + 1)]
+    k, kinv = [K(i) for i in range(r + 1)], [K(i, True) for i in range(r + 1)]
     out = []
     for i in range(r + 1):
-        out.append(("uqsl.KKinv", [i], word([K(i), K(i, True)]), one))
-        out.append(("uqsl.KinvK", [i], word([K(i, True), K(i)]), one))
+        out.append(("uqsl.KKinv", [i], word((k[i], kinv[i])), one))
+        out.append(("uqsl.KinvK", [i], word((kinv[i], k[i])), one))
     for i in range(r + 1):
         for j in range(i + 1, r + 1):
             out.append(("uqsl.KK_comm", [i, j],
-                        word([K(i), K(j)]), word([K(j), K(i)])))
+                        word((k[i], k[j])), word((k[j], k[i]))))
     for i in range(r + 1):
         for j in range(r + 1):
             c = cartan_entry(i, j)
             out.append(("uqsl.KEK", [i, j],
-                        word([K(i), E(j), K(i, True)]),
-                        word([E(j)], qpow[c])))
+                        word((k[i], e[j], kinv[i])), word((e[j],), qpow[c])))
             out.append(("uqsl.KFK", [i, j],
-                        word([K(i), F(j), K(i, True)]),
-                        word([F(j)], qpow[-c])))
+                        word((k[i], f[j], kinv[i])), word((f[j],), qpow[-c])))
     for i in range(r + 1):
         for j in range(r + 1):
-            lhs = OperatorExpr({(E(i), F(j)): plus, (F(j), E(i)): minus})
-            rhs = (OperatorExpr({(K(i),): qq_inv, (K(i, True),): -qq_inv})
+            lhs = OperatorExpr({(e[i], f[j]): plus, (f[j], e[i]): minus})
+            rhs = (OperatorExpr({(k[i],): qq_inv, (kinv[i],): -qq_inv})
                    if i == j else OperatorExpr.zero())
             out.append(("uqsl.EF", [i, j], lhs, rhs))
     for i in range(r + 1):
         for j in range(r + 1):
             if abs(i - j) > 1:
                 out.append(("uqsl.EE_far", [i, j],
-                            word([E(i), E(j)]), word([E(j), E(i)])))
+                            word((e[i], e[j])), word((e[j], e[i]))))
                 out.append(("uqsl.FF_far", [i, j],
-                            word([F(i), F(j)]), word([F(j), F(i)])))
+                            word((f[i], f[j])), word((f[j], f[i]))))
             elif abs(i - j) == 1:
-                for g, fam in ((E, "E"), (F, "F")):
-                    out.append(("uqsl.serre_" + fam, [i, j], OperatorExpr({
-                        (g(i), g(i), g(j)): plus,
-                        (g(i), g(j), g(i)): minus_two,
-                        (g(j), g(i), g(i)): plus}), OperatorExpr.zero()))
+                for g, group in ((e, "uqsl.serre_E"), (f, "uqsl.serre_F")):
+                    out.append((group, [i, j], OperatorExpr({
+                        (g[i], g[i], g[j]): plus,
+                        (g[i], g[j], g[i]): minus_two,
+                        (g[j], g[i], g[i]): plus}), OperatorExpr.zero()))
     return out

@@ -6,22 +6,31 @@ coefficients once per call; the lists must agree entry by entry, in order.
 The report of ``verify_relations``, which compiles lhs and rhs into one
 form, must be the report read off ``reference_compile_relation(lhs - rhs)``
 on relations broken in every group, including the groups that no
-``--mutate`` reaches.
+``--mutate`` reaches.  The compiler sums each side on its own, lending a
+unit word's memo polynomial to its side: compiling must leave every memo
+form as it was, and its subtract path must agree with the reference on
+every relation with its sides swapped or its right side scaled.  The
+integer-only constants of the iqg builders are built once per process and
+must carry nothing of the diagram they were first built for.
 """
 
 import pytest
 
-from closed_forms import (reference_algebra_relations,
+from closed_forms import (_serre_sum, divided_power, q_pochhammer,
+                          reference_algebra_relations,
                           reference_compile_relation,
                           reference_relation_instances,
                           reference_uqsl_relation_instances, xi_variants)
-from qweyl.cli import MUTATIONS, _apply_mutation
-from qweyl.iqg import phi, relation_instances
+from qweyl.cli import MUTATIONS, _apply_mutation, run_suite
+from qweyl.iqg import (B_, _q_power, _r5_constants, _r6_coefficients,
+                       _serre_coefficients, phi, relation_instances)
 from qweyl.modweyl import iota_map, modweyl_relation_instances, modweyl_table
 from qweyl.opcalc import (OperatorExpr, _residuals, image_table,
-                          monomials_of_degree, verify_relations)
-from qweyl.qscalar import ScalarQ
+                          monomials_of_degree, report_failures,
+                          verify_relations)
+from qweyl.qscalar import Q_MINUS_QINV, ScalarQ, q_binomial
 from qweyl.satake import build_diagram
+from qweyl.shift import _word_form, compile_relation
 from qweyl.weyl import (chi_map, uqsl_relation_instances,
                         weyl_relation_instances, weyl_table)
 
@@ -125,3 +134,114 @@ def test_broken_relations_report_as_the_reference_difference(kind, r):
     # every group of the four suites was broken at least once
     assert {g.split(".")[0] for g in groups} == {"weyl", "uqsl", "modweyl",
                                                   "iqg"}
+
+
+def _memo(table):
+    """Every form of ``table``'s memo, its polynomial copied."""
+    return {word: (shift, dict(poly), divided, bound)
+            for word, (shift, poly, divided, bound) in table.forms.items()}
+
+
+@pytest.mark.parametrize("kind,r", [("IV", 1), ("A1AFF", None)])
+def test_compiling_never_changes_the_memo(kind, r):
+    # Every word's form is in its table's memo before any relation is
+    # compiled, so a compile that added into, or subtracted from, a memo
+    # polynomial it lent to a side shows in the snapshot.
+    d = build_diagram(kind, r)
+    variants = [d]
+    for mutation in MUTATIONS:
+        try:
+            variants.append(_apply_mutation(d, mutation, "all"))
+        except ValueError:  # varsigma1 is inert on this diagram
+            pass
+    zeros, compiled = [], 0
+    for variant in variants:
+        for table, instances in _suites(variant):
+            for _, _, lhs, rhs in instances:
+                for word in [*lhs.terms, *rhs.terms]:
+                    _word_form(word, table)
+            before = _memo(table)
+            for _, _, lhs, rhs in instances:
+                form = compile_relation(lhs, rhs, table)
+                if not form.components:
+                    zeros.append(form)
+                compiled += 1
+            assert _memo(table) == before
+    assert len(variants) == 3 if kind == "IV" else len(variants) >= 2
+    assert compiled > len(zeros) > 1
+    # no two zero forms share an object a caller could change
+    assert len({id(form.components) for form in zeros}) == len(zeros)
+
+
+def _lends_then_copies(lhs, rhs, table):
+    """Whether a side of lhs - rhs holds two words of one shift vector, the
+    first with coefficient 1 at the relation's largest d-count: the side
+    borrows that word's memo polynomial and must copy it for the second."""
+    forms = {word: _word_form(word, table)
+             for word in [*lhs.terms, *rhs.terms]}
+    depth = max([form[2] for form in forms.values()], default=0)
+    for side in (lhs, rhs):
+        lent = set()
+        for word, c in side.terms.items():
+            shift, _, divided, _ = forms[word]
+            if shift in lent:
+                return True
+            if c.is_one and divided == depth:
+                lent.add(shift)
+    return False
+
+
+@pytest.mark.parametrize("kind,r", ALL_DIAGRAMS)
+def test_subtract_path_matches_the_reference(kind, r):
+    # Sides swapped, the right side scaled by q, and the swapped sides with
+    # q times the first lhs word added on the right, which gives the shift
+    # vectors of a zero right side nonzero terms on the right alone: every
+    # compiled form, by subtraction or as the zero form of two equal sides,
+    # must be the reference form of the difference.
+    q, shared = ScalarQ.q_power(1), 0
+    for table, instances in _suites(build_diagram(kind, r)):
+        for _, _, lhs, rhs in instances:
+            broken = lhs + OperatorExpr.word(next(iter(lhs.terms)), q)
+            for a, b in ((rhs, lhs), (lhs, rhs.scale(q)), (rhs, broken)):
+                assert compile_relation(a, b, table) == \
+                    reference_compile_relation(a - b, table), str(a - b)
+            shared += _lends_then_copies(lhs, rhs, table)
+    assert shared   # uqsl.EF, the R4/R6 sandwiches, ...
+
+
+def test_per_process_constants_carry_no_diagram_state():
+    # One process runs the suite on a diagram, on its varsigma1 mutant and
+    # on it again: the constants built for the first run serve both.  IV:r=2
+    # has every group R1-R6 and a varsigma1 that the presentation keeps
+    # (III's node 1 is dropped, so its varsigma1 is inert).
+    d = build_diagram("IV", 2)
+    first = run_suite(d, "iqg", 2)
+    mutant = run_suite(_apply_mutation(d, "varsigma1", "iqg"), "iqg", 2)
+    again = run_suite(d, "iqg", 2)
+    assert first == again and not report_failures(first)
+    assert report_failures(mutant)
+    # Each constant is a tuple, equal to what the reference builders of
+    # closed_forms build: the Serre sums of divided powers, R5's
+    # q-Pochhammer symbols over [n]! (q - q^-1) and R6's q-binomial rows.
+    bi, bj = B_(0), B_(1)
+    qq_inv = ScalarQ(Q_MINUS_QINV).invert()
+    qm2, qp2 = ScalarQ.q_power(-2), ScalarQ.q_power(2)
+    for c in (0, -1, -2):
+        for parity in (0, 1):
+            ref = _serre_sum(0, 1, c, parity).terms
+            got = _serre_coefficients(c, parity)
+            assert type(got) is tuple
+            assert got == tuple(ref[(bi,) * n + (bj,) + (bi,) * (1 - c - n)]
+                                for n in range(2 - c))
+        n = -c
+        over = next(iter(divided_power(bi, n).terms.values())) * qq_inv
+        got = _r5_constants(c)
+        assert type(got) is tuple
+        assert got == (q_pochhammer(qm2, qm2, n) * over,
+                       q_pochhammer(qp2, qp2, n) * over)
+        m = 1 - c
+        got = _r6_coefficients(m)
+        assert type(got) is tuple
+        assert got == tuple(ScalarQ(q_binomial(m, k) * (-1) ** k)
+                            for k in range(m + 1))
+        assert _q_power(c) == ScalarQ.q_power(c)
