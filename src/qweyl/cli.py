@@ -186,7 +186,7 @@ def _cmd_witness(args) -> int:
         raise ValueError("bad --monomial %r: expected comma-separated integers"
                          % args.monomial) from None
     up = args.direction == "up"
-    pres = iqg.skeleton(diagram)
+    pres = iqg.presentation(diagram)
     word, steps = iqg.witness_steps(diagram, mon, up, pres)
     top = tuple([sum(mon)] + [0] * (diagram.nslots - 1))
     start, target = (mon, top) if up else (top, mon)

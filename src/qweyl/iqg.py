@@ -6,9 +6,7 @@ Kinds I and III draw more nodes than the realization has generators: I keeps
 its interior subpath 1..2r+2 with its labels, and III drops the orbit
 {1, 2r+2}, numbers the remaining nodes in order and closes the cycle.  Every
 other kind is its own presentation.  So the varsigma of a dropped node is
-inert, and every other varsigma enters the relations.  ``skeleton`` is the
-presentation's nodes and involution alone, which is all that the ladder,
-the aliases and phi read.
+inert, and every other varsigma enters the relations.
 
 ``_ladder`` gives each two-node orbit a colour and a slot pair, where the
 ladder aliases e_c, f_c, k_c^{+-1} act; each involution-fixed node n carries
@@ -23,7 +21,7 @@ a ``ShiftWord`` when it is first looked up, so it follows the diagram's xi.
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .modweyl import d_, m_, modweyl_rule, modweyl_table, x_
 from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
@@ -57,58 +55,22 @@ def t_(i: int) -> GeneratorSymbol:
     return GeneratorSymbol("t", i)
 
 
-class Skeleton(NamedTuple):
-    """What the ladder, the aliases and phi read of a presentation: its
-    kind, rank, nodes and involution (see ``skeleton``)."""
-
-    kind: str
-    r: int
-    nodes: Tuple[int, ...]
-    tau: Dict[int, int]
-
-
-def _renumbered(diagram: SatakeDiagram) -> Optional[Dict[int, int]]:
-    """The presentation's number of each node it keeps, in order, or None
-    for a kind that is its own presentation.
-
-    Kind I keeps its interior subpath 1..2r+2: the drawn end pair carries
-    no generators.  Kind III drops the orbit {1, 2r+2} and numbers the
-    remaining nodes in order.
-    """
-    if diagram.kind == "I":
-        drop = (0, 2 * diagram.r + 3)
-    elif diagram.kind == "III":
-        drop = (1, 2 * diagram.r + 2)
-    else:
-        return None
-    kept = [n for n in diagram.nodes if n not in drop]
-    return {n: kept[0] + i for i, n in enumerate(kept)}
-
-
-def skeleton(diagram: SatakeDiagram):
-    """The ``presentation``'s kind, rank, nodes and involution alone, as a
-    ``Skeleton``, with no edges, labels or varsigma built; a diagram that
-    is its own presentation is returned as it is."""
-    new = _renumbered(diagram)
-    if new is None:
-        return diagram
-    tau = diagram.tau
-    return Skeleton(diagram.kind, diagram.r, tuple(new.values()),
-                    {new[n]: new[tau[n]] for n in new})
-
-
 def presentation(diagram: SatakeDiagram) -> SatakeDiagram:
     """The diagram carrying the B/H presentation, read field by field.
 
-    Kind I keeps its interior subpath 1..2r+2 with its labels, and kind III
-    drops the orbit {1, 2r+2}, numbers the remaining nodes in order and
-    closes the cycle (``_renumbered``).  Every other kind is its own
-    presentation.
+    Kind I keeps its interior subpath 1..2r+2 with its labels: the drawn end
+    pair carries no generators.  Kind III drops the orbit {1, 2r+2}, numbers
+    the remaining nodes in order and closes the cycle.  Every other kind is
+    its own presentation.
     """
-    new = _renumbered(diagram)
-    if new is None:
+    if diagram.kind == "I":
+        drop = {0, 2 * diagram.r + 3}
+    elif diagram.kind == "III":
+        drop = {1, 2 * diagram.r + 2}
+    else:
         return diagram
-    drop = set(diagram.nodes).difference(new)
+    kept = [n for n in diagram.nodes if n not in drop]
+    new = {n: kept[0] + i for i, n in enumerate(kept)}
     edges = {frozenset(new[n] for n in e) for e in diagram.edges
              if not e & drop}
     if diagram.kind == "III":
@@ -118,9 +80,9 @@ def presentation(diagram: SatakeDiagram) -> SatakeDiagram:
                                 for n in e - {gone}))
     tau, label, varsigma = diagram.tau, diagram.orbit_label, diagram.varsigma
     return SatakeDiagram(diagram.kind, diagram.r, tuple(new.values()),
-                         frozenset(edges), {new[n]: new[tau[n]] for n in new},
-                         {new[n]: new[label[n]] for n in new}, diagram.xi,
-                         {new[n]: varsigma[n] for n in new})
+                         frozenset(edges), {new[n]: new[tau[n]] for n in kept},
+                         {new[n]: new[label[n]] for n in kept}, diagram.xi,
+                         {new[n]: varsigma[n] for n in kept})
 
 
 def _ladder(pres: SatakeDiagram) -> List[Tuple[int, int, int, int]]:
@@ -128,8 +90,7 @@ def _ladder(pres: SatakeDiagram) -> List[Tuple[int, int, int, int]]:
 
     The colour is n minus the presentation's first node.  Its e/f aliases
     move between the slots (colour - 1, colour) for kind V and
-    (colour, colour + 1) otherwise.  ``pres`` is a ``presentation`` or its
-    ``skeleton``.
+    (colour, colour + 1) otherwise.
     """
     out = []
     for n in pres.nodes:
@@ -140,30 +101,16 @@ def _ladder(pres: SatakeDiagram) -> List[Tuple[int, int, int, int]]:
     return out
 
 
-# q^e, the coefficient of R2, R5 and R6 that depends on e alone
-_q_power = cache(ScalarQ.q_power)
-
-
-@cache
-def _serre_coefficients(c: int, parity: int) -> Tuple[ScalarQ, ...]:
+def _serre_coefficients(c: int, parity: int):
     """(-1)^(n + parity) / ([n]! [1-c-n]!) for n = 0..1-c: the coefficient
     of B_i^n B_j B_i^(1-c-n) in the Serre-type sum for a_ij = c, whose
     divided powers are B^(n) = B^n/[n]!."""
-    return tuple([ScalarQ(-1 if (n + parity) % 2 else 1,
-                          q_product([*range(1, n + 1), *range(1, 2 - c - n)]))
-                  for n in range(2 - c)])
+    return [ScalarQ(-1 if (n + parity) % 2 else 1,
+                    q_product([*range(1, n + 1), *range(1, 2 - c - n)]))
+            for n in range(2 - c)]
 
 
-@cache
-def _r6_coefficients(m: int) -> Tuple[ScalarQ, ...]:
-    """(-1)^n [m choose n] for n = 0..m: the coefficient of
-    B_i^n B_j B_i^(m-n) in R6, m = 1 - a_ij."""
-    return tuple([ScalarQ(q_binomial(m, n) * (-1) ** n)
-                  for n in range(m + 1)])
-
-
-@cache
-def _r5_constants(c: int) -> Tuple[ScalarQ, ScalarQ]:
+def _r5_constants(c: int):
     """(q^-2; q^-2)_n and (q^2; q^2)_n over [n]! (q - q^-1), n = -c: the R5
     coefficients of B_i^n H_i and B_i^n H_{tau i} less q-power and varsigma.
     As 1 - q^(-+2k) = +-q^(-+k) (q - q^-1) [k], they are (+-1)^n
@@ -175,32 +122,40 @@ def _r5_constants(c: int) -> Tuple[ScalarQ, ScalarQ]:
     return ScalarQ(body.shift(-t)), ScalarQ(body.shift(t) * (-1) ** n)
 
 
+def _r6_coefficients(m: int):
+    """(-1)^n [m choose n] for n = 0..m: the coefficient of
+    B_i^n B_j B_i^(m-n) in R6, m = 1 - a_ij."""
+    return [ScalarQ(q_binomial(m, n) * (-1) ** n) for n in range(m + 1)]
+
+
 def _sandwich(bi: GeneratorSymbol, bj: GeneratorSymbol,
-             coeffs) -> OperatorExpr:
+              coeffs) -> OperatorExpr:
     """The sum over n of coeffs[n] bi^n bj bi^(m-n), m = len(coeffs) - 1."""
     m = len(coeffs) - 1
     return OperatorExpr({(bi,) * n + (bj,) + (bi,) * (m - n): v
                          for n, v in enumerate(coeffs)})
 
 
-def relation_instances(diagram: SatakeDiagram, pres: SatakeDiagram = None):
-    """Every defining relation of the presentation, instantiated literally.
+def relation_instances(pres: SatakeDiagram):
+    """Every defining relation of the presentation ``pres``, a diagram's
+    ``presentation``, instantiated literally.
 
     Returns (group_id, indices, lhs, rhs) tuples over B/H symbols.  The long
     relation is emitted for both orderings of each two-node orbit, so the
-    asymmetric varsigma placement is exercised from both sides.  ``pres``,
-    if given, is ``presentation(diagram)``.
+    asymmetric varsigma placement is exercised from both sides.
 
     Each side is one dict of words and coefficients, and each B/H symbol is
     built once per call.  The coefficients that depend on integers alone
-    (Serre, R5 and R6 constants, q-powers) are built once per process, from
-    Cartan integers alone, so an instance only multiplies in its varsigma.
+    (Serre, R5 and R6 constants, q-powers) are built once per call, so an
+    instance only multiplies in its varsigma.
     """
-    pres = pres or presentation(diagram)
     word = OperatorExpr.word
     one = OperatorExpr.identity()
-    q, nodes, tau, varsigma = _q_power, pres.nodes, pres.tau, pres.varsigma
-    pairing = pres.pairing
+    q, serre, r5, binomials = map(cache, (
+        ScalarQ.q_power, _serre_coefficients, _r5_constants,
+        _r6_coefficients))
+    nodes, tau, varsigma, pairing = (pres.nodes, pres.tau, pres.varsigma,
+                                     pres.pairing)
     B = {n: B_(n) for n in nodes}
     H = {n: H_(n) for n in nodes}
     out = []
@@ -231,7 +186,7 @@ def relation_instances(diagram: SatakeDiagram, pres: SatakeDiagram = None):
         for j in nodes:
             if j == i or j == tau[i]:
                 continue
-            lhs = _sandwich(B[i], B[j], _serre_coefficients(pairing(i, j), 0))
+            lhs = _sandwich(B[i], B[j], serre(pairing(i, j), 0))
             out.append(("iqg.R4", [i, j], lhs, OperatorExpr.zero()))
 
     eps_active = 0 in tau and pairing(0, tau[0]) == -1
@@ -240,9 +195,9 @@ def relation_instances(diagram: SatakeDiagram, pres: SatakeDiagram = None):
         if ti == i:
             continue
         c = pairing(i, ti)
-        lhs = _sandwich(B[i], B[ti], _serre_coefficients(c, c % 2))
+        lhs = _sandwich(B[i], B[ti], serre(c, c % 2))
         eps = 3 * ((i == 0) - (i == tau[0])) if eps_active else 0
-        first, second = _r5_constants(c)
+        first, second = r5(c)
         power = (B[i],) * -c
         rhs = OperatorExpr({
             power + (H[i],): q(c + eps) * first * varsigma[ti],
@@ -256,7 +211,7 @@ def relation_instances(diagram: SatakeDiagram, pres: SatakeDiagram = None):
             if j == i:
                 continue
             cij = pairing(i, j)
-            lhs = _sandwich(B[i], B[j], _r6_coefficients(1 - cij))
+            lhs = _sandwich(B[i], B[j], binomials(1 - cij))
             rhs = (OperatorExpr.symbol(B[j], q(1) * varsigma[i])
                    if cij == -1 else OperatorExpr.zero())
             out.append(("iqg.R6", [i, j], lhs, rhs))
@@ -298,7 +253,7 @@ def _k_image(pres: SatakeDiagram, c: int, lo: int, hi: int,
 def _alias_symbols(pres: SatakeDiagram) -> List[GeneratorSymbol]:
     """The ladder aliases: e_c, f_c, k_c and k_c^{-1} for each colour c of
     ``_ladder``, then t_n for each fixed node n.  ``pres`` is the diagram's
-    ``presentation`` or its ``skeleton``."""
+    ``presentation``."""
     out = []
     for _, c, _, _ in _ladder(pres):
         out += [e_(c), f_(c), k_(c), k_(c, True)]
@@ -311,9 +266,9 @@ def _alias_rule(pres: SatakeDiagram
     q-Weyl algebra: called with a symbol, it returns its image, or None for
     a symbol that is no alias (see ``_alias_symbols``).
 
-    ``pres`` is the diagram's ``presentation`` or its ``skeleton``.  Each
-    colour's e/f/k^{+-1} act on its slot pair from ``_ladder``; a fixed
-    node n carries t_n = x_n d_n, except that kind VI's t_0 is x_1 d_1.
+    ``pres`` is the diagram's ``presentation``.  Each colour's e/f/k^{+-1}
+    act on its slot pair from ``_ladder``; a fixed node n carries
+    t_n = x_n d_n, except that kind VI's t_0 is x_1 d_1.
     """
     pairs = {c: (lo, hi) for _, c, lo, hi in _ladder(pres)}
     tau = pres.tau
@@ -346,17 +301,15 @@ def _alias_images(pres: SatakeDiagram) -> Dict[GeneratorSymbol, OperatorExpr]:
     return {sym: rule(sym) for sym in _alias_symbols(pres)}
 
 
-def phi(diagram: SatakeDiagram, pres: SatakeDiagram = None
-        ) -> Dict[GeneratorSymbol, OperatorExpr]:
-    """The algebra homomorphism on generators, for B/H and all aliases.
+def phi(pres: SatakeDiagram) -> Dict[GeneratorSymbol, OperatorExpr]:
+    """The algebra homomorphism on generators, for B/H and all aliases, of
+    the presentation ``pres``, a diagram's ``presentation``.
 
     On each two-node orbit {n < tau n} of colour c, B_n and B_{tau n} map to
     f_c and e_c, H_n and H_{tau n} to k_c and k_c^{-1}.  A fixed node n maps
     B_n to t_n and H_n to the identity operator: the first relation group
-    forces such an H to be a central square root of 1.  ``pres``, if
-    given, is ``presentation(diagram)`` or its ``skeleton``.
+    forces such an H to be a central square root of 1.
     """
-    pres = pres or skeleton(diagram)
     img = _alias_images(pres)
     for n, c, _, _ in _ladder(pres):
         img[B_(n)] = img[f_(c)]
@@ -377,11 +330,11 @@ def verify_homomorphism(diagram: SatakeDiagram, max_s: int):
     relation's compiled form, so it covers every degree; ``max_s`` only
     bounds where a failing relation's first residual is looked for.  All
     entries ok means every defining relation holds on the whole polynomial
-    ring under phi.
+    ring under phi.  The presentation is built once, for both.
     """
     pres = presentation(diagram)
-    table = image_table(phi(diagram, pres), modweyl_table(diagram))
-    return verify_relations(relation_instances(diagram, pres), table, max_s)
+    table = image_table(phi(pres), modweyl_table(diagram))
+    return verify_relations(relation_instances(pres), table, max_s)
 
 
 def oscillator_action(diagram: SatakeDiagram, pres: SatakeDiagram = None
@@ -395,9 +348,9 @@ def oscillator_action(diagram: SatakeDiagram, pres: SatakeDiagram = None
     is first looked up, and no other is built.  The table is phi composed
     with the modified q-Weyl action, at whatever xi the diagram carries;
     its symbols are the aliases, then d/x/m.  ``pres``, if given, is
-    ``presentation(diagram)`` or its ``skeleton``.
+    ``presentation(diagram)``.
     """
-    pres = pres or skeleton(diagram)
+    pres = pres or presentation(diagram)
     aliases = _alias_rule(pres)
     letters, letter_symbols = modweyl_rule(diagram)
     return ActionTable(diagram.nslots, {},
@@ -416,10 +369,10 @@ def witness_steps(diagram: SatakeDiagram, a: Tuple[int, ...], up: bool,
     prod_{i=0}^{r} [a_i + ... + a_{r+1}]^{xi_i}! divided by [a_i]^{xi_i}!,
     whose q-integers are those the quotient keeps: no gcd.  Kind VI has no
     raising operator into slot 0, so no such witness exists there.
-    ``pres``, if given, is ``presentation(diagram)`` or its ``skeleton``.
+    ``pres``, if given, is ``presentation(diagram)``.
     """
     a = _witness_vector(diagram, a)
-    ladder = _ladder(pres or skeleton(diagram))
+    ladder = _ladder(pres or presentation(diagram))
     top = [sum(a[i:]) for i in range(len(a))]
     if up:
         word = [e_(c) for _, c, _, hi in ladder for _ in range(top[hi])]

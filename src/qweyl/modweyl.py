@@ -77,21 +77,19 @@ def iota_table(diagram: SatakeDiagram) -> ActionTable:
 
 
 def iota_consistency(diagram: SatakeDiagram, max_s: int,
-                     classical: ActionTable = None,
-                     modified: ActionTable = None):
+                     classical: ActionTable, modified: ActionTable):
     """Check the relations iota(g) = g, one per generator g of ``iota_map``.
 
-    D/X/M and d/x/m symbols never clash, so the classical table merged with
-    the modified one holds both sides, and each relation is compiled once:
-    it holds in every degree or fails.  ``classical`` and ``modified``, if
-    given, are the diagram's ``weyl.weyl_table`` and ``modweyl_table``,
-    whose built entries the merged table reads.  Returns the failing report
-    entries of ``verify_relations`` (relation id
-    ``modweyl.iota_consistency``, indices [label], residual up to
-    ``max_s``); empty means iota realizes every generator.
+    ``classical`` and ``modified`` are the diagram's ``weyl.weyl_table`` and
+    ``modweyl_table``, whose built entries are read again here.  D/X/M and
+    d/x/m symbols never clash, so the classical table merged with the
+    modified one holds both sides, and each relation is compiled once: it
+    holds in every degree or fails.  Returns the failing report entries of
+    ``verify_relations`` (relation id ``modweyl.iota_consistency``, indices
+    [label], residual up to ``max_s``); empty means iota realizes every
+    generator.
     """
-    table = (classical or weyl.weyl_table(diagram.nslots)).merged(
-        modified or modweyl_table(diagram))
+    table = classical.merged(modified)
     instances = [("modweyl.iota_consistency", [sym.label], image,
                   OperatorExpr.symbol(sym))
                  for sym, image in iota_map(diagram).items()]

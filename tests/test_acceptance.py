@@ -150,7 +150,7 @@ def test_criterion_5_iota_consistency():
     ok = True
     for kind, r in ALL_DIAGRAMS:
         d = build_diagram(kind, r)
-        if iota_consistency(d, 4):
+        if iota_consistency(d, 4, weyl_table(d.nslots), modweyl_table(d)):
             ok = False
             print("  iota mismatch for %s r=%s" % (kind, r))
         instances = modweyl_relation_instances(d)

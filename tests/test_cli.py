@@ -957,7 +957,7 @@ def test_iota_consistency_ok_only_without_discrepancies(capsys, monkeypatch):
                "instance_indices": ["d0"], "ok": False,
                "residual_monomial": [1, 0], "residual_coefficient": "q - 1"}
     monkeypatch.setattr(modweyl, "iota_consistency",
-                        lambda diagram, max_s, *tables: [failure])
+                        lambda diagram, max_s, classical, modified: [failure])
     code, out, _ = run(capsys, "verify", "--diagram", "A1AFF",
                        "--max-degree", "1", "--suite", "modweyl")
     lines = [line for line in out.splitlines()

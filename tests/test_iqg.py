@@ -33,7 +33,7 @@ ALL_SMALL = [("I", 0), ("I", 1), ("II", 0), ("II", 1), ("III", 1),
 def _assert_ladder(d, orbits, fixed):
     # phi sends B/H of each orbit {n < tau n} of colour c to f_c, e_c, k_c and
     # k_c^-1, and B/H of a fixed node n to t_n and the identity
-    img = phi(d)
+    img = phi(presentation(d))
     for c, (n, m) in orbits.items():
         assert img[B_(n)] == img[f_(c)] and img[B_(m)] == img[e_(c)]
         assert img[H_(n)] == img[k_(c)] and img[H_(m)] == img[k_(c, True)]
@@ -88,7 +88,7 @@ def test_presentation_of_III_drops_one_orbit_and_closes_the_cycle():
 
 
 def test_long_relation_emitted_for_both_orderings():
-    inst = [t for t in relation_instances(build_diagram("I", 1))
+    inst = [t for t in relation_instances(presentation(build_diagram("I", 1)))
             if t[0] == "iqg.R5"]
     assert sorted(i for _, (i,), _, _ in inst) == [1, 2, 3, 4]
 
@@ -97,7 +97,8 @@ def test_relation_instance_counts_frozen():
     # group-by-group enumeration over the presentation node sets
     def census(kind, r):
         out = {}
-        for g, _, _, _ in relation_instances(build_diagram(kind, r)):
+        pres = presentation(build_diagram(kind, r))
+        for g, _, _, _ in relation_instances(pres):
             out[g] = out.get(g, 0) + 1
         return out
 
@@ -119,8 +120,8 @@ def test_relations_numerically_at_rational_q():
 
     d = build_diagram("A1AFF")
     table = modweyl_table(d)
-    push = phi(d)
-    for _, _, lhs, rhs in relation_instances(d):
+    push = phi(presentation(d))
+    for _, _, lhs, rhs in relation_instances(presentation(d)):
         left = expr_map(lhs, push)
         right = expr_map(rhs, push)
         for mon in monomials_up_to(2, 3):
@@ -181,18 +182,18 @@ def test_kind_II_fixed_node_relation_display():
 # --- phi ----------------------------------------------------------------------
 
 def test_phi_images():
-    table = phi(build_diagram("I", 1))
+    table = phi(presentation(build_diagram("I", 1)))
     assert table[e_(1)] == W((x_(1), d_(2)))
     assert table[f_(0)] == W((x_(1), d_(0)))
     assert table[k_(1)] == W((m_(1), m_(2, True)))
-    a1 = phi(build_diagram("A1AFF"))
+    a1 = phi(presentation(build_diagram("A1AFF")))
     assert a1[k_(0)] == W((m_(0), m_(1, True)), ScalarQ.q_power(-1))
     assert a1[k_(0, True)] == W((m_(0, True), m_(1)), ScalarQ.q_power(1))
-    v = phi(build_diagram("V", 1))
+    v = phi(presentation(build_diagram("V", 1)))
     assert v[f_(1)] == W((x_(1), d_(0)))
     assert v[e_(1)] == W((x_(0), d_(1)))
     assert v[t_(0)] == W((x_(0), d_(0)))
-    vi = phi(build_diagram("VI", 1))
+    vi = phi(presentation(build_diagram("VI", 1)))
     assert vi[t_(0)] == W((x_(1), d_(1)))
     assert vi[t_(2)] == W((x_(2), d_(2)))
 
@@ -201,13 +202,13 @@ def test_phi_covers_all_presentation_generators():
     for kind, r in ALL_SMALL:
         d = build_diagram(kind, r)
         pres = presentation(d)
-        table = phi(d)
+        table = phi(presentation(d))
         for n in pres.nodes:
             assert B_(n) in table and H_(n) in table
 
 
 def test_phi_resolves_fixed_H_to_identity():
-    table = phi(build_diagram("II", 1))
+    table = phi(presentation(build_diagram("II", 1)))
     assert table[H_(2)] == OperatorExpr.identity()
 
 
@@ -283,7 +284,7 @@ def test_H_times_H_tau_acts_as_identity():
     for kind, r in (("I", 1), ("II", 1), ("V", 0)):
         d = build_diagram(kind, r)
         pres = presentation(d)
-        table = phi(d)
+        table = phi(presentation(d))
         from qweyl.modweyl import modweyl_table
         mt = modweyl_table(d)
         for n in pres.nodes:

@@ -96,7 +96,8 @@ def test_relations_hold_under_both_interpretations(kind, r):
 
 @pytest.mark.parametrize("kind,r", SMALL)
 def test_iota_consistency_empty(kind, r):
-    assert iota_consistency(build_diagram(kind, r), 3) == []
+    d = build_diagram(kind, r)
+    assert iota_consistency(d, 3, weyl_table(d.nslots), modweyl_table(d)) == []
 
 
 def test_iota_consistency_reports_each_discrepancy(monkeypatch):
@@ -112,7 +113,7 @@ def test_iota_consistency_reports_each_discrepancy(monkeypatch):
 
     monkeypatch.setattr(modweyl, "iota_map", scaled)
     d = build_diagram("I", 0)  # xi = (1, 2)
-    assert iota_consistency(d, 2) == [
+    assert iota_consistency(d, 2, weyl_table(d.nslots), modweyl_table(d)) == [
         {"relation_id": "modweyl.iota_consistency", "instance_indices": ["d1"],
          "ok": False, "residual_monomial": [0, 1],
          "residual_coefficient": "q^2 - q + 1 - q^-1"}]

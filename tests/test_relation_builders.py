@@ -9,9 +9,10 @@ on relations broken in every group, including the groups that no
 ``--mutate`` reaches.  The compiler sums each side on its own, lending a
 unit word's memo polynomial to its side: compiling must leave every memo
 form as it was, and its subtract path must agree with the reference on
-every relation with its sides swapped or its right side scaled.  The
-integer-only constants of the iqg builders are built once per process and
-must carry nothing of the diagram they were first built for.
+every relation with its sides swapped or its right side scaled.  Suites
+run one after another in one process must carry nothing of the diagram
+they were first run on, and the integer-only constants of the iqg builders
+must be the reference builders' values.
 """
 
 import pytest
@@ -22,8 +23,9 @@ from closed_forms import (_serre_sum, divided_power, q_pochhammer,
                           reference_relation_instances,
                           reference_uqsl_relation_instances, xi_variants)
 from qweyl.cli import MUTATIONS, _apply_mutation, run_suite
-from qweyl.iqg import (B_, _q_power, _r5_constants, _r6_coefficients,
-                       _serre_coefficients, phi, relation_instances)
+from qweyl.iqg import (B_, _r5_constants, _r6_coefficients,
+                       _serre_coefficients, phi, presentation,
+                       relation_instances)
 from qweyl.modweyl import iota_map, modweyl_relation_instances, modweyl_table
 from qweyl.opcalc import (OperatorExpr, _residuals, image_table,
                           monomials_of_degree, report_failures,
@@ -68,8 +70,9 @@ def test_builders_match_reference_entry_by_entry(kind, r):
     assert _entries(uqsl_relation_instances(d.r)) == _entries(
         reference_uqsl_relation_instances(d.r))
     for variant in _diagrams(kind, r):
-        assert _entries(relation_instances(variant)) == _entries(
-            reference_relation_instances(variant)), variant.spec_string
+        assert _entries(relation_instances(presentation(variant))) == \
+            _entries(reference_relation_instances(variant)), \
+            variant.spec_string
         assert _entries(modweyl_relation_instances(variant)) == _entries(
             reference_algebra_relations(variant.xi, "dxm", "modweyl"))
 
@@ -77,11 +80,12 @@ def test_builders_match_reference_entry_by_entry(kind, r):
 def _suites(d):
     """(table, instances) for every suite, each table as ``verify`` builds it."""
     classical, modified = weyl_table(d.nslots), modweyl_table(d)
+    pres = presentation(d)
     return [(classical, weyl_relation_instances(d.r)),
             (image_table(chi_map(d.r), classical), uqsl_relation_instances(d.r)),
             (modified, modweyl_relation_instances(d)),
             (image_table(iota_map(d), classical), modweyl_relation_instances(d)),
-            (image_table(phi(d), modified), relation_instances(d))]
+            (image_table(phi(pres), modified), relation_instances(pres))]
 
 
 def _broken(instances):
@@ -209,9 +213,9 @@ def test_subtract_path_matches_the_reference(kind, r):
     assert shared   # uqsl.EF, the R4/R6 sandwiches, ...
 
 
-def test_per_process_constants_carry_no_diagram_state():
+def test_repeated_suites_carry_no_diagram_state():
     # One process runs the suite on a diagram, on its varsigma1 mutant and
-    # on it again: the constants built for the first run serve both.  IV:r=2
+    # on it again: nothing built for one run may leak into the next.  IV:r=2
     # has every group R1-R6 and a varsigma1 that the presentation keeps
     # (III's node 1 is dropped, so its varsigma1 is inert).
     d = build_diagram("IV", 2)
@@ -220,28 +224,23 @@ def test_per_process_constants_carry_no_diagram_state():
     again = run_suite(d, "iqg", 2)
     assert first == again and not report_failures(first)
     assert report_failures(mutant)
-    # Each constant is a tuple, equal to what the reference builders of
-    # closed_forms build: the Serre sums of divided powers, R5's
-    # q-Pochhammer symbols over [n]! (q - q^-1) and R6's q-binomial rows.
+    # Each constant equals what the reference builders of closed_forms
+    # build: the Serre sums of divided powers, R5's q-Pochhammer symbols
+    # over [n]! (q - q^-1) and R6's q-binomial rows.
     bi, bj = B_(0), B_(1)
     qq_inv = ScalarQ(Q_MINUS_QINV).invert()
     qm2, qp2 = ScalarQ.q_power(-2), ScalarQ.q_power(2)
     for c in (0, -1, -2):
         for parity in (0, 1):
             ref = _serre_sum(0, 1, c, parity).terms
-            got = _serre_coefficients(c, parity)
-            assert type(got) is tuple
-            assert got == tuple(ref[(bi,) * n + (bj,) + (bi,) * (1 - c - n)]
-                                for n in range(2 - c))
+            assert list(_serre_coefficients(c, parity)) == [
+                ref[(bi,) * n + (bj,) + (bi,) * (1 - c - n)]
+                for n in range(2 - c)]
         n = -c
         over = next(iter(divided_power(bi, n).terms.values())) * qq_inv
-        got = _r5_constants(c)
-        assert type(got) is tuple
-        assert got == (q_pochhammer(qm2, qm2, n) * over,
-                       q_pochhammer(qp2, qp2, n) * over)
+        assert tuple(_r5_constants(c)) == (
+            q_pochhammer(qm2, qm2, n) * over,
+            q_pochhammer(qp2, qp2, n) * over)
         m = 1 - c
-        got = _r6_coefficients(m)
-        assert type(got) is tuple
-        assert got == tuple(ScalarQ(q_binomial(m, k) * (-1) ** k)
-                            for k in range(m + 1))
-        assert _q_power(c) == ScalarQ.q_power(c)
+        assert list(_r6_coefficients(m)) == [
+            ScalarQ(q_binomial(m, k) * (-1) ** k) for k in range(m + 1)]

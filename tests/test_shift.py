@@ -49,11 +49,12 @@ ALL_DIAGRAMS = [("I", 0), ("I", 1), ("I", 2), ("II", 0), ("II", 1), ("II", 2),
 def _suites(d):
     """(table, instances, push) for every suite, as ``cli.run_suite`` checks it."""
     classical, modified = weyl_table(d.nslots), modweyl_table(d)
+    pres = presentation(d)
     return [(classical, weyl_relation_instances(d.r), None),
             (classical, uqsl_relation_instances(d.r), chi_map(d.r)),
             (modified, modweyl_relation_instances(d), None),
             (classical, modweyl_relation_instances(d), iota_map(d)),
-            (modified, relation_instances(d), phi(d))]
+            (modified, relation_instances(pres), phi(pres))]
 
 
 def _evaluate(form, a):
@@ -269,7 +270,8 @@ def _src_tables(d):
     modweyl, iota, phi and oscillator."""
     classical, modified = weyl_table(d.nslots), modweyl_table(d)
     return [classical, image_table(chi_map(d.r), classical), modified,
-            image_table(iota_map(d), classical), image_table(phi(d), modified),
+            image_table(iota_map(d), classical),
+            image_table(phi(presentation(d)), modified),
             oscillator_action(d)]
 
 
@@ -589,11 +591,12 @@ def test_entries_built_on_first_lookup_equal_eager_ones(kind, r):
     d = build_diagram(kind, r)
     classical = eager_algebra_table((1,) * d.nslots, "DXM")
     modified = eager_algebra_table(d.xi, "dxm")
-    aliases = _alias_images(presentation(d))
+    pres = presentation(d)
+    aliases = _alias_images(pres)
     pairs = [(weyl_table(d.nslots), classical),
              (modweyl_table(d), modified),
-             (image_table(phi(d), modweyl_table(d)),
-              eager_image_table(phi(d), modified)),
+             (image_table(phi(pres), modweyl_table(d)),
+              eager_image_table(phi(pres), modified)),
              (oscillator_action(d),
               eager_image_table(aliases, modified).merged(modified))]
     for lazy, eager in pairs:
