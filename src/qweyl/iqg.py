@@ -105,9 +105,9 @@ def _serre_coefficients(c: int, parity: int):
     """(-1)^(n + parity) / ([n]! [1-c-n]!) for n = 0..1-c: the coefficient
     of B_i^n B_j B_i^(1-c-n) in the Serre-type sum for a_ij = c, whose
     divided powers are B^(n) = B^n/[n]!."""
-    return [ScalarQ(-1 if (n + parity) % 2 else 1,
-                    q_product([*range(1, n + 1), *range(1, 2 - c - n)]))
-            for n in range(2 - c)]
+    return tuple([ScalarQ(-1 if (n + parity) % 2 else 1,
+                          q_product([*range(1, n + 1), *range(1, 2 - c - n)]))
+                  for n in range(2 - c)])
 
 
 def _r5_constants(c: int):
@@ -125,7 +125,17 @@ def _r5_constants(c: int):
 def _r6_coefficients(m: int):
     """(-1)^n [m choose n] for n = 0..m: the coefficient of
     B_i^n B_j B_i^(m-n) in R6, m = 1 - a_ij."""
-    return [ScalarQ(q_binomial(m, n) * (-1) ** n) for n in range(m + 1)]
+    return tuple([ScalarQ(q_binomial(m, n) * (-1) ** n)
+                  for n in range(m + 1)])
+
+
+# The integer-only coefficients of R4, R5 and R6 for every off-diagonal
+# Cartan integer c that ``SatakeDiagram.pairing`` gives, 0, -1 or -2, built
+# once per process, at import: they depend on no diagram.
+_SERRE = {(c, parity): _serre_coefficients(c, parity)
+          for c in (0, -1, -2) for parity in (0, 1)}
+_R5 = {c: _r5_constants(c) for c in (0, -1, -2)}
+_R6 = {1 - c: _r6_coefficients(1 - c) for c in (0, -1, -2)}
 
 
 def _sandwich(bi: GeneratorSymbol, bj: GeneratorSymbol,
@@ -144,16 +154,14 @@ def relation_instances(pres: SatakeDiagram):
     relation is emitted for both orderings of each two-node orbit, so the
     asymmetric varsigma placement is exercised from both sides.
 
-    Each side is one dict of words and coefficients, and each B/H symbol is
-    built once per call.  The coefficients that depend on integers alone
-    (Serre, R5 and R6 constants, q-powers) are built once per call, so an
-    instance only multiplies in its varsigma.
+    Each side is one dict of words and coefficients, and each B/H symbol and
+    q-power is built once per call.  The Serre, R5 and R6 constants are
+    built once per process, from Cartan integers alone (``_SERRE``, ``_R5``,
+    ``_R6``), so an instance only multiplies in its varsigma.
     """
     word = OperatorExpr.word
     one = OperatorExpr.identity()
-    q, serre, r5, binomials = map(cache, (
-        ScalarQ.q_power, _serre_coefficients, _r5_constants,
-        _r6_coefficients))
+    q = cache(ScalarQ.q_power)
     nodes, tau, varsigma, pairing = (pres.nodes, pres.tau, pres.varsigma,
                                      pres.pairing)
     B = {n: B_(n) for n in nodes}
@@ -186,7 +194,7 @@ def relation_instances(pres: SatakeDiagram):
         for j in nodes:
             if j == i or j == tau[i]:
                 continue
-            lhs = _sandwich(B[i], B[j], serre(pairing(i, j), 0))
+            lhs = _sandwich(B[i], B[j], _SERRE[pairing(i, j), 0])
             out.append(("iqg.R4", [i, j], lhs, OperatorExpr.zero()))
 
     eps_active = 0 in tau and pairing(0, tau[0]) == -1
@@ -195,9 +203,9 @@ def relation_instances(pres: SatakeDiagram):
         if ti == i:
             continue
         c = pairing(i, ti)
-        lhs = _sandwich(B[i], B[ti], serre(c, c % 2))
+        lhs = _sandwich(B[i], B[ti], _SERRE[c, c % 2])
         eps = 3 * ((i == 0) - (i == tau[0])) if eps_active else 0
-        first, second = r5(c)
+        first, second = _R5[c]
         power = (B[i],) * -c
         rhs = OperatorExpr({
             power + (H[i],): q(c + eps) * first * varsigma[ti],
@@ -211,7 +219,7 @@ def relation_instances(pres: SatakeDiagram):
             if j == i:
                 continue
             cij = pairing(i, j)
-            lhs = _sandwich(B[i], B[j], binomials(1 - cij))
+            lhs = _sandwich(B[i], B[j], _R6[1 - cij])
             rhs = (OperatorExpr.symbol(B[j], q(1) * varsigma[i])
                    if cij == -1 else OperatorExpr.zero())
             out.append(("iqg.R6", [i, j], lhs, rhs))

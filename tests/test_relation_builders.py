@@ -11,8 +11,9 @@ unit word's memo polynomial to its side: compiling must leave every memo
 form as it was, and its subtract path must agree with the reference on
 every relation with its sides swapped or its right side scaled.  Suites
 run one after another in one process must carry nothing of the diagram
-they were first run on, and the integer-only constants of the iqg builders
-must be the reference builders' values.
+they were first run on, and the integer-only constants that the iqg
+builders read, built at import, must be the reference builders' values for
+every Cartan integer a presentation holds.
 """
 
 import pytest
@@ -23,8 +24,7 @@ from closed_forms import (_serre_sum, divided_power, q_pochhammer,
                           reference_relation_instances,
                           reference_uqsl_relation_instances, xi_variants)
 from qweyl.cli import MUTATIONS, _apply_mutation, run_suite
-from qweyl.iqg import (B_, _r5_constants, _r6_coefficients,
-                       _serre_coefficients, phi, presentation,
+from qweyl.iqg import (_R5, _R6, _SERRE, B_, phi, presentation,
                        relation_instances)
 from qweyl.modweyl import iota_map, modweyl_relation_instances, modweyl_table
 from qweyl.opcalc import (OperatorExpr, _residuals, image_table,
@@ -233,14 +233,20 @@ def test_repeated_suites_carry_no_diagram_state():
     for c in (0, -1, -2):
         for parity in (0, 1):
             ref = _serre_sum(0, 1, c, parity).terms
-            assert list(_serre_coefficients(c, parity)) == [
+            assert _SERRE[c, parity] == tuple(
                 ref[(bi,) * n + (bj,) + (bi,) * (1 - c - n)]
-                for n in range(2 - c)]
+                for n in range(2 - c))
         n = -c
         over = next(iter(divided_power(bi, n).terms.values())) * qq_inv
-        assert tuple(_r5_constants(c)) == (
-            q_pochhammer(qm2, qm2, n) * over,
-            q_pochhammer(qp2, qp2, n) * over)
+        assert _R5[c] == (q_pochhammer(qm2, qm2, n) * over,
+                          q_pochhammer(qp2, qp2, n) * over)
         m = 1 - c
-        assert list(_r6_coefficients(m)) == [
-            ScalarQ(q_binomial(m, k) * (-1) ** k) for k in range(m + 1)]
+        assert _R6[m] == tuple(ScalarQ(q_binomial(m, k) * (-1) ** k)
+                               for k in range(m + 1))
+    # ... and the tables hold every Cartan integer of two distinct nodes
+    pairings = set()
+    for kind, r in ALL_DIAGRAMS + LARGER:
+        pres = presentation(build_diagram(kind, r))
+        pairings |= {pres.pairing(i, j) for i in pres.nodes
+                     for j in pres.nodes if i != j}
+    assert pairings == set(_R5)
