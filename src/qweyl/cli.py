@@ -35,10 +35,11 @@ def _apply_mutation(diagram: SatakeDiagram, mutation: str,
         raise ValueError("--mutate %s is inert for suite %s: only the iqg "
                          "relations read varsigma and xi" % (mutation, suite))
     if mutation == "varsigma1":
+        # A fresh object: it is inert iff the presentation drops it.
         flipped = ScalarQ(LaurentPoly({-3: -1}))
         mutated = diagram.with_varsigma(diagram.nodes[1], flipped)
-        if (iqg.presentation(mutated).varsigma
-                == iqg.presentation(diagram).varsigma):
+        if not any(v is flipped
+                   for v in iqg.presentation(mutated).varsigma.values()):
             raise ValueError("--mutate varsigma1 is inert for %s: node %d "
                              "carries no generator of the presentation"
                              % (diagram.spec_string, diagram.nodes[1]))

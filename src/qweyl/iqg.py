@@ -27,8 +27,9 @@ from .modweyl import d_, m_, modweyl_rule, modweyl_table, x_
 from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
                      apply_word, image_table, verify_relations)
 from .qscalar import (Q_MINUS_QINV, LaurentPoly, ScalarQ, factorial_steps,
-                      q_binomial, q_product)
+                      q_factorial, q_product)
 from .satake import SatakeDiagram
+from .weyl import SERRE_ROWS, _sandwich
 
 
 def B_(n: int) -> GeneratorSymbol:
@@ -101,15 +102,6 @@ def _ladder(pres: SatakeDiagram) -> List[Tuple[int, int, int, int]]:
     return out
 
 
-def _serre_coefficients(c: int, parity: int):
-    """(-1)^(n + parity) / ([n]! [1-c-n]!) for n = 0..1-c: the coefficient
-    of B_i^n B_j B_i^(1-c-n) in the Serre-type sum for a_ij = c, whose
-    divided powers are B^(n) = B^n/[n]!."""
-    return tuple([ScalarQ(-1 if (n + parity) % 2 else 1,
-                          q_product([*range(1, n + 1), *range(1, 2 - c - n)]))
-                  for n in range(2 - c)])
-
-
 def _r5_constants(c: int):
     """(q^-2; q^-2)_n and (q^2; q^2)_n over [n]! (q - q^-1), n = -c: the R5
     coefficients of B_i^n H_i and B_i^n H_{tau i} less q-power and varsigma.
@@ -122,28 +114,14 @@ def _r5_constants(c: int):
     return ScalarQ(body.shift(-t)), ScalarQ(body.shift(t) * (-1) ** n)
 
 
-def _r6_coefficients(m: int):
-    """(-1)^n [m choose n] for n = 0..m: the coefficient of
-    B_i^n B_j B_i^(m-n) in R6, m = 1 - a_ij."""
-    return tuple([ScalarQ(q_binomial(m, n) * (-1) ** n)
-                  for n in range(m + 1)])
-
-
-# The integer-only coefficients of R4, R5 and R6 for every off-diagonal
-# Cartan integer c that ``SatakeDiagram.pairing`` gives, 0, -1 or -2, built
-# once per process, at import: they depend on no diagram.
-_SERRE = {(c, parity): _serre_coefficients(c, parity)
-          for c in (0, -1, -2) for parity in (0, 1)}
+# R4 and R5 read Serre-type sums over divided powers B^(n) = B^n/[n]!: the
+# q-Serre row of order m = 1 - c times (-1)^parity/[m]!, which is
+# (-1)^(n + parity)/([n]! [m-n]!) at B_i^n B_j B_i^(m-n).  These and R5's
+# constants are built at import, for each c in 0, -1, -2: no diagram enters.
+_SERRE = {(c, p): tuple([v * ScalarQ((-1) ** p, q_factorial(1 - c, 1))
+                         for v in SERRE_ROWS[1 - c]])
+          for c in (0, -1, -2) for p in (0, 1)}
 _R5 = {c: _r5_constants(c) for c in (0, -1, -2)}
-_R6 = {1 - c: _r6_coefficients(1 - c) for c in (0, -1, -2)}
-
-
-def _sandwich(bi: GeneratorSymbol, bj: GeneratorSymbol,
-              coeffs) -> OperatorExpr:
-    """The sum over n of coeffs[n] bi^n bj bi^(m-n), m = len(coeffs) - 1."""
-    m = len(coeffs) - 1
-    return OperatorExpr({(bi,) * n + (bj,) + (bi,) * (m - n): v
-                         for n, v in enumerate(coeffs)})
 
 
 def relation_instances(pres: SatakeDiagram):
@@ -157,7 +135,7 @@ def relation_instances(pres: SatakeDiagram):
     Each side is one dict of words and coefficients, and each B/H symbol and
     q-power is built once per call.  The Serre, R5 and R6 constants are
     built once per process, from Cartan integers alone (``_SERRE``, ``_R5``,
-    ``_R6``), so an instance only multiplies in its varsigma.
+    ``SERRE_ROWS``), so an instance only multiplies in its varsigma.
     """
     word = OperatorExpr.word
     one = OperatorExpr.identity()
@@ -219,7 +197,7 @@ def relation_instances(pres: SatakeDiagram):
             if j == i:
                 continue
             cij = pairing(i, j)
-            lhs = _sandwich(B[i], B[j], _R6[1 - cij])
+            lhs = _sandwich(B[i], B[j], SERRE_ROWS[1 - cij])
             rhs = (OperatorExpr.symbol(B[j], q(1) * varsigma[i])
                    if cij == -1 else OperatorExpr.zero())
             out.append(("iqg.R6", [i, j], lhs, rhs))

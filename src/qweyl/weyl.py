@@ -5,13 +5,14 @@ act by d_i X^a = [xi_i a_i] X^{a-e_i} and m_i^{+-1} X^a = q^{+-xi_i a_i} X^a.
 At xi = 1 this is the classical algebra, written D_i, X_i, M_i^{+-1}; the
 modified algebra of a Satake diagram takes the diagram's xi.  The map chi
 sends the Chevalley generators E_i, F_i, K_i of U_q(sl_{r+2}) to X_i D_{i+1},
-X_{i+1} D_i and M_i M_{i+1}^{-1}.
+X_{i+1} D_i and M_i M_{i+1}^{-1}.  ``quantum_relations`` builds the relations
+of U_q from a symmetric Cartan matrix, and the uqsl suite on A_{r+1}.
 """
 
 from __future__ import annotations
 
 from .opcalc import ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial
-from .qscalar import Q_MINUS_QINV, ScalarQ, q_integer
+from .qscalar import Q_MINUS_QINV, ScalarQ, q_binomial
 from .shift import ShiftWord
 
 
@@ -183,54 +184,73 @@ def chi_map(r: int):
     return mapping
 
 
-def cartan_entry(i: int, j: int) -> int:
-    return 2 * (i == j) - (i == j + 1) - (i + 1 == j)
+def _sandwich(gi: GeneratorSymbol, gj: GeneratorSymbol, coeffs):
+    """The sum over n of coeffs[n] gi^n gj gi^(m-n), m = len(coeffs) - 1."""
+    m = len(coeffs) - 1
+    return OperatorExpr({(gi,) * n + (gj,) + (gi,) * (m - n): v
+                         for n, v in enumerate(coeffs)})
 
 
-def uqsl_relation_instances(r: int):
-    """All defining relation instances of U_q(sl_{r+2}), as E/F/K expressions,
-    each side one dict of words and coefficients, and each symbol, built
-    once per call."""
+# (-1)^n [m choose n], n = 0..m: through ``_sandwich``, row m is the q-Serre
+# sum of order m = 1 - a_ij, for a_ij in 0, -1, -2.  Built at import with
+# the q-powers of K-conjugation, since they depend on no diagram.
+SERRE_ROWS = {m: tuple([ScalarQ(q_binomial(m, n) * (-1) ** n)
+                        for n in range(m + 1)]) for m in (1, 2, 3)}
+_Q_POWERS = {c: ScalarQ.q_power(c) for c in range(-2, 3)}
+
+
+def quantum_relations(cartan):
+    """All defining relation instances of U_q of the symmetric Cartan
+    matrix ``cartan`` (rows of ints, off-diagonal 0, -1 or -2) on the nodes
+    0..n-1, as E/F/K expressions: K K^-1, the K commutators, K-conjugation
+    of E and F by q^(+-a_ij), [E_i, F_j], the E and F commutators where
+    a_ij = 0 and the q-Serre sums of order 1 - a_ij (``SERRE_ROWS``) where
+    a_ij < 0.  Each symbol is built once per call."""
+    n = len(cartan)
     word = OperatorExpr.word
     one = OperatorExpr.identity()
     plus, minus = ScalarQ.one(), -ScalarQ.one()
     qq_inv = ScalarQ(1, Q_MINUS_QINV)
-    minus_two = -ScalarQ(q_integer(2))
-    qpow = {c: ScalarQ.q_power(c) for c in (-2, -1, 0, 1, 2)}
-    e, f = [E(i) for i in range(r + 1)], [F(i) for i in range(r + 1)]
-    k, kinv = [K(i) for i in range(r + 1)], [K(i, True) for i in range(r + 1)]
+    e, f = [E(i) for i in range(n)], [F(i) for i in range(n)]
+    k, kinv = [K(i) for i in range(n)], [K(i, True) for i in range(n)]
     out = []
-    for i in range(r + 1):
+    for i in range(n):
         out.append(("uqsl.KKinv", [i], word((k[i], kinv[i])), one))
         out.append(("uqsl.KinvK", [i], word((kinv[i], k[i])), one))
-    for i in range(r + 1):
-        for j in range(i + 1, r + 1):
+    for i in range(n):
+        for j in range(i + 1, n):
             out.append(("uqsl.KK_comm", [i, j],
                         word((k[i], k[j])), word((k[j], k[i]))))
-    for i in range(r + 1):
-        for j in range(r + 1):
-            c = cartan_entry(i, j)
-            out.append(("uqsl.KEK", [i, j],
-                        word((k[i], e[j], kinv[i])), word((e[j],), qpow[c])))
-            out.append(("uqsl.KFK", [i, j],
-                        word((k[i], f[j], kinv[i])), word((f[j],), qpow[-c])))
-    for i in range(r + 1):
-        for j in range(r + 1):
+    for i in range(n):
+        for j in range(n):
+            c = cartan[i][j]
+            out.append(("uqsl.KEK", [i, j], word((k[i], e[j], kinv[i])),
+                        word((e[j],), _Q_POWERS[c])))
+            out.append(("uqsl.KFK", [i, j], word((k[i], f[j], kinv[i])),
+                        word((f[j],), _Q_POWERS[-c])))
+    for i in range(n):
+        for j in range(n):
             lhs = OperatorExpr({(e[i], f[j]): plus, (f[j], e[i]): minus})
             rhs = (OperatorExpr({(k[i],): qq_inv, (kinv[i],): -qq_inv})
                    if i == j else OperatorExpr.zero())
             out.append(("uqsl.EF", [i, j], lhs, rhs))
-    for i in range(r + 1):
-        for j in range(r + 1):
-            if abs(i - j) > 1:
+    for i in range(n):
+        for j in range(n):
+            c = cartan[i][j]
+            if c == 0:
                 out.append(("uqsl.EE_far", [i, j],
                             word((e[i], e[j])), word((e[j], e[i]))))
                 out.append(("uqsl.FF_far", [i, j],
                             word((f[i], f[j])), word((f[j], f[i]))))
-            elif abs(i - j) == 1:
+            elif c < 0:
                 for g, group in ((e, "uqsl.serre_E"), (f, "uqsl.serre_F")):
-                    out.append((group, [i, j], OperatorExpr({
-                        (g[i], g[i], g[j]): plus,
-                        (g[i], g[j], g[i]): minus_two,
-                        (g[j], g[i], g[i]): plus}), OperatorExpr.zero()))
+                    out.append((group, [i, j],
+                                _sandwich(g[i], g[j], SERRE_ROWS[1 - c]),
+                                OperatorExpr.zero()))
     return out
+
+
+def uqsl_relation_instances(r: int):
+    """The relation instances of U_q(sl_{r+2}): those of type A_{r+1}."""
+    return quantum_relations([[2 * (i == j) - (abs(i - j) == 1)
+                               for j in range(r + 1)] for i in range(r + 1)])

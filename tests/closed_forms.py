@@ -33,9 +33,12 @@ are ``iqg.relation_instances``, ``weyl.algebra_relations`` and
 coefficients once per call: every Serre term a product of two
 ``divided_power`` quotients, every R5 side a ``q_pochhammer`` over
 [-c]! (q - q^-1), and every side an ``OperatorExpr`` sum, difference or
-scaling.  ``reference_mul`` is ``QPolynomial.__mul__`` as it was before
-``QPolynomial`` and ``OperatorExpr`` shared one linear-combination core: a
-sum of ``mul_monomial`` products, one per term of the right factor.
+scaling; the uqsl reference reads A_{r+1} off its own ``cartan_entry``.
+``cyclic_chi_map`` is chi with its indices read mod n, the realization of
+U_q of an affine type A Cartan matrix on n slots.  ``reference_mul`` is
+``QPolynomial.__mul__`` as it was before ``QPolynomial`` and
+``OperatorExpr`` shared one linear-combination core: a sum of
+``mul_monomial`` products, one per term of the right factor.
 ``reference_build_diagram`` is ``satake.build_diagram`` as it was before the
 six shapes came from one rule: one branch per kind, with varsigma read off
 each node's pairing by ``reference_varsigma``, as before the diagram was
@@ -59,7 +62,7 @@ from qweyl.qscalar import (Q_MINUS_QINV, InexactDivisionError, LaurentPoly,
 from qweyl.satake import SatakeDiagram, build_diagram
 from qweyl.shift import (Form, ShiftForm, ShiftWord, _add_terms, _decode,
                          _identity, _step, _word_form)
-from qweyl.weyl import E, F, K, cartan_entry
+from qweyl.weyl import D, E, F, K, M, X
 
 
 def xi_variants(kind, r):
@@ -769,16 +772,35 @@ def reference_uqsl_relation_instances(r: int):
                             word([F(i), F(j)]), word([F(j), F(i)])))
             elif abs(i - j) == 1:
                 out.append(("uqsl.serre_E", [i, j],
-                            word([E(i), E(i), E(j)])
+                            word([E(j), E(i), E(i)])
                             - word([E(i), E(j), E(i)], two)
-                            + word([E(j), E(i), E(i)]),
+                            + word([E(i), E(i), E(j)]),
                             OperatorExpr.zero()))
                 out.append(("uqsl.serre_F", [i, j],
-                            word([F(i), F(i), F(j)])
+                            word([F(j), F(i), F(i)])
                             - word([F(i), F(j), F(i)], two)
-                            + word([F(j), F(i), F(i)]),
+                            + word([F(i), F(i), F(j)]),
                             OperatorExpr.zero()))
     return out
+
+
+def cartan_entry(i: int, j: int) -> int:
+    """The Cartan matrix of type A: 2 on the diagonal, -1 beside it."""
+    return 2 * (i == j) - (i == j + 1) - (i + 1 == j)
+
+
+def cyclic_chi_map(n: int):
+    """chi on n slots with indices mod n: E_j = X_j D_{j+1}, F_j =
+    X_{j+1} D_j and K_j^{+-1} = M_j^{+-1} M_{j+1}^{-+1}, j = 0..n-1."""
+    word = OperatorExpr.word
+    mapping = {}
+    for j in range(n):
+        nxt = (j + 1) % n
+        mapping[E(j)] = word([X(j), D(nxt)])
+        mapping[F(j)] = word([X(nxt), D(j)])
+        mapping[K(j)] = word([M(j), M(nxt, True)])
+        mapping[K(j, True)] = word([M(j, True), M(nxt)])
+    return mapping
 
 
 def eager_algebra_table(xi, names: str) -> ActionTable:

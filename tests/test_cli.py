@@ -347,6 +347,24 @@ def test_verify_inert_mutation_exit_two(capsys, tmp_path, spec, suite,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("spec,code,builds", [("IV:r=2", 1, 2),
+                                               ("III:r=1", 2, 1)])
+def test_verify_varsigma1_builds_each_presentation_once(capsys, monkeypatch,
+                                                        spec, code, builds):
+    # The mutant's presentation tells whether the flipped varsigma is live;
+    # a live mutant's is built once more, for its relations and phi.
+    specs, real = [], iqg.presentation
+
+    def counting(diagram):
+        specs.append(diagram.spec_string)
+        return real(diagram)
+
+    monkeypatch.setattr(iqg, "presentation", counting)
+    got, _, _ = run(capsys, "verify", "--diagram", spec, "--max-degree", "2",
+                    "--suite", "iqg", "--mutate", "varsigma1")
+    assert (got, specs) == (code, [spec] * builds)
+
+
 def test_verify_bad_rank_exit_two(capsys):
     code, _, err = run(capsys, "verify", "--diagram", "I:r=-1",
                        "--max-degree", "2")

@@ -13,19 +13,20 @@ every relation with its sides swapped or its right side scaled.  Suites
 run one after another in one process must carry nothing of the diagram
 they were first run on, and the integer-only constants that the iqg
 builders read, built at import, must be the reference builders' values for
-every Cartan integer a presentation holds.
+every Cartan integer a presentation holds.  ``quantum_relations`` on each
+affine presentation's own Cartan matrix must hold under cyclic chi, and
+fail on a misread one; on kind I it must be the uqsl suite.
 """
 
 import pytest
 
-from closed_forms import (_serre_sum, divided_power, q_pochhammer,
-                          reference_algebra_relations,
+from closed_forms import (_serre_sum, cyclic_chi_map, divided_power,
+                          q_pochhammer, reference_algebra_relations,
                           reference_compile_relation,
                           reference_relation_instances,
                           reference_uqsl_relation_instances, xi_variants)
 from qweyl.cli import MUTATIONS, _apply_mutation, run_suite
-from qweyl.iqg import (_R5, _R6, _SERRE, B_, phi, presentation,
-                       relation_instances)
+from qweyl.iqg import _R5, _SERRE, B_, phi, presentation, relation_instances
 from qweyl.modweyl import iota_map, modweyl_relation_instances, modweyl_table
 from qweyl.opcalc import (OperatorExpr, _residuals, image_table,
                           monomials_of_degree, report_failures,
@@ -33,8 +34,9 @@ from qweyl.opcalc import (OperatorExpr, _residuals, image_table,
 from qweyl.qscalar import Q_MINUS_QINV, ScalarQ, q_binomial
 from qweyl.satake import build_diagram
 from qweyl.shift import _word_form, compile_relation
-from qweyl.weyl import (chi_map, uqsl_relation_instances,
-                        weyl_relation_instances, weyl_table)
+from qweyl.weyl import (SERRE_ROWS, chi_map, quantum_relations,
+                        uqsl_relation_instances, weyl_relation_instances,
+                        weyl_table)
 
 ALL_DIAGRAMS = [("I", 0), ("I", 1), ("I", 2), ("II", 0), ("II", 1), ("II", 2),
                 ("III", 1), ("III", 2), ("A1AFF", None), ("IV", 0), ("IV", 1),
@@ -226,7 +228,7 @@ def test_repeated_suites_carry_no_diagram_state():
     assert report_failures(mutant)
     # Each constant equals what the reference builders of closed_forms
     # build: the Serre sums of divided powers, R5's q-Pochhammer symbols
-    # over [n]! (q - q^-1) and R6's q-binomial rows.
+    # over [n]! (q - q^-1) and the q-binomial rows of R6 and uqsl.
     bi, bj = B_(0), B_(1)
     qq_inv = ScalarQ(Q_MINUS_QINV).invert()
     qm2, qp2 = ScalarQ.q_power(-2), ScalarQ.q_power(2)
@@ -241,8 +243,8 @@ def test_repeated_suites_carry_no_diagram_state():
         assert _R5[c] == (q_pochhammer(qm2, qm2, n) * over,
                           q_pochhammer(qp2, qp2, n) * over)
         m = 1 - c
-        assert _R6[m] == tuple(ScalarQ(q_binomial(m, k) * (-1) ** k)
-                               for k in range(m + 1))
+        assert SERRE_ROWS[m] == tuple(ScalarQ(q_binomial(m, k) * (-1) ** k)
+                                      for k in range(m + 1))
     # ... and the tables hold every Cartan integer of two distinct nodes
     pairings = set()
     for kind, r in ALL_DIAGRAMS + LARGER:
@@ -250,3 +252,54 @@ def test_repeated_suites_carry_no_diagram_state():
         pairings |= {pres.pairing(i, j) for i in pres.nodes
                      for j in pres.nodes if i != j}
     assert pairings == set(_R5)
+
+
+def _cartan(pres):
+    """The Cartan matrix of a presentation, its nodes read in order."""
+    return [[pres.pairing(i, j) for j in pres.nodes] for i in pres.nodes]
+
+
+def _cyclic_report(cartan):
+    """The verify report of ``quantum_relations(cartan)`` under cyclic chi
+    on as many slots as the matrix has nodes."""
+    n = len(cartan)
+    return verify_relations(quantum_relations(cartan), image_table(
+        cyclic_chi_map(n), weyl_table(n)), 0)
+
+
+@pytest.mark.parametrize("kind,r", [
+    ("III", 1), ("III", 2), ("IV", 0), ("IV", 1), ("IV", 2), ("V", 0),
+    ("V", 1), ("V", 2), ("VI", 1), ("VI", 2), ("A1AFF", None)])
+def test_cyclic_chi_satisfies_the_affine_quantum_relations(kind, r):
+    # Each cycle and A1AFF's double bond is an affine Cartan matrix; cyclic
+    # chi realizes U_q of it, A1AFF's order-3 Serre sums included.
+    cartan = _cartan(presentation(build_diagram(kind, r)))
+    report = _cyclic_report(cartan)
+    assert report and all(entry["ok"] for entry in report)
+    groups = {entry["relation_id"] for entry in report}
+    assert {"uqsl.serre_E", "uqsl.serre_F", "uqsl.KEK"} <= groups
+    if kind == "A1AFF":
+        assert cartan == [[2, -2], [-2, 2]]
+
+
+def test_cyclic_chi_fails_a_misread_affine_matrix():
+    # A1AFF read with a_01 = -1: K-conjugation across the bond and the
+    # cubic Serre sums no longer hold, and nothing else changes.
+    cartan = _cartan(presentation(build_diagram("A1AFF")))
+    cartan[0][1] = cartan[1][0] = -1
+    report = _cyclic_report(cartan)
+    failed = sorted((entry["relation_id"], entry["instance_indices"])
+                    for entry in report if not entry["ok"])
+    assert len(report) == 21
+    assert failed == [(group, pair) for group in (
+        "uqsl.KEK", "uqsl.KFK", "uqsl.serre_E", "uqsl.serre_F")
+        for pair in ([0, 1], [1, 0])]
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_quantum_relations_of_kind_I_are_the_uqsl_suite(r):
+    # Kind I's presentation is the path 1..2r+2, of type A_{2r+2}: read at
+    # node k - 1 for node k, its relations are those of U_q(sl_{2r+3}).
+    pres = presentation(build_diagram("I", r))
+    assert _entries(quantum_relations(_cartan(pres))) == _entries(
+        uqsl_relation_instances(2 * r + 1))
