@@ -159,7 +159,7 @@ def _coefficient_text(v, k: int, ns) -> str:
     """
     reach = sum([abs(n) - 1 for n in ns])
     if not all(ns) or max(k + reach, 0) - min(k - reach, 0) <= MAX_EXPONENT:
-        return str(ScalarQ(q_product(ns, LaurentPoly({k: v}))))
+        return str(q_product(ns, LaurentPoly({k: v})))
     head = str(LaurentPoly({k: v * prod([-1 for n in ns if n < 0])}))
     head = {"1": "", "-1": "-"}.get(head, head + "*")
     return head + "*".join(["[%d]" % abs(n) for n in ns if abs(n) > 1])

@@ -21,7 +21,9 @@ one letter stepped by the compiler: no test knows the key format.
 ``evaluate`` is ``ShiftWord.__call__`` as it was before it left the
 division by (q - q^-1)^D to its caller: the image of any entry.
 ``reference_q_product`` is ``qscalar.q_product`` as it was before it ran on
-dense lists: one ``LaurentPoly`` product per q-integer.  ``reference_apply`` is
+dense lists or packed lanes: one ``LaurentPoly`` product per q-integer.
+``reference_laurent_str`` is ``LaurentPoly.__str__`` as it was before it
+printed in one pass: one joined piece per term.  ``reference_apply`` is
 ``opcalc.apply`` as it was before it walked each word in factored form:
 one ``ScalarQ`` product per letter and term, each read from the table's
 entry itself, so it shares nothing with ``ActionTable.act``.  ``_run`` is
@@ -419,11 +421,36 @@ def reference_compile_relation(expr, table) -> ShiftForm:
 
 
 def reference_q_product(ns, start=1) -> LaurentPoly:
-    """start times [n] for each n in ns, one run product per factor."""
+    """start times [n] for each n in ns, one ``LaurentPoly`` product per
+    factor: the oracle of both of ``q_product``'s kernels, the packed lanes
+    of a one-term start and the window sums of any other, whichever side
+    of the 2^64 bound the chain falls on.  Quadratic in the span, so the
+    widest lane edges are checked against closed forms instead."""
     out = start if isinstance(start, LaurentPoly) else LaurentPoly(start)
     for n in ns:
         out = out * q_integer(n)
     return out
+
+
+def reference_laurent_str(p: LaurentPoly) -> str:
+    """The text of p, top power first, one piece per term joined by spaces."""
+    c = dict(p.items())
+    if not c:
+        return "0"
+    parts = []
+    for e in sorted(c, reverse=True):
+        v = c[e]
+        mag = abs(v)
+        if e == 0:
+            body = str(mag)
+        else:
+            qpart = "q" if e == 1 else "q^%d" % e
+            body = qpart if mag == 1 else "%s*%s" % (mag, qpart)
+        if not parts:
+            parts.append(body if v > 0 else "-" + body)
+        else:
+            parts.append(("+ " if v > 0 else "- ") + body)
+    return " ".join(parts)
 
 
 def _run(c):

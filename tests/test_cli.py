@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, deterministic bytes, output formats."""
 
 import argparse
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -628,6 +629,31 @@ def test_a_factored_witness_expands_nothing(capsys, monkeypatch):
 def test_coefficient_text_bounds_its_span_as_apply_does(v, k, ns, text):
     want = str(ScalarQ(q_product(ns, LaurentPoly({k: v}))))
     assert _coefficient_text(v, k, ns) == (want if text is None else text)
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    # d0^21 X0^21 is [21]!: B = 20! < 2^64, the packed lanes of q_product
+    (["act", "--diagram", "I:r=0", "--word", " ".join(["d0"] * 21),
+      "--poly", "X0^21"],
+     "050b48ad14cd44f9bf26d70698e3a7fd998903e05d15a87a86ddfcffd8f30fd7"),
+    # [22]!: B = 21! > 2^64, the window kernel
+    (["act", "--diagram", "I:r=0", "--word", " ".join(["d0"] * 22),
+      "--poly", "X0^22"],
+     "8a00188ae0ffd4e6a650a121334555af81b7c3fdc7655fbe2dcd0ebd08630e50"),
+    # a span of exactly 10,000 powers of q, printed expanded
+    (["witness", "--diagram", "I:r=0", "--monomial", "23,80",
+      "--direction", "down"],
+     "263b6e38af1c58dbc5c8f3b5bc42e47fb3d9edcc61d3b33adc0553f68630d9d6"),
+    (["witness", "--diagram", "IV:r=2", "--monomial", "12,12,12,12",
+      "--direction", "down"],
+     "59cfd3d6d7b39de767e9cf2ad54d29502aec668cd623936a689d56e514006fdd"),
+], ids=["act-d0x21", "act-d0x22", "witness-I-23,80", "witness-IV-12x4"])
+def test_expanded_coefficients_are_byte_pinned(capsys, argv, sha256):
+    # Each stdout as printed before q_product packed its lanes and
+    # LaurentPoly printed in one pass.
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_a_mismatch_past_the_bound_prints_its_path_factored(capsys,

@@ -3,20 +3,26 @@
 Covers the field laws, agreement with ``sympy.cancel`` after evaluation at
 rational points of q, agreement of every fast path with the general
 ``_canonical`` reduction, the run product against the double loop and
-sympy, ``q_product`` against one product per factor, the stored coefficient types, the rule that equal values hash
-alike across int, Fraction, LaurentPoly and ScalarQ, and the text round trip
-of polynomials with such coefficients.
+sympy, ``q_product`` against one product per factor on both of its kernels
+and at each lane-width edge of the packed one, the stored coefficient
+types, the rule that equal values hash alike across int, Fraction,
+LaurentPoly and ScalarQ, the one-pass text of a Laurent polynomial against
+the joined formatter, and the text round trip of polynomials with such
+coefficients.
 """
 
 from fractions import Fraction
+from math import prod
+from unittest.mock import patch
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from closed_forms import _run, reference_q_product
+from closed_forms import _run, reference_laurent_str, reference_q_product
 from evaluation import eval_laurent, eval_scalar
+from qweyl import qscalar
 from qweyl.opcalc import QPolynomial, poly_from_text, poly_to_text
 from qweyl.qscalar import (LaurentPoly, ScalarQ, _canonical, factorial_steps,
                            q_factorial, q_integer, q_product)
@@ -320,6 +326,88 @@ def test_q_product_matches_the_reference(ns, start):
     assert_coefficient_types(product)
 
 
+# --- packed lanes ------------------------------------------------------------------
+
+def windowed(ns, start):
+    """q_product(ns, start) and the widths of the window passes it ran."""
+    with patch.object(qscalar, "_windows", wraps=qscalar._windows) as windows:
+        product = q_product(ns, start)
+    return product, [call.args[1] for call in windows.call_args_list]
+
+
+def packs(ns) -> bool:
+    """Whether a one-term start times ns, no factor 0, takes the packed
+    lanes: B = prod m / max m < 2^64 over the m = |n| >= 2."""
+    widths = [abs(n) for n in ns if abs(n) > 1]
+    return bool(widths) and prod(widths) // max(widths) < 2 ** 64
+
+
+edge_starts = (1, -3, LaurentPoly({5: Fraction(2, 3)}))
+
+
+def signed(ns):
+    """ns as it is and with its first factor negated."""
+    return (ns, [-ns[0]] + ns[1:])
+
+
+# Each pair straddles one lane switch: 8 -> 16 bits (the central
+# coefficient of [255]^2 is B = 255), 64 bits -> the window kernel
+# (B = 2^63, then 2^64).  A lane one size too narrow aliases the centre.
+@pytest.mark.parametrize("ns, packed", [
+    ([255, 255], True), ([256, 256], True),
+    ([2] * 64, True), ([2] * 65, False)],
+    ids=["255x2", "256x2", "2x64", "2x65"])
+def test_lane_edges_match_the_reference(ns, packed):
+    for start in edge_starts:
+        for factors in signed(ns):
+            product, passes = windowed(factors, start)
+            assert passes == ([] if packed else [abs(n) for n in factors])
+            assert dict(product.items()) == dict(
+                reference_q_product(factors, start).items())
+            assert_coefficient_types(product)
+
+
+@pytest.mark.parametrize("a", [65535, 65536])
+def test_sixteen_bit_lane_edge_matches_the_triangle(a):
+    # [a]^2 = sum_i min(i + 1, 2a - 1 - i) q^(2i - 2(a - 1)): its centre a
+    # needs 16-bit lanes at a = 65535 and 32-bit ones at 65536.
+    triangle = [min(i + 1, 2 * a - 1 - i) for i in range(2 * a - 1)]
+    for start in edge_starts:
+        (k, v), = LaurentPoly(start).items()
+        for factors in signed([a, a]):
+            product, passes = windowed(factors, start)
+            assert passes == []
+            w = v if factors[0] > 0 else -v
+            assert dict(product.items()) == {
+                k + 2 * (i - a + 1): qscalar._norm(w * t)
+                for i, t in enumerate(triangle)}
+            assert_coefficient_types(product)
+
+
+# The length first, so that draws land on both sides of B = 2^64.
+chains = st.integers(0, 30).flatmap(
+    lambda t: st.lists(st.integers(-40, 40), min_size=t, max_size=t))
+one_term_starts = st.builds(
+    lambda e, v: LaurentPoly({e: v}), st.integers(-6, 6),
+    st.one_of(st.integers(-5, 5), st.fractions(
+        min_value=-3, max_value=3, max_denominator=5)).filter(bool))
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains, one_term_starts)
+@example([40] * 13, LaurentPoly({0: 1}))          # B = 40^12 < 2^64
+@example([40] * 14, LaurentPoly({0: 1}))          # B = 40^13 > 2^64
+@example([-39, 2] + [40] * 11,                  # 64-bit lanes, a Fraction
+         LaurentPoly({-3: Fraction(-3, 2)}))
+def test_packed_and_window_chains_match_the_reference(ns, start):
+    product, passes = windowed(ns, start)
+    assert dict(product.items()) == dict(reference_q_product(ns, start).items())
+    assert_coefficient_types(product)
+    if all(ns):
+        assert passes == ([] if packs(ns) else
+                          [abs(n) for n in ns if abs(n) > 1])
+
+
 def test_factorial_steps():
     assert factorial_steps((2, -1, 3), (0, 1, 4), (2, 3, 1)) == [2, 4, -2, -3]
     assert q_product(factorial_steps((1, 2), (2, 0), (5, 2))) \
@@ -390,6 +478,25 @@ def test_constant_lookup_across_types():
                                    ScalarQ(1, LaurentPoly({0: 1, 1: 1}))])
 def test_non_polynomial_scalar_is_not_equal_to_its_numerator(value):
     assert value != value.num
+
+
+# --- text --------------------------------------------------------------------------
+
+text_coefficients = st.one_of(coefficients, st.integers(-10 ** 30, 10 ** 30),
+                              st.sampled_from([1, -1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(-12, 12), text_coefficients, max_size=8),
+       text_coefficients, text_coefficients)
+@example({}, 0, 0)
+@example({}, 1, -1)
+@example({2: -1, -1: 1}, Fraction(-1, 2), 1)
+def test_one_pass_text_matches_the_joined_formatter(terms, at_0, at_1):
+    # q^0 and q^1 print without an exponent: put them among the terms
+    p = LaurentPoly({**terms, 0: at_0, 1: at_1})
+    assert str(p) == reference_laurent_str(p)
+    assert str(ScalarQ(p)) == str(p)
 
 
 # --- text round trip --------------------------------------------------------------
