@@ -244,8 +244,6 @@ class LaurentPoly:
         return hash(frozenset(c.items()))
 
     def __str__(self):
-        # One pass from the top power down: a sign piece and a body piece
-        # per term, the first sign cut to "" or "-", one join.
         c = self._c
         if not c:
             return "0"
@@ -584,7 +582,7 @@ def q_product(ns, start=1) -> LaurentPoly:
     one int g with w-bit lanes, w the narrowest of 8/16/32/64 with 2^w > B,
     so that x = 2^w and no lane overflows.  Each factor is
     g = ((g << w*m) - g) // (2^w - 1), the exact division
-    g*(X^m - 1)/(X - 1), X = 2^w, with no carry between lanes.  The lanes
+    g*(x^m - 1)/(x - 1), with no carry between lanes.  The lanes
     are read back once, ``g.to_bytes`` in the machine's byte order cast to
     the native B/H/I/Q words, and placed at q^(k-span), q^(k-span+2), ...,
     q^(k+span) times v*sign.  The limit is 64 bits: wider lanes can only
