@@ -18,7 +18,7 @@ from . import crystal as crystal_mod
 from . import iqg, modweyl, weyl
 from .opcalc import (MAX_EXPONENT, GeneratorSymbol, OperatorExpr, apply,
                      image_table, monomial_text, poly_from_text, poly_to_text,
-                     report_failures, verify_relations, walk_word)
+                     q_span, report_failures, verify_relations, walk_word)
 from .qscalar import LaurentPoly, ScalarQ, q_product
 from .satake import SatakeDiagram, integer, parse_spec
 
@@ -152,13 +152,11 @@ def _coefficient_text(v, k: int, ns) -> str:
     """v*q^k times [n] for each n in ns, as text.
 
     Expanded when its numerator runs over at most ``MAX_EXPONENT`` powers
-    of q, counted from q^0 by the rule ``apply`` uses, [n] spanning
-    q^(1-|n|)..q^(|n|-1), or when a factor is [0].  Otherwise factored,
-    in O(len(ns)) bytes: the sign and any other scalar, then
-    ``[n_1]*...*[n_t]`` for each |n_i| >= 2, with no expansion.
+    of q (``q_span``, the rule ``apply`` uses), or when a factor is [0].
+    Otherwise factored, in O(len(ns)) bytes: the sign and any other scalar,
+    then ``[n_1]*...*[n_t]`` for each |n_i| >= 2, with no expansion.
     """
-    reach = sum([abs(n) - 1 for n in ns])
-    if not all(ns) or max(k + reach, 0) - min(k - reach, 0) <= MAX_EXPONENT:
+    if not all(ns) or q_span(k, k, ns) <= MAX_EXPONENT:
         return str(q_product(ns, LaurentPoly({k: v})))
     head = str(LaurentPoly({k: v * prod([-1 for n in ns if n < 0])}))
     head = {"1": "", "-1": "-"}.get(head, head + "*")

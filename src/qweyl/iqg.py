@@ -1,7 +1,7 @@
 """Coideal-subalgebra presentations over Satake diagrams and their realization.
 
 ``presentation`` reads the diagram carrying the B_i, H_i presentation off the
-Satake diagram: nodes, Cartan pairing, involution, orbit labels and varsigma.
+Satake diagram: nodes, Cartan pairing, involution and varsigma.
 Kinds I and III draw more nodes than the realization has generators: I keeps
 its interior subpath 1..2r+2 with its labels, and III drops the orbit
 {1, 2r+2}, numbers the remaining nodes in order and closes the cycle.  Every
@@ -23,7 +23,8 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .modweyl import d_, m_, modweyl_rule, modweyl_table, x_
+from . import weyl
+from .modweyl import d_, m_, modweyl_table, x_
 from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
                      apply_word, image_table, verify_relations)
 from .qscalar import (Q_MINUS_QINV, LaurentPoly, ScalarQ, factorial_steps,
@@ -79,11 +80,10 @@ def presentation(diagram: SatakeDiagram) -> SatakeDiagram:
         for gone in drop:
             edges.add(frozenset(new[n] for e in diagram.edges if gone in e
                                 for n in e - {gone}))
-    tau, label, varsigma = diagram.tau, diagram.orbit_label, diagram.varsigma
+    tau, varsigma = diagram.tau, diagram.varsigma
     return SatakeDiagram(diagram.kind, diagram.r, tuple(new.values()),
                          frozenset(edges), {new[n]: new[tau[n]] for n in kept},
-                         {new[n]: new[label[n]] for n in kept}, diagram.xi,
-                         {new[n]: varsigma[n] for n in kept})
+                         diagram.xi, {new[n]: varsigma[n] for n in kept})
 
 
 def _ladder(pres: SatakeDiagram) -> List[Tuple[int, int, int, int]]:
@@ -175,19 +175,17 @@ def relation_instances(pres: SatakeDiagram):
             lhs = _sandwich(B[i], B[j], _SERRE[pairing(i, j), 0])
             out.append(("iqg.R4", [i, j], lhs, OperatorExpr.zero()))
 
-    eps_active = 0 in tau and pairing(0, tau[0]) == -1
     for i in nodes:
         ti = tau[i]
         if ti == i:
             continue
         c = pairing(i, ti)
         lhs = _sandwich(B[i], B[ti], _SERRE[c, c % 2])
-        eps = 3 * ((i == 0) - (i == tau[0])) if eps_active else 0
         first, second = _R5[c]
         power = (B[i],) * -c
         rhs = OperatorExpr({
-            power + (H[i],): q(c + eps) * first * varsigma[ti],
-            power + (H[ti],): -(q(-eps) * second * varsigma[i])})
+            power + (H[i],): q(c) * first * varsigma[ti],
+            power + (H[ti],): -(second * varsigma[i])})
         out.append(("iqg.R5", [i], lhs, rhs))
 
     for i in nodes:
@@ -327,19 +325,19 @@ def oscillator_action(diagram: SatakeDiagram, pres: SatakeDiagram = None
                       ) -> ActionTable:
     """Monomial actions of the aliases, and of d/x/m, on the polynomial ring.
 
-    One table, whose rule gives a d/x/m letter by ``modweyl_rule`` and an
-    alias as its image under phi, one word in d/x/m times +-q^k, which the
-    table composes into a ``ShiftWord`` over its own letters and memo of
-    word forms.  Each entry is built, checked and stored when its symbol
-    is first looked up, and no other is built.  The table is phi composed
-    with the modified q-Weyl action, at whatever xi the diagram carries;
-    its symbols are the aliases, then d/x/m.  ``pres``, if given, is
-    ``presentation(diagram)``.
+    One table, whose rule gives a d/x/m letter by ``weyl.algebra_rule`` at
+    the diagram's xi and an alias as its image under phi, one word in d/x/m
+    times +-q^k, which the table composes into a ``ShiftWord`` over its own
+    letters and memo of word forms.  Each entry is built, checked and
+    stored when its symbol is first looked up, and no other is built.  The
+    table is phi composed with the modified q-Weyl action, at whatever xi
+    the diagram carries; its symbols are the aliases, then d/x/m.
+    ``pres``, if given, is ``presentation(diagram)``.
     """
     pres = pres or presentation(diagram)
     aliases = _alias_rule(pres)
-    letters, letter_symbols = modweyl_rule(diagram)
-    return ActionTable(diagram.nslots, {},
+    letters, letter_symbols = weyl.algebra_rule(diagram.xi, "dxm")
+    return ActionTable(diagram.nslots,
                        lambda sym: aliases(sym) or letters(sym),
                        lambda: _alias_symbols(pres) + letter_symbols())
 

@@ -10,6 +10,8 @@ term with the matching d-word produces an explicit nonzero multiple of 1.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
                      image_table, report_failures, verify_relations)
 from .qscalar import ScalarQ, factorial_steps, q_product
@@ -30,13 +32,7 @@ def m_(i: int, inv: bool = False) -> GeneratorSymbol:
 
 
 def modweyl_table(diagram: SatakeDiagram) -> ActionTable:
-    return ActionTable(diagram.nslots, {}, *modweyl_rule(diagram))
-
-
-def modweyl_rule(diagram: SatakeDiagram):
-    """The build rule of ``modweyl_table`` and the function listing its
-    symbols (``weyl.algebra_rule`` at the diagram's xi)."""
-    return weyl.algebra_rule(diagram.xi, "dxm")
+    return weyl.algebra_table(diagram.xi, "dxm")
 
 
 def modweyl_relation_instances(diagram: SatakeDiagram):
@@ -82,14 +78,16 @@ def iota_consistency(diagram: SatakeDiagram, max_s: int,
 
     ``classical`` and ``modified`` are the diagram's ``weyl.weyl_table`` and
     ``modweyl_table``, whose built entries are read again here.  D/X/M and
-    d/x/m symbols never clash, so the classical table merged with the
-    modified one holds both sides, and each relation is compiled once: it
-    holds in every degree or fails.  Returns the failing report entries of
+    d/x/m symbols never clash, so one table whose rule reads a symbol from
+    either holds both sides, and each relation is compiled once: it holds
+    in every degree or fails.  Returns the failing report entries of
     ``verify_relations`` (relation id ``modweyl.iota_consistency``, indices
     [label], residual up to ``max_s``); empty means iota realizes every
     generator.
     """
-    table = classical.merged(modified)
+    table = ActionTable(diagram.nslots,
+                        lambda sym: modified.get(sym) or classical.get(sym),
+                        lambda: chain(classical.symbols, modified.symbols))
     instances = [("modweyl.iota_consistency", [sym.label], image,
                   OperatorExpr.symbol(sym))
                  for sym, image in iota_map(diagram).items()]

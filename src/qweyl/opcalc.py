@@ -295,33 +295,27 @@ class ActionTable:
     """Maps generator symbols to their actions on monomials: each entry is a
     ``ShiftWord`` whose every image is one monomial times v q^k [n].  The
     table checks that shape (``ShiftWord.is_run``) once for each entry it
-    stores, and refuses any other with a ValueError; a ``merged`` table
-    stores the entries of its sources, which checked them.
+    stores, and refuses any other with a ValueError.
 
-    A table holds the ``entries`` given to it, and one build rule,
-    ``build``: called with a symbol, it returns that symbol's entry, or
-    its image, an ``OperatorExpr`` in the table's own symbols that the
-    table composes over itself (``_image_entry``), or None for a symbol the
-    table does not have.  An entry is built and stored the first time
-    ``get`` or ``entry`` looks it up, so every later lookup is one dict
-    hit, and an entry never looked up is never built.
-    ``symbols``, a function of no arguments, lists the symbols ``build``
-    has; only the ``symbols`` property calls it.  A stored entry never
-    changes: to override one, merge in a table that holds it (``merged``).
-    So a word's form over the table never changes either: ``forms`` is the
-    table's memo of word forms, read by ``shift._word_form``, and starts
-    with the empty word's, the identity.
+    A table has one build rule, ``build``: called with a symbol, it returns
+    that symbol's entry, or its image, an ``OperatorExpr`` in the table's
+    own symbols that the table composes over itself (``_image_entry``), or
+    None for a symbol the table does not have.  An entry is built, checked
+    and stored the first time ``get`` or ``entry`` looks it up, so every
+    later lookup is one dict hit, and an entry never looked up is never
+    built.  ``symbols``, a function of no arguments, lists the symbols
+    ``build`` has; only the ``symbols`` property calls it.  A stored entry
+    never changes, so a word's form over the table never changes either:
+    ``forms`` is the table's memo of word forms, read by
+    ``shift._word_form``, and starts with the empty word's, the identity.
     """
 
     def __init__(self, nvars: int,
-                 entries: Dict[GeneratorSymbol, ShiftWord],
-                 build: Callable[[GeneratorSymbol], Optional[ShiftWord]] = None,
+                 build: Callable[[GeneratorSymbol], Optional[ShiftWord]],
                  symbols: Callable[[], Iterable[GeneratorSymbol]] = tuple):
         self.nvars = nvars
-        self._built = {sym: _checked(sym, entry)
-                       for sym, entry in entries.items()}
-        self._build = build or _no_entry
-        self._check = _checked
+        self._built = {}
+        self._build = build
         self._symbols = symbols
         self.forms = {(): _identity(nvars)}
 
@@ -347,7 +341,7 @@ class ActionTable:
             if type(action) is OperatorExpr:
                 action = _image_entry(action, self)
             if action is not None:
-                action = self._built[sym] = self._check(sym, action)
+                action = self._built[sym] = _checked(sym, action)
         return action
 
     def entry(self, sym: GeneratorSymbol) -> ShiftWord:
@@ -358,52 +352,18 @@ class ActionTable:
             raise KeyError("unknown symbol %s in action table" % sym.label)
         return action
 
-    def merged(self, other: "ActionTable") -> "ActionTable":
-        """The entries of both tables, ``other``'s where both have a symbol.
-        Nothing is built here: the new table looks a symbol up in ``other``
-        and then in ``self`` when it first reads it, and each of those
-        builds, checks and stores an entry it has not built yet.  So the new
-        table stores what they return as it is, with no second check."""
-        if self.nvars != other.nvars:
-            raise ValueError("mixing action tables over different rings")
 
-        def build(sym):
-            action = other.get(sym)
-            return self.get(sym) if action is None else action
-
-        out = ActionTable(self.nvars, {}, build,
-                          lambda: chain(self.symbols, other.symbols))
-        out._check = _as_is
-        return out
-
-
-def _no_entry(sym: GeneratorSymbol) -> None:
-    """The build rule of a table that holds only the entries given to it."""
-    return None
-
-
-def _as_is(sym: GeneratorSymbol, entry: ShiftWord) -> ShiftWord:
-    """The check of a merged table: its sources checked every entry."""
-    return entry
-
-
-def image_table(images, table: ActionTable, symbols=None) -> ActionTable:
-    """The homomorphism ``images`` followed by ``table``'s action.
-
-    ``images`` maps each symbol to its image: a dict, or one rule that,
-    called with a symbol, returns its image, or None for a symbol it has
-    none of, with ``symbols`` the function of no arguments that lists them.
-    Each image is built and composed (``_image_entry``) when its symbol is
-    first looked up.
-    """
-    if symbols is None:
-        images, symbols = images.get, images.keys
+def image_table(images: Dict[GeneratorSymbol, OperatorExpr],
+                table: ActionTable) -> ActionTable:
+    """The homomorphism ``images``, a dict from each symbol to its image,
+    followed by ``table``'s action.  Each image is composed over ``table``
+    (``_image_entry``) when its symbol is first looked up."""
 
     def compose(sym) -> Optional[ShiftWord]:
-        image = images(sym)
+        image = images.get(sym)
         return None if image is None else _image_entry(image, table)
 
-    return ActionTable(table.nvars, {}, compose, symbols)
+    return ActionTable(table.nvars, compose, images.keys)
 
 
 def _image_entry(image: OperatorExpr, table: ActionTable) -> ShiftWord:
@@ -450,9 +410,9 @@ def apply(expr: OperatorExpr, p: QPolynomial, table: ActionTable) -> QPolynomial
     multiplied out by ``q_product``.
 
     A path whose target has an X_i exponent above ``MAX_EXPONENT``, or whose
-    numerator would run over more than ``MAX_EXPONENT`` powers of q, counted
-    from q^0, raises a ValueError before it is expanded: every result reads
-    back through ``poly_from_text``."""
+    numerator would run over more than ``MAX_EXPONENT`` powers of q
+    (``q_span``), raises a ValueError before it is expanded: every result
+    reads back through ``poly_from_text``."""
     acc: Dict[Monomial, ScalarQ] = {}
     for word, c in expr.terms.items():
         for mon, coeff in p.terms.items():
@@ -464,10 +424,8 @@ def apply(expr: OperatorExpr, p: QPolynomial, table: ActionTable) -> QPolynomial
             if max(target, default=0) > MAX_EXPONENT:
                 raise ValueError("image exponent above %d (MAX_EXPONENT)"
                                  % MAX_EXPONENT)
-            reach = sum([n - 1 for n in ns])    # [n] spans q^(1-n)..q^(n-1)
-            low = pc.num.min_exp() + k - reach
-            high = pc.num.max_exp() + k + reach
-            if max(high, 0) - min(low, 0) > MAX_EXPONENT:
+            if q_span(pc.num.min_exp() + k, pc.num.max_exp() + k,
+                      ns) > MAX_EXPONENT:
                 raise ValueError("image coefficient over more than %d "
                                  "powers of q (MAX_EXPONENT)" % MAX_EXPONENT)
             value = ScalarQ(q_product(ns, pc.num._term_mul(k, v)), pc.den)
@@ -581,6 +539,13 @@ _TOKEN = re.compile(r"[0-9]+(?:/[0-9]+)?|[A-Za-z_]\w*|\S", re.ASCII)
 # Work on a parsed polynomial grows with its exponents, so larger powers of
 # one X_i, and coefficients that run over more powers of q, are refused.
 MAX_EXPONENT = 10_000
+
+
+def q_span(low: int, high: int, ns=()) -> int:
+    """How many powers of q the terms q^low..q^high times [n] for each n in
+    ``ns`` run over, counted from q^0: [n] spans q^(1-|n|)..q^(|n|-1)."""
+    reach = sum([abs(n) - 1 for n in ns])
+    return max(high + reach, 0) - min(low - reach, 0)
 
 
 def poly_from_text(text: str, nvars: int) -> QPolynomial:
@@ -719,10 +684,9 @@ class _PolyParser:
 
     def bound(self, value: ScalarQ, tok: str):
         """Refuse a value whose numerator or denominator runs over more than
-        ``MAX_EXPONENT`` powers of q, counting from q^0."""
+        ``MAX_EXPONENT`` powers of q (``q_span``)."""
         for part in (value.num, value.den):
-            if part and (max(part.max_exp(), 0) - min(part.min_exp(), 0)
-                         > MAX_EXPONENT):
+            if part and q_span(part.min_exp(), part.max_exp()) > MAX_EXPONENT:
                 self.fail("powers of q spanning more than %d" % MAX_EXPONENT,
                           tok)
 

@@ -1,11 +1,12 @@
-"""Quasi-split Satake diagram data: nodes, Cartan pairing, involution, labels.
+"""Quasi-split Satake diagram data: nodes, pairing, involution, xi, varsigma.
 
 Six diagram families are supported.  Kinds I and II are paths, III through VI
 are cycles, and A1AFF is the rank-one affine diagram (two nodes joined by a
 double bond, swapped by the involution).  The six shapes come from one rule:
-a kind fixes its node count, path or cycle, and one of two involutions.  Each diagram carries the orbit
-labelling of its nodes, the deformation exponents xi (one per polynomial
-variable) and the scalar parameters varsigma used by the coideal presentation.
+a kind fixes its node count, path or cycle, and one of two involutions.  Each
+diagram carries the deformation exponents xi (one per polynomial variable,
+at the smaller node of each orbit) and the scalar parameters varsigma used
+by the coideal presentation.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class SatakeDiagram(NamedTuple):
     nodes: Tuple[int, ...]
     edges: FrozenSet[FrozenSet[int]]
     tau: Dict[int, int]
-    orbit_label: Dict[int, int]
     xi: Tuple[int, ...]
     varsigma: Dict[int, ScalarQ]
 
@@ -40,7 +40,8 @@ class SatakeDiagram(NamedTuple):
 
     @property
     def nslots(self) -> int:
-        """Number of polynomial variables (= orbit labels)."""
+        """Number of polynomial variables, one per orbit of tau (two on
+        A1AFF)."""
         return self.r + 2
 
     def pairing(self, i: int, j: int) -> int:
@@ -77,15 +78,19 @@ _SHAPES = {"I": (4, False, False), "II": (3, False, False),
            "III": (4, True, False), "IV": (3, True, False),
            "V": (3, True, True), "VI": (2, True, True)}
 
-# varsigma of a node, keyed by its pairing with its partner: the orbit
-# representative (the node equal to its orbit label) takes the first
-# component.  For the double-bond orbit both components are q: that is the
-# unique assignment under which the coideal relations are satisfied by the
-# differential-operator realization, which is how the parameters are
-# validated here.  A ScalarQ is immutable, so every diagram shares these.
+# varsigma of a node, keyed by its pairing with its partner, or "wrap" for
+# the orbit {0, n - 1} that closes the cycle of III and IV: the orbit's
+# smaller node takes the first component.  Under the coideal embedding
+# B_n -> F_j + varsigma_n E_{tau j} K_j^-1, H_n -> K_j K_{tau j}^-1 into
+# the classical q-Weyl algebra (chi, cyclic on III-VI and A1AFF), every
+# relation of ``iqg.relation_instances`` holds with these values, and any
+# one node's varsigma set to -q^-3 in the relations alone breaks exactly
+# two; the tests check the first at r <= 4 and the second at r <= 2.  A
+# ScalarQ is immutable, so every diagram shares these.
 _Q = ScalarQ.q_power(1)
 _VARSIGMA = {2: (ScalarQ.q_power(-1),) * 2, 0: (ScalarQ.one(),) * 2,
-             -1: (_Q, ScalarQ.one()), -2: (_Q, _Q)}
+             -1: (_Q, ScalarQ.one()), -2: (_Q, _Q),
+             "wrap": (ScalarQ.q_power(-2), ScalarQ.q_power(3))}
 
 
 def build_diagram(kind: str, r: int = None) -> SatakeDiagram:
@@ -109,24 +114,22 @@ def build_diagram(kind: str, r: int = None) -> SatakeDiagram:
     nodes = tuple(range(n))
     edges = frozenset([frozenset((i, (i + 1) % n))
                        for i in range(n if cycle else n - 1)])
-    tau, orbit_label, xi, varsigma = {}, {}, [None] * (r + 2), {}
+    tau, xi, varsigma = {}, [None] * (r + 2), {}
     for i in nodes:
         j = tau[i] = -i % n if fixes_0 else n - 1 - i
-        label = orbit_label[i] = min(i, j)
         gap = abs(i - j)
-        pair = (2 if not gap else
-                -1 if gap == 1 or cycle and gap == n - 1 else 0)
-        xi[label] = 1 - pair
-        varsigma[i] = _VARSIGMA[pair][label != i]
-    return SatakeDiagram(kind, r, nodes, edges, tau, orbit_label, tuple(xi),
-                         varsigma)
+        wrap = cycle and gap == n - 1
+        pair = 2 if not gap else -1 if gap == 1 or wrap else 0
+        xi[min(i, j)] = 1 - pair
+        varsigma[i] = _VARSIGMA["wrap" if wrap else pair][j < i]
+    return SatakeDiagram(kind, r, nodes, edges, tau, tuple(xi), varsigma)
 
 
 def _build_a1aff() -> SatakeDiagram:
     # The involution has a single orbit, but the ring keeps two variables with
-    # the explicit per-variable exponents (1, 3); labels are per node.
+    # the explicit per-variable exponents (1, 3).
     return SatakeDiagram("A1AFF", 0, (0, 1), frozenset({frozenset((0, 1))}),
-                         {0: 1, 1: 0}, {0: 0, 1: 1}, (1, 3),
+                         {0: 1, 1: 0}, (1, 3),
                          dict.fromkeys((0, 1), _VARSIGMA[-2][0]))
 
 

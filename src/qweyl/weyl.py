@@ -43,7 +43,7 @@ def K(i: int, inv: bool = False) -> GeneratorSymbol:
 def algebra_table(xi, names: str) -> ActionTable:
     """Monomial actions with exponents xi, on the d/x/m letters in ``names``:
     each entry is built by ``algebra_rule`` when it is first looked up."""
-    return ActionTable(len(xi), {}, *algebra_rule(xi, names))
+    return ActionTable(len(xi), *algebra_rule(xi, names))
 
 
 def algebra_rule(xi, names: str):

@@ -36,8 +36,13 @@ coefficients once per call: every Serre term a product of two
 ``divided_power`` quotients, every R5 side a ``q_pochhammer`` over
 [-c]! (q - q^-1), and every side an ``OperatorExpr`` sum, difference or
 scaling; the uqsl reference reads A_{r+1} off its own ``cartan_entry``.
+The iqg reference keeps R5's shifts q^(+-3) on the orbit that closes the
+cycle of III and IV, as the builder did before they were folded into
+varsigma: ``unfolded`` gives it the varsigma it reads.
 ``cyclic_chi_map`` is chi with its indices read mod n, the realization of
-U_q of an affine type A Cartan matrix on n slots.  ``reference_mul`` is
+U_q of an affine type A Cartan matrix on n slots, and ``coideal_embedding``
+sends a presentation's B/H generators through chi or cyclic chi into the
+classical q-Weyl algebra.  ``reference_mul`` is
 ``QPolynomial.__mul__`` as it was before ``QPolynomial`` and
 ``OperatorExpr`` shared one linear-combination core: a sum of
 ``mul_monomial`` products, one per term of the right factor.
@@ -47,16 +52,19 @@ each node's pairing by ``reference_varsigma``, as before the diagram was
 built in one construction.  ``eager_algebra_table``
 and ``eager_image_table`` are ``weyl.algebra_table`` and
 ``opcalc.image_table`` as they were before a table built each entry on its
-first lookup: every entry built when the table is.
+first lookup: every entry built when the table is, into a dict that the
+table reads.  ``overridden`` is a table with some entries replaced: one
+rule that tries the replacements first.
 """
 
 from functools import partial
+from itertools import chain
 from math import comb, prod
 
 from qweyl.crystal import combinatorial_rule
 from qweyl.iqg import B_, H_, e_, f_, k_, presentation, t_
 from qweyl.opcalc import (ActionTable, GeneratorSymbol, OperatorExpr,
-                          QPolynomial, apply, monomials_of_degree,
+                          QPolynomial, apply, expr_map, monomials_of_degree,
                           monomials_up_to)
 from qweyl.qscalar import (Q_MINUS_QINV, InexactDivisionError, LaurentPoly,
                            ScalarQ, factorial_steps, q_binomial, q_factorial,
@@ -64,7 +72,7 @@ from qweyl.qscalar import (Q_MINUS_QINV, InexactDivisionError, LaurentPoly,
 from qweyl.satake import SatakeDiagram, build_diagram
 from qweyl.shift import (Form, ShiftForm, ShiftWord, _add_terms, _decode,
                          _identity, _step, _word_form)
-from qweyl.weyl import D, E, F, K, M, X
+from qweyl.weyl import D, E, F, K, M, X, chi_map, weyl_table
 
 
 def xi_variants(kind, r):
@@ -180,8 +188,9 @@ def closed_form_table(diagram: SatakeDiagram) -> ActionTable:
     """The closed forms of ``closed_form_action`` as an ``ActionTable``: a
     ladder entry sign [cf a_src] is (sign u_src^cf - sign u_src^-cf) /
     (q - q^-1), a k entry one undivided term, a t entry a divided run."""
-    return ActionTable(diagram.nslots, {
-        sym: _run_word(form) for sym, form in _closed_forms(diagram).items()})
+    entries = {sym: _run_word(form)
+               for sym, form in _closed_forms(diagram).items()}
+    return ActionTable(diagram.nslots, entries.get, entries.keys)
 
 
 def scaled_word(word: ShiftWord, factor) -> ShiftWord:
@@ -194,12 +203,20 @@ def scaled_word(word: ShiftWord, factor) -> ShiftWord:
 
 def scaled_steps(table: ActionTable, factor) -> ActionTable:
     """``table`` with every e/f entry times ``factor`` (``scaled_word``),
-    which the new table refuses unless each stays a run."""
-    entries = {sym: table.entry(sym) for sym in table.symbols}
-    for sym, word in entries.items():
-        if sym.fam in ("e", "f"):
-            entries[sym] = scaled_word(word, factor)
-    return ActionTable(table.nvars, entries)
+    which the new table refuses, where it first looks it up, unless it
+    stays a run."""
+    return overridden(table, {sym: scaled_word(table.entry(sym), factor)
+                              for sym in table.symbols
+                              if sym.fam in ("e", "f")})
+
+
+def overridden(table: ActionTable, entries: dict) -> ActionTable:
+    """``table`` with the dict ``entries`` in place of its own entries: one
+    rule that tries ``entries`` first, then ``table``.  The new table checks
+    each entry where it first looks it up; ``table`` is left as it is."""
+    return ActionTable(table.nvars,
+                       lambda sym: entries.get(sym) or table.get(sym),
+                       lambda: chain(entries, table.symbols))
 
 
 def action_discrepancies(images, table, reference, max_s):
@@ -521,18 +538,21 @@ def _cycle_edges(nodes):
 
 def reference_varsigma(d: SatakeDiagram) -> dict:
     """varsigma per node, keyed by the pairing of a node with its partner:
-    the orbit representative (node 0 on A1AFF, else the node equal to its
-    orbit label) receives the first component of each pair."""
+    the orbit representative (node 0 on A1AFF, else the smaller node of
+    its orbit) receives the first component of each pair.  The orbit
+    {0, n - 1} that closes the cycle of III and IV takes (q^-2, q^3)."""
     q = ScalarQ.q_power
     out = {}
     for i in d.nodes:
         j = d.tau[i]
         p = d.pairing(i, j)
-        rep = i == 0 if d.kind == "A1AFF" else d.orbit_label[i] == i
+        rep = i == 0 if d.kind == "A1AFF" else i <= j
         if p == 2:
             out[i] = q(-1)
         elif p == 0:
             out[i] = ScalarQ.one()
+        elif d.kind in ("III", "IV") and {i, j} == {0, len(d.nodes) - 1}:
+            out[i] = q(-2) if rep else q(3)
         elif p == -1:
             out[i] = q(1) if rep else ScalarQ.one()
         else:  # p == -2, the double bond
@@ -546,7 +566,7 @@ def reference_build_diagram(kind: str, r: int = None) -> SatakeDiagram:
     pairing, then varsigma by ``reference_varsigma``."""
     if kind == "A1AFF":
         d = SatakeDiagram("A1AFF", 0, (0, 1), frozenset(_path_edges((0, 1))),
-                          {0: 1, 1: 0}, {0: 0, 1: 1}, (1, 3), {})
+                          {0: 1, 1: 0}, (1, 3), {})
         return d._replace(varsigma=reference_varsigma(d))
 
     if kind == "I":
@@ -576,12 +596,10 @@ def reference_build_diagram(kind: str, r: int = None) -> SatakeDiagram:
         tau = {0: 0, r + 1: r + 1}
         tau.update({i: 2 * r + 2 - i for i in nodes if i not in (0, r + 1)})
 
-    orbit_label = {i: min(i, tau[i]) for i in nodes}
-    d = SatakeDiagram(kind, r, nodes, frozenset(edges), tau, orbit_label,
-                      (), {})
+    d = SatakeDiagram(kind, r, nodes, frozenset(edges), tau, (), {})
     xi = [None] * (r + 2)
     for i in nodes:
-        xi[orbit_label[i]] = 1 - d.pairing(i, tau[i])
+        xi[min(i, tau[i])] = 1 - d.pairing(i, tau[i])
     d = d._replace(xi=tuple(xi))
     return d._replace(varsigma=reference_varsigma(d))
 
@@ -830,6 +848,40 @@ def cyclic_chi_map(n: int):
     return mapping
 
 
+def coideal_embedding(pres: SatakeDiagram):
+    """The standard coideal embedding of the presentation ``pres`` into the
+    classical q-Weyl algebra, as (images, table): with j = n minus the first
+    node, B_n -> F_j + varsigma_n E_{tau j} K_j^-1 and H_n -> K_j K_{tau j}^-1
+    (Letzter, J. Algebra 1999; Kolb, arXiv:1207.6036), pushed through chi
+    on len(nodes) + 1 slots for kinds I and II and through cyclic chi on
+    len(nodes) slots for the others; ``table`` is ``weyl_table`` on those
+    slots.  Each image is a sum of two words of different shifts, so it is
+    read by ``expr_map``, not by an image table."""
+    n, first = len(pres.nodes), pres.nodes[0]
+    chi, slots = ((chi_map(n - 1), n + 1) if pres.kind in ("I", "II")
+                  else (cyclic_chi_map(n), n))
+    word = OperatorExpr.word
+    images = {}
+    for node in pres.nodes:
+        j, tj = node - first, pres.tau[node] - first
+        images[B_(node)] = expr_map(word([F(j)]) + word(
+            [E(tj), K(j, True)], pres.varsigma[node]), chi)
+        images[H_(node)] = expr_map(word([K(j), K(tj, True)]), chi)
+    return images, weyl_table(slots)
+
+
+def unfolded(d: SatakeDiagram) -> SatakeDiagram:
+    """``d`` with the varsigma that the eps form of R5 in
+    ``reference_relation_instances`` reads: on the orbit {0, n - 1} that
+    closes the cycle of III and IV, varsigma_0 q^3 and varsigma_{n-1} q^-3,
+    which that form's shifts q^(+-3) take back.  Other kinds keep theirs."""
+    if d.kind not in ("III", "IV"):
+        return d
+    last, q = len(d.nodes) - 1, ScalarQ.q_power
+    return d._replace(varsigma={**d.varsigma, 0: d.varsigma[0] * q(3),
+                                last: d.varsigma[last] * q(-3)})
+
+
 def eager_algebra_table(xi, names: str) -> ActionTable:
     """Every d/x/m generator with exponents xi, each a one-letter
     ``ShiftWord``, built at once."""
@@ -841,7 +893,7 @@ def eager_algebra_table(xi, names: str) -> ActionTable:
         entries[x(i)] = gen(i, 1, ((1, 0),))
         entries[m(i)] = gen(i, 0, ((1, xi_i),))
         entries[m(i, True)] = gen(i, 0, ((1, -xi_i),))
-    return ActionTable(len(xi), entries)
+    return ActionTable(len(xi), entries.get, entries.keys)
 
 
 def eager_image_table(images, table: ActionTable) -> ActionTable:
@@ -859,4 +911,4 @@ def eager_image_table(images, table: ActionTable) -> ActionTable:
             raise ValueError("words differ in shift vector or d-count")
         delta, divided = shapes.pop() if shapes else ((0,) * n, 0)
         entries[sym] = ShiftWord.from_poly(delta, total, divided)
-    return ActionTable(n, entries)
+    return ActionTable(n, entries.get, entries.keys)

@@ -62,21 +62,23 @@ def test_act_builds_one_modified_weyl_table(capsys, monkeypatch):
     # tokens and the letters of the alias images alike
     import qweyl.iqg
     import qweyl.modweyl
+    import qweyl.weyl
     builds = []
-    real_rule, real_table = qweyl.modweyl.modweyl_rule, qweyl.modweyl.modweyl_table
+    real_rule = qweyl.weyl.algebra_rule
+    real_table = qweyl.modweyl.modweyl_table
 
     def counting(real):
-        def wrapped(diagram):
-            builds.append(diagram.spec_string)
-            return real(diagram)
+        def wrapped(*args):
+            builds.append(args)
+            return real(*args)
         return wrapped
 
+    monkeypatch.setattr(qweyl.weyl, "algebra_rule", counting(real_rule))
     for module in (qweyl.iqg, qweyl.modweyl):
-        monkeypatch.setattr(module, "modweyl_rule", counting(real_rule))
         monkeypatch.setattr(module, "modweyl_table", counting(real_table))
     code, out, _ = run(capsys, "act", "--diagram", "A1AFF",
                        "--word", "f0 x0 d1", "--poly", "X1")
-    assert (code, builds) == (0, ["A1AFF"])
+    assert (code, builds) == (0, [((1, 3), "dxm")])
     assert out.strip() == "(q^2 + 1 + q^-2)*X1"
 
 
@@ -746,12 +748,16 @@ def test_witness_with_scaled_steps(capsys, monkeypatch, case):
     # times -1 the signs cancel on an even word only.  Stdout and exit code
     # were recorded before the witness was checked in factored form; either
     # way the command builds one table.  Times 1 + q a step is no run, and
-    # no table holds it.
+    # the table refuses each e/f step where it first looks it up.
     real = iqg.oscillator_action
     factor = STEP_FACTORS[case["factor"]]
     if case["factor"] == "1 + q":
-        with pytest.raises(ValueError, match="is not a q-integer run"):
-            scaled_steps(real(parse_spec(case["argv"][2])), factor)
+        table = scaled_steps(real(parse_spec(case["argv"][2])), factor)
+        steps = [sym for sym in table.symbols if sym.fam in ("e", "f")]
+        for sym in steps:
+            with pytest.raises(ValueError, match="is not a q-integer run"):
+                table.get(sym)
+        assert steps
         return
     builds = []
 
@@ -927,7 +933,7 @@ def walk_form(polys):
         terms = ((v, k + n, ()), (-v, k - n, ()))
         entries[GeneratorSymbol("e", i)] = ShiftWord(
             ((0, 1),), terms[::-1] if i & 1 else terms, 1)
-    table = ActionTable(1, entries)
+    table = ActionTable(1, entries.get)
     word = [GeneratorSymbol("e", i) for i in range(len(polys))]
     end, k, v, ns = walk_word(word[::-1], (0,), table)
     return end, v, k, sorted(ns)
@@ -978,12 +984,13 @@ def test_factored_forms_are_equal_iff_products_are(pair):
 def test_factored_walk_refuses_what_is_not_a_run():
     # A letter whose image has two terms, or none, is no run: no table holds
     # it, so no walk reads it.
+    e0 = GeneratorSymbol("e", 0)
     for c in (LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 1, 4: 1}),
               LaurentPoly()):
         letter = ShiftWord(((0, 1),), tuple((v, e, ()) for e, v in c.items()),
                            0)
         with pytest.raises(ValueError, match="is not a q-integer run"):
-            ActionTable(1, {GeneratorSymbol("e", 0): letter})
+            walk_word((e0,), (0,), ActionTable(1, {e0: letter}.get))
     assert walk_form([run_poly(-1, 2, 3), run_poly(4, 1, -1)]) \
         == ((2,), -3, 4, [2])
 

@@ -6,8 +6,9 @@ from math import comb
 
 import pytest
 
-from closed_forms import (closed_form_table, per_node_axioms_check,
-                          per_node_crystal_edges, scaled_steps, xi_variants)
+from closed_forms import (closed_form_table, overridden,
+                          per_node_axioms_check, per_node_crystal_edges,
+                          scaled_steps, xi_variants)
 from qweyl.crystal import (_kashiwara_coords, combinatorial_rule,
                            crystal_axioms_check, crystal_graph, export,
                            kashiwara_e, kashiwara_f, parse_json)
@@ -264,15 +265,16 @@ def test_kashiwara_coords_match_scalar_oracle(kind, r):
 
 def _assert_f0_refused(make_action):
     # A table holds only run-shaped ShiftWords, so no walk meets an f_0
-    # built by make_action from the oscillator f_0: it is refused where the
-    # override table is built, and the table keeps its own entry.
+    # built by make_action from the oscillator f_0: the override table
+    # refuses it where it first looks it up, and the table keeps its own
+    # entry.
     d = build_diagram("I", 1)
     table = oscillator_action(d)
     f0 = table.entry(f_(0))
-    action = make_action(f0)
+    override = overridden(table, {f_(0): make_action(f0)})
     with pytest.raises(ValueError, match="the action of f0 is not a "
                                          "q-integer run"):
-        table.merged(ActionTable(d.nslots, {f_(0): action}))
+        override.act(f_(0), (1, 0, 0))
     assert table.entry(f_(0)) is f0
 
 
@@ -313,8 +315,9 @@ def test_kashiwara_coords_are_exact_off_the_string():
     f0 = ShiftWord(((0, -1), (2, 1)),
                    ((half, 0, ((0, 1),)), (-half, 0, ((0, -1),))), 1)
     f1 = ShiftWord((), ((1, 1, ((1, 1),)),), 0)     # q^(a_1 + 1)
+    entries = {f_(0): f0, f_(1): f1}
     _assert_coords_match_oracle(
-        d, ActionTable(d.nslots, {f_(0): f0, f_(1): f1}))
+        d, ActionTable(d.nslots, entries.get, entries.keys))
 
 
 def _graph_or_error(build):
@@ -373,8 +376,8 @@ def test_factored_walk_matches_plain_entries_on_broken_tables(monkeypatch,
     # graph error and the audit agree.
     import qweyl.crystal as crystal_mod
     d = build_diagram("I", 0)
-    table = oscillator_action(d).merged(
-        ActionTable(d.nslots, {f_(0): ShiftWord(delta, terms, 1)}))
+    table = overridden(oscillator_action(d),
+                       {f_(0): ShiftWord(delta, terms, 1)})
     monkeypatch.setattr(crystal_mod, "oscillator_action", lambda _: table)
     for s in range(5):
         assert _graph_or_error(lambda: crystal_graph(d, s).edges) \

@@ -74,7 +74,8 @@ def test_fold_pair_lands_on_last_triple_for_kind_I():
 
 def test_presentation_of_III_drops_one_orbit_and_closes_the_cycle():
     # the drawn diagram's orbit {1, 2r+2} goes; the rest is renumbered in
-    # order, so tau is n -> 2r+1-n on a cycle with q at 0 and r
+    # order, so tau is n -> 2r+1-n on a cycle with q at r, and q^-2 and q^3
+    # on the orbit {0, 2r+1} that closes it
     for r in (1, 2, 3):
         d = build_diagram("III", r)
         p = presentation(d)
@@ -82,9 +83,10 @@ def test_presentation_of_III_drops_one_orbit_and_closes_the_cycle():
         assert p.nodes == nodes
         assert p.tau == {n: 2 * r + 1 - n for n in nodes}
         assert p.edges == {frozenset((n, (n + 1) % len(nodes))) for n in nodes}
-        assert p.orbit_label == {n: min(n, 2 * r + 1 - n) for n in nodes}
-        assert {n for n in nodes if p.varsigma[n] != ScalarQ.one()} == {0, r}
-        assert all(p.varsigma[n] == ScalarQ.q_power(1) for n in (0, r))
+        assert {n: p.varsigma[n] for n in nodes
+                if p.varsigma[n] != ScalarQ.one()} == {
+            0: ScalarQ.q_power(-2), r: ScalarQ.q_power(1),
+            2 * r + 1: ScalarQ.q_power(3)}
 
 
 def test_long_relation_emitted_for_both_orderings():

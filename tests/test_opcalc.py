@@ -231,60 +231,15 @@ def test_non_laurent_residuals_match_naive_difference():
 
 def _constant_table(value):
     sym = GeneratorSymbol("Z", 0)
-    return sym, ActionTable(1, {sym: ShiftWord((), ((value, 0, ()),), 0)})
-
-
-def test_merged_table_uses_other_entry_and_leaves_self_unchanged():
-    sym, a = _constant_table(1)
-    _, b = _constant_table(2)
-    assert evaluate(a.entry(sym), (1,)) == [((1,), ScalarQ(1))]
-    assert evaluate(a.merged(b).entry(sym), (1,)) == [((1,), ScalarQ(2))]
-    assert evaluate(a.entry(sym), (1,)) == [((1,), ScalarQ(1))]
-
-
-def test_merged_override_reuses_built_entries_and_prefers_the_other():
-    # An override is a table of its own, merged in: an entry the first table
-    # built before the merge is reused, not rebuilt; the override wins
-    # whether it is given or built and whether or not the first table had
-    # built that symbol; and the first table is unchanged afterwards.
-    y, z = GeneratorSymbol("Y", 0), GeneratorSymbol("Z", 0)
-    builds = []
-
-    def constants(values):
-        """A table whose one build rule gives sym the constant values[sym]."""
-        def build(sym):
-            if sym not in values:
-                return None
-            builds.append((sym.label, values[sym]))
-            return ShiftWord((), ((values[sym], 0, ()),), 0)
-        return ActionTable(1, {}, build, values.keys)
-
-    for z_built_first in (False, True):
-        for given in (True, False):
-            builds.clear()
-            a = constants({y: 1, z: 1})
-            y_word = a.entry(y)
-            z_word = a.entry(z) if z_built_first else None
-            b = (ActionTable(1, {z: constants({z: 2}).entry(z)}) if given
-                 else constants({z: 2}))
-            merged = a.merged(b)
-            assert merged.symbols == a.symbols == {y, z}
-            assert merged.entry(y) is y_word
-            assert evaluate(merged.entry(z), (1,)) == [((1,), ScalarQ(2))]
-            assert builds == ([("Y0", 1)] + [("Z0", 1)] * z_built_first
-                              + [("Z0", 2)])
-            assert a.entry(y) is y_word
-            assert evaluate(a.entry(z), (1,)) == [((1,), ScalarQ(1))]
-            if z_built_first:
-                assert a.entry(z) is z_word
+    entries = {sym: ShiftWord((), ((value, 0, ()),), 0)}
+    return sym, ActionTable(1, entries.get, entries.keys)
 
 
 def test_each_stored_entry_is_checked_once(monkeypatch):
     # The oscillator table stores each alias it composes and each d/x/m
     # letter it reads, and checks each once: e_c = x_c d_{c+1} and
     # f_0 = x_1 d_0 on IV:r=2 store 4 aliases and 7 letters, d_1 among
-    # them.  A merged table stores its sources' entries with no second
-    # check.
+    # them.
     import qweyl.opcalc as opcalc
     checked = []
     real = opcalc._checked
@@ -299,10 +254,6 @@ def test_each_stored_entry_is_checked_once(monkeypatch):
         table.entry(GeneratorSymbol.from_label(label))
     assert sorted(checked) == ["d0", "d1", "d2", "d3", "e0", "e1", "e2",
                                "f0", "x0", "x1", "x2"]
-    sym, a = _constant_table(1)
-    _, b = _constant_table(2)
-    checked.clear()
-    assert a.merged(b).entry(sym) is b.entry(sym) and checked == []
 
 
 def test_an_oscillator_table_is_freed_when_dropped():
@@ -333,7 +284,7 @@ def test_one_build_rule_is_called_once_per_symbol_looked_up():
         calls.append(sym)
         return ShiftWord((), ((2, 0, ()),), 0) if sym.fam == "Z" else None
 
-    table = ActionTable(1, {}, build)
+    table = ActionTable(1, build)
     z, w = GeneratorSymbol("Z", 0), GeneratorSymbol("W", 3)
     assert table.get(z) is table.entry(z) is table.get(z)
     assert table.get(w) is None
@@ -360,23 +311,19 @@ def test_the_oscillator_rule_has_exactly_its_listed_symbols(kind, r):
 def test_act_refuses_entries_that_are_not_runs():
     # act reads one step per letter, so a table holds no entry whose image
     # is not one run: not a plain function, not a term that is 0, not three
-    # terms.  Each is refused where it is stored, naming its symbol.
+    # terms.  Each is refused where it is first looked up, by get, entry or
+    # act, naming its symbol, and nothing is stored for it.
     sym, table = _constant_table(2)
     assert table.act(sym, (1,)) == ((1,), 0, 2, 1)
     three = ShiftWord(((0, 1),), ((1, 2, ()), (1, 0, ()), (2, -2, ())), 0)
     for entry in (lambda mon: [(mon, ScalarQ(2))],
                   ShiftWord((), ((0, 0, ()),), 0), three):
-        with pytest.raises(ValueError, match="action of Z0 is not a q-integer "
-                                             "run"):
-            ActionTable(1, {sym: entry})
-        # an override is a table of its own, checked where it is built
-        with pytest.raises(ValueError, match="action of Z0"):
-            table.merged(ActionTable(1, {sym: entry}))
-        with pytest.raises(ValueError, match="action of Z0"):
-            table.merged(ActionTable(1, {}, lambda s, entry=entry: entry)
-                         ).entry(sym)
-        with pytest.raises(ValueError, match="action of Z0"):
-            ActionTable(1, {}, lambda s, entry=entry: entry).entry(sym)
+        bad = ActionTable(1, {sym: entry}.get)
+        for lookup in (bad.get, bad.entry, lambda s: bad.act(s, (1,))):
+            with pytest.raises(ValueError, match="action of Z0 is not a "
+                                                 "q-integer run"):
+                lookup(sym)
+        assert list(bad.symbols) == []
     assert table.act(sym, (1,)) == ((1,), 0, 2, 1)
 
 
@@ -454,7 +401,7 @@ def apply_cases(draw):
                     max_size=nvars).map(tuple)
     poly = QPolynomial(nvars, draw(st.dictionaries(mons, coefficients,
                                                    min_size=1, max_size=3)))
-    return expr, poly, ActionTable(nvars, entries)
+    return expr, poly, ActionTable(nvars, entries.get, entries.keys)
 
 
 @settings(max_examples=150, deadline=None)
@@ -468,15 +415,19 @@ def test_apply_matches_the_letter_by_letter_reference(case):
 
 def test_tables_refuse_steps_that_are_not_runs():
     # A step times 1 + q, or times 0, or an entry with two targets, is no
-    # run: the table refuses it, so apply never meets it.
+    # run: the table refuses it where it first looks it up, so apply never
+    # meets it.
     base = OSCILLATOR_TABLES["IV:r=1"]
     e0 = base.entry(GeneratorSymbol("e", 0))
     f1 = base.entry(GeneratorSymbol("f", 1))
     two_targets = ShiftWord(e0.delta, e0.terms + f1.terms, 1)
+    g0 = GeneratorSymbol("g", 0)
     for entry in (scaled_word(e0, ((1, 0), (1, 1))),
                   scaled_word(e0, ((0, 0),)), two_targets):
+        table = ActionTable(base.nvars, {g0: entry}.get)
         with pytest.raises(ValueError, match="is not a q-integer run"):
-            ActionTable(base.nvars, {GeneratorSymbol("g", 0): entry})
+            apply(OperatorExpr.symbol(g0), QPolynomial.monomial((1, 1, 1)),
+                  table)
 
 
 @st.composite

@@ -15,24 +15,31 @@ they were first run on, and the integer-only constants that the iqg
 builders read, built at import, must be the reference builders' values for
 every Cartan integer a presentation holds.  ``quantum_relations`` on each
 affine presentation's own Cartan matrix must hold under cyclic chi, and
-fail on a misread one; on kind I it must be the uqsl suite.
+fail on a misread one; on kind I it must be the uqsl suite.  Every relation
+instance of a presentation must hold under the standard coideal embedding
+(``closed_forms.coideal_embedding``), and -q^-3 in one node's varsigma, in
+the relations alone, must break exactly the two instances that read it.
+The iqg reference keeps R5's eps form, so it reads the varsigma of
+``closed_forms.unfolded``.
 """
 
 import pytest
 
-from closed_forms import (_serre_sum, cyclic_chi_map, divided_power,
-                          q_pochhammer, reference_algebra_relations,
+from closed_forms import (_serre_sum, coideal_embedding, cyclic_chi_map,
+                          divided_power, q_pochhammer,
+                          reference_algebra_relations,
                           reference_compile_relation,
                           reference_relation_instances,
-                          reference_uqsl_relation_instances, xi_variants)
+                          reference_uqsl_relation_instances, unfolded,
+                          xi_variants)
 from qweyl.cli import MUTATIONS, _apply_mutation, run_suite
 from qweyl.iqg import _R5, _SERRE, B_, phi, presentation, relation_instances
 from qweyl.modweyl import iota_map, modweyl_relation_instances, modweyl_table
-from qweyl.opcalc import (OperatorExpr, _residuals, image_table,
+from qweyl.opcalc import (OperatorExpr, _residuals, expr_map, image_table,
                           monomials_of_degree, report_failures,
                           verify_relations)
-from qweyl.qscalar import Q_MINUS_QINV, ScalarQ, q_binomial
-from qweyl.satake import build_diagram
+from qweyl.qscalar import Q_MINUS_QINV, LaurentPoly, ScalarQ, q_binomial
+from qweyl.satake import _MIN_R, build_diagram
 from qweyl.shift import _word_form, compile_relation
 from qweyl.weyl import (SERRE_ROWS, chi_map, quantum_relations,
                         uqsl_relation_instances, weyl_relation_instances,
@@ -42,6 +49,10 @@ ALL_DIAGRAMS = [("I", 0), ("I", 1), ("I", 2), ("II", 0), ("II", 1), ("II", 2),
                 ("III", 1), ("III", 2), ("A1AFF", None), ("IV", 0), ("IV", 1),
                 ("IV", 2), ("V", 0), ("V", 1), ("V", 2), ("VI", 1), ("VI", 2)]
 LARGER = [("I", 5), ("V", 4)]
+# The golden diagrams, then every other kind and rank up to r = 4.
+UP_TO_4 = ALL_DIAGRAMS + [(kind, r) for kind, low in _MIN_R.items()
+                          for r in range(low, 5)
+                          if (kind, r) not in ALL_DIAGRAMS]
 
 
 def _entries(instances):
@@ -73,7 +84,7 @@ def test_builders_match_reference_entry_by_entry(kind, r):
         reference_uqsl_relation_instances(d.r))
     for variant in _diagrams(kind, r):
         assert _entries(relation_instances(presentation(variant))) == \
-            _entries(reference_relation_instances(variant)), \
+            _entries(reference_relation_instances(unfolded(variant))), \
             variant.spec_string
         assert _entries(modweyl_relation_instances(variant)) == _entries(
             reference_algebra_relations(variant.xi, "dxm", "modweyl"))
@@ -303,3 +314,39 @@ def test_quantum_relations_of_kind_I_are_the_uqsl_suite(r):
     pres = presentation(build_diagram("I", r))
     assert _entries(quantum_relations(_cartan(pres))) == _entries(
         uqsl_relation_instances(2 * r + 1))
+
+
+def _coideal_failures(relations, embedded):
+    """(group id, indices) of each relation instance of the presentation
+    ``relations`` whose image under the coideal embedding of the
+    presentation ``embedded`` compiles to a nonzero form."""
+    images, table = coideal_embedding(embedded)
+    return [(group, indices)
+            for group, indices, lhs, rhs in relation_instances(relations)
+            if compile_relation(expr_map(lhs, images), expr_map(rhs, images),
+                                table).components]
+
+
+@pytest.mark.parametrize("kind,r", UP_TO_4)
+def test_every_relation_holds_under_the_coideal_embedding(kind, r):
+    # Each relation instance of the presentation, with its typed varsigma,
+    # is a relation of the coideal subalgebra: R5 on the orbit {0, tau 0}
+    # that closes the cycle of III and IV too, which reads (q^-2, q^3).
+    pres = presentation(build_diagram(kind, r))
+    assert _coideal_failures(pres, pres) == []
+
+
+@pytest.mark.parametrize("kind,r", ALL_DIAGRAMS)
+def test_the_coideal_embedding_pins_every_varsigma(kind, r):
+    # varsigma_n set to -q^-3 in the relations alone, the embedding kept at
+    # the typed value, breaks exactly the two instances that read it: R5 on
+    # n's orbit, or R6 from a fixed node n to its two neighbours.
+    pres = presentation(build_diagram(kind, r))
+    flipped = ScalarQ(LaurentPoly({-3: -1}))
+    for n in pres.nodes:
+        mutant = pres._replace(varsigma={**pres.varsigma, n: flipped})
+        tn = pres.tau[n]
+        want = ([("iqg.R5", [i]) for i in sorted({n, tn})] if tn != n else
+                [("iqg.R6", [n, j]) for j in pres.nodes
+                 if pres.pairing(n, j) == -1])
+        assert sorted(_coideal_failures(mutant, pres)) == want, n

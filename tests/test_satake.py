@@ -1,4 +1,4 @@
-"""Satake diagram data: involutions, pairings, labels, xi and varsigma."""
+"""Satake diagram data: involutions, pairings, orbits, xi and varsigma."""
 
 import pytest
 
@@ -24,16 +24,18 @@ def test_structural_invariants(kind, r):
         for j in d.nodes:
             assert d.pairing(i, j) == d.pairing(j, i)
             assert d.pairing(d.tau[i], d.tau[j]) == d.pairing(i, j)
-    # orbit labels partition the nodes into exactly r+2 cells of size 1 or 2
+    # each orbit's smaller node labels it (each node on A1AFF): the labels
+    # partition the nodes into exactly r+2 cells of size 1 or 2
     labels = {}
     for i in d.nodes:
-        labels.setdefault(d.orbit_label[i], []).append(i)
+        labels.setdefault(i if kind == "A1AFF" else min(i, d.tau[i]),
+                          []).append(i)
     assert len(labels) == d.nslots
     assert all(len(cell) in (1, 2) for cell in labels.values())
     # xi = 1 - i.tau(i), except the documented A1AFF override
     if kind != "A1AFF":
         for i in d.nodes:
-            assert d.xi[d.orbit_label[i]] == 1 - d.pairing(i, d.tau[i])
+            assert d.xi[min(i, d.tau[i])] == 1 - d.pairing(i, d.tau[i])
     # varsigma is orbit-constant whenever the pair is orthogonal
     for i in d.nodes:
         if d.pairing(i, d.tau[i]) == 0:
