@@ -327,8 +327,8 @@ def oscillator_action(diagram: SatakeDiagram, pres: SatakeDiagram = None
 
     One table, whose rule gives a d/x/m letter by ``weyl.algebra_rule`` at
     the diagram's xi and an alias as its image under phi, one word in d/x/m
-    times +-q^k, which the table composes into a ``ShiftWord`` over its own
-    letters and memo of word forms.  Each entry is built, checked and
+    times +-q^k, which the table composes into a ``ShiftWord`` as one sparse
+    product of its own letters' entries.  Each entry is built, checked and
     stored when its symbol is first looked up, and no other is built.  The
     table is phi composed with the modified q-Weyl action, at whatever xi
     the diagram carries; its symbols are the aliases, then d/x/m.
@@ -359,10 +359,10 @@ def witness_steps(diagram: SatakeDiagram, a: Tuple[int, ...], up: bool,
     ladder = _ladder(pres or presentation(diagram))
     top = [sum(a[i:]) for i in range(len(a))]
     if up:
-        word = [e_(c) for _, c, _, hi in ladder for _ in range(top[hi])]
+        word = [s for _, c, _, hi in ladder for s in (e_(c),) * top[hi]]
         return tuple(word), factorial_steps(diagram.xi[1:],
                                             [0] * (len(a) - 1), top[1:])
-    word = [f_(c) for _, c, _, hi in reversed(ladder) for _ in range(top[hi])]
+    word = [s for _, c, _, hi in reversed(ladder) for s in (f_(c),) * top[hi]]
     return tuple(word), factorial_steps(diagram.xi, a, top)
 
 

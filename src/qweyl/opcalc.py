@@ -22,8 +22,8 @@ from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Tuple)
 
 from .qscalar import ScalarQ, q_product
-from .shift import (ShiftForm, ShiftWord, _add_terms, _identity, _word_form,
-                    compile_relation)
+from .shift import (ShiftForm, ShiftWord, _identity, compile_relation,
+                    sum_of_products)
 
 Monomial = Tuple[int, ...]
 
@@ -306,8 +306,9 @@ class ActionTable:
     built.  ``symbols``, a function of no arguments, lists the symbols
     ``build`` has; only the ``symbols`` property calls it.  A stored entry
     never changes, so a word's form over the table never changes either:
-    ``forms`` is the table's memo of word forms, read by
-    ``shift._word_form``, and starts with the empty word's, the identity.
+    ``forms`` is the table's memo of relation word forms, which only
+    ``compile_relation`` fills (``shift._word_form``), and starts with the
+    empty word's, the identity.
     """
 
     def __init__(self, nvars: int,
@@ -356,8 +357,9 @@ class ActionTable:
 def image_table(images: Dict[GeneratorSymbol, OperatorExpr],
                 table: ActionTable) -> ActionTable:
     """The homomorphism ``images``, a dict from each symbol to its image,
-    followed by ``table``'s action.  Each image is composed over ``table``
-    (``_image_entry``) when its symbol is first looked up."""
+    followed by ``table``'s action.  Each image is composed over ``table``,
+    on the sparse terms of its letters' entries (``_image_entry``), when its
+    symbol is first looked up."""
 
     def compose(sym) -> Optional[ShiftWord]:
         image = images.get(sym)
@@ -367,23 +369,14 @@ def image_table(images: Dict[GeneratorSymbol, OperatorExpr],
 
 
 def _image_entry(image: OperatorExpr, table: ActionTable) -> ShiftWord:
-    """``image`` followed by ``table``'s action, as one ``ShiftWord``.
-
-    Every chi, iota, phi and alias image is a sum of words with Laurent
-    coefficients, one shift vector and one d-count: it sums into one
-    ``ShiftWord``, from ``table``'s memo of word forms, as in the compiler.
-    An image whose words differ in shift vector or d-count is refused with
-    a ValueError.
-    """
-    shapes, total = set(), {}
-    for word, c in image.terms.items():
-        form = _word_form(word, table)
-        shapes.add((form[0], form[2]))
-        _add_terms(total, form, c.as_laurent())
-    if len(shapes) > 1:
-        raise ValueError("words differ in shift vector or d-count")
-    delta, divided = shapes.pop() if shapes else ((0,) * table.nvars, 0)
-    return ShiftWord.from_poly(delta, total, divided)
+    """``image`` followed by ``table``'s action, as one ``ShiftWord``: each
+    word the product of its letters' entries, each times its Laurent
+    coefficient, summed by ``shift.sum_of_products``.  Every chi, iota, phi
+    and alias image has one shift vector and one d-count; an image whose
+    words differ in either is refused with a ValueError."""
+    entry = table.entry
+    return sum_of_products(([entry(sym) for sym in word], c.as_laurent())
+                           for word, c in image.terms.items())
 
 
 def walk_word(word: Word, mon: Monomial, table: ActionTable):

@@ -16,24 +16,25 @@ generator is a one-letter ``ShiftWord``, built, like every image entry,
 when its table first looks it up.  A word of them applied to the generic
 monomial X^a is again of this form: a letter applied after the word so far
 has shifted the exponents by s turns its term q^e u^m into q^{e + m.s} u^m.
-``_word_form`` reads the form of a word from its table's memo, which steps
-each suffix once, and ``_add_terms`` adds a form times a Laurent
-coefficient into a sum.
-``opcalc.image_table`` so sums an image, words with one shift vector and one
-d-count, into one ``ShiftWord``, and ``compile_relation`` sums each side of a
-relation into components, compares them, and subtracts only unequal sides.
+``sum_of_products`` so sums an image of ``opcalc.image_table``, words with
+one shift vector and one d-count, into one ``ShiftWord``, multiplying the
+sparse terms of its letters directly.  ``compile_relation`` instead reads
+the form of each word from its table's memo (``_word_form``), which steps
+each suffix once, adds it times its Laurent coefficient into a sum
+(``_add_terms``), compares the sides' components, and subtracts only
+unequal sides.
 The sides agree on every monomial iff every component of lhs - rhs is zero,
 because distinct characters a -> q^{m.a} are linearly independent on N^n.
 The guard "d_i kills X^a when a_i = 0" needs no special case: the factor
 [xi_i * 0] is already 0.
 
-A compiled polynomial P maps each term q^e u^m, over slots 0..r+1, to its
-coefficient, keyed by one int, the Kronecker substitution
-e + sum_j m_j 2^(24 (j+1)): e, m_0, m_1, ... are its balanced base-2^24
-digits, each in (-2^23, 2^23), so a step moves a term by adding one int and
-costs O(touched slots), whatever the rank.  Only this module knows the
-format: ``_decode`` reads a key back.  A key never aliases: each form
-carries a bound on the size of its digits, which every letter step and
+A polynomial P compiled by ``compile_relation`` maps each term q^e u^m,
+over slots 0..r+1, to its coefficient, keyed by one int, the Kronecker
+substitution e + sum_j m_j 2^(24 (j+1)): e, m_0, m_1, ... are its balanced
+base-2^24 digits, each in (-2^23, 2^23), so a step moves a term by adding
+one int and costs O(touched slots), whatever the rank.  Only this module
+knows the format: ``_decode`` reads a key back.  A key never aliases: each
+form carries a bound on the size of its digits, which every letter step and
 every coefficient raises, and a step or coefficient that could let a digit
 reach 2^23 raises a ValueError before it packs such a key; a digit of
 2^23 - 1 packs.  Words in the relations qweyl builds stay far inside it,
@@ -222,6 +223,52 @@ def _sparse(v: Vector) -> Sparse:
     return tuple([(j, x) for j, x in enumerate(v) if x])
 
 
+def _merged(us: Sparse, tu: Sparse) -> Sparse:
+    """us + tu, slots ascending and zero exponents dropped."""
+    out = dict(us)
+    for j, m in tu:
+        out[j] = out.get(j, 0) + m
+    return tuple(sorted([(j, m) for j, m in out.items() if m]))
+
+
+def sum_of_products(words) -> ShiftWord:
+    """The sum over ``words``, pairs (letters, coeff), of the LaurentPoly
+    coeff times the product of the ShiftWords ``letters`` (each u with slots
+    ascending), composed on their sparse terms: rightmost letter first, a
+    term (v, qe, u) after a shift s is v q^{qe + u.s} u^u, like terms merging
+    by (q exponent, u), with coefficient terms outer, then each letter's
+    terms outer over those before it.  Words of two shift vectors or
+    d-counts raise a ValueError; no word is ShiftWord((), (), 0)."""
+    shape, total = None, {}
+    for letters, coeff in words:
+        shift, terms, divided = {}, {(0, ()): 1}, 0
+        for letter in reversed(letters):
+            nxt = {}
+            for tv, qe, tu in letter.terms:
+                for j, m in tu:
+                    qe += m * shift.get(j, 0)
+                for (e, us), v in terms.items():
+                    key = e + qe, _merged(us, tu) if us and tu else us or tu
+                    nxt[key] = nxt.get(key, 0) + v * tv
+            terms = nxt
+            for j, s in letter.delta:
+                shift[j] = s = shift.get(j, 0) + s
+                if not s:
+                    del shift[j]
+            divided += letter.divided
+        if shape is None:
+            shape = shift, divided
+        elif shape != (shift, divided):
+            raise ValueError("words differ in shift vector or d-count")
+        for qc, vc in coeff.items():
+            for (e, us), v in terms.items():
+                key = e + qc, us
+                total[key] = total.get(key, 0) + v * vc
+    shift, divided = shape or ({}, 0)
+    return ShiftWord(tuple(sorted(shift.items())), tuple(
+        [(v, e, us) for (e, us), v in total.items() if v]), divided)
+
+
 class ShiftForm(NamedTuple):
     """A compiled expression: ``scale`` times it maps X^a to the sum over
     ``components`` of P_delta(q, q^a) X^{a+delta}, where each component
@@ -244,7 +291,7 @@ def _word_form(word, table) -> Form:
     ``table.forms``, which maps words to their forms over that table and
     starts with the empty word's, the identity.  A missing word is its first
     letter stepped onto the form of the rest: each suffix is composed once
-    per table.
+    per table.  Only ``compile_relation`` reads or fills the memo.
     """
     forms = table.forms
     form = forms.get(word)

@@ -53,8 +53,11 @@ built in one construction.  ``eager_algebra_table``
 and ``eager_image_table`` are ``weyl.algebra_table`` and
 ``opcalc.image_table`` as they were before a table built each entry on its
 first lookup: every entry built when the table is, into a dict that the
-table reads.  ``overridden`` is a table with some entries replaced: one
-rule that tries the replacements first.
+table reads.  ``eager_image_table`` is also the packed-path reference for
+image entries: it sums each image from the packed word forms of the
+table's memo, as ``opcalc._image_entry`` did before it multiplied the
+sparse terms of its letters.  ``overridden`` is a table with some entries
+replaced: one rule that tries the replacements first.
 """
 
 from functools import partial
@@ -898,8 +901,10 @@ def eager_algebra_table(xi, names: str) -> ActionTable:
 
 def eager_image_table(images, table: ActionTable) -> ActionTable:
     """The homomorphism ``images`` followed by ``table``'s action, every
-    image summed into one ``ShiftWord`` at once, from ``table``'s memo of
-    word forms."""
+    image summed into one ``ShiftWord`` at once, by the packed path: each
+    word's form read from ``table``'s memo (``shift._word_form``), added
+    times its coefficient (``shift._add_terms``) and read back by
+    ``ShiftWord.from_poly``.  Image tables must give equal entries."""
     n, entries = table.nvars, {}
     for sym, image in images.items():
         shapes, total = set(), {}

@@ -3,11 +3,13 @@ over generator and image tables, refusal of entries that are not runs,
 residuals read off the compiled form against an apply-based oracle, the
 same forms as the compiler that still took its products by 1, the
 polynomial gcds that a verify run still needs, one letter step per word
-suffix and table, images whose words must share one shift and d-count,
-a residual search that stops at its first residual, every entry's
-factored run against its expanded image, every entry of every table that
-qweyl builds a run, entries built on their first lookup against the
-tables built at once, image tables that compose nothing before a lookup,
+suffix and table in the compiler and none for an image entry, images whose
+words must share one shift and d-count, a residual search that stops at
+its first residual, every entry's factored run against its expanded
+image, every entry of every table that qweyl builds a run, entries built
+on their first lookup against the tables built at once and image entries
+against the packed path at many xi, image tables that read no letter
+before a lookup,
 a word-form memo that holds words only, and a modweyl suite that compiles
 its @iota relations only when iota fails to realize a generator."""
 
@@ -505,12 +507,12 @@ def _suffixes(words):
 
 @pytest.mark.parametrize("kind,r", [("I", 1), ("IV", 2), ("A1AFF", None)])
 def test_verify_steps_each_word_suffix_once(monkeypatch, kind, r):
-    # One image_table call, and one verify_relations call, composes each
-    # distinct suffix of the words it reads once, one letter onto the next
-    # shorter suffix, on every suite's table; composing every word afresh
-    # takes more letter steps.  Each suite gets fresh tables: a suffix that
-    # an earlier suite composed over the same table is read from that
-    # table's memo and not stepped again.
+    # One verify_relations call composes each distinct suffix of the words
+    # it reads once, one letter onto the next shorter suffix, on every
+    # suite's table; composing every word afresh takes more letter steps.
+    # Each suite gets fresh tables.  An image_table entry is composed on
+    # the sparse terms of its letters instead: it steps no letter and
+    # leaves the composed-over table's memo as it started, the identity.
     real = shift._step
     steps = []
 
@@ -524,13 +526,12 @@ def test_verify_steps_each_word_suffix_once(monkeypatch, kind, r):
         table, instances, push = _suites(d)[suite]
         if push is not None:
             steps.clear()
-            table = image_table(push, table)
-            words = [w for image in push.values() for w in image.terms]
-            # each image is composed when its symbol is first read
-            assert table.symbols == push.keys() and not steps
+            under, table = table, image_table(push, table)
+            assert table.symbols == push.keys()
             for sym in table.symbols:
                 table.entry(sym)
-            assert len(steps) == len(_suffixes(words))
+            assert steps == []
+            assert under.forms == {(): shift._identity(under.nvars)}
         steps.clear()
         verify_relations(instances, table, 0)
         words = [w for _, _, lhs, rhs in instances for w in (lhs - rhs).terms]
@@ -538,24 +539,25 @@ def test_verify_steps_each_word_suffix_once(monkeypatch, kind, r):
         assert len(steps) < sum(len(w) for w in words)
 
 
-def test_image_table_composes_nothing_before_its_first_lookup(monkeypatch):
+def test_image_table_composes_nothing_before_its_first_lookup():
     # iota's d_1 image at xi_1 = 3 has three words, and it too is composed
-    # only when its symbol is first looked up.
-    real = shift._step
-    steps = []
+    # only when its symbol is first looked up: no letter of the table it is
+    # composed over is read before.
+    under = weyl_table(2)
+    read, real = [], under.entry
 
-    def counted(letter, form):
-        steps.append(letter)
-        return real(letter, form)
+    def counted(sym):
+        read.append(sym)
+        return real(sym)
 
-    monkeypatch.setattr(shift, "_step", counted)
+    under.entry = counted
     images = iota_map(build_diagram("A1AFF"))
     assert len(images[d_(1)].terms) == 3
-    table = image_table(images, weyl_table(2))
-    assert steps == [] and table.symbols == images.keys()
+    table = image_table(images, under)
+    assert read == [] and table.symbols == images.keys()
     table.entry(d_(1))
-    words = images[d_(1)].terms
-    assert len(steps) == len(_suffixes(words))
+    assert sorted(read) == sorted(sym for word in images[d_(1)].terms
+                                  for sym in word)
 
 
 def test_image_words_must_share_shift_and_d_count():
@@ -585,25 +587,34 @@ def test_image_words_must_share_shift_and_d_count():
 def test_entries_built_on_first_lookup_equal_eager_ones(kind, r):
     # Each table lists every symbol before it builds anything, and each
     # entry, looked up in reverse order of the eager table's symbols, is the
-    # entry that building the whole table at once gives.
-    d = build_diagram(kind, r)
-    classical = eager_algebra_table((1,) * d.nslots, "DXM")
-    modified = eager_algebra_table(d.xi, "dxm")
-    pres = presentation(d)
-    eager_aliases = eager_image_table(_alias_images(pres), modified)
-    pairs = [(weyl_table(d.nslots), classical),
-             (modweyl_table(d), modified),
-             (image_table(phi(pres), modweyl_table(d)),
-              eager_image_table(phi(pres), modified)),
-             (oscillator_action(d), overridden(
-                 modified, {sym: eager_aliases.entry(sym)
-                            for sym in eager_aliases.symbols}))]
-    for lazy, eager in pairs:
-        assert lazy.symbols == eager.symbols
-        for sym in reversed(list(eager.symbols)):
-            assert lazy.entry(sym) == eager.entry(sym), sym.label
-        assert ({sym: lazy.entry(sym) for sym in lazy.symbols}
-                == {sym: eager.entry(sym) for sym in eager.symbols})
+    # entry that building the whole table at once gives.  Image entries,
+    # composed on their letters' sparse terms, equal the packed word forms
+    # of eager_image_table, at the diagram's xi and with each slot set to
+    # -4..-1 and 2..4.
+    base = build_diagram(kind, r)
+    for d in [base] + [base.with_xi(slot, xi) for slot in range(base.nslots)
+                       for xi in (-4, -3, -2, -1, 2, 3, 4)]:
+        classical = eager_algebra_table((1,) * d.nslots, "DXM")
+        modified = eager_algebra_table(d.xi, "dxm")
+        pres = presentation(d)
+        eager_aliases = eager_image_table(_alias_images(pres), modified)
+        pairs = [(weyl_table(d.nslots), classical),
+                 (modweyl_table(d), modified),
+                 (image_table(chi_map(d.r), weyl_table(d.nslots)),
+                  eager_image_table(chi_map(d.r), classical)),
+                 (image_table(iota_map(d), weyl_table(d.nslots)),
+                  eager_image_table(iota_map(d), classical)),
+                 (image_table(phi(pres), modweyl_table(d)),
+                  eager_image_table(phi(pres), modified)),
+                 (oscillator_action(d), overridden(
+                     modified, {sym: eager_aliases.entry(sym)
+                                for sym in eager_aliases.symbols}))]
+        for lazy, eager in pairs:
+            assert lazy.symbols == eager.symbols
+            for sym in reversed(list(eager.symbols)):
+                assert lazy.entry(sym) == eager.entry(sym), sym.label
+            assert ({sym: lazy.entry(sym) for sym in lazy.symbols}
+                    == {sym: eager.entry(sym) for sym in eager.symbols})
 
 
 def test_word_forms_are_never_shared_between_tables(capsys, monkeypatch):
