@@ -326,8 +326,8 @@ def oscillator_action(diagram: SatakeDiagram, pres: SatakeDiagram = None
     """Monomial actions of the aliases, and of d/x/m, on the polynomial ring.
 
     One table, whose rule gives a d/x/m letter by ``weyl.algebra_rule`` at
-    the diagram's xi and an alias as its image under phi, one word in d/x/m
-    times +-q^k, which the table composes into a ``ShiftWord`` as one sparse
+    the diagram's xi, tried first, and an alias as its image under phi, one
+    word in d/x/m times +-q^k, composed into a ``ShiftWord`` as one sparse
     product of its own letters' entries.  Each entry is built, checked and
     stored when its symbol is first looked up, and no other is built.  The
     table is phi composed with the modified q-Weyl action, at whatever xi
@@ -338,7 +338,7 @@ def oscillator_action(diagram: SatakeDiagram, pres: SatakeDiagram = None
     aliases = _alias_rule(pres)
     letters, letter_symbols = weyl.algebra_rule(diagram.xi, "dxm")
     return ActionTable(diagram.nslots,
-                       lambda sym: aliases(sym) or letters(sym),
+                       lambda sym: letters(sym) or aliases(sym),
                        lambda: _alias_symbols(pres) + letter_symbols())
 
 

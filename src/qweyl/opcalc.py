@@ -22,8 +22,7 @@ from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Tuple)
 
 from .qscalar import ScalarQ, q_product
-from .shift import (ShiftForm, ShiftWord, _identity, compile_relation,
-                    sum_of_products)
+from .shift import ShiftWord, _identity, compile_relation, sum_of_products
 
 Monomial = Tuple[int, ...]
 
@@ -437,36 +436,18 @@ def apply_word(word: Word, p: QPolynomial, table: ActionTable) -> QPolynomial:
     return apply(OperatorExpr.word(word), p, table)
 
 
-def _residuals(form: ShiftForm, nvars: int, monomials):
-    """Residuals of a compiled relation on ``monomials``, in their order.
-
-    Yields (monomial, residual): each component of ``form`` is a
-    ``ShiftWord`` evaluated at X^a, and each value is divided by the form's
-    ``scale``.  A form without components is the zero operator and yields
-    nothing, without drawing a monomial.
-    """
-    if not form.components:
-        return
-    words = [ShiftWord.from_poly(delta, poly)
-             for delta, poly in form.components.items()]
-    for mon in monomials:
-        # distinct components have distinct shift vectors: no target repeats
-        terms = {tgt: ScalarQ(c.num, form.scale)
-                 for word in words for tgt, c in word(mon)}
-        if terms:
-            yield mon, QPolynomial(nvars, terms)
-
-
 def operator_equal_on_degrees(e1: OperatorExpr, e2: OperatorExpr,
                               table: ActionTable, max_s: int):
     """Residuals of (e1 - e2) on every monomial of total degree <= max_s.
 
     An empty list means the two expressions agree on that truncation.  No
     monomial goes through ``apply``: the residuals are read off the form
-    that ``compile_relation`` compiles from both sides.
+    that ``compile_relation`` compiles from both sides
+    (``ShiftForm.residuals``).
     """
-    return list(_residuals(compile_relation(e1, e2, table), table.nvars,
-                           monomials_up_to(table.nvars, max_s)))
+    n, form = table.nvars, compile_relation(e1, e2, table)
+    return [(mon, QPolynomial(n, terms))
+            for mon, terms in form.residuals(monomials_up_to(n, max_s))]
 
 
 def verify_relations(instances, table: ActionTable, max_s: int):
@@ -481,9 +462,10 @@ def verify_relations(instances, table: ActionTable, max_s: int):
     word is composed once over ``table``.  The verdict is read off that
     form: OK exactly when it is zero, so the relation holds in every degree.
     A nonzero form fails in some degree, whatever ``max_s`` is; its first
-    residual at degree <= ``max_s`` is reported, or ``None`` for the
-    monomial and the coefficient if it has none there.  The search walks one
-    degree at a time and stops at that first residual.
+    residual at degree <= ``max_s`` (``ShiftForm.residuals``, its least
+    target) is reported, or ``None`` for the monomial and the coefficient if
+    it has none there.  The search walks one degree at a time and stops at
+    that first residual.
     """
     n, report = table.nvars, []
     for group_id, indices, lhs, rhs in instances:
@@ -493,13 +475,12 @@ def verify_relations(instances, table: ActionTable, max_s: int):
         if form.components:
             upward = (mon for s in range(max_s + 1)
                       for mon in monomials_of_degree(n, s))
-            first = next(_residuals(form, n, upward), None)
+            first = next(form.residuals(upward), None)
             entry["residual_monomial"] = entry["residual_coefficient"] = None
             if first is not None:
-                mon, poly = first
-                witness = min(poly.terms)
+                mon, terms = first
                 entry["residual_monomial"] = list(mon)
-                entry["residual_coefficient"] = str(poly.terms[witness])
+                entry["residual_coefficient"] = str(terms[min(terms)])
         report.append(entry)
     return report
 

@@ -20,9 +20,9 @@ has shifted the exponents by s turns its term q^e u^m into q^{e + m.s} u^m.
 one shift vector and one d-count, into one ``ShiftWord``, multiplying the
 sparse terms of its letters directly.  ``compile_relation`` instead reads
 the form of each word from its table's memo (``_word_form``), which steps
-each suffix once, adds it times its Laurent coefficient into a sum
-(``_add_terms``), compares the sides' components, and subtracts only
-unequal sides.
+each suffix once, adds it times its Laurent coefficient into a sum that its
+side owns (``_add_terms``; a side copies what it reads from the memo),
+compares the sides' components, and subtracts only unequal sides.
 The sides agree on every monomial iff every component of lhs - rhs is zero,
 because distinct characters a -> q^{m.a} are linearly independent on N^n.
 The guard "d_i kills X^a when a_i = 0" needs no special case: the factor
@@ -33,18 +33,19 @@ over slots 0..r+1, to its coefficient, keyed by one int, the Kronecker
 substitution e + sum_j m_j 2^(24 (j+1)): e, m_0, m_1, ... are its balanced
 base-2^24 digits, each in (-2^23, 2^23), so a step moves a term by adding
 one int and costs O(touched slots), whatever the rank.  Only this module
-knows the format: ``_decode`` reads a key back.  A key never aliases: each
-form carries a bound on the size of its digits, which every letter step and
-every coefficient raises, and a step or coefficient that could let a digit
-reach 2^23 raises a ValueError before it packs such a key; a digit of
-2^23 - 1 packs.  Words in the relations qweyl builds stay far inside it,
-but a library caller may compile a word of any length.
+knows the format: ``_decode`` reads a key back, for ``ShiftForm.residuals``.
+A key never aliases: each form carries a bound on the size of its digits,
+which every letter step and every coefficient raises, and a step or
+coefficient that could let a digit reach 2^23 raises a ValueError before it
+packs such a key; a digit of 2^23 - 1 packs.  Words in the relations qweyl
+builds stay far inside it, but a caller may compile a word of any length.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from math import comb, prod
+from operator import add
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .qscalar import _UNIT, ONE, LaurentPoly, ScalarQ, _coeff
@@ -151,36 +152,6 @@ class ShiftWord(NamedTuple):
                    tuple([(c, 0, ((slot, e),) if e else ()) for c, e in terms]),
                    int(divided))
 
-    @classmethod
-    def from_poly(cls, delta: Vector, poly: ShiftPoly, divided: int = 0
-                  ) -> "ShiftWord":
-        """X^a to P(q, q^a) / (q - q^-1)^divided times X^{a + delta}, each
-        key of P read by ``_decode``."""
-        terms = []
-        for key, v in poly.items():
-            if v:
-                e, us = _decode(key)
-                terms.append((v, e, us))
-        return cls(_sparse(delta), tuple(terms), divided)
-
-    def __call__(self, mon):
-        """X^mon's image [(target, c)] under an undivided word, [] if c = 0;
-        a divided word raises a ValueError, its division left to the
-        caller."""
-        if self.divided:
-            raise ValueError("only an undivided ShiftWord is evaluated; this "
-                             "one is over (q - q^-1)^%d" % self.divided)
-        num = {}
-        for c, e, us in self.terms:
-            for j, m in us:
-                e += m * mon[j]
-            num[e] = num.get(e, 0) + c
-        tgt = list(mon)
-        for j, s in self.delta:
-            tgt[j] += s
-        c = LaurentPoly(num)
-        return [] if c.is_zero else [(tuple(tgt), ScalarQ(c))]
-
     @property
     def is_run(self) -> bool:
         """Whether every image is a run: one undivided term, or c and -c over
@@ -217,10 +188,6 @@ class ShiftWord(NamedTuple):
         for j, s in self.delta:
             tgt[j] += s
         return tuple(tgt), k, _coeff(v), n
-
-
-def _sparse(v: Vector) -> Sparse:
-    return tuple([(j, x) for j, x in enumerate(v) if x])
 
 
 def _merged(us: Sparse, tu: Sparse) -> Sparse:
@@ -272,18 +239,41 @@ def sum_of_products(words) -> ShiftWord:
 class ShiftForm(NamedTuple):
     """A compiled expression: ``scale`` times it maps X^a to the sum over
     ``components`` of P_delta(q, q^a) X^{a+delta}, where each component
-    P_delta maps the packed key of each term q^e u^m (``_decode``) to its
-    coefficient.
+    P_delta maps the packed key of each term q^e u^m to its coefficient;
+    ``residuals`` reads them back.
 
     Only nonzero components are kept, so the expression is the zero operator
     iff ``components`` is empty; its ``scale`` is then None.  Each compiled
     form owns its dicts: ``compile_relation`` builds a new zero form
-    whenever its two sides compare equal, and never hands out a polynomial
-    of a table's memo of word forms as a component.
+    whenever its two sides compare equal, and copies what a side reads from
+    a table's memo of word forms, so a caller may change any component.
     """
 
     components: Dict[Vector, ShiftPoly]
     scale: Optional[LaurentPoly]
+
+    def residuals(self, monomials):
+        """The expression on ``monomials``, in their order: yields (a,
+        {a + delta: P_delta(q, q^a) / scale}) for each X^a it does not kill,
+        each key read once by ``_decode``; no two components share a delta.
+        A zero form draws no monomial."""
+        if not self.components:
+            return
+        comps = [(delta, [(v, *_decode(key)) for key, v in poly.items()])
+                 for delta, poly in self.components.items()]
+        for a in monomials:
+            out = {}
+            for delta, terms in comps:
+                num = {}
+                for v, e, us in terms:
+                    for j, m in us:
+                        e += m * a[j]
+                    num[e] = num.get(e, 0) + v
+                c = LaurentPoly(num)
+                if not c.is_zero:
+                    out[tuple(map(add, a, delta))] = ScalarQ(c, self.scale)
+            if out:
+                yield a, out
 
 
 def _word_form(word, table) -> Form:
@@ -340,9 +330,9 @@ def compile_relation(lhs, rhs, table) -> ShiftForm:
     Each word's form is read from the table's memo (``_word_form``), so the
     calls over one table compose each suffix of each word once.  The memo
     is never changed: a word whose coefficient is 1, once scaled, and that
-    is the first on its shift vector on its side, lends that side its
-    polynomial as it is, which the side copies before a second word is
-    added to it or a right side is subtracted from it.
+    is the first on its shift vector on its side, starts that side's
+    component as a copy of its polynomial; every other word is added into
+    a component the side owns.
 
     Both sides are first multiplied by L, the product of the distinct
     denominators of their coefficients, and by (q - q^-1)^D, D the largest
@@ -374,7 +364,6 @@ def compile_relation(lhs, rhs, table) -> ShiftForm:
     summed = []
     for words in sides:
         comps: Dict[Vector, ShiftPoly] = {}
-        lent = set()    # shift vectors whose component is a memo polynomial
         for form, coeff, k in words:
             if dens:
                 coeff = coeff * rest[k]
@@ -384,24 +373,18 @@ def compile_relation(lhs, rhs, table) -> ShiftForm:
             comp = comps.get(delta)
             if comp is None:
                 if coeff._c == _UNIT:
-                    comps[delta] = form[1]
-                    lent.add(delta)
+                    comps[delta] = dict(form[1])
                     continue
                 comp = comps[delta] = {}
-            elif delta in lent:
-                comp = comps[delta] = dict(comp)
-                lent.discard(delta)
             _add_terms(comp, form, coeff)
-        summed.append((comps, lent))
-    (left, lent), (right, _) = summed
+        summed.append(comps)
+    left, right = summed
     if left == right:
         return ShiftForm({}, None)
     components: Dict[Vector, ShiftPoly] = {}
     for delta, comp in left.items():
         sub = right.get(delta)
         if sub:
-            if delta in lent:
-                comp = dict(comp)
             for key, v in sub.items():
                 comp[key] = comp.get(key, 0) - v
         comp = {key: v for key, v in comp.items() if v}

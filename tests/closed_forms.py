@@ -18,8 +18,8 @@ product taken even when they are 1.  It composes each word afresh with
 forms from a memo, and reads each key back by ``shift._decode`` (as
 ``decoded`` reads compiled components) and packs it again by ``packed``,
 one letter stepped by the compiler: no test knows the key format.
-``evaluate`` is ``ShiftWord.__call__`` as it was before it left the
-division by (q - q^-1)^D to its caller: the image of any entry.
+``evaluate`` is the image of any entry: its terms expanded at u = q^a,
+then divided by (q - q^-1)^D.
 ``reference_q_product`` is ``qscalar.q_product`` as it was before it ran on
 dense lists or packed lanes: one ``LaurentPoly`` product per q-integer.
 ``reference_laurent_str`` is ``LaurentPoly.__str__`` as it was before it
@@ -56,8 +56,9 @@ first lookup: every entry built when the table is, into a dict that the
 table reads.  ``eager_image_table`` is also the packed-path reference for
 image entries: it sums each image from the packed word forms of the
 table's memo, as ``opcalc._image_entry`` did before it multiplied the
-sparse terms of its letters.  ``overridden`` is a table with some entries
-replaced: one rule that tries the replacements first.
+sparse terms of its letters, each key read back by ``shift._decode``.
+``overridden`` is a table with some entries replaced: one rule that tries
+the replacements first.
 """
 
 from functools import partial
@@ -371,14 +372,20 @@ def decoded(components) -> dict:
 
 def evaluate(word: ShiftWord, mon):
     """``word``'s image of X^mon as [(target, c)], [] if c = 0: its
-    numerator, divided by q - q^-1 ``word.divided`` times as the running sum
+    numerator, the sum of v q^(e + u.mon) over its terms (v, e, u), divided
+    by q - q^-1 ``word.divided`` times as the running sum
     Q_{e-1} = P_e + Q_{e+1} down from the top exponent, per parity, exact
     iff both sums end at 0 (else an ``InexactDivisionError``)."""
-    image = word._replace(divided=0)(mon)
-    if not image:
+    num = {}
+    for v, e, us in word.terms:
+        e += sum(m * mon[j] for j, m in us)
+        num[e] = num.get(e, 0) + v
+    num = dict(LaurentPoly(num).items())
+    if not num:
         return []
-    (tgt, c), = image
-    num = dict(c.num.items())
+    tgt = list(mon)
+    for j, s in word.delta:
+        tgt[j] += s
     for _ in range(word.divided):
         low, high, quo = min(num), max(num), {}
         for top in (high, high - 1):
@@ -390,7 +397,7 @@ def evaluate(word: ShiftWord, mon):
             if acc:
                 raise InexactDivisionError("not divisible by q - q^-1")
         num = quo
-    return [(tgt, ScalarQ(LaurentPoly(num)))]
+    return [(tuple(tgt), ScalarQ(LaurentPoly(num)))]
 
 
 def compose(letters, nvars: int) -> Form:
@@ -903,8 +910,8 @@ def eager_image_table(images, table: ActionTable) -> ActionTable:
     """The homomorphism ``images`` followed by ``table``'s action, every
     image summed into one ``ShiftWord`` at once, by the packed path: each
     word's form read from ``table``'s memo (``shift._word_form``), added
-    times its coefficient (``shift._add_terms``) and read back by
-    ``ShiftWord.from_poly``.  Image tables must give equal entries."""
+    times its coefficient (``shift._add_terms``), and each key read back by
+    ``shift._decode``.  Image tables must give equal entries."""
     n, entries = table.nvars, {}
     for sym, image in images.items():
         shapes, total = set(), {}
@@ -915,5 +922,8 @@ def eager_image_table(images, table: ActionTable) -> ActionTable:
         if len(shapes) > 1:
             raise ValueError("words differ in shift vector or d-count")
         delta, divided = shapes.pop() if shapes else ((0,) * n, 0)
-        entries[sym] = ShiftWord.from_poly(delta, total, divided)
+        entries[sym] = ShiftWord(
+            tuple((j, s) for j, s in enumerate(delta) if s),
+            tuple((v, *_decode(key)) for key, v in total.items() if v),
+            divided)
     return ActionTable(n, entries.get, entries.keys)

@@ -363,6 +363,26 @@ def test_witness_walk_builds_only_the_letters_it_reads(monkeypatch, spec, mon,
     assert built_images == built_generators == []
 
 
+def test_letters_never_reach_the_alias_rule(monkeypatch):
+    # The oscillator table tries the letter rule first: the d/x/m and
+    # e/f/k/t families are disjoint, so looking up every d/x/m letter of
+    # IV:r=2 calls the alias rule not once.
+    calls = []
+    real = iqg._alias_rule
+
+    def counted(pres):
+        rule = real(pres)
+        return lambda sym: calls.append(sym) or rule(sym)
+
+    monkeypatch.setattr(iqg, "_alias_rule", counted)
+    table = oscillator_action(parse_spec("IV:r=2"))
+    letters = [sym for sym in table.symbols if sym.fam in "dxm"]
+    assert len(letters) == 4 * table.nvars
+    assert all(table.entry(sym) for sym in letters)
+    assert calls == []
+    assert table.entry(e_(1)) and calls == [e_(1)]
+
+
 # --- witnesses ------------------------------------------------------------------
 
 def test_irreducibility_witness_examples():

@@ -6,10 +6,11 @@ coefficients once per call; the lists must agree entry by entry, in order.
 The report of ``verify_relations``, which compiles lhs and rhs into one
 form, must be the report read off ``reference_compile_relation(lhs - rhs)``
 on relations broken in every group, including the groups that no
-``--mutate`` reaches.  The compiler sums each side on its own, lending a
-unit word's memo polynomial to its side: compiling must leave every memo
-form as it was, and its subtract path must agree with the reference on
-every relation with its sides swapped or its right side scaled.  Suites
+``--mutate`` reaches.  The compiler sums each side on its own, copying a
+unit word's memo polynomial into its side: compiling must leave every memo
+form as it was, every component it returns must be the caller's own, and
+its subtract path must agree with the reference on every relation with its
+sides swapped or its right side scaled.  Suites
 run one after another in one process must carry nothing of the diagram
 they were first run on, and the integer-only constants that the iqg
 builders read, built at import, must be the reference builders' values for
@@ -35,7 +36,7 @@ from closed_forms import (_serre_sum, coideal_embedding, cyclic_chi_map,
 from qweyl.cli import MUTATIONS, _apply_mutation, run_suite
 from qweyl.iqg import _R5, _SERRE, B_, phi, presentation, relation_instances
 from qweyl.modweyl import iota_map, modweyl_relation_instances, modweyl_table
-from qweyl.opcalc import (OperatorExpr, _residuals, expr_map, image_table,
+from qweyl.opcalc import (OperatorExpr, expr_map, image_table,
                           monomials_of_degree, report_failures,
                           verify_relations)
 from qweyl.qscalar import Q_MINUS_QINV, LaurentPoly, ScalarQ, q_binomial
@@ -128,12 +129,12 @@ def _reference_report(instances, table, max_s):
         if form.components:
             upward = (mon for s in range(max_s + 1)
                       for mon in monomials_of_degree(n, s))
-            first = next(_residuals(form, n, upward), None)
+            first = next(form.residuals(upward), None)
             entry["residual_monomial"] = entry["residual_coefficient"] = None
             if first is not None:
-                mon, poly = first
+                mon, terms = first
                 entry["residual_monomial"] = list(mon)
-                entry["residual_coefficient"] = str(poly.terms[min(poly.terms)])
+                entry["residual_coefficient"] = str(terms[min(terms)])
         report.append(entry)
     return report
 
@@ -163,7 +164,7 @@ def _memo(table):
 def test_compiling_never_changes_the_memo(kind, r):
     # Every word's form is in its table's memo before any relation is
     # compiled, so a compile that added into, or subtracted from, a memo
-    # polynomial it lent to a side shows in the snapshot.
+    # polynomial instead of its side's copy shows in the snapshot.
     d = build_diagram(kind, r)
     variants = [d]
     for mutation in MUTATIONS:
@@ -190,21 +191,44 @@ def test_compiling_never_changes_the_memo(kind, r):
     assert len({id(form.components) for form in zeros}) == len(zeros)
 
 
-def _lends_then_copies(lhs, rhs, table):
+@pytest.mark.parametrize("kind,r", [("IV", 1), ("A1AFF", None)])
+def test_compiled_components_are_the_callers(kind, r):
+    # Each broken relation compiled twice over one table: no component dict
+    # is shared between the two forms, none is a polynomial of the memo, and
+    # clearing every component of both leaves a third compile's form and
+    # the memo as they were.
+    for table, instances in _suites(build_diagram(kind, r)):
+        for _, _, lhs, rhs in _broken(instances):
+            forms = [compile_relation(lhs, rhs, table) for _ in range(2)]
+            comps = [comp for form in forms
+                     for comp in form.components.values()]
+            memo = {id(form[1]) for form in table.forms.values()}
+            assert forms[0].components
+            assert len({id(comp) for comp in comps}) == len(comps)
+            assert not memo & {id(comp) for comp in comps}
+            before = _memo(table)
+            for comp in comps:
+                comp.clear()
+            assert compile_relation(lhs, rhs, table) == \
+                reference_compile_relation(lhs - rhs, table)
+            assert _memo(table) == before
+
+
+def _copies_then_adds(lhs, rhs, table):
     """Whether a side of lhs - rhs holds two words of one shift vector, the
     first with coefficient 1 at the relation's largest d-count: the side
-    borrows that word's memo polynomial and must copy it for the second."""
+    copies that word's memo polynomial and adds the second into the copy."""
     forms = {word: _word_form(word, table)
              for word in [*lhs.terms, *rhs.terms]}
     depth = max([form[2] for form in forms.values()], default=0)
     for side in (lhs, rhs):
-        lent = set()
+        copied = set()
         for word, c in side.terms.items():
             shift, _, divided, _ = forms[word]
-            if shift in lent:
+            if shift in copied:
                 return True
             if c.is_one and divided == depth:
-                lent.add(shift)
+                copied.add(shift)
     return False
 
 
@@ -222,7 +246,7 @@ def test_subtract_path_matches_the_reference(kind, r):
             for a, b in ((rhs, lhs), (lhs, rhs.scale(q)), (rhs, broken)):
                 assert compile_relation(a, b, table) == \
                     reference_compile_relation(a - b, table), str(a - b)
-            shared += _lends_then_copies(lhs, rhs, table)
+            shared += _copies_then_adds(lhs, rhs, table)
     assert shared   # uqsl.EF, the R4/R6 sandwiches, ...
 
 

@@ -5,9 +5,10 @@ same forms as the compiler that still took its products by 1, the
 polynomial gcds that a verify run still needs, one letter step per word
 suffix and table in the compiler and none for an image entry, images whose
 words must share one shift and d-count, a residual search that stops at
-its first residual, every entry's factored run against its expanded
-image, every entry of every table that qweyl builds a run, entries built
-on their first lookup against the tables built at once and image entries
+its first residual and draws no monomial for a zero form, every entry's
+factored run against its expanded image, every entry of every table that
+qweyl builds a run, entries built on their first lookup against the tables
+built at once and image entries
 against the packed path at many xi, image tables that read no letter
 before a lookup,
 a word-form memo that holds words only, and a modweyl suite that compiles
@@ -39,7 +40,7 @@ from qweyl.opcalc import (ActionTable, GeneratorSymbol, OperatorExpr,
 from qweyl.qscalar import (InexactDivisionError, LaurentPoly, Q_MINUS_QINV,
                            ScalarQ)
 from qweyl.satake import build_diagram, parse_spec
-from qweyl.shift import ShiftWord, _decode, compile_relation
+from qweyl.shift import ShiftForm, ShiftWord, _decode, compile_relation
 from qweyl.weyl import (algebra_table, chi_map, uqsl_relation_instances,
                         weyl_relation_instances, weyl_table)
 
@@ -108,8 +109,9 @@ def test_compiled_components_match_apply(kind, r):
     for table, expr in exprs.values():
         _assert_compiles_to_apply(expr, table, monomials)
     table, _ = next(iter(exprs.values()))
-    cached = overridden(table, {sym: functools.cache(table.entry(sym))
-                                for sym in table.symbols})
+    cached = overridden(table, {
+        sym: functools.cache(functools.partial(evaluate, table.entry(sym)))
+        for sym in table.symbols})
     for sym in table.symbols:
         with pytest.raises(ValueError, match="is not a q-integer run"):
             cached.get(sym)
@@ -210,15 +212,28 @@ def test_divided_rule_matches_divexact_and_refuses_a_remainder():
         assert evaluate(rule, (a,)) == expected
     with pytest.raises(InexactDivisionError):
         evaluate(ShiftWord.generator(0, 0, ((1, 1),), True), (1,))
-    # ShiftWord itself evaluates undivided words only
-    with pytest.raises(ValueError, match="only an undivided ShiftWord"):
-        rule((1,))
+
+
+def test_a_zero_form_draws_no_monomial():
+    # A relation that holds compiles to the zero form, whose residual
+    # search ends before it asks for a first monomial.
+    class Untouchable:
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            raise AssertionError("a zero form drew a monomial")
+
+    table, x0 = weyl_table(2), OperatorExpr.symbol(GeneratorSymbol("X", 0))
+    form = compile_relation(x0, x0, table)
+    assert form == ShiftForm({}, None)
+    assert list(form.residuals(Untouchable())) == []
 
 
 @pytest.mark.parametrize("kind,r", ALL_DIAGRAMS)
 def test_factored_run_matches_the_expanded_image(kind, r):
     # Every entry of every oscillator table, at every monomial of degree
-    # <= 4: run reads the image that __call__ expands, v*q^k*[n], or n = 0
+    # <= 4: run reads the image that evaluate expands, v*q^k*[n], or n = 0
     # where it is empty.  Besides xi_variants, each slot's xi is set to -1,
     # -2 and -3 in turn, so that ladder letters too read a negative n.
     d = build_diagram(kind, r)
