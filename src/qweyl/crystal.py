@@ -8,17 +8,23 @@ aliases and send divided monomials to divided monomials with coefficient
 exactly 1 (or to zero), which is what the axiom checker asserts.  One walk
 down each i-string gives all its images, one f_i letter per node.
 
-A step reads f_i X^t as ``ActionTable.act``'s one step v q^k [n] X^t' and
-compares it with the [xi_i e_i] X^e' it divides by, the step (e', 0, sign,
-|xi_i e_i|): equal steps are equal terms, so the coordinate is unchanged,
-with no product and no gcd.  Any other step multiplies it by the ratio of
-the two, and every defect is read from that.
+A walk position is a triple (e, t, c): the expected target, the actual
+target and the coefficient, None for zero; one function per colour,
+``_string_step``, takes a position to the next.  A step reads f_i X^t as
+``ActionTable.act``'s one step v q^k [n] X^t' and compares it with the
+[xi_i e_i] X^e' it divides by, the step (e', 0, sign, |xi_i e_i|): equal
+steps are equal terms, so the step keeps the same c object and returns e'
+itself as t, with no product and no gcd.  Any other step multiplies c by
+the ratio of the two, and every defect is read from that.  Coordinates
+are built only where they are read (``_coords``): ``crystal_graph`` takes
+an edge straight from a position that still holds the walk's starting
+``_ONE`` at t = e.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import comb
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -34,6 +40,9 @@ _UNSUPPORTED_MSG = ("crystal bases are only constructed for the ladder "
 
 
 MAX_CRYSTAL_NODES = 20_000  # a graph walks and prints every node
+
+_ONE = ScalarQ.one()            # every walk's starting coefficient
+_ZERO = None, None, None        # the zero position, before a string head
 
 
 def _require_crystal_kind(diagram: SatakeDiagram):
@@ -52,40 +61,52 @@ def _require_crystal_size(diagram: SatakeDiagram, s: int):
                          % (diagram.spec_string, s, MAX_CRYSTAL_NODES))
 
 
-def _string_walk(diagram: SatakeDiagram, i: int, b: Monomial,
-                 table: ActionTable):
-    """Divided coordinates of f_i^{(n)_{xi_{i+1}}} X^(b), n = 0, 1, ...
+def _string_step(diagram: SatakeDiagram, i: int, table: ActionTable):
+    """The one step of every i-string walk: a position (e, t, c) to the next.
 
-    X^(b) heads an i-string (b_{i+1} = 0); e = b + n(e_{i+1} - e_i) is the
-    expected target (slot i stops at 0).  Each step of ``table`` is one term
-    v q^k [n], so f_i^n X^b is zero or one term, c X^t once divided by D(b)
-    [n]^{xi_{i+1}}! / D(e), and its coordinate is c D(t) / D(e).  Each step
-    multiplies c by the ratio of its v q^k [n] to [xi_i e_i], the one
-    q-integer that quotient gains ([n]^{xi_{i+1}}! is D(e)'s slot i+1
-    factor; [0] divides nothing).  Equal steps are equal terms, so on a
-    crystal c stays exactly 1 at t = e with no polynomial built.
+    X^(b) heads an i-string (b_{i+1} = 0), and the walk's position n reads
+    f_i^{(n)_{xi_{i+1}}} X^(b): e = b + n(e_{i+1} - e_i) is the expected
+    target (slot i stops at 0), and t and c, None for zero, the actual
+    target and coefficient.  Each step of ``table`` is one term v q^k [n],
+    so f_i^n X^b is zero or one term, c X^t once divided by D(b)
+    [n]^{xi_{i+1}}! / D(e), and its coordinate is c D(t) / D(e)
+    (``_coords``).  Each step multiplies c by the ratio of its v q^k [n] to
+    [xi_i e_i], the one q-integer that quotient gains ([n]^{xi_{i+1}}! is
+    D(e)'s slot i+1 factor; [0] divides nothing).  Equal steps are equal
+    terms: the step keeps the same c object and returns e' itself as t, so
+    on a crystal c stays the walk's starting 1 at t = e with no polynomial
+    built.
     """
-    xi, e, t, c, f_i, act = diagram.xi, b, b, ScalarQ.one(), f_(i), table.act
-    while True:
-        yield {} if c is None else {
-            t: c if t == e else
-            ScalarQ(q_product(factorial_steps(xi, e, t), c.num),
-                    q_product(factorial_steps(xi, t, e), c.den))}
+    xi, f_i, act, j = diagram.xi, f_(i), table.act, i + 1
+
+    def step(position):
+        e, t, c = position
         nxt = [*e]              # e moves one unit from slot i to slot i+1
         nxt[i] -= nxt[i] > 0
-        nxt[i + 1] += 1
+        nxt[j] += 1
         nxt = (*nxt,)
+        got = None if c is None else act(f_i, t)
+        if got is None:
+            return nxt, t, None
         m = xi[i] * e[i]
-        step = None if c is None else act(f_i, t)
-        if step is None:
-            c = None
-        elif step != (nxt, 0, (m > 0) - (m < 0), abs(m)):
-            t, k, v, n = step
-            c = ScalarQ(c.num * q_integer(n)._term_mul(k, v),
-                        c.den * q_integer(m) if m else c.den)
-        else:
-            t = nxt
-        e = nxt
+        if got == (nxt, 0, (m > 0) - (m < 0), abs(m)):
+            return nxt, nxt, c
+        t, k, v, n = got
+        return nxt, t, ScalarQ(c.num * q_integer(n)._term_mul(k, v),
+                               c.den * q_integer(m) if m else c.den)
+
+    return step
+
+
+def _coords(xi, position) -> Dict[Monomial, ScalarQ]:
+    """The divided coordinates of a walk position: {} for zero, else
+    {t: c D(t) / D(e)}."""
+    e, t, c = position
+    if c is None:
+        return {}
+    return {t: c if t == e else
+            ScalarQ(q_product(factorial_steps(xi, e, t), c.num),
+                    q_product(factorial_steps(xi, t, e), c.den))}
 
 
 def _kashiwara_coords(diagram: SatakeDiagram, i: int, a: Monomial, n: int,
@@ -93,13 +114,16 @@ def _kashiwara_coords(diagram: SatakeDiagram, i: int, a: Monomial, n: int,
     """Apply f_i^{(n)_{xi_{i+1}}} to X^(a + a_{i+1}(e_i - e_{i+1})).
 
     A negative divided power is zero by convention, which makes the raising
-    operator vanish at the weight boundary.  Else: step n of its string walk.
+    operator vanish at the weight boundary.  Else: n steps from the head.
     """
     if n < 0:
         return {}
     b = tuple(e + (a[i + 1] if j == i else 0) - (a[i + 1] if j == i + 1 else 0)
               for j, e in enumerate(a))
-    return next(islice(_string_walk(diagram, i, b, table), n, None))
+    step, position = _string_step(diagram, i, table), (b, b, _ONE)
+    for _ in range(n):
+        position = step(position)
+    return _coords(diagram.xi, position)
 
 
 def _closure(coords: Dict[Monomial, ScalarQ]):
@@ -175,43 +199,48 @@ class CrystalGraph(NamedTuple):
 
 
 def _string_steps(diagram: SatakeDiagram, nodes):
-    """(a, i, e_coords, f_coords) for every node a and color i, in order.
+    """(a, i, before, after) for every node a and color i, in order: the
+    walk positions one f_i step before a (``_ZERO`` at a string head) and
+    one step after it.
 
-    ``nodes`` decrease, so each i-string is met head first; its one live
-    ``_string_walk`` takes one f_i letter per node and color.  f_coords is
-    the walk's next step, e_coords the step before a ({} at a string head).
+    ``nodes`` decrease, so each i-string is met head first, at position
+    (a, a, ``_ONE``); ``_string_step`` takes one f_i letter per node and
+    color, from the position at a kept with the one before it.
     """
     table = oscillator_action(diagram)
-    colours = range(diagram.r + 1)
-    walks = [{} for _ in colours]   # colour i: the rest of a -> live walk
+    steps = [_string_step(diagram, i, table) for i in range(diagram.r + 1)]
+    walks = [{} for _ in steps]  # colour i: the rest of a -> (before, at a)
     for a in nodes:
-        for i in colours:
+        for i, step in enumerate(steps):
             live, rest = walks[i], a[:i] + a[i + 2:]  # the i-string of a
             if a[i + 1]:
-                walk, e_coords, here = live.pop(rest)
+                before, here = live.pop(rest)
             else:
-                walk = _string_walk(diagram, i, a, table)
-                e_coords, here = {}, next(walk)
-            f_coords = next(walk)
+                before, here = _ZERO, (a, a, _ONE)
+            after = step(here)
             if a[i]:
-                live[rest] = walk, here, f_coords
-            yield a, i, e_coords, f_coords
+                live[rest] = here, after
+            yield a, i, before, after
 
 
 def crystal_graph(diagram: SatakeDiagram, s: int) -> CrystalGraph:
     """Nodes are all exponent vectors of degree s; edges follow kashiwara_f.
 
     Nodes come in decreasing order, one f_i letter per node and color
-    (``_string_steps``); the first defect in that order is raised.
+    (``_string_steps``).  A step that kept the walk's starting ``_ONE`` at
+    t = e is an edge to t; any other nonzero image is read by ``_target``,
+    so the first defect in that order is raised.
     """
     _require_crystal_kind(diagram)
     _require_crystal_size(diagram, s)
     nodes = tuple(monomials_of_degree(diagram.nslots, s))
     edges = []
-    for a, i, _, f_coords in _string_steps(diagram, nodes):
-        b = _target(f_coords)
-        if b is not None:
-            edges.append((a, i, b))
+    for a, i, _, after in _string_steps(diagram, nodes):
+        e, t, c = after
+        if c is _ONE and t is e:
+            edges.append((a, i, t))
+        elif c is not None:
+            edges.append((a, i, _target(_coords(diagram.xi, after))))
     return CrystalGraph(diagram.spec_string, s, nodes, tuple(edges))
 
 
@@ -235,9 +264,9 @@ def crystal_axioms_check(diagram: SatakeDiagram, s: int) -> dict:
         report["failures"].append((kind, detail))
 
     fmap, emap = {}, {}
-    for a, i, e_coords, f_coords in _string_steps(diagram, nodes):
-        for direction, coords in (("f", f_coords), ("e", e_coords)):
-            target, defect = _closure(coords)
+    for a, i, before, after in _string_steps(diagram, nodes):
+        for direction, position in (("f", after), ("e", before)):
+            target, defect = _closure(_coords(diagram.xi, position))
             if defect is not None:
                 fail("closure_ok", (direction, i, a, defect))
             (fmap if direction == "f" else emap)[i, a] = target

@@ -839,18 +839,19 @@ def test_verified_witness_multiplies_no_two_long_factors(capsys, monkeypatch,
 @WALKS_AT_3333
 def test_walks_read_every_letter_as_a_run(capsys, monkeypatch, argv, last):
     # Every e/f letter of IV:r=2 is a run shape, so ActionTable.act reads
-    # each one by ShiftWord.run and no entry is expanded by its call.
+    # each one by exactly one ShiftWord.run: each word, up or down, moves
+    # 3 + 6 + 9 units one slot at a time, 18 letters.
     calls = []
-    real = ShiftWord.__call__
+    real = ShiftWord.run
 
     def counting(self, mon):
         calls.append(mon)
         return real(self, mon)
 
-    monkeypatch.setattr(ShiftWord, "__call__", counting)
+    monkeypatch.setattr(ShiftWord, "run", counting)
     code, out, _ = run(capsys, *argv)
     assert (code, out.splitlines()[-1]) == (0, last)
-    assert calls == []
+    assert len(calls) == len(UP_WORD) == 18
 
 
 @pytest.mark.parametrize("k", [100, 101])

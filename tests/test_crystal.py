@@ -360,7 +360,7 @@ def test_mutated_graph_error_is_pinned(monkeypatch):
             "{%s: ScalarQ((q^2)/(q^4 + q^2 + 1))}" % target)
 
 
-@pytest.mark.parametrize("terms,delta", [
+BROKEN_F0 = pytest.mark.parametrize("terms,delta", [
     # q [a_0]: no step is 1
     (((1, 1, ((0, 1),)), (-1, 1, ((0, -1),))), ((0, -1), (1, 1))),
     # [a_0] without the move into slot 1: the target is off
@@ -369,6 +369,9 @@ def test_mutated_graph_error_is_pinned(monkeypatch):
     # s = 3 the walk meets it after a defective step
     (((1, 2, ()), (-1, 2, ((0, -2),))), ((0, -1), (1, 1))),
 ])
+
+
+@BROKEN_F0
 def test_factored_walk_matches_plain_entries_on_broken_tables(monkeypatch,
                                                               terms, delta):
     # The same broken f_0 read one factored step at a time by the walk, and
@@ -385,6 +388,51 @@ def test_factored_walk_matches_plain_entries_on_broken_tables(monkeypatch,
         report = crystal_axioms_check(d, s)
         assert report == per_node_axioms_check(d, s, table), s
         assert report["all_ok"] == (s == 0), s
+
+
+def _count_fallbacks(monkeypatch):
+    """Record every image ``crystal_graph`` reads by its coordinates, the
+    path that raises a defect (``crystal._target``)."""
+    import qweyl.crystal as crystal_mod
+    calls = []
+    target = crystal_mod._target
+
+    def counting(coords):
+        calls.append(coords)
+        return target(coords)
+
+    monkeypatch.setattr(crystal_mod, "_target", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind,r", ORACLE_FAMILIES)
+def test_crystal_graph_takes_every_crystal_edge_straight(monkeypatch, kind, r):
+    # On a crystal every step keeps the walk's starting 1 at t = e, so no
+    # edge is read by its coordinates.  A graph that read them all would
+    # print the same edges; only this count tells the two apart.
+    calls = _count_fallbacks(monkeypatch)
+    for d in xi_variants(kind, r):
+        for s in range(8):
+            crystal_graph(d, s)
+    assert calls == []
+
+
+@BROKEN_F0
+def test_crystal_graph_reads_broken_steps_by_their_coordinates(monkeypatch,
+                                                               terms, delta):
+    # Every broken f_0 step at s >= 1 is a ratio or an off-string target,
+    # so the graph reads it by its coordinates, which raise its defect.
+    import qweyl.crystal as crystal_mod
+    d = build_diagram("I", 0)
+    table = overridden(oscillator_action(d),
+                       {f_(0): ShiftWord(delta, terms, 1)})
+    monkeypatch.setattr(crystal_mod, "oscillator_action", lambda _: table)
+    calls = _count_fallbacks(monkeypatch)
+    for s in range(1, 5):
+        del calls[:]
+        assert "coefficient 1: {" in _graph_or_error(
+            lambda: crystal_graph(d, s))
+        assert calls, s
 
 
 def _count_letters(monkeypatch):
