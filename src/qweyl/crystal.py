@@ -18,7 +18,7 @@ itself as t, with no product and no gcd.  Any other step multiplies c by
 the ratio of the two, and every defect is read from that.  Coordinates
 are built only where they are read (``_coords``): ``crystal_graph`` takes
 an edge straight from a position that still holds the walk's starting
-``_ONE`` at t = e.
+``_ONE``, which a step keeps only where it returns t = e.
 """
 
 from __future__ import annotations
@@ -227,17 +227,18 @@ def crystal_graph(diagram: SatakeDiagram, s: int) -> CrystalGraph:
     """Nodes are all exponent vectors of degree s; edges follow kashiwara_f.
 
     Nodes come in decreasing order, one f_i letter per node and color
-    (``_string_steps``).  A step that kept the walk's starting ``_ONE`` at
-    t = e is an edge to t; any other nonzero image is read by ``_target``,
-    so the first defect in that order is raised.
+    (``_string_steps``).  A step keeps the walk's starting ``_ONE`` only
+    where it returns t = e, so such a position is an edge to t; any other
+    nonzero image is read by ``_target``, so the first defect in that
+    order is raised.
     """
     _require_crystal_kind(diagram)
     _require_crystal_size(diagram, s)
     nodes = tuple(monomials_of_degree(diagram.nslots, s))
     edges = []
     for a, i, _, after in _string_steps(diagram, nodes):
-        e, t, c = after
-        if c is _ONE and t is e:
+        _, t, c = after
+        if c is _ONE:
             edges.append((a, i, t))
         elif c is not None:
             edges.append((a, i, _target(_coords(diagram.xi, after))))

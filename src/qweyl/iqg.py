@@ -30,7 +30,8 @@ from .opcalc import (ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial,
 from .qscalar import (Q_MINUS_QINV, LaurentPoly, ScalarQ, factorial_steps,
                       q_factorial, q_product)
 from .satake import SatakeDiagram
-from .weyl import SERRE_ROWS, _sandwich
+from .weyl import (_ONE, _QQ_INV, IDENTITY, SERRE_ROWS, _commuting,
+                   _sandwich)
 
 
 def B_(n: int) -> GeneratorSymbol:
@@ -109,7 +110,7 @@ def _r5_constants(c: int):
     q^(-+n(n+1)/2) (q - q^-1)^(n-1), which is 1/(q - q^-1) at n = 0."""
     n = -c
     if n == 0:
-        return (ScalarQ(1, Q_MINUS_QINV),) * 2
+        return (_QQ_INV,) * 2
     body, t = Q_MINUS_QINV ** (n - 1), n * (n + 1) // 2
     return ScalarQ(body.shift(-t)), ScalarQ(body.shift(t) * (-1) ** n)
 
@@ -122,24 +123,24 @@ _SERRE = {(c, p): tuple([v * ScalarQ((-1) ** p, q_factorial(1 - c, 1))
                          for v in SERRE_ROWS[1 - c]])
           for c in (0, -1, -2) for p in (0, 1)}
 _R5 = {c: _r5_constants(c) for c in (0, -1, -2)}
+_q = cache(ScalarQ.q_power)
 
 
 def relation_instances(pres: SatakeDiagram):
     """Every defining relation of the presentation ``pres``, a diagram's
     ``presentation``, instantiated literally.
 
-    Returns (group_id, indices, lhs, rhs) tuples over B/H symbols.  The long
-    relation is emitted for both orderings of each two-node orbit, so the
-    asymmetric varsigma placement is exercised from both sides.
+    Returns (group_id, indices, lhs, rhs) tuples over B/H symbols, each side
+    a tuple of rows (word, coeff), () for zero.  The long relation is
+    emitted for both orderings of each two-node orbit, so the asymmetric
+    varsigma placement is exercised from both sides.
 
-    Each side is one dict of words and coefficients, and each B/H symbol and
-    q-power is built once per call.  The Serre, R5 and R6 constants are
-    built once per process, from Cartan integers alone (``_SERRE``, ``_R5``,
-    ``SERRE_ROWS``), so an instance only multiplies in its varsigma.
+    Each B/H symbol is built once per call.  The q-powers and the Serre, R5
+    and R6 constants are built once per process, from integers alone
+    (``_q``, ``_SERRE``, ``_R5``, ``SERRE_ROWS``), so an instance only
+    multiplies in its varsigma.
     """
-    word = OperatorExpr.word
-    one = OperatorExpr.identity()
-    q = cache(ScalarQ.q_power)
+    q, one = _q, _ONE
     nodes, tau, varsigma, pairing = (pres.nodes, pres.tau, pres.varsigma,
                                      pres.pairing)
     B = {n: B_(n) for n in nodes}
@@ -147,24 +148,23 @@ def relation_instances(pres: SatakeDiagram):
     out = []
 
     for i in nodes:
-        out.append(("iqg.R1_inv", [i], word([H[i], H[tau[i]]]), one))
+        out.append(("iqg.R1_inv", [i], (((H[i], H[tau[i]]), one),),
+                    IDENTITY))
     for i in nodes:
         for j in nodes:
             if i < j:
-                out.append(("iqg.R1_comm", [i, j],
-                            word([H[i], H[j]]), word([H[j], H[i]])))
+                out.append(("iqg.R1_comm", [i, j], *_commuting(H[i], H[j])))
 
     for j in nodes:
         for i in nodes:
             exp = pairing(i, tau[j]) - pairing(i, j)
-            out.append(("iqg.R2", [j, i], word([H[j], B[i]]),
-                        word([B[i], H[j]], q(exp))))
+            out.append(("iqg.R2", [j, i], (((H[j], B[i]), one),),
+                        (((B[i], H[j]), q(exp)),)))
 
     for i in nodes:
         for j in nodes:
             if i < j and pairing(i, j) == 0 and tau[i] != j:
-                out.append(("iqg.R3", [i, j],
-                            word([B[i], B[j]]), word([B[j], B[i]])))
+                out.append(("iqg.R3", [i, j], *_commuting(B[i], B[j])))
 
     for i in nodes:
         if tau[i] == i:
@@ -173,7 +173,7 @@ def relation_instances(pres: SatakeDiagram):
             if j == i or j == tau[i]:
                 continue
             lhs = _sandwich(B[i], B[j], _SERRE[pairing(i, j), 0])
-            out.append(("iqg.R4", [i, j], lhs, OperatorExpr.zero()))
+            out.append(("iqg.R4", [i, j], lhs, ()))
 
     for i in nodes:
         ti = tau[i]
@@ -183,9 +183,8 @@ def relation_instances(pres: SatakeDiagram):
         lhs = _sandwich(B[i], B[ti], _SERRE[c, c % 2])
         first, second = _R5[c]
         power = (B[i],) * -c
-        rhs = OperatorExpr({
-            power + (H[i],): q(c) * first * varsigma[ti],
-            power + (H[ti],): -(second * varsigma[i])})
+        rhs = ((power + (H[i],), q(c) * first * varsigma[ti]),
+               (power + (H[ti],), -(second * varsigma[i])))
         out.append(("iqg.R5", [i], lhs, rhs))
 
     for i in nodes:
@@ -196,8 +195,7 @@ def relation_instances(pres: SatakeDiagram):
                 continue
             cij = pairing(i, j)
             lhs = _sandwich(B[i], B[j], SERRE_ROWS[1 - cij])
-            rhs = (OperatorExpr.symbol(B[j], q(1) * varsigma[i])
-                   if cij == -1 else OperatorExpr.zero())
+            rhs = (((B[j],), q(1) * varsigma[i]),) if cij == -1 else ()
             out.append(("iqg.R6", [i, j], lhs, rhs))
     return out
 

@@ -80,7 +80,8 @@ def iota_consistency(diagram: SatakeDiagram, max_s: int,
     ``modweyl_table``, whose built entries are read again here.  D/X/M and
     d/x/m symbols never clash, so one table whose rule reads a symbol from
     either holds both sides, and each relation is compiled once: it holds
-    in every degree or fails.  Returns the failing report entries of
+    in every degree or fails.  Its left side is the rows of iota(g), its
+    right side the one row (g, 1).  Returns the failing report entries of
     ``verify_relations`` (relation id ``modweyl.iota_consistency``, indices
     [label], residual up to ``max_s``); empty means iota realizes every
     generator.
@@ -88,8 +89,8 @@ def iota_consistency(diagram: SatakeDiagram, max_s: int,
     table = ActionTable(diagram.nslots,
                         lambda sym: modified.get(sym) or classical.get(sym),
                         lambda: chain(classical.symbols, modified.symbols))
-    instances = [("modweyl.iota_consistency", [sym.label], image,
-                  OperatorExpr.symbol(sym))
+    instances = [("modweyl.iota_consistency", [sym.label],
+                  tuple(image.terms.items()), (((sym,), ScalarQ.one()),))
                  for sym, image in iota_map(diagram).items()]
     return report_failures(verify_relations(instances, table, max_s))
 

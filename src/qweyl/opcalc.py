@@ -220,7 +220,9 @@ _ONE = ScalarQ.one()
 
 class OperatorExpr(_Combination):
     """Formal ScalarQ-linear combination of words in generator symbols.
-    Words multiply by concatenation."""
+    Words multiply by concatenation.  Images (chi, iota, phi, the aliases),
+    ``expr_map`` and ``apply`` read it; a relation side is a tuple of rows
+    instead, and ``expr.terms.items()`` gives the rows of an expression."""
 
     __slots__ = ()
     _op = staticmethod(add)
@@ -250,10 +252,6 @@ class OperatorExpr(_Combination):
         out.terms = {tuple(symbols): coeff}
         ok = isinstance(coeff, ScalarQ) and coeff.num
         return out if ok else cls(out.terms)
-
-    @classmethod
-    def symbol(cls, g: GeneratorSymbol, coeff=_ONE) -> "OperatorExpr":
-        return cls.word((g,), coeff)
 
     def __str__(self):
         if not self.terms:
@@ -442,10 +440,11 @@ def operator_equal_on_degrees(e1: OperatorExpr, e2: OperatorExpr,
 
     An empty list means the two expressions agree on that truncation.  No
     monomial goes through ``apply``: the residuals are read off the form
-    that ``compile_relation`` compiles from both sides
+    that ``compile_relation`` compiles from the rows of both sides
     (``ShiftForm.residuals``).
     """
-    n, form = table.nvars, compile_relation(e1, e2, table)
+    n, form = table.nvars, compile_relation(e1.terms.items(),
+                                            e2.terms.items(), table)
     return [(mon, QPolynomial(n, terms))
             for mon, terms in form.residuals(monomials_up_to(n, max_s))]
 
@@ -453,9 +452,12 @@ def operator_equal_on_degrees(e1: OperatorExpr, e2: OperatorExpr,
 def verify_relations(instances, table: ActionTable, max_s: int):
     """Check a list of relation instances against an action table.
 
-    ``instances`` holds tuples (group_id, indices, lhs, rhs).  To check a
-    homomorphism's relations, pass ``image_table(images, table)``.  Returns
-    a list of per-instance report dicts.
+    ``instances`` holds tuples (group_id, indices, lhs, rhs), each side a
+    sequence of rows (word, coeff) as the relation builders emit them (see
+    ``compile_relation``); an ``OperatorExpr`` side is passed as
+    ``expr.terms.items()``.  To check a homomorphism's relations, pass
+    ``image_table(images, table)``.  Returns a list of per-instance report
+    dicts.
 
     Each relation is compiled once from its two sides (``compile_relation``),
     which reads word forms from ``table``'s memo, so every suffix of every

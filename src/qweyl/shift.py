@@ -19,10 +19,14 @@ has shifted the exponents by s turns its term q^e u^m into q^{e + m.s} u^m.
 ``sum_of_products`` so sums an image of ``opcalc.image_table``, words with
 one shift vector and one d-count, into one ``ShiftWord``, multiplying the
 sparse terms of its letters directly.  ``compile_relation`` instead reads
-the form of each word from its table's memo (``_word_form``), which steps
-each suffix once, adds it times its Laurent coefficient into a sum that its
-side owns (``_add_terms``; a side copies what it reads from the memo),
-compares the sides' components, and subtracts only unequal sides.
+a relation as two sides of rows (word, coefficient), the form in which the
+relation builders emit it, takes the form of each word from its table's
+memo (``_word_form``), which steps each suffix once, adds it times its
+Laurent coefficient into a sum that its side owns (``_add_terms``; a side
+copies what it reads from the memo), compares the sides' components, and
+subtracts only unequal sides.  A coefficient over q^2 - 1, such as
+1/(q - q^-1), counts as one more division of its word, like a d letter,
+so no other word is multiplied by q^2 - 1.
 The sides agree on every monomial iff every component of lhs - rhs is zero,
 because distinct characters a -> q^{m.a} are linearly independent on N^n.
 The guard "d_i kills X^a when a_i = 0" needs no special case: the factor
@@ -48,7 +52,7 @@ from math import comb, prod
 from operator import add
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .qscalar import _UNIT, ONE, LaurentPoly, ScalarQ, _coeff
+from .qscalar import _UNIT, ONE, Q_MINUS_QINV, LaurentPoly, ScalarQ, _coeff
 
 Vector = Tuple[int, ...]
 Sparse = Tuple[Tuple[int, int], ...]
@@ -310,6 +314,11 @@ def _add_terms(comp, form: Form, coeff):
             comp[key] = comp.get(key, 0) + v * vc
 
 
+# The terms of q^2 - 1, the canonical denominator of 1/(q - q^-1):
+# ``compile_relation`` reads a coefficient over it as one more division.
+_FOLDED = ScalarQ(1, Q_MINUS_QINV).den._c
+
+
 @cache
 def _q_minus_qinv_power(n: int) -> LaurentPoly:
     """(q - q^-1)^n, the sum of (-1)^k C(n, k) q^(n - 2k), built once per
@@ -319,10 +328,12 @@ def _q_minus_qinv_power(n: int) -> LaurentPoly:
 
 
 def compile_relation(lhs, rhs, table) -> ShiftForm:
-    """The shift-vector form of lhs - rhs, two OperatorExprs, over an
-    ActionTable.  Each side is summed into its own components by
-    ``_add_terms``, never into an expression; two equal sides give the
-    zero form at once, and only unequal ones are subtracted.
+    """The shift-vector form of lhs - rhs over an ActionTable.  Each side is
+    a sequence of rows (word, coeff): a tuple of symbols and a nonzero
+    ScalarQ, no word twice on one side, and an empty side is zero.  A
+    caller holding an ``OperatorExpr`` passes ``expr.terms.items()``.  Each
+    side is summed into its own components by ``_add_terms``; two equal
+    sides give the zero form at once, and only unequal ones are subtracted.
 
     Every entry of an ``ActionTable`` is a ``ShiftWord``.  A symbol the
     table does not know raises the ``KeyError`` of ``ActionTable.entry``.
@@ -334,29 +345,35 @@ def compile_relation(lhs, rhs, table) -> ShiftForm:
     component as a copy of its polynomial; every other word is added into
     a component the side owns.
 
-    Both sides are first multiplied by L, the product of the distinct
-    denominators of their coefficients, and by (q - q^-1)^D, D the largest
-    number of divisions in one word, so that every component has Laurent
-    coefficients in q.  Both factors are nonzero; ``scale`` records them,
-    and is built only for a nonzero form.
+    A coefficient over q^2 - 1, the canonical denominator of 1/(q - q^-1),
+    is read as its numerator times q^-1 over one more division by
+    q - q^-1: the fold adds to its word's d-count.  Both sides are then
+    multiplied by L, the product of the other distinct denominators of
+    their coefficients, and by (q - q^-1)^D, D the largest d-count of one
+    word, so that every component has Laurent coefficients in q.  Both
+    factors are nonzero; ``scale`` records them, and is built only for a
+    nonzero form.
 
     A word or coefficient whose exponents could reach 2^23 in a packed key
     raises a ValueError (see the module docstring).
     """
     sides, dens, depth = ([], []), [], 0
-    for expr, words in zip((lhs, rhs), sides):
-        for word, c in expr.terms.items():
+    for rows, words in zip((lhs, rhs), sides):
+        for word, c in rows:
             form = _word_form(word, table)
-            if form[2] > depth:
-                depth = form[2]
-            k = -1                      # a polynomial c: the last co-factor
-            if not c.is_polynomial:
-                try:                    # compared, never hashed
-                    k = dens.index(c.den)
-                except ValueError:
-                    k = len(dens)
-                    dens.append(c.den)
-            words.append((form, c.num, k))
+            num, den, divided, k = c.num, c.den, form[2], -1
+            if den._c != _UNIT:
+                if den._c == _FOLDED:
+                    num, divided = num.shift(-1), divided + 1
+                else:
+                    try:                # compared, never hashed
+                        k = dens.index(den)
+                    except ValueError:
+                        k = len(dens)
+                        dens.append(den)
+            if divided > depth:
+                depth = divided
+            words.append((form, num, divided, k))
     if dens:    # c * L is c.num times every other denominator: no gcd
         rest = [prod(dens[:k] + dens[k + 1:], start=ONE)
                 for k in range(len(dens))]
@@ -364,11 +381,11 @@ def compile_relation(lhs, rhs, table) -> ShiftForm:
     summed = []
     for words in sides:
         comps: Dict[Vector, ShiftPoly] = {}
-        for form, coeff, k in words:
+        for form, coeff, divided, k in words:
             if dens:
                 coeff = coeff * rest[k]
-            if form[2] < depth:
-                coeff = coeff * _q_minus_qinv_power(depth - form[2])
+            if divided < depth:
+                coeff = coeff * _q_minus_qinv_power(depth - divided)
             delta = form[0]
             comp = comps.get(delta)
             if comp is None:

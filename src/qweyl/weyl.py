@@ -6,10 +6,14 @@ At xi = 1 this is the classical algebra, written D_i, X_i, M_i^{+-1}; the
 modified algebra of a Satake diagram takes the diagram's xi.  The map chi
 sends the Chevalley generators E_i, F_i, K_i of U_q(sl_{r+2}) to X_i D_{i+1},
 X_{i+1} D_i and M_i M_{i+1}^{-1}.  ``quantum_relations`` builds the relations
-of U_q from a symmetric Cartan matrix, and the uqsl suite on A_{r+1}.
+of U_q from a symmetric Cartan matrix, and the uqsl suite on A_{r+1}.  Both
+builders emit each side of a relation as a tuple of rows (word, coeff),
+which ``shift.compile_relation`` reads; no side is an ``OperatorExpr``.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .opcalc import ActionTable, GeneratorSymbol, OperatorExpr, QPolynomial
 from .qscalar import Q_MINUS_QINV, ScalarQ, q_binomial
@@ -106,14 +110,40 @@ def leibniz_check(i: int, f: QPolynomial, g: QPolynomial) -> bool:
     return lhs == rhs
 
 
+# Relation sides are tuples of rows (word, coeff), a word a tuple of symbols
+# and coeff a nonzero ScalarQ, and () is the zero side: what
+# ``shift.compile_relation`` reads.  These constants depend on no diagram.
+_ONE = ScalarQ.one()
+IDENTITY = (((), _ONE),)        # the side 1: the empty word
+_MINUS_ONE = -_ONE
+_QQ_INV = ScalarQ(1, Q_MINUS_QINV)
+_MINUS_QQ_INV = -_QQ_INV
+
+
+def _commuting(a: GeneratorSymbol, b: GeneratorSymbol):
+    """The two sides of the relation a b = b a, as rows."""
+    return (((a, b), _ONE),), (((b, a), _ONE),)
+
+
+@cache
+def _group_ids(names: str, prefix: str):
+    """The group ids of ``algebra_relations``, spelled in ``names``."""
+    rename = str.maketrans("DXM", names)
+    return {name: "%s.%s" % (prefix, name.translate(rename)) for name in (
+        "MMinv", "MinvM", "MM_comm", "DD_comm", "XX_comm", "DM_comm",
+        "XM_comm", "DX_comm", "DM_same", "XM_same", "DX_same", "XD_same")}
+
+
 def algebra_relations(xi, names: str, prefix: str):
     """All defining relation instances of the algebra with exponents xi.
 
     ``names`` holds the d/x/m letters, and group ids are spelled in them:
     "DXM" with prefix "weyl" gives ``weyl.DX_same``, "dxm" with prefix
     "modweyl" gives ``modweyl.dx_same``.  Returns tuples
-    (group_id, indices, lhs, rhs) of operator expressions.  Each symbol
-    and group id is built once per call.
+    (group_id, indices, lhs, rhs), each side a tuple of rows (word, coeff).
+    Each symbol, and the coefficients of each distinct xi_i, are built once
+    per call; the group ids depend on ``names`` and ``prefix`` alone and are
+    built once per process.
     """
     n = len(xi)
     dn, xn, mn = names
@@ -121,49 +151,38 @@ def algebra_relations(xi, names: str, prefix: str):
     x = [GeneratorSymbol(xn, i) for i in range(n)]
     m = [GeneratorSymbol(mn, i) for i in range(n)]
     minv = [GeneratorSymbol(mn, i, True) for i in range(n)]
-    rename = str.maketrans("DXM", names)
-    gid = {name: "%s.%s" % (prefix, name.translate(rename)) for name in (
-        "MMinv", "MinvM", "MM_comm", "DD_comm", "XX_comm", "DM_comm",
-        "XM_comm", "DX_comm", "DM_same", "XM_same", "DX_same", "XD_same")}
-    one = OperatorExpr.identity()
-    word = OperatorExpr.word
+    gid = _group_ids(names, prefix)
+    one = _ONE
     out = []
     for i in range(n):
-        out.append((gid["MMinv"], [i], word((m[i], minv[i])), one))
-        out.append((gid["MinvM"], [i], word((minv[i], m[i])), one))
+        out.append((gid["MMinv"], [i], (((m[i], minv[i]), one),), IDENTITY))
+        out.append((gid["MinvM"], [i], (((minv[i], m[i]), one),), IDENTITY))
     for i in range(n):
         for j in range(i + 1, n):
-            out.append((gid["MM_comm"], [i, j],
-                        word((m[i], m[j])), word((m[j], m[i]))))
-            out.append((gid["DD_comm"], [i, j],
-                        word((d[i], d[j])), word((d[j], d[i]))))
-            out.append((gid["XX_comm"], [i, j],
-                        word((x[i], x[j])), word((x[j], x[i]))))
+            out.append((gid["MM_comm"], [i, j], *_commuting(m[i], m[j])))
+            out.append((gid["DD_comm"], [i, j], *_commuting(d[i], d[j])))
+            out.append((gid["XX_comm"], [i, j], *_commuting(x[i], x[j])))
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            out.append((gid["DM_comm"], [i, j],
-                        word((d[i], m[j])), word((m[j], d[i]))))
-            out.append((gid["XM_comm"], [i, j],
-                        word((x[i], m[j])), word((m[j], x[i]))))
-            out.append((gid["DX_comm"], [i, j],
-                        word((d[i], x[j])), word((x[j], d[i]))))
-    qq_inv = ScalarQ(1, Q_MINUS_QINV)
+            out.append((gid["DM_comm"], [i, j], *_commuting(d[i], m[j])))
+            out.append((gid["XM_comm"], [i, j], *_commuting(x[i], m[j])))
+            out.append((gid["DX_comm"], [i, j], *_commuting(d[i], x[j])))
     same = {}  # xi_i -> q^xi_i, q^-xi_i and the DX_same rhs coefficients
     for i, v in enumerate(xi):
         if v not in same:
             up, down = ScalarQ.q_power(v), ScalarQ.q_power(-v)
-            same[v] = up, down, up * qq_inv, -(down * qq_inv)
+            same[v] = up, down, up * _QQ_INV, -(down * _QQ_INV)
         up, down, dx_m, dx_minv = same[v]
-        out.append((gid["DM_same"], [i], word((d[i], m[i])),
-                    word((m[i], d[i]), up)))
-        out.append((gid["XM_same"], [i], word((x[i], m[i])),
-                    word((m[i], x[i]), down)))
-        out.append((gid["DX_same"], [i], word((d[i], x[i])),
-                    OperatorExpr({(m[i],): dx_m, (minv[i],): dx_minv})))
-        out.append((gid["XD_same"], [i], word((x[i], d[i])),
-                    OperatorExpr({(m[i],): qq_inv, (minv[i],): -qq_inv})))
+        out.append((gid["DM_same"], [i], (((d[i], m[i]), one),),
+                    (((m[i], d[i]), up),)))
+        out.append((gid["XM_same"], [i], (((x[i], m[i]), one),),
+                    (((m[i], x[i]), down),)))
+        out.append((gid["DX_same"], [i], (((d[i], x[i]), one),),
+                    (((m[i],), dx_m), ((minv[i],), dx_minv))))
+        out.append((gid["XD_same"], [i], (((x[i], d[i]), one),),
+                    (((m[i],), _QQ_INV), ((minv[i],), _MINUS_QQ_INV))))
     return out
 
 
@@ -185,10 +204,11 @@ def chi_map(r: int):
 
 
 def _sandwich(gi: GeneratorSymbol, gj: GeneratorSymbol, coeffs):
-    """The sum over n of coeffs[n] gi^n gj gi^(m-n), m = len(coeffs) - 1."""
+    """The rows of the sum over n of coeffs[n] gi^n gj gi^(m-n),
+    m = len(coeffs) - 1: one row per n, its word of gj after n gi."""
     m = len(coeffs) - 1
-    return OperatorExpr({(gi,) * n + (gj,) + (gi,) * (m - n): v
-                         for n, v in enumerate(coeffs)})
+    return tuple([((gi,) * n + (gj,) + (gi,) * (m - n), v)
+                  for n, v in enumerate(coeffs)])
 
 
 # (-1)^n [m choose n], n = 0..m: through ``_sandwich``, row m is the q-Serre
@@ -202,51 +222,45 @@ _Q_POWERS = {c: ScalarQ.q_power(c) for c in range(-2, 3)}
 def quantum_relations(cartan):
     """All defining relation instances of U_q of the symmetric Cartan
     matrix ``cartan`` (rows of ints, off-diagonal 0, -1 or -2) on the nodes
-    0..n-1, as E/F/K expressions: K K^-1, the K commutators, K-conjugation
-    of E and F by q^(+-a_ij), [E_i, F_j], the E and F commutators where
-    a_ij = 0 and the q-Serre sums of order 1 - a_ij (``SERRE_ROWS``) where
-    a_ij < 0.  Each symbol is built once per call."""
+    0..n-1, each side a tuple of rows (word, coeff) in E/F/K: K K^-1, the K
+    commutators, K-conjugation of E and F by q^(+-a_ij), [E_i, F_j], the E
+    and F commutators where a_ij = 0 and the q-Serre sums of order 1 - a_ij
+    (``SERRE_ROWS``) where a_ij < 0.  Each symbol is built once per call,
+    and every coefficient once per process."""
     n = len(cartan)
-    word = OperatorExpr.word
-    one = OperatorExpr.identity()
-    plus, minus = ScalarQ.one(), -ScalarQ.one()
-    qq_inv = ScalarQ(1, Q_MINUS_QINV)
+    one, minus = _ONE, _MINUS_ONE
     e, f = [E(i) for i in range(n)], [F(i) for i in range(n)]
     k, kinv = [K(i) for i in range(n)], [K(i, True) for i in range(n)]
     out = []
     for i in range(n):
-        out.append(("uqsl.KKinv", [i], word((k[i], kinv[i])), one))
-        out.append(("uqsl.KinvK", [i], word((kinv[i], k[i])), one))
+        out.append(("uqsl.KKinv", [i], (((k[i], kinv[i]), one),), IDENTITY))
+        out.append(("uqsl.KinvK", [i], (((kinv[i], k[i]), one),), IDENTITY))
     for i in range(n):
         for j in range(i + 1, n):
-            out.append(("uqsl.KK_comm", [i, j],
-                        word((k[i], k[j])), word((k[j], k[i]))))
+            out.append(("uqsl.KK_comm", [i, j], *_commuting(k[i], k[j])))
     for i in range(n):
         for j in range(n):
             c = cartan[i][j]
-            out.append(("uqsl.KEK", [i, j], word((k[i], e[j], kinv[i])),
-                        word((e[j],), _Q_POWERS[c])))
-            out.append(("uqsl.KFK", [i, j], word((k[i], f[j], kinv[i])),
-                        word((f[j],), _Q_POWERS[-c])))
+            out.append(("uqsl.KEK", [i, j], (((k[i], e[j], kinv[i]), one),),
+                        (((e[j],), _Q_POWERS[c]),)))
+            out.append(("uqsl.KFK", [i, j], (((k[i], f[j], kinv[i]), one),),
+                        (((f[j],), _Q_POWERS[-c]),)))
     for i in range(n):
         for j in range(n):
-            lhs = OperatorExpr({(e[i], f[j]): plus, (f[j], e[i]): minus})
-            rhs = (OperatorExpr({(k[i],): qq_inv, (kinv[i],): -qq_inv})
-                   if i == j else OperatorExpr.zero())
-            out.append(("uqsl.EF", [i, j], lhs, rhs))
+            rhs = ((((k[i],), _QQ_INV), ((kinv[i],), _MINUS_QQ_INV))
+                   if i == j else ())
+            out.append(("uqsl.EF", [i, j],
+                        (((e[i], f[j]), one), ((f[j], e[i]), minus)), rhs))
     for i in range(n):
         for j in range(n):
             c = cartan[i][j]
             if c == 0:
-                out.append(("uqsl.EE_far", [i, j],
-                            word((e[i], e[j])), word((e[j], e[i]))))
-                out.append(("uqsl.FF_far", [i, j],
-                            word((f[i], f[j])), word((f[j], f[i]))))
+                out.append(("uqsl.EE_far", [i, j], *_commuting(e[i], e[j])))
+                out.append(("uqsl.FF_far", [i, j], *_commuting(f[i], f[j])))
             elif c < 0:
                 for g, group in ((e, "uqsl.serre_E"), (f, "uqsl.serre_F")):
                     out.append((group, [i, j],
-                                _sandwich(g[i], g[j], SERRE_ROWS[1 - c]),
-                                OperatorExpr.zero()))
+                                _sandwich(g[i], g[j], SERRE_ROWS[1 - c]), ()))
     return out
 
 

@@ -13,9 +13,13 @@ graph and its axiom audit by the per-node Kashiwara formula, without string
 walks.  ``reference_compile_relation`` is ``shift.compile_relation`` as it
 was before it skipped its products by 1: every coefficient times the product
 of the other denominators and times a power of q - q^-1, that power and the
-product taken even when they are 1.  It composes each word afresh with
-``compose``, ``shift``'s fold of one word before the compiler read word
-forms from a memo, and reads each key back by ``shift._decode`` (as
+product taken even when they are 1.  It reads a coefficient over q^2 - 1 as
+one more division, as the compiler does, so that the two give equal forms.
+It takes one ``OperatorExpr``, lhs - rhs; ``as_expr`` reads a relation side,
+a tuple of rows as the builders emit it, as an ``OperatorExpr``, so the
+references compare with the builders through it.  It composes each word
+afresh with ``compose``, ``shift``'s fold of one word before the compiler
+read word forms from a memo, and reads each key back by ``shift._decode`` (as
 ``decoded`` reads compiled components) and packs it again by ``packed``,
 one letter stepped by the compiler: no test knows the key format.
 ``evaluate`` is the image of any entry: its terms expanded at u = q^a,
@@ -416,20 +420,29 @@ def compose(letters, nvars: int) -> Form:
 def reference_compile_relation(expr, table) -> ShiftForm:
     """``compile_relation`` with every product by 1 still taken, on keys
     read back as (q exponent, sparse u exponents) and packed again at the
-    end; ``scale`` is None for the zero form, as there."""
-    n = table.nvars
-    words = [(compose([table.entry(sym) for sym in word], n), c)
-             for word, c in expr.terms.items()]
-    dens = {c.den for _, c in words if not c.is_polynomial}
-    rest = {den: prod((d for d in dens if d != den), start=LaurentPoly.one())
-            for den in dens | {LaurentPoly.one()}}
-    depth = max((form[2] for form, _ in words), default=0)
-    powers = [LaurentPoly.one()]
+    end; ``scale`` is None for the zero form, as there.  Like it, it reads a
+    coefficient over q^2 - 1, the canonical denominator of 1/(q - q^-1),
+    as its numerator times q^-1 over one more division by q - q^-1, so
+    that only the other denominators enter ``scale`` as L."""
+    n, one = table.nvars, LaurentPoly.one()
+    folded = ScalarQ(Q_MINUS_QINV).invert().den
+    words = []
+    for word, c in expr.terms.items():
+        form = compose([table.entry(sym) for sym in word], n)
+        num, den, divided = c.num, c.den, form[2]
+        if den == folded:
+            num, den, divided = num * LaurentPoly.q_power(-1), one, divided + 1
+        words.append((form, num, den, divided))
+    dens = {den for _, _, den, _ in words if den != one}
+    rest = {den: prod((d for d in dens if d != den), start=one)
+            for den in dens | {one}}
+    depth = max((divided for *_, divided in words), default=0)
+    powers = [one]
     for _ in range(depth):
         powers.append(powers[-1] * Q_MINUS_QINV)
     components = {}
-    for (shift, poly, divided, _), c in words:
-        coeff = c.num * rest[c.den] * powers[depth - divided]
+    for (shift, poly, _, _), num, den, divided in words:
+        coeff = num * rest[den] * powers[depth - divided]
         comp = components.setdefault(shift, {})
         terms = [(_decode(key), v) for key, v in poly.items()]
         for qc, vc in coeff.items():
@@ -443,8 +456,15 @@ def reference_compile_relation(expr, table) -> ShiftForm:
             components[delta] = comp
         else:
             del components[delta]
-    scale = prod(dens, start=LaurentPoly.one()) * powers[depth]
+    scale = prod(dens, start=one) * powers[depth]
     return ShiftForm(components, scale if components else None)
+
+
+def as_expr(side) -> OperatorExpr:
+    """A relation side, a tuple of rows (word, coeff) as the builders emit
+    and ``compile_relation`` reads them, as the ``OperatorExpr`` of those
+    words and coefficients; () is the zero expression."""
+    return OperatorExpr(dict(side))
 
 
 def reference_q_product(ns, start=1) -> LaurentPoly:
@@ -642,7 +662,7 @@ def _serre_sum(i: int, j: int, c: int, parity: int = 0) -> OperatorExpr:
     divided powers B^(n) = B^n/[n]!: the Serre-type left side for a_ij = c."""
     out = OperatorExpr.zero()
     for n in range(2 - c):
-        term = (divided_power(B_(i), n) * OperatorExpr.symbol(B_(j))
+        term = (divided_power(B_(i), n) * OperatorExpr.word((B_(j),))
                 * divided_power(B_(i), 1 - c - n))
         out = out + term.scale(ScalarQ(-1 if (n + parity) % 2 else 1))
     return out
@@ -702,10 +722,11 @@ def reference_relation_instances(diagram: SatakeDiagram):
             eps = 3 * ((i == 0) - (i == pres.tau[0]))
         qm2 = ScalarQ.q_power(-2)
         qp2 = ScalarQ.q_power(2)
-        first = (divided_power(B_(i), -c) * OperatorExpr.symbol(H_(i))).scale(
+        power = divided_power(B_(i), -c)
+        first = (power * OperatorExpr.word((H_(i),))).scale(
             ScalarQ.q_power(c + eps) * q_pochhammer(qm2, qm2, -c)
             * pres.varsigma[ti])
-        second = (divided_power(B_(i), -c) * OperatorExpr.symbol(H_(ti))).scale(
+        second = (power * OperatorExpr.word((H_(ti),))).scale(
             ScalarQ.q_power(-eps) * q_pochhammer(qp2, qp2, -c)
             * pres.varsigma[i])
         rhs = (first - second).scale(qq_inv)
@@ -725,8 +746,8 @@ def reference_relation_instances(diagram: SatakeDiagram):
                 lhs = lhs + OperatorExpr.word(
                     (B_(i),) * n + (B_(j),) + (B_(i),) * (n_top - n), coeff)
             if cij == -1:
-                rhs = OperatorExpr.symbol(
-                    B_(j), ScalarQ.q_power(1) * pres.varsigma[i])
+                rhs = OperatorExpr.word(
+                    (B_(j),), ScalarQ.q_power(1) * pres.varsigma[i])
             else:
                 rhs = OperatorExpr.zero()
             out.append(("iqg.R6", [i, j], lhs, rhs))

@@ -5,8 +5,8 @@ from functools import partial
 
 import pytest
 
-from closed_forms import (action_discrepancies, closed_form_action, evaluate,
-                          witness_coefficients, xi_variants)
+from closed_forms import (action_discrepancies, as_expr, closed_form_action,
+                          evaluate, witness_coefficients, xi_variants)
 from evaluation import eval_scalar
 from qweyl import iqg
 from qweyl.iqg import (B_, H_, _alias_images, apply_witness,
@@ -124,8 +124,8 @@ def test_relations_numerically_at_rational_q():
     table = modweyl_table(d)
     push = phi(presentation(d))
     for _, _, lhs, rhs in relation_instances(presentation(d)):
-        left = expr_map(lhs, push)
-        right = expr_map(rhs, push)
+        left = expr_map(as_expr(lhs), push)
+        right = expr_map(as_expr(rhs), push)
         for mon in monomials_up_to(2, 3):
             p = QPolynomial.monomial(mon)
             lp = apply(left, p, table)
@@ -251,7 +251,7 @@ def test_oscillator_action_matches_phi(kind, r):
     # the generated table against the per-kind closed forms, alias by alias
     d = build_diagram(kind, r)
     table = oscillator_action(d)
-    images = {sym: OperatorExpr.symbol(sym)
+    images = {sym: OperatorExpr.word((sym,))
               for sym in _alias_images(presentation(d))}
     assert action_discrepancies(images, table, closed_form_action(d), 5) == []
 

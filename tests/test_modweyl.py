@@ -125,14 +125,9 @@ def test_xi_all_ones_reduces_to_classical_relation_set():
     from qweyl.opcalc import GeneratorSymbol
     from qweyl.weyl import weyl_relation_instances
 
-    def classicalize(expr):
-        out = {}
-        for word, c in expr.terms.items():
-            out[tuple(GeneratorSymbol(s.fam.upper(), s.idx, s.inv)
-                      for s in word)] = c
-        renamed = OperatorExpr.__new__(OperatorExpr)
-        renamed.terms = out
-        return renamed
+    def classicalize(side):
+        return tuple((tuple(GeneratorSymbol(s.fam.upper(), s.idx, s.inv)
+                            for s in word), c) for word, c in side)
 
     d = build_diagram("I", 0).with_xi(1, 1)
     deformed = {(g.split(".")[1].lower(), tuple(i)): (classicalize(l), classicalize(r))

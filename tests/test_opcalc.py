@@ -117,7 +117,7 @@ def test_every_table_image_is_homogeneous():
 
 
 def test_default_coefficient_is_built_once(monkeypatch):
-    # word, symbol and identity share one canonical 1 instead of building it
+    # word and identity share one canonical 1 instead of building it
     built = []
     init = ScalarQ.__init__
 
@@ -127,11 +127,9 @@ def test_default_coefficient_is_built_once(monkeypatch):
 
     monkeypatch.setattr(ScalarQ, "__init__", counting)
     g = GeneratorSymbol("e", 0)
-    exprs = [OperatorExpr.word([g]), OperatorExpr.symbol(g),
-             OperatorExpr.identity()]
+    exprs = [OperatorExpr.word([g]), OperatorExpr.identity()]
     assert built == []
     assert [e.terms for e in exprs] == [{(g,): ScalarQ.one()},
-                                        {(g,): ScalarQ.one()},
                                         {(): ScalarQ.one()}]
 
 
@@ -426,7 +424,7 @@ def test_tables_refuse_steps_that_are_not_runs():
                   scaled_word(e0, ((0, 0),)), two_targets):
         table = ActionTable(base.nvars, {g0: entry}.get)
         with pytest.raises(ValueError, match="is not a q-integer run"):
-            apply(OperatorExpr.symbol(g0), QPolynomial.monomial((1, 1, 1)),
+            apply(OperatorExpr.word((g0,)), QPolynomial.monomial((1, 1, 1)),
                   table)
 
 

@@ -21,13 +21,15 @@ instance of a presentation must hold under the standard coideal embedding
 (``closed_forms.coideal_embedding``), and -q^-3 in one node's varsigma, in
 the relations alone, must break exactly the two instances that read it.
 The iqg reference keeps R5's eps form, so it reads the varsigma of
-``closed_forms.unfolded``.
+``closed_forms.unfolded``.  The builders emit each side as a tuple of rows
+(word tuple, nonzero ScalarQ), and build no ``OperatorExpr`` while they
+run; the references read them through ``closed_forms.as_expr``.
 """
 
 import pytest
 
-from closed_forms import (_serre_sum, coideal_embedding, cyclic_chi_map,
-                          divided_power, q_pochhammer,
+from closed_forms import (_serre_sum, as_expr, coideal_embedding,
+                          cyclic_chi_map, divided_power, q_pochhammer,
                           reference_algebra_relations,
                           reference_compile_relation,
                           reference_relation_instances,
@@ -35,9 +37,11 @@ from closed_forms import (_serre_sum, coideal_embedding, cyclic_chi_map,
                           xi_variants)
 from qweyl.cli import MUTATIONS, _apply_mutation, run_suite
 from qweyl.iqg import _R5, _SERRE, B_, phi, presentation, relation_instances
-from qweyl.modweyl import iota_map, modweyl_relation_instances, modweyl_table
-from qweyl.opcalc import (OperatorExpr, expr_map, image_table,
-                          monomials_of_degree, report_failures,
+from qweyl import modweyl
+from qweyl.modweyl import (iota_consistency, iota_map,
+                           modweyl_relation_instances, modweyl_table)
+from qweyl.opcalc import (GeneratorSymbol, OperatorExpr, expr_map,
+                          image_table, monomials_of_degree, report_failures,
                           verify_relations)
 from qweyl.qscalar import Q_MINUS_QINV, LaurentPoly, ScalarQ, q_binomial
 from qweyl.satake import _MIN_R, build_diagram
@@ -57,11 +61,17 @@ UP_TO_4 = ALL_DIAGRAMS + [(kind, r) for kind, low in _MIN_R.items()
 
 
 def _entries(instances):
-    """Each instance as (group id, indices, lhs terms, rhs terms), the terms
-    as lists, so that their order counts too."""
-    return [(group, list(indices), list(lhs.terms.items()),
-             list(rhs.terms.items()))
+    """Each instance as (group id, indices, lhs rows, rhs rows), the rows as
+    lists, so that their order counts too.  A builder's sides are its rows;
+    a reference builder's sides, ``OperatorExpr``s, are read as theirs."""
+    return [(group, list(indices), _rows(lhs), _rows(rhs))
             for group, indices, lhs, rhs in instances]
+
+
+def _rows(side):
+    if isinstance(side, OperatorExpr):
+        return list(side.terms.items())
+    return list(side)
 
 
 def _diagrams(kind, r):
@@ -91,6 +101,56 @@ def test_builders_match_reference_entry_by_entry(kind, r):
             reference_algebra_relations(variant.xi, "dxm", "modweyl"))
 
 
+def test_builders_build_no_operator_expr(monkeypatch):
+    # The four relation builders emit rows: while they run on every golden
+    # diagram, building an OperatorExpr raises.  iota's images are built
+    # before, since an image is an OperatorExpr; the consistency check's
+    # instances are read off them.  Every side is a tuple of rows (word
+    # tuple, nonzero ScalarQ) with no word twice, and each builder still
+    # returns a list.
+    diagrams = [build_diagram(kind, r) for kind, r in ALL_DIAGRAMS]
+    images = {d.spec_string: iota_map(d) for d in diagrams}
+    checked, real = [], modweyl.verify_relations
+
+    def recorded(instances, table, max_s):
+        checked.extend(instances)
+        return real(instances, table, max_s)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a relation builder built an OperatorExpr")
+
+    built = []
+    with monkeypatch.context() as patch:
+        patch.setattr(modweyl, "iota_map", lambda d: images[d.spec_string])
+        patch.setattr(modweyl, "verify_relations", recorded)
+        patch.setattr(OperatorExpr, "__init__", refused)
+        patch.setattr(OperatorExpr, "word", refused)
+        for d in diagrams:
+            lists = [weyl_relation_instances(d.r),
+                     uqsl_relation_instances(d.r),
+                     modweyl_relation_instances(d),
+                     relation_instances(presentation(d))]
+            assert all(type(instances) is list and instances
+                       for instances in lists)
+            built += [entry for instances in lists for entry in instances]
+            assert iota_consistency(d, 0, weyl_table(d.nslots),
+                                    modweyl_table(d)) == []
+    assert len(checked) == sum(map(len, images.values()))
+    groups = set()
+    for group, _, lhs, rhs in built + checked:
+        groups.add(group.split(".")[0])
+        for side in (lhs, rhs):
+            assert type(side) is tuple, group
+            for row in side:
+                word, c = row
+                assert type(row) is tuple and type(word) is tuple, group
+                assert all(type(sym) is GeneratorSymbol for sym in word)
+                assert type(c) is ScalarQ and not c.is_zero, group
+            assert len({word for word, _ in side}) == len(side), group
+    assert groups == {"weyl", "uqsl", "modweyl", "iqg"}
+    assert {group for group, *_ in checked} == {"modweyl.iota_consistency"}
+
+
 def _suites(d):
     """(table, instances) for every suite, each table as ``verify`` builds it."""
     classical, modified = weyl_table(d.nslots), modweyl_table(d)
@@ -110,10 +170,10 @@ def _broken(instances):
         if group in seen:
             continue
         seen.add(group)
-        if rhs.is_zero:
-            rhs = OperatorExpr.word(next(iter(lhs.terms)), q)
+        if not rhs:
+            rhs = ((lhs[0][0], q),)
         else:
-            rhs = rhs.scale(q)
+            rhs = tuple([(word, c * q) for word, c in rhs])
         out.append((group, indices, lhs, rhs))
     return out
 
@@ -123,7 +183,7 @@ def _reference_report(instances, table, max_s):
     lhs - rhs: the verdict and the first residual up to ``max_s``."""
     n, report = table.nvars, []
     for group, indices, lhs, rhs in instances:
-        form = reference_compile_relation(lhs - rhs, table)
+        form = reference_compile_relation(as_expr(lhs) - as_expr(rhs), table)
         entry = {"relation_id": group, "instance_indices": list(indices),
                  "ok": not form.components}
         if form.components:
@@ -176,7 +236,7 @@ def test_compiling_never_changes_the_memo(kind, r):
     for variant in variants:
         for table, instances in _suites(variant):
             for _, _, lhs, rhs in instances:
-                for word in [*lhs.terms, *rhs.terms]:
+                for word, _ in (*lhs, *rhs):
                     _word_form(word, table)
             before = _memo(table)
             for _, _, lhs, rhs in instances:
@@ -210,7 +270,7 @@ def test_compiled_components_are_the_callers(kind, r):
             for comp in comps:
                 comp.clear()
             assert compile_relation(lhs, rhs, table) == \
-                reference_compile_relation(lhs - rhs, table)
+                reference_compile_relation(as_expr(lhs) - as_expr(rhs), table)
             assert _memo(table) == before
 
 
@@ -218,12 +278,11 @@ def _copies_then_adds(lhs, rhs, table):
     """Whether a side of lhs - rhs holds two words of one shift vector, the
     first with coefficient 1 at the relation's largest d-count: the side
     copies that word's memo polynomial and adds the second into the copy."""
-    forms = {word: _word_form(word, table)
-             for word in [*lhs.terms, *rhs.terms]}
+    forms = {word: _word_form(word, table) for word, _ in (*lhs, *rhs)}
     depth = max([form[2] for form in forms.values()], default=0)
     for side in (lhs, rhs):
         copied = set()
-        for word, c in side.terms.items():
+        for word, c in side:
             shift, _, divided, _ = forms[word]
             if shift in copied:
                 return True
@@ -242,9 +301,12 @@ def test_subtract_path_matches_the_reference(kind, r):
     q, shared = ScalarQ.q_power(1), 0
     for table, instances in _suites(build_diagram(kind, r)):
         for _, _, lhs, rhs in instances:
-            broken = lhs + OperatorExpr.word(next(iter(lhs.terms)), q)
-            for a, b in ((rhs, lhs), (lhs, rhs.scale(q)), (rhs, broken)):
-                assert compile_relation(a, b, table) == \
+            left, right = as_expr(lhs), as_expr(rhs)
+            broken = left + OperatorExpr.word(lhs[0][0], q)
+            for a, b in ((right, left), (left, right.scale(q)),
+                         (right, broken)):
+                assert compile_relation(a.terms.items(), b.terms.items(),
+                                        table) == \
                     reference_compile_relation(a - b, table), str(a - b)
             shared += _copies_then_adds(lhs, rhs, table)
     assert shared   # uqsl.EF, the R4/R6 sandwiches, ...
@@ -347,7 +409,8 @@ def _coideal_failures(relations, embedded):
     images, table = coideal_embedding(embedded)
     return [(group, indices)
             for group, indices, lhs, rhs in relation_instances(relations)
-            if compile_relation(expr_map(lhs, images), expr_map(rhs, images),
+            if compile_relation(expr_map(as_expr(lhs), images).terms.items(),
+                                expr_map(as_expr(rhs), images).terms.items(),
                                 table).components]
 
 

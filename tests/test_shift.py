@@ -11,8 +11,10 @@ qweyl builds a run, entries built on their first lookup against the tables
 built at once and image entries
 against the packed path at many xi, image tables that read no letter
 before a lookup,
-a word-form memo that holds words only, and a modweyl suite that compiles
-its @iota relations only when iota fails to realize a generator."""
+a word-form memo that holds words only, a modweyl suite that compiles
+its @iota relations only when iota fails to realize a generator, a
+coefficient over q^2 - 1 read as one more division, and inverse letters
+that compose to exactly the identity entry."""
 
 import functools
 import json
@@ -23,9 +25,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from closed_forms import (_run, decoded, eager_algebra_table,
+from closed_forms import (_run, as_expr, decoded, eager_algebra_table,
                           eager_image_table, evaluate, overridden, packed,
-                          reference_compile_relation, xi_variants)
+                          reference_apply, reference_compile_relation,
+                          xi_variants)
 from qweyl import modweyl, opcalc, qscalar, shift
 from qweyl.cli import main, run_suite
 from qweyl.iqg import (_alias_images, e_, oscillator_action, phi,
@@ -40,7 +43,8 @@ from qweyl.opcalc import (ActionTable, GeneratorSymbol, OperatorExpr,
 from qweyl.qscalar import (InexactDivisionError, LaurentPoly, Q_MINUS_QINV,
                            ScalarQ)
 from qweyl.satake import build_diagram, parse_spec
-from qweyl.shift import ShiftForm, ShiftWord, _decode, compile_relation
+from qweyl.shift import (ShiftForm, ShiftWord, _decode, _word_form,
+                         compile_relation, sum_of_products)
 from qweyl.weyl import (algebra_table, chi_map, uqsl_relation_instances,
                         weyl_relation_instances, weyl_table)
 
@@ -76,7 +80,7 @@ def _evaluate(form, a):
 
 def _assert_compiles_to_apply(expr, table, monomials):
     """``expr`` compiled over ``table`` against ``apply`` through it."""
-    form = compile_relation(expr, OperatorExpr.zero(), table)
+    form = compile_relation(expr.terms.items(), (), table)
     scaled = expr.scale(ScalarQ(form.scale)) if form.components else expr
     for a in monomials:
         expected = apply(scaled, QPolynomial.monomial(a), table).terms
@@ -91,10 +95,10 @@ def test_compiled_components_match_apply(kind, r):
     d = build_diagram(kind, r)
     exprs = {}
     for table, instances, push in _suites(d):
-        pairs = [(table, lambda side: side)]
+        pairs = [(table, as_expr)]
         if push is not None:
-            pairs = [(table, lambda side: expr_map(side, push)),
-                     (image_table(push, table), lambda side: side)]
+            pairs = [(table, lambda side: expr_map(as_expr(side), push)),
+                     (image_table(push, table), as_expr)]
         for tab, pushed in pairs:
             for _, _, lhs, rhs in instances:
                 for side in (pushed(lhs), pushed(rhs)):
@@ -121,8 +125,7 @@ def test_rule_is_the_monomial_action():
     table = modweyl_table(build_diagram("A1AFF"))  # xi = (1, 3)
     assert table.entry(m_(1)) == ShiftWord.generator(1, 0, ((1, 3),))
     assert table.entry(m_(1)) == ShiftWord((), ((1, 0, ((1, 3),)),), 0)
-    form = compile_relation(OperatorExpr.symbol(m_(1, True)),
-                            OperatorExpr.zero(), table)
+    form = compile_relation((((m_(1, True),), ScalarQ.one()),), (), table)
     assert decoded(form.components) == {(0, 0): {(0, ((1, -3),)): 1}}
 
 
@@ -154,11 +157,11 @@ def test_packed_keys_stop_at_the_digit_bound():
                             z[3]: x0,
                             z[4]: ShiftWord((), ((1, EDGE, ()),), 0),
                             z[5]: ShiftWord((), ((1, 1, ()),), 0)}.get)
-    zero, one = OperatorExpr.zero(), ScalarQ(1)
+    one = ScalarQ(1)
 
     def compiled(word, coeff=one):
-        expr = OperatorExpr.word(word, coeff)
-        return decoded(compile_relation(expr, zero, table).components)
+        form = compile_relation(((word, coeff),), (), table)
+        return decoded(form.components)
 
     assert compiled((z[0],)) == {(0, 0): {(0, ((0, EDGE),)): 1}}
     assert compiled((z[1], z[3])) == {(1, 0): {(-EDGE, ((0, -EDGE),)): 1}}
@@ -189,11 +192,11 @@ def test_top_slots_compile_as_slots_0_and_1():
     # At I:r=64 every key runs to 67 digits: each weyl cross-slot group on
     # slots (i, j) that reach the top two, each side compiled alone, is,
     # relabelled, the same group on (0, 1).
-    table, zero, sides = weyl_table(66), OperatorExpr.zero(), {}
+    table, sides = weyl_table(66), {}
     for group, (i, *rest), lhs, rhs in weyl_relation_instances(64):
         if rest and ({i, *rest} & {64, 65} or (i, *rest) == (0, 1)):
             sides.setdefault(group, {})[i, rest[0]] = [
-                _relabelled(compile_relation(side, zero, table).components,
+                _relabelled(compile_relation(side, (), table).components,
                             (i, rest[0])) for side in (lhs, rhs)]
     assert len(sides) == 6
     for group, by_pair in sides.items():
@@ -224,7 +227,7 @@ def test_a_zero_form_draws_no_monomial():
         def __next__(self):
             raise AssertionError("a zero form drew a monomial")
 
-    table, x0 = weyl_table(2), OperatorExpr.symbol(GeneratorSymbol("X", 0))
+    table, x0 = weyl_table(2), (((GeneratorSymbol("X", 0),), ScalarQ.one()),)
     form = compile_relation(x0, x0, table)
     assert form == ShiftForm({}, None)
     assert list(form.residuals(Untouchable())) == []
@@ -325,12 +328,12 @@ def test_plain_function_entry_is_refused_and_checked_by_monomials():
     with pytest.raises(KeyError, match=message):
         table.act(e_(0), (0, 0, 0))
     with pytest.raises(KeyError, match=message):
-        compile_relation(OperatorExpr.symbol(e_(0)), OperatorExpr.zero(), table)
+        compile_relation((((e_(0),), ScalarQ.one()),), (), table)
     # composed image tables compile, and agree with apply
     monomials = monomials_up_to(d.nslots, 4)
-    _assert_compiles_to_apply(OperatorExpr.symbol(e_(0)),
+    _assert_compiles_to_apply(OperatorExpr.word((e_(0),)),
                               oscillator_action(d), monomials)
-    _assert_compiles_to_apply(OperatorExpr.symbol(m_(1)), iota_table(d),
+    _assert_compiles_to_apply(OperatorExpr.word((m_(1),)), iota_table(d),
                               monomials)
 
     # m_0 scaled by q, as a mistaken closed form would be: the relations in
@@ -385,12 +388,13 @@ def _verify_runs(capsys, tmp_path, spec):
 
 def _record_compiles(patch):
     """Wrap ``compile_relation`` as ``verify_relations`` calls it; returns
-    the list of (lhs - rhs, table, form) it fills."""
+    the list of (lhs - rhs, table, form) it fills, lhs - rhs an
+    ``OperatorExpr``."""
     calls = []
 
     def recorded(lhs, rhs, table):
         form = compile_relation(lhs, rhs, table)
-        calls.append((lhs - rhs, table, form))
+        calls.append((as_expr(lhs) - as_expr(rhs), table, form))
         return form
 
     patch.setattr(opcalc, "compile_relation", recorded)
@@ -549,7 +553,8 @@ def test_verify_steps_each_word_suffix_once(monkeypatch, kind, r):
             assert under.forms == {(): shift._identity(under.nvars)}
         steps.clear()
         verify_relations(instances, table, 0)
-        words = [w for _, _, lhs, rhs in instances for w in (lhs - rhs).terms]
+        words = [w for _, _, lhs, rhs in instances
+                 for w in (as_expr(lhs) - as_expr(rhs)).terms]
         assert len(steps) == len(_suffixes(words))
         assert len(steps) < sum(len(w) for w in words)
 
@@ -580,9 +585,9 @@ def test_image_words_must_share_shift_and_d_count():
     # vector and their d-count; the zero image, the ShiftWord with no terms,
     # is no run, and refused when it is first looked up.
     table = algebra_table((1, 1), "dxm")
-    x0, d0 = OperatorExpr.symbol(x_(0)), OperatorExpr.symbol(d_(0))
+    x0, d0 = OperatorExpr.word((x_(0),)), OperatorExpr.word((d_(0),))
     one = OperatorExpr.identity()
-    for image in (x0 + OperatorExpr.symbol(x_(1)), d0 * x0 + one):
+    for image in (x0 + OperatorExpr.word((x_(1),)), d0 * x0 + one):
         images = image_table({e_(0): image}, table)
         with pytest.raises(ValueError, match="words differ in shift vector "
                                              "or d-count"):
@@ -647,6 +652,52 @@ def test_word_forms_are_never_shared_between_tables(capsys, monkeypatch):
     assert runs[0] == runs[2]
     for expr, table, form in calls:
         assert form == reference_compile_relation(expr, table), str(expr)
+
+
+@pytest.mark.parametrize("spec", ["A1AFF", "VI:r=1"])
+def test_a_coefficient_over_q2_minus_1_is_one_more_division(spec):
+    # dx_same and xd_same with the sign of their m^-1 row flipped fail.
+    # Their right rows, over q - q^-1, are read as one more division each,
+    # not as a denominator q^2 - 1 that every other word is multiplied by:
+    # the form's scale is (q - q^-1)^depth, depth the largest d-count of a
+    # word, and its residuals are lhs - rhs applied monomial by monomial.
+    # A1AFF has xi = (1, 3), and VI:r=1 has xi = -1 at slot 0.
+    d = parse_spec(spec)
+    table, checked = modweyl_table(d), 0
+    monomials = monomials_up_to(d.nslots, 2)
+    for group, _, lhs, rhs in modweyl_relation_instances(d):
+        if group not in ("modweyl.dx_same", "modweyl.xd_same"):
+            continue
+        (m, c), (minv, c_inv) = rhs
+        assert c.den == c_inv.den == LaurentPoly({2: 1, 0: -1})
+        broken = ((m, c), (minv, -c_inv))
+        form = compile_relation(lhs, broken, table)
+        depth = max(_word_form(word, table)[2] for word, _ in lhs + broken)
+        assert depth == 1 and form.scale == Q_MINUS_QINV ** depth
+        expr = as_expr(lhs) - as_expr(broken)
+        want = [(a, reference_apply(expr, QPolynomial.monomial(a),
+                                    table).terms) for a in monomials]
+        assert list(form.residuals(monomials)) == [
+            (a, terms) for a, terms in want if terms]
+        assert any(terms for _, terms in want)
+        checked += 1
+    assert checked == 2 * d.nslots
+
+
+@pytest.mark.parametrize("xi", [1, 2, -1])
+def test_inverse_letters_compose_to_the_identity_entry(xi):
+    # m_i m_i^-1 and m_i^-1 m_i, multiplied on their sparse terms, are
+    # exactly the identity ShiftWord: the u exponents xi and -xi cancel to
+    # no slot at all, not to a slot of exponent 0, which acts the same but
+    # is an unequal entry.  An image table composes the same entry.
+    table = algebra_table((xi, xi), "dxm")
+    identity = ShiftWord((), ((1, 0, ()),), 0)
+    for i in range(2):
+        m, m_inv = table.entry(m_(i)), table.entry(m_(i, True))
+        for letters in ([m, m_inv], [m_inv, m]):
+            assert sum_of_products([(letters, LaurentPoly.one())]) == identity
+        image = OperatorExpr.word((m_(i), m_(i, True)))
+        assert image_table({e_(0): image}, table).entry(e_(0)) == identity
 
 
 def test_word_form_memo_holds_words_only():

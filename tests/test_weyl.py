@@ -36,7 +36,7 @@ def test_d_substitution_matches_monomial_rule(r):
     for mon in monomials_up_to(nvars, 6):
         p = QPolynomial.monomial(mon)
         for i in range(nvars):
-            via_rule = apply(OperatorExpr.symbol(D(i)), p, table)
+            via_rule = apply(OperatorExpr.word((D(i),)), p, table)
             assert d_substitution(i, p) == via_rule
 
 
